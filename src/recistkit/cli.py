@@ -14,6 +14,7 @@ the worker count never changes output content.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -58,7 +59,7 @@ from .synthetic import (
     generate_scene,
     simulate_heatmaps,
 )
-from .targets import render_targets
+from .targets import output_grid, render_targets
 
 HEATMAP_SUFFIX = ".rkhm"
 
@@ -98,11 +99,19 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _load_effective_config(args, section_overrides: dict[str, dict]) -> dict:
-    cfg = config_mod.load_config(getattr(args, "config", None))
-    for section, overrides in section_overrides.items():
-        cfg = config_mod.apply_overrides(cfg, section, overrides)
-    return cfg
+def _load_effective_config(args) -> tuple[dict, dict]:
+    """Defaults, then the --config file, then explicit flags.
+
+    Returns the merged config and its typed sections (see
+    ``config.build_sections``).
+    """
+    overrides: dict[str, dict] = {}
+    for flag, section, key, *_ in _CONFIG_FLAGS[args.command]:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            overrides.setdefault(section, {})[key] = value
+    cfg = config_mod.merge(config_mod.load_config(args.config), overrides)
+    return cfg, config_mod.build_sections(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -110,21 +119,11 @@ def _load_effective_config(args, section_overrides: dict[str, dict]) -> dict:
 
 
 def _cmd_render_targets(args) -> int:
-    cfg = _load_effective_config(
-        args,
-        {
-            "render": {
-                "stride": args.stride,
-                "input_size": args.input_size,
-                "min_overlap": args.min_overlap,
-                "sigma_divisor": args.sigma_divisor,
-            }
-        },
-    )
+    cfg, _ = _load_effective_config(args)
     render = cfg["render"]
     stride = render["stride"]
     input_size = render["input_size"]
-    out_cells = -(-input_size // stride)
+    out_h, out_w = output_grid((input_size, input_size), stride)
 
     parsed = parse_annotations(args.annotations, args.exclusions)
     by_image: dict[str, list] = {}
@@ -140,8 +139,8 @@ def _cmd_render_targets(args) -> int:
             try:
                 targets = render_targets(
                     extremes,
-                    out_cells,
-                    out_cells,
+                    out_h,
+                    out_w,
                     stride,
                     min_overlap=render["min_overlap"],
                     sigma_divisor=render["sigma_divisor"],
@@ -170,20 +169,8 @@ def _cmd_render_targets(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    cfg = _load_effective_config(
-        args,
-        {
-            "grouping": {
-                "tau_e": args.tau_e,
-                "tau_c": args.tau_c,
-                "k1": args.k1,
-                "k2": args.k2,
-                "kernel": args.kernel,
-                "center_interp": args.center_interp,
-            }
-        },
-    )
-    grouping_cfg = config_mod.grouping_config(cfg)
+    cfg, sections = _load_effective_config(args)
+    grouping_cfg = sections["grouping"]
 
     heatmap_dir = Path(args.heatmaps)
     files = sorted(heatmap_dir.glob(f"*{HEATMAP_SUFFIX}"))
@@ -213,17 +200,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    cfg = _load_effective_config(
-        args,
-        {
-            "soft_nms": {
-                "sigma": args.sigma,
-                "score_floor": args.score_floor,
-                "method": args.method,
-            }
-        },
-    )
-    nms_cfg = config_mod.soft_nms_config(cfg)
+    cfg, sections = _load_effective_config(args)
+    nms_cfg = sections["soft_nms"]
 
     original, _ = read_detections(args.original)
     flipped, _ = read_detections(args.flipped)
@@ -300,16 +278,7 @@ def _froc_to_dict(result) -> dict:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _load_effective_config(
-        args,
-        {
-            "eval": {
-                "iou_threshold": args.iou,
-                "pad": args.pad,
-                "fp_targets": args.fps,
-            }
-        },
-    )
+    cfg, _ = _load_effective_config(args)
     eval_cfg = cfg["eval"]
     fp_targets = tuple(eval_cfg["fp_targets"])
 
@@ -317,6 +286,8 @@ def _cmd_eval(args) -> int:
     parsed = parse_annotations(args.annotations, args.exclusions)
     if parsed.n_excluded:
         print(f"excluded {parsed.n_excluded} annotation row(s)")
+    if not parsed.annotations:
+        raise InputFormatError(f"{args.annotations}: no lesions to evaluate against")
     gts_by_image: dict[str, list] = {}
     for ann in parsed.annotations:
         gts_by_image.setdefault(ann.file_name, []).append(ann)
@@ -373,9 +344,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_effective_config(
-        args, {"render": {"stride": args.stride}}
-    )
+    cfg, _ = _load_effective_config(args)
     render = cfg["render"]
     stride = render["stride"]
 
@@ -432,16 +401,9 @@ def _cmd_simulate(args) -> int:
         if args.flipped_out:
             flipped_dir = Path(args.flipped_out)
             flipped_dir.mkdir(parents=True, exist_ok=True)
-            flipped_degradation = DegradationConfig(
-                noise_sigma=args.noise,
-                peak_drop_prob=args.drop,
-                spurious_rate=args.spurious,
-                jitter_cells=args.jitter,
-                seed=degradation_seed + 1,
-            )
             flipped_bundle = simulate_heatmaps(
                 flip_scene(scene),
-                flipped_degradation,
+                dataclasses.replace(degradation, seed=degradation_seed + 1),
                 stride,
                 min_overlap=render["min_overlap"],
                 sigma_divisor=render["sigma_divisor"],
@@ -558,15 +520,77 @@ def _positive_float(raw: str) -> float:
 
 def _fps_list(raw: str) -> list[float]:
     try:
-        return [float(p) for p in raw.split(",") if p.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad FP target list: {raw!r}") from None
+        values = [float(p) for p in raw.split(",") if p.strip()]
+        config_mod.check_fp_targets(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{raw!r}: {exc}") from None
+    return values
+
+
+# Flags that set one config key, per subcommand:
+# (flag, section, key, type, choices, help).
+_CONFIG_FLAGS = {
+    "render-targets": [
+        ("--input-size", "render", "input_size", int, None,
+         "input pixels, square"),
+        ("--stride", "render", "stride", int, None, "down-sampling factor"),
+        ("--min-overlap", "render", "min_overlap", float, None,
+         "kernel radius rule IoU"),
+        ("--sigma-divisor", "render", "sigma_divisor", float, None,
+         "kernel sigma = radius / divisor"),
+    ],
+    "detect": [
+        ("--tau-e", "grouping", "tau_e", float, None,
+         "extreme-peak threshold, strict"),
+        ("--tau-c", "grouping", "tau_c", float, None,
+         "center-response threshold, strict"),
+        ("--k1", "grouping", "k1", int, None, "max peaks kept per map"),
+        ("--k2", "grouping", "k2", int, None, "max combinations kept"),
+        ("--kernel", "grouping", "kernel", int, None,
+         "odd peak-suppression window"),
+        ("--center-interp", "grouping", "center_interp", None,
+         ["nearest", "bilinear"], "center map sampling"),
+    ],
+    "fuse": [
+        ("--sigma", "soft_nms", "sigma", _positive_float, None,
+         "gaussian decay bandwidth"),
+        ("--score-floor", "soft_nms", "score_floor", float, None,
+         "minimum retained score"),
+        ("--method", "soft_nms", "method", None, ["gaussian", "linear"],
+         "decay law"),
+    ],
+    "eval": [
+        ("--iou", "eval", "iou_threshold", float, None, "match IoU threshold"),
+        ("--pad", "eval", "pad", float, None, "detection box padding in px"),
+        ("--fps", "eval", "fp_targets", _fps_list, None,
+         "comma-separated FPs-per-image targets"),
+    ],
+    "simulate": [
+        ("--stride", "render", "stride", int, None, "down-sampling factor"),
+    ],
+}
+
+
+def _default_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(_default_text(v) for v in value)
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+def _add_config_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """Add a subcommand's config-backed flags.
+
+    Their argparse default stays None so that only an explicit flag
+    overrides the config file; the help text shows the built-in default.
+    """
+    p.add_argument("--config", default=None, help="JSON config file")
+    for flag, section, key, type_, choices, text in _CONFIG_FLAGS[command]:
+        default = _default_text(config_mod.DEFAULTS[section][key])
+        p.add_argument(flag, type=type_, choices=choices, default=None,
+                       help=f"{text} (default: {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # config-backed flags carry their effective default in the help text;
-    # their argparse default stays None so only explicit flags override the
-    # config file
     parser = argparse.ArgumentParser(
         prog="recistkit",
         description="Keypoint-based lesion detection toolkit: targets, "
@@ -581,15 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", required=True, help="annotation CSV path")
     p.add_argument("--exclusions", default=None,
                    help="file of keys to drop (default: none)")
-    p.add_argument("--input-size", type=int, default=None,
-                   help="input pixels, square (default: 511)")
-    p.add_argument("--stride", type=int, default=None,
-                   help="down-sampling factor (default: 4)")
-    p.add_argument("--min-overlap", type=float, default=None,
-                   help="kernel radius rule IoU (default: 0.3)")
-    p.add_argument("--sigma-divisor", type=float, default=None,
-                   help="kernel sigma = radius / divisor (default: 3.0)")
-    p.add_argument("--config", default=None, help="JSON config file")
+    _add_config_flags(p, "render-targets")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_render_targets)
 
@@ -598,20 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="group heatmap bundles into scored detections",
     )
     p.add_argument("--heatmaps", required=True, help="directory of bundles")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--tau-e", type=float, default=None,
-                   help="extreme-peak threshold, strict (default: 0.1)")
-    p.add_argument("--tau-c", type=float, default=None,
-                   help="center-response threshold, strict (default: 0.1)")
-    p.add_argument("--k1", type=int, default=None,
-                   help="max peaks kept per map (default: 40)")
-    p.add_argument("--k2", type=int, default=None,
-                   help="max combinations kept (default: 100)")
-    p.add_argument("--kernel", type=int, default=None,
-                   help="odd peak-suppression window (default: 3)")
-    p.add_argument("--center-interp", choices=["nearest", "bilinear"],
-                   default=None,
-                   help="center map sampling (default: nearest)")
+    _add_config_flags(p, "detect")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                    help="images processed in parallel; output is identical "
                         "regardless (default: machine parallelism)")
@@ -627,13 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="detections JSON from the flipped view")
     p.add_argument("--image-width", type=_positive_float, required=True,
                    help="width of the original image in pixels")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--sigma", type=_positive_float, default=None,
-                   help="gaussian decay bandwidth (default: 0.5)")
-    p.add_argument("--score-floor", type=float, default=None,
-                   help="minimum retained score (default: 0.001)")
-    p.add_argument("--method", choices=["gaussian", "linear"], default=None,
-                   help="decay law (default: gaussian)")
+    _add_config_flags(p, "fuse")
     p.add_argument("--out", required=True, help="fused detections JSON path")
     p.set_defaults(func=_cmd_fuse)
 
@@ -645,14 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", required=True, help="annotation CSV")
     p.add_argument("--exclusions", default=None,
                    help="file of keys to drop (default: none)")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--iou", type=float, default=None,
-                   help="match IoU threshold (default: 0.5)")
-    p.add_argument("--pad", type=float, default=None,
-                   help="detection box padding in px (default: 5)")
-    p.add_argument("--fps", type=_fps_list, default=None,
-                   help="comma-separated FPs-per-image targets "
-                        "(default: 0.5,1,2,3,4)")
+    _add_config_flags(p, "eval")
     p.add_argument("--stratify", choices=["type", "diameter", "interval"],
                    default=None,
                    help="also report per-stratum sensitivity (default: off)")
@@ -670,8 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lesions to place (default: 3)")
     p.add_argument("--image-size", type=int, default=768,
                    help="image pixels, square (default: 768)")
-    p.add_argument("--stride", type=int, default=None,
-                   help="down-sampling factor (default: 4)")
     p.add_argument("--noise", type=float, default=0.0,
                    help="keypoint-map noise sigma (default: 0)")
     p.add_argument("--drop", type=float, default=0.0,
@@ -685,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flipped-out", default=None,
                    help="also write the flipped view's bundle here "
                         "(default: off)")
-    p.add_argument("--config", default=None, help="JSON config file")
+    _add_config_flags(p, "simulate")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(

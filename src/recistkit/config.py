@@ -11,38 +11,29 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
-from .dataio import InputFormatError
+from .dataio import InputFormatError, is_finite_number
+from .evaluation import FP_TARGETS_DEFAULT
 from .fusion import SoftNmsConfig
 from .grouping import GroupingConfig
 from .losses import FocalParams
 
+# config sections whose keys and defaults are the fields of a library type
+SECTION_TYPES = {
+    "grouping": GroupingConfig,
+    "soft_nms": SoftNmsConfig,
+    "focal": FocalParams,
+}
+
 DEFAULTS: dict[str, Any] = {
-    "grouping": {
-        "tau_e": 0.1,
-        "tau_c": 0.1,
-        "k1": 40,
-        "k2": 100,
-        "kernel": 3,
-        "center_interp": "nearest",
-    },
-    "soft_nms": {
-        "sigma": 0.5,
-        "score_floor": 0.001,
-        "method": "gaussian",
-        "linear_iou_threshold": 0.3,
-    },
-    "focal": {
-        "alpha": 2.0,
-        "beta": 4.0,
-        "clamp_eps": 1e-12,
-    },
+    **{name: asdict(cls()) for name, cls in SECTION_TYPES.items()},
     "eval": {
         "iou_threshold": 0.5,
         "pad": 5.0,
-        "fp_targets": [0.5, 1.0, 2.0, 3.0, 4.0],
+        "fp_targets": list(FP_TARGETS_DEFAULT),
     },
     "render": {
         "stride": 4,
@@ -55,7 +46,22 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
-def _merge(base: dict, override: Mapping, path: str = "") -> dict:
+def _check_type(where: str, value: Any, default: Any) -> None:
+    """A value must have its default's JSON type; ints also pass as floats."""
+    if isinstance(default, (int, float)):
+        kinds = int if isinstance(default, int) else (int, float)
+        ok = isinstance(value, kinds) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        raise InputFormatError(
+            f"config key {where} must be of type {type(default).__name__}, "
+            f"got {value!r}"
+        )
+
+
+def merge(base: dict, override: Mapping, path: str = "") -> dict:
+    """``override`` layered over ``base``; unknown keys and wrong types raise."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -64,8 +70,9 @@ def _merge(base: dict, override: Mapping, path: str = "") -> dict:
         if isinstance(base[key], dict):
             if not isinstance(value, Mapping):
                 raise InputFormatError(f"config key {where} must be an object")
-            out[key] = _merge(base[key], value, where)
+            out[key] = merge(base[key], value, where)
         else:
+            _check_type(where, value, base[key])
             out[key] = value
     return out
 
@@ -81,30 +88,43 @@ def load_config(path: str | Path | None) -> dict[str, Any]:
         raise InputFormatError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InputFormatError(f"{path}: config root must be an object")
-    return _merge(DEFAULTS, data)
+    return merge(DEFAULTS, data)
 
 
-def apply_overrides(
-    cfg: dict[str, Any], section: str, overrides: Mapping[str, Any]
-) -> dict[str, Any]:
-    """Set non-None override values into one section of the config."""
-    out = copy.deepcopy(cfg)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in out[section]:
-            raise InputFormatError(f"unknown config key: {section}.{key}")
-        out[section][key] = value
-    return out
+def check_fp_targets(values: Sequence[float]) -> None:
+    """FPs-per-image targets must be a non-empty list of finite numbers >= 0."""
+    if not values or not all(is_finite_number(v) and v >= 0 for v in values):
+        raise ValueError(
+            f"FP targets must be a non-empty list of finite numbers >= 0, "
+            f"got {list(values)!r}"
+        )
 
 
-def grouping_config(cfg: Mapping[str, Any]) -> GroupingConfig:
-    return GroupingConfig(**cfg["grouping"])
+def build_sections(cfg: Mapping[str, Any]) -> dict[str, Any]:
+    """Validate a merged config and build its typed sections.
 
-
-def soft_nms_config(cfg: Mapping[str, Any]) -> SoftNmsConfig:
-    return SoftNmsConfig(**cfg["soft_nms"])
-
-
-def focal_params(cfg: Mapping[str, Any]) -> FocalParams:
-    return FocalParams(**cfg["focal"])
+    Returns one instance per ``SECTION_TYPES`` entry. A value the library
+    rejects raises :class:`InputFormatError` naming its section.
+    """
+    built = {}
+    for name, cls in SECTION_TYPES.items():
+        try:
+            built[name] = cls(**cfg[name])
+        except (TypeError, ValueError) as exc:
+            raise InputFormatError(f"config section {name}: {exc}") from None
+    try:
+        check_fp_targets(cfg["eval"]["fp_targets"])
+    except ValueError as exc:
+        raise InputFormatError(f"config section eval: {exc}") from None
+    render = cfg["render"]
+    if not (
+        render["stride"] >= 1
+        and render["input_size"] >= 1
+        and 0.0 < render["min_overlap"] < 1.0
+        and render["sigma_divisor"] > 0.0
+    ):
+        raise InputFormatError(
+            "config section render: stride and input_size must be >= 1, "
+            f"min_overlap in (0, 1) and sigma_divisor > 0, got {render}"
+        )
+    return built

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -250,24 +251,33 @@ def read_heatmaps(path: str | Path) -> HeatmapBundle:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: malformed header: {exc}") from None
+        if not isinstance(header, dict):
+            raise InputFormatError(f"{path}: header must be a JSON object")
         for key in ("height", "width", "stride", "input_width", "input_height"):
             if key not in header:
                 raise InputFormatError(f"{path}: header missing {key}")
+            value = header[key]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise InputFormatError(
+                    f"{path}: header {key} must be an integer >= 1, got {value!r}"
+                )
         if header.get("channel_names") != list(CHANNEL_NAMES):
             raise InputFormatError(f"{path}: unexpected channel names")
 
         h, w = header["height"], header["width"]
         expected = len(CHANNEL_NAMES) * h * w * 4
-        payload = fh.read(expected + 1)
-        if len(payload) < expected:
+        # sized from the file, so a header claiming a huge grid allocates nothing
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if available < expected:
             raise InputFormatError(
-                f"{path}: truncated payload ({len(payload)} of {expected} bytes)"
+                f"{path}: truncated payload ({available} of {expected} bytes)"
             )
-        if len(payload) > expected:
+        if available > expected:
             raise InputFormatError(
                 f"{path}: header/payload size mismatch (extra bytes after "
                 f"{expected})"
             )
+        payload = fh.read(expected)
 
     planes = np.frombuffer(payload, dtype="<f4").reshape(len(CHANNEL_NAMES), h, w)
     planes = planes.astype(np.float32)  # native byte order, writable
@@ -279,11 +289,20 @@ def read_heatmaps(path: str | Path) -> HeatmapBundle:
     )
 
 
+def is_finite_number(value) -> bool:
+    """A JSON number (not a bool) that is neither NaN nor infinite."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def _point_pair(value, path: str) -> Point2:
     if (
         not isinstance(value, list)
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) and math.isfinite(v) for v in value)
+        or not all(is_finite_number(v) for v in value)
     ):
         raise InputFormatError(f"{path}: expected [x, y] with finite numbers")
     return Point2(float(value[0]), float(value[1]))
@@ -312,8 +331,14 @@ def detection_from_dict(entry: dict, path: str) -> Detection:
         if key not in entry:
             raise InputFormatError(f"{path}: missing field {key}")
     bbox_vals = entry["bbox"]
-    if not isinstance(bbox_vals, list) or len(bbox_vals) != 4:
-        raise InputFormatError(f"{path}.bbox: expected [x1, y1, x2, y2]")
+    if (
+        not isinstance(bbox_vals, list)
+        or len(bbox_vals) != 4
+        or not all(is_finite_number(v) for v in bbox_vals)
+    ):
+        raise InputFormatError(
+            f"{path}.bbox: expected [x1, y1, x2, y2] with finite numbers"
+        )
     ext = entry["extremes"]
     if not isinstance(ext, dict):
         raise InputFormatError(f"{path}.extremes: expected an object")
@@ -322,8 +347,8 @@ def detection_from_dict(entry: dict, path: str) -> Detection:
         if role not in ext:
             raise InputFormatError(f"{path}.extremes: missing {role}")
         points[role] = _point_pair(ext[role], f"{path}.extremes.{role}")
-    if not isinstance(entry["score"], (int, float)):
-        raise InputFormatError(f"{path}.score: expected a number")
+    if not is_finite_number(entry["score"]):
+        raise InputFormatError(f"{path}.score: expected a finite number")
     if entry["source"] not in ("original", "flipped"):
         raise InputFormatError(f"{path}.source: expected 'original' or 'flipped'")
     return Detection(

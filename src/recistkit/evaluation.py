@@ -122,30 +122,6 @@ def match_detections(
 class _SweepPoint:
     threshold: float
     fp_rate: float
-    tp: int
-
-
-def _threshold_sweep(matches: Sequence[MatchResult]) -> list[_SweepPoint]:
-    """Operating points at every distinct score, threshold descending.
-
-    The sweep always includes the empty operating point (threshold +inf,
-    zero detections).
-    """
-    flat = [rec for m in matches for rec in m.records]
-    flat.sort(key=lambda r: -r.score)
-    n_images = len(matches)
-
-    points = [_SweepPoint(math.inf, 0.0, 0)]
-    tp = fp = 0
-    for i, rec in enumerate(flat):
-        if rec.is_tp:
-            tp += 1
-        else:
-            fp += 1
-        last_of_score = i + 1 == len(flat) or flat[i + 1].score != rec.score
-        if last_of_score:
-            points.append(_SweepPoint(rec.score, fp / n_images, tp))
-    return points
 
 
 def _best_at_target(
@@ -175,21 +151,17 @@ def froc(
 ) -> FrocResult:
     """Sensitivity at the requested FPs-per-image targets.
 
+    This is :func:`stratified_froc` with every lesion in one stratum.
     Raises ValueError when there are no images or no lesions; an image set
     with detections on none of them still yields sensitivity 0 everywhere.
     """
     if len(matches) == 0:
         raise ValueError("froc requires at least one image")
-    n_lesions = sum(m.n_gt for m in matches)
-    if n_lesions == 0:
+    if sum(m.n_gt for m in matches) == 0:
         raise ValueError("froc requires at least one ground-truth lesion")
 
-    points = _threshold_sweep(matches)
-    points_with_tp = [(p, p.tp) for p in points]
-    result_points = [
-        _best_at_target(points_with_tp, target, n_lesions) for target in fp_targets
-    ]
-    return FrocResult(result_points, n_images=len(matches), n_lesions=n_lesions)
+    labels = [["all"] * m.n_gt for m in matches]
+    return stratified_froc(matches, labels, "all", fp_targets).per_stratum["all"]
 
 
 def stratified_froc(
@@ -225,7 +197,7 @@ def stratified_froc(
     n_images = len(matches)
 
     sweep: list[tuple[_SweepPoint, dict[str, int]]] = [
-        (_SweepPoint(math.inf, 0.0, 0), {s: 0 for s in n_per_stratum})
+        (_SweepPoint(math.inf, 0.0), {s: 0 for s in n_per_stratum})
     ]
     tally = {s: 0 for s in n_per_stratum}
     fp = 0
@@ -236,7 +208,7 @@ def stratified_froc(
             tally[stratum] += 1
         last_of_score = i + 1 == len(flat) or flat[i + 1][0] != score
         if last_of_score:
-            sweep.append((_SweepPoint(score, fp / n_images, 0), dict(tally)))
+            sweep.append((_SweepPoint(score, fp / n_images), dict(tally)))
 
     per_stratum = {}
     for stratum, n_gt in sorted(n_per_stratum.items()):

@@ -37,9 +37,11 @@ from .targets import (
     HeatmapBundle,
     TargetBundle,
     draw_gaussian,
-    gaussian_radius,
+    draw_keypoint,
+    gaussian_kernel,
     keypoint_cell,
-    offset_target,
+    lesion_radius,
+    output_grid,
     render_targets,
 )
 
@@ -47,8 +49,6 @@ from .targets import (
 # effectively continuous while making coordinate / stride exact in binary
 # floating point for power-of-two strides, so offset round trips are exact.
 QUANTUM = 1.0 / 16.0
-
-_MAX_OFFSET = float(np.nextafter(np.float32(1.0), np.float32(0.0)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,14 +105,6 @@ def _axis_gaps(a: BBox, b: BBox) -> tuple[float, float]:
     return (max(b.x1 - a.x2, a.x1 - b.x2), max(b.y1 - a.y2, a.y1 - b.y2))
 
 
-def _kernel_value(dr: int, dc: int, radius: int, sigma_divisor: float) -> float:
-    """The float32 value a rendered kernel holds at offset (dr, dc), or 0."""
-    if abs(dr) > radius or abs(dc) > radius:
-        return 0.0
-    sigma = radius / sigma_divisor
-    return float(np.float32(math.exp(-(dr * dr + dc * dc) / (2.0 * sigma * sigma))))
-
-
 def _grouping_ambiguous(
     extremes_list,
     stride: int,
@@ -133,28 +125,28 @@ def _grouping_ambiguous(
     """
     cells = []
     for e in extremes_list:
-        box_w = (e.right.x - e.left.x) / stride
-        box_h = (e.bottom.y - e.top.y) / stride
-        radius = gaussian_radius(box_w, box_h, min_overlap)
+        radius = lesion_radius(e, stride, min_overlap)
         cells.append(
             {
                 role: keypoint_cell(getattr(e, role), stride)
                 for role in KEYPOINT_CHANNELS
             }
-            | {"radius": radius}
+            | {
+                "radius": radius,
+                "kernel": gaussian_kernel(radius, sigma_divisor).astype(np.float32),
+            }
         )
 
+    def kernel_value(c: dict, row: int, col: int) -> float:
+        """The value lesion c's rendered center kernel holds at (row, col)."""
+        r = c["radius"]
+        dr, dc = row - c["center"][0], col - c["center"][1]
+        if abs(dr) > r or abs(dc) > r:
+            return 0.0
+        return float(c["kernel"][dr + r, dc + r])
+
     def center_response(row: int, col: int) -> float:
-        return max(
-            (
-                _kernel_value(
-                    row - c["center"][0], col - c["center"][1],
-                    c["radius"], sigma_divisor,
-                )
-                for c in cells
-            ),
-            default=0.0,
-        )
+        return max((kernel_value(c, row, col) for c in cells), default=0.0)
 
     n = len(cells)
     idx = range(n)
@@ -345,9 +337,7 @@ def render_scene(
     sigma_divisor: float = 3.0,
 ) -> TargetBundle:
     """Ground-truth targets for a scene at the given stride."""
-    width, height = scene.image_size
-    out_w = -(-width // stride)
-    out_h = -(-height // stride)
+    out_h, out_w = output_grid(scene.image_size, stride)
     return render_targets(
         scene.extremes(),
         out_h,
@@ -374,9 +364,7 @@ def simulate_heatmaps(
     recovered coordinate inherits the jitter error).
     """
     rng = SplitMix64(cfg.seed)
-    width, height = scene.image_size
-    out_w = -(-width // stride)
-    out_h = -(-height // stride)
+    out_h, out_w = output_grid(scene.image_size, stride)
     bundle = HeatmapBundle.zeros(out_h, out_w, stride, scene.image_size)
 
     true_cells: dict[str, list[tuple[int, int]]] = {
@@ -386,9 +374,7 @@ def simulate_heatmaps(
 
     for ann in scene.annotations:
         extremes = ann.extremes()
-        box_w = (extremes.right.x - extremes.left.x) / stride
-        box_h = (extremes.bottom.y - extremes.top.y) / stride
-        radius = gaussian_radius(box_w, box_h, min_overlap)
+        radius = lesion_radius(extremes, stride, min_overlap)
 
         for role_idx, (role, p) in enumerate(
             zip(KEYPOINT_CHANNELS, extremes.points())
@@ -404,18 +390,8 @@ def simulate_heatmaps(
                 col += min(int(u_jx * span), span - 1) - cfg.jitter_cells
                 row = min(max(row, 0), out_h - 1)
                 col = min(max(col, 0), out_w - 1)
-            draw_gaussian(
-                bundle.keypoint_maps[role_idx], (row, col), radius,
-                sigma_divisor=sigma_divisor,
-            )
+            draw_keypoint(bundle, role_idx, (row, col), p, radius, sigma_divisor)
             true_cells[role].append((row, col))
-            if role == "center":
-                continue
-            dx, dy = offset_target(p, stride)
-            dx32 = min(float(np.float32(dx)), _MAX_OFFSET)
-            dy32 = min(float(np.float32(dy)), _MAX_OFFSET)
-            bundle.offset_maps[2 * role_idx][row, col] = dx32
-            bundle.offset_maps[2 * role_idx + 1][row, col] = dy32
 
     for role_idx, role in enumerate(KEYPOINT_CHANNELS):
         count = rng.poisson(cfg.spurious_rate)

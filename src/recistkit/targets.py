@@ -166,6 +166,47 @@ def keypoint_cell(p: Point2, stride: int) -> Cell:
     return (int(math.floor(p.y / stride)), int(math.floor(p.x / stride)))
 
 
+def output_grid(input_size: tuple[int, int], stride: int) -> tuple[int, int]:
+    """(rows, cols) covering a (width, height) px input: ceil(side / stride)."""
+    width, height = input_size
+    return -(-height // stride), -(-width // stride)
+
+
+def lesion_radius(extremes: ExtremePoints, stride: int, min_overlap: float) -> int:
+    """Kernel radius of all five keypoints: gaussian_radius of the cell box."""
+    box_w = (extremes.right.x - extremes.left.x) / stride
+    box_h = (extremes.bottom.y - extremes.top.y) / stride
+    return gaussian_radius(box_w, box_h, min_overlap)
+
+
+def draw_keypoint(
+    bundle: HeatmapBundle,
+    role_idx: int,
+    cell: Cell,
+    p: Point2,
+    radius: int,
+    sigma_divisor: float = 3.0,
+) -> tuple[float, float] | None:
+    """Draw keypoint ``p`` of role ``KEYPOINT_CHANNELS[role_idx]`` at ``cell``.
+
+    For an extreme role this also writes p's offset target at ``cell``,
+    float32-rounded and clamped below 1, and returns it as (dx, dy); the
+    center role has no offset and returns None.
+    """
+    draw_gaussian(
+        bundle.keypoint_maps[role_idx], cell, radius, sigma_divisor=sigma_divisor
+    )
+    if KEYPOINT_CHANNELS[role_idx] == "center":
+        return None
+    dx, dy = (
+        min(float(np.float32(v)), _MAX_OFFSET) for v in offset_target(p, bundle.stride)
+    )
+    row, col = cell
+    bundle.offset_maps[2 * role_idx, row, col] = dx
+    bundle.offset_maps[2 * role_idx + 1, row, col] = dy
+    return dx, dy
+
+
 def render_targets(
     annotations: list[ExtremePoints],
     out_h: int,
@@ -194,32 +235,20 @@ def render_targets(
     }
 
     for index, ann in enumerate(annotations):
-        for role, p in zip(KEYPOINT_CHANNELS, ann.points()):
-            row, col = keypoint_cell(p, stride)
+        cells = [keypoint_cell(p, stride) for p in ann.points()]
+        for role, p, (row, col) in zip(KEYPOINT_CHANNELS, ann.points(), cells):
             if not (0 <= row < out_h and 0 <= col < out_w):
                 raise ValueError(
                     f"annotation {index}: {role} keypoint ({p.x}, {p.y}) falls "
                     f"outside the {out_w}x{out_h} output grid at stride {stride}"
                 )
 
-        box_w = (ann.right.x - ann.left.x) / stride
-        box_h = (ann.bottom.y - ann.top.y) / stride
-        radius = gaussian_radius(box_w, box_h, min_overlap)
-
-        for role_idx, (role, p) in enumerate(zip(KEYPOINT_CHANNELS, ann.points())):
-            cell = keypoint_cell(p, stride)
-            draw_gaussian(
-                bundle.keypoint_maps[role_idx], cell, radius,
-                sigma_divisor=sigma_divisor,
-            )
-            if role == "center":
-                continue  # no offset prediction for the center point
-            dx, dy = offset_target(p, stride)
-            dx32 = min(float(np.float32(dx)), _MAX_OFFSET)
-            dy32 = min(float(np.float32(dy)), _MAX_OFFSET)
-            row, col = cell
-            bundle.offset_maps[2 * role_idx][row, col] = dx32
-            bundle.offset_maps[2 * role_idx + 1][row, col] = dy32
-            gt_cells[role].append((cell, (dx32, dy32)))
+        radius = lesion_radius(ann, stride, min_overlap)
+        for role_idx, (role, p, cell) in enumerate(
+            zip(KEYPOINT_CHANNELS, ann.points(), cells)
+        ):
+            offset = draw_keypoint(bundle, role_idx, cell, p, radius, sigma_divisor)
+            if offset is not None:
+                gt_cells[role].append((cell, offset))
 
     return TargetBundle(bundle=bundle, n_objects=len(annotations), gt_cells=gt_cells)

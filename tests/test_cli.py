@@ -1,6 +1,7 @@
 """Command-line surface: end-to-end flows, exit codes, byte determinism,
 config layering, and partial-output cleanup."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -185,6 +186,121 @@ class TestErrorPaths:
                    "--annotations", csv, "--out", tmp_path / "r") == 3
 
 
+# Argument builders for the exit-code table: each returns a function of
+# (tmp_path, sim_dir) that writes its input file and returns the path.
+
+
+def _cfg(doc):
+    def build(tmp_path, sim_dir):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return path
+    return build
+
+
+def _bundles(**header_changes):
+    """A copy of the simulated bundle with some header values replaced."""
+    def build(tmp_path, sim_dir):
+        data = (sim_dir / "syn_11.rkhm").read_bytes()
+        start = len(b"RKHM1\n")
+        end = data.index(b"\n", start)
+        header = json.loads(data[start:end])
+        header.update(header_changes)
+        out = tmp_path / "bundles"
+        out.mkdir()
+        (out / "syn_11.rkhm").write_bytes(
+            data[:start] + json.dumps(header).encode() + data[end:]
+        )
+        return out
+    return build
+
+
+def _dets(**changes):
+    """A one-detection document with some fields replaced."""
+    def build(tmp_path, sim_dir):
+        det = {
+            "bbox": [100.0, 100.0, 150.0, 150.0],
+            "extremes": {role: [125.0, 125.0] for role in
+                         ("top", "left", "bottom", "right", "center")},
+            "score": 0.5,
+            "source": "original",
+        }
+        det.update(changes)
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps({"config": None, "images": {"syn_11": [det]}}))
+        return path
+    return build
+
+
+def _header_only_csv(tmp_path, sim_dir):
+    from recistkit.dataio import CSV_COLUMNS
+
+    path = tmp_path / "empty.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n")
+    return path
+
+
+def _sim_dir(tmp_path, sim_dir):
+    return sim_dir
+
+
+def _sim_csv(tmp_path, sim_dir):
+    return sim_dir / "annotations.csv"
+
+
+def _fuse(dets, *flags):
+    return ["fuse", "--original", dets, "--flipped", dets,
+            "--image-width", 768, *flags]
+
+
+# (case, expected exit code, argv before --out)
+EXIT_CODE_CASES = [
+    ("detect --tau-e 2", 3, ["detect", "--heatmaps", _sim_dir, "--tau-e", 2]),
+    ("detect --kernel 2", 3, ["detect", "--heatmaps", _sim_dir, "--kernel", 2]),
+    ("config grouping.k1 string", 3, [
+        "detect", "--heatmaps", _sim_dir,
+        "--config", _cfg({"grouping": {"k1": "40"}})]),
+    ("config soft_nms.sigma -1", 3, _fuse(
+        _dets(), "--config", _cfg({"soft_nms": {"sigma": -1}}))),
+    ("render-targets --stride 0", 3, [
+        "render-targets", "--annotations", _sim_csv, "--stride", 0]),
+    ("simulate config render.stride 0", 3, [
+        "simulate", "--config", _cfg({"render": {"stride": 0}})]),
+    ("rkhm stride 0", 3, ["detect", "--heatmaps", _bundles(stride=0)]),
+    ("rkhm stride string", 3, ["detect", "--heatmaps", _bundles(stride="4")]),
+    ("rkhm negative height", 3, ["detect", "--heatmaps", _bundles(height=-192)]),
+    ("detections bbox string", 3, _fuse(
+        _dets(bbox=[100.0, 100.0, 150.0, "abc"]))),
+    ("detections bbox null", 3, _fuse(_dets(bbox=[100.0, 100.0, 150.0, None]))),
+    ("detections score true", 3, _fuse(_dets(score=True))),
+    ("eval header-only csv", 3, [
+        "eval", "--detections", _dets(), "--annotations", _header_only_csv]),
+    ("eval --fps ,", 2, [
+        "eval", "--detections", _dets(), "--annotations", _sim_csv, "--fps", ","]),
+    ("eval --fps nan", 2, [
+        "eval", "--detections", _dets(), "--annotations", _sim_csv, "--fps", "nan"]),
+    ("eval --fps -1", 2, [
+        "eval", "--detections", _dets(), "--annotations", _sim_csv, "--fps=-1"]),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "expected,parts", [c[1:] for c in EXIT_CODE_CASES],
+        ids=[c[0] for c in EXIT_CODE_CASES],
+    )
+    def test_malformed_input_exit_code(self, expected, parts, sim_dir, tmp_path,
+                                       capsys):
+        argv = [part(tmp_path, sim_dir) if callable(part) else part
+                for part in parts]
+        try:
+            code = run(*argv, "--out", tmp_path / "out")
+        except SystemExit as exc:
+            code = exc.code
+        assert code == expected, capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))  # no partial outputs
+
+
 class TestWindow:
     def test_round_trip_values(self, tmp_path):
         raw = tmp_path / "raw.f32"
@@ -231,3 +347,67 @@ class TestHelp:
             text = capsys.readouterr().out
             for fragment in expected:
                 assert fragment in text, (command, fragment)
+
+
+class TestGoldenBytes:
+    """Every artifact of one closed loop, pinned by sha256.
+
+    Covers both render paths (``simulate`` and ``render-targets``) and both
+    FROC entry points (``eval --stratify``). The digests were recorded with
+    numpy 2.4.6 on x86-64; the noise draws use numpy's SIMD transcendentals,
+    so another CPU family may legitimately produce other bytes.
+    """
+
+    DIGESTS = {
+        "sim/annotations.csv":
+            "cf6515f3d54c0f201497b56a2fa825bc1e0e8f023ec06bdb7b35f860c34bd23c",
+        "sim/config.json":
+            "4eba2c9d95ed5315be81e11444ba1a58e3c8af98a71c289c6310716d0dddd524",
+        "sim/syn_17.rkhm":
+            "69ffcdcacb5af23c5ffb420e8673ebe5c3f91bd745cde66f5cfe58fb0f8afb76",
+        "flip/config.json":
+            "4eba2c9d95ed5315be81e11444ba1a58e3c8af98a71c289c6310716d0dddd524",
+        "flip/syn_17.rkhm":
+            "b2b38d22106cc49c9b6a4fc9228e49fe0540169671ccda08dd0588d43f02f9dc",
+        "orig.json":
+            "394c7ba86e5b3cf93a6873ba1bedd04d115ebb51a72a07886034366cf023e843",
+        "flip.json":
+            "52c237e953e1873f3bea5fcda67e29ba4806c564b3735f8756bb15d662f60187",
+        "fused.json":
+            "4754b9d7b235a3ad86d53aa8bc3f2678ce28e62f5cf604f7c8233e79288a6345",
+        "report.json":
+            "e08cd67c679a626e8e23dfebd40ee2324ef23eef19ab7590aff19f6733c7548f",
+        "report.txt":
+            "e1459ac084d4946979a0ca58a2adbba325a577a502488bfff80aed1bb31aeb23",
+        "rendered/config.json":
+            "a77f712c745c2809dda8c206183f46db7b81356c5fa36f1daa890573bd69fc58",
+        "rendered/syn_17.rkhm":
+            "84b6524bc07e2fca54cb7767037fa12d4e7a8a91b2a5c50d05df2f524ef156dc",
+    }
+
+    def test_pipeline_artifacts_match_recorded_digests(self, tmp_path):
+        sim, flip = tmp_path / "sim", tmp_path / "flip"
+        steps = [
+            ("simulate", "--out", sim, "--flipped-out", flip,
+             "--scene-seed", 17, "--noise", 0.02),
+            ("detect", "--heatmaps", sim, "--out", tmp_path / "orig.json"),
+            ("detect", "--heatmaps", flip, "--out", tmp_path / "flip.json"),
+            ("fuse", "--original", tmp_path / "orig.json",
+             "--flipped", tmp_path / "flip.json", "--image-width", 768,
+             "--out", tmp_path / "fused.json"),
+            ("eval", "--detections", tmp_path / "fused.json",
+             "--annotations", sim / "annotations.csv", "--stratify", "diameter",
+             "--out", tmp_path / "report"),
+            ("render-targets", "--annotations", sim / "annotations.csv",
+             "--input-size", 768, "--out", tmp_path / "rendered"),
+        ]
+        for argv in steps:
+            assert run(*argv) == 0, argv
+        written = {
+            p.relative_to(tmp_path).as_posix(): hashlib.sha256(
+                p.read_bytes()
+            ).hexdigest()
+            for p in tmp_path.rglob("*")
+            if p.is_file()
+        }
+        assert written == self.DIGESTS
