@@ -65,7 +65,8 @@ HEATMAP_SUFFIX = ".rkhm"
 
 
 class _Outputs:
-    """Tracks files written by a command so failures can clean them up."""
+    """Tracks files written by a command; leaving its ``with`` block on an
+    exception removes them all."""
 
     def __init__(self) -> None:
         self.paths: list[Path] = []
@@ -87,7 +88,12 @@ class _Outputs:
             raise
         self.paths.append(path)
 
-    def discard_all(self) -> None:
+    def __enter__(self) -> _Outputs:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            return
         for path in self.paths:
             try:
                 path.unlink()
@@ -132,8 +138,7 @@ def _cmd_render_targets(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = _Outputs()
-    try:
+    with _Outputs() as outputs:
         for key in sorted(by_image):
             extremes = [ann.extremes() for ann in by_image[key]]
             try:
@@ -153,9 +158,6 @@ def _cmd_render_targets(args) -> int:
                 lambda tmp, b=targets.bundle: write_heatmaps(b, tmp),
             )
         outputs.write_bytes(out_dir / "config.json", _json_bytes(cfg))
-    except BaseException:
-        outputs.discard_all()
-        raise
 
     if parsed.n_excluded:
         print(f"excluded {parsed.n_excluded} annotation row(s)")
@@ -332,13 +334,9 @@ def _cmd_eval(args) -> int:
         result, strata, eval_cfg["iou_threshold"], eval_cfg["pad"], fp_targets
     )
 
-    outputs = _Outputs()
-    try:
+    with _Outputs() as outputs:
         outputs.write_bytes(Path(args.out + ".json"), _json_bytes(report))
         outputs.write_text(Path(args.out + ".txt"), text)
-    except BaseException:
-        outputs.discard_all()
-        raise
     print(text, end="")
     return 0
 
@@ -348,11 +346,20 @@ def _cmd_simulate(args) -> int:
     render = cfg["render"]
     stride = render["stride"]
 
-    scene = generate_scene(
-        args.n_lesions,
-        image_size=(args.image_size, args.image_size),
-        seed=args.scene_seed,
-    )
+    try:
+        scene = generate_scene(
+            args.n_lesions,
+            image_size=(args.image_size, args.image_size),
+            seed=args.scene_seed,
+            clearance_stride=stride,
+            clearance_tau=cfg["grouping"]["tau_c"],
+            min_overlap=render["min_overlap"],
+            sigma_divisor=render["sigma_divisor"],
+        )
+    except ValueError as exc:
+        print(f"error: usage: --n-lesions {args.n_lesions} at --stride {stride}: "
+              f"{exc}", file=sys.stderr)
+        return 2
     degradation_seed = (
         args.degradation_seed if args.degradation_seed is not None else args.scene_seed
     )
@@ -377,8 +384,7 @@ def _cmd_simulate(args) -> int:
         "degradation_seed": degradation_seed,
     }
 
-    outputs = _Outputs()
-    try:
+    with _Outputs() as outputs:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         bundle = simulate_heatmaps(
@@ -413,9 +419,6 @@ def _cmd_simulate(args) -> int:
                 lambda tmp: write_heatmaps(flipped_bundle, tmp),
             )
             outputs.write_bytes(flipped_dir / "config.json", _json_bytes(provenance))
-    except BaseException:
-        outputs.discard_all()
-        raise
 
     print(
         f"wrote synthetic bundle ({args.n_lesions} lesion(s), "
@@ -511,11 +514,24 @@ def _cmd_window(args) -> int:
 # parser
 
 
-def _positive_float(raw: str) -> float:
-    value = float(raw)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {raw}")
-    return value
+def _checked(type_, ok, rule: str):
+    """An argparse type: ``type_(raw)``, which must also satisfy ``ok``."""
+
+    def parse(raw: str):
+        value = type_(raw)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {raw}")
+        return value
+
+    parse.__name__ = type_.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+_positive_float = _checked(float, lambda v: v > 0, "> 0")
+_nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_probability = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 
 
 def _fps_list(raw: str) -> list[float]:
@@ -656,17 +672,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--scene-seed", type=int, default=0,
                    help="scene RNG seed (default: 0)")
-    p.add_argument("--n-lesions", type=int, default=3,
+    p.add_argument("--n-lesions", type=_nonnegative_int, default=3,
                    help="lesions to place (default: 3)")
-    p.add_argument("--image-size", type=int, default=768,
+    p.add_argument("--image-size", type=_positive_int, default=768,
                    help="image pixels, square (default: 768)")
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--noise", type=_nonnegative_float, default=0.0,
                    help="keypoint-map noise sigma (default: 0)")
-    p.add_argument("--drop", type=float, default=0.0,
+    p.add_argument("--drop", type=_probability, default=0.0,
                    help="kernel drop probability (default: 0)")
-    p.add_argument("--spurious", type=float, default=0.0,
+    p.add_argument("--spurious", type=_nonnegative_float, default=0.0,
                    help="expected fake peaks per map (default: 0)")
-    p.add_argument("--jitter", type=int, default=0,
+    p.add_argument("--jitter", type=_nonnegative_int, default=0,
                    help="max peak-cell jitter in cells (default: 0)")
     p.add_argument("--degradation-seed", type=int, default=None,
                    help="degradation RNG seed (default: the scene seed)")

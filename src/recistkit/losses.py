@@ -2,8 +2,13 @@
 
 Both losses are implemented with analytic gradients plus a generic central
 finite-difference checker, so gradient correctness can be verified without
-any autograd framework. All reductions run in float64 with numpy's fixed
-pairwise summation, making results bit-reproducible across runs.
+any autograd framework. Sums run in float64 in a fixed order, so results
+are bit-reproducible across runs. ``focal_loss`` sums each of its positive
+and negative term grids with ``np.sum`` (numpy's pairwise summation), then
+adds the two. ``offset_loss`` adds one x + y term per (annotation, extreme
+role) strictly left to right, annotation by annotation, roles in
+EXTREME_ROLES order; its gradient accumulates into shared cells in that
+same order.
 """
 
 from __future__ import annotations
@@ -118,6 +123,24 @@ def smooth_l1_grad(x, beta: float = 1.0):
     return out
 
 
+def _gt_residuals(pred_offsets: np.ndarray, targets: TargetBundle):
+    """Index of every ground-truth offset and prediction minus target there.
+
+    Both are (n, 4, 2): annotation, extreme role, then (dx, dy), so one
+    fancy index reads or updates all of them in the loss's term order.
+    """
+    expected = targets.bundle.offset_maps.shape
+    if pred_offsets.shape != expected:
+        raise ValueError(
+            f"shape mismatch: pred {pred_offsets.shape} vs target {expected}"
+        )
+    planes = np.arange(2 * len(EXTREME_ROLES)).reshape(len(EXTREME_ROLES), 2)
+    cells = targets.gt_cells
+    index = (planes, cells[..., :1], cells[..., 1:])
+    residual = pred_offsets[index].astype(np.float64) - targets.gt_offsets
+    return index, residual
+
+
 def offset_loss(
     pred_offsets: np.ndarray, targets: TargetBundle, beta: float = 1.0
 ) -> float:
@@ -128,44 +151,28 @@ def offset_loss(
     no offsets; predictions anywhere else in the planes are ignored.
     Returns 0 for an empty annotation set.
     """
-    expected = targets.bundle.offset_maps.shape
-    if pred_offsets.shape != expected:
-        raise ValueError(
-            f"shape mismatch: pred {pred_offsets.shape} vs target {expected}"
-        )
+    _, residual = _gt_residuals(pred_offsets, targets)
     n = targets.n_objects
     if n == 0:
         return 0.0
-    total = 0.0
-    for k in range(n):
-        for role_idx, role in enumerate(EXTREME_ROLES):
-            (row, col), (tx, ty) = targets.gt_cells[role][k]
-            px = float(pred_offsets[2 * role_idx][row, col])
-            py = float(pred_offsets[2 * role_idx + 1][row, col])
-            total += smooth_l1(px - tx, beta) + smooth_l1(py - ty, beta)
-    return total / n
+    terms = smooth_l1(residual, beta)
+    # one x + y term per (annotation, role), added left to right: np.sum
+    # would add them pairwise and change the last bits
+    total = np.add.accumulate((terms[..., 0] + terms[..., 1]).ravel())[-1]
+    return float(total / n)
 
 
 def offset_loss_grad(
     pred_offsets: np.ndarray, targets: TargetBundle, beta: float = 1.0
 ) -> np.ndarray:
     """Analytic gradient of :func:`offset_loss` w.r.t. the offset planes."""
-    expected = targets.bundle.offset_maps.shape
-    if pred_offsets.shape != expected:
-        raise ValueError(
-            f"shape mismatch: pred {pred_offsets.shape} vs target {expected}"
-        )
-    grad = np.zeros(expected, dtype=np.float64)
+    index, residual = _gt_residuals(pred_offsets, targets)
+    grad = np.zeros(pred_offsets.shape, dtype=np.float64)
     n = targets.n_objects
     if n == 0:
         return grad
-    for k in range(n):
-        for role_idx, role in enumerate(EXTREME_ROLES):
-            (row, col), (tx, ty) = targets.gt_cells[role][k]
-            px = float(pred_offsets[2 * role_idx][row, col])
-            py = float(pred_offsets[2 * role_idx + 1][row, col])
-            grad[2 * role_idx][row, col] += smooth_l1_grad(px - tx, beta) / n
-            grad[2 * role_idx + 1][row, col] += smooth_l1_grad(py - ty, beta) / n
+    # annotations sharing a cell accumulate there in annotation order
+    np.add.at(grad, index, smooth_l1_grad(residual, beta) / n)
     return grad
 
 

@@ -82,10 +82,6 @@ class SplitMix64:
         out[1::2] = radius * np.sin(angle)
         return out[:n]
 
-    def randint_below(self, n: int) -> int:
-        """Integer in [0, n) as floor(u * n); bias is negligible for n << 2^53."""
-        return min(int(self.uniform() * n), n - 1)
-
     def poisson(self, lam: float, cap: int = 64) -> int:
         """Poisson count by CDF inversion of a single uniform, capped."""
         if lam <= 0.0:

@@ -31,14 +31,15 @@ from .geometry import (
     ordered_diameters,
     pad_bbox,
 )
+from .grouping import GroupingConfig, Peak, enumerate_quadruples
 from .rng import SplitMix64
 from .targets import (
+    EXTREME_ROLES,
     KEYPOINT_CHANNELS,
     HeatmapBundle,
     TargetBundle,
     draw_gaussian,
     draw_keypoint,
-    gaussian_kernel,
     keypoint_cell,
     lesion_radius,
     output_grid,
@@ -49,6 +50,15 @@ from .targets import (
 # effectively continuous while making coordinate / stride exact in binary
 # floating point for power-of-two strides, so offset round trips are exact.
 QUANTUM = 1.0 / 16.0
+
+# Scene sampling: long diameters in mm at 1 mm/px spacing, short/long
+# aspect, the smallest tight-box side in px, and draws per lesion. The
+# narrow size band keeps every kernel radius at 3 cells at stride 4.
+_SIZE_RANGE_MM = (44.0, 47.0)
+_SPACING = (1.0, 1.0, 1.0)
+_ASPECT_RANGE = (0.9, 1.0)
+_MIN_BOX_SIDE = 40.0
+_MAX_ATTEMPTS = 500
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,82 +115,45 @@ def _axis_gaps(a: BBox, b: BBox) -> tuple[float, float]:
     return (max(b.x1 - a.x2, a.x1 - b.x2), max(b.y1 - a.y2, a.y1 - b.y2))
 
 
-def _grouping_ambiguous(
+def _decodes_to_itself(
     extremes_list,
+    image_size: tuple[int, int],
     stride: int,
     min_overlap: float,
     sigma_divisor: float,
     tau_c: float,
 ) -> bool:
-    """Whether any cross-lesion quadruple could pass the center test.
+    """Whether grouping a clean rendering yields exactly these lesions.
 
-    On a clean rendered bundle the per-role peaks are exactly the true
-    keypoint cells, so the only way grouping can emit anything besides the
-    true detections is a mixed-lesion quadruple whose geometric center
-    lands on a center-map response above ``tau_c``. This evaluates that
-    response exactly as rendering will produce it, for every mixed
-    assignment of lesions to the four roles, and also confirms each true
-    combination clears the threshold. A 1e-6 margin keeps borderline
-    scenes out.
+    On a clean bundle each role's peaks are exactly the true keypoint
+    cells, so only the center plane needs drawing: grouping's own
+    enumeration then runs on those cells and must keep the n true
+    quadruples and nothing else.
     """
-    cells = []
+    center_map = np.zeros(output_grid(image_size, stride), dtype=np.float32)
+    peaks: dict[str, list[Peak]] = {role: [] for role in EXTREME_ROLES}
+    truth = []
     for e in extremes_list:
+        *cells, center = (keypoint_cell(p, stride) for p in e.points())
         radius = lesion_radius(e, stride, min_overlap)
-        cells.append(
-            {
-                role: keypoint_cell(getattr(e, role), stride)
-                for role in KEYPOINT_CHANNELS
-            }
-            | {
-                "radius": radius,
-                "kernel": gaussian_kernel(radius, sigma_divisor).astype(np.float32),
-            }
-        )
+        draw_gaussian(center_map, center, radius, sigma_divisor=sigma_divisor)
+        for role, cell in zip(EXTREME_ROLES, cells):
+            peaks[role].append(Peak(cell, 1.0, role))
+        truth.append(tuple(cells))
 
-    def kernel_value(c: dict, row: int, col: int) -> float:
-        """The value lesion c's rendered center kernel holds at (row, col)."""
-        r = c["radius"]
-        dr, dc = row - c["center"][0], col - c["center"][1]
-        if abs(dr) > r or abs(dc) > r:
-            return 0.0
-        return float(c["kernel"][dr + r, dc + r])
-
-    def center_response(row: int, col: int) -> float:
-        return max((kernel_value(c, row, col) for c in cells), default=0.0)
-
-    n = len(cells)
-    idx = range(n)
-    for s in idx:
-        for p in idx:
-            for t in idx:
-                for q in idx:
-                    trow = cells[s]["top"][0]
-                    brow = cells[t]["bottom"][0]
-                    lcol = cells[p]["left"][1]
-                    rcol = cells[q]["right"][1]
-                    if trow > brow or lcol > rcol:
-                        continue
-                    row = math.floor((trow + brow) * 0.5 + 0.5)
-                    col = math.floor((lcol + rcol) * 0.5 + 0.5)
-                    response = center_response(row, col)
-                    if s == p == t == q:
-                        if response <= tau_c + 1e-6:
-                            return True  # a true combination would be lost
-                    elif response > tau_c - 1e-6:
-                        return True  # a mixed combination could sneak in
-    return False
+    kept = enumerate_quadruples(peaks, center_map, GroupingConfig(tau_c=tau_c))
+    found = [
+        tuple((int(p.y), int(p.x)) for p in det.extremes.points()[:4])
+        for det in kept
+    ]
+    return sorted(found) == sorted(truth)
 
 
 def generate_scene(
     n_lesions: int,
     image_size: tuple[int, int] = (768, 768),
-    size_range_mm: tuple[float, float] = (44.0, 47.0),
     seed: int = 0,
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
     min_gap: float = 16.0,
-    aspect_range: tuple[float, float] = (0.9, 1.0),
-    min_box_side: float = 40.0,
-    max_attempts: int = 500,
     max_restarts: int = 50,
     clearance_stride: int | None = 4,
     clearance_tau: float = 0.1,
@@ -193,24 +166,22 @@ def generate_scene(
     diameter runs along the angle, the short one perpendicular through the
     same center. Endpoints snap to the 1/16-px lattice. A draw is rejected
     and retried when the lesion's tight box has a side below
-    ``min_box_side`` (keeps its Gaussian kernels wide enough for grouping
+    ``_MIN_BOX_SIDE`` (keeps its Gaussian kernels wide enough for grouping
     at stride 4), any keypoint leaves the padded image interior, or its
     padded box comes within ``min_gap`` of an already placed one in either
     axis (lesions never share a row or column band, so swapping extremes
-    between two lesions cannot reproduce either one's center). The default
-    size band keeps every kernel radius at 3 cells; together these make the
-    ambiguity check below pass within a few redraws even for five lesions.
-    Widen the band only if the downstream pipeline can tolerate
-    cross-lesion groupings.
+    between two lesions cannot reproduce either one's center). Together
+    with the narrow size band these make the clearance check below pass
+    within a few redraws even for five lesions.
 
     Unless ``clearance_stride`` is None, a finished arrangement is also
-    checked for grouping ambiguity at that stride (see
-    ``_grouping_ambiguous``) and redrawn if any mixed-lesion quadruple
-    could pass the center test, so a clean rendering of the scene decodes
-    to exactly its own lesions. Packing failure after ``max_attempts``
-    draws per lesion and ``max_restarts`` arrangement attempts raises
-    ValueError. Generation consumes a variable but seed-deterministic
-    number of random draws.
+    grouped as a clean rendering at that stride (with ``min_overlap``,
+    ``sigma_divisor`` and center threshold ``clearance_tau``) and redrawn
+    unless grouping keeps exactly its own lesions, so a clean rendering of
+    the scene decodes to exactly those lesions. Packing failure after
+    ``_MAX_ATTEMPTS`` draws per lesion and ``max_restarts`` arrangement
+    attempts raises ValueError. Generation consumes a variable but
+    seed-deterministic number of random draws.
     """
     rng = SplitMix64(seed)
     width, height = image_size
@@ -221,19 +192,19 @@ def generate_scene(
         feasible = True
 
         for index in range(n_lesions):
-            for _attempt in range(max_attempts):
+            for _attempt in range(_MAX_ATTEMPTS):
                 u = rng.uniforms(5)
-                long_mm = size_range_mm[0] + u[0] * (
-                    size_range_mm[1] - size_range_mm[0]
+                long_mm = _SIZE_RANGE_MM[0] + u[0] * (
+                    _SIZE_RANGE_MM[1] - _SIZE_RANGE_MM[0]
                 )
-                aspect = aspect_range[0] + u[1] * (
-                    aspect_range[1] - aspect_range[0]
+                aspect = _ASPECT_RANGE[0] + u[1] * (
+                    _ASPECT_RANGE[1] - _ASPECT_RANGE[0]
                 )
                 theta = u[2] * math.pi
                 cx = u[3] * (width - 1)
                 cy = u[4] * (height - 1)
 
-                a = long_mm / spacing[0] / 2.0
+                a = long_mm / _SPACING[0] / 2.0
                 b = a * aspect
                 ct, st = math.cos(theta), math.sin(theta)
                 points = [
@@ -247,7 +218,7 @@ def generate_scene(
                 tight = bbox_from_extremes(extremes)
                 padded = pad_bbox(tight, 5.0)
 
-                if tight.width < min_box_side or tight.height < min_box_side:
+                if tight.width < _MIN_BOX_SIDE or tight.height < _MIN_BOX_SIDE:
                     continue
                 if not (
                     padded.x1 >= 0
@@ -273,7 +244,7 @@ def generate_scene(
                             diameters.long_length,
                             diameters.short_length,
                         ),
-                        spacing=spacing,
+                        spacing=_SPACING,
                         split="test",
                     )
                 )
@@ -284,8 +255,9 @@ def generate_scene(
 
         if not feasible:
             continue
-        if clearance_stride is not None and _grouping_ambiguous(
+        if clearance_stride is not None and not _decodes_to_itself(
             [ann.extremes() for ann in annotations],
+            image_size,
             clearance_stride,
             min_overlap,
             sigma_divisor,

@@ -10,7 +10,7 @@ for the center role).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,16 +82,16 @@ class HeatmapBundle:
 class TargetBundle:
     """Rendered training targets plus the bookkeeping the losses need.
 
-    ``gt_cells`` maps each extreme role to one (cell, (dx, dy)) entry per
-    annotation, in annotation order. Offsets are stored after float32
-    rounding so they match the planes bit for bit.
+    ``gt_cells`` (n, 4, 2) holds each annotation's (row, col) cell per
+    extreme role in EXTREME_ROLES order, and ``gt_offsets`` (n, 4, 2) the
+    matching (dx, dy) offsets as float64 after float32 rounding, so they
+    match the planes bit for bit.
     """
 
     bundle: HeatmapBundle
     n_objects: int
-    gt_cells: dict[str, list[tuple[Cell, tuple[float, float]]]] = field(
-        default_factory=dict
-    )
+    gt_cells: np.ndarray
+    gt_offsets: np.ndarray
 
 
 def gaussian_radius(
@@ -230,9 +230,8 @@ def render_targets(
     if input_size is None:
         input_size = (out_w * stride, out_h * stride)
     bundle = HeatmapBundle.zeros(out_h, out_w, stride, input_size)
-    gt_cells: dict[str, list[tuple[Cell, tuple[float, float]]]] = {
-        role: [] for role in EXTREME_ROLES
-    }
+    gt_cells = np.zeros((len(annotations), len(EXTREME_ROLES), 2), dtype=np.intp)
+    gt_offsets = np.zeros(gt_cells.shape, dtype=np.float64)
 
     for index, ann in enumerate(annotations):
         cells = [keypoint_cell(p, stride) for p in ann.points()]
@@ -244,11 +243,15 @@ def render_targets(
                 )
 
         radius = lesion_radius(ann, stride, min_overlap)
-        for role_idx, (role, p, cell) in enumerate(
-            zip(KEYPOINT_CHANNELS, ann.points(), cells)
-        ):
+        for role_idx, (p, cell) in enumerate(zip(ann.points(), cells)):
             offset = draw_keypoint(bundle, role_idx, cell, p, radius, sigma_divisor)
             if offset is not None:
-                gt_cells[role].append((cell, offset))
+                gt_cells[index, role_idx] = cell
+                gt_offsets[index, role_idx] = offset
 
-    return TargetBundle(bundle=bundle, n_objects=len(annotations), gt_cells=gt_cells)
+    return TargetBundle(
+        bundle=bundle,
+        n_objects=len(annotations),
+        gt_cells=gt_cells,
+        gt_offsets=gt_offsets,
+    )

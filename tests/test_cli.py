@@ -62,6 +62,21 @@ class TestDetectEvalFlow:
         assert points[0]["fp_per_image"] == 0.0
         assert (report.with_suffix(".txt")).exists()
 
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_zero_noise_stride_8_perfect_sensitivity(self, seed, tmp_path):
+        sim = tmp_path / "sim"
+        assert run("simulate", "--out", sim, "--scene-seed", seed,
+                   "--n-lesions", 4, "--stride", 8) == 0
+        assert read_heatmaps(sim / f"syn_{seed}.rkhm").stride == 8
+        dets_path = tmp_path / "dets.json"
+        assert run("detect", "--heatmaps", sim, "--out", dets_path) == 0
+        report = tmp_path / "report"
+        assert run("eval", "--detections", dets_path,
+                   "--annotations", sim / "annotations.csv",
+                   "--out", report) == 0
+        points = json.loads(report.with_suffix(".json").read_text())["froc"]["points"]
+        assert [p["sensitivity"] for p in points if p["fp_target"] == 4.0] == [1.0]
+
     def test_detect_workers_byte_identical(self, sim_dir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run("detect", "--heatmaps", sim_dir, "--workers", 1, "--out", a) == 0
@@ -281,23 +296,35 @@ EXIT_CODE_CASES = [
         "eval", "--detections", _dets(), "--annotations", _sim_csv, "--fps", "nan"]),
     ("eval --fps -1", 2, [
         "eval", "--detections", _dets(), "--annotations", _sim_csv, "--fps=-1"]),
+    ("simulate --drop 2", 2, ["simulate", "--drop", 2]),
+    ("simulate --drop -0.5", 2, ["simulate", "--drop=-0.5"]),
+    ("simulate --noise -1", 2, ["simulate", "--noise=-1"]),
+    ("simulate --spurious -1", 2, ["simulate", "--spurious=-1"]),
+    ("simulate --jitter -1", 2, ["simulate", "--jitter=-1"]),
+    ("simulate --n-lesions -1", 2, ["simulate", "--n-lesions=-1"]),
+    ("simulate --image-size 0", 2, ["simulate", "--image-size", 0]),
+    ("simulate --n-lesions 40 at 256 px", 2, [
+        "simulate", "--n-lesions", 40, "--image-size", 256]),
 ]
 
 
 class TestExitCodes:
     @pytest.mark.parametrize(
-        "expected,parts", [c[1:] for c in EXIT_CODE_CASES],
+        "case,expected,parts", EXIT_CODE_CASES,
         ids=[c[0] for c in EXIT_CODE_CASES],
     )
-    def test_malformed_input_exit_code(self, expected, parts, sim_dir, tmp_path,
-                                       capsys):
+    def test_malformed_input_exit_code(self, case, expected, parts, sim_dir,
+                                       tmp_path, capsys):
         argv = [part(tmp_path, sim_dir) if callable(part) else part
                 for part in parts]
         try:
             code = run(*argv, "--out", tmp_path / "out")
         except SystemExit as exc:
             code = exc.code
-        assert code == expected, capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert code == expected, err
+        if expected == 2:  # a usage error names the flag at fault
+            assert case.split()[1] in err, err
         assert not list(tmp_path.glob("out*"))  # no partial outputs
 
 

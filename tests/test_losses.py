@@ -166,6 +166,26 @@ class TestSmoothL1:
         assert smooth_l1(3.0, beta=2.0) == 3.0 - 1.0
 
 
+def offset_loss_oracle(pred, tb, beta=1.0):
+    """Scalar loop: the loss adds each (annotation, role) x + y term in
+    order, the gradient adds into each cell in the same order."""
+    total = 0.0
+    grad = np.zeros(pred.shape)
+    n = tb.n_objects
+    for k in range(n):
+        for role_idx in range(4):
+            row, col = (int(v) for v in tb.gt_cells[k, role_idx])
+            ex, ey = (
+                float(pred[2 * role_idx + c, row, col])
+                - float(tb.gt_offsets[k, role_idx, c])
+                for c in (0, 1)
+            )
+            total += smooth_l1(ex, beta) + smooth_l1(ey, beta)
+            grad[2 * role_idx, row, col] += smooth_l1_grad(ex, beta) / n
+            grad[2 * role_idx + 1, row, col] += smooth_l1_grad(ey, beta) / n
+    return total / max(n, 1), grad
+
+
 def two_lesion_targets():
     anns = [square_extremes(20.5, 24.25, 8, 9), square_extremes(60, 52.75, 10, 7)]
     return render_targets(anns, 24, 24, 4)
@@ -186,9 +206,9 @@ class TestOffsetLoss:
         base = offset_loss(tb.bundle.offset_maps, tb)
         noisy = tb.bundle.offset_maps.astype(np.float64).copy()
         gt_cells = {
-            (role_idx, row, col)
-            for role_idx, role in enumerate(("top", "left", "bottom", "right"))
-            for (row, col), _ in tb.gt_cells[role]
+            (role_idx, int(row), int(col))
+            for cells in tb.gt_cells
+            for role_idx, (row, col) in enumerate(cells)
         }
         rng = np.random.default_rng(25)
         for _ in range(50):
@@ -210,6 +230,17 @@ class TestOffsetLoss:
     def test_empty_targets_zero(self):
         tb = render_targets([], 8, 8, 4)
         assert offset_loss(np.zeros((8, 8, 8)), tb) == 0.0
+
+    def test_matches_scalar_loop_bitwise(self):
+        a, b = square_extremes(20.5, 24.25, 8, 9), square_extremes(60, 52.75, 10, 7)
+        tb = render_targets([a, b, a], 24, 24, 4)  # the third shares a's cells
+        rng = np.random.default_rng(27)
+        for dtype, beta in ((np.float64, 1.0), (np.float32, 1.0), (np.float64, 0.2)):
+            pred = rng.uniform(-2.0, 2.0, size=tb.bundle.offset_maps.shape)
+            pred = pred.astype(dtype)
+            want_loss, want_grad = offset_loss_oracle(pred, tb, beta)
+            assert offset_loss(pred, tb, beta) == want_loss
+            assert np.array_equal(offset_loss_grad(pred, tb, beta), want_grad)
 
     def test_grad_matches_central_differences(self):
         tb = two_lesion_targets()

@@ -117,8 +117,9 @@ class TestRenderTargets:
     def test_offset_example_cell_and_value(self):
         ann = square_extremes(10, 17, 6, 10)  # top keypoint at (10, 7)
         tb = render_targets([ann], 16, 16, 4)
-        assert tb.gt_cells["top"][0][0] == (1, 2)  # (row, col) of pixel (10, 7)
-        dx, dy = tb.gt_cells["top"][0][1]
+        top = EXTREME_ROLES.index("top")
+        assert tuple(tb.gt_cells[0, top]) == (1, 2)  # (row, col) of pixel (10, 7)
+        dx, dy = tb.gt_offsets[0, top]
         assert (dx, dy) == (0.5, 0.75)
         assert tb.bundle.offset_maps[0][1, 2] == np.float32(0.5)
         assert tb.bundle.offset_maps[1][1, 2] == np.float32(0.75)
@@ -167,8 +168,13 @@ class TestRenderTargets:
         assert tb.bundle.offset_maps.max() < 1.0
 
     def test_no_offsets_for_center_role(self):
-        assert "center" not in render_targets([], 8, 8, 4).gt_cells
-        assert set(render_targets([], 8, 8, 4).gt_cells) == set(EXTREME_ROLES)
+        empty = render_targets([], 8, 8, 4)
+        assert empty.gt_cells.shape == empty.gt_offsets.shape == (0, 4, 2)
+        ann = square_extremes(40.5, 30.25, 20, 16)
+        tb = render_targets([ann], 32, 32, 4)
+        assert tb.gt_cells.tolist() == [
+            [list(keypoint_cell(getattr(ann, role), 4)) for role in EXTREME_ROLES]
+        ]
 
     def test_out_of_bounds_errors_with_annotation_index(self):
         good = square_extremes(20, 20, 8, 8)
