@@ -102,7 +102,8 @@ class _Outputs:
 
 
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    return (text + "\n").encode("utf-8")
 
 
 def _load_effective_config(args) -> tuple[dict, dict]:

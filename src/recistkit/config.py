@@ -10,12 +10,12 @@ stay attributable.
 from __future__ import annotations
 
 import copy
-import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .dataio import InputFormatError, is_finite_number
+from .dataio import InputFormatError, is_finite_number, load_json
 from .evaluation import FP_TARGETS_DEFAULT
 from .fusion import SoftNmsConfig
 from .grouping import GroupingConfig
@@ -60,8 +60,18 @@ def _check_type(where: str, value: Any, default: Any) -> None:
         )
 
 
+def _all_finite(value: Any) -> bool:
+    """No NaN or infinity anywhere in a JSON value: the echo must stay JSON."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, list):
+        return all(_all_finite(v) for v in value)
+    return True
+
+
 def merge(base: dict, override: Mapping, path: str = "") -> dict:
-    """``override`` layered over ``base``; unknown keys and wrong types raise."""
+    """``override`` layered over ``base``; unknown keys, wrong types and
+    non-finite numbers raise."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -73,6 +83,10 @@ def merge(base: dict, override: Mapping, path: str = "") -> dict:
             out[key] = merge(base[key], value, where)
         else:
             _check_type(where, value, base[key])
+            if not _all_finite(value):
+                raise InputFormatError(
+                    f"config key {where} must be finite, got {value!r}"
+                )
             out[key] = value
     return out
 
@@ -81,11 +95,7 @@ def load_config(path: str | Path | None) -> dict[str, Any]:
     """Defaults merged with an optional JSON config file."""
     if path is None:
         return copy.deepcopy(DEFAULTS)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path}: malformed JSON: {exc}") from None
+    data = load_json(path)
     if not isinstance(data, dict):
         raise InputFormatError(f"{path}: config root must be an object")
     return merge(DEFAULTS, data)

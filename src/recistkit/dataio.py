@@ -280,13 +280,33 @@ def read_heatmaps(path: str | Path) -> HeatmapBundle:
         payload = fh.read(expected)
 
     planes = np.frombuffer(payload, dtype="<f4").reshape(len(CHANNEL_NAMES), h, w)
-    planes = planes.astype(np.float32)  # native byte order, writable
-    return HeatmapBundle(
-        keypoint_maps=planes[:5].copy(),
-        offset_maps=planes[5:].copy(),
+    # min and max are NaN or infinite iff some value is, and allocate nothing
+    if not (np.isfinite(planes.min()) and np.isfinite(planes.max())):
+        bad = h * w - np.count_nonzero(np.isfinite(planes), axis=(1, 2))
+        counts = ", ".join(
+            f"{CHANNEL_NAMES[c]} ({bad[c]} cells)" for c in np.flatnonzero(bad)
+        )
+        raise InputFormatError(f"{path}: non-finite values in channel {counts}")
+    return HeatmapBundle(  # astype copies: native byte order, writable
+        keypoint_maps=planes[:5].astype(np.float32),
+        offset_maps=planes[5:].astype(np.float32),
         stride=header["stride"],
         input_size=(header["input_width"], header["input_height"]),
     )
+
+
+def load_json(path: str | Path):
+    """Parse a JSON file as strict JSON: the NaN, Infinity and -Infinity
+    tokens that :func:`json.load` accepts raise :class:`InputFormatError`,
+    as does malformed JSON."""
+    def reject(token: str):
+        raise InputFormatError(f"{path}: non-finite number {token} is not JSON")
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=reject)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{path}: malformed JSON: {exc}") from None
 
 
 def is_finite_number(value) -> bool:
@@ -377,7 +397,7 @@ def write_detections(
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -385,11 +405,7 @@ def read_detections(
     path: str | Path,
 ) -> tuple[dict[str, list[Detection]], dict | None]:
     """Read a detections document; returns (per-image detections, config)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path}: malformed JSON: {exc}") from None
+    doc = load_json(path)
     if not isinstance(doc, dict) or "images" not in doc:
         raise InputFormatError(f"{path}: missing top-level 'images' object")
     images = doc["images"]

@@ -12,8 +12,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
-from .geometry import bbox_from_extremes, flip_horizontal, iou
-from .grouping import Detection, sort_key
+import numpy as np
+
+from .geometry import pairwise_iou
+from .grouping import Detection, detections_from_rows, detections_to_rows, sort_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,22 +49,16 @@ def unflip_detections(
 ) -> list[Detection]:
     """Map detections made on a flipped image back to the original frame.
 
-    Geometry mirrors through ``flip_horizontal`` (left and right roles
+    Geometry mirrors as ``flip_horizontal`` does (left and right roles
     swap), scores are untouched, and each detection is tagged as coming
     from the flipped view.
     """
-    out = []
-    for det in detections:
-        extremes = flip_horizontal(det.extremes, image_width)
-        out.append(
-            Detection(
-                extremes=extremes,
-                score=det.score,
-                bbox=bbox_from_extremes(extremes),
-                source="flipped",
-            )
-        )
-    return out
+    # left and right swap roles, and every x mirrors
+    rows = detections_to_rows(detections)[:, [0, 1, 6, 7, 4, 5, 2, 3, 8, 9]]
+    rows[:, 0::2] = image_width - 1.0 - rows[:, 0::2]
+    return detections_from_rows(
+        rows, [d.score for d in detections], ["flipped"] * len(rows)
+    )
 
 
 def soft_nms(
@@ -74,25 +70,39 @@ def soft_nms(
     other remaining score according to its overlap with the selection, and
     drops detections once their score falls below the floor. The output
     comes out sorted by final score descending; the top detection's score is
-    never changed.
+    never changed. Score ties go to the detection that comes first in
+    ``sort_key`` order.
     """
-    remaining = [d for d in detections if d.score >= cfg.score_floor]
+    # geometry then source break score ties, so argmax's first hit below
+    # is the min(key=sort_key) of the live detections
+    pool = sorted(
+        (d for d in detections if d.score >= cfg.score_floor),
+        key=lambda d: sort_key(d)[1:],
+    )
+    overlap = pairwise_iou(
+        np.array([d.bbox.as_tuple() for d in pool], dtype=np.float64).reshape(-1, 4)
+    )
+    if cfg.method == "gaussian":
+        # math.exp, not np.exp, which is 1 ulp off on some inputs; a pair
+        # without overlap keeps its exact factor of 1.0
+        decay = np.ones_like(overlap)
+        hit = overlap != 0.0
+        pairs = overlap[hit]
+        exponent = -(pairs * pairs) / cfg.sigma
+        decay[hit] = list(map(math.exp, exponent.tolist()))
+    else:
+        decay = np.where(overlap > cfg.linear_iou_threshold, 1.0 - overlap, 1.0)
+
+    live = np.arange(len(pool))
+    scores = np.array([d.score for d in pool], dtype=np.float64)
     out: list[Detection] = []
-    while remaining:
-        best = min(remaining, key=sort_key)
-        remaining.remove(best)
-        out.append(best)
-        decayed = []
-        for det in remaining:
-            overlap = iou(best.bbox, det.bbox)
-            if cfg.method == "gaussian":
-                factor = math.exp(-(overlap * overlap) / cfg.sigma)
-            else:
-                factor = (1.0 - overlap) if overlap > cfg.linear_iou_threshold else 1.0
-            score = det.score * factor
-            if score >= cfg.score_floor:
-                decayed.append(replace(det, score=score))
-        remaining = decayed
+    while live.size:
+        k = int(scores.argmax())
+        out.append(replace(pool[live[k]], score=float(scores[k])))
+        scores = scores * decay[live[k], live]
+        keep = scores >= cfg.score_floor
+        keep[k] = False
+        live, scores = live[keep], scores[keep]
     return out
 
 

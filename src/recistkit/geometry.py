@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import singledispatch
 
+import numpy as np
+
 
 @dataclass(frozen=True, slots=True)
 class Point2:
@@ -159,6 +161,18 @@ def iou(a: BBox, b: BBox) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def pairwise_iou(boxes: np.ndarray) -> np.ndarray:
+    """:func:`iou` of every pair of (x1, y1, x2, y2) rows, bit for bit."""
+    x1, y1, x2, y2 = boxes.T
+    iw = np.minimum.outer(x2, x2) - np.maximum.outer(x1, x1)
+    ih = np.minimum.outer(y2, y2) - np.maximum.outer(y1, y1)
+    area = (x2 - x1) * (y2 - y1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
+        union = np.add.outer(area, area) - inter
+        return np.where(union <= 0.0, 0.0, inter / union)
 
 
 @singledispatch

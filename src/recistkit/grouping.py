@@ -95,6 +95,31 @@ def sort_key(det: Detection):
     )
 
 
+def detections_to_rows(detections: Sequence[Detection]) -> np.ndarray:
+    """(n, 10) float64 rows: (x, y) of top, left, bottom, right, center."""
+    return np.array(
+        [[v for p in d.extremes.points() for v in (p.x, p.y)] for d in detections],
+        dtype=np.float64,
+    ).reshape(len(detections), 10)
+
+
+def detections_from_rows(
+    rows: np.ndarray, scores: Sequence[float], sources: Sequence[str]
+) -> list[Detection]:
+    """Detections from :func:`detections_to_rows` rows, scores and sources,
+    with Python floats and each box the tight box of its extremes."""
+    out = []
+    for (tx, ty, lx, ly, bx, by, rx, ry, cx, cy), score, source in zip(
+        rows.tolist(), np.asarray(scores, dtype=np.float64).tolist(), sources
+    ):
+        extremes = ExtremePoints(
+            Point2(tx, ty), Point2(lx, ly), Point2(bx, by), Point2(rx, ry),
+            Point2(cx, cy),
+        )
+        out.append(Detection(extremes, score, bbox_from_extremes(extremes), source))
+    return out
+
+
 def _window_max(grid: np.ndarray, kernel: int) -> np.ndarray:
     """Max of the kernel x kernel neighborhood, borders use in-bounds cells."""
     pad = kernel // 2
@@ -164,22 +189,21 @@ class _PairBlock:
     """Candidate arrays for one (top, bottom) x (left, right) block."""
 
     scores: np.ndarray
-    cells: np.ndarray  # (n, 8) int: t_row, t_col, l_row, l_col, b_row, b_col, r_row, r_col
-    centers_x: np.ndarray
-    centers_y: np.ndarray
+    rows: np.ndarray  # (n, 10) detection rows, in grid cells
 
 
-def _enumerate_block(
-    t_rows, t_cols, t_scores, b_rows, b_cols, b_scores,
-    l_rows, l_cols, l_scores, r_rows, r_cols, r_scores,
-    center_map, cfg,
-) -> _PairBlock | None:
+def _enumerate_block(top, bottom, left, right, center_map, cfg) -> _PairBlock | None:
     """Vectorized enumeration over one block of (t, b) pairs.
 
+    Each role's peaks come as a (3, n) array of rows, columns and scores.
     Center row depends only on the (t, b) pair and center column only on
     (l, r), so the O(n^4) loop reduces to one gather over the outer product
     of valid pair lists.
     """
+    t_rows, t_cols, t_scores = top
+    b_rows, b_cols, b_scores = bottom
+    l_rows, l_cols, l_scores = left
+    r_rows, r_cols, r_scores = right
     ti, bi = np.nonzero(t_rows[:, None] <= b_rows[None, :])
     li, ri = np.nonzero(l_cols[:, None] <= r_cols[None, :])
     if ti.size == 0 or li.size == 0:
@@ -211,18 +235,14 @@ def _enumerate_block(
 
     tk, bk = ti[keep_tb], bi[keep_tb]
     lk, rk = li[keep_lr], ri[keep_lr]
-    cells = np.column_stack(
+    rows = np.column_stack(
         (
-            t_rows[tk], t_cols[tk], l_rows[lk], l_cols[lk],
-            b_rows[bk], b_cols[bk], r_rows[rk], r_cols[rk],
+            t_cols[tk], t_rows[tk], l_cols[lk], l_rows[lk],
+            b_cols[bk], b_rows[bk], r_cols[rk], r_rows[rk],
+            ccol[keep_lr], crow[keep_tb],
         )
-    ).astype(np.int64)
-    return _PairBlock(
-        scores=scores,
-        cells=cells,
-        centers_x=ccol[keep_lr],
-        centers_y=crow[keep_tb],
     )
+    return _PairBlock(scores=scores, rows=rows)
 
 
 def _select_top_k2(blocks: list[_PairBlock], k2: int) -> _PairBlock | None:
@@ -231,24 +251,17 @@ def _select_top_k2(blocks: list[_PairBlock], k2: int) -> _PairBlock | None:
     if not blocks:
         return None
     scores = np.concatenate([b.scores for b in blocks])
-    cells = np.concatenate([b.cells for b in blocks])
-    cx = np.concatenate([b.centers_x for b in blocks])
-    cy = np.concatenate([b.centers_y for b in blocks])
+    rows = np.concatenate([b.rows for b in blocks])
 
     if scores.size > k2:
         # prune on score alone first, keeping everything tied at the cut
         cut = np.partition(scores, scores.size - k2)[scores.size - k2]
         keep = scores >= cut
-        scores, cells, cx, cy = scores[keep], cells[keep], cx[keep], cy[keep]
+        scores, rows = scores[keep], rows[keep]
 
-    order = np.lexsort(
-        (
-            cells[:, 7], cells[:, 6], cells[:, 5], cells[:, 4],
-            cells[:, 3], cells[:, 2], cells[:, 1], cells[:, 0],
-            -scores,
-        )
-    )[:k2]
-    return _PairBlock(scores[order], cells[order], cx[order], cy[order])
+    # primary key last: -score, then (row, col) of top, left, bottom, right
+    order = np.lexsort((*rows[:, [6, 7, 4, 5, 2, 3, 0, 1]].T, -scores))[:k2]
+    return _PairBlock(scores[order], rows[order])
 
 
 def enumerate_quadruples(
@@ -268,37 +281,29 @@ def enumerate_quadruples(
     ``workers`` > 1 partitions the (top, bottom) pair space; the merged
     result is bit-identical to the sequential one.
     """
-    arrays = {}
-    for role in EXTREME_ROLES:
-        plist = peaks_by_role.get(role, [])
-        arrays[role] = (
-            np.array([p.cell[0] for p in plist], dtype=np.float64),
-            np.array([p.cell[1] for p in plist], dtype=np.float64),
-            np.array([p.score for p in plist], dtype=np.float64),
-        )
+    arrays = {
+        role: np.array(
+            [(*p.cell, p.score) for p in peaks_by_role.get(role, [])],
+            dtype=np.float64,
+        ).reshape(-1, 3).T
+        for role in EXTREME_ROLES
+    }
     if any(arrays[role][0].size == 0 for role in EXTREME_ROLES):
         return []
 
-    t_rows, t_cols, t_scores = arrays["top"]
-    l_rows, l_cols, l_scores = arrays["left"]
-    b_rows, b_cols, b_scores = arrays["bottom"]
-    r_rows, r_cols, r_scores = arrays["right"]
-
-    n_chunks = max(1, min(workers, t_rows.size))
-    chunk_bounds = np.linspace(0, t_rows.size, n_chunks + 1).astype(int)
+    n_tops = arrays["top"].shape[1]
+    n_chunks = max(1, min(workers, n_tops))
 
     def run_chunk(lo: int, hi: int) -> _PairBlock | None:
         return _enumerate_block(
-            t_rows[lo:hi], t_cols[lo:hi], t_scores[lo:hi],
-            b_rows, b_cols, b_scores,
-            l_rows, l_cols, l_scores,
-            r_rows, r_cols, r_scores,
-            center_map, cfg,
+            arrays["top"][:, lo:hi], arrays["bottom"], arrays["left"],
+            arrays["right"], center_map, cfg,
         )
 
     if n_chunks == 1:
-        blocks = [run_chunk(0, t_rows.size)]
+        blocks = [run_chunk(0, n_tops)]
     else:
+        chunk_bounds = np.linspace(0, n_tops, n_chunks + 1).astype(int)
         with ThreadPoolExecutor(max_workers=n_chunks) as pool:
             futures = [
                 pool.submit(run_chunk, int(lo), int(hi))
@@ -310,27 +315,7 @@ def enumerate_quadruples(
     top = _select_top_k2(blocks, cfg.k2)
     if top is None:
         return []
-
-    detections = []
-    for i in range(top.scores.size):
-        trow, tcol, lrow, lcol, brow, bcol, rrow, rcol = (
-            float(v) for v in top.cells[i]
-        )
-        extremes = ExtremePoints(
-            top=Point2(tcol, trow),
-            left=Point2(lcol, lrow),
-            bottom=Point2(bcol, brow),
-            right=Point2(rcol, rrow),
-            center=Point2(float(top.centers_x[i]), float(top.centers_y[i])),
-        )
-        detections.append(
-            Detection(
-                extremes=extremes,
-                score=float(top.scores[i]),
-                bbox=bbox_from_extremes(extremes),
-            )
-        )
-    return detections
+    return detections_from_rows(top.rows, top.scores, ["original"] * len(top.rows))
 
 
 def refine_with_offsets(
@@ -342,34 +327,20 @@ def refine_with_offsets(
     center is recomputed from the refined extremes (the center role has no
     offsets) and the box regenerated.
     """
-    refined = []
-    for det in detections:
-        e = det.extremes
-        points = {}
-        for role_idx, role in enumerate(EXTREME_ROLES):
-            p = getattr(e, role)
-            row, col = int(p.y), int(p.x)
-            dx = float(offset_maps[2 * role_idx][row, col])
-            dy = float(offset_maps[2 * role_idx + 1][row, col])
-            points[role] = Point2(stride * (col + dx), stride * (row + dy))
-        center = Point2(
-            (points["left"].x + points["right"].x) / 2.0,
-            (points["top"].y + points["bottom"].y) / 2.0,
-        )
-        extremes = ExtremePoints(
-            top=points["top"], left=points["left"],
-            bottom=points["bottom"], right=points["right"],
-            center=center,
-        )
-        refined.append(
-            Detection(
-                extremes=extremes,
-                score=det.score,
-                bbox=bbox_from_extremes(extremes),
-                source=det.source,
-            )
-        )
-    return refined
+    rows = detections_to_rows(detections)
+    col = rows[:, 0:8:2].astype(np.intp)  # one column per extreme role
+    row = rows[:, 1:8:2].astype(np.intp)
+    dx_plane = 2 * np.arange(len(EXTREME_ROLES))
+    dx = offset_maps[dx_plane, row, col].astype(np.float64)
+    dy = offset_maps[dx_plane + 1, row, col].astype(np.float64)
+    refined = np.empty_like(rows)
+    refined[:, 0:8:2] = stride * (col + dx)
+    refined[:, 1:8:2] = stride * (row + dy)
+    refined[:, 8] = (refined[:, 2] + refined[:, 6]) / 2.0
+    refined[:, 9] = (refined[:, 1] + refined[:, 5]) / 2.0
+    return detections_from_rows(
+        refined, [d.score for d in detections], [d.source for d in detections]
+    )
 
 
 def detect(

@@ -59,6 +59,7 @@ _SPACING = (1.0, 1.0, 1.0)
 _ASPECT_RANGE = (0.9, 1.0)
 _MIN_BOX_SIDE = 40.0
 _MAX_ATTEMPTS = 500
+_BOX_PAD = 5.0  # px added on each side of a tight box
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,11 +181,19 @@ def generate_scene(
     unless grouping keeps exactly its own lesions, so a clean rendering of
     the scene decodes to exactly those lesions. Packing failure after
     ``_MAX_ATTEMPTS`` draws per lesion and ``max_restarts`` arrangement
-    attempts raises ValueError. Generation consumes a variable but
-    seed-deterministic number of random draws.
+    attempts raises ValueError, as does, before any draw, a scene whose
+    padded boxes cannot fit side by side on both axes (with ``min_gap`` >=
+    0). Generation consumes a variable but seed-deterministic number of
+    random draws.
     """
     rng = SplitMix64(seed)
     width, height = image_size
+    need = n_lesions * (_MIN_BOX_SIDE + 2 * _BOX_PAD) + (n_lesions - 1) * min_gap
+    if n_lesions > 0 and min_gap >= 0 and need > min(width, height) - 1:
+        raise ValueError(
+            f"could not place {n_lesions} lesion(s) in {width}x{height}: their "
+            f"padded boxes need {need:g} px along each axis"
+        )
 
     for _restart in range(max_restarts):
         placed_boxes: list[BBox] = []
@@ -216,7 +225,7 @@ def generate_scene(
                 diameters = ordered_diameters(*points)
                 extremes = extremes_from_recist(diameters)
                 tight = bbox_from_extremes(extremes)
-                padded = pad_bbox(tight, 5.0)
+                padded = pad_bbox(tight, _BOX_PAD)
 
                 if tight.width < _MIN_BOX_SIDE or tight.height < _MIN_BOX_SIDE:
                     continue

@@ -247,6 +247,31 @@ def _dets(**changes):
     return build
 
 
+def _bundle_value(channel, value):
+    """A copy of the simulated bundle with one cell of one plane replaced."""
+    def build(tmp_path, sim_dir):
+        data = bytearray((sim_dir / "syn_11.rkhm").read_bytes())
+        start = data.index(b"\n", len(b"RKHM1\n")) + 1
+        cell = start + 4 * (channel * 192 * 192 + 100 * 192 + 100)
+        data[cell:cell + 4] = np.array([value], dtype="<f4").tobytes()
+        out = tmp_path / "bundles"
+        out.mkdir()
+        (out / "syn_11.rkhm").write_bytes(bytes(data))
+        return out
+    return build
+
+
+def _dets_config(config):
+    """The one-detection document with a config echo."""
+    def build(tmp_path, sim_dir):
+        path = _dets()(tmp_path, sim_dir)
+        doc = json.loads(path.read_text())
+        doc["config"] = config
+        path.write_text(json.dumps(doc))
+        return path
+    return build
+
+
 def _header_only_csv(tmp_path, sim_dir):
     from recistkit.dataio import CSV_COLUMNS
 
@@ -305,6 +330,19 @@ EXIT_CODE_CASES = [
     ("simulate --image-size 0", 2, ["simulate", "--image-size", 0]),
     ("simulate --n-lesions 40 at 256 px", 2, [
         "simulate", "--n-lesions", 40, "--image-size", 256]),
+    ("rkhm NaN offset plane", 3, ["detect", "--heatmaps", _bundle_value(7, np.nan)]),
+    ("rkhm inf keypoint plane", 3, [
+        "detect", "--heatmaps", _bundle_value(4, np.inf)]),
+    ("config soft_nms.sigma NaN", 3, _fuse(
+        _dets(), "--config", _cfg({"soft_nms": {"sigma": float("nan")}}))),
+    ("config eval.pad Infinity", 3, [
+        "eval", "--detections", _dets(), "--annotations", _sim_csv,
+        "--config", _cfg({"eval": {"pad": float("inf")}})]),
+    ("detections config echo NaN", 3, _fuse(
+        _dets_config({"soft_nms": {"sigma": float("nan")}}))),
+    ("eval --pad nan", 3, [
+        "eval", "--detections", _dets(), "--annotations", _sim_csv, "--pad", "nan"]),
+    ("fuse --sigma inf", 3, _fuse(_dets(), "--sigma", "inf")),
 ]
 
 

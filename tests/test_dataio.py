@@ -214,6 +214,18 @@ class TestHeatmapFile:
             read_heatmaps(path)
 
 
+    def test_non_finite_planes_name_channel_and_count(self, tmp_path):
+        bundle = random_bundle(np.random.default_rng(93))
+        bundle.keypoint_maps[0, 1, 1] = -np.inf
+        bundle.offset_maps[3, 2, 5] = np.nan
+        bundle.offset_maps[3, 0, 0] = np.inf
+        path = tmp_path / "b.rkhm"
+        write_heatmaps(bundle, path)
+        expected = r"non-finite .* top \(1 cells\), left_dy \(2 cells\)"
+        with pytest.raises(InputFormatError, match=expected):
+            read_heatmaps(path)
+
+
 class TestDetectionsFile:
     def test_empty_document(self, tmp_path):
         path = tmp_path / "d.json"
@@ -265,6 +277,19 @@ class TestDetectionsFile:
         write_detections(dets, a, config={"x": 1})
         write_detections(dets, b, config={"x": 1})
         assert a.read_bytes() == b.read_bytes()
+
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_tokens_rejected_anywhere(self, tmp_path, token):
+        path = tmp_path / "d.json"
+        path.write_text('{"config": {"sigma": %s}, "images": {}}' % token)
+        with pytest.raises(InputFormatError, match=f"non-finite number {token}"):
+            read_detections(path)
+
+    def test_writer_refuses_non_finite_values(self, tmp_path):
+        path = tmp_path / "d.json"
+        with pytest.raises(ValueError):
+            write_detections({"k": [make_detection(0, 0, 1, 1, float("nan"))]}, path)
 
 
 class TestApplyCtWindow:

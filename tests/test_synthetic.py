@@ -102,6 +102,17 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match="could not place"):
             generate_scene(40, image_size=(256, 256), seed=10, max_restarts=3)
 
+    def test_unplaceable_scene_fails_before_drawing(self, monkeypatch):
+        # two padded boxes of >= 50 px plus a 16 px gap need 116 px per axis
+        def no_draws(self, n):
+            raise AssertionError("drew random numbers for an unplaceable scene")
+
+        monkeypatch.setattr(SplitMix64, "uniforms", no_draws)
+        with pytest.raises(ValueError, match="could not place"):
+            generate_scene(2, image_size=(64, 64))
+        with pytest.raises(ValueError, match="could not place"):
+            generate_scene(40, image_size=(256, 256))
+
     def test_provided_bbox_is_padded_tight_box(self):
         from recistkit.geometry import bbox_from_extremes, pad_bbox
 
