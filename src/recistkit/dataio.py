@@ -219,8 +219,30 @@ def write_annotations(
             )
 
 
+def _non_finite_channels(*groups: np.ndarray) -> str:
+    """'' when every plane value is finite; otherwise each channel holding
+    NaN or +-inf, named in file order across ``groups``, with its count."""
+    # min and max are NaN or infinite iff some value is, and allocate nothing
+    if all(np.isfinite(g.min()) and np.isfinite(g.max()) for g in groups if g.size):
+        return ""
+    counts = [
+        g[0].size - n for g in groups
+        for n in np.count_nonzero(np.isfinite(g), axis=(1, 2)).tolist()
+    ]
+    return ", ".join(
+        f"{name} ({n} cells)" for name, n in zip(CHANNEL_NAMES, counts) if n
+    )
+
+
 def write_heatmaps(bundle: HeatmapBundle, path: str | Path) -> None:
-    """Serialize a bundle: magic, one-line JSON header, raw float32 planes."""
+    """Serialize a bundle: magic, one-line JSON header, raw float32 planes.
+
+    Raises ValueError, before the file is opened, when a plane holds NaN
+    or +-inf, which :func:`read_heatmaps` would reject.
+    """
+    bad = _non_finite_channels(bundle.keypoint_maps, bundle.offset_maps)
+    if bad:
+        raise ValueError(f"{path}: non-finite values in channel {bad}")
     h, w = bundle.grid_shape
     header = {
         "channel_names": list(CHANNEL_NAMES),
@@ -230,12 +252,12 @@ def write_heatmaps(bundle: HeatmapBundle, path: str | Path) -> None:
         "stride": bundle.stride,
         "width": w,
     }
-    planes = np.concatenate([bundle.keypoint_maps, bundle.offset_maps], axis=0)
     with open(path, "wb") as fh:
         fh.write(HEATMAP_MAGIC)
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
         fh.write(b"\n")
-        fh.write(np.ascontiguousarray(planes, dtype="<f4").tobytes())
+        for planes in (bundle.keypoint_maps, bundle.offset_maps):
+            fh.write(np.ascontiguousarray(planes, dtype="<f4"))  # a view if already <f4
 
 
 def read_heatmaps(path: str | Path) -> HeatmapBundle:
@@ -280,13 +302,9 @@ def read_heatmaps(path: str | Path) -> HeatmapBundle:
         payload = fh.read(expected)
 
     planes = np.frombuffer(payload, dtype="<f4").reshape(len(CHANNEL_NAMES), h, w)
-    # min and max are NaN or infinite iff some value is, and allocate nothing
-    if not (np.isfinite(planes.min()) and np.isfinite(planes.max())):
-        bad = h * w - np.count_nonzero(np.isfinite(planes), axis=(1, 2))
-        counts = ", ".join(
-            f"{CHANNEL_NAMES[c]} ({bad[c]} cells)" for c in np.flatnonzero(bad)
-        )
-        raise InputFormatError(f"{path}: non-finite values in channel {counts}")
+    bad = _non_finite_channels(planes)
+    if bad:
+        raise InputFormatError(f"{path}: non-finite values in channel {bad}")
     return HeatmapBundle(  # astype copies: native byte order, writable
         keypoint_maps=planes[:5].astype(np.float32),
         offset_maps=planes[5:].astype(np.float32),

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geometry import BBox, iou, pad_bbox
+import numpy as np
+
+from .geometry import BBox, pairwise_iou
 from .grouping import Detection
 
 FP_TARGETS_DEFAULT = (0.5, 1.0, 2.0, 3.0, 4.0)
@@ -99,20 +101,24 @@ def match_detections(
     reaches the threshold; every ground truth is matched at most once.
     """
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    taken = [False] * len(gt_boxes)
+    boxes = np.array([d.bbox.as_tuple() for d in detections], dtype=np.float64)
+    # padded as pad_bbox pads: x1 - pad, y1 - pad, x2 + pad, y2 + pad
+    padded = boxes.reshape(-1, 4) + np.array([-pad, -pad, pad, pad])
+    gts = np.array([g.as_tuple() for g in gt_boxes], dtype=np.float64).reshape(-1, 4)
+    ious = pairwise_iou(padded, gts)
+    # only an overlap strictly above 0 can match, which also rules out NaN;
+    # the last column, always 0, keeps argmax defined without ground truth
+    overlap = np.zeros((len(detections), len(gt_boxes) + 1))
+    np.copyto(overlap[:, :-1], ious, where=ious > 0.0)
     records = []
+    best = None
     for i in order:
-        det_box = pad_bbox(detections[i].bbox, pad)
-        best_iou, best_gt = 0.0, None
-        for g, gt in enumerate(gt_boxes):
-            if taken[g]:
-                continue
-            overlap = iou(det_box, gt)
-            if overlap > best_iou:
-                best_iou, best_gt = overlap, g
-        if best_gt is not None and best_iou >= iou_threshold:
-            taken[best_gt] = True
-            records.append(DetectionMatch(i, detections[i].score, True, best_gt))
+        if best is None:  # after each match: argmax is the scan's first maximum
+            best, best_iou = overlap.argmax(axis=1).tolist(), overlap.max(axis=1).tolist()
+        if best_iou[i] > 0.0 and best_iou[i] >= iou_threshold:
+            overlap[:, best[i]] = 0.0  # every ground truth is matched at most once
+            records.append(DetectionMatch(i, detections[i].score, True, best[i]))
+            best = None
         else:
             records.append(DetectionMatch(i, detections[i].score, False, None))
     return MatchResult(records=records, n_gt=len(gt_boxes))

@@ -79,9 +79,8 @@ def soft_nms(
         (d for d in detections if d.score >= cfg.score_floor),
         key=lambda d: sort_key(d)[1:],
     )
-    overlap = pairwise_iou(
-        np.array([d.bbox.as_tuple() for d in pool], dtype=np.float64).reshape(-1, 4)
-    )
+    boxes = np.array([d.bbox.as_tuple() for d in pool], dtype=np.float64).reshape(-1, 4)
+    overlap = pairwise_iou(boxes, boxes)
     if cfg.method == "gaussian":
         # math.exp, not np.exp, which is 1 ulp off on some inputs; a pair
         # without overlap keeps its exact factor of 1.0

@@ -163,15 +163,17 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union
 
 
-def pairwise_iou(boxes: np.ndarray) -> np.ndarray:
-    """:func:`iou` of every pair of (x1, y1, x2, y2) rows, bit for bit."""
-    x1, y1, x2, y2 = boxes.T
-    iw = np.minimum.outer(x2, x2) - np.maximum.outer(x1, x1)
-    ih = np.minimum.outer(y2, y2) - np.maximum.outer(y1, y1)
-    area = (x2 - x1) * (y2 - y1)
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`iou` of each row of ``a`` with each row of ``b``, bit for bit,
+    as a (len(a), len(b)) matrix; rows are (x1, y1, x2, y2)."""
+    ax1, ay1, ax2, ay2 = a.T
+    bx1, by1, bx2, by2 = b.T
+    iw = np.minimum.outer(ax2, bx2) - np.maximum.outer(ax1, bx1)
+    ih = np.minimum.outer(ay2, by2) - np.maximum.outer(ay1, by1)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
-        union = np.add.outer(area, area) - inter
+        union = np.add.outer((ax2 - ax1) * (ay2 - ay1), (bx2 - bx1) * (by2 - by1))
+        union -= inter
         return np.where(union <= 0.0, 0.0, inter / union)
 
 

@@ -3,8 +3,10 @@
 Three steps: per-role local-peak extraction, brute-force association of one
 peak per extreme role validated by the center-map response at the
 quadruple's geometric center, and sub-cell refinement from the offset
-planes. Enumeration is vectorized over (top, bottom) x (left, right) pair
-blocks; the detection score is computed as
+planes. The center row depends only on the (top, bottom) pair and the
+center column only on the (left, right) pair, so enumeration samples the
+center map once per distinct center row and column and scores only the
+pairs whose center passes; the detection score is computed as
 
     (s_top + s_bottom) + (s_left + s_right) + 2 * s_center
 
@@ -121,16 +123,30 @@ def detections_from_rows(
 
 
 def _window_max(grid: np.ndarray, kernel: int) -> np.ndarray:
-    """Max of the kernel x kernel neighborhood, borders use in-bounds cells."""
-    pad = kernel // 2
-    h, w = grid.shape
-    padded = np.full((h + 2 * pad, w + 2 * pad), -np.inf, dtype=grid.dtype)
-    padded[pad : pad + h, pad : pad + w] = grid
-    out = np.full_like(grid, -np.inf)
-    for di in range(kernel):
-        for dj in range(kernel):
-            np.maximum(out, padded[di : di + h, dj : dj + w], out=out)
+    """Max of the kernel x kernel neighborhood, borders use in-bounds cells.
+
+    Separable: a running max along each row, then along each column. NaN
+    propagates through both passes, as through one 2-D window.
+    """
+    across = grid.copy()
+    for d in range(1, kernel // 2 + 1):
+        np.maximum(across[:, d:], grid[:, :-d], out=across[:, d:])
+        np.maximum(across[:, :-d], grid[:, d:], out=across[:, :-d])
+    out = across.copy()
+    for d in range(1, kernel // 2 + 1):
+        np.maximum(out[d:], across[:-d], out=out[d:])
+        np.maximum(out[:-d], across[d:], out=out[:-d])
     return out
+
+
+def _peak_array(heatmap: np.ndarray, cfg: GroupingConfig) -> np.ndarray:
+    """(3, n) float64 rows, columns and scores of one map's kept peaks."""
+    mask = (heatmap == _window_max(heatmap, cfg.kernel)) & (heatmap > cfg.tau_e)
+    rows, cols = np.divmod(np.flatnonzero(mask), heatmap.shape[1])
+    scores = heatmap[rows, cols].astype(np.float64)
+    # cells come in row-major order, so a stable sort breaks ties on (row, col)
+    order = np.argsort(-scores, kind="stable")[: cfg.k1]
+    return np.stack((rows[order], cols[order], scores[order]))
 
 
 def extract_peaks(
@@ -143,16 +159,10 @@ def extract_peaks(
     ordered by score descending, ties by row then column ascending, and
     truncated to ``k1``.
     """
-    win = _window_max(heatmap, cfg.kernel)
-    mask = (heatmap == win) & (heatmap > cfg.tau_e)
-    rows, cols = np.nonzero(mask)
-    if rows.size == 0:
-        return []
-    scores = heatmap[rows, cols].astype(np.float64)
-    order = np.lexsort((cols, rows, -scores))[: cfg.k1]
+    rows, cols, scores = _peak_array(heatmap, cfg).tolist()
     return [
-        Peak(cell=(int(rows[i]), int(cols[i])), score=float(scores[i]), role=role)
-        for i in order
+        Peak(cell=(int(r), int(c)), score=s, role=role)
+        for r, c, s in zip(rows, cols, scores)
     ]
 
 
@@ -192,13 +202,28 @@ class _PairBlock:
     rows: np.ndarray  # (n, 10) detection rows, in grid cells
 
 
+def _runs(values: np.ndarray):
+    """(distinct, order, starts, counts): ``order`` is the stable argsort of
+    ``values``, and the i-th distinct value, ascending, is at the indices
+    ``order[starts[i] : starts[i] + counts[i]]``."""
+    order = values.argsort(kind="stable")
+    ordered = values[order]
+    # bounds: the start of each run, then the end of the last one
+    first = np.ones(ordered.size + 1, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:-1])
+    bounds = first.nonzero()[0]
+    starts = bounds[:-1]
+    return ordered[starts], order, starts, bounds[1:] - starts
+
+
 def _enumerate_block(top, bottom, left, right, center_map, cfg) -> _PairBlock | None:
-    """Vectorized enumeration over one block of (t, b) pairs.
+    """Sparse enumeration over one block of (t, b) pairs.
 
     Each role's peaks come as a (3, n) array of rows, columns and scores.
-    Center row depends only on the (t, b) pair and center column only on
-    (l, r), so the O(n^4) loop reduces to one gather over the outer product
-    of valid pair lists.
+    The center row depends only on the (t, b) pair and the center column
+    only on the (l, r) pair, so the center map is sampled once on the table
+    of distinct center rows x distinct center columns. Only the table cells
+    above ``tau_c`` are expanded into their (t, b) x (l, r) pairs and scored.
     """
     t_rows, t_cols, t_scores = top
     b_rows, b_cols, b_scores = bottom
@@ -211,42 +236,54 @@ def _enumerate_block(top, bottom, left, right, center_map, cfg) -> _PairBlock | 
 
     crow = (t_rows[ti] + b_rows[bi]) * 0.5
     ccol = (l_cols[li] + r_cols[ri]) * 0.5
+    u_row, tb_order, tb_start, tb_count = _runs(crow)
+    u_col, lr_order, lr_start, lr_count = _runs(ccol)
     if cfg.center_interp == "nearest":
-        cscores = _center_scores_nearest(center_map, crow, ccol)
+        table = _center_scores_nearest(center_map, u_row, u_col)
     else:
-        cscores = _center_scores_bilinear(center_map, crow, ccol)
+        table = _center_scores_bilinear(center_map, u_row, u_col)
+    kr, kc = np.nonzero(table > cfg.tau_c)
+    if kr.size == 0:
+        return None
+
+    # cell j covers tb_count[kr[j]] x lr_count[kc[j]] pairs, laid out
+    # (t, b)-major; `local` is a pair's position within its cell
+    width = lr_count[kc]
+    sizes = tb_count[kr] * width
+    cell = np.arange(kr.size).repeat(sizes)
+    local = np.arange(cell.size) - (sizes.cumsum() - sizes).repeat(sizes)
+    tb_off, lr_off = np.divmod(local, width[cell])
+    tb = tb_order[tb_start[kr][cell] + tb_off]
+    lr = lr_order[lr_start[kc][cell] + lr_off]
 
     s_tb = t_scores[ti] + b_scores[bi]
     s_lr = l_scores[li] + r_scores[ri]
-    total = (s_tb[:, None] + s_lr[None, :]) + 2.0 * cscores
-
-    keep_tb, keep_lr = np.nonzero(cscores > cfg.tau_c)
-    if keep_tb.size == 0:
-        return None
-
-    scores = total[keep_tb, keep_lr]
+    scores = (s_tb[tb] + s_lr[lr]) + 2.0 * table[kr, kc][cell]
     if scores.size > cfg.k2:
         # block-local prune; ties at the cut are kept so the cross-block
         # merge still sees every candidate the global top-k2 could select
         cut = np.partition(scores, scores.size - cfg.k2)[scores.size - cfg.k2]
-        local = scores >= cut
-        scores = scores[local]
-        keep_tb, keep_lr = keep_tb[local], keep_lr[local]
+        kept = scores >= cut
+        scores, tb, lr = scores[kept], tb[kept], lr[kept]
 
-    tk, bk = ti[keep_tb], bi[keep_tb]
-    lk, rk = li[keep_lr], ri[keep_lr]
+    tk, bk = ti[tb], bi[tb]
+    lk, rk = li[lr], ri[lr]
     rows = np.column_stack(
         (
             t_cols[tk], t_rows[tk], l_cols[lk], l_rows[lk],
             b_cols[bk], b_rows[bk], r_cols[rk], r_rows[rk],
-            ccol[keep_lr], crow[keep_tb],
+            ccol[lr], crow[tb],
         )
     )
     return _PairBlock(scores=scores, rows=rows)
 
 
 def _select_top_k2(blocks: list[_PairBlock], k2: int) -> _PairBlock | None:
-    """Deterministic top-k2 across blocks: score desc, then cells ascending."""
+    """Deterministic top-k2 across blocks: score desc, then cells ascending.
+
+    The cell tuple orders distinct candidates totally and the cut keeps
+    ties, so the result does not depend on the order blocks list them in.
+    """
     blocks = [b for b in blocks if b is not None]
     if not blocks:
         return None
@@ -262,6 +299,40 @@ def _select_top_k2(blocks: list[_PairBlock], k2: int) -> _PairBlock | None:
     # primary key last: -score, then (row, col) of top, left, bottom, right
     order = np.lexsort((*rows[:, [6, 7, 4, 5, 2, 3, 0, 1]].T, -scores))[:k2]
     return _PairBlock(scores[order], rows[order])
+
+
+def _enumerate_rows(
+    arrays: Mapping[str, np.ndarray],
+    center_map: np.ndarray,
+    cfg: GroupingConfig,
+    workers: int = 1,
+) -> _PairBlock | None:
+    """The top ``k2`` scores and grid-cell detection rows for each role's
+    (3, n) peak array; see :func:`enumerate_quadruples`."""
+    if any(arrays[role].shape[1] == 0 for role in EXTREME_ROLES):
+        return None
+
+    n_tops = arrays["top"].shape[1]
+    n_chunks = max(1, min(workers, n_tops))
+
+    def run_chunk(lo: int, hi: int) -> _PairBlock | None:
+        return _enumerate_block(
+            arrays["top"][:, lo:hi], arrays["bottom"], arrays["left"],
+            arrays["right"], center_map, cfg,
+        )
+
+    if n_chunks == 1:
+        blocks = [run_chunk(0, n_tops)]
+    else:
+        chunk_bounds = np.linspace(0, n_tops, n_chunks + 1).astype(int)
+        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+            futures = [
+                pool.submit(run_chunk, int(lo), int(hi))
+                for lo, hi in zip(chunk_bounds[:-1], chunk_bounds[1:])
+                if hi > lo
+            ]
+            blocks = [f.result() for f in futures]
+    return _select_top_k2(blocks, cfg.k2)
 
 
 def enumerate_quadruples(
@@ -288,34 +359,26 @@ def enumerate_quadruples(
         ).reshape(-1, 3).T
         for role in EXTREME_ROLES
     }
-    if any(arrays[role][0].size == 0 for role in EXTREME_ROLES):
-        return []
-
-    n_tops = arrays["top"].shape[1]
-    n_chunks = max(1, min(workers, n_tops))
-
-    def run_chunk(lo: int, hi: int) -> _PairBlock | None:
-        return _enumerate_block(
-            arrays["top"][:, lo:hi], arrays["bottom"], arrays["left"],
-            arrays["right"], center_map, cfg,
-        )
-
-    if n_chunks == 1:
-        blocks = [run_chunk(0, n_tops)]
-    else:
-        chunk_bounds = np.linspace(0, n_tops, n_chunks + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-            futures = [
-                pool.submit(run_chunk, int(lo), int(hi))
-                for lo, hi in zip(chunk_bounds[:-1], chunk_bounds[1:])
-                if hi > lo
-            ]
-            blocks = [f.result() for f in futures]
-
-    top = _select_top_k2(blocks, cfg.k2)
+    top = _enumerate_rows(arrays, center_map, cfg, workers)
     if top is None:
         return []
     return detections_from_rows(top.rows, top.scores, ["original"] * len(top.rows))
+
+
+def _refine_rows(rows: np.ndarray, offset_maps: np.ndarray, stride: int) -> np.ndarray:
+    """Grid-cell detection rows to input-pixel rows; see
+    :func:`refine_with_offsets`."""
+    col = rows[:, 0:8:2].astype(np.intp)  # one column per extreme role
+    row = rows[:, 1:8:2].astype(np.intp)
+    dx_plane = 2 * np.arange(len(EXTREME_ROLES))
+    dx = offset_maps[dx_plane, row, col].astype(np.float64)
+    dy = offset_maps[dx_plane + 1, row, col].astype(np.float64)
+    refined = np.empty_like(rows)
+    refined[:, 0:8:2] = stride * (col + dx)
+    refined[:, 1:8:2] = stride * (row + dy)
+    refined[:, 8] = (refined[:, 2] + refined[:, 6]) / 2.0
+    refined[:, 9] = (refined[:, 1] + refined[:, 5]) / 2.0
+    return refined
 
 
 def refine_with_offsets(
@@ -327,17 +390,7 @@ def refine_with_offsets(
     center is recomputed from the refined extremes (the center role has no
     offsets) and the box regenerated.
     """
-    rows = detections_to_rows(detections)
-    col = rows[:, 0:8:2].astype(np.intp)  # one column per extreme role
-    row = rows[:, 1:8:2].astype(np.intp)
-    dx_plane = 2 * np.arange(len(EXTREME_ROLES))
-    dx = offset_maps[dx_plane, row, col].astype(np.float64)
-    dy = offset_maps[dx_plane + 1, row, col].astype(np.float64)
-    refined = np.empty_like(rows)
-    refined[:, 0:8:2] = stride * (col + dx)
-    refined[:, 1:8:2] = stride * (row + dy)
-    refined[:, 8] = (refined[:, 2] + refined[:, 6]) / 2.0
-    refined[:, 9] = (refined[:, 1] + refined[:, 5]) / 2.0
+    refined = _refine_rows(detections_to_rows(detections), offset_maps, stride)
     return detections_from_rows(
         refined, [d.score for d in detections], [d.source for d in detections]
     )
@@ -352,11 +405,11 @@ def detect(
     and refines coordinates to input pixels. Output is ordered by score
     descending with deterministic tie-breaking.
     """
-    peaks = {
-        role: extract_peaks(bundle.keypoint_map(role), cfg, role)
-        for role in EXTREME_ROLES
+    arrays = {
+        role: _peak_array(bundle.keypoint_map(role), cfg) for role in EXTREME_ROLES
     }
-    candidates = enumerate_quadruples(
-        peaks, bundle.keypoint_map("center"), cfg, workers=workers
-    )
-    return refine_with_offsets(candidates, bundle.offset_maps, bundle.stride)
+    top = _enumerate_rows(arrays, bundle.keypoint_map("center"), cfg, workers)
+    if top is None:
+        return []
+    refined = _refine_rows(top.rows, bundle.offset_maps, bundle.stride)
+    return detections_from_rows(refined, top.scores, ["original"] * len(refined))

@@ -31,7 +31,7 @@ from .geometry import (
     ordered_diameters,
     pad_bbox,
 )
-from .grouping import GroupingConfig, Peak, enumerate_quadruples
+from .grouping import GroupingConfig, _enumerate_rows
 from .rng import SplitMix64
 from .targets import (
     EXTREME_ROLES,
@@ -132,22 +132,20 @@ def _decodes_to_itself(
     quadruples and nothing else.
     """
     center_map = np.zeros(output_grid(image_size, stride), dtype=np.float32)
-    peaks: dict[str, list[Peak]] = {role: [] for role in EXTREME_ROLES}
-    truth = []
-    for e in extremes_list:
+    truth = np.empty((len(extremes_list), 4, 2))  # (row, col) per extreme role
+    for i, e in enumerate(extremes_list):
         *cells, center = (keypoint_cell(p, stride) for p in e.points())
         radius = lesion_radius(e, stride, min_overlap)
         draw_gaussian(center_map, center, radius, sigma_divisor=sigma_divisor)
-        for role, cell in zip(EXTREME_ROLES, cells):
-            peaks[role].append(Peak(cell, 1.0, role))
-        truth.append(tuple(cells))
-
-    kept = enumerate_quadruples(peaks, center_map, GroupingConfig(tau_c=tau_c))
-    found = [
-        tuple((int(p.y), int(p.x)) for p in det.extremes.points()[:4])
-        for det in kept
-    ]
-    return sorted(found) == sorted(truth)
+        truth[i] = cells
+    # each role's peaks as grouping's (3, n) rows, columns and scores of 1.0
+    peaks = {
+        role: np.vstack((truth[:, j].T, np.ones(len(truth))))
+        for j, role in enumerate(EXTREME_ROLES)
+    }
+    kept = _enumerate_rows(peaks, center_map, GroupingConfig(tau_c=tau_c))
+    found = [] if kept is None else kept.rows[:, [1, 0, 3, 2, 5, 4, 7, 6]].tolist()
+    return sorted(found) == sorted(truth.reshape(-1, 8).tolist())
 
 
 def generate_scene(

@@ -215,15 +215,32 @@ class TestHeatmapFile:
 
 
     def test_non_finite_planes_name_channel_and_count(self, tmp_path):
-        bundle = random_bundle(np.random.default_rng(93))
-        bundle.keypoint_maps[0, 1, 1] = -np.inf
-        bundle.offset_maps[3, 2, 5] = np.nan
-        bundle.offset_maps[3, 0, 0] = np.inf
+        bundle = random_bundle(np.random.default_rng(93))  # 12 x 16 planes
         path = tmp_path / "b.rkhm"
         write_heatmaps(bundle, path)
+        data = bytearray(path.read_bytes())
+        start = data.index(b"\n", len(b"RKHM1\n")) + 1
+        # channel 0 is top; channel 5 + 3 is the offset plane left_dy
+        for channel, row, col, value in (
+            (0, 1, 1, -np.inf), (8, 2, 5, np.nan), (8, 0, 0, np.inf)
+        ):
+            cell = start + 4 * (channel * 12 * 16 + row * 16 + col)
+            data[cell:cell + 4] = np.array([value], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
         expected = r"non-finite .* top \(1 cells\), left_dy \(2 cells\)"
         with pytest.raises(InputFormatError, match=expected):
             read_heatmaps(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("group", ["keypoint_maps", "offset_maps"])
+    def test_writer_refuses_non_finite_planes(self, tmp_path, group, value):
+        bundle = random_bundle(np.random.default_rng(94))
+        getattr(bundle, group)[2, 3, 4] = value
+        name = "bottom" if group == "keypoint_maps" else "left_dx"
+        path = tmp_path / "b.rkhm"
+        with pytest.raises(ValueError, match=rf"non-finite .* {name} \(1 cells\)"):
+            write_heatmaps(bundle, path)
+        assert not path.exists()
 
 
 class TestDetectionsFile:

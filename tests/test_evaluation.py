@@ -16,8 +16,30 @@ from recistkit.evaluation import (
     match_detections,
     stratified_froc,
 )
-from recistkit.geometry import BBox, pad_bbox
+from recistkit.geometry import BBox, iou, pad_bbox
 from tests.test_fusion import make_detection
+
+
+def loop_match_detections(detections, gt_boxes, iou_threshold=0.5, pad=5.0):
+    """The per-pair loop ``match_detections`` replaced, copied without change."""
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+    taken = [False] * len(gt_boxes)
+    records = []
+    for i in order:
+        det_box = pad_bbox(detections[i].bbox, pad)
+        best_iou, best_gt = 0.0, None
+        for g, gt in enumerate(gt_boxes):
+            if taken[g]:
+                continue
+            overlap = iou(det_box, gt)
+            if overlap > best_iou:
+                best_iou, best_gt = overlap, g
+        if best_gt is not None and best_iou >= iou_threshold:
+            taken[best_gt] = True
+            records.append(DetectionMatch(i, detections[i].score, True, best_gt))
+        else:
+            records.append(DetectionMatch(i, detections[i].score, False, None))
+    return MatchResult(records=records, n_gt=len(gt_boxes))
 
 
 def gt_at(x, y, size=20.0, pad=5.0):
@@ -77,6 +99,56 @@ class TestMatchDetections:
             order = list(rng.permutation(len(dets)))
             shuffled = match_detections([dets[i] for i in order], gts)
             assert {(r.score, r.is_tp, r.gt_index) for r in shuffled.records} == outcome
+
+
+class TestMatchOnIouMatrix:
+    """One IoU matrix against the per-pair loop, record for record."""
+
+    @staticmethod
+    def lattice_box(rng):
+        # quarter-pixel corners on a small field: exact IoU ties, shared
+        # and zero-area boxes, and many boxes with no overlap at all
+        x1, y1 = rng.integers(0, 160, size=2) / 4
+        w, h = rng.integers(0, 80, size=2) / 4
+        return BBox(x1, y1, x1 + w, y1 + h)
+
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(85)
+        tps = 0
+        for case in range(400):
+            gts = [self.lattice_box(rng) for _ in range(int(rng.integers(0, 6)))]
+            if gts and rng.random() < 0.3:
+                gts.insert(int(rng.integers(len(gts))), gts[-1])  # IoU ties
+            dets = []
+            for _ in range(int(rng.integers(0, 25))):
+                if gts and rng.random() < 0.3:
+                    box = gts[int(rng.integers(len(gts)))]
+                else:
+                    box = self.lattice_box(rng)
+                if rng.random() < 0.5:
+                    score = float(rng.choice([0.25, 0.5, 0.75]))  # tied scores
+                else:
+                    score = float(rng.uniform())
+                dets.append(make_detection(*box.as_tuple(), score))
+            threshold = float(rng.choice([0.0, 0.1, 0.3, 0.5, 1.0]))
+            pad = float(rng.choice([0.0, 2.5, 5.0]))
+            got = match_detections(dets, gts, threshold, pad)
+            expected = loop_match_detections(dets, gts, threshold, pad)
+            assert got == expected
+            assert [r.score.hex() for r in got.records] == [
+                r.score.hex() for r in expected.records
+            ]
+            tps += sum(r.is_tp for r in got.records)
+        assert tps > 200
+
+    def test_nan_overlap_never_matches(self):
+        # a zero-width box at x = inf has a NaN area, so every IoU with it
+        # is NaN, which the strict > 0 test of the loop never picks
+        gts = [BBox(math.inf, 0.0, math.inf, 10.0), gt_at(10, 10)]
+        dets = [det_at(10, 10, 0.9), det_at(10, 10, 0.8)]
+        expected = loop_match_detections(dets, gts)
+        assert [r.gt_index for r in expected.records] == [1, None]
+        assert match_detections(dets, gts) == expected
 
 
 def crafted_three_image_matches():
