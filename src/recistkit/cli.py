@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -34,6 +33,7 @@ from .dataio import (
     write_annotations,
     write_detections,
     write_heatmaps,
+    write_json,
 )
 from .evaluation import (
     diameter_bucket,
@@ -101,11 +101,6 @@ class _Outputs:
                 pass
 
 
-def _json_bytes(obj) -> bytes:
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    return (text + "\n").encode("utf-8")
-
-
 def _load_effective_config(args) -> tuple[dict, dict]:
     """Defaults, then the --config file, then explicit flags.
 
@@ -158,7 +153,7 @@ def _cmd_render_targets(args) -> int:
                 out_dir / f"{key}{HEATMAP_SUFFIX}",
                 lambda tmp, b=targets.bundle: write_heatmaps(b, tmp),
             )
-        outputs.write_bytes(out_dir / "config.json", _json_bytes(cfg))
+        outputs.run(out_dir / "config.json", lambda tmp: write_json(cfg, tmp))
 
     if parsed.n_excluded:
         print(f"excluded {parsed.n_excluded} annotation row(s)")
@@ -336,7 +331,7 @@ def _cmd_eval(args) -> int:
     )
 
     with _Outputs() as outputs:
-        outputs.write_bytes(Path(args.out + ".json"), _json_bytes(report))
+        outputs.run(Path(args.out + ".json"), lambda tmp: write_json(report, tmp))
         outputs.write_text(Path(args.out + ".txt"), text)
     print(text, end="")
     return 0
@@ -403,7 +398,7 @@ def _cmd_simulate(args) -> int:
             out_dir / "annotations.csv",
             lambda tmp: write_annotations(scene.annotations, tmp),
         )
-        outputs.write_bytes(out_dir / "config.json", _json_bytes(provenance))
+        outputs.run(out_dir / "config.json", lambda tmp: write_json(provenance, tmp))
 
         if args.flipped_out:
             flipped_dir = Path(args.flipped_out)
@@ -419,7 +414,9 @@ def _cmd_simulate(args) -> int:
                 flipped_dir / f"{key}{HEATMAP_SUFFIX}",
                 lambda tmp: write_heatmaps(flipped_bundle, tmp),
             )
-            outputs.write_bytes(flipped_dir / "config.json", _json_bytes(provenance))
+            outputs.run(
+                flipped_dir / "config.json", lambda tmp: write_json(provenance, tmp)
+            )
 
     print(
         f"wrote synthetic bundle ({args.n_lesions} lesion(s), "

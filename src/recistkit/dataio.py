@@ -28,7 +28,7 @@ from .geometry import (
     ordered_diameters,
     pad_bbox,
 )
-from .grouping import Detection
+from .grouping import BOX_COLUMNS, Detection
 from .targets import KEYPOINT_CHANNELS, OFFSET_CHANNELS, HeatmapBundle
 
 HEATMAP_MAGIC = b"RKHM1\n"
@@ -336,26 +336,22 @@ def is_finite_number(value) -> bool:
     )
 
 
-def _point_pair(value, path: str) -> Point2:
+def _point_pair(value, path: str) -> tuple[float, float]:
     if (
         not isinstance(value, list)
         or len(value) != 2
         or not all(is_finite_number(v) for v in value)
     ):
         raise InputFormatError(f"{path}: expected [x, y] with finite numbers")
-    return Point2(float(value[0]), float(value[1]))
+    return float(value[0]), float(value[1])
 
 
 def detection_to_dict(det: Detection) -> dict:
-    e = det.extremes
+    row = list(det.row)
     return {
-        "bbox": list(det.bbox.as_tuple()),
+        "bbox": [row[i] for i in BOX_COLUMNS],
         "extremes": {
-            "top": [e.top.x, e.top.y],
-            "left": [e.left.x, e.left.y],
-            "bottom": [e.bottom.x, e.bottom.y],
-            "right": [e.right.x, e.right.y],
-            "center": [e.center.x, e.center.y],
+            role: row[2 * i : 2 * i + 2] for i, role in enumerate(KEYPOINT_CHANNELS)
         },
         "score": det.score,
         "source": det.source,
@@ -363,6 +359,8 @@ def detection_to_dict(det: Detection) -> dict:
 
 
 def detection_from_dict(entry: dict, path: str) -> Detection:
+    """One checked detections entry; its bbox must be the tight box of its
+    extremes, as :func:`detection_to_dict` writes it."""
     if not isinstance(entry, dict):
         raise InputFormatError(f"{path}: expected an object")
     for key in ("bbox", "extremes", "score", "source"):
@@ -380,21 +378,31 @@ def detection_from_dict(entry: dict, path: str) -> Detection:
     ext = entry["extremes"]
     if not isinstance(ext, dict):
         raise InputFormatError(f"{path}.extremes: expected an object")
-    points = {}
-    for role in ("top", "left", "bottom", "right", "center"):
+    row: tuple[float, ...] = ()
+    for role in KEYPOINT_CHANNELS:  # the row layout
         if role not in ext:
             raise InputFormatError(f"{path}.extremes: missing {role}")
-        points[role] = _point_pair(ext[role], f"{path}.extremes.{role}")
+        row += _point_pair(ext[role], f"{path}.extremes.{role}")
+    box = [row[i] for i in BOX_COLUMNS]
+    if [float(v) for v in bbox_vals] != box:
+        raise InputFormatError(
+            f"{path}.bbox: {bbox_vals} is not the tight box of the extremes, {box}"
+        )
     if not is_finite_number(entry["score"]):
         raise InputFormatError(f"{path}.score: expected a finite number")
     if entry["source"] not in ("original", "flipped"):
         raise InputFormatError(f"{path}.source: expected 'original' or 'flipped'")
-    return Detection(
-        extremes=ExtremePoints(**points),
-        score=float(entry["score"]),
-        bbox=BBox(*(float(v) for v in bbox_vals)),
-        source=entry["source"],
-    )
+    return Detection(row, float(entry["score"]), entry["source"])
+
+
+def write_json(obj, path: str | Path) -> None:
+    """Write ``obj`` as sorted, indented strict JSON with a final newline:
+    the format of every JSON file recistkit writes. The encoder's chunks
+    stream to the file, so a large document is never held as one string.
+    Raises ValueError on NaN or +-inf."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def write_detections(
@@ -414,9 +422,7 @@ def write_detections(
             for key, dets in detections_by_image.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def read_detections(

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import BBox, pairwise_iou
-from .grouping import Detection
+from .grouping import BOX_COLUMNS, Detection, detections_to_rows
 
 FP_TARGETS_DEFAULT = (0.5, 1.0, 2.0, 3.0, 4.0)
 
@@ -101,9 +101,9 @@ def match_detections(
     reaches the threshold; every ground truth is matched at most once.
     """
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    boxes = np.array([d.bbox.as_tuple() for d in detections], dtype=np.float64)
+    boxes = detections_to_rows(detections)[:, BOX_COLUMNS]
     # padded as pad_bbox pads: x1 - pad, y1 - pad, x2 + pad, y2 + pad
-    padded = boxes.reshape(-1, 4) + np.array([-pad, -pad, pad, pad])
+    padded = boxes + np.array([-pad, -pad, pad, pad])
     gts = np.array([g.as_tuple() for g in gt_boxes], dtype=np.float64).reshape(-1, 4)
     ious = pairwise_iou(padded, gts)
     # only an overlap strictly above 0 can match, which also rules out NaN;

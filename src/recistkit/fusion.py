@@ -9,13 +9,13 @@ outright.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
 from .geometry import pairwise_iou
-from .grouping import Detection, detections_from_rows, detections_to_rows, sort_key
+from .grouping import BOX_COLUMNS, Detection, detections_from_rows, detections_to_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,16 +70,18 @@ def soft_nms(
     other remaining score according to its overlap with the selection, and
     drops detections once their score falls below the floor. The output
     comes out sorted by final score descending; the top detection's score is
-    never changed. Score ties go to the detection that comes first in
-    ``sort_key`` order.
+    never changed. Score ties go to the smaller box (x1, y1, x2, y2), then
+    to the flipped view, then to the smaller row (top x, ..., right y), and
+    then to the earlier input.
     """
-    # geometry then source break score ties, so argmax's first hit below
-    # is the min(key=sort_key) of the live detections
-    pool = sorted(
-        (d for d in detections if d.score >= cfg.score_floor),
-        key=lambda d: sort_key(d)[1:],
-    )
-    boxes = np.array([d.bbox.as_tuple() for d in pool], dtype=np.float64).reshape(-1, 4)
+    pool = [d for d in detections if d.score >= cfg.score_floor]
+    rows = detections_to_rows(pool)
+    is_original = np.array([d.source == "original" for d in pool], dtype=bool)
+    # the tie order above, primary key last, so that argmax's first hit
+    # below is the first live detection in that order
+    order = np.lexsort((*rows[:, 7::-1].T, is_original, *rows[:, BOX_COLUMNS[::-1]].T))
+    pool, rows = [pool[i] for i in order.tolist()], rows[order]
+    boxes = rows[:, BOX_COLUMNS]
     overlap = pairwise_iou(boxes, boxes)
     if cfg.method == "gaussian":
         # math.exp, not np.exp, which is 1 ulp off on some inputs; a pair
@@ -94,15 +96,16 @@ def soft_nms(
 
     live = np.arange(len(pool))
     scores = np.array([d.score for d in pool], dtype=np.float64)
-    out: list[Detection] = []
+    kept, kept_scores = [], []
     while live.size:
         k = int(scores.argmax())
-        out.append(replace(pool[live[k]], score=float(scores[k])))
+        kept.append(int(live[k]))
+        kept_scores.append(scores[k])
         scores = scores * decay[live[k], live]
         keep = scores >= cfg.score_floor
         keep[k] = False
         live, scores = live[keep], scores[keep]
-    return out
+    return detections_from_rows(rows[kept], kept_scores, [pool[i].source for i in kept])
 
 
 def fuse_tta(

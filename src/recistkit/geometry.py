@@ -168,9 +168,9 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     as a (len(a), len(b)) matrix; rows are (x1, y1, x2, y2)."""
     ax1, ay1, ax2, ay2 = a.T
     bx1, by1, bx2, by2 = b.T
-    iw = np.minimum.outer(ax2, bx2) - np.maximum.outer(ax1, bx1)
-    ih = np.minimum.outer(ay2, by2) - np.maximum.outer(ay1, by1)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        iw = np.minimum.outer(ax2, bx2) - np.maximum.outer(ax1, bx1)
+        ih = np.minimum.outer(ay2, by2) - np.maximum.outer(ay1, by1)
         inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
         union = np.add.outer((ax2 - ax1) * (ay2 - ay1), (bx2 - bx1) * (by2 - by1))
         union -= inter

@@ -22,7 +22,7 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BBox, ExtremePoints, Point2, bbox_from_extremes
+from .geometry import BBox, ExtremePoints, Point2
 from .targets import EXTREME_ROLES, HeatmapBundle
 
 Cell = tuple[int, int]
@@ -65,61 +65,49 @@ class GroupingConfig:
             raise ValueError(f"unknown center_interp {self.center_interp!r}")
 
 
+# the (x1, y1, x2, y2) columns of a detection row: left x, top y, right x, bottom y
+BOX_COLUMNS = [2, 1, 6, 5]
+
+
 @dataclass(frozen=True, slots=True)
 class Detection:
     """One grouped quadruple with its combination score.
 
+    ``row`` holds ten floats: the (x, y) of the top, left, bottom and right
+    extremes and of the center, the layout of :func:`detections_to_rows`.
     From :func:`enumerate_quadruples` the coordinates are output-grid cells;
-    after :func:`refine_with_offsets` they are input pixels. ``bbox`` is the
-    tight (unpadded) box of the extremes. ``source`` records test-time
-    augmentation provenance.
+    after :func:`refine_with_offsets` they are input pixels. ``source``
+    records test-time augmentation provenance.
     """
 
-    extremes: ExtremePoints
+    row: tuple[float, ...]
     score: float
-    bbox: BBox
     source: Literal["original", "flipped"] = "original"
 
+    @property
+    def extremes(self) -> ExtremePoints:
+        r = self.row
+        return ExtremePoints(*(Point2(r[i], r[i + 1]) for i in range(0, 10, 2)))
 
-def sort_key(det: Detection):
-    """Total order: score desc, then geometry, then source.
-
-    Deterministic regardless of list order, which makes pooled and
-    partitioned pipelines reproduce sequential output exactly.
-    """
-    e = det.extremes
-    return (
-        -det.score,
-        det.bbox.x1, det.bbox.y1, det.bbox.x2, det.bbox.y2,
-        det.source,
-        e.top.x, e.top.y, e.left.x, e.left.y,
-        e.bottom.x, e.bottom.y, e.right.x, e.right.y,
-    )
+    @property
+    def bbox(self) -> BBox:
+        """The tight (unpadded) box of the extremes."""
+        return BBox(*(self.row[i] for i in BOX_COLUMNS))
 
 
 def detections_to_rows(detections: Sequence[Detection]) -> np.ndarray:
     """(n, 10) float64 rows: (x, y) of top, left, bottom, right, center."""
-    return np.array(
-        [[v for p in d.extremes.points() for v in (p.x, p.y)] for d in detections],
-        dtype=np.float64,
-    ).reshape(len(detections), 10)
+    rows = np.array([d.row for d in detections], dtype=np.float64)
+    return rows.reshape(len(detections), 10)
 
 
 def detections_from_rows(
     rows: np.ndarray, scores: Sequence[float], sources: Sequence[str]
 ) -> list[Detection]:
     """Detections from :func:`detections_to_rows` rows, scores and sources,
-    with Python floats and each box the tight box of its extremes."""
-    out = []
-    for (tx, ty, lx, ly, bx, by, rx, ry, cx, cy), score, source in zip(
-        rows.tolist(), np.asarray(scores, dtype=np.float64).tolist(), sources
-    ):
-        extremes = ExtremePoints(
-            Point2(tx, ty), Point2(lx, ly), Point2(bx, by), Point2(rx, ry),
-            Point2(cx, cy),
-        )
-        out.append(Detection(extremes, score, bbox_from_extremes(extremes), source))
-    return out
+    with Python floats."""
+    scores = np.asarray(scores, dtype=np.float64).tolist()
+    return list(map(Detection, map(tuple, rows.tolist()), scores, sources))
 
 
 def _window_max(grid: np.ndarray, kernel: int) -> np.ndarray:
@@ -388,7 +376,7 @@ def refine_with_offsets(
 
     Each extreme coordinate becomes stride * (cell + offset-at-cell); the
     center is recomputed from the refined extremes (the center role has no
-    offsets) and the box regenerated.
+    offsets).
     """
     refined = _refine_rows(detections_to_rows(detections), offset_maps, stride)
     return detections_from_rows(

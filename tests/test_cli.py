@@ -235,8 +235,9 @@ def _dets(**changes):
     def build(tmp_path, sim_dir):
         det = {
             "bbox": [100.0, 100.0, 150.0, 150.0],
-            "extremes": {role: [125.0, 125.0] for role in
-                         ("top", "left", "bottom", "right", "center")},
+            "extremes": {"top": [125.0, 100.0], "left": [100.0, 125.0],
+                         "bottom": [125.0, 150.0], "right": [150.0, 125.0],
+                         "center": [125.0, 125.0]},
             "score": 0.5,
             "source": "original",
         }
@@ -313,6 +314,16 @@ EXIT_CODE_CASES = [
         _dets(bbox=[100.0, 100.0, 150.0, "abc"]))),
     ("detections bbox null", 3, _fuse(_dets(bbox=[100.0, 100.0, 150.0, None]))),
     ("detections score true", 3, _fuse(_dets(score=True))),
+    ("detections bbox off its extremes, fuse", 3, _fuse(
+        _dets(bbox=[300.0, 100.0, 350.0, 150.0]))),
+    ("detections bbox off its extremes, eval", 3, [
+        "eval", "--detections", _dets(bbox=[300.0, 100.0, 350.0, 150.0]),
+        "--annotations", _sim_csv]),
+    ("detections bbox inverted 1e308, fuse", 3, _fuse(
+        _dets(bbox=[1e308, 1e308, -1e308, 1e308]))),
+    ("detections bbox inverted 1e308, eval", 3, [
+        "eval", "--detections", _dets(bbox=[1e308, 1e308, -1e308, 1e308]),
+        "--annotations", _sim_csv]),
     ("eval header-only csv", 3, [
         "eval", "--detections", _dets(), "--annotations", _header_only_csv]),
     ("eval --fps ,", 2, [
@@ -363,7 +374,24 @@ class TestExitCodes:
         assert code == expected, err
         if expected == 2:  # a usage error names the flag at fault
             assert case.split()[1] in err, err
+        if case.startswith("detections bbox"):
+            assert "images['syn_11'][0].bbox" in err, err
         assert not list(tmp_path.glob("out*"))  # no partial outputs
+
+
+class TestHugeCoordinates:
+    def test_fuse_of_finite_extremes_near_the_float_limit_is_quiet(
+        self, sim_dir, tmp_path, capsys
+    ):
+        # box widths overflow to inf inside the IoU; no warning may escape
+        dets = _dets(
+            bbox=[-1e308, -1e308, 1e308, 1e308],
+            extremes={"top": [0.0, -1e308], "left": [-1e308, 0.0],
+                      "bottom": [0.0, 1e308], "right": [1e308, 0.0],
+                      "center": [0.0, 0.0]},
+        )(tmp_path, sim_dir)
+        assert run(*_fuse(dets), "--out", tmp_path / "fused.json") == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestWindow:

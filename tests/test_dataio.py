@@ -308,6 +308,18 @@ class TestDetectionsFile:
         with pytest.raises(ValueError):
             write_detections({"k": [make_detection(0, 0, 1, 1, float("nan"))]}, path)
 
+    def test_bbox_must_be_the_tight_box_of_the_extremes(self, tmp_path):
+        path = tmp_path / "d.json"
+        write_detections({"k": [make_detection(0, 0, 4, 2, 1.0)]}, path)
+        doc = json.loads(path.read_text())
+        doc["images"]["k"][0]["bbox"] = [0, 0, 4, 2]  # ints compare by value
+        path.write_text(json.dumps(doc))
+        assert read_detections(path)[0]["k"] == [make_detection(0, 0, 4, 2, 1.0)]
+        doc["images"]["k"][0]["bbox"] = [0.0, 0.0, 4.0, 2.5]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputFormatError, match=r"images\['k'\]\[0\]\.bbox"):
+            read_detections(path)
+
 
 class TestApplyCtWindow:
     def test_lower_bound(self):

@@ -3,7 +3,9 @@ they replaced, bit for bit, plus the staged grouping/fusion call chain
 against ``detect`` and ``fuse_tta``.
 
 The three oracles below are the per-row implementations, copied without
-change. Outputs are compared by value and by ``float.hex`` of every
+change except that they build each ``Detection`` from its extremes through
+``from_extremes``; ``sort_key`` is the tree-based tie order Soft-NMS used,
+copied verbatim. Outputs are compared by value and by ``float.hex`` of every
 coordinate and score: an oracle passes numpy scalars through where the row
 code returns Python floats, so reprs may differ while the values agree.
 """
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from recistkit import fusion, grouping
-from recistkit.dataio import detection_to_dict
+from recistkit.dataio import detection_to_dict, read_detections, write_detections
 from recistkit.fusion import SoftNmsConfig, fuse_tta
 from recistkit.geometry import (
     ExtremePoints,
@@ -32,7 +34,6 @@ from recistkit.grouping import (
     detect,
     enumerate_quadruples,
     extract_peaks,
-    sort_key,
 )
 from recistkit.synthetic import (
     DegradationConfig,
@@ -43,6 +44,28 @@ from recistkit.synthetic import (
 from recistkit.targets import EXTREME_ROLES
 
 # --- oracles: the per-detection implementations -----------------------------
+
+
+def from_extremes(extremes: ExtremePoints, score, source) -> Detection:
+    """The detection whose row holds ``extremes``, center last."""
+    row = tuple(v for p in extremes.points() for v in (p.x, p.y))
+    return Detection(row, score, source)
+
+
+def sort_key(det: Detection):
+    """Total order: score desc, then geometry, then source.
+
+    Deterministic regardless of list order, which makes pooled and
+    partitioned pipelines reproduce sequential output exactly.
+    """
+    e = det.extremes
+    return (
+        -det.score,
+        det.bbox.x1, det.bbox.y1, det.bbox.x2, det.bbox.y2,
+        det.source,
+        e.top.x, e.top.y, e.left.x, e.left.y,
+        e.bottom.x, e.bottom.y, e.right.x, e.right.y,
+    )
 
 
 def refine_with_offsets(
@@ -73,14 +96,7 @@ def refine_with_offsets(
             bottom=points["bottom"], right=points["right"],
             center=center,
         )
-        refined.append(
-            Detection(
-                extremes=extremes,
-                score=det.score,
-                bbox=bbox_from_extremes(extremes),
-                source=det.source,
-            )
-        )
+        refined.append(from_extremes(extremes, det.score, det.source))
     return refined
 
 
@@ -96,14 +112,7 @@ def unflip_detections(
     out = []
     for det in detections:
         extremes = flip_horizontal(det.extremes, image_width)
-        out.append(
-            Detection(
-                extremes=extremes,
-                score=det.score,
-                bbox=bbox_from_extremes(extremes),
-                source="flipped",
-            )
-        )
+        out.append(from_extremes(extremes, det.score, "flipped"))
     return out
 
 
@@ -171,10 +180,10 @@ def random_pool(rng, n, span=120.0):
                 twin = replace(twin, score=float(rng.choice(score_levels)))
             elif kind < 0.67:  # same box and score, other edge points
                 e = twin.extremes
-                twin = replace(twin, extremes=replace(
+                twin = from_extremes(replace(
                     e, top=Point2(e.left.x, e.top.y),
                     bottom=Point2(e.right.x, e.bottom.y),
-                ))
+                ), twin.score, twin.source)
             dets.append(twin)
             continue
         x1, y1 = lattice(rng, 2, 0.0, span)
@@ -195,11 +204,8 @@ def random_pool(rng, n, span=120.0):
         )
         score = float(rng.choice(score_levels)) if i % 3 else float(rng.uniform(0, 6))
         dets.append(
-            Detection(
-                extremes=extremes,
-                score=score,
-                bbox=bbox_from_extremes(extremes),
-                source="flipped" if rng.uniform() < 0.5 else "original",
+            from_extremes(
+                extremes, score, "flipped" if rng.uniform() < 0.5 else "original"
             )
         )
     return dets
@@ -369,3 +375,29 @@ class TestStagedChain:
         assert [detection_to_dict(d) for d in fused] == [
             detection_to_dict(d) for d in fuse_tta(original, flipped, 768)
         ]
+
+
+class TestRowViews:
+    """Each detection's box is the tight box of its extremes, and rows
+    round-trip through the array form unchanged."""
+
+    @staticmethod
+    def assert_row_views(dets):
+        assert dets
+        for d in dets:
+            assert d.bbox == bbox_from_extremes(d.extremes)
+        back = grouping.detections_from_rows(
+            grouping.detections_to_rows(dets),
+            [d.score for d in dets], [d.source for d in dets],
+        )
+        assert_same(back, dets)
+
+    def test_detect_read_detections_and_fuse_tta(self, tmp_path):
+        original, flipped = (detect(b) for b in noisy_views(8))
+        self.assert_row_views(original)
+        self.assert_row_views(fuse_tta(original, flipped, 768))
+        path = tmp_path / "dets.json"
+        write_detections({"a": original, "b": flipped}, path)
+        back, _ = read_detections(path)
+        self.assert_row_views(back["a"] + back["b"])
+        assert_same(back["a"] + back["b"], original + flipped)

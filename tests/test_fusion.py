@@ -7,20 +7,15 @@ import numpy as np
 import pytest
 
 from recistkit.fusion import SoftNmsConfig, fuse_tta, soft_nms, unflip_detections
-from recistkit.geometry import BBox, ExtremePoints, Point2
 from recistkit.grouping import Detection, detect
 from recistkit.synthetic import flip_scene, generate_scene, render_scene
 
 
 def make_detection(x1, y1, x2, y2, score, source="original"):
-    e = ExtremePoints(
-        top=Point2((x1 + x2) / 2, y1),
-        left=Point2(x1, (y1 + y2) / 2),
-        bottom=Point2((x1 + x2) / 2, y2),
-        right=Point2(x2, (y1 + y2) / 2),
-        center=Point2((x1 + x2) / 2, (y1 + y2) / 2),
-    )
-    return Detection(extremes=e, score=score, bbox=BBox(x1, y1, x2, y2), source=source)
+    """Edge-midpoint extremes of the box (x1, y1, x2, y2)."""
+    cx, cy = (x1 + x2) / 2, (y1 + y2) / 2
+    row = (cx, y1, x1, cy, cx, y2, x2, cy, cx, cy)
+    return Detection(tuple(float(v) for v in row), score, source)
 
 
 def random_detections(rng, n, span=100.0):

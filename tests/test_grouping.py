@@ -274,11 +274,7 @@ class TestEnumerateQuadruples:
 class TestRefineWithOffsets:
     def test_zero_offsets_scale_by_stride(self):
         offsets = np.zeros((8, 10, 10), dtype=np.float32)
-        det = Detection(
-            extremes=_grid_extremes((2, 5), (5, 2), (8, 5), (5, 8)),
-            score=4.0,
-            bbox=_bbox((2, 5), (5, 2), (8, 5), (5, 8)),
-        )
+        det = Detection(row=_grid_row((2, 5), (5, 2), (8, 5), (5, 8)), score=4.0)
         refined = refine_with_offsets([det], offsets, 4)[0]
         assert (refined.extremes.top.x, refined.extremes.top.y) == (20, 8)
         assert (refined.extremes.left.x, refined.extremes.left.y) == (8, 20)
@@ -287,11 +283,7 @@ class TestRefineWithOffsets:
         offsets = np.zeros((8, 10, 10), dtype=np.float32)
         offsets[0, 1, 2] = 0.5   # top dx at cell (row 1, col 2)
         offsets[1, 1, 2] = 0.75  # top dy
-        det = Detection(
-            extremes=_grid_extremes((1, 2), (5, 0), (9, 2), (5, 4)),
-            score=4.0,
-            bbox=_bbox((1, 2), (5, 0), (9, 2), (5, 4)),
-        )
+        det = Detection(row=_grid_row((1, 2), (5, 0), (9, 2), (5, 4)), score=4.0)
         refined = refine_with_offsets([det], offsets, 4)[0]
         assert (refined.extremes.top.x, refined.extremes.top.y) == (10, 7)
 
@@ -308,22 +300,12 @@ class TestRefineWithOffsets:
         assert recovered == expected
 
 
-def _grid_extremes(t, l, b, r):
-    from recistkit.geometry import ExtremePoints, Point2
-
-    return ExtremePoints(
-        top=Point2(t[1], t[0]),
-        left=Point2(l[1], l[0]),
-        bottom=Point2(b[1], b[0]),
-        right=Point2(r[1], r[0]),
-        center=Point2((l[1] + r[1]) / 2, (t[0] + b[0]) / 2),
-    )
-
-
-def _bbox(t, l, b, r):
-    from recistkit.geometry import bbox_from_extremes
-
-    return bbox_from_extremes(_grid_extremes(t, l, b, r))
+def _grid_row(t, l, b, r):
+    """The detection row of (row, col) cells for top, left, bottom, right."""
+    return tuple(float(v) for v in (
+        t[1], t[0], l[1], l[0], b[1], b[0], r[1], r[0],
+        (l[1] + r[1]) / 2, (t[0] + b[0]) / 2,
+    ))
 
 
 class TestDetect:
