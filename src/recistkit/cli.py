@@ -289,6 +289,13 @@ def _cmd_eval(args) -> int:
     gts_by_image: dict[str, list] = {}
     for ann in parsed.annotations:
         gts_by_image.setdefault(ann.file_name, []).append(ann)
+    unknown = sorted(set(detections) - set(gts_by_image))
+    if unknown:  # each is scored as one more image, of false positives only
+        print(
+            f"warning: {len(unknown)} detection image key(s) not in the "
+            f"annotation CSV: {', '.join(unknown)}",
+            file=sys.stderr,
+        )
 
     keys = sorted(set(detections) | set(gts_by_image))
     matches, labels = [], []

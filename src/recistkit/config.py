@@ -10,7 +10,6 @@ stay attributable.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -61,9 +60,10 @@ def _check_type(where: str, value: Any, default: Any) -> None:
 
 
 def _all_finite(value: Any) -> bool:
-    """No NaN or infinity anywhere in a JSON value: the echo must stay JSON."""
-    if isinstance(value, float):
-        return math.isfinite(value)
+    """No NaN, infinity or integer too large for a float anywhere in a JSON
+    value: the echo must stay JSON, and numbers are used as floats."""
+    if isinstance(value, float) or type(value) is int:  # a bool is no number
+        return is_finite_number(value)
     if isinstance(value, list):
         return all(_all_finite(v) for v in value)
     return True

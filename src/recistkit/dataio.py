@@ -28,7 +28,12 @@ from .geometry import (
     ordered_diameters,
     pad_bbox,
 )
-from .grouping import BOX_COLUMNS, Detection
+from .grouping import (
+    BOX_COLUMNS,
+    Detection,
+    detections_from_rows,
+    detections_to_rows,
+)
 from .targets import KEYPOINT_CHANNELS, OFFSET_CHANNELS, HeatmapBundle
 
 HEATMAP_MAGIC = b"RKHM1\n"
@@ -271,7 +276,7 @@ def read_heatmaps(path: str | Path) -> HeatmapBundle:
             raise InputFormatError(f"{path}: truncated header")
         try:
             header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, the int digit limit, bad UTF-8
             raise InputFormatError(f"{path}: malformed header: {exc}") from None
         if not isinstance(header, dict):
             raise InputFormatError(f"{path}: header must be a JSON object")
@@ -316,34 +321,28 @@ def read_heatmaps(path: str | Path) -> HeatmapBundle:
 def load_json(path: str | Path):
     """Parse a JSON file as strict JSON: the NaN, Infinity and -Infinity
     tokens that :func:`json.load` accepts raise :class:`InputFormatError`,
-    as does malformed JSON."""
+    as do malformed JSON and an integer literal too long to convert."""
     def reject(token: str):
         raise InputFormatError(f"{path}: non-finite number {token} is not JSON")
 
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_constant=reject)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, the int digit limit, bad UTF-8
         raise InputFormatError(f"{path}: malformed JSON: {exc}") from None
 
 
 def is_finite_number(value) -> bool:
-    """A JSON number (not a bool) that is neither NaN nor infinite."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
-def _point_pair(value, path: str) -> tuple[float, float]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(is_finite_number(v) for v in value)
-    ):
-        raise InputFormatError(f"{path}: expected [x, y] with finite numbers")
-    return float(value[0]), float(value[1])
+    """A JSON number (not a bool) that is neither NaN nor infinite; an int
+    too large for a float is not finite either."""
+    try:
+        return (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
+    except OverflowError:
+        return False
 
 
 def detection_to_dict(det: Detection) -> dict:
@@ -358,43 +357,6 @@ def detection_to_dict(det: Detection) -> dict:
     }
 
 
-def detection_from_dict(entry: dict, path: str) -> Detection:
-    """One checked detections entry; its bbox must be the tight box of its
-    extremes, as :func:`detection_to_dict` writes it."""
-    if not isinstance(entry, dict):
-        raise InputFormatError(f"{path}: expected an object")
-    for key in ("bbox", "extremes", "score", "source"):
-        if key not in entry:
-            raise InputFormatError(f"{path}: missing field {key}")
-    bbox_vals = entry["bbox"]
-    if (
-        not isinstance(bbox_vals, list)
-        or len(bbox_vals) != 4
-        or not all(is_finite_number(v) for v in bbox_vals)
-    ):
-        raise InputFormatError(
-            f"{path}.bbox: expected [x1, y1, x2, y2] with finite numbers"
-        )
-    ext = entry["extremes"]
-    if not isinstance(ext, dict):
-        raise InputFormatError(f"{path}.extremes: expected an object")
-    row: tuple[float, ...] = ()
-    for role in KEYPOINT_CHANNELS:  # the row layout
-        if role not in ext:
-            raise InputFormatError(f"{path}.extremes: missing {role}")
-        row += _point_pair(ext[role], f"{path}.extremes.{role}")
-    box = [row[i] for i in BOX_COLUMNS]
-    if [float(v) for v in bbox_vals] != box:
-        raise InputFormatError(
-            f"{path}.bbox: {bbox_vals} is not the tight box of the extremes, {box}"
-        )
-    if not is_finite_number(entry["score"]):
-        raise InputFormatError(f"{path}.score: expected a finite number")
-    if entry["source"] not in ("original", "flipped"):
-        raise InputFormatError(f"{path}.source: expected 'original' or 'flipped'")
-    return Detection(row, float(entry["score"]), entry["source"])
-
-
 def write_json(obj, path: str | Path) -> None:
     """Write ``obj`` as sorted, indented strict JSON with a final newline:
     the format of every JSON file recistkit writes. The encoder's chunks
@@ -405,6 +367,48 @@ def write_json(obj, path: str | Path) -> None:
         fh.write("\n")
 
 
+_SOURCES = ("original", "flipped")
+
+# One detections entry laid out as write_json lays it out inside a document,
+# with a placeholder per value: %r formats a float by float.__repr__, as json
+# does. The numbers follow sorted keys: bbox, the extremes by sorted role,
+# then the score; _ENTRY_COLUMNS picks them from a row plus its score.
+_ENTRY_TEMPLATE = "      " + json.dumps(
+    {
+        "bbox": ["%r"] * 4,
+        "extremes": {role: ["%r", "%r"] for role in KEYPOINT_CHANNELS},
+        "score": "%r",
+        "source": "%s",
+    },
+    sort_keys=True,
+    indent=2,
+).replace('"%r"', "%r").replace("\n", "\n      ")
+_ENTRY_COLUMNS = [
+    *BOX_COLUMNS,
+    *(2 * KEYPOINT_CHANNELS.index(role) + d
+      for role in sorted(KEYPOINT_CHANNELS) for d in (0, 1)),
+    10,
+]
+
+
+def _entry_table(dets: Sequence[Detection], where: str) -> tuple[np.ndarray, list]:
+    """(n, 15) float64 values of one image's entries in template order, and
+    their sources; ValueError names the first entry that
+    :func:`read_detections` would refuse."""
+    table = np.column_stack((detections_to_rows(dets), [d.score for d in dets]))
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{where}[{bad[0]}]: non-finite coordinate or score")
+    sources = [d.source for d in dets]
+    for i, source in enumerate(sources):
+        if source not in _SOURCES:
+            raise ValueError(
+                f"{where}[{i}].source: expected 'original' or 'flipped', "
+                f"got {source!r}"
+            )
+    return table[:, _ENTRY_COLUMNS], sources
+
+
 def write_detections(
     detections_by_image: Mapping[str, Sequence[Detection]],
     path: str | Path,
@@ -412,23 +416,116 @@ def write_detections(
 ) -> None:
     """Write per-image detection lists as a JSON document.
 
-    Scores serialize at full precision (shortest round-trippable decimal).
-    ``config`` is echoed verbatim for provenance.
+    The bytes are those :func:`write_json` gives the document of
+    :func:`detection_to_dict` entries, with every coordinate and score a
+    float at full precision (shortest round-trippable decimal); one
+    template formats each entry and one string is written per image.
+    ``config`` is echoed verbatim for provenance. Raises ValueError, before
+    the file is opened, on a NaN or +-inf value and on a source other than
+    'original' or 'flipped', which :func:`read_detections` would refuse.
     """
-    doc = {
-        "config": dict(config) if config is not None else None,
-        "images": {
-            key: [detection_to_dict(d) for d in dets]
-            for key, dets in detections_by_image.items()
-        },
-    }
-    write_json(doc, path)
+    echo = "null" if config is None else json.dumps(
+        dict(config), sort_keys=True, indent=2, allow_nan=False
+    ).replace("\n", "\n  ")
+    images = [
+        (key, *_entry_table(detections_by_image[key], f"{path}: images[{key!r}]"))
+        for key in sorted(detections_by_image)
+    ]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write('{\n  "config": %s,\n  "images": {' % echo)
+        for i, (key, table, sources) in enumerate(images):
+            entries = ",\n".join([
+                _ENTRY_TEMPLATE % (*values, source)
+                for values, source in zip(table.tolist(), sources)
+            ])
+            body = f"[\n{entries}\n    ]" if entries else "[]"
+            fh.write(f"{',' if i else ''}\n    {json.dumps(key)}: {body}")
+        fh.write("\n  }\n}\n" if images else "}\n}\n")
+
+
+def _entry_values(entry, path: str) -> list:
+    """The 15 values of one detections entry in file order (bbox, the
+    extremes in row order, score), after checking only its shape."""
+    if not isinstance(entry, dict):
+        raise InputFormatError(f"{path}: expected an object")
+    for key in ("bbox", "extremes", "score", "source"):
+        if key not in entry:
+            raise InputFormatError(f"{path}: missing field {key}")
+    bbox = entry["bbox"]
+    if not isinstance(bbox, list) or len(bbox) != 4:
+        raise InputFormatError(
+            f"{path}.bbox: expected [x1, y1, x2, y2] with finite numbers"
+        )
+    ext = entry["extremes"]
+    if not isinstance(ext, dict):
+        raise InputFormatError(f"{path}.extremes: expected an object")
+    values = bbox[:]
+    for role in KEYPOINT_CHANNELS:
+        if role not in ext:
+            raise InputFormatError(f"{path}.extremes: missing {role}")
+        pair = ext[role]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise InputFormatError(
+                f"{path}.extremes.{role}: expected [x, y] with finite numbers"
+            )
+        values += pair
+    values.append(entry["score"])
+    return values
+
+
+def _value_error(values: list, source) -> str:
+    """What is wrong with one entry's values and source, as a path suffix
+    and message, or '' when nothing is."""
+    if not all(map(is_finite_number, values[:4])):
+        return ".bbox: expected [x1, y1, x2, y2] with finite numbers"
+    for j, role in enumerate(KEYPOINT_CHANNELS):
+        if not all(map(is_finite_number, values[4 + 2 * j : 6 + 2 * j])):
+            return f".extremes.{role}: expected [x, y] with finite numbers"
+    box = [float(values[4 + i]) for i in BOX_COLUMNS]
+    if [float(v) for v in values[:4]] != box:
+        return f".bbox: {values[:4]} is not the tight box of the extremes, {box}"
+    if not is_finite_number(values[14]):
+        return ".score: expected a finite number"
+    if source not in _SOURCES:
+        return ".source: expected 'original' or 'flipped'"
+    return ""
+
+
+def _checked_table(values: list, sources: list, where: str) -> np.ndarray:
+    """(n, 15) float64 of the values of ``where``'s first n entries, checked
+    at once; the first bad entry raises InputFormatError naming its path."""
+    n = len(sources)
+    ok = set(map(type, values)) <= {int, float}  # no bool, str, None, list
+    if ok:
+        try:
+            table = np.array(values, dtype=np.float64).reshape(n, 15)
+        except OverflowError:  # an int too large for a float
+            ok = False
+    ok = (
+        ok
+        and np.isfinite(table).all()
+        and (table[:, :4] == table[:, 4:14][:, BOX_COLUMNS]).all()
+        and sum(map(sources.count, _SOURCES)) == n
+    )
+    if not ok:
+        for i in range(n):
+            error = _value_error(values[15 * i : 15 * i + 15], sources[i])
+            if error:
+                raise InputFormatError(f"{where}[{i}]{error}")
+    return table
 
 
 def read_detections(
     path: str | Path,
 ) -> tuple[dict[str, list[Detection]], dict | None]:
-    """Read a detections document; returns (per-image detections, config)."""
+    """Read a detections document; returns (per-image detections, config).
+
+    Each image's entries are checked for shape one by one, then for values
+    all at once: numbers that are not bools and are finite as floats, a
+    bbox that is the tight box of the extremes, and a known source. The
+    first bad entry raises InputFormatError naming its path, such as
+    ``images['k'][0].bbox``.
+    """
     doc = load_json(path)
     if not isinstance(doc, dict) or "images" not in doc:
         raise InputFormatError(f"{path}: missing top-level 'images' object")
@@ -437,12 +534,20 @@ def read_detections(
         raise InputFormatError(f"{path}: 'images' must be an object")
     out: dict[str, list[Detection]] = {}
     for key, entries in images.items():
+        where = f"images[{key!r}]"
         if not isinstance(entries, list):
-            raise InputFormatError(f"images[{key!r}]: expected a list")
-        out[key] = [
-            detection_from_dict(entry, f"images[{key!r}][{i}]")
-            for i, entry in enumerate(entries)
-        ]
+            raise InputFormatError(f"{where}: expected a list")
+        values: list = []
+        sources: list = []
+        for i, entry in enumerate(entries):
+            try:
+                values += _entry_values(entry, f"{where}[{i}]")
+            except InputFormatError:
+                _checked_table(values, sources, where)  # an earlier entry first
+                raise
+            sources.append(entry["source"])
+        table = _checked_table(values, sources, where)
+        out[key] = detections_from_rows(table[:, 4:14], table[:, 14], sources)
     return out, doc.get("config")
 
 

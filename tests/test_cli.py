@@ -102,6 +102,26 @@ class TestDetectEvalFlow:
         doc = json.loads(report.with_suffix(".json").read_text())
         assert all(p["sensitivity"] == 0.0 for p in doc["froc"]["points"])
 
+    def test_eval_warns_about_unknown_image_keys(self, sim_dir, tmp_path, capsys):
+        dets_path = tmp_path / "dets.json"
+        assert run("detect", "--heatmaps", sim_dir, "--out", dets_path) == 0
+        argv = ["eval", "--detections", dets_path,
+                "--annotations", sim_dir / "annotations.csv",
+                "--out", tmp_path / "r"]
+        capsys.readouterr()
+        assert run(*argv) == 0
+        assert "warning" not in capsys.readouterr().err
+        doc = json.loads(dets_path.read_text())
+        doc["images"]["not_in_csv"] = doc["images"]["zz"] = doc["images"]["syn_11"]
+        dets_path.write_text(json.dumps(doc))
+        assert run(*argv) == 0
+        out, err = capsys.readouterr()
+        assert err == (
+            "warning: 2 detection image key(s) not in the annotation CSV: "
+            "not_in_csv, zz\n"
+        )
+        assert "images: 3" in out  # each is scored as an image of false positives
+
     def test_eval_stratified(self, sim_dir, tmp_path):
         dets_path = tmp_path / "dets.json"
         run("detect", "--heatmaps", sim_dir, "--out", dets_path)
@@ -273,6 +293,18 @@ def _dets_config(config):
     return build
 
 
+def _huge(build, digits):
+    """``build``'s input with each string "<huge>" in it replaced by an
+    integer literal of ``digits`` digits."""
+    def wrapped(tmp_path, sim_dir):
+        path = build(tmp_path, sim_dir)
+        target = next(path.glob("*.rkhm")) if path.is_dir() else path
+        literal = b"1" + b"0" * (digits - 1)
+        target.write_bytes(target.read_bytes().replace(b'"<huge>"', literal))
+        return path
+    return wrapped
+
+
 def _header_only_csv(tmp_path, sim_dir):
     from recistkit.dataio import CSV_COLUMNS
 
@@ -354,7 +386,27 @@ EXIT_CODE_CASES = [
     ("eval --pad nan", 3, [
         "eval", "--detections", _dets(), "--annotations", _sim_csv, "--pad", "nan"]),
     ("fuse --sigma inf", 3, _fuse(_dets(), "--sigma", "inf")),
+    ("detections score 401-digit int", 3, _fuse(_huge(_dets(score="<huge>"), 401))),
+    ("detections extremes 401-digit int", 3, _fuse(_huge(_dets(extremes={
+        "top": [125.0, 100.0], "left": [100.0, 125.0], "bottom": [125.0, 150.0],
+        "right": [150.0, 125.0], "center": ["<huge>", 125.0]}), 401))),
+    ("detections 4301-digit int", 3, _fuse(_huge(_dets(score="<huge>"), 4301))),
+    ("config soft_nms.sigma 401-digit int", 3, _fuse(
+        _dets(), "--config", _huge(_cfg({"soft_nms": {"sigma": "<huge>"}}), 401))),
+    ("config 4301-digit int", 3, _fuse(
+        _dets(), "--config", _huge(_cfg({"soft_nms": {"sigma": "<huge>"}}), 4301))),
+    ("rkhm header 4301-digit int", 3, [
+        "detect", "--heatmaps", _huge(_bundles(stride="<huge>"), 4301)]),
 ]
+
+# What the message of a case above must name, besides its flag or box path.
+NAMED_IN_ERROR = {
+    "detections score 401-digit int": "images['syn_11'][0].score",
+    "detections extremes 401-digit int": "images['syn_11'][0].extremes.center",
+    "detections 4301-digit int": "dets.json",
+    "config 4301-digit int": "cfg.json",
+    "rkhm header 4301-digit int": "syn_11.rkhm",
+}
 
 
 class TestExitCodes:
@@ -376,6 +428,7 @@ class TestExitCodes:
             assert case.split()[1] in err, err
         if case.startswith("detections bbox"):
             assert "images['syn_11'][0].bbox" in err, err
+        assert NAMED_IN_ERROR.get(case, "") in err, err
         assert not list(tmp_path.glob("out*"))  # no partial outputs
 
 

@@ -270,7 +270,7 @@ def grouping_cases(draw):
     return peaks, center, cfg, draw(st.integers(1, 4))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(grouping_cases())
 def test_property_sparse_join_equals_dense(case):
     peaks, center, cfg, workers = case
