@@ -5,10 +5,11 @@ an annotation CSV, group heatmap bundles into detections, fuse flip-
 augmented detections, evaluate FROC sensitivity, simulate degraded bundles,
 check loss gradients, and window raw CT intensities.
 
-Exit codes: 0 success, 2 usage error, 3 input-format error, 4 internal
-invariant violation. Failed commands remove their partial outputs. Given
-identical inputs, flags, and seeds every command writes identical bytes;
-the worker count never changes output content.
+Exit codes: 0 success, 2 usage error, 3 input-format error or unusable
+input or output path, 4 internal invariant violation. Failed commands
+remove their partial outputs. Given identical inputs, flags, and seeds
+every command writes identical bytes; the worker count never changes
+output content.
 """
 
 from __future__ import annotations
@@ -734,8 +735,10 @@ def main(argv: list[str] | None = None) -> int:
     except InputFormatError as exc:
         print(f"error: input-format: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: input-format: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # a missing input, or an output path that cannot be created or
+        # replaced; the message names the path
+        print(f"error: path: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001 - deliberate catch-all boundary
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)

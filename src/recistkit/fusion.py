@@ -85,12 +85,15 @@ def soft_nms(
     overlap = pairwise_iou(boxes, boxes)
     if cfg.method == "gaussian":
         # math.exp, not np.exp, which is 1 ulp off on some inputs; a pair
-        # without overlap keeps its exact factor of 1.0
+        # without overlap keeps its exact factor of 1.0. The IoU matrix is
+        # bit-symmetric and its diagonal is never read, so each pair's
+        # factor is computed once, above the diagonal, and mirrored.
         decay = np.ones_like(overlap)
-        hit = overlap != 0.0
+        hit = np.triu(overlap != 0.0, 1)
         pairs = overlap[hit]
         exponent = -(pairs * pairs) / cfg.sigma
         decay[hit] = list(map(math.exp, exponent.tolist()))
+        decay.T[hit] = decay[hit]
     else:
         decay = np.where(overlap > cfg.linear_iou_threshold, 1.0 - overlap, 1.0)
 

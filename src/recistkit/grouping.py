@@ -210,7 +210,8 @@ def _enumerate_block(top, bottom, left, right, center_map, cfg) -> _PairBlock | 
     Each role's peaks come as a (3, n) array of rows, columns and scores.
     The center row depends only on the (t, b) pair and the center column
     only on the (l, r) pair, so the center map is sampled once on the table
-    of distinct center rows x distinct center columns. Only the table cells
+    of distinct center rows x distinct center columns (with ``nearest``, of
+    distinct rounded rows x rounded columns). Only the table cells
     above ``tau_c`` are expanded into their (t, b) x (l, r) pairs and scored.
     """
     t_rows, t_cols, t_scores = top
@@ -224,11 +225,16 @@ def _enumerate_block(top, bottom, left, right, center_map, cfg) -> _PairBlock | 
 
     crow = (t_rows[ti] + b_rows[bi]) * 0.5
     ccol = (l_cols[li] + r_cols[ri]) * 0.5
-    u_row, tb_order, tb_start, tb_count = _runs(crow)
-    u_col, lr_order, lr_start, lr_count = _runs(ccol)
     if cfg.center_interp == "nearest":
+        # key the table by the cell each center rounds to, so a half-integer
+        # center shares its row or column with the whole one that reaches
+        # the same cell; the sampler's own rounding then changes nothing
+        u_row, tb_order, tb_start, tb_count = _runs(np.floor(crow + 0.5))
+        u_col, lr_order, lr_start, lr_count = _runs(np.floor(ccol + 0.5))
         table = _center_scores_nearest(center_map, u_row, u_col)
     else:
+        u_row, tb_order, tb_start, tb_count = _runs(crow)
+        u_col, lr_order, lr_start, lr_count = _runs(ccol)
         table = _center_scores_bilinear(center_map, u_row, u_col)
     kr, kc = np.nonzero(table > cfg.tau_c)
     if kr.size == 0:

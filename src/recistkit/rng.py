@@ -45,11 +45,18 @@ class SplitMix64:
 
     def _u64_block(self, n: int) -> np.ndarray:
         """n raw outputs as uint64, advancing the stream by n steps."""
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        # in place on one work array and one shift temporary; uint64
+        # arithmetic wraps, so the order of the state add does not matter
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        shifted = np.empty_like(z)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(z, np.uint64(shift), out=shifted)
+            z ^= shifted
+            z *= np.uint64(mix)
+        np.right_shift(z, np.uint64(31), out=shifted)
+        z ^= shifted
         self._state = (self._state + n * _GAMMA) & _MASK
         return z
 
@@ -62,7 +69,10 @@ class SplitMix64:
         if n == 0:
             return np.empty(0, dtype=np.float64)
         block = self._u64_block(n)
-        return (block >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        block >>= np.uint64(11)
+        u = block.astype(np.float64)
+        u *= _INV_2_53
+        return u
 
     def gaussians(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller on consecutive uniform pairs.
@@ -74,13 +84,18 @@ class SplitMix64:
             return np.empty(0, dtype=np.float64)
         pairs = (n + 1) // 2
         u = self.uniforms(2 * pairs)
-        u1, u2 = u[0::2], u[1::2]
-        radius = np.sqrt(-2.0 * np.log1p(-u1))
-        angle = 2.0 * np.pi * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
-        return out[:n]
+        # the same IEEE operations on the same operands as
+        # radius * cos(2 pi u2) and radius * sin(2 pi u2), written over u
+        radius = np.negative(u[0::2])
+        np.log1p(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = u[1::2] * (2.0 * np.pi)
+        np.cos(angle, out=u[0::2])
+        np.sin(angle, out=u[1::2])
+        u[0::2] *= radius
+        u[1::2] *= radius
+        return u[:n]
 
     def poisson(self, lam: float, cap: int = 64) -> int:
         """Poisson count by CDF inversion of a single uniform, capped."""

@@ -398,10 +398,14 @@ def simulate_heatmaps(
                 break
 
     if cfg.noise_sigma > 0.0:
-        for role_idx in range(len(KEYPOINT_CHANNELS)):
+        # one draw per plane: a single five-plane draw is the same stream
+        # only for even H*W, and its temporaries fall out of cache
+        for plane in bundle.keypoint_maps:
             noise = rng.gaussians(out_h * out_w).reshape(out_h, out_w)
-            plane = bundle.keypoint_maps[role_idx].astype(np.float64)
-            plane = np.clip(plane + cfg.noise_sigma * noise, 0.0, 1.0)
-            bundle.keypoint_maps[role_idx] = plane.astype(np.float32)
+            # clip(plane + sigma * noise), computed in float64 in place
+            noise *= cfg.noise_sigma
+            noise += plane
+            np.clip(noise, 0.0, 1.0, out=noise)
+            plane[...] = noise
 
     return bundle

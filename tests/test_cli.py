@@ -409,6 +409,38 @@ NAMED_IN_ERROR = {
 }
 
 
+def _a_file(tmp_path, sim_dir):
+    path = tmp_path / "a_file"
+    path.touch()
+    return path
+
+
+def _a_dir(tmp_path, sim_dir):
+    path = tmp_path / "a_dir"
+    path.mkdir()
+    return path
+
+
+def _under_a_file(name):
+    return lambda tmp_path, sim_dir: _a_file(tmp_path, sim_dir) / name
+
+
+# Output paths that cannot be created or replaced; each ends in that path.
+OUTPUT_PATH_CASES = [
+    ("render-targets --out FILE", [
+        "render-targets", "--annotations", _sim_csv, "--out", _a_file]),
+    ("render-targets --out FILE/sub", [
+        "render-targets", "--annotations", _sim_csv, "--out", _under_a_file("sub")]),
+    ("simulate --out FILE", ["simulate", "--out", _a_file]),
+    ("simulate --flipped-out FILE", [
+        "simulate", "--out", lambda tmp_path, sim_dir: tmp_path / "out",
+        "--flipped-out", _a_file]),
+    ("detect --out DIR", ["detect", "--heatmaps", _sim_dir, "--out", _a_dir]),
+    ("detect --out FILE/x.json", [
+        "detect", "--heatmaps", _sim_dir, "--out", _under_a_file("x.json")]),
+]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "case,expected,parts", EXIT_CODE_CASES,
@@ -430,6 +462,21 @@ class TestExitCodes:
             assert "images['syn_11'][0].bbox" in err, err
         assert NAMED_IN_ERROR.get(case, "") in err, err
         assert not list(tmp_path.glob("out*"))  # no partial outputs
+
+    @pytest.mark.parametrize(
+        "case,parts", OUTPUT_PATH_CASES, ids=[c[0] for c in OUTPUT_PATH_CASES]
+    )
+    def test_unusable_output_path_exit_code(self, case, parts, sim_dir, tmp_path,
+                                            capsys):
+        argv = [part(tmp_path, sim_dir) if callable(part) else part
+                for part in parts]
+        files_before = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        code = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert str(argv[-1]) in err, err
+        # no partial outputs: the files present are exactly those set up
+        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files_before
 
 
 class TestHugeCoordinates:

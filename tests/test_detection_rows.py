@@ -276,6 +276,17 @@ class TestSoftNmsOracle:
         ]
         assert_same(fusion.soft_nms(pool), soft_nms(pool))
 
+    @pytest.mark.parametrize("cfg", CONFIGS[:2], ids=CONFIG_IDS[:2])
+    def test_exact_duplicate_boxes(self, cfg):
+        # each box four times: twice as is, once from the other view and
+        # once at half the score; copies overlap with IoU 1, or 0 at zero area
+        twins = []
+        for d in random_pool(np.random.default_rng(11), 15):
+            other = "original" if d.source == "flipped" else "flipped"
+            twins += [d, d, replace(d, source=other), replace(d, score=d.score / 2)]
+        pool = [twins[i] for i in np.random.default_rng(12).permutation(len(twins))]
+        assert_same(fusion.soft_nms(pool, cfg), soft_nms(pool, cfg))
+
 
 class TestUnflipOracle:
     @pytest.mark.parametrize("width", [768, 511.5, 97])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recistkit.geometry import (
     BBox,
@@ -13,6 +15,7 @@ from recistkit.geometry import (
     iou,
     ordered_diameters,
     pad_bbox,
+    pairwise_iou,
 )
 
 
@@ -166,6 +169,42 @@ class TestIou:
                      max(vals[4], vals[5]), max(vals[6], vals[7]))
             assert iou(a, b) == iou(b, a)
             assert 0.0 <= iou(a, b) <= 1.0
+
+
+# coordinates in any order, so boxes may be inverted or of zero area; the
+# float limits make widths, areas and unions overflow to inf or NaN, and
+# thirds make areas and unions round, so the order of operations shows
+COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e308, -1e308, 5e-324]),
+    st.integers(-3000, 3000).map(lambda k: k / 3),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def box_arrays(draw):
+    """(n, 4) float64 rows (x1, y1, x2, y2), some of them exact duplicates."""
+    boxes = draw(st.lists(st.tuples(COORDS, COORDS, COORDS, COORDS),
+                          min_size=1, max_size=8))
+    repeats = draw(st.lists(st.sampled_from(range(len(boxes))), max_size=3))
+    return np.array(boxes + [boxes[i] for i in repeats], dtype=np.float64)
+
+
+def as_bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestPairwiseIou:
+    @settings(max_examples=150)
+    @given(box_arrays(), box_arrays())
+    def test_scalar_iou_bit_for_bit_and_symmetric(self, a, b):
+        matrix = pairwise_iou(a, b)
+        scalar = [[iou(BBox(*p), BBox(*q)) for q in b.tolist()] for p in a.tolist()]
+        assert matrix.shape == (len(a), len(b))
+        assert np.array_equal(as_bits(matrix), as_bits(scalar))
+        # Soft-NMS computes each pair's decay once and mirrors it
+        square = pairwise_iou(a, a)
+        assert np.array_equal(as_bits(square), as_bits(square.T))
 
 
 class TestFlipHorizontal:

@@ -20,8 +20,6 @@ from recistkit.grouping import (
     GroupingConfig,
     Peak,
     _PairBlock,
-    _center_scores_bilinear,
-    _center_scores_nearest,
     detect,
     enumerate_quadruples,
     extract_peaks,
@@ -64,6 +62,34 @@ def dense_extract_peaks(
         Peak(cell=(int(rows[i]), int(cols[i])), score=float(scores[i]), role=role)
         for i in order
     ]
+
+
+def _center_scores_nearest(
+    center_map: np.ndarray, crow: np.ndarray, ccol: np.ndarray
+) -> np.ndarray:
+    """Sample at the nearest cell, rounding halves up per component."""
+    r = np.floor(crow + 0.5).astype(np.intp)
+    c = np.floor(ccol + 0.5).astype(np.intp)
+    np.clip(r, 0, center_map.shape[0] - 1, out=r)
+    np.clip(c, 0, center_map.shape[1] - 1, out=c)
+    return center_map[r[:, None], c[None, :]].astype(np.float64)
+
+
+def _center_scores_bilinear(
+    center_map: np.ndarray, crow: np.ndarray, ccol: np.ndarray
+) -> np.ndarray:
+    """Bilinear interpolation of the center map at fractional coordinates."""
+    h, w = center_map.shape
+    r0 = np.clip(np.floor(crow).astype(np.intp), 0, h - 1)
+    c0 = np.clip(np.floor(ccol).astype(np.intp), 0, w - 1)
+    r1 = np.minimum(r0 + 1, h - 1)
+    c1 = np.minimum(c0 + 1, w - 1)
+    fr = (crow - r0)[:, None]
+    fc = (ccol - c0)[None, :]
+    m = center_map.astype(np.float64)
+    top = m[r0[:, None], c0[None, :]] * (1 - fc) + m[r0[:, None], c1[None, :]] * fc
+    bot = m[r1[:, None], c0[None, :]] * (1 - fc) + m[r1[:, None], c1[None, :]] * fc
+    return top * (1 - fr) + bot * fr
 
 
 def dense_enumerate_block(top, bottom, left, right, center_map, cfg):
