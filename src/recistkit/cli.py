@@ -66,11 +66,25 @@ HEATMAP_SUFFIX = ".rkhm"
 
 
 class _Outputs:
-    """Tracks files written by a command; leaving its ``with`` block on an
-    exception removes them all."""
+    """Tracks files and directories created by a command; leaving its
+    ``with`` block on an exception removes the files, then the directories
+    that are left empty."""
 
     def __init__(self) -> None:
         self.paths: list[Path] = []
+        self.dirs: list[Path] = []
+
+    def mkdir(self, path: Path) -> None:
+        """Create directory ``path`` and its missing parents, recording each."""
+        missing = []
+        for directory in (path, *path.parents):
+            if directory.exists():
+                break
+            missing.append(directory)
+        for directory in reversed(missing):
+            directory.mkdir()
+            self.dirs.append(directory)
+        path.mkdir(exist_ok=True)  # raises if path exists but is no directory
 
     def write_bytes(self, path: Path, data: bytes) -> None:
         self.run(path, lambda tmp: tmp.write_bytes(data))
@@ -99,6 +113,11 @@ class _Outputs:
             try:
                 path.unlink()
             except OSError:
+                pass
+        for directory in reversed(self.dirs):  # deepest first
+            try:
+                directory.rmdir()
+            except OSError:  # not empty: it holds something we did not write
                 pass
 
 
@@ -134,8 +153,8 @@ def _cmd_render_targets(args) -> int:
         by_image.setdefault(ann.file_name, []).append(ann)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with _Outputs() as outputs:
+        outputs.mkdir(out_dir)
         for key in sorted(by_image):
             extremes = [ann.extremes() for ann in by_image[key]]
             try:
@@ -390,7 +409,7 @@ def _cmd_simulate(args) -> int:
 
     with _Outputs() as outputs:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        outputs.mkdir(out_dir)
         bundle = simulate_heatmaps(
             scene,
             degradation,
@@ -410,7 +429,7 @@ def _cmd_simulate(args) -> int:
 
         if args.flipped_out:
             flipped_dir = Path(args.flipped_out)
-            flipped_dir.mkdir(parents=True, exist_ok=True)
+            outputs.mkdir(flipped_dir)
             flipped_bundle = simulate_heatmaps(
                 flip_scene(scene),
                 dataclasses.replace(degradation, seed=degradation_seed + 1),
@@ -534,6 +553,7 @@ def _checked(type_, ok, rule: str):
 
 
 _positive_float = _checked(float, lambda v: v > 0, "> 0")
+_positive_finite_float = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _probability = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
@@ -702,9 +722,9 @@ def build_parser() -> argparse.ArgumentParser:
         "check-gradients",
         help="verify analytic loss gradients against finite differences",
     )
-    p.add_argument("--trials", type=int, default=100,
+    p.add_argument("--trials", type=_positive_int, default=100,
                    help="random instances per loss (default: 100)")
-    p.add_argument("--tol", type=float, default=1e-5,
+    p.add_argument("--tol", type=_positive_finite_float, default=1e-5,
                    help="max relative error (default: 1e-5)")
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed (default: 0)")

@@ -3,12 +3,23 @@
 Both losses are implemented with analytic gradients plus a generic central
 finite-difference checker, so gradient correctness can be verified without
 any autograd framework. Sums run in float64 in a fixed order, so results
-are bit-reproducible across runs. ``focal_loss`` sums each of its positive
-and negative term grids with ``np.sum`` (numpy's pairwise summation), then
-adds the two. ``offset_loss`` adds one x + y term per (annotation, extreme
-role) strictly left to right, annotation by annotation, roles in
-EXTREME_ROLES order; its gradient accumulates into shared cells in that
-same order.
+are bit-reproducible across runs.
+
+``focal_loss`` and ``focal_loss_grad`` evaluate the positive branch only at
+the cells where the target is exactly 1, and (1 - Y)^beta only where the
+target is not 0 (everywhere else it is exactly 1); the rest of the negative
+branch runs over the whole grid, in place in a few float64 buffers. Every
+cell still goes through the same operations on the same operands as when
+both branches are evaluated everywhere. ``focal_loss`` sums each term
+(numpy's pairwise summation) over a full grid that is zero off that
+term's cells, then adds positive + negative, so the summation order is
+unchanged too. The grids follow the prediction's memory layout; that is
+the order of the all-cells evaluation whenever the prediction is C-ordered
+or laid out like the target.
+
+``offset_loss`` adds one x + y term per (annotation, extreme role) strictly
+left to right, annotation by annotation, roles in EXTREME_ROLES order; its
+gradient accumulates into shared cells in that same order.
 """
 
 from __future__ import annotations
@@ -42,9 +53,25 @@ class FocalParams:
             raise ValueError(f"clamp_eps must be in (0, 0.5), got {self.clamp_eps}")
 
 
-def _check_shapes(pred: np.ndarray, target: np.ndarray) -> None:
+def _focal_inputs(
+    pred: np.ndarray, target: np.ndarray, n_objects: int, params: FocalParams
+):
+    """Checks the arguments, then returns what both focal functions read.
+
+    That is the prediction clamped to [clamp_eps, 1 - clamp_eps] as a fresh
+    float64 array the caller may overwrite, the flat (C-order) indices of
+    the cells where the target is exactly 1 and of those where it is not 0
+    (NaN is not 0, -0.0 is), and (1 - target)^beta at the latter.
+    """
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
+    if n_objects < 0:
+        raise ValueError(f"n_objects must be >= 0, got {n_objects}")
+    p = np.clip(pred, params.clamp_eps, 1.0 - params.clamp_eps, dtype=np.float64)
+    pos = (target == 1.0).ravel().nonzero()[0]
+    near = (target != 0.0).ravel().nonzero()[0]
+    weight = (1.0 - target.take(near).astype(np.float64)) ** params.beta
+    return p, pos, near, weight
 
 
 def focal_loss(
@@ -59,19 +86,31 @@ def focal_loss(
     every other cell, including Gaussian shoulders with 0 < target < 1,
     contributes (1-Y)^beta * p^alpha * log(1-p). The sum is negated and
     divided by ``n_objects`` (by 1 when there are zero objects).
-    """
-    _check_shapes(pred, target)
-    if n_objects < 0:
-        raise ValueError(f"n_objects must be >= 0, got {n_objects}")
-    p = np.clip(pred.astype(np.float64), params.clamp_eps, 1.0 - params.clamp_eps)
-    y = target.astype(np.float64)
-    pos = y == 1.0
 
-    pos_terms = np.where(pos, (1.0 - p) ** params.alpha * np.log(p), 0.0)
-    neg_terms = np.where(
-        pos, 0.0, (1.0 - y) ** params.beta * p ** params.alpha * np.log1p(-p)
-    )
-    total = np.sum(pos_terms) + np.sum(neg_terms)
+    The positive term is evaluated only at the target-1 cells and
+    (1-Y)^beta only where the target is not 0; the rest of the negative
+    term runs over the whole grid in place. Each term is summed over a full
+    grid that is zero off its own cells, so the summation order, and every
+    bit of the result, is that of evaluating both terms on every cell.
+    """
+    p, pos, near, weight = _focal_inputs(pred, target, n_objects, params)
+    a = params.alpha
+    pp = p.take(pos)
+    pos_terms = (1.0 - pp) ** a * np.log(pp)
+
+    terms = np.negative(p)
+    np.log1p(terms, out=terms)
+    p **= a
+    # left to right as in the formula: (1-Y)^beta * p^alpha, then the log
+    # factor; another order can change the last bit
+    p.put(near, weight * p.take(near))
+    p *= terms
+    p.put(pos, 0.0)
+    neg_sum = p.sum()
+
+    terms.fill(0.0)
+    terms.put(pos, pos_terms)
+    total = terms.sum() + neg_sum
     return float(-total / max(n_objects, 1))
 
 
@@ -81,23 +120,34 @@ def focal_loss_grad(
     n_objects: int,
     params: FocalParams = FocalParams(),
 ) -> np.ndarray:
-    """Analytic d(loss)/d(pred), zero at cells where the clamp is active."""
-    _check_shapes(pred, target)
-    if n_objects < 0:
-        raise ValueError(f"n_objects must be >= 0, got {n_objects}")
-    a, b = params.alpha, params.beta
-    p = np.clip(pred.astype(np.float64), params.clamp_eps, 1.0 - params.clamp_eps)
-    y = target.astype(np.float64)
-    pos = y == 1.0
+    """Analytic d(loss)/d(pred), zero at cells where the clamp is active.
 
-    d_pos = -a * (1.0 - p) ** (a - 1.0) * np.log(p) + (1.0 - p) ** a / p
-    d_neg = (1.0 - y) ** b * (
-        a * p ** (a - 1.0) * np.log1p(-p) - p ** a / (1.0 - p)
-    )
-    grad = -np.where(pos, d_pos, d_neg) / max(n_objects, 1)
+    Like :func:`focal_loss`, the positive branch is evaluated only at the
+    target-1 cells and (1-Y)^beta only where the target is not 0; the
+    bracket of the negative branch runs over the whole grid in place.
+    """
+    p, pos, near, weight = _focal_inputs(pred, target, n_objects, params)
+    a = params.alpha
+    pp = p.take(pos)
+    d_pos = -a * (1.0 - pp) ** (a - 1.0) * np.log(pp) + (1.0 - pp) ** a / pp
 
-    clamped = (pred < params.clamp_eps) | (pred > 1.0 - params.clamp_eps)
-    grad[clamped] = 0.0
+    # d_neg = (1-Y)^beta * (a * p^(a-1) * log(1-p) - p^a / (1-p)), with
+    # (1-Y)^beta applied to the finished bracket
+    grad = np.negative(p)
+    np.log1p(grad, out=grad)
+    work = p ** (a - 1.0)
+    np.multiply(a, work, out=work)
+    np.multiply(work, grad, out=grad)
+    np.subtract(1.0, p, out=work)
+    p **= a
+    p /= work
+    grad -= p
+    grad.put(near, weight * grad.take(near))
+    grad.put(pos, d_pos)
+
+    np.negative(grad, out=grad)
+    grad /= max(n_objects, 1)
+    grad[(pred < params.clamp_eps) | (pred > 1.0 - params.clamp_eps)] = 0.0
     return grad
 
 
@@ -224,7 +274,7 @@ def finite_diff_check(
         np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3 * grid_scale
     )
     rel = np.abs(analytic - numeric) / scale
-    worst = np.unravel_index(int(np.argmax(rel)), rel.shape)
+    worst = tuple(int(i) for i in np.unravel_index(int(np.argmax(rel)), rel.shape))
     max_rel = float(rel[worst])
     return GradCheckReport(
         max_rel_err=max_rel, worst_cell=worst, passed=max_rel < tol, tol=tol

@@ -3,6 +3,7 @@ config layering, and partial-output cleanup."""
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,8 @@ EXIT_CODE_CASES = [
         _dets(), "--config", _cfg({"soft_nms": {"sigma": -1}}))),
     ("render-targets --stride 0", 3, [
         "render-targets", "--annotations", _sim_csv, "--stride", 0]),
+    ("render-targets keypoints off a 64 px input", 3, [
+        "render-targets", "--annotations", _sim_csv, "--input-size", 64]),
     ("simulate config render.stride 0", 3, [
         "simulate", "--config", _cfg({"render": {"stride": 0}})]),
     ("rkhm stride 0", 3, ["detect", "--heatmaps", _bundles(stride=0)]),
@@ -373,6 +376,11 @@ EXIT_CODE_CASES = [
     ("simulate --image-size 0", 2, ["simulate", "--image-size", 0]),
     ("simulate --n-lesions 40 at 256 px", 2, [
         "simulate", "--n-lesions", 40, "--image-size", 256]),
+    ("check-gradients --trials -5", 2, ["check-gradients", "--trials=-5"]),
+    ("check-gradients --trials 0", 2, ["check-gradients", "--trials", 0]),
+    ("check-gradients --tol nan", 2, ["check-gradients", "--tol", "nan"]),
+    ("check-gradients --tol -1", 2, ["check-gradients", "--tol=-1"]),
+    ("check-gradients --tol inf", 2, ["check-gradients", "--tol", "inf"]),
     ("rkhm NaN offset plane", 3, ["detect", "--heatmaps", _bundle_value(7, np.nan)]),
     ("rkhm inf keypoint plane", 3, [
         "detect", "--heatmaps", _bundle_value(4, np.inf)]),
@@ -406,6 +414,12 @@ NAMED_IN_ERROR = {
     "detections 4301-digit int": "dets.json",
     "config 4301-digit int": "cfg.json",
     "rkhm header 4301-digit int": "syn_11.rkhm",
+    "render-targets keypoints off a 64 px input": "outside the 16x16 output grid",
+    "check-gradients --trials -5": "argument --trials: must be >= 1",
+    "check-gradients --trials 0": "argument --trials: must be >= 1",
+    "check-gradients --tol nan": "argument --tol: must be finite and > 0",
+    "check-gradients --tol -1": "argument --tol: must be finite and > 0",
+    "check-gradients --tol inf": "argument --tol: must be finite and > 0",
 }
 
 
@@ -434,6 +448,9 @@ OUTPUT_PATH_CASES = [
     ("simulate --out FILE", ["simulate", "--out", _a_file]),
     ("simulate --flipped-out FILE", [
         "simulate", "--out", lambda tmp_path, sim_dir: tmp_path / "out",
+        "--flipped-out", _a_file]),
+    ("simulate --out NEW/sim --flipped-out FILE", [
+        "simulate", "--out", lambda tmp_path, sim_dir: tmp_path / "new" / "sim",
         "--flipped-out", _a_file]),
     ("detect --out DIR", ["detect", "--heatmaps", _sim_dir, "--out", _a_dir]),
     ("detect --out FILE/x.json", [
@@ -470,13 +487,14 @@ class TestExitCodes:
                                             capsys):
         argv = [part(tmp_path, sim_dir) if callable(part) else part
                 for part in parts]
-        files_before = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        before = sorted(tmp_path.rglob("*"))
         code = run(*argv)
         err = capsys.readouterr().err
         assert code == 3, err
         assert str(argv[-1]) in err, err
-        # no partial outputs: the files present are exactly those set up
-        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files_before
+        # no partial outputs: the files and directories present are exactly
+        # those set up
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestHugeCoordinates:
@@ -519,6 +537,12 @@ class TestCheckGradients:
         assert run("check-gradients", "--trials", 5) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    def test_fail_line_names_the_cell_in_plain_ints(self, capsys):
+        # no gradient is within 1e-300 of its central differences
+        assert run("check-gradients", "--trials", 1, "--tol", "1e-300") == 4
+        out = capsys.readouterr().out.strip()
+        assert re.fullmatch(r"FAIL focal: max_rel_err=\S+ at cell \(\d, \d\)", out), out
 
 
 class TestHelp:

@@ -129,6 +129,15 @@ class TestFocalGrad:
             )
             assert report.passed, report
 
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="shape"):
+            focal_loss_grad(np.zeros((2, 2)), np.zeros((2, 3)), 1)
+
+    @pytest.mark.parametrize("fn", [focal_loss, focal_loss_grad])
+    def test_negative_n_objects_raises(self, fn):
+        with pytest.raises(ValueError, match="n_objects must be >= 0"):
+            fn(np.full((2, 2), 0.5), np.zeros((2, 2)), -1)
+
     def test_clamped_cells_report_zero(self):
         pred = np.array([[0.0, 0.5], [1.0, 0.5]])
         target = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -271,3 +280,13 @@ class TestFiniteDiffCheck:
             np.full((2, 2), 1.5),
         )
         assert not report.passed
+
+    def test_worst_cell_holds_python_ints(self):
+        x = np.full((2, 3), 1.5)
+        x[1, 2] = 2.0
+        report = finite_diff_check(
+            lambda v: float(np.sum(v**3)), lambda v: 3.0 * v * v + (v == 2.0), x
+        )
+        assert report.worst_cell == (1, 2)
+        assert all(type(i) is int for i in report.worst_cell)
+        assert str(report.worst_cell) == "(1, 2)"

@@ -1,0 +1,201 @@
+"""The focal loss and its gradient against the dense implementations they
+replaced, bit for bit.
+
+``dense_focal_loss`` and ``dense_focal_loss_grad`` evaluate both branches
+and (1-Y)^beta on every cell, as ``losses`` did before it evaluated each
+branch only where it applies; their bodies are copied without change.
+Floats are compared through ``.view(np.uint64)``, so a sign of zero, a
+NaN's sign or a last-ulp difference fails. Three orderings carry the bits,
+and each case group below exercises them:
+
+- (1-Y)^beta multiplies p^alpha before the log(1-p) factor, and the whole
+  bracket of the gradient;
+- the positive terms are summed with ``np.sum`` over a full grid that is
+  zero off the positive cells, so numpy's pairwise order is unchanged;
+- the total is sum(positive) + sum(negative), in that order.
+"""
+
+import numpy as np
+import pytest
+
+from recistkit.losses import FocalParams, focal_loss, focal_loss_grad
+from recistkit.synthetic import generate_scene
+from recistkit.targets import render_targets
+
+# --- oracles: the dense implementations ---------------------------------------
+
+
+def _check_shapes(pred: np.ndarray, target: np.ndarray) -> None:
+    if pred.shape != target.shape:
+        raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
+
+
+def dense_focal_loss(
+    pred: np.ndarray,
+    target: np.ndarray,
+    n_objects: int,
+    params: FocalParams = FocalParams(),
+) -> float:
+    _check_shapes(pred, target)
+    if n_objects < 0:
+        raise ValueError(f"n_objects must be >= 0, got {n_objects}")
+    p = np.clip(pred.astype(np.float64), params.clamp_eps, 1.0 - params.clamp_eps)
+    y = target.astype(np.float64)
+    pos = y == 1.0
+
+    pos_terms = np.where(pos, (1.0 - p) ** params.alpha * np.log(p), 0.0)
+    neg_terms = np.where(
+        pos, 0.0, (1.0 - y) ** params.beta * p ** params.alpha * np.log1p(-p)
+    )
+    total = np.sum(pos_terms) + np.sum(neg_terms)
+    return float(-total / max(n_objects, 1))
+
+
+def dense_focal_loss_grad(
+    pred: np.ndarray,
+    target: np.ndarray,
+    n_objects: int,
+    params: FocalParams = FocalParams(),
+) -> np.ndarray:
+    _check_shapes(pred, target)
+    if n_objects < 0:
+        raise ValueError(f"n_objects must be >= 0, got {n_objects}")
+    a, b = params.alpha, params.beta
+    p = np.clip(pred.astype(np.float64), params.clamp_eps, 1.0 - params.clamp_eps)
+    y = target.astype(np.float64)
+    pos = y == 1.0
+
+    d_pos = -a * (1.0 - p) ** (a - 1.0) * np.log(p) + (1.0 - p) ** a / p
+    d_neg = (1.0 - y) ** b * (
+        a * p ** (a - 1.0) * np.log1p(-p) - p ** a / (1.0 - p)
+    )
+    grad = -np.where(pos, d_pos, d_neg) / max(n_objects, 1)
+
+    clamped = (pred < params.clamp_eps) | (pred > 1.0 - params.clamp_eps)
+    grad[clamped] = 0.0
+    return grad
+
+
+# --- cases ---------------------------------------------------------------------
+
+ALPHAS = (1.0, 1.5, 2.0, 3.0)
+BETAS = (0.0, 3.0, 4.0)
+PARAMS = [FocalParams(a, b) for a in ALPHAS for b in BETAS]
+EPS = FocalParams().clamp_eps
+
+
+def assert_same_bits(pred, target, n, params):
+    loss = focal_loss(pred, target, n, params)
+    expected = dense_focal_loss(pred, target, n, params)
+    assert np.float64(loss).view(np.uint64) == np.float64(expected).view(np.uint64), (
+        loss.hex(), expected.hex()
+    )
+    grad = focal_loss_grad(pred, target, n, params)
+    dense = dense_focal_loss_grad(pred, target, n, params)
+    assert grad.dtype == np.float64 and grad.shape == dense.shape
+    assert np.array_equal(grad.view(np.uint64), dense.view(np.uint64))
+
+
+def real_planes(n_lesions: int) -> tuple[np.ndarray, int]:
+    scene = generate_scene(n_lesions, image_size=(768, 768), seed=40 + n_lesions)
+    targets = render_targets(
+        [ann.extremes() for ann in scene.annotations], 192, 192, 4,
+        input_size=(768, 768),
+    )
+    return targets.bundle.keypoint_maps, targets.n_objects
+
+
+def random_grid(rng, shape):
+    """Shoulders in (0, 1), a few exact peaks, zeros, and -0.0 cells."""
+    target = np.where(rng.random(shape) < 0.6, rng.uniform(0.0, 1.0, shape), 0.0)
+    target[rng.random(shape) < 0.1] = 1.0
+    target[rng.random(shape) < 0.1] = -0.0
+    pred = rng.uniform(0.0, 1.0, shape)
+    return pred, target
+
+
+@pytest.mark.parametrize("n_lesions", [1, 2, 3, 4])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rendered_planes(n_lesions, dtype):
+    planes, n = real_planes(n_lesions)
+    rng = np.random.default_rng(n_lesions)
+    pred = rng.uniform(0.001, 0.5, planes.shape).astype(dtype)
+    assert_same_bits(pred, planes, n, FocalParams())
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"a{p.alpha:g}-b{p.beta:g}")
+def test_rendered_planes_every_exponent(params):
+    planes, n = real_planes(3)
+    rng = np.random.default_rng(7)
+    pred = rng.uniform(0.001, 0.999, planes.shape).astype(np.float32)
+    assert_same_bits(pred, planes, n, params)
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"a{p.alpha:g}-b{p.beta:g}")
+def test_random_small_grids(params):
+    rng = np.random.default_rng(int(10 * params.alpha + params.beta))
+    for trial in range(40):
+        shape = tuple(int(s) for s in rng.integers(1, 13, size=3))
+        pred, target = random_grid(rng, shape)
+        for dtype in (np.float32, np.float64):
+            assert_same_bits(pred.astype(dtype), target.astype(dtype), trial % 3, params)
+
+
+SPECIAL_PREDS = [
+    0.0, 1.0, np.nan, -np.nan,
+    EPS, np.nextafter(EPS, 0.0), np.nextafter(EPS, 1.0),
+    1.0 - EPS, np.nextafter(1.0 - EPS, 0.0), np.nextafter(1.0 - EPS, 2.0),
+    0.25, 0.5, 0.75,
+]
+SPECIAL_TARGETS = [0.0, -0.0, 1.0, 0.5, 0.999, 1.5, 2.0, -0.5, np.nan]
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"a{p.alpha:g}-b{p.beta:g}")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [0, 1])
+def test_special_values(params, dtype, n):
+    # every special prediction against every special target
+    pred, target = np.meshgrid(SPECIAL_PREDS, SPECIAL_TARGETS, indexing="ij")
+    assert_same_bits(pred.astype(dtype), target.astype(dtype), n, params)
+    # and each special prediction alone on a peak and on a shoulder, so a
+    # NaN prediction does not hide the rest of the sum
+    for value in SPECIAL_PREDS:
+        for peak in (True, False):
+            pred = np.full((2, 3), 0.3)
+            pred[0, 1] = value
+            target = np.array([[0.0, 1.0 if peak else 0.7, 0.4], [1.0, -0.0, 0.9]])
+            assert_same_bits(pred.astype(dtype), target.astype(dtype), n, params)
+
+
+def test_nan_signs_in_both_sums():
+    """A NaN of each sign, one in each term's sum, keeps the total's order."""
+    pred = np.array([[np.nan, 0.4, -np.nan], [0.2, 0.3, 0.6]])
+    target = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3]])
+    for params in PARAMS:
+        assert_same_bits(pred, target, 2, params)
+        assert_same_bits(pred[:, ::-1].copy(), target[:, ::-1].copy(), 2, params)
+        flipped = np.where(np.isnan(pred), -pred, pred)
+        assert_same_bits(flipped, target, 2, params)
+
+
+LAYOUTS = {
+    "C": lambda a: a,
+    "F": np.asfortranarray,
+    "strided": lambda a: np.pad(a, ((0, 0), (0, 0), (0, 3)))[:, :, : a.shape[2]],
+}
+
+
+@pytest.mark.parametrize(
+    "pred_layout,target_layout",
+    [("C", "F"), ("C", "strided"), ("F", "F"), ("strided", "C")],
+)
+def test_memory_layouts(pred_layout, target_layout):
+    """The sums follow the prediction's memory order, which is the dense
+    code's whenever the prediction is C-ordered or laid out like the target."""
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        pred, target = random_grid(rng, (3, 40, 57))
+        assert_same_bits(
+            LAYOUTS[pred_layout](pred), LAYOUTS[target_layout](target), 2,
+            FocalParams(1.5, 4.0),
+        )
