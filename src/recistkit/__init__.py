@@ -45,6 +45,7 @@ from .geometry import (
 )
 from .grouping import (
     Detection,
+    Detections,
     GroupingConfig,
     Peak,
     detect,

@@ -670,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--original", required=True, help="detections JSON")
     p.add_argument("--flipped", required=True,
                    help="detections JSON from the flipped view")
-    p.add_argument("--image-width", type=_positive_float, required=True,
+    p.add_argument("--image-width", type=_positive_finite_float, required=True,
                    help="width of the original image in pixels")
     _add_config_flags(p, "fuse")
     p.add_argument("--out", required=True, help="fused detections JSON path")
@@ -736,8 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--level", type=float, required=True,
                    help="window center in HU")
-    p.add_argument("--width", type=_positive_float, required=True,
-                   help="window width in HU, > 0")
+    p.add_argument("--width", type=_positive_finite_float, required=True,
+                   help="window width in HU, finite and > 0")
     p.add_argument("--in", dest="infile", required=True,
                    help="raw little-endian float32 input file")
     p.add_argument("--out", required=True,

@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -28,12 +30,7 @@ from .geometry import (
     ordered_diameters,
     pad_bbox,
 )
-from .grouping import (
-    BOX_COLUMNS,
-    Detection,
-    detections_from_rows,
-    detections_to_rows,
-)
+from .grouping import BOX_COLUMNS, Detection, Detections
 from .targets import KEYPOINT_CHANNELS, OFFSET_CHANNELS, HeatmapBundle
 
 HEATMAP_MAGIC = b"RKHM1\n"
@@ -391,15 +388,16 @@ _ENTRY_COLUMNS = [
 ]
 
 
-def _entry_table(dets: Sequence[Detection], where: str) -> tuple[np.ndarray, list]:
+def _entry_table(dets: Sequence[Detection], where: str) -> tuple[np.ndarray, tuple]:
     """(n, 15) float64 values of one image's entries in template order, and
     their sources; ValueError names the first entry that
     :func:`read_detections` would refuse."""
-    table = np.column_stack((detections_to_rows(dets), [d.score for d in dets]))
+    dets = Detections.of(dets)
+    table = np.column_stack((dets.rows, dets.scores))
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
         raise ValueError(f"{where}[{bad[0]}]: non-finite coordinate or score")
-    sources = [d.source for d in dets]
+    sources = dets.sources
     for i, source in enumerate(sources):
         if source not in _SOURCES:
             raise ValueError(
@@ -443,39 +441,69 @@ def write_detections(
         fh.write("\n  }\n}\n" if images else "}\n}\n")
 
 
-def _entry_values(entry, path: str) -> list:
-    """The 15 values of one detections entry in file order (bbox, the
-    extremes in row order, score), after checking only its shape."""
+_ENTRY_FIELDS = operator.itemgetter("bbox", "extremes", "score", "source")
+_ROLE_FIELDS = operator.itemgetter(*KEYPOINT_CHANNELS)
+
+
+def _entries_record(entries: list) -> Detections | None:
+    """One image's entries as a record, or None when any entry is bad.
+
+    Every entry's shape is checked first, then all of the image's numbers
+    at once: not bools, finite as floats, each bbox the tight box of its
+    extremes, and every source known.
+    """
+    if not entries:
+        return Detections.of(())
+    try:
+        bboxes, extremes, scores, sources = zip(*map(_ENTRY_FIELDS, entries))
+        pairs = list(chain.from_iterable(map(_ROLE_FIELDS, extremes)))
+        # a bbox or pair that is not a list has no length, or yields keys or
+        # characters below, which are not numbers
+        if set(map(len, bboxes)) != {4} or set(map(len, pairs)) != {2}:
+            return None
+        values = [*chain.from_iterable(bboxes), *chain.from_iterable(pairs), *scores]
+    except (KeyError, TypeError):  # an entry or its extremes not an object
+        return None
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        table = np.fromiter(values, np.float64, len(values))
+    except OverflowError:  # an int too large for a float
+        return None
+    n = len(entries)
+    box, rows, scores = table[: 4 * n], table[4 * n : 14 * n], table[14 * n :]
+    rows = rows.reshape(n, 10)
+    if (
+        np.isfinite(table).all()
+        and (box.reshape(n, 4) == rows[:, BOX_COLUMNS]).all()
+        and sum(map(sources.count, _SOURCES)) == n
+    ):
+        return Detections(rows, scores, sources)
+    return None
+
+
+def _entry_error(entry) -> str:
+    """What is wrong with one detections entry, as a path suffix and
+    message, or '' when nothing is; shape before values."""
     if not isinstance(entry, dict):
-        raise InputFormatError(f"{path}: expected an object")
+        return ": expected an object"
     for key in ("bbox", "extremes", "score", "source"):
         if key not in entry:
-            raise InputFormatError(f"{path}: missing field {key}")
+            return f": missing field {key}"
     bbox = entry["bbox"]
     if not isinstance(bbox, list) or len(bbox) != 4:
-        raise InputFormatError(
-            f"{path}.bbox: expected [x1, y1, x2, y2] with finite numbers"
-        )
+        return ".bbox: expected [x1, y1, x2, y2] with finite numbers"
     ext = entry["extremes"]
     if not isinstance(ext, dict):
-        raise InputFormatError(f"{path}.extremes: expected an object")
+        return ".extremes: expected an object"
     values = bbox[:]
     for role in KEYPOINT_CHANNELS:
         if role not in ext:
-            raise InputFormatError(f"{path}.extremes: missing {role}")
+            return f".extremes: missing {role}"
         pair = ext[role]
         if not isinstance(pair, list) or len(pair) != 2:
-            raise InputFormatError(
-                f"{path}.extremes.{role}: expected [x, y] with finite numbers"
-            )
+            return f".extremes.{role}: expected [x, y] with finite numbers"
         values += pair
-    values.append(entry["score"])
-    return values
-
-
-def _value_error(values: list, source) -> str:
-    """What is wrong with one entry's values and source, as a path suffix
-    and message, or '' when nothing is."""
     if not all(map(is_finite_number, values[:4])):
         return ".bbox: expected [x1, y1, x2, y2] with finite numbers"
     for j, role in enumerate(KEYPOINT_CHANNELS):
@@ -484,46 +512,20 @@ def _value_error(values: list, source) -> str:
     box = [float(values[4 + i]) for i in BOX_COLUMNS]
     if [float(v) for v in values[:4]] != box:
         return f".bbox: {values[:4]} is not the tight box of the extremes, {box}"
-    if not is_finite_number(values[14]):
+    if not is_finite_number(entry["score"]):
         return ".score: expected a finite number"
-    if source not in _SOURCES:
+    if entry["source"] not in _SOURCES:
         return ".source: expected 'original' or 'flipped'"
     return ""
 
 
-def _checked_table(values: list, sources: list, where: str) -> np.ndarray:
-    """(n, 15) float64 of the values of ``where``'s first n entries, checked
-    at once; the first bad entry raises InputFormatError naming its path."""
-    n = len(sources)
-    ok = set(map(type, values)) <= {int, float}  # no bool, str, None, list
-    if ok:
-        try:
-            table = np.array(values, dtype=np.float64).reshape(n, 15)
-        except OverflowError:  # an int too large for a float
-            ok = False
-    ok = (
-        ok
-        and np.isfinite(table).all()
-        and (table[:, :4] == table[:, 4:14][:, BOX_COLUMNS]).all()
-        and sum(map(sources.count, _SOURCES)) == n
-    )
-    if not ok:
-        for i in range(n):
-            error = _value_error(values[15 * i : 15 * i + 15], sources[i])
-            if error:
-                raise InputFormatError(f"{where}[{i}]{error}")
-    return table
-
-
-def read_detections(
-    path: str | Path,
-) -> tuple[dict[str, list[Detection]], dict | None]:
+def read_detections(path: str | Path) -> tuple[dict[str, Detections], dict | None]:
     """Read a detections document; returns (per-image detections, config).
 
-    Each image's entries are checked for shape one by one, then for values
-    all at once: numbers that are not bools and are finite as floats, a
-    bbox that is the tight box of the extremes, and a known source. The
-    first bad entry raises InputFormatError naming its path, such as
+    Each image's entries are checked for shape, then for values all at
+    once: numbers that are not bools and are finite as floats, a bbox that
+    is the tight box of the extremes, and a known source. The first bad
+    entry raises InputFormatError naming its path, such as
     ``images['k'][0].bbox``.
     """
     doc = load_json(path)
@@ -532,22 +534,16 @@ def read_detections(
     images = doc["images"]
     if not isinstance(images, dict):
         raise InputFormatError(f"{path}: 'images' must be an object")
-    out: dict[str, list[Detection]] = {}
+    out: dict[str, Detections] = {}
     for key, entries in images.items():
-        where = f"images[{key!r}]"
         if not isinstance(entries, list):
-            raise InputFormatError(f"{where}: expected a list")
-        values: list = []
-        sources: list = []
-        for i, entry in enumerate(entries):
-            try:
-                values += _entry_values(entry, f"{where}[{i}]")
-            except InputFormatError:
-                _checked_table(values, sources, where)  # an earlier entry first
-                raise
-            sources.append(entry["source"])
-        table = _checked_table(values, sources, where)
-        out[key] = detections_from_rows(table[:, 4:14], table[:, 14], sources)
+            raise InputFormatError(f"images[{key!r}]: expected a list")
+        out[key] = _entries_record(entries)
+        if out[key] is None:
+            i, error = next(
+                (i, e) for i, e in enumerate(map(_entry_error, entries)) if e
+            )
+            raise InputFormatError(f"images[{key!r}][{i}]{error}")
     return out, doc.get("config")
 
 

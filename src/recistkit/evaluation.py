@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import BBox, pairwise_iou
-from .grouping import BOX_COLUMNS, Detection, detections_to_rows
+from .grouping import BOX_COLUMNS, Detection, Detections
 
 FP_TARGETS_DEFAULT = (0.5, 1.0, 2.0, 3.0, 4.0)
 
@@ -100,15 +100,16 @@ def match_detections(
     true positive when its best IoU against a still-unmatched ground truth
     reaches the threshold; every ground truth is matched at most once.
     """
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-    boxes = detections_to_rows(detections)[:, BOX_COLUMNS]
+    dets = Detections.of(detections)
+    scores = dets.scores.tolist()
+    order = np.argsort(-dets.scores, kind="stable").tolist()
     # padded as pad_bbox pads: x1 - pad, y1 - pad, x2 + pad, y2 + pad
-    padded = boxes + np.array([-pad, -pad, pad, pad])
+    padded = dets.rows[:, BOX_COLUMNS] + np.array([-pad, -pad, pad, pad])
     gts = np.array([g.as_tuple() for g in gt_boxes], dtype=np.float64).reshape(-1, 4)
     ious = pairwise_iou(padded, gts)
     # only an overlap strictly above 0 can match, which also rules out NaN;
     # the last column, always 0, keeps argmax defined without ground truth
-    overlap = np.zeros((len(detections), len(gt_boxes) + 1))
+    overlap = np.zeros((len(dets), len(gt_boxes) + 1))
     np.copyto(overlap[:, :-1], ious, where=ious > 0.0)
     records = []
     best = None
@@ -117,38 +118,11 @@ def match_detections(
             best, best_iou = overlap.argmax(axis=1).tolist(), overlap.max(axis=1).tolist()
         if best_iou[i] > 0.0 and best_iou[i] >= iou_threshold:
             overlap[:, best[i]] = 0.0  # every ground truth is matched at most once
-            records.append(DetectionMatch(i, detections[i].score, True, best[i]))
+            records.append(DetectionMatch(i, scores[i], True, best[i]))
             best = None
         else:
-            records.append(DetectionMatch(i, detections[i].score, False, None))
+            records.append(DetectionMatch(i, scores[i], False, None))
     return MatchResult(records=records, n_gt=len(gt_boxes))
-
-
-@dataclass(frozen=True, slots=True)
-class _SweepPoint:
-    threshold: float
-    fp_rate: float
-
-
-def _best_at_target(
-    points_with_tp: Sequence[tuple[_SweepPoint, int]],
-    fp_target: float,
-    n_lesions: int,
-) -> FrocPoint:
-    """Best sensitivity among points with FP rate <= target.
-
-    Among thresholds achieving that sensitivity the highest one wins, which
-    keeps reported thresholds non-increasing as the target grows.
-    """
-    best = None
-    for p, tp in points_with_tp:  # descending threshold order
-        if p.fp_rate > fp_target:
-            continue
-        sens = tp / n_lesions
-        if best is None or sens > best[0]:
-            best = (sens, p.threshold, p.fp_rate)
-    sens, threshold, fp_rate = best  # the empty point always qualifies
-    return FrocPoint(fp_target, sens, threshold, fp_rate)
 
 
 def froc(
@@ -193,38 +167,47 @@ def stratified_froc(
     for labels in gt_labels:
         for label in labels:
             n_per_stratum[label] = n_per_stratum.get(label, 0) + 1
+    strata = sorted(n_per_stratum)
 
-    # per-threshold TP counts within each stratum
-    flat: list[tuple[float, str | None]] = []
-    for m, labels in zip(matches, gt_labels):
-        for rec in m.records:
-            flat.append((rec.score, labels[rec.gt_index] if rec.is_tp else None))
-    flat.sort(key=lambda r: -r[0])
+    # every detection's score, and the stratum index of the lesion it
+    # matched (-1 for a false positive), in score-descending order
+    code = {stratum: j for j, stratum in enumerate(strata)}
+    scores = np.array(
+        [rec.score for m in matches for rec in m.records], dtype=np.float64
+    )
+    codes = np.array(
+        [
+            code[labels[rec.gt_index]] if rec.is_tp else -1
+            for m, labels in zip(matches, gt_labels)
+            for rec in m.records
+        ],
+        dtype=np.intp,
+    )
+    order = np.argsort(-scores, kind="stable")
+    ranked, codes = scores[order], codes[order]
+    # one operating point per distinct score, at the last detection scoring
+    # it, after the empty point that keeps nothing
+    last = np.ones(ranked.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=last[:-1])
+    ends = np.flatnonzero(last)
+    thresholds = np.concatenate(([math.inf], ranked[ends]))
     n_images = len(matches)
-
-    sweep: list[tuple[_SweepPoint, dict[str, int]]] = [
-        (_SweepPoint(math.inf, 0.0), {s: 0 for s in n_per_stratum})
-    ]
-    tally = {s: 0 for s in n_per_stratum}
-    fp = 0
-    for i, (score, stratum) in enumerate(flat):
-        if stratum is None:
-            fp += 1
-        else:
-            tally[stratum] += 1
-        last_of_score = i + 1 == len(flat) or flat[i + 1][0] != score
-        if last_of_score:
-            sweep.append((_SweepPoint(score, fp / n_images), dict(tally)))
+    fp_rate = np.concatenate(([0.0], np.cumsum(codes < 0)[ends] / n_images))
 
     per_stratum = {}
-    for stratum, n_gt in sorted(n_per_stratum.items()):
-        points_with_tp = [(p, t[stratum]) for p, t in sweep]
-        result_points = [
-            _best_at_target(points_with_tp, target, n_gt) for target in fp_targets
-        ]
-        per_stratum[stratum] = FrocResult(
-            result_points, n_images=n_images, n_lesions=n_gt
-        )
+    for j, stratum in enumerate(strata):
+        n_gt = n_per_stratum[stratum]
+        sensitivity = np.concatenate(([0.0], np.cumsum(codes == j)[ends] / n_gt))
+        points = []
+        for target in fp_targets:
+            # the best sensitivity at an FP rate within the target, at the
+            # highest threshold that reaches it; the empty point always
+            # qualifies, so thresholds never rise as the target grows
+            k = int(np.where(fp_rate > target, -1.0, sensitivity).argmax())
+            points.append(FrocPoint(
+                target, sensitivity[k].item(), thresholds[k].item(), fp_rate[k].item()
+            ))
+        per_stratum[stratum] = FrocResult(points, n_images=n_images, n_lesions=n_gt)
     return Strata(key=key, per_stratum=per_stratum)
 
 

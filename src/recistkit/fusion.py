@@ -15,7 +15,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .geometry import pairwise_iou
-from .grouping import BOX_COLUMNS, Detection, detections_from_rows, detections_to_rows
+from .grouping import BOX_COLUMNS, Detection, Detections
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,6 +44,14 @@ class SoftNmsConfig:
             raise ValueError("linear_iou_threshold must lie in [0, 1]")
 
 
+def _unflipped(dets: Detections, image_width: float) -> Detections:
+    """:func:`unflip_detections` on a record."""
+    # left and right swap roles, and every x mirrors
+    rows = dets.rows[:, [0, 1, 6, 7, 4, 5, 2, 3, 8, 9]]
+    rows[:, 0::2] = image_width - 1.0 - rows[:, 0::2]
+    return Detections(rows, dets.scores, ("flipped",) * len(rows))
+
+
 def unflip_detections(
     detections: Sequence[Detection], image_width: float
 ) -> list[Detection]:
@@ -53,11 +61,58 @@ def unflip_detections(
     swap), scores are untouched, and each detection is tagged as coming
     from the flipped view.
     """
-    # left and right swap roles, and every x mirrors
-    rows = detections_to_rows(detections)[:, [0, 1, 6, 7, 4, 5, 2, 3, 8, 9]]
-    rows[:, 0::2] = image_width - 1.0 - rows[:, 0::2]
-    return detections_from_rows(
-        rows, [d.score for d in detections], ["flipped"] * len(rows)
+    return list(_unflipped(Detections.of(detections), image_width))
+
+
+def _soft_nms(dets: Detections, cfg: SoftNmsConfig) -> Detections:
+    """:func:`soft_nms` on a record."""
+    pool = np.flatnonzero(dets.scores >= cfg.score_floor)
+    rows = dets.rows[pool]
+    is_original = np.array(
+        [dets.sources[i] == "original" for i in pool.tolist()], dtype=bool
+    )
+    # the tie order of soft_nms, primary key last, so that argmax's first
+    # hit below is the first live detection in that order
+    order = pool[
+        np.lexsort((*rows[:, 7::-1].T, is_original, *rows[:, BOX_COLUMNS[::-1]].T))
+    ]
+    boxes, scores = dets.rows[order][:, BOX_COLUMNS], dets.scores[order]
+    overlap = pairwise_iou(boxes, boxes)
+    if cfg.method == "gaussian":
+        # math.exp, not np.exp, which is 1 ulp off on some inputs; a pair
+        # without overlap keeps its exact factor of 1.0. The IoU matrix is
+        # bit-symmetric, so each pair's factor is computed once, above the
+        # diagonal, and mirrored.
+        decay = np.ones_like(overlap)
+        hit = np.triu(overlap != 0.0, 1)
+        pairs = overlap[hit]
+        exponent = -(pairs * pairs) / cfg.sigma
+        factors = np.fromiter(map(math.exp, exponent.tolist()), np.float64, pairs.size)
+        decay[hit] = factors
+        decay.T[hit] = factors
+    else:
+        decay = np.where(overlap > cfg.linear_iou_threshold, 1.0 - overlap, 1.0)
+    # a selected detection decays itself to -inf, or to NaN at score 0
+    np.fill_diagonal(decay, -np.inf)
+
+    # scores in tie order; once kept or dropped, a detection's is -inf, which
+    # decays to -inf or NaN, never to a score at or above the floor
+    kept, kept_scores = [], []
+    alive = np.empty(scores.shape, dtype=bool)
+    with np.errstate(invalid="ignore"):  # -inf * 0
+        while scores.size:
+            k = int(scores.argmax())
+            top = scores.item(k)
+            if not top >= cfg.score_floor:
+                break
+            kept.append(k)
+            kept_scores.append(top)
+            np.multiply(scores, decay[k], out=scores)
+            np.greater_equal(scores, cfg.score_floor, out=alive)
+            np.copyto(scores, -np.inf, where=~alive)
+    kept = order[kept]
+    return Detections(
+        dets.rows[kept], kept_scores, [dets.sources[i] for i in kept.tolist()]
     )
 
 
@@ -74,41 +129,7 @@ def soft_nms(
     to the flipped view, then to the smaller row (top x, ..., right y), and
     then to the earlier input.
     """
-    pool = [d for d in detections if d.score >= cfg.score_floor]
-    rows = detections_to_rows(pool)
-    is_original = np.array([d.source == "original" for d in pool], dtype=bool)
-    # the tie order above, primary key last, so that argmax's first hit
-    # below is the first live detection in that order
-    order = np.lexsort((*rows[:, 7::-1].T, is_original, *rows[:, BOX_COLUMNS[::-1]].T))
-    pool, rows = [pool[i] for i in order.tolist()], rows[order]
-    boxes = rows[:, BOX_COLUMNS]
-    overlap = pairwise_iou(boxes, boxes)
-    if cfg.method == "gaussian":
-        # math.exp, not np.exp, which is 1 ulp off on some inputs; a pair
-        # without overlap keeps its exact factor of 1.0. The IoU matrix is
-        # bit-symmetric and its diagonal is never read, so each pair's
-        # factor is computed once, above the diagonal, and mirrored.
-        decay = np.ones_like(overlap)
-        hit = np.triu(overlap != 0.0, 1)
-        pairs = overlap[hit]
-        exponent = -(pairs * pairs) / cfg.sigma
-        decay[hit] = list(map(math.exp, exponent.tolist()))
-        decay.T[hit] = decay[hit]
-    else:
-        decay = np.where(overlap > cfg.linear_iou_threshold, 1.0 - overlap, 1.0)
-
-    live = np.arange(len(pool))
-    scores = np.array([d.score for d in pool], dtype=np.float64)
-    kept, kept_scores = [], []
-    while live.size:
-        k = int(scores.argmax())
-        kept.append(int(live[k]))
-        kept_scores.append(scores[k])
-        scores = scores * decay[live[k], live]
-        keep = scores >= cfg.score_floor
-        keep[k] = False
-        live, scores = live[keep], scores[keep]
-    return detections_from_rows(rows[kept], kept_scores, [pool[i].source for i in kept])
+    return list(_soft_nms(Detections.of(detections), cfg))
 
 
 def fuse_tta(
@@ -116,7 +137,13 @@ def fuse_tta(
     dets_flipped_raw: Sequence[Detection],
     image_width: float,
     cfg: SoftNmsConfig = SoftNmsConfig(),
-) -> list[Detection]:
+) -> Detections:
     """Pool original and un-flipped detections, then Soft-NMS the pool."""
-    pooled = list(dets_original) + unflip_detections(dets_flipped_raw, image_width)
-    return soft_nms(pooled, cfg)
+    original = Detections.of(dets_original)
+    unflipped = _unflipped(Detections.of(dets_flipped_raw), image_width)
+    pooled = Detections(
+        np.concatenate((original.rows, unflipped.rows)),
+        np.concatenate((original.scores, unflipped.scores)),
+        original.sources + unflipped.sources,
+    )
+    return _soft_nms(pooled, cfg)

@@ -16,9 +16,10 @@ independent of how the work is partitioned across workers.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Literal, Mapping, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class Detection:
     """One grouped quadruple with its combination score.
 
     ``row`` holds ten floats: the (x, y) of the top, left, bottom and right
-    extremes and of the center, the layout of :func:`detections_to_rows`.
+    extremes and of the center, the layout of :attr:`Detections.rows`.
     From :func:`enumerate_quadruples` the coordinates are output-grid cells;
     after :func:`refine_with_offsets` they are input pixels. ``source``
     records test-time augmentation provenance.
@@ -95,19 +96,72 @@ class Detection:
         return BBox(*(self.row[i] for i in BOX_COLUMNS))
 
 
-def detections_to_rows(detections: Sequence[Detection]) -> np.ndarray:
-    """(n, 10) float64 rows: (x, y) of top, left, bottom, right, center."""
-    rows = np.array([d.row for d in detections], dtype=np.float64)
-    return rows.reshape(len(detections), 10)
+class Detections(Sequence):
+    """One image's detections as arrays: ``rows`` (n, 10) float64, the
+    (x, y) of top, left, bottom, right and center; ``scores`` (n,) float64;
+    ``sources`` a tuple of n strings.
 
+    A read-only sequence of :class:`Detection` views, built as they are
+    read, with Python floats. It equals a list (or record) of the same
+    detections, and ``+`` joins it with one into a list. Its arrays are
+    shared, not copied: do not write to them.
+    """
 
-def detections_from_rows(
-    rows: np.ndarray, scores: Sequence[float], sources: Sequence[str]
-) -> list[Detection]:
-    """Detections from :func:`detections_to_rows` rows, scores and sources,
-    with Python floats."""
-    scores = np.asarray(scores, dtype=np.float64).tolist()
-    return list(map(Detection, map(tuple, rows.tolist()), scores, sources))
+    __slots__ = ("rows", "scores", "sources")
+
+    def __init__(self, rows, scores, sources):
+        self.rows = np.asarray(rows, dtype=np.float64).reshape(-1, 10)
+        self.scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+        self.sources = tuple(sources)
+        if not len(self.rows) == len(self.scores) == len(self.sources):
+            raise ValueError("rows, scores and sources differ in length")
+
+    @classmethod
+    def of(cls, detections: Sequence[Detection]) -> Detections:
+        """``detections`` itself if it is a record, else its arrays."""
+        if isinstance(detections, Detections):
+            return detections
+        return cls(
+            [d.row for d in detections],
+            [d.score for d in detections],
+            [d.source for d in detections],
+        )
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Detections(
+                self.rows[index], self.scores[index], self.sources[index]
+            )
+        return Detection(
+            tuple(self.rows[index].tolist()),
+            float(self.scores[index]),
+            self.sources[index],
+        )
+
+    def __iter__(self):
+        return map(
+            Detection, map(tuple, self.rows.tolist()), self.scores.tolist(),
+            self.sources,
+        )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Detections, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other) -> list[Detection]:
+        return list(self) + list(other)
+
+    def __radd__(self, other) -> list[Detection]:
+        return list(other) + list(self)
+
+    def __repr__(self) -> str:
+        return f"Detections({list(self)!r})"
 
 
 def _window_max(grid: np.ndarray, kernel: int) -> np.ndarray:
@@ -356,7 +410,7 @@ def enumerate_quadruples(
     top = _enumerate_rows(arrays, center_map, cfg, workers)
     if top is None:
         return []
-    return detections_from_rows(top.rows, top.scores, ["original"] * len(top.rows))
+    return list(Detections(top.rows, top.scores, ("original",) * len(top.rows)))
 
 
 def _refine_rows(rows: np.ndarray, offset_maps: np.ndarray, stride: int) -> np.ndarray:
@@ -384,26 +438,27 @@ def refine_with_offsets(
     center is recomputed from the refined extremes (the center role has no
     offsets).
     """
-    refined = _refine_rows(detections_to_rows(detections), offset_maps, stride)
-    return detections_from_rows(
-        refined, [d.score for d in detections], [d.source for d in detections]
-    )
+    dets = Detections.of(detections)
+    refined = _refine_rows(dets.rows, offset_maps, stride)
+    return list(Detections(refined, dets.scores, dets.sources))
 
 
 def detect(
     bundle: HeatmapBundle, cfg: GroupingConfig = GroupingConfig(), workers: int = 1
-) -> list[Detection]:
+) -> Detections:
     """Full grouping pipeline for one heatmap bundle.
 
     Extracts peaks per extreme role, enumerates center-validated quadruples,
     and refines coordinates to input pixels. Output is ordered by score
-    descending with deterministic tie-breaking.
+    descending with deterministic tie-breaking; it equals the list that
+    :func:`extract_peaks`, :func:`enumerate_quadruples` and
+    :func:`refine_with_offsets` give in turn.
     """
     arrays = {
         role: _peak_array(bundle.keypoint_map(role), cfg) for role in EXTREME_ROLES
     }
     top = _enumerate_rows(arrays, bundle.keypoint_map("center"), cfg, workers)
     if top is None:
-        return []
+        return Detections.of(())
     refined = _refine_rows(top.rows, bundle.offset_maps, bundle.stride)
-    return detections_from_rows(refined, top.scores, ["original"] * len(refined))
+    return Detections(refined, top.scores, ("original",) * len(refined))

@@ -200,7 +200,9 @@ def generate_scene(
 
         for index in range(n_lesions):
             for _attempt in range(_MAX_ATTEMPTS):
-                u = rng.uniforms(5)
+                # five scalar draws: the values of rng.uniforms(5), without
+                # its fixed numpy cost on every attempt
+                u = [rng.uniform() for _ in range(5)]
                 long_mm = _SIZE_RANGE_MM[0] + u[0] * (
                     _SIZE_RANGE_MM[1] - _SIZE_RANGE_MM[0]
                 )

@@ -322,6 +322,13 @@ def _sim_csv(tmp_path, sim_dir):
     return sim_dir / "annotations.csv"
 
 
+def _raw_f32(tmp_path, sim_dir):
+    """Three raw float32 CT values, the input of ``window``."""
+    path = tmp_path / "raw.f32"
+    path.write_bytes(np.array([-150.0, 50.0, 250.0], dtype="<f4").tobytes())
+    return path
+
+
 def _fuse(dets, *flags):
     return ["fuse", "--original", dets, "--flipped", dets,
             "--image-width", 768, *flags]
@@ -394,6 +401,10 @@ EXIT_CODE_CASES = [
     ("eval --pad nan", 3, [
         "eval", "--detections", _dets(), "--annotations", _sim_csv, "--pad", "nan"]),
     ("fuse --sigma inf", 3, _fuse(_dets(), "--sigma", "inf")),
+    ("fuse --image-width inf", 2, [
+        "fuse", "--original", _dets(), "--flipped", _dets(), "--image-width", "inf"]),
+    ("window --width inf", 2, [
+        "window", "--level", 50, "--width", "inf", "--in", _raw_f32]),
     ("detections score 401-digit int", 3, _fuse(_huge(_dets(score="<huge>"), 401))),
     ("detections extremes 401-digit int", 3, _fuse(_huge(_dets(extremes={
         "top": [125.0, 100.0], "left": [100.0, 125.0], "bottom": [125.0, 150.0],
@@ -420,6 +431,8 @@ NAMED_IN_ERROR = {
     "check-gradients --tol nan": "argument --tol: must be finite and > 0",
     "check-gradients --tol -1": "argument --tol: must be finite and > 0",
     "check-gradients --tol inf": "argument --tol: must be finite and > 0",
+    "fuse --image-width inf": "argument --image-width: must be finite and > 0",
+    "window --width inf": "argument --width: must be finite and > 0",
 }
 
 

@@ -397,10 +397,9 @@ class TestRowViews:
         assert dets
         for d in dets:
             assert d.bbox == bbox_from_extremes(d.extremes)
-        back = grouping.detections_from_rows(
-            grouping.detections_to_rows(dets),
-            [d.score for d in dets], [d.source for d in dets],
-        )
+        back = list(grouping.Detections(
+            [d.row for d in dets], [d.score for d in dets], [d.source for d in dets]
+        ))
         assert_same(back, dets)
 
     def test_detect_read_detections_and_fuse_tta(self, tmp_path):

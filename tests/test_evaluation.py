@@ -1,14 +1,21 @@
 """Evaluation: greedy matching, the hand-enumerated 3-image FROC scenario,
-monotonicity properties, and stratification boundaries."""
+monotonicity properties, stratification boundaries, and the array FROC
+sweep against the per-detection sweep it replaced."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recistkit.evaluation import (
     DetectionMatch,
+    FrocPoint,
+    FrocResult,
     MatchResult,
+    Strata,
     diameter_bucket,
     froc,
     interval_bucket,
@@ -345,3 +352,130 @@ class TestStratifiedFroc:
         assert lesion_type_name(1) == "BN"
         assert lesion_type_name(-1) == "other"
         assert len({lesion_type_name(code) for code in range(1, 9)}) == 8
+
+
+# --- oracle: the per-detection FROC sweep -------------------------------------
+# ``stratified_froc`` and ``_best_at_target`` as they were before the sweep
+# ran on arrays, copied without change except for their names.
+
+
+@dataclass(frozen=True, slots=True)
+class _SweepPoint:
+    threshold: float
+    fp_rate: float
+
+
+def _best_at_target(points_with_tp, fp_target, n_lesions) -> FrocPoint:
+    best = None
+    for p, tp in points_with_tp:  # descending threshold order
+        if p.fp_rate > fp_target:
+            continue
+        sens = tp / n_lesions
+        if best is None or sens > best[0]:
+            best = (sens, p.threshold, p.fp_rate)
+    sens, threshold, fp_rate = best  # the empty point always qualifies
+    return FrocPoint(fp_target, sens, threshold, fp_rate)
+
+
+def oracle_stratified_froc(matches, gt_labels, key, fp_targets) -> Strata:
+    n_per_stratum: dict[str, int] = {}
+    for labels in gt_labels:
+        for label in labels:
+            n_per_stratum[label] = n_per_stratum.get(label, 0) + 1
+
+    # per-threshold TP counts within each stratum
+    flat: list[tuple[float, str | None]] = []
+    for m, labels in zip(matches, gt_labels):
+        for rec in m.records:
+            flat.append((rec.score, labels[rec.gt_index] if rec.is_tp else None))
+    flat.sort(key=lambda r: -r[0])
+    n_images = len(matches)
+
+    sweep: list[tuple[_SweepPoint, dict[str, int]]] = [
+        (_SweepPoint(math.inf, 0.0), {s: 0 for s in n_per_stratum})
+    ]
+    tally = {s: 0 for s in n_per_stratum}
+    fp = 0
+    for i, (score, stratum) in enumerate(flat):
+        if stratum is None:
+            fp += 1
+        else:
+            tally[stratum] += 1
+        last_of_score = i + 1 == len(flat) or flat[i + 1][0] != score
+        if last_of_score:
+            sweep.append((_SweepPoint(score, fp / n_images), dict(tally)))
+
+    per_stratum = {}
+    for stratum, n_gt in sorted(n_per_stratum.items()):
+        points_with_tp = [(p, t[stratum]) for p, t in sweep]
+        result_points = [
+            _best_at_target(points_with_tp, target, n_gt) for target in fp_targets
+        ]
+        per_stratum[stratum] = FrocResult(
+            result_points, n_images=n_images, n_lesions=n_gt
+        )
+    return Strata(key=key, per_stratum=per_stratum)
+
+
+def strata_bits(strata: Strata) -> list:
+    return [
+        (name, result.n_images, result.n_lesions, [
+            (p.fp_target, float(p.sensitivity).hex(), float(p.threshold).hex(),
+             float(p.fp_per_image).hex())
+            for p in result.points
+        ])
+        for name, result in strata.per_stratum.items()
+    ]
+
+
+@st.composite
+def labelled_matches(draw):
+    """Images with 0-4 lesions in up to three strata and tied, zero and
+    signed-zero scores; each lesion is matched at most once."""
+    matches, labels = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        n_gt = draw(st.integers(0, 4))
+        free = list(range(n_gt))
+        records = []
+        for i in range(draw(st.integers(0, 8))):
+            score = draw(st.one_of(
+                st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5]), st.floats(0.0, 6.0)
+            ))
+            if free and draw(st.booleans()):
+                records.append(DetectionMatch(i, score, True, free.pop(
+                    draw(st.integers(0, len(free) - 1)))))
+            else:
+                records.append(DetectionMatch(i, score, False, None))
+        matches.append(MatchResult(records=records, n_gt=n_gt))
+        labels.append(draw(st.lists(
+            st.sampled_from(["<10", "10-30", ">30"]), min_size=n_gt, max_size=n_gt
+        )))
+    return matches, labels
+
+
+class TestFrocSweepOracle:
+    @settings(max_examples=200)
+    @given(
+        case=labelled_matches(),
+        fp_targets=st.lists(
+            st.one_of(st.sampled_from([0, 0.0, 0.25, 1, 4.0]), st.floats(0.0, 10.0)),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_bitwise(self, case, fp_targets):
+        matches, labels = case
+        assert strata_bits(
+            stratified_froc(matches, labels, "diameter", fp_targets)
+        ) == strata_bits(oracle_stratified_froc(matches, labels, "diameter", fp_targets))
+
+    def test_crafted_and_random_images(self):
+        rng = np.random.default_rng(83)
+        cases = [crafted_three_image_matches()] + [
+            random_matches(rng) for _ in range(200)
+        ]
+        for matches in cases:
+            labels = [["all"] * m.n_gt for m in matches]
+            targets = (0.0, 0.5, 1, 2.0, 3.0, 4.0)
+            assert strata_bits(stratified_froc(matches, labels, "all", targets)) == (
+                strata_bits(oracle_stratified_froc(matches, labels, "all", targets))
+            )
