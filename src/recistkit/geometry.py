@@ -168,13 +168,24 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     as a (len(a), len(b)) matrix; rows are (x1, y1, x2, y2)."""
     ax1, ay1, ax2, ay2 = a.T
     bx1, by1, bx2, by2 = b.T
+    # three full-size float arrays and one mask, written in place
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        iw = np.minimum.outer(ax2, bx2) - np.maximum.outer(ax1, bx1)
-        ih = np.minimum.outer(ay2, by2) - np.maximum.outer(ay1, by1)
-        inter = np.where((iw <= 0.0) | (ih <= 0.0), 0.0, iw * ih)
-        union = np.add.outer((ax2 - ax1) * (ay2 - ay1), (bx2 - bx1) * (by2 - by1))
-        union -= inter
-        return np.where(union <= 0.0, 0.0, inter / union)
+        inter = np.minimum.outer(ax2, bx2)
+        work = np.maximum.outer(ax1, bx1)
+        inter -= work  # intersection width
+        ih = np.minimum.outer(ay2, by2)
+        np.maximum.outer(ay1, by1, out=work)
+        ih -= work
+        empty = inter <= 0.0
+        empty |= ih <= 0.0
+        inter *= ih
+        np.copyto(inter, 0.0, where=empty)
+        np.add.outer((ax2 - ax1) * (ay2 - ay1), (bx2 - bx1) * (by2 - by1), out=work)
+        work -= inter  # union
+        np.less_equal(work, 0.0, out=empty)
+        inter /= work
+        np.copyto(inter, 0.0, where=empty)
+        return inter
 
 
 @singledispatch

@@ -1,10 +1,12 @@
 """Deterministic pseudo-random generator for reproducible test fixtures.
 
 The generator is splitmix64: the 64-bit state advances by the golden-ratio
-increment and each output is a fixed avalanche mix of the new state. It is
-simple enough to reimplement bit-for-bit in any language, which is the
-point: fixtures generated here can be regenerated elsewhere and compared
-byte by byte.
+increment and each output is a fixed avalanche mix of the new state. Its
+64-bit outputs and ``uniform``/``uniforms`` doubles are simple enough to
+reimplement bit-for-bit in any language, so those draws can be regenerated
+elsewhere and compared byte by byte. The Box-Muller normals of
+``gaussians`` are not: they go through numpy's ``log1p``, ``cos`` and
+``sin``, whose last bits depend on libm and on numpy's SIMD kernels.
 
 Draw accounting is part of the contract. Every uniform consumes exactly one
 64-bit output; ``gaussians(n)`` consumes ``2 * ceil(n / 2)`` outputs

@@ -85,8 +85,10 @@ class DegradationConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.peak_drop_prob <= 1.0:
             raise ValueError("peak_drop_prob must lie in [0, 1]")
-        if self.noise_sigma < 0.0 or self.spurious_rate < 0.0:
-            raise ValueError("noise_sigma and spurious_rate must be >= 0")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
+        if self.spurious_rate < 0.0:
+            raise ValueError("spurious_rate must be >= 0")
         if self.jitter_cells < 0:
             raise ValueError("jitter_cells must be >= 0")
         if not 0.0 <= self.spurious_score_min < 1.0:
@@ -402,12 +404,51 @@ def simulate_heatmaps(
     if cfg.noise_sigma > 0.0:
         # one draw per plane: a single five-plane draw is the same stream
         # only for even H*W, and its temporaries fall out of cache
-        for plane in bundle.keypoint_maps:
-            noise = rng.gaussians(out_h * out_w).reshape(out_h, out_w)
-            # clip(plane + sigma * noise), computed in float64 in place
-            noise *= cfg.noise_sigma
-            noise += plane
-            np.clip(noise, 0.0, 1.0, out=noise)
-            plane[...] = noise
+        for plane in bundle.keypoint_maps.reshape(len(KEYPOINT_CHANNELS), -1):
+            _add_clipped_noise(rng, plane, cfg.noise_sigma)
 
     return bundle
+
+
+# Box-Muller's even output is radius * cos(angle) and its odd output
+# radius * sin(angle), with angle in [0, 2 pi). Inside these angle ranges
+# cos (and sin) is at most about -1e-6, far beyond libm's error, so a
+# skipped cell never rests on how libm rounds near a zero crossing.
+_MARGIN = 1e-6
+_NEGATIVE_COS = (math.pi / 2 + _MARGIN, 1.5 * math.pi - _MARGIN)
+_NEGATIVE_SIN = (math.pi + _MARGIN, 2.0 * math.pi - _MARGIN)
+
+
+def _add_clipped_noise(rng: SplitMix64, plane: np.ndarray, sigma: float) -> None:
+    """``plane[:] = clip(plane + sigma * rng.gaussians(plane.size), 0, 1)``,
+    bit for bit, on a flat float32 plane.
+
+    It draws the same uniforms as ``gaussians``. A cell that holds +0.0 and
+    whose normal is certainly negative clips to the +0.0 it already holds,
+    so it is skipped; about half the cells of a mostly empty plane are.
+    Every other cell runs ``gaussians``' float64 operations in the same
+    order, then the scale, the add and the clip.
+    """
+    n = plane.size
+    u = rng.uniforms(n + n % 2)
+    angle = u[1::2]
+    angle *= 2.0 * math.pi
+    lit = plane.view(np.uint32) != 0  # any bits but +0.0, so -0.0 too
+    for parity, trig, (lo, hi) in ((0, np.cos, _NEGATIVE_COS),
+                                   (1, np.sin, _NEGATIVE_SIN)):
+        a = angle[: (n + 1 - parity) // 2]
+        keep = a < lo
+        keep |= a > hi
+        keep |= lit[parity::2]
+        first = 2 * np.flatnonzero(keep)  # each kept pair's radius uniform
+        radius = np.negative(u[first])
+        np.log1p(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        noise = trig(u[first + 1])
+        noise *= radius
+        noise *= sigma
+        cells = first + parity
+        noise += plane[cells]
+        np.clip(noise, 0.0, 1.0, out=noise)
+        plane[cells] = noise

@@ -3,8 +3,13 @@ against the allocating implementations they replaced, bit for bit.
 
 ``FrozenSplitMix64`` keeps ``_u64_block``, ``uniforms`` and ``gaussians``
 as they were, copied without change; ``frozen_noisy_bundle`` keeps the
-noise loop of ``simulate_heatmaps`` as it was. Floats are compared through
-``.view(np.uint64)``, so a sign of zero or a last-ulp difference fails.
+noise loop of ``simulate_heatmaps`` as it was: dense Box-Muller on every
+cell, then ``clip(plane + sigma * noise, 0, 1)``. The simulator evaluates
+Box-Muller only where that clip can leave a value above 0;
+``TestClippedNoiseBoundaries`` feeds its helper crafted uniforms at the
+zeros of cos and sin and at its skip bounds. Floats are compared as
+unsigned integers of their width, so a sign of zero or a last-ulp
+difference fails.
 """
 
 from dataclasses import replace
@@ -14,7 +19,14 @@ import pytest
 
 from recistkit import synthetic
 from recistkit.rng import _GAMMA, _INV_2_53, _MASK, _MIX1, _MIX2, SplitMix64
-from recistkit.synthetic import DegradationConfig, generate_scene, simulate_heatmaps
+from recistkit.synthetic import (
+    _NEGATIVE_COS,
+    _NEGATIVE_SIN,
+    DegradationConfig,
+    _add_clipped_noise,
+    generate_scene,
+    simulate_heatmaps,
+)
 from recistkit.targets import KEYPOINT_CHANNELS
 
 # --- oracles: the allocating implementations ----------------------------------
@@ -91,9 +103,8 @@ COUNTS = [0, 1, 2, 3, 36_863, 36_864]
 
 
 def same_bits(new: np.ndarray, old: np.ndarray) -> bool:
-    return new.dtype == old.dtype and np.array_equal(
-        new.view(np.uint64), old.view(np.uint64)
-    )
+    bits = f"u{new.itemsize}"
+    return new.dtype == old.dtype and np.array_equal(new.view(bits), old.view(bits))
 
 
 class TestBlockDrawOracle:
@@ -112,7 +123,8 @@ class TestBlockDrawOracle:
 class TestNoisePathOracle:
     @pytest.mark.parametrize("image_size,parity", [((256, 256), 0), ((260, 260), 1)],
                              ids=["even HxW 64x64", "odd HxW 65x65"])
-    @pytest.mark.parametrize("noise", [0.02, 0.05, 0.3])
+    # at 1.0 and 3.0 the upper clip at 1.0 matters too
+    @pytest.mark.parametrize("noise", [0.02, 0.05, 0.3, 1.0, 3.0])
     def test_noisy_bundle_bitwise(self, image_size, parity, noise, monkeypatch):
         scene = generate_scene(2, image_size=image_size, seed=3)
         cfg = DegradationConfig(
@@ -124,3 +136,91 @@ class TestNoisePathOracle:
         assert new.grid_shape[0] * new.grid_shape[1] % 2 == parity
         assert new.keypoint_maps.tobytes() == old.keypoint_maps.tobytes()
         assert new.offset_maps.tobytes() == old.offset_maps.tobytes()
+
+
+class CraftedUniforms(SplitMix64):
+    """A stream whose first ``uniforms`` call returns ``crafted`` instead of
+    its draws. That call still advances the state by as many steps, and
+    later calls draw as usual."""
+
+    def __init__(self, seed, crafted):
+        super().__init__(seed)
+        self.crafted = crafted
+
+    def uniforms(self, n):
+        drawn = super().uniforms(n)
+        if self.crafted is None:
+            return drawn
+        assert n == len(self.crafted)
+        crafted, self.crafted = self.crafted.copy(), None
+        return crafted
+
+
+def around(x, steps):
+    """x and ``steps`` float64 neighbours on each side of it, ascending."""
+    below = [x]
+    above = [x]
+    for _ in range(steps):
+        below.insert(0, np.nextafter(below[0], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:-1] + above
+
+
+TWO_PI = 2.0 * np.pi
+# u2 at the zeros of cos (angle pi/2, 3 pi/2) and of sin (angle 0 = 2 pi,
+# pi), one float64 step either side; the angle wraps at 0
+CROSSINGS = [
+    [np.nextafter(1.0, 0.0), 0.0, 2.0**-53],
+    around(0.25, 1),
+    around(0.5, 1),
+    around(0.75, 1),
+]
+# u2 whose angle lies on a skip bound of the helper, two steps either side
+SKIP_EDGES = [around(bound / TWO_PI, 2) for bound in _NEGATIVE_COS + _NEGATIVE_SIN]
+# radius 0 (signed-zero products), about 1.18, and the largest, about 8.57
+RADIUS_U1 = [0.0, 0.5, np.nextafter(1.0, 0.0)]
+# +0.0 everywhere but every 7th cell, which covers both parities
+LIT = np.array([0.5, 1.0, -0.0, 1e-45, 0.75], dtype=np.float32)
+
+
+def crafted_plane(n: int) -> np.ndarray:
+    plane = np.zeros(n, dtype=np.float32)
+    lit = plane[::7]
+    lit[...] = np.resize(LIT, lit.size)
+    return plane
+
+
+def dense_clipped_noise(rng, plane, sigma):
+    """The dense formula: a normal for every cell, then the clip."""
+    noise = rng.gaussians(plane.size)
+    return np.clip(plane + sigma * noise, 0.0, 1.0).astype(np.float32)
+
+
+class TestClippedNoiseBoundaries:
+    def test_crafted_angles_straddle_each_zero_and_skip_bound(self):
+        def changes_sign(values):
+            return (values > 0).any() and (values < 0).any()
+
+        for u2s in CROSSINGS:
+            angles = np.array(u2s) * TWO_PI
+            assert changes_sign(np.cos(angles)) or changes_sign(np.sin(angles)), u2s
+        for bound, u2s in zip(_NEGATIVE_COS + _NEGATIVE_SIN, SKIP_EDGES):
+            angles = np.array(u2s) * TWO_PI
+            assert angles.min() < bound < angles.max()
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["even n", "odd n"])
+    @pytest.mark.parametrize("sigma", [0.05, 1.0, 3.0])
+    def test_helper_matches_dense_formula_bitwise(self, sigma, odd):
+        u2s = [u2 for group in CROSSINGS + SKIP_EDGES for u2 in group]
+        crafted = np.array([(u1, u2) for u2 in u2s for u1 in RADIUS_U1]).ravel()
+        n = crafted.size - odd
+        dense = CraftedUniforms(7, crafted)
+        sparse = CraftedUniforms(7, crafted)
+        # the crafted plane, then one drawn as usual: the state after each
+        # plane is the dense path's
+        for plane in (crafted_plane(n), crafted_plane(n + 40)):
+            expected = dense_clipped_noise(dense, plane, sigma)
+            _add_clipped_noise(sparse, plane, sigma)
+            assert same_bits(plane, expected)
+            assert sparse._state == dense._state
+        assert sparse.next_u64() == dense.next_u64()

@@ -231,3 +231,8 @@ class TestSimulateHeatmaps:
         b = simulate_heatmaps(scene, DegradationConfig(
             jitter_cells=1, noise_sigma=0.2, seed=42))
         assert np.array_equal(a.offset_maps, b.offset_maps)
+
+    @pytest.mark.parametrize("sigma", [-0.1, float("inf"), float("nan")])
+    def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be finite"):
+            DegradationConfig(noise_sigma=sigma)
