@@ -657,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--heatmaps", required=True, help="directory of bundles")
     _add_config_flags(p, "detect")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
                    help="images processed in parallel; output is identical "
                         "regardless (default: machine parallelism)")
     p.add_argument("--out", required=True, help="detections JSON path")

@@ -44,28 +44,36 @@ class SoftNmsConfig:
             raise ValueError("linear_iou_threshold must lie in [0, 1]")
 
 
-def _unflipped(dets: Detections, image_width: float) -> Detections:
-    """:func:`unflip_detections` on a record."""
-    # left and right swap roles, and every x mirrors
-    rows = dets.rows[:, [0, 1, 6, 7, 4, 5, 2, 3, 8, 9]]
-    rows[:, 0::2] = image_width - 1.0 - rows[:, 0::2]
-    return Detections(rows, dets.scores, ("flipped",) * len(rows))
-
-
 def unflip_detections(
     detections: Sequence[Detection], image_width: float
-) -> list[Detection]:
+) -> Detections:
     """Map detections made on a flipped image back to the original frame.
 
     Geometry mirrors as ``flip_horizontal`` does (left and right roles
     swap), scores are untouched, and each detection is tagged as coming
     from the flipped view.
     """
-    return list(_unflipped(Detections.of(detections), image_width))
+    dets = Detections.of(detections)
+    # left and right swap roles, and every x mirrors
+    rows = dets.rows[:, [0, 1, 6, 7, 4, 5, 2, 3, 8, 9]]
+    rows[:, 0::2] = image_width - 1.0 - rows[:, 0::2]
+    return Detections(rows, dets.scores, ("flipped",) * len(rows))
 
 
-def _soft_nms(dets: Detections, cfg: SoftNmsConfig) -> Detections:
-    """:func:`soft_nms` on a record."""
+def soft_nms(
+    detections: Sequence[Detection], cfg: SoftNmsConfig = SoftNmsConfig()
+) -> Detections:
+    """Score-decay non-maximum suppression.
+
+    Repeatedly selects the highest-scoring remaining detection, decays every
+    other remaining score according to its overlap with the selection, and
+    drops detections once their score falls below the floor. The output
+    comes out sorted by final score descending; the top detection's score is
+    never changed. Score ties go to the smaller box (x1, y1, x2, y2), then
+    to the flipped view, then to the smaller row (top x, ..., right y), and
+    then to the earlier input.
+    """
+    dets = Detections.of(detections)
     pool = np.flatnonzero(dets.scores >= cfg.score_floor)
     rows = dets.rows[pool]
     is_original = np.array(
@@ -116,22 +124,6 @@ def _soft_nms(dets: Detections, cfg: SoftNmsConfig) -> Detections:
     )
 
 
-def soft_nms(
-    detections: Sequence[Detection], cfg: SoftNmsConfig = SoftNmsConfig()
-) -> list[Detection]:
-    """Score-decay non-maximum suppression.
-
-    Repeatedly selects the highest-scoring remaining detection, decays every
-    other remaining score according to its overlap with the selection, and
-    drops detections once their score falls below the floor. The output
-    comes out sorted by final score descending; the top detection's score is
-    never changed. Score ties go to the smaller box (x1, y1, x2, y2), then
-    to the flipped view, then to the smaller row (top x, ..., right y), and
-    then to the earlier input.
-    """
-    return list(_soft_nms(Detections.of(detections), cfg))
-
-
 def fuse_tta(
     dets_original: Sequence[Detection],
     dets_flipped_raw: Sequence[Detection],
@@ -140,10 +132,10 @@ def fuse_tta(
 ) -> Detections:
     """Pool original and un-flipped detections, then Soft-NMS the pool."""
     original = Detections.of(dets_original)
-    unflipped = _unflipped(Detections.of(dets_flipped_raw), image_width)
+    unflipped = unflip_detections(dets_flipped_raw, image_width)
     pooled = Detections(
         np.concatenate((original.rows, unflipped.rows)),
         np.concatenate((original.scores, unflipped.scores)),
         original.sources + unflipped.sources,
     )
-    return _soft_nms(pooled, cfg)
+    return soft_nms(pooled, cfg)

@@ -236,14 +236,6 @@ def _center_scores_bilinear(
     return top * (1 - fr) + bot * fr
 
 
-@dataclass
-class _PairBlock:
-    """Candidate arrays for one (top, bottom) x (left, right) block."""
-
-    scores: np.ndarray
-    rows: np.ndarray  # (n, 10) detection rows, in grid cells
-
-
 def _runs(values: np.ndarray):
     """(distinct, order, starts, counts): ``order`` is the stable argsort of
     ``values``, and the i-th distinct value, ascending, is at the indices
@@ -258,8 +250,9 @@ def _runs(values: np.ndarray):
     return ordered[starts], order, starts, bounds[1:] - starts
 
 
-def _enumerate_block(top, bottom, left, right, center_map, cfg) -> _PairBlock | None:
-    """Sparse enumeration over one block of (t, b) pairs.
+def _enumerate_block(top, bottom, left, right, center_map, cfg):
+    """Sparse enumeration over one block of (t, b) pairs: the candidates'
+    scores and (n, 10) grid-cell detection rows, or None when none passes.
 
     Each role's peaks come as a (3, n) array of rows, columns and scores.
     The center row depends only on the (t, b) pair and the center column
@@ -323,10 +316,10 @@ def _enumerate_block(top, bottom, left, right, center_map, cfg) -> _PairBlock | 
             ccol[lr], crow[tb],
         )
     )
-    return _PairBlock(scores=scores, rows=rows)
+    return scores, rows
 
 
-def _select_top_k2(blocks: list[_PairBlock], k2: int) -> _PairBlock | None:
+def _select_top_k2(blocks: list, k2: int) -> Detections:
     """Deterministic top-k2 across blocks: score desc, then cells ascending.
 
     The cell tuple orders distinct candidates totally and the cut keeps
@@ -334,9 +327,9 @@ def _select_top_k2(blocks: list[_PairBlock], k2: int) -> _PairBlock | None:
     """
     blocks = [b for b in blocks if b is not None]
     if not blocks:
-        return None
-    scores = np.concatenate([b.scores for b in blocks])
-    rows = np.concatenate([b.rows for b in blocks])
+        return Detections.of(())
+    scores = np.concatenate([s for s, _ in blocks])
+    rows = np.concatenate([r for _, r in blocks])
 
     if scores.size > k2:
         # prune on score alone first, keeping everything tied at the cut
@@ -346,7 +339,7 @@ def _select_top_k2(blocks: list[_PairBlock], k2: int) -> _PairBlock | None:
 
     # primary key last: -score, then (row, col) of top, left, bottom, right
     order = np.lexsort((*rows[:, [6, 7, 4, 5, 2, 3, 0, 1]].T, -scores))[:k2]
-    return _PairBlock(scores[order], rows[order])
+    return Detections(rows[order], scores[order], ("original",) * order.size)
 
 
 def _enumerate_rows(
@@ -354,16 +347,15 @@ def _enumerate_rows(
     center_map: np.ndarray,
     cfg: GroupingConfig,
     workers: int = 1,
-) -> _PairBlock | None:
-    """The top ``k2`` scores and grid-cell detection rows for each role's
-    (3, n) peak array; see :func:`enumerate_quadruples`."""
+) -> Detections:
+    """:func:`enumerate_quadruples` on each role's (3, n) peak array."""
     if any(arrays[role].shape[1] == 0 for role in EXTREME_ROLES):
-        return None
+        return Detections.of(())
 
     n_tops = arrays["top"].shape[1]
     n_chunks = max(1, min(workers, n_tops))
 
-    def run_chunk(lo: int, hi: int) -> _PairBlock | None:
+    def run_chunk(lo: int, hi: int):
         return _enumerate_block(
             arrays["top"][:, lo:hi], arrays["bottom"], arrays["left"],
             arrays["right"], center_map, cfg,
@@ -388,7 +380,7 @@ def enumerate_quadruples(
     center_map: np.ndarray,
     cfg: GroupingConfig,
     workers: int = 1,
-) -> list[Detection]:
+) -> Detections:
     """Associate one peak per extreme role into scored detections.
 
     A quadruple is kept when its ordering is geometrically coherent
@@ -407,31 +399,12 @@ def enumerate_quadruples(
         ).reshape(-1, 3).T
         for role in EXTREME_ROLES
     }
-    top = _enumerate_rows(arrays, center_map, cfg, workers)
-    if top is None:
-        return []
-    return list(Detections(top.rows, top.scores, ("original",) * len(top.rows)))
-
-
-def _refine_rows(rows: np.ndarray, offset_maps: np.ndarray, stride: int) -> np.ndarray:
-    """Grid-cell detection rows to input-pixel rows; see
-    :func:`refine_with_offsets`."""
-    col = rows[:, 0:8:2].astype(np.intp)  # one column per extreme role
-    row = rows[:, 1:8:2].astype(np.intp)
-    dx_plane = 2 * np.arange(len(EXTREME_ROLES))
-    dx = offset_maps[dx_plane, row, col].astype(np.float64)
-    dy = offset_maps[dx_plane + 1, row, col].astype(np.float64)
-    refined = np.empty_like(rows)
-    refined[:, 0:8:2] = stride * (col + dx)
-    refined[:, 1:8:2] = stride * (row + dy)
-    refined[:, 8] = (refined[:, 2] + refined[:, 6]) / 2.0
-    refined[:, 9] = (refined[:, 1] + refined[:, 5]) / 2.0
-    return refined
+    return _enumerate_rows(arrays, center_map, cfg, workers)
 
 
 def refine_with_offsets(
     detections: Sequence[Detection], offset_maps: np.ndarray, stride: int
-) -> list[Detection]:
+) -> Detections:
     """Map grid-cell detections to input pixels using the offset planes.
 
     Each extreme coordinate becomes stride * (cell + offset-at-cell); the
@@ -439,8 +412,17 @@ def refine_with_offsets(
     offsets).
     """
     dets = Detections.of(detections)
-    refined = _refine_rows(dets.rows, offset_maps, stride)
-    return list(Detections(refined, dets.scores, dets.sources))
+    col = dets.rows[:, 0:8:2].astype(np.intp)  # one column per extreme role
+    row = dets.rows[:, 1:8:2].astype(np.intp)
+    dx_plane = 2 * np.arange(len(EXTREME_ROLES))
+    dx = offset_maps[dx_plane, row, col].astype(np.float64)
+    dy = offset_maps[dx_plane + 1, row, col].astype(np.float64)
+    refined = np.empty_like(dets.rows)
+    refined[:, 0:8:2] = stride * (col + dx)
+    refined[:, 1:8:2] = stride * (row + dy)
+    refined[:, 8] = (refined[:, 2] + refined[:, 6]) / 2.0
+    refined[:, 9] = (refined[:, 1] + refined[:, 5]) / 2.0
+    return Detections(refined, dets.scores, dets.sources)
 
 
 def detect(
@@ -450,15 +432,12 @@ def detect(
 
     Extracts peaks per extreme role, enumerates center-validated quadruples,
     and refines coordinates to input pixels. Output is ordered by score
-    descending with deterministic tie-breaking; it equals the list that
+    descending with deterministic tie-breaking; it equals what
     :func:`extract_peaks`, :func:`enumerate_quadruples` and
     :func:`refine_with_offsets` give in turn.
     """
     arrays = {
         role: _peak_array(bundle.keypoint_map(role), cfg) for role in EXTREME_ROLES
     }
-    top = _enumerate_rows(arrays, bundle.keypoint_map("center"), cfg, workers)
-    if top is None:
-        return Detections.of(())
-    refined = _refine_rows(top.rows, bundle.offset_maps, bundle.stride)
-    return Detections(refined, top.scores, ("original",) * len(refined))
+    candidates = _enumerate_rows(arrays, bundle.keypoint_map("center"), cfg, workers)
+    return refine_with_offsets(candidates, bundle.offset_maps, bundle.stride)

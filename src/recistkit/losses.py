@@ -15,7 +15,9 @@ both branches are evaluated everywhere. ``focal_loss`` sums each term
 term's cells, then adds positive + negative, so the summation order is
 unchanged too. The grids follow the prediction's memory layout; that is
 the order of the all-cells evaluation whenever the prediction is C-ordered
-or laid out like the target.
+or laid out like the target. A NaN prediction raises ValueError: numpy's
+SIMD kernels at different dispatch levels give its result different NaN
+signs, so no result for it would be the same on every CPU.
 
 ``offset_loss`` adds one x + y term per (annotation, extreme role) strictly
 left to right, annotation by annotation, roles in EXTREME_ROLES order; its
@@ -56,7 +58,8 @@ class FocalParams:
 def _focal_inputs(
     pred: np.ndarray, target: np.ndarray, n_objects: int, params: FocalParams
 ):
-    """Checks the arguments, then returns what both focal functions read.
+    """Checks the arguments (a NaN prediction raises ValueError), then
+    returns what both focal functions read.
 
     That is the prediction clamped to [clamp_eps, 1 - clamp_eps] as a fresh
     float64 array the caller may overwrite, the flat (C-order) indices of
@@ -67,6 +70,9 @@ def _focal_inputs(
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
     if n_objects < 0:
         raise ValueError(f"n_objects must be >= 0, got {n_objects}")
+    # max is NaN iff some value is, and allocates nothing
+    if pred.size and np.isnan(pred.max()):
+        raise ValueError("pred holds NaN")
     p = np.clip(pred, params.clamp_eps, 1.0 - params.clamp_eps, dtype=np.float64)
     pos = (target == 1.0).ravel().nonzero()[0]
     near = (target != 0.0).ravel().nonzero()[0]

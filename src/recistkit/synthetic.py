@@ -146,7 +146,7 @@ def _decodes_to_itself(
         for j, role in enumerate(EXTREME_ROLES)
     }
     kept = _enumerate_rows(peaks, center_map, GroupingConfig(tau_c=tau_c))
-    found = [] if kept is None else kept.rows[:, [1, 0, 3, 2, 5, 4, 7, 6]].tolist()
+    found = kept.rows[:, [1, 0, 3, 2, 5, 4, 7, 6]].tolist()
     return sorted(found) == sorted(truth.reshape(-1, 8).tolist())
 
 

@@ -383,6 +383,8 @@ EXIT_CODE_CASES = [
     ("simulate --image-size 0", 2, ["simulate", "--image-size", 0]),
     ("simulate --n-lesions 40 at 256 px", 2, [
         "simulate", "--n-lesions", 40, "--image-size", 256]),
+    ("detect --workers 0", 2, ["detect", "--heatmaps", _sim_dir, "--workers", 0]),
+    ("detect --workers -5", 2, ["detect", "--heatmaps", _sim_dir, "--workers=-5"]),
     ("check-gradients --trials -5", 2, ["check-gradients", "--trials=-5"]),
     ("check-gradients --trials 0", 2, ["check-gradients", "--trials", 0]),
     ("check-gradients --tol nan", 2, ["check-gradients", "--tol", "nan"]),
@@ -426,6 +428,8 @@ NAMED_IN_ERROR = {
     "config 4301-digit int": "cfg.json",
     "rkhm header 4301-digit int": "syn_11.rkhm",
     "render-targets keypoints off a 64 px input": "outside the 16x16 output grid",
+    "detect --workers 0": "argument --workers: must be >= 1",
+    "detect --workers -5": "argument --workers: must be >= 1",
     "check-gradients --trials -5": "argument --trials: must be >= 1",
     "check-gradients --trials 0": "argument --trials: must be >= 1",
     "check-gradients --tol nan": "argument --tol: must be finite and > 0",

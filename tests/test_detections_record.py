@@ -517,7 +517,7 @@ class TestRecordContract:
         pooled = list(original) + unflip_detections(flipped, 768)
         assert isinstance(pooled, list)
         fused = fusion.soft_nms(pooled)
-        assert isinstance(fused, list)
+        assert isinstance(fused, Detections)
         assert fused == fuse_tta(original, flipped, 768)
 
     def test_writer_takes_records_and_lists_alike(self, noisy_image, tmp_path):

@@ -1,13 +1,15 @@
-"""The bit-for-bit noise tests and the golden artifacts at numpy's SIMD
-dispatch levels below this host's own.
+"""The bit-for-bit noise tests, the focal-loss oracle and the golden
+artifacts at numpy's SIMD dispatch levels below this host's own.
 
 numpy picks its SIMD kernels when it is imported, and
 ``NPY_DISABLE_CPU_FEATURES`` switches dispatch targets off for one process.
 Each level below runs the named tests in a child process with that variable
 set in the child's environment only. The simulator skips Box-Muller where
 the sign of cos or sin says the clip gives 0, so these runs check that
-reasoning against other ``cos``, ``sin`` and ``log1p`` kernels. A level the
-host does not reach above is skipped: the main run already covers it.
+reasoning against other ``cos``, ``sin`` and ``log1p`` kernels; the focal
+losses refuse a NaN prediction, whose result's sign would follow the kernel.
+A level the host does not reach above is skipped: the main run already
+covers it.
 """
 
 import os
@@ -29,6 +31,7 @@ TEST_IDS = [
     "tests/test_rng_oracle.py::TestNoisePathOracle",
     "tests/test_rng_oracle.py::TestClippedNoiseBoundaries",
     "tests/test_cli.py::TestGoldenBytes",
+    "tests/test_losses_oracle.py",
 ]
 # the dispatch targets each level switches off, of those this host enables
 LEVELS = {

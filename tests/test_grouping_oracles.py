@@ -19,7 +19,6 @@ from recistkit.grouping import (
     Detection,
     GroupingConfig,
     Peak,
-    _PairBlock,
     detect,
     enumerate_quadruples,
     extract_peaks,
@@ -140,7 +139,7 @@ def dense_enumerate_block(top, bottom, left, right, center_map, cfg):
             ccol[keep_lr], crow[keep_tb],
         )
     )
-    return _PairBlock(scores=scores, rows=rows)
+    return scores, rows
 
 
 # --- comparison and inputs ------------------------------------------------------

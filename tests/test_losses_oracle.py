@@ -13,6 +13,10 @@ and each case group below exercises them:
 - the positive terms are summed with ``np.sum`` over a full grid that is
   zero off the positive cells, so numpy's pairwise order is unchanged;
 - the total is sum(positive) + sum(negative), in that order.
+
+A NaN prediction is refused with ValueError, which the dense code never
+raises, so the cases holding one expect that error; NaN targets still
+compare bit for bit.
 """
 
 import numpy as np
@@ -96,6 +100,12 @@ def assert_same_bits(pred, target, n, params):
     assert np.array_equal(grad.view(np.uint64), dense.view(np.uint64))
 
 
+def assert_refused(pred, target, n, params):
+    for fn in (focal_loss, focal_loss_grad):
+        with pytest.raises(ValueError, match="pred holds NaN"):
+            fn(pred, target, n, params)
+
+
 def real_planes(n_lesions: int) -> tuple[np.ndarray, int]:
     scene = generate_scene(n_lesions, image_size=(768, 768), seed=40 + n_lesions)
     targets = render_targets(
@@ -141,8 +151,9 @@ def test_random_small_grids(params):
             assert_same_bits(pred.astype(dtype), target.astype(dtype), trial % 3, params)
 
 
+NAN_PREDS = [np.nan, -np.nan]
 SPECIAL_PREDS = [
-    0.0, 1.0, np.nan, -np.nan,
+    0.0, 1.0,
     EPS, np.nextafter(EPS, 0.0), np.nextafter(EPS, 1.0),
     1.0 - EPS, np.nextafter(1.0 - EPS, 0.0), np.nextafter(1.0 - EPS, 2.0),
     0.25, 0.5, 0.75,
@@ -157,25 +168,34 @@ def test_special_values(params, dtype, n):
     # every special prediction against every special target
     pred, target = np.meshgrid(SPECIAL_PREDS, SPECIAL_TARGETS, indexing="ij")
     assert_same_bits(pred.astype(dtype), target.astype(dtype), n, params)
+    pred, target = np.meshgrid(
+        SPECIAL_PREDS + NAN_PREDS, SPECIAL_TARGETS, indexing="ij"
+    )
+    assert_refused(pred.astype(dtype), target.astype(dtype), n, params)
     # and each special prediction alone on a peak and on a shoulder, so a
-    # NaN prediction does not hide the rest of the sum
-    for value in SPECIAL_PREDS:
+    # NaN prediction is refused wherever it is
+    for value in SPECIAL_PREDS + NAN_PREDS:
+        check = assert_refused if np.isnan(value) else assert_same_bits
         for peak in (True, False):
             pred = np.full((2, 3), 0.3)
             pred[0, 1] = value
             target = np.array([[0.0, 1.0 if peak else 0.7, 0.4], [1.0, -0.0, 0.9]])
-            assert_same_bits(pred.astype(dtype), target.astype(dtype), n, params)
+            check(pred.astype(dtype), target.astype(dtype), n, params)
 
 
 def test_nan_signs_in_both_sums():
-    """A NaN of each sign, one in each term's sum, keeps the total's order."""
+    """A NaN of either sign, in either term's sum, is refused."""
     pred = np.array([[np.nan, 0.4, -np.nan], [0.2, 0.3, 0.6]])
     target = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3]])
     for params in PARAMS:
-        assert_same_bits(pred, target, 2, params)
-        assert_same_bits(pred[:, ::-1].copy(), target[:, ::-1].copy(), 2, params)
+        assert_refused(pred, target, 2, params)
+        assert_refused(pred[:, ::-1].copy(), target[:, ::-1].copy(), 2, params)
         flipped = np.where(np.isnan(pred), -pred, pred)
-        assert_same_bits(flipped, target, 2, params)
+        assert_refused(flipped, target, 2, params)
+        for cell in ((0, 0), (0, 2)):  # a single NaN, in one sum only
+            one = np.where(np.isnan(pred), 0.5, pred)
+            one[cell] = np.nan
+            assert_refused(one.astype(np.float32), target, 2, params)
 
 
 LAYOUTS = {
