@@ -97,6 +97,8 @@ class _Outputs:
         tmp = path.with_name(path.name + ".tmp")
         try:
             writer(tmp)
+            # unlink first: ext4 writes out at once a file renamed over another
+            path.unlink(missing_ok=True)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

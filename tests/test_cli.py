@@ -1,14 +1,17 @@
 """Command-line surface: end-to-end flows, exit codes, byte determinism,
-config layering, and partial-output cleanup."""
+config layering, partial-output cleanup, and re-runs into the same paths."""
 
+import errno
 import hashlib
 import json
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from recistkit import cli
 from recistkit.cli import main
 from recistkit.dataio import read_detections, read_heatmaps
 
@@ -420,8 +423,10 @@ EXIT_CODE_CASES = [
         "detect", "--heatmaps", _huge(_bundles(stride="<huge>"), 4301)]),
 ]
 
-# What the message of a case above must name, besides its flag or box path.
+# What the message of a case above or in OUTPUT_PATH_CASES must name, besides
+# its flag, box path or output path.
 NAMED_IN_ERROR = {
+    "eval --out R, R.txt a directory": "R.txt",
     "detections score 401-digit int": "images['syn_11'][0].score",
     "detections extremes 401-digit int": "images['syn_11'][0].extremes.center",
     "detections 4301-digit int": "dets.json",
@@ -456,6 +461,12 @@ def _under_a_file(name):
     return lambda tmp_path, sim_dir: _a_file(tmp_path, sim_dir) / name
 
 
+def _report_with_txt_dir(tmp_path, sim_dir):
+    """The ``eval --out`` stem ``R``, where ``R.txt`` is a directory."""
+    (tmp_path / "R.txt").mkdir()
+    return tmp_path / "R"
+
+
 # Output paths that cannot be created or replaced; each ends in that path.
 OUTPUT_PATH_CASES = [
     ("render-targets --out FILE", [
@@ -472,6 +483,9 @@ OUTPUT_PATH_CASES = [
     ("detect --out DIR", ["detect", "--heatmaps", _sim_dir, "--out", _a_dir]),
     ("detect --out FILE/x.json", [
         "detect", "--heatmaps", _sim_dir, "--out", _under_a_file("x.json")]),
+    ("eval --out R, R.txt a directory", [
+        "eval", "--detections", _dets(), "--annotations", _sim_csv,
+        "--out", _report_with_txt_dir]),
 ]
 
 
@@ -509,9 +523,105 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3, err
         assert str(argv[-1]) in err, err
+        assert NAMED_IN_ERROR.get(case, "") in err, err
         # no partial outputs: the files and directories present are exactly
         # those set up
         assert sorted(tmp_path.rglob("*")) == before
+
+
+def _session(tmp_path):
+    """Every command that writes, each into its own paths under ``tmp_path``."""
+    sim, flip = tmp_path / "sim", tmp_path / "flip"
+    return [
+        ("simulate", "--out", sim, "--flipped-out", flip, "--scene-seed", 5,
+         "--n-lesions", 2, "--noise", 0.02),
+        ("render-targets", "--annotations", sim / "annotations.csv",
+         "--input-size", 768, "--out", tmp_path / "rendered"),
+        ("detect", "--heatmaps", sim, "--out", tmp_path / "orig.json"),
+        ("detect", "--heatmaps", flip, "--out", tmp_path / "flip.json"),
+        ("fuse", "--original", tmp_path / "orig.json",
+         "--flipped", tmp_path / "flip.json", "--image-width", 768,
+         "--out", tmp_path / "fused.json"),
+        ("eval", "--detections", tmp_path / "fused.json",
+         "--annotations", sim / "annotations.csv", "--out", tmp_path / "report"),
+        ("window", "--level", 50, "--width", 400,
+         "--in", _raw_f32(tmp_path, None), "--out", tmp_path / "norm.f32"),
+    ]
+
+
+def _files(root):
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in root.rglob("*")
+        if p.is_file()
+    }
+
+
+class TestReRuns:
+    """A command re-run into its own outputs replaces each of them whole."""
+
+    def test_rerun_writes_the_same_bytes(self, tmp_path):
+        session = _session(tmp_path)
+        for argv in session:
+            assert run(*argv) == 0, argv
+        first = _files(tmp_path)
+        for argv in session:
+            assert run(*argv) == 0, argv
+        assert _files(tmp_path) == first
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_rerun_moves_each_output_onto_an_absent_path(self, tmp_path,
+                                                         monkeypatch):
+        # the old output is gone before the new one is renamed over its
+        # path, so the rename never frees an old file's blocks
+        session = _session(tmp_path)
+        for argv in session:
+            assert run(*argv) == 0, argv
+        replace, moved = os.replace, []
+
+        def recording_replace(src, dst):
+            moved.append((Path(dst).relative_to(tmp_path).as_posix(),
+                          os.path.lexists(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", recording_replace)
+        for argv in session:
+            assert run(*argv) == 0, argv
+        outputs = sorted(set(_files(tmp_path)) - {"raw.f32"})
+        assert sorted(dst for dst, _ in moved) == outputs
+        assert [dst for dst, existed in moved if existed] == []
+
+    @pytest.mark.parametrize("command", ["window", "detect"])
+    def test_output_symlink_becomes_a_regular_file(self, command, sim_dir,
+                                                   tmp_path):
+        argv = {
+            "window": ["window", "--level", 50, "--width", 400,
+                       "--in", _raw_f32(tmp_path, sim_dir)],
+            "detect": ["detect", "--heatmaps", sim_dir],
+        }[command]
+        plain, link, target = tmp_path / "plain", tmp_path / "link", tmp_path / "target"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        assert run(*argv, "--out", plain) == 0
+        assert run(*argv, "--out", link) == 0
+        assert not link.is_symlink()
+        assert link.read_bytes() == plain.read_bytes()
+        assert target.read_bytes() == b"old"
+
+    def test_failing_writer_keeps_the_old_output(self, sim_dir, tmp_path,
+                                                 monkeypatch, capsys):
+        out = tmp_path / "dets.json"
+        out.write_bytes(b"old")
+
+        def failing_writer(detections, path, config=None):
+            Path(path).write_bytes(b"partial")
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(cli, "write_detections", failing_writer)
+        assert run("detect", "--heatmaps", sim_dir, "--out", out) == 3
+        assert "dets.json.tmp" in capsys.readouterr().err
+        assert out.read_bytes() == b"old"
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestHugeCoordinates:
