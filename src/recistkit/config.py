@@ -14,7 +14,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .dataio import InputFormatError, is_finite_number, load_json
+from .dataio import MAX_HEADER_INT, InputFormatError, is_finite_number, load_json
 from .evaluation import FP_TARGETS_DEFAULT
 from .fusion import SoftNmsConfig
 from .grouping import GroupingConfig
@@ -128,13 +128,14 @@ def build_sections(cfg: Mapping[str, Any]) -> dict[str, Any]:
         raise InputFormatError(f"config section eval: {exc}") from None
     render = cfg["render"]
     if not (
-        render["stride"] >= 1
-        and render["input_size"] >= 1
+        1 <= render["stride"] <= MAX_HEADER_INT
+        and 1 <= render["input_size"] <= MAX_HEADER_INT
         and 0.0 < render["min_overlap"] < 1.0
         and render["sigma_divisor"] > 0.0
     ):
         raise InputFormatError(
-            "config section render: stride and input_size must be >= 1, "
-            f"min_overlap in (0, 1) and sigma_divisor > 0, got {render}"
+            "config section render: stride and input_size must lie in "
+            f"[1, {MAX_HEADER_INT}], min_overlap in (0, 1) and "
+            f"sigma_divisor > 0, got {render}"
         )
     return built

@@ -236,11 +236,38 @@ def _non_finite_channels(*groups: np.ndarray) -> str:
     )
 
 
+# The header's sizes and stride are integers in [1, MAX_HEADER_INT]. The
+# bound keeps stride * (cell + offset) finite in float64 for every finite
+# float32 offset, so the detections of a readable bundle can be written.
+HEADER_INTS = ("height", "width", "stride", "input_width", "input_height")
+MAX_HEADER_INT = 2**31 - 1
+
+
+def _header_int_error(header: dict) -> str:
+    """'' when every HEADER_INTS value is an integer in range, else what is
+    wrong with the first that is not."""
+    for key in HEADER_INTS:
+        if key not in header:
+            return f"header missing {key}"
+        value = header[key]
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, int)
+            or not 1 <= value <= MAX_HEADER_INT
+        ):
+            return (
+                f"header {key} must be an integer in [1, {MAX_HEADER_INT}], "
+                f"got {value!r}"
+            )
+    return ""
+
+
 def write_heatmaps(bundle: HeatmapBundle, path: str | Path) -> None:
     """Serialize a bundle: magic, one-line JSON header, raw float32 planes.
 
     Raises ValueError, before the file is opened, when a plane holds NaN
-    or +-inf, which :func:`read_heatmaps` would reject.
+    or +-inf, or a size or the stride is out of range, which
+    :func:`read_heatmaps` would reject.
     """
     bad = _non_finite_channels(bundle.keypoint_maps, bundle.offset_maps)
     if bad:
@@ -254,6 +281,9 @@ def write_heatmaps(bundle: HeatmapBundle, path: str | Path) -> None:
         "stride": bundle.stride,
         "width": w,
     }
+    error = _header_int_error(header)
+    if error:
+        raise ValueError(f"{path}: {error}")
     with open(path, "wb") as fh:
         fh.write(HEATMAP_MAGIC)
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
@@ -277,14 +307,9 @@ def read_heatmaps(path: str | Path) -> HeatmapBundle:
             raise InputFormatError(f"{path}: malformed header: {exc}") from None
         if not isinstance(header, dict):
             raise InputFormatError(f"{path}: header must be a JSON object")
-        for key in ("height", "width", "stride", "input_width", "input_height"):
-            if key not in header:
-                raise InputFormatError(f"{path}: header missing {key}")
-            value = header[key]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise InputFormatError(
-                    f"{path}: header {key} must be an integer >= 1, got {value!r}"
-                )
+        error = _header_int_error(header)
+        if error:
+            raise InputFormatError(f"{path}: {error}")
         if header.get("channel_names") != list(CHANNEL_NAMES):
             raise InputFormatError(f"{path}: unexpected channel names")
 
@@ -367,9 +392,10 @@ def write_json(obj, path: str | Path) -> None:
 _SOURCES = ("original", "flipped")
 
 # One detections entry laid out as write_json lays it out inside a document,
-# with a placeholder per value: %r formats a float by float.__repr__, as json
-# does. The numbers follow sorted keys: bbox, the extremes by sorted role,
-# then the score; _ENTRY_COLUMNS picks them from a row plus its score.
+# with a %s placeholder per value, filled with float.__repr__ text as json
+# writes a float. The numbers follow sorted keys: bbox, the extremes by
+# sorted role, then the score; _ENTRY_COLUMNS picks them from a row plus its
+# score.
 _ENTRY_TEMPLATE = "      " + json.dumps(
     {
         "bbox": ["%r"] * 4,
@@ -379,7 +405,7 @@ _ENTRY_TEMPLATE = "      " + json.dumps(
     },
     sort_keys=True,
     indent=2,
-).replace('"%r"', "%r").replace("\n", "\n      ")
+).replace('"%r"', "%s").replace("\n", "\n      ")
 _ENTRY_COLUMNS = [
     *BOX_COLUMNS,
     *(2 * KEYPOINT_CHANNELS.index(role) + d
@@ -432,9 +458,14 @@ def write_detections(
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write('{\n  "config": %s,\n  "images": {' % echo)
         for i, (key, table, sources) in enumerate(images):
+            # repr each distinct float once; by bits, so -0.0 stays apart from 0.0
+            distinct, where = np.unique(table.view(np.uint64), return_inverse=True)
+            text = [repr(v) for v in distinct.view(np.float64).tolist()]
+            values = list(map(text.__getitem__, where.ravel().tolist()))
+            width = table.shape[1]
             entries = ",\n".join([
-                _ENTRY_TEMPLATE % (*values, source)
-                for values, source in zip(table.tolist(), sources)
+                _ENTRY_TEMPLATE % (*values[j * width : (j + 1) * width], source)
+                for j, source in enumerate(sources)
             ])
             body = f"[\n{entries}\n    ]" if entries else "[]"
             fh.write(f"{',' if i else ''}\n    {json.dumps(key)}: {body}")

@@ -164,28 +164,31 @@ class Detections(Sequence):
         return f"Detections({list(self)!r})"
 
 
-def _window_max(grid: np.ndarray, kernel: int) -> np.ndarray:
-    """Max of the kernel x kernel neighborhood, borders use in-bounds cells.
-
-    Separable: a running max along each row, then along each column. NaN
-    propagates through both passes, as through one 2-D window.
-    """
-    across = grid.copy()
-    for d in range(1, kernel // 2 + 1):
-        np.maximum(across[:, d:], grid[:, :-d], out=across[:, d:])
-        np.maximum(across[:, :-d], grid[:, d:], out=across[:, :-d])
-    out = across.copy()
-    for d in range(1, kernel // 2 + 1):
-        np.maximum(out[d:], across[:-d], out=out[d:])
-        np.maximum(out[:-d], across[d:], out=out[:-d])
-    return out
-
-
 def _peak_array(heatmap: np.ndarray, cfg: GroupingConfig) -> np.ndarray:
-    """(3, n) float64 rows, columns and scores of one map's kept peaks."""
-    mask = (heatmap == _window_max(heatmap, cfg.kernel)) & (heatmap > cfg.tau_e)
-    rows, cols = np.divmod(np.flatnonzero(mask), heatmap.shape[1])
-    scores = heatmap[rows, cols].astype(np.float64)
+    """(3, n) float64 rows, columns and scores of one map's kept peaks.
+
+    Only a cell above ``tau_e`` can be kept, so only those cells are
+    tested: one is a peak when no cell of its window is greater or NaN.
+    Window indices are clipped to the grid, which reads the map through an
+    edge-replicated pad without building it; a border window then holds
+    copies of in-bounds cells only, so no fill value is needed and any
+    dtype works. See :func:`extract_peaks` for why this is the window
+    max-equality rule.
+    """
+    h, w = heatmap.shape
+    flat = heatmap.ravel()
+    cells = np.flatnonzero(flat > cfg.tau_e)
+    rows, cols = np.divmod(cells, w)
+    reach = np.arange(-(cfg.kernel // 2), cfg.kernel // 2 + 1)[:, None]
+    near_rows = np.clip(rows + reach, 0, h - 1)
+    near_rows *= w
+    near_cols = np.clip(cols + reach, 0, w - 1)
+    values = flat[cells]
+    # (kernel, kernel, n) window cells, candidates along the last axis
+    window = flat[near_rows[:, None, :] + near_cols[None, :, :]]
+    keep = (window <= values).all(axis=(0, 1))
+    rows, cols = rows[keep], cols[keep]
+    scores = values[keep].astype(np.float64)
     # cells come in row-major order, so a stable sort breaks ties on (row, col)
     order = np.argsort(-scores, kind="stable")[: cfg.k1]
     return np.stack((rows[order], cols[order], scores[order]))
@@ -196,10 +199,18 @@ def extract_peaks(
 ) -> list[Peak]:
     """Local peaks of one map: neighborhood-max cells scoring above tau_e.
 
-    A cell qualifies when it equals the maximum of its window (plateau cells
-    all qualify) and its score strictly exceeds the threshold. Results are
-    ordered by score descending, ties by row then column ascending, and
-    truncated to ``k1``.
+    A cell qualifies when it equals the maximum of its ``kernel`` x
+    ``kernel`` window, which at the border holds only in-bounds cells
+    (plateau cells all qualify), and its score strictly exceeds the
+    threshold: the 3 x 3 max-pooling peak rule of ExtremeNet and CenterNet.
+    Results are ordered by score descending, ties by row then column
+    ascending, and truncated to ``k1``.
+
+    Only cells above the threshold are tested, each against its window by
+    ``>=``. That is the same rule: the cell lies in its own window, so it
+    equals the window's maximum exactly when no window cell is greater; a
+    NaN in the window makes that maximum NaN, which equals nothing, and
+    fails ``>=`` just the same; a NaN cell is never above the threshold.
     """
     rows, cols, scores = _peak_array(heatmap, cfg).tolist()
     return [

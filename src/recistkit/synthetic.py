@@ -25,11 +25,8 @@ from .dataio import RecistAnnotation
 from .geometry import (
     BBox,
     Point2,
-    bbox_from_extremes,
-    extremes_from_recist,
     flip_horizontal,
     ordered_diameters,
-    pad_bbox,
 )
 from .grouping import GroupingConfig, _enumerate_rows
 from .rng import SplitMix64
@@ -113,9 +110,10 @@ def _quantize(v: float) -> float:
     return math.floor(v / QUANTUM + 0.5) * QUANTUM
 
 
-def _axis_gaps(a: BBox, b: BBox) -> tuple[float, float]:
-    """Per-axis interval separation of two boxes; negative when overlapping."""
-    return (max(b.x1 - a.x2, a.x1 - b.x2), max(b.y1 - a.y2, a.y1 - b.y2))
+def _axis_gaps(a, b) -> tuple[float, float]:
+    """Per-axis interval separation of two (x1, y1, x2, y2) boxes; negative
+    when overlapping."""
+    return (max(b[0] - a[2], a[0] - b[2]), max(b[1] - a[3], a[1] - b[3]))
 
 
 def _decodes_to_itself(
@@ -196,7 +194,7 @@ def generate_scene(
         )
 
     for _restart in range(max_restarts):
-        placed_boxes: list[BBox] = []
+        placed_boxes: list[tuple[float, float, float, float]] = []
         annotations: list[RecistAnnotation] = []
         feasible = True
 
@@ -218,24 +216,25 @@ def generate_scene(
                 a = long_mm / _SPACING[0] / 2.0
                 b = a * aspect
                 ct, st = math.cos(theta), math.sin(theta)
-                points = [
-                    Point2(_quantize(cx + a * ct), _quantize(cy + a * st)),
-                    Point2(_quantize(cx - a * ct), _quantize(cy - a * st)),
-                    Point2(_quantize(cx - b * st), _quantize(cy + b * ct)),
-                    Point2(_quantize(cx + b * st), _quantize(cy - b * ct)),
-                ]
-                diameters = ordered_diameters(*points)
-                extremes = extremes_from_recist(diameters)
-                tight = bbox_from_extremes(extremes)
-                padded = pad_bbox(tight, _BOX_PAD)
-
-                if tight.width < _MIN_BOX_SIDE or tight.height < _MIN_BOX_SIDE:
+                # long endpoints, then short ones; the tight box is the min
+                # and max of the endpoints, exactly the box of their extremes
+                xs = (
+                    _quantize(cx + a * ct), _quantize(cx - a * ct),
+                    _quantize(cx - b * st), _quantize(cx + b * st),
+                )
+                ys = (
+                    _quantize(cy + a * st), _quantize(cy - a * st),
+                    _quantize(cy + b * ct), _quantize(cy - b * ct),
+                )
+                x1, x2, y1, y2 = min(xs), max(xs), min(ys), max(ys)
+                if x2 - x1 < _MIN_BOX_SIDE or y2 - y1 < _MIN_BOX_SIDE:
                     continue
+                padded = (x1 - _BOX_PAD, y1 - _BOX_PAD, x2 + _BOX_PAD, y2 + _BOX_PAD)
                 if not (
-                    padded.x1 >= 0
-                    and padded.y1 >= 0
-                    and padded.x2 <= width - 1
-                    and padded.y2 <= height - 1
+                    padded[0] >= 0
+                    and padded[1] >= 0
+                    and padded[2] <= width - 1
+                    and padded[3] <= height - 1
                 ):
                     continue
                 if any(
@@ -245,11 +244,12 @@ def generate_scene(
                     continue
 
                 placed_boxes.append(padded)
+                diameters = ordered_diameters(*map(Point2, xs, ys))
                 annotations.append(
                     RecistAnnotation(
                         file_name=f"syn_{seed}",
                         diameters=diameters,
-                        bbox=padded,
+                        bbox=BBox(*padded),
                         lesion_type=(index % 8) + 1,
                         diameters_px=(
                             diameters.long_length,
@@ -355,16 +355,18 @@ def simulate_heatmaps(
     }
     span = 2 * cfg.jitter_cells + 1
 
-    for ann in scene.annotations:
+    n_roles = len(KEYPOINT_CHANNELS)
+    # (drop, jitter x, jitter y) uniforms per lesion and role, in draw order
+    draws = rng.uniforms(3 * n_roles * len(scene.annotations))
+    for ann, lesion_draws in zip(
+        scene.annotations, draws.reshape(-1, n_roles, 3).tolist()
+    ):
         extremes = ann.extremes()
         radius = lesion_radius(extremes, stride, min_overlap)
 
-        for role_idx, (role, p) in enumerate(
-            zip(KEYPOINT_CHANNELS, extremes.points())
+        for role_idx, (role, p, (u_drop, u_jx, u_jy)) in enumerate(
+            zip(KEYPOINT_CHANNELS, extremes.points(), lesion_draws)
         ):
-            u_drop = rng.uniform()
-            u_jx = rng.uniform()
-            u_jy = rng.uniform()
             if u_drop < cfg.peak_drop_prob:
                 continue
             row, col = keypoint_cell(p, stride)

@@ -9,6 +9,7 @@ for the center role).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,6 +127,18 @@ def gaussian_kernel(radius: int, sigma_divisor: float = 3.0) -> np.ndarray:
     return np.exp(-d2 / (2.0 * sigma * sigma))
 
 
+@functools.lru_cache(maxsize=16, typed=True)
+def _shared_kernel(
+    radius: int, peak: float, sign: float, sigma_divisor: float
+) -> np.ndarray:
+    """The float32 kernel :func:`draw_gaussian` draws, computed once per key
+    and read-only. ``sign`` is ``peak``'s, since -0.0 and 0.0 are equal keys
+    but scale a kernel to different bits."""
+    kernel = (gaussian_kernel(radius, sigma_divisor) * peak).astype(np.float32)
+    kernel.flags.writeable = False
+    return kernel
+
+
 def draw_gaussian(
     heatmap: np.ndarray,
     cell: Cell,
@@ -140,7 +153,7 @@ def draw_gaussian(
     """
     row, col = cell
     h, w = heatmap.shape
-    kernel = (gaussian_kernel(radius, sigma_divisor) * peak).astype(np.float32)
+    kernel = _shared_kernel(radius, peak, math.copysign(1.0, peak), sigma_divisor)
 
     top = min(row, radius)
     bottom = min(h - row, radius + 1)

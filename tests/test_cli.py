@@ -355,6 +355,12 @@ EXIT_CODE_CASES = [
     ("rkhm stride 0", 3, ["detect", "--heatmaps", _bundles(stride=0)]),
     ("rkhm stride string", 3, ["detect", "--heatmaps", _bundles(stride="4")]),
     ("rkhm negative height", 3, ["detect", "--heatmaps", _bundles(height=-192)]),
+    ("rkhm stride 2**31", 3, ["detect", "--heatmaps", _bundles(stride=2**31)]),
+    # a stride past the float range used to end in an OverflowError, exit 4
+    ("rkhm stride 310-digit int", 3, [
+        "detect", "--heatmaps", _bundles(stride=10**309)]),
+    ("render-targets --stride 2**31", 3, [
+        "render-targets", "--annotations", _sim_csv, "--stride", 2**31]),
     ("detections bbox string", 3, _fuse(
         _dets(bbox=[100.0, 100.0, 150.0, "abc"]))),
     ("detections bbox null", 3, _fuse(_dets(bbox=[100.0, 100.0, 150.0, None]))),
@@ -432,6 +438,9 @@ NAMED_IN_ERROR = {
     "detections 4301-digit int": "dets.json",
     "config 4301-digit int": "cfg.json",
     "rkhm header 4301-digit int": "syn_11.rkhm",
+    "rkhm stride 2**31": "header stride must be an integer in [1, 2147483647]",
+    "rkhm stride 310-digit int": "syn_11.rkhm: header stride must be an integer",
+    "render-targets --stride 2**31": "input_size must lie in [1, 2147483647]",
     "render-targets keypoints off a 64 px input": "outside the 16x16 output grid",
     "detect --workers 0": "argument --workers: must be >= 1",
     "detect --workers -5": "argument --workers: must be >= 1",

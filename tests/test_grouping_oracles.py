@@ -1,5 +1,5 @@
-"""Sparse center-cell enumeration, separable window max and flat-index peak
-extraction against the dense implementations they replaced, bit for bit.
+"""Sparse center-cell enumeration and candidate-only peak extraction against
+the dense implementations they replaced, bit for bit.
 
 The three oracles below are the dense implementations, copied without
 change. The enumeration oracle is swapped in for the block function, so
@@ -307,17 +307,54 @@ def test_property_sparse_join_equals_dense(case):
 # --- peak extraction --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kernel", [1, 3, 5])
+def more_peak_grids(rng, kernel):
+    """A float64 map with +inf, an integer map, a map smaller than the
+    kernel, and a float32 map with a plateau along one border."""
+    h, w = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+    wide = rng.uniform(0.0, 1.0, size=(h, w))  # float64 values float32 would tie
+    wide[rng.random((h, w)) < 0.03] = np.nan
+    wide[rng.random((h, w)) < 0.03] = np.inf
+    dtype = rng.choice([np.int8, np.uint16, np.int32, np.int64])
+    whole = rng.integers(0, 4, size=(h, w)).astype(dtype)
+    side = max(kernel - 1, 1)
+    small = rng.choice(LEVELS, size=tuple(rng.integers(1, side + 1, size=2)))
+    border = random_peak_grid(rng)
+    top = border[np.isfinite(border)].max(initial=0.0)
+    line = [border[0], border[-1], border[:, 0], border[:, -1]][rng.integers(4)]
+    start = int(rng.integers(0, line.size))
+    line[start : start + int(rng.integers(1, line.size + 1))] = top
+    return [wide, whole, small.astype(np.float32), border]
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5, 7])
 def test_window_max_matches_dense_oracle(kernel):
+    """The candidate test keeps exactly the cells above tau_e that equal
+    their dense window maximum, in every dtype."""
     rng = np.random.default_rng(60 + kernel)
+    more = np.random.default_rng(160 + kernel)  # leaves rng's grids as they were
+    dtypes = set()
     for _ in range(200):
-        grid = random_peak_grid(rng)
-        got = grouping._window_max(grid, kernel)
-        assert got.dtype == grid.dtype
-        assert got.tobytes() == dense_window_max(grid, kernel).tobytes()
+        for grid in (random_peak_grid(rng), *more_peak_grids(more, kernel)):
+            tau_e = float(more.choice([0.0, 0.1, 0.5]))
+            cfg = GroupingConfig(tau_e=tau_e, k1=grid.size, kernel=kernel)
+            rows, cols, scores = grouping._peak_array(grid, cfg)
+            # the oracle fills with -inf, so integer maps go in as float64
+            exact = grid if grid.dtype.kind == "f" else grid.astype(np.float64)
+            win = dense_window_max(exact, kernel)
+            assert win.dtype == exact.dtype
+            expected = np.argwhere((exact == win) & (exact > tau_e))
+            got = np.column_stack((rows, cols)).astype(np.intp)
+            assert sorted(map(tuple, got.tolist())) == sorted(
+                map(tuple, expected.tolist())
+            )
+            assert scores.tobytes() == grid[
+                got[:, 0], got[:, 1]
+            ].astype(np.float64).tobytes()
+            dtypes.add(grid.dtype.kind)
+    assert dtypes == {"f", "i", "u"}
 
 
-@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("kernel", [1, 3, 5, 7])
 def test_extract_peaks_matches_dense_oracle(kernel):
     rng = np.random.default_rng(70 + kernel)
     found = 0

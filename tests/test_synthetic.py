@@ -79,7 +79,7 @@ class TestGenerateScene:
     def test_three_lesions_at_512_with_gaps(self):
         scene = generate_scene(3, image_size=(512, 512), seed=8, min_gap=16.0)
         assert len(scene.annotations) == 3
-        boxes = [ann.bbox for ann in scene.annotations]
+        boxes = [ann.bbox.as_tuple() for ann in scene.annotations]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert min(_axis_gaps(boxes[i], boxes[j])) >= 16.0

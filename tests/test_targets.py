@@ -1,15 +1,18 @@
 """Target rendering: radius rule vs a shifted-IoU oracle, kernel maxima,
-offset exactness, and bounds checking."""
+the shared kernel memo, offset exactness, and bounds checking."""
 
 import math
 
 import numpy as np
 import pytest
 
+from recistkit import targets
 from recistkit.geometry import BBox, Point2, iou
 from recistkit.targets import (
     EXTREME_ROLES,
     KEYPOINT_CHANNELS,
+    draw_gaussian,
+    gaussian_kernel,
     gaussian_radius,
     keypoint_cell,
     offset_target,
@@ -79,6 +82,69 @@ class TestGaussianRadius:
             gaussian_radius(0.0, 5.0)
         with pytest.raises(ValueError):
             gaussian_radius(5.0, -1.0)
+
+
+def drawn(radius, peak=1.0, sigma_divisor=3.0) -> np.ndarray:
+    """The kernel window ``draw_gaussian`` leaves in an empty map."""
+    side = 2 * radius + 1
+    heatmap = np.zeros((side + 4, side + 4), dtype=np.float32)
+    draw_gaussian(heatmap, (radius + 2, radius + 2), radius, peak, sigma_divisor)
+    return heatmap[2 : 2 + side, 2 : 2 + side]
+
+
+def fresh(radius, peak=1.0, sigma_divisor=3.0, background=0.0) -> np.ndarray:
+    """What ``draw_gaussian`` drew into a map of ``background`` before its
+    kernels were shared."""
+    kernel = (gaussian_kernel(radius, sigma_divisor) * peak).astype(np.float32)
+    return np.maximum(np.float32(background), kernel)
+
+
+class TestKernelMemo:
+    def test_gaussian_kernel_returns_a_fresh_writable_array(self):
+        a, b = gaussian_kernel(3), gaussian_kernel(3)
+        assert a is not b and a.flags.writeable
+        a[:] = 7.0
+        assert drawn(3).tobytes() == fresh(3).tobytes()
+        shared = targets._shared_kernel(3, 1.0, 1.0, 3.0)
+        assert not np.shares_memory(gaussian_kernel(3), shared)
+
+    def test_memo_array_is_read_only(self):
+        drawn(3)
+        kernel = targets._shared_kernel(3, 1.0, 1.0, 3.0)
+        assert not kernel.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kernel[0, 0] = 1.0
+
+    def test_writing_a_drawn_map_changes_no_later_draw(self):
+        heatmap = np.zeros((9, 9), dtype=np.float32)
+        draw_gaussian(heatmap, (4, 4), 3)
+        heatmap[:] = -1.0
+        assert drawn(3).tobytes() == fresh(3).tobytes()
+
+    def test_arbitrary_peaks_draw_the_unshared_bits(self):
+        rng = np.random.default_rng(29)
+        peaks = [1.0, 0.1, 0.5, 3.0, 1e-30, 5e-324, 0.0, *rng.uniform(0.1, 1.0, 40)]
+        for peak in peaks:
+            for radius in (1, 2, 3, 7):
+                for divisor in (3.0, 2.5, 6):
+                    expected = fresh(radius, peak, divisor).tobytes()
+                    for _ in range(2):  # a miss, then a hit
+                        assert drawn(radius, peak, divisor).tobytes() == expected
+
+    def test_signed_zero_peaks_are_kept_apart(self):
+        # on a negative map the kernel's zeros show their sign
+        for peak in (0.0, -0.0, 0.0, -0.0):
+            heatmap = np.full((3, 3), -1.0, dtype=np.float32)
+            draw_gaussian(heatmap, (1, 1), 1, peak)
+            assert heatmap.tobytes() == fresh(1, peak, background=-1.0).tobytes()
+            assert np.signbit(heatmap).all() == (str(peak) == "-0.0")
+
+    def test_divisor_types_are_kept_apart(self):
+        # 3 / 2.5 rounds differently in float32, so the two kernels differ
+        for divisor in (2.5, np.float32(2.5), 2.5):
+            got = drawn(3, 0.75, divisor)
+            assert got.tobytes() == fresh(3, 0.75, divisor).tobytes()
+        assert drawn(3, 1.0, 2.5).tobytes() != drawn(3, 1.0, np.float32(2.5)).tobytes()
 
 
 class TestOffsetTarget:
