@@ -158,6 +158,8 @@ def _cmd_render_targets(args) -> int:
     with _Outputs() as outputs:
         outputs.mkdir(out_dir)
         for key in sorted(by_image):
+            if not key or Path(key).name != key:  # it names the output file
+                raise InputFormatError(f"image key {key!r} is not a file name")
             extremes = [ann.extremes() for ann in by_image[key]]
             try:
                 targets = render_targets(
@@ -171,6 +173,11 @@ def _cmd_render_targets(args) -> int:
                 )
             except ValueError as exc:
                 raise InputFormatError(f"image {key}: {exc}") from None
+            except MemoryError:
+                raise InputFormatError(
+                    f"config key render.input_size: the {out_w}x{out_h} heatmap "
+                    f"planes of {input_size} px at stride {stride} cannot be allocated"
+                ) from None
             outputs.run(
                 out_dir / f"{key}{HEATMAP_SUFFIX}",
                 lambda tmp, b=targets.bundle: write_heatmaps(b, tmp),
@@ -371,20 +378,6 @@ def _cmd_simulate(args) -> int:
     render = cfg["render"]
     stride = render["stride"]
 
-    try:
-        scene = generate_scene(
-            args.n_lesions,
-            image_size=(args.image_size, args.image_size),
-            seed=args.scene_seed,
-            clearance_stride=stride,
-            clearance_tau=cfg["grouping"]["tau_c"],
-            min_overlap=render["min_overlap"],
-            sigma_divisor=render["sigma_divisor"],
-        )
-    except ValueError as exc:
-        print(f"error: usage: --n-lesions {args.n_lesions} at --stride {stride}: "
-              f"{exc}", file=sys.stderr)
-        return 2
     degradation_seed = (
         args.degradation_seed if args.degradation_seed is not None else args.scene_seed
     )
@@ -395,6 +388,35 @@ def _cmd_simulate(args) -> int:
         jitter_cells=args.jitter,
         seed=degradation_seed,
     )
+    try:
+        scene = generate_scene(
+            args.n_lesions,
+            image_size=(args.image_size, args.image_size),
+            seed=args.scene_seed,
+            clearance_stride=stride,
+            clearance_tau=cfg["grouping"]["tau_c"],
+            min_overlap=render["min_overlap"],
+            sigma_divisor=render["sigma_divisor"],
+        )
+        # (directory, scene, degradation) of the original view, then the flipped
+        views = [(args.out, scene, degradation)]
+        if args.flipped_out:
+            flipped = dataclasses.replace(degradation, seed=degradation_seed + 1)
+            views.append((args.flipped_out, flip_scene(scene), flipped))
+        bundles = [
+            simulate_heatmaps(view, view_degradation, stride,
+                              min_overlap=render["min_overlap"],
+                              sigma_divisor=render["sigma_divisor"])
+            for _, view, view_degradation in views
+        ]
+    except ValueError as exc:
+        print(f"error: usage: --n-lesions {args.n_lesions} at --stride {stride}: "
+              f"{exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: usage: --image-size {args.image_size} at --stride {stride}: "
+              "its heatmap planes cannot be allocated", file=sys.stderr)
+        return 2
 
     key = f"syn_{args.scene_seed}"
     provenance = dict(cfg)
@@ -410,41 +432,20 @@ def _cmd_simulate(args) -> int:
     }
 
     with _Outputs() as outputs:
-        out_dir = Path(args.out)
-        outputs.mkdir(out_dir)
-        bundle = simulate_heatmaps(
-            scene,
-            degradation,
-            stride,
-            min_overlap=render["min_overlap"],
-            sigma_divisor=render["sigma_divisor"],
-        )
-        outputs.run(
-            out_dir / f"{key}{HEATMAP_SUFFIX}",
-            lambda tmp: write_heatmaps(bundle, tmp),
-        )
-        outputs.run(
-            out_dir / "annotations.csv",
-            lambda tmp: write_annotations(scene.annotations, tmp),
-        )
-        outputs.run(out_dir / "config.json", lambda tmp: write_json(provenance, tmp))
-
-        if args.flipped_out:
-            flipped_dir = Path(args.flipped_out)
-            outputs.mkdir(flipped_dir)
-            flipped_bundle = simulate_heatmaps(
-                flip_scene(scene),
-                dataclasses.replace(degradation, seed=degradation_seed + 1),
-                stride,
-                min_overlap=render["min_overlap"],
-                sigma_divisor=render["sigma_divisor"],
-            )
+        for (out, _, _), bundle in zip(views, bundles):
+            out_dir = Path(out)
+            outputs.mkdir(out_dir)
             outputs.run(
-                flipped_dir / f"{key}{HEATMAP_SUFFIX}",
-                lambda tmp: write_heatmaps(flipped_bundle, tmp),
+                out_dir / f"{key}{HEATMAP_SUFFIX}",
+                lambda tmp, b=bundle: write_heatmaps(b, tmp),
             )
+            if bundle is bundles[0]:
+                outputs.run(
+                    out_dir / "annotations.csv",
+                    lambda tmp: write_annotations(scene.annotations, tmp),
+                )
             outputs.run(
-                flipped_dir / "config.json", lambda tmp: write_json(provenance, tmp)
+                out_dir / "config.json", lambda tmp: write_json(provenance, tmp)
             )
 
     print(

@@ -131,11 +131,11 @@ def build_sections(cfg: Mapping[str, Any]) -> dict[str, Any]:
         1 <= render["stride"] <= MAX_HEADER_INT
         and 1 <= render["input_size"] <= MAX_HEADER_INT
         and 0.0 < render["min_overlap"] < 1.0
-        and render["sigma_divisor"] > 0.0
+        and 0.0 < render["sigma_divisor"] <= MAX_HEADER_INT
     ):
         raise InputFormatError(
             "config section render: stride and input_size must lie in "
             f"[1, {MAX_HEADER_INT}], min_overlap in (0, 1) and "
-            f"sigma_divisor > 0, got {render}"
+            f"sigma_divisor in (0, {MAX_HEADER_INT}], got {render}"
         )
     return built

@@ -9,6 +9,7 @@ planes behind a one-line JSON header, so bundles round-trip bit for bit.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import operator
@@ -97,7 +98,8 @@ class ParseResult:
     inconsistent: list[str] = field(default_factory=list)  # file_name keys
 
 
-def _floats(raw: str, expect: int, row_num: int, column: str) -> list[float]:
+def _floats(row: dict, column: str, expect: int, row_num: int) -> list[float]:
+    raw = row[column]
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != expect:
         raise InputFormatError(
@@ -105,9 +107,21 @@ def _floats(raw: str, expect: int, row_num: int, column: str) -> list[float]:
             f"got {len(parts)}"
         )
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise InputFormatError(f"row {row_num}: column {column}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise InputFormatError(
+            f"row {row_num}: column {column} must hold finite numbers, got {raw!r}"
+        )
+    return values
+
+
+def _utf8_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def parse_annotations(
@@ -118,107 +132,95 @@ def parse_annotations(
     The exclusion list is a text file of File_name keys, one per line
     (blank lines and ``#`` comments ignored); every row whose key appears
     on it is dropped and counted. Rows whose provided bounding box does not
-    reproduce from the diameters are kept but flagged. A malformed row or a
-    missing column raises :class:`InputFormatError`.
+    reproduce from the diameters are kept but flagged. A file that is not
+    UTF-8, a missing column, or a malformed or short row raises
+    :class:`InputFormatError`.
     """
     excluded_keys: set[str] = set()
     if exclusion_list_path is not None:
-        for line in Path(exclusion_list_path).read_text().splitlines():
+        for line in _utf8_text(exclusion_list_path).splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
                 excluded_keys.add(line)
 
     result = ParseResult(annotations=[])
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        if missing:
-            raise InputFormatError(f"missing required column(s): {', '.join(missing)}")
+    reader = csv.DictReader(io.StringIO(_utf8_text(csv_path), newline=""))
+    header = reader.fieldnames or []
+    missing = [c for c in CSV_COLUMNS if c not in header]
+    if missing:
+        raise InputFormatError(f"missing required column(s): {', '.join(missing)}")
 
-        for row_num, row in enumerate(reader, start=2):  # 1 is the header
-            key = row["File_name"].strip()
-            if key in excluded_keys:
-                result.n_excluded += 1
-                continue
+    for row_num, row in enumerate(reader, start=2):  # 1 is the header
+        if None in row.values():  # a field the header names is missing
+            raise InputFormatError(f"row {row_num}: fewer fields than the header")
+        key = row["File_name"].strip()
+        if key in excluded_keys:
+            result.n_excluded += 1
+            continue
 
-            coords = _floats(
-                row["Measurement_coordinates"], 8, row_num, "Measurement_coordinates"
+        coords = _floats(row, "Measurement_coordinates", 8, row_num)
+        box_vals = _floats(row, "Bounding_boxes", 4, row_num)
+        diam_px = _floats(row, "Lesion_diameters_Pixel_", 2, row_num)
+        spacing = _floats(row, "Spacing_mm_px_", 3, row_num)
+        try:
+            lesion_type = int(row["Coarse_lesion_type"])
+            split_code = int(row["Train_Val_Test"])
+        except ValueError as exc:
+            raise InputFormatError(f"row {row_num}: {exc}") from None
+        if split_code not in SPLIT_NAMES:
+            raise InputFormatError(
+                f"row {row_num}: Train_Val_Test must be 1, 2 or 3, "
+                f"got {split_code}"
             )
-            box_vals = _floats(row["Bounding_boxes"], 4, row_num, "Bounding_boxes")
-            diam_px = _floats(
-                row["Lesion_diameters_Pixel_"], 2, row_num, "Lesion_diameters_Pixel_"
-            )
-            spacing = _floats(row["Spacing_mm_px_"], 3, row_num, "Spacing_mm_px_")
-            try:
-                lesion_type = int(row["Coarse_lesion_type"])
-                split_code = int(row["Train_Val_Test"])
-            except ValueError as exc:
-                raise InputFormatError(f"row {row_num}: {exc}") from None
-            if split_code not in SPLIT_NAMES:
-                raise InputFormatError(
-                    f"row {row_num}: Train_Val_Test must be 1, 2 or 3, "
-                    f"got {split_code}"
-                )
 
-            diameters = ordered_diameters(
-                Point2(coords[0], coords[1]),
-                Point2(coords[2], coords[3]),
-                Point2(coords[4], coords[5]),
-                Point2(coords[6], coords[7]),
-            )
-            bbox = BBox(*box_vals)
+        diameters = ordered_diameters(*map(Point2, coords[0::2], coords[1::2]))
+        bbox = BBox(*box_vals)
 
-            derived = pad_bbox(
-                bbox_from_extremes(extremes_from_recist(diameters)), BOX_PADDING
-            )
-            consistent = all(
-                abs(a - b) <= BOX_CONSISTENCY_TOL
-                for a, b in zip(derived.as_tuple(), bbox.as_tuple())
-            )
-            if not consistent:
-                result.inconsistent.append(key)
+        derived = pad_bbox(
+            bbox_from_extremes(extremes_from_recist(diameters)), BOX_PADDING
+        )
+        consistent = all(
+            abs(a - b) <= BOX_CONSISTENCY_TOL
+            for a, b in zip(derived.as_tuple(), bbox.as_tuple())
+        )
+        if not consistent:
+            result.inconsistent.append(key)
 
-            result.annotations.append(
-                RecistAnnotation(
-                    file_name=key,
-                    diameters=diameters,
-                    bbox=bbox,
-                    lesion_type=lesion_type,
-                    diameters_px=(diam_px[0], diam_px[1]),
-                    spacing=(spacing[0], spacing[1], spacing[2]),
-                    split=SPLIT_NAMES[split_code],
-                    bbox_consistent=consistent,
-                )
+        result.annotations.append(
+            RecistAnnotation(
+                file_name=key,
+                diameters=diameters,
+                bbox=bbox,
+                lesion_type=lesion_type,
+                diameters_px=(diam_px[0], diam_px[1]),
+                spacing=(spacing[0], spacing[1], spacing[2]),
+                split=SPLIT_NAMES[split_code],
+                bbox_consistent=consistent,
             )
+        )
     return result
 
 
 def write_annotations(
     annotations: Sequence[RecistAnnotation], csv_path: str | Path
 ) -> None:
-    """Write annotations in the same CSV schema that parse_annotations reads."""
+    """Write annotations in the same CSV schema that parse_annotations reads;
+    a NaN or infinite number raises ValueError before the file is opened."""
     split_codes = {name: code for code, name in SPLIT_NAMES.items()}
+    rows = []
+    for index, ann in enumerate(annotations):
+        coords = [v for p in ann.diameters.endpoints() for v in (p.x, p.y)]
+        numbers = [coords, ann.bbox.as_tuple(), ann.diameters_px, ann.spacing]
+        if not all(map(math.isfinite, chain(*numbers))):
+            raise ValueError(f"annotation {index} ({ann.file_name}): coordinates, "
+                             "diameters and spacing must be finite")
+        text = [", ".join(map(repr, column)) for column in numbers]
+        rows.append([ann.file_name, *text[:2], ann.lesion_type, *text[2:],
+                     split_codes[ann.split]])
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for ann in annotations:
-            d = ann.diameters
-            coords = [
-                d.long_a.x, d.long_a.y, d.long_b.x, d.long_b.y,
-                d.short_a.x, d.short_a.y, d.short_b.x, d.short_b.y,
-            ]
-            writer.writerow(
-                [
-                    ann.file_name,
-                    ", ".join(repr(v) for v in coords),
-                    ", ".join(repr(v) for v in ann.bbox.as_tuple()),
-                    ann.lesion_type,
-                    ", ".join(repr(v) for v in ann.diameters_px),
-                    ", ".join(repr(v) for v in ann.spacing),
-                    split_codes[ann.split],
-                ]
-            )
+        writer.writerows(rows)
 
 
 def _non_finite_channels(*groups: np.ndarray) -> str:

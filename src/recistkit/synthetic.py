@@ -16,6 +16,7 @@ configuration details that happen to ignore some draws.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -35,10 +36,8 @@ from .targets import (
     KEYPOINT_CHANNELS,
     HeatmapBundle,
     TargetBundle,
+    _draw_lesions,
     draw_gaussian,
-    draw_keypoint,
-    keypoint_cell,
-    lesion_radius,
     output_grid,
     render_targets,
 )
@@ -58,6 +57,10 @@ _MIN_BOX_SIDE = 40.0
 _MAX_ATTEMPTS = 500
 _BOX_PAD = 5.0  # px added on each side of a tight box
 
+# Spurious peaks: the lowest score and the kernel radius in cells.
+_SPURIOUS_SCORE_MIN = 0.1
+_SPURIOUS_RADIUS = 2
+
 
 @dataclass(frozen=True, slots=True)
 class DegradationConfig:
@@ -68,7 +71,7 @@ class DegradationConfig:
     ``peak_drop_prob``; surviving kernels move uniformly within
     ``jitter_cells`` cells per axis. Spurious peaks arrive Poisson
     (``spurious_rate``) per map with scores uniform in
-    (``spurious_score_min``, 1), never within 2 cells of a true peak.
+    (``_SPURIOUS_SCORE_MIN``, 1), never within 2 cells of a true peak.
     """
 
     noise_sigma: float = 0.0
@@ -76,8 +79,6 @@ class DegradationConfig:
     spurious_rate: float = 0.0
     jitter_cells: int = 0
     seed: int = 0
-    spurious_score_min: float = 0.1
-    spurious_radius: int = 2
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.peak_drop_prob <= 1.0:
@@ -88,10 +89,6 @@ class DegradationConfig:
             raise ValueError("spurious_rate must be >= 0")
         if self.jitter_cells < 0:
             raise ValueError("jitter_cells must be >= 0")
-        if not 0.0 <= self.spurious_score_min < 1.0:
-            raise ValueError("spurious_score_min must lie in [0, 1)")
-        if self.spurious_radius < 1:
-            raise ValueError("spurious_radius must be >= 1")
 
 
 @dataclass
@@ -127,23 +124,22 @@ def _decodes_to_itself(
     """Whether grouping a clean rendering yields exactly these lesions.
 
     On a clean bundle each role's peaks are exactly the true keypoint
-    cells, so only the center plane needs drawing: grouping's own
-    enumeration then runs on those cells and must keep the n true
-    quadruples and nothing else.
+    cells, so grouping's own enumeration runs on those cells and the
+    rendered center plane, and must keep the n true quadruples and
+    nothing else.
     """
-    center_map = np.zeros(output_grid(image_size, stride), dtype=np.float32)
-    truth = np.empty((len(extremes_list), 4, 2))  # (row, col) per extreme role
-    for i, e in enumerate(extremes_list):
-        *cells, center = (keypoint_cell(p, stride) for p in e.points())
-        radius = lesion_radius(e, stride, min_overlap)
-        draw_gaussian(center_map, center, radius, sigma_divisor=sigma_divisor)
-        truth[i] = cells
+    out_h, out_w = output_grid(image_size, stride)
+    bundle = HeatmapBundle.zeros(out_h, out_w, stride, image_size)
+    cells, _ = _draw_lesions(bundle, extremes_list, min_overlap, sigma_divisor)
+    # (row, col) per lesion and extreme role
+    truth = np.array([c[:4] for c in cells], dtype=float).reshape(-1, 4, 2)
     # each role's peaks as grouping's (3, n) rows, columns and scores of 1.0
     peaks = {
         role: np.vstack((truth[:, j].T, np.ones(len(truth))))
         for j, role in enumerate(EXTREME_ROLES)
     }
-    kept = _enumerate_rows(peaks, center_map, GroupingConfig(tau_c=tau_c))
+    center = bundle.keypoint_map("center")
+    kept = _enumerate_rows(peaks, center, GroupingConfig(tau_c=tau_c))
     found = kept.rows[:, [1, 0, 3, 2, 5, 4, 7, 6]].tolist()
     return sorted(found) == sorted(truth.reshape(-1, 8).tolist())
 
@@ -288,29 +284,17 @@ def generate_scene(
 def flip_scene(scene: SyntheticScene) -> SyntheticScene:
     """The same scene as seen in a horizontally mirrored image."""
     width = scene.image_size[0]
-    flipped = []
-    for ann in scene.annotations:
-        d = ann.diameters
-        diameters = ordered_diameters(
-            flip_horizontal(d.long_a, width),
-            flip_horizontal(d.long_b, width),
-            flip_horizontal(d.short_a, width),
-            flip_horizontal(d.short_b, width),
+    flipped = [
+        dataclasses.replace(
+            ann,
+            diameters=ordered_diameters(
+                *(flip_horizontal(p, width) for p in ann.diameters.endpoints())
+            ),
+            bbox=flip_horizontal(ann.bbox, width),
         )
-        flipped.append(
-            RecistAnnotation(
-                file_name=ann.file_name,
-                diameters=diameters,
-                bbox=flip_horizontal(ann.bbox, width),
-                lesion_type=ann.lesion_type,
-                diameters_px=ann.diameters_px,
-                spacing=ann.spacing,
-                split=ann.split,
-            )
-        )
-    return SyntheticScene(
-        image_size=scene.image_size, annotations=flipped, seed=scene.seed
-    )
+        for ann in scene.annotations
+    ]
+    return dataclasses.replace(scene, annotations=flipped)
 
 
 def render_scene(
@@ -349,36 +333,31 @@ def simulate_heatmaps(
     rng = SplitMix64(cfg.seed)
     out_h, out_w = output_grid(scene.image_size, stride)
     bundle = HeatmapBundle.zeros(out_h, out_w, stride, scene.image_size)
-
-    true_cells: dict[str, list[tuple[int, int]]] = {
-        role: [] for role in KEYPOINT_CHANNELS
-    }
     span = 2 * cfg.jitter_cells + 1
-
     n_roles = len(KEYPOINT_CHANNELS)
     # (drop, jitter x, jitter y) uniforms per lesion and role, in draw order
     draws = rng.uniforms(3 * n_roles * len(scene.annotations))
-    for ann, lesion_draws in zip(
-        scene.annotations, draws.reshape(-1, n_roles, 3).tolist()
-    ):
-        extremes = ann.extremes()
-        radius = lesion_radius(extremes, stride, min_overlap)
+    lesion_draws = iter(draws.reshape(-1, n_roles, 3).tolist())
 
-        for role_idx, (role, p, (u_drop, u_jx, u_jy)) in enumerate(
-            zip(KEYPOINT_CHANNELS, extremes.points(), lesion_draws)
-        ):
+    def degrade(cells):
+        """A lesion's cells, each dropped (None) or jittered by its draws."""
+        moved = []
+        for (row, col), (u_drop, u_jx, u_jy) in zip(cells, next(lesion_draws)):
             if u_drop < cfg.peak_drop_prob:
+                moved.append(None)
                 continue
-            row, col = keypoint_cell(p, stride)
             if cfg.jitter_cells > 0:
                 row += min(int(u_jy * span), span - 1) - cfg.jitter_cells
                 col += min(int(u_jx * span), span - 1) - cfg.jitter_cells
                 row = min(max(row, 0), out_h - 1)
                 col = min(max(col, 0), out_w - 1)
-            draw_keypoint(bundle, role_idx, (row, col), p, radius, sigma_divisor)
-            true_cells[role].append((row, col))
+            moved.append((row, col))
+        return moved
 
-    for role_idx, role in enumerate(KEYPOINT_CHANNELS):
+    extremes = scene.extremes()
+    drawn, _ = _draw_lesions(bundle, extremes, min_overlap, sigma_divisor, degrade)
+    for role_idx in range(n_roles):
+        true_cells = [c[role_idx] for c in drawn if c[role_idx] is not None]
         count = rng.poisson(cfg.spurious_rate)
         for _ in range(count):
             for _attempt in range(100):
@@ -389,16 +368,14 @@ def simulate_heatmaps(
                 col = min(int(u_col * out_w), out_w - 1)
                 near_true = any(
                     max(abs(row - tr), abs(col - tc)) <= 2
-                    for tr, tc in true_cells[role]
+                    for tr, tc in true_cells
                 )
                 if near_true:
                     continue
-                score = cfg.spurious_score_min + u_score * (
-                    1.0 - cfg.spurious_score_min
-                )
+                score = _SPURIOUS_SCORE_MIN + u_score * (1.0 - _SPURIOUS_SCORE_MIN)
                 draw_gaussian(
                     bundle.keypoint_maps[role_idx], (row, col),
-                    cfg.spurious_radius, peak=score,
+                    _SPURIOUS_RADIUS, peak=score,
                     sigma_divisor=sigma_divisor,
                 )
                 break

@@ -71,12 +71,14 @@ class HeatmapBundle:
     def zeros(
         cls, out_h: int, out_w: int, stride: int, input_size: tuple[int, int]
     ) -> HeatmapBundle:
-        return cls(
-            keypoint_maps=np.zeros((5, out_h, out_w), dtype=np.float32),
-            offset_maps=np.zeros((8, out_h, out_w), dtype=np.float32),
-            stride=stride,
-            input_size=input_size,
-        )
+        """Zeroed planes; a grid too large to allocate raises MemoryError."""
+        try:
+            planes = [np.zeros((n, out_h, out_w), np.float32) for n in (5, 8)]
+        except ValueError:  # numpy's refusal of more bytes than it can address
+            if min(out_h, out_w) < 0:
+                raise
+            raise MemoryError(f"{out_w}x{out_h} heatmap planes are too large") from None
+        return cls(*planes, stride=stride, input_size=input_size)
 
 
 @dataclass
@@ -185,39 +187,48 @@ def output_grid(input_size: tuple[int, int], stride: int) -> tuple[int, int]:
     return -(-height // stride), -(-width // stride)
 
 
-def lesion_radius(extremes: ExtremePoints, stride: int, min_overlap: float) -> int:
-    """Kernel radius of all five keypoints: gaussian_radius of the cell box."""
-    box_w = (extremes.right.x - extremes.left.x) / stride
-    box_h = (extremes.bottom.y - extremes.top.y) / stride
-    return gaussian_radius(box_w, box_h, min_overlap)
+def _draw_lesions(
+    bundle: HeatmapBundle, annotations: list[ExtremePoints], min_overlap: float,
+    sigma_divisor: float, move=None,
+) -> tuple[list[list], list[list]]:
+    """Draw each annotation's five keypoints, lesion by lesion; return
+    (cells, offsets): each one's drawn cells in KEYPOINT_CHANNELS order and
+    its four extremes' offset targets, float32-rounded and clamped below 1.
 
-
-def draw_keypoint(
-    bundle: HeatmapBundle,
-    role_idx: int,
-    cell: Cell,
-    p: Point2,
-    radius: int,
-    sigma_divisor: float = 3.0,
-) -> tuple[float, float] | None:
-    """Draw keypoint ``p`` of role ``KEYPOINT_CHANNELS[role_idx]`` at ``cell``.
-
-    For an extreme role this also writes p's offset target at ``cell``,
-    float32-rounded and clamped below 1, and returns it as (dx, dy); the
-    center role has no offset and returns None.
+    A lesion draws each kernel, of gaussian_radius of its box in cells, then
+    each extreme's offset at its cell, so a later lesion wins a shared cell.
+    ``move`` maps a lesion's true cells to those drawn (None: not drawn). A
+    keypoint that is not finite or off the grid raises ValueError naming
+    its annotation, before its box is sized.
     """
-    draw_gaussian(
-        bundle.keypoint_maps[role_idx], cell, radius, sigma_divisor=sigma_divisor
-    )
-    if KEYPOINT_CHANNELS[role_idx] == "center":
-        return None
-    dx, dy = (
-        min(float(np.float32(v)), _MAX_OFFSET) for v in offset_target(p, bundle.stride)
-    )
-    row, col = cell
-    bundle.offset_maps[2 * role_idx, row, col] = dx
-    bundle.offset_maps[2 * role_idx + 1, row, col] = dy
-    return dx, dy
+    (out_h, out_w), stride = bundle.grid_shape, bundle.stride
+    drawn, offsets = [], []
+    for index, ann in enumerate(annotations):
+        cells = []
+        for role, p in zip(KEYPOINT_CHANNELS, ann.points()):
+            finite = math.isfinite(p.x) and math.isfinite(p.y)
+            row, col = keypoint_cell(p, stride) if finite else (-1, -1)
+            if not (0 <= row < out_h and 0 <= col < out_w):
+                raise ValueError(
+                    f"annotation {index}: {role} keypoint ({p.x}, {p.y}) falls "
+                    f"outside the {out_w}x{out_h} output grid at stride {stride}"
+                )
+            cells.append((row, col))
+        box_w, box_h = ann.right.x - ann.left.x, ann.bottom.y - ann.top.y
+        radius = gaussian_radius(box_w / stride, box_h / stride, min_overlap)
+        drawn.append(cells if move is None else move(cells))
+        offsets.append([
+            [min(float(np.float32(v)), _MAX_OFFSET) for v in offset_target(p, stride)]
+            for p in ann.points()[:4]
+        ])
+        for plane, cell in zip(bundle.keypoint_maps, drawn[-1]):
+            if cell is not None:
+                draw_gaussian(plane, cell, radius, sigma_divisor=sigma_divisor)
+        for role_idx, (cell, (dx, dy)) in enumerate(zip(drawn[-1], offsets[-1])):
+            if cell is not None:
+                bundle.offset_maps[2 * role_idx, cell[0], cell[1]] = dx
+                bundle.offset_maps[2 * role_idx + 1, cell[0], cell[1]] = dy
+    return drawn, offsets
 
 
 def render_targets(
@@ -231,11 +242,11 @@ def render_targets(
 ) -> TargetBundle:
     """Render multi-peak Gaussian targets for a set of lesion keypoints.
 
-    Every keypoint, divided by the stride, must land inside the output grid;
-    a violation raises ValueError naming the offending annotation. Rendering
-    is order-independent (element-wise max is commutative). If two
-    annotations share a ground-truth cell for the same role, the later
-    annotation's offsets win at that cell.
+    Every keypoint must be finite and, divided by the stride, land inside
+    the output grid; a violation raises ValueError naming the offending
+    annotation. Rendering is order-independent (element-wise max is
+    commutative). If two annotations share a ground-truth cell for the same
+    role, the later annotation's offsets win at that cell.
 
     ``input_size`` records the source image dimensions in the bundle;
     it defaults to (out_w * stride, out_h * stride).
@@ -243,28 +254,11 @@ def render_targets(
     if input_size is None:
         input_size = (out_w * stride, out_h * stride)
     bundle = HeatmapBundle.zeros(out_h, out_w, stride, input_size)
-    gt_cells = np.zeros((len(annotations), len(EXTREME_ROLES), 2), dtype=np.intp)
-    gt_offsets = np.zeros(gt_cells.shape, dtype=np.float64)
-
-    for index, ann in enumerate(annotations):
-        cells = [keypoint_cell(p, stride) for p in ann.points()]
-        for role, p, (row, col) in zip(KEYPOINT_CHANNELS, ann.points(), cells):
-            if not (0 <= row < out_h and 0 <= col < out_w):
-                raise ValueError(
-                    f"annotation {index}: {role} keypoint ({p.x}, {p.y}) falls "
-                    f"outside the {out_w}x{out_h} output grid at stride {stride}"
-                )
-
-        radius = lesion_radius(ann, stride, min_overlap)
-        for role_idx, (p, cell) in enumerate(zip(ann.points(), cells)):
-            offset = draw_keypoint(bundle, role_idx, cell, p, radius, sigma_divisor)
-            if offset is not None:
-                gt_cells[index, role_idx] = cell
-                gt_offsets[index, role_idx] = offset
-
+    cells, offsets = _draw_lesions(bundle, annotations, min_overlap, sigma_divisor)
+    shape = (len(cells), len(EXTREME_ROLES), 2)
     return TargetBundle(
         bundle=bundle,
-        n_objects=len(annotations),
-        gt_cells=gt_cells,
-        gt_offsets=gt_offsets,
+        n_objects=len(cells),
+        gt_cells=np.array([c[:4] for c in cells], dtype=np.intp).reshape(shape),
+        gt_offsets=np.array(offsets, dtype=np.float64).reshape(shape),
     )

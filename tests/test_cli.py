@@ -1,6 +1,7 @@
 """Command-line surface: end-to-end flows, exit codes, byte determinism,
 config layering, partial-output cleanup, and re-runs into the same paths."""
 
+import csv
 import errno
 import hashlib
 import json
@@ -325,6 +326,33 @@ def _sim_csv(tmp_path, sim_dir):
     return sim_dir / "annotations.csv"
 
 
+def _sim_csv_with(column, index, value):
+    """The simulated CSV with value ``index`` of ``column`` in its first row
+    replaced by ``value``."""
+    def build(tmp_path, sim_dir):
+        with (sim_dir / "annotations.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        values = rows[0][column].split(", ")
+        values[index] = value
+        rows[0][column] = ", ".join(values)
+        path = tmp_path / "edited.csv"
+        with path.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        return path
+    return build
+
+
+def _sim_csv_bytes(edit):
+    """The simulated CSV's bytes passed through ``edit``."""
+    def build(tmp_path, sim_dir):
+        path = tmp_path / "edited.csv"
+        path.write_bytes(edit((sim_dir / "annotations.csv").read_bytes()))
+        return path
+    return build
+
+
 def _raw_f32(tmp_path, sim_dir):
     """Three raw float32 CT values, the input of ``window``."""
     path = tmp_path / "raw.f32"
@@ -361,6 +389,42 @@ EXIT_CODE_CASES = [
         "detect", "--heatmaps", _bundles(stride=10**309)]),
     ("render-targets --stride 2**31", 3, [
         "render-targets", "--annotations", _sim_csv, "--stride", 2**31]),
+    # a grid numpy refuses to allocate at once used to end in a MemoryError
+    ("render-targets --input-size 2**31-1", 3, [
+        "render-targets", "--annotations", _sim_csv, "--input-size", 2**31 - 1]),
+    ("simulate --image-size 2**31-1", 2, ["simulate", "--image-size", 2**31 - 1]),
+    # non-finite CSV numbers: exit 4 (inf), exit 0 with a bundle (nan), and a
+    # NaN-spaced lesion counted as >30 mm
+    ("render-targets csv inf coordinate", 3, [
+        "render-targets", "--annotations",
+        _sim_csv_with("Measurement_coordinates", 0, "inf")]),
+    ("render-targets csv nan coordinate", 3, [
+        "render-targets", "--annotations",
+        _sim_csv_with("Measurement_coordinates", 3, "nan")]),
+    ("eval --stratify diameter csv nan spacing", 3, [
+        "eval", "--detections", _dets(), "--stratify", "diameter",
+        "--annotations", _sim_csv_with("Spacing_mm_px_", 0, "nan")]),
+    # a short row and a file that is not UTF-8 used to end in exit 4, and a
+    # key with a directory part put a bundle outside the output directory
+    ("render-targets csv short row", 3, [
+        "render-targets", "--annotations",
+        _sim_csv_bytes(lambda b: b.replace(b",3\r\n", b"\r\n", 1))]),
+    ("render-targets csv not UTF-8", 3, [
+        "render-targets", "--annotations",
+        _sim_csv_bytes(lambda b: b.replace(b"syn_11", b"syn_\xff", 1))]),
+    ("render-targets csv key ../up", 3, [
+        "render-targets", "--input-size", 768, "--annotations",
+        _sim_csv_with("File_name", 0, "../up")]),
+    ("render-targets csv empty key", 3, [
+        "render-targets", "--input-size", 768, "--annotations",
+        _sim_csv_with("File_name", 0, "")]),
+    ("render-targets exclusions not UTF-8", 3, [
+        "render-targets", "--annotations", _sim_csv,
+        "--exclusions", _sim_csv_bytes(lambda _: b"syn_\xff\n")]),
+    # a vanishing kernel sigma used to draw NaN planes and end in exit 4
+    ("render-targets config render.sigma_divisor 1e300", 3, [
+        "render-targets", "--annotations", _sim_csv, "--input-size", 768,
+        "--config", _cfg({"render": {"sigma_divisor": 1e300}})]),
     ("detections bbox string", 3, _fuse(
         _dets(bbox=[100.0, 100.0, 150.0, "abc"]))),
     ("detections bbox null", 3, _fuse(_dets(bbox=[100.0, 100.0, 150.0, None]))),
@@ -442,6 +506,17 @@ NAMED_IN_ERROR = {
     "rkhm stride 310-digit int": "syn_11.rkhm: header stride must be an integer",
     "render-targets --stride 2**31": "input_size must lie in [1, 2147483647]",
     "render-targets keypoints off a 64 px input": "outside the 16x16 output grid",
+    "render-targets --input-size 2**31-1": "render.input_size",
+    "simulate --image-size 2**31-1": "cannot be allocated",
+    "render-targets csv inf coordinate": "row 2: column Measurement_coordinates",
+    "render-targets csv nan coordinate": "row 2: column Measurement_coordinates",
+    "eval --stratify diameter csv nan spacing": "row 2: column Spacing_mm_px_",
+    "render-targets csv short row": "row 2: fewer fields than the header",
+    "render-targets csv not UTF-8": "edited.csv: not UTF-8 text",
+    "render-targets csv key ../up": "image key '../up' is not a file name",
+    "render-targets csv empty key": "image key '' is not a file name",
+    "render-targets exclusions not UTF-8": "edited.csv: not UTF-8 text",
+    "render-targets config render.sigma_divisor 1e300": "sigma_divisor in (0, ",
     "detect --workers 0": "argument --workers: must be >= 1",
     "detect --workers -5": "argument --workers: must be >= 1",
     "check-gradients --trials -5": "argument --trials: must be >= 1",

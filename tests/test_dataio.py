@@ -1,7 +1,9 @@
 """File formats: CSV schema parsing with exclusions and consistency checks,
 bit-exact heatmap round trips, detections JSON, and CT windowing."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from recistkit.dataio import (
     write_detections,
     write_heatmaps,
 )
+from recistkit.geometry import Point2
 from recistkit.synthetic import generate_scene, simulate_heatmaps
 from recistkit.targets import HeatmapBundle
 from tests.test_fusion import make_detection
@@ -87,6 +90,22 @@ class TestParseAnnotations:
         with pytest.raises(InputFormatError, match="row 3"):
             parse_annotations(path)
 
+    @pytest.mark.parametrize("column,field,raw", [
+        ("Measurement_coordinates", "coords", "12, 31, inf, 29, 30, 10, 30, 50"),
+        ("Bounding_boxes", "bbox", "7, 5, -inf, 55"),
+        ("Lesion_diameters_Pixel_", "diam", "NaN, 40.0"),
+        ("Spacing_mm_px_", "spacing", "0.8, 0.8, nan"),
+    ])
+    def test_non_finite_number_names_row_and_column(self, tmp_path, column,
+                                                    field, raw):
+        path = tmp_path / "a.csv"
+        write_csv(path, [csv_row(), csv_row(**{field: raw})])
+        with pytest.raises(
+            InputFormatError,
+            match=f"^row 3: column {column} must hold finite numbers, got",
+        ):
+            parse_annotations(path)
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("File_name,Bounding_boxes\nx,\"1,2,3,4\"\n")
@@ -128,6 +147,25 @@ class TestParseAnnotations:
             assert re_read.lesion_type == orig.lesion_type
             assert re_read.spacing == orig.spacing
             assert re_read.split == orig.split
+
+    @pytest.mark.parametrize("field", ["diameters", "bbox", "diameters_px",
+                                       "spacing"])
+    def test_writer_refuses_non_finite_numbers_before_opening(self, tmp_path,
+                                                              field):
+        anns = generate_scene(2, seed=90).annotations
+        ann = anns[1]
+        if field == "diameters":
+            d = ann.diameters
+            bad = dataclasses.replace(d, short_b=Point2(math.nan, d.short_b.y))
+        elif field == "bbox":
+            bad = dataclasses.replace(ann.bbox, x2=math.inf)
+        else:
+            bad = (-math.inf,) + getattr(ann, field)[1:]
+        anns[1] = dataclasses.replace(ann, **{field: bad})
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=r"^annotation 1 \(syn_90\): "):
+            write_annotations(anns, path)
+        assert not path.exists()
 
     def test_metadata_accessors(self, tmp_path):
         path = tmp_path / "a.csv"

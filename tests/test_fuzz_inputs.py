@@ -1,5 +1,7 @@
-"""Fuzzed detections JSON through ``fuse`` and ``eval``, and fuzzed ``.rkhm``
-bundles through ``detect``, in process.
+"""Fuzzed detections JSON through ``fuse`` and ``eval``, fuzzed ``.rkhm``
+bundles through ``detect``, fuzzed annotation CSVs through ``render-targets``
+and ``eval``, and fuzzed config files through ``detect`` and
+``render-targets``, in process.
 
 Each detections example mutates the entries of a valid one-image document:
 it drops or adds keys, puts wrong types, bools or integers too large for a
@@ -13,9 +15,20 @@ one header field, the header line, the magic or the payload bytes. ``detect``
 exits 0, 2 or 3, never 4; it raises no warning; a refusal names the file
 and leaves no output or ``*.tmp`` behind; and a bundle it accepts reads and
 writes back to the same bytes.
+
+Each annotation CSV example mutates the rows of a simulated scene's CSV: a
+number, a count of numbers, an integer column, a key, a row's length, the
+header or a lesion's extent. Each config example sets one or two keys of a
+valid config file to wrong types, out-of-range or boundary values, or
+breaks the file's root or text. Either way a command exits 0, 2 or 3, never
+4; it raises no warning; a refusal leaves no output or ``*.tmp`` behind; an
+accepted run writes only its outputs; and an accepted CSV writes and reads
+back to the same annotations.
 """
 
 import contextlib
+import copy
+import csv
 import io
 import json
 import math
@@ -25,16 +38,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recistkit.cli import main
+from recistkit.config import DEFAULTS
 from recistkit.dataio import (
     CHANNEL_NAMES,
     HEADER_INTS,
     HEATMAP_MAGIC,
     MAX_HEADER_INT,
+    parse_annotations,
     read_heatmaps,
+    write_annotations,
     write_heatmaps,
 )
 from recistkit.targets import KEYPOINT_CHANNELS
@@ -274,3 +290,196 @@ def test_fuzzed_rkhm_detect_exits_0_2_or_3(valid_bundle, case):
                 bundle = read_heatmaps(tmp / "maps" / "b.rkhm")
                 write_heatmaps(bundle, tmp / "c.rkhm")
                 assert (tmp / "c.rkhm").read_bytes() == data
+
+
+# --- annotation CSVs through render-targets and eval -------------------------------
+
+NUMBER_COLUMNS = {  # column index: how many numbers it holds
+    1: 8, 2: 4, 4: 2, 5: 3,
+}
+csv_numbers = st.one_of(
+    st.sampled_from(
+        ["nan", "NaN", "-nan", "inf", "-Infinity", "1" + "0" * 400, "1e308",
+         "-1e308", "0", "-0.0", "5e-324", "", "x", "1_0", "0x10", " 3 "]
+    ),
+    st.floats(-100, 900).map(repr),
+)
+csv_ints = st.sampled_from(
+    ["0", "1", "3", "4", "-1", "9", "", "x", "1.5", "1" * 30, " 2 ", "2e0"]
+)
+csv_keys = st.sampled_from(["syn_11", "other", "", "a/b", "../up", "..", ".", "x y"])
+
+
+@st.composite
+def mutated_csvs(draw, rows: list) -> tuple[str, list]:
+    """(what was mutated, the rows of a CSV, header first)."""
+    rows = copy.deepcopy(rows)
+    kind = draw(st.sampled_from(
+        ["none", "number", "number", "count", "int", "key", "short", "long",
+         "header", "extent"]
+    ))
+    row = rows[draw(st.integers(1, len(rows) - 1))]
+    if kind == "number" or kind == "count":
+        column = draw(st.sampled_from(sorted(NUMBER_COLUMNS)))
+        values = row[column].split(", ")
+        at = draw(st.integers(0, len(values) - 1))
+        if kind == "number":
+            values[at] = draw(csv_numbers)
+        elif draw(st.booleans()):
+            del values[at]
+        else:
+            values.insert(at, draw(csv_numbers))
+        row[column] = ", ".join(values)
+    elif kind == "int":
+        row[draw(st.sampled_from([3, 6]))] = draw(csv_ints)
+    elif kind == "key":
+        row[0] = draw(csv_keys)
+    elif kind == "short":
+        del row[draw(st.integers(1, len(row) - 1)):]
+    elif kind == "long":
+        row.append(draw(csv_numbers))
+    elif kind == "header":
+        at = draw(st.integers(0, len(rows[0]) - 1))
+        rows[0][at] = draw(st.sampled_from(["", "file_name", rows[0][at - 1]]))
+    elif kind == "extent":
+        # scale the lesion about its first endpoint: flat, tiny, huge or mirrored
+        numbers = [float(v) for v in row[1].split(", ")]
+        factor = draw(st.sampled_from([0.0, 1e-9, 0.01, 5.0, 1e300, -1.0]))
+        numbers = [numbers[i % 2] + factor * (v - numbers[i % 2])
+                   for i, v in enumerate(numbers)]
+        row[1] = ", ".join(repr(v) for v in numbers)
+    return kind, rows
+
+
+@pytest.fixture(scope="module")
+def csv_rows(annotations) -> list:
+    with annotations.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.fixture(scope="module")
+def detections(annotations) -> Path:
+    out = annotations.parent.parent / "dets.json"
+    assert main(["detect", "--heatmaps", str(annotations.parent),
+                 "--out", str(out), "--workers", "1"]) == 0
+    return out
+
+
+def run_checked(tmp: Path, argv: list, outputs: list[str]) -> int:
+    """Run a command in ``tmp`` and check its exit code, warnings and files:
+    on a refusal only ``inputs`` are left, else those and ``outputs``."""
+    inputs = sorted(p.name for p in tmp.iterdir())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_quietly(argv)
+    assert code in (0, 2, 3), err
+    assert caught == [], [str(w.message) for w in caught]
+    left = sorted(p.name for p in tmp.iterdir())
+    expected = inputs if code else sorted(inputs + outputs)
+    assert left == expected, (err, left)
+    return code
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_fuzzed_csv_render_targets_and_eval_exit_0_2_or_3(
+    csv_rows, detections, data
+):
+    kind, rows = data.draw(mutated_csvs(csv_rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "in").mkdir()  # every command writes beside it, never into it
+        path = tmp / "in" / "annotations.csv"
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        rendered = run_checked(tmp, [
+            "render-targets", "--annotations", path, "--input-size", 768,
+            "--out", tmp / "maps"], ["maps"])
+        if rendered == 0:
+            assert all(p.parent == tmp / "maps" for p in (tmp / "maps").rglob("*"))
+            assert not list((tmp / "in").glob("*.rkhm"))
+            parsed = parse_annotations(path).annotations
+            write_annotations(parsed, tmp / "again.csv")
+            assert parse_annotations(tmp / "again.csv").annotations == parsed
+            (tmp / "again.csv").unlink()
+        evaluated = run_checked(tmp, [
+            "eval", "--detections", detections, "--annotations", path,
+            "--stratify", "diameter", "--out", tmp / "report"],
+            ["report.json", "report.txt"])
+        if kind == "none":
+            assert rendered == evaluated == 0
+
+
+# --- config files through detect and render-targets --------------------------------
+
+wrong_config_values = st.one_of(
+    st.sampled_from([True, None, "4", [], {}, [1], -1, 0, 0.5, 1e300, -1e300,
+                     2**31, 2**63, "<huge>"]),
+    st.floats(-2, 2),
+)
+# Sizes are drawn from a set whose heatmap planes are small (at most 384 x 384
+# cells) or far larger than any address space, so that numpy refuses them at
+# once; a grid in between could really be allocated. ``kernel`` stays small
+# for the same reason (see CHANGES.md).
+SAFE_VALUES = {
+    ("render", "input_size"): [64, 511, 768, 2**31 - 1],
+    ("render", "stride"): [2, 4, 8, 2**31 - 1],
+    ("render", "sigma_divisor"): [3.0, 5e-324, 1e-300, 2.0**31 - 1, 1e10, 1e300],
+    ("render", "min_overlap"): [1e-300, 0.3, 0.9999999],
+    ("grouping", "kernel"): [1, 3, 5, 2],
+    ("grouping", "k1"): [0, 1, 40, 2**31 - 1],
+    ("grouping", "k2"): [0, 1, 100, 2**31 - 1],
+    ("grouping", "center_interp"): ["nearest", "bilinear", "x"],
+}
+CONFIG_SLOTS = [(section, key) for section, keys in DEFAULTS.items()
+                if isinstance(keys, dict) for key in keys]
+
+
+@st.composite
+def config_texts(draw) -> str:
+    """A config file's text: one or two keys changed, or a broken root."""
+    kind = draw(st.sampled_from(["keys", "keys", "keys", "grid", "root", "text"]))
+    if kind == "root":
+        doc = draw(st.sampled_from(
+            [[], 3, "x", None, {"nope": {}}, {"render": 3}, {"render": {"x": 1}},
+             {"window_presets": "x"}]
+        ))
+        return json.dumps(doc)
+    if kind == "text":
+        return draw(st.sampled_from(
+            ["", "{", '{"render": {"stride": NaN}}', '{"render": {"stride": 4}} x',
+             '{"render": {"stride": 1' + "0" * 4400 + "}}", "\ufeff{}"]
+        ))
+    doc = {}
+    if kind == "grid":
+        doc["render"] = {key: draw(st.sampled_from(SAFE_VALUES["render", key]))
+                         for key in ("input_size", "stride")}
+    for _ in range(draw(st.integers(1, 2))):
+        section, key = draw(st.sampled_from(CONFIG_SLOTS))
+        values = wrong_config_values
+        if (section, key) in SAFE_VALUES:
+            values = st.sampled_from(SAFE_VALUES[section, key])
+        elif section == "render":
+            values = st.sampled_from([0, -1, 2**31, 1.5, "4", None, True, 4])
+        doc.setdefault(section, {})[key] = draw(values)
+    text = json.dumps(doc)
+    return text.replace('"<huge>"', "1" + "0" * 400)
+
+
+@settings(max_examples=50)
+@given(text=config_texts())
+@example(text='{"render": {"input_size": 2147483647}}')
+@example(text='{"render": {"input_size": 768, "sigma_divisor": 1e300}}')
+def test_fuzzed_config_detect_and_render_targets_exit_0_2_or_3(
+    annotations, text
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "cfg.json"
+        config.write_text(text, encoding="utf-8")
+        run_checked(tmp, [
+            "detect", "--heatmaps", annotations.parent, "--config", config,
+            "--workers", 1, "--out", tmp / "dets.json"], ["dets.json"])
+        run_checked(tmp, [
+            "render-targets", "--annotations", annotations, "--config", config,
+            "--out", tmp / "maps"], ["maps"])

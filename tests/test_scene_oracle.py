@@ -3,10 +3,16 @@ draws against the object-per-attempt implementations they replaced.
 
 ``frozen_generate_scene`` is the previous ``generate_scene``: it builds the
 diameters, extremes, tight box and padded box of every attempt as objects
-before its three rejection tests. ``frozen_simulate_heatmaps`` is the
+before its three rejection tests, and checks clearance with
+``frozen_decodes_to_itself``, the previous clearance check, which drew the
+center plane alone. ``frozen_simulate_heatmaps`` is the
 previous ``simulate_heatmaps``, which drew the three uniforms of each
-lesion role one scalar call at a time. Both are copied without change but
-for their docstrings and the names of what they import. Coordinates are
+lesion role one scalar call at a time, and drew each keypoint with its own
+``draw_keypoint`` and sized its kernel with its own ``lesion_radius``
+rather than through the shared lesion path of ``targets``. They are copied
+without change but for their docstrings, the names of what they import and
+the spurious-peak score floor and radius, which are module constants now
+rather than ``DegradationConfig`` fields. Coordinates are
 compared by ``float.hex`` and the generator by its state afterwards, so
 an extra or a missing draw fails.
 """
@@ -36,6 +42,8 @@ from recistkit.synthetic import (
     _MIN_BOX_SIDE,
     _SIZE_RANGE_MM,
     _SPACING,
+    _SPURIOUS_RADIUS,
+    _SPURIOUS_SCORE_MIN,
     DegradationConfig,
     SyntheticScene,
     _add_clipped_noise,
@@ -44,22 +52,88 @@ from recistkit.synthetic import (
     generate_scene,
     simulate_heatmaps,
 )
+from recistkit.geometry import ExtremePoints
+from recistkit.grouping import GroupingConfig, _enumerate_rows
 from recistkit.targets import (
+    _MAX_OFFSET,
+    EXTREME_ROLES,
     KEYPOINT_CHANNELS,
     HeatmapBundle,
     draw_gaussian,
-    draw_keypoint,
+    gaussian_radius,
     keypoint_cell,
-    lesion_radius,
+    offset_target,
     output_grid,
 )
 
 # --- oracles: the object-per-attempt implementations ---------------------------
 
 
+def lesion_radius(extremes: ExtremePoints, stride: int, min_overlap: float) -> int:
+    """Kernel radius of all five keypoints: gaussian_radius of the cell box."""
+    box_w = (extremes.right.x - extremes.left.x) / stride
+    box_h = (extremes.bottom.y - extremes.top.y) / stride
+    return gaussian_radius(box_w, box_h, min_overlap)
+
+
+def draw_keypoint(
+    bundle: HeatmapBundle,
+    role_idx: int,
+    cell: tuple[int, int],
+    p: Point2,
+    radius: int,
+    sigma_divisor: float = 3.0,
+) -> tuple[float, float] | None:
+    """Draw keypoint ``p`` of role ``KEYPOINT_CHANNELS[role_idx]`` at ``cell``.
+
+    For an extreme role this also writes p's offset target at ``cell``,
+    float32-rounded and clamped below 1, and returns it as (dx, dy); the
+    center role has no offset and returns None.
+    """
+    draw_gaussian(
+        bundle.keypoint_maps[role_idx], cell, radius, sigma_divisor=sigma_divisor
+    )
+    if KEYPOINT_CHANNELS[role_idx] == "center":
+        return None
+    dx, dy = (
+        min(float(np.float32(v)), _MAX_OFFSET) for v in offset_target(p, bundle.stride)
+    )
+    row, col = cell
+    bundle.offset_maps[2 * role_idx, row, col] = dx
+    bundle.offset_maps[2 * role_idx + 1, row, col] = dy
+    return dx, dy
+
+
 def _axis_gaps(a: BBox, b: BBox) -> tuple[float, float]:
     """Per-axis interval separation of two boxes; negative when overlapping."""
     return (max(b.x1 - a.x2, a.x1 - b.x2), max(b.y1 - a.y2, a.y1 - b.y2))
+
+
+def frozen_decodes_to_itself(
+    extremes_list,
+    image_size: tuple[int, int],
+    stride: int,
+    min_overlap: float,
+    sigma_divisor: float,
+    tau_c: float,
+) -> bool:
+    """The previous ``_decodes_to_itself``, which drew the center plane
+    alone."""
+    center_map = np.zeros(output_grid(image_size, stride), dtype=np.float32)
+    truth = np.empty((len(extremes_list), 4, 2))  # (row, col) per extreme role
+    for i, e in enumerate(extremes_list):
+        *cells, center = (keypoint_cell(p, stride) for p in e.points())
+        radius = lesion_radius(e, stride, min_overlap)
+        draw_gaussian(center_map, center, radius, sigma_divisor=sigma_divisor)
+        truth[i] = cells
+    # each role's peaks as grouping's (3, n) rows, columns and scores of 1.0
+    peaks = {
+        role: np.vstack((truth[:, j].T, np.ones(len(truth))))
+        for j, role in enumerate(EXTREME_ROLES)
+    }
+    kept = _enumerate_rows(peaks, center_map, GroupingConfig(tau_c=tau_c))
+    found = kept.rows[:, [1, 0, 3, 2, 5, 4, 7, 6]].tolist()
+    return sorted(found) == sorted(truth.reshape(-1, 8).tolist())
 
 
 def frozen_generate_scene(
@@ -154,7 +228,7 @@ def frozen_generate_scene(
 
         if not feasible:
             continue
-        if clearance_stride is not None and not _decodes_to_itself(
+        if clearance_stride is not None and not frozen_decodes_to_itself(
             [ann.extremes() for ann in annotations],
             image_size,
             clearance_stride,
@@ -226,12 +300,12 @@ def frozen_simulate_heatmaps(
                 )
                 if near_true:
                     continue
-                score = cfg.spurious_score_min + u_score * (
-                    1.0 - cfg.spurious_score_min
+                score = _SPURIOUS_SCORE_MIN + u_score * (
+                    1.0 - _SPURIOUS_SCORE_MIN
                 )
                 draw_gaussian(
                     bundle.keypoint_maps[role_idx], (row, col),
-                    cfg.spurious_radius, peak=score,
+                    _SPURIOUS_RADIUS, peak=score,
                     sigma_divisor=sigma_divisor,
                 )
                 break
@@ -319,6 +393,27 @@ def test_generate_scene_matches_object_per_attempt_oracle():
     # most draws are rejected, and both outcomes are common
     assert attempts > 10 * placed
     assert 20 < failed < 120
+
+
+def test_clearance_check_matches_center_plane_oracle():
+    """Crowded arrangements, placed without a gap or a clearance check,
+    so that grouping often keeps a quadruple that mixes two lesions."""
+    outcomes = []
+    for seed in range(60):
+        scene = generate_scene(
+            2 + seed % 4, (320, 320), seed=seed, min_gap=-40.0,
+            clearance_stride=None,
+        )
+        extremes = scene.extremes()
+        for stride, min_overlap, sigma_divisor, tau_c in [
+            (4, 0.3, 3.0, 0.1), (4, 0.7, 3.0, 0.3), (8, 0.3, 2.0, 0.05),
+        ]:
+            args = (extremes, scene.image_size, stride, min_overlap,
+                    sigma_divisor, tau_c)
+            new = _decodes_to_itself(*args)
+            assert new is frozen_decodes_to_itself(*args), (seed, stride)
+            outcomes.append(new)
+    assert 20 < sum(outcomes) < len(outcomes) - 20
 
 
 @pytest.mark.parametrize(

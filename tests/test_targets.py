@@ -1,6 +1,7 @@
 """Target rendering: radius rule vs a shifted-IoU oracle, kernel maxima,
 the shared kernel memo, offset exactness, and bounds checking."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -247,6 +248,43 @@ class TestRenderTargets:
         bad = square_extremes(70, 20, 8, 8)  # right point at x=78, grid 16 cells
         with pytest.raises(ValueError, match="annotation 1"):
             render_targets([good, bad], 16, 16, 4)
+
+    def test_first_failing_annotation_is_reported(self):
+        off_grid = square_extremes(70, 20, 8, 8)
+        flat = square_extremes(20, 20, 8, 0)  # zero box height
+        with pytest.raises(
+            ValueError,
+            match=r"^annotation 0: top keypoint \(70, 12\) falls outside the "
+            r"16x16 output grid at stride 4$",
+        ):
+            render_targets([off_grid, flat], 16, 16, 4)
+        with pytest.raises(
+            ValueError, match=r"^box dimensions must be positive, got 4.0 x 0.0$"
+        ):
+            render_targets([flat, off_grid], 16, 16, 4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_keypoint_names_its_annotation(self, bad):
+        good = square_extremes(20, 20, 8, 8)
+        broken = dataclasses.replace(good, left=Point2(12.0, bad))
+        with pytest.raises(ValueError, match=(
+            rf"^annotation 1: left keypoint \(12.0, {bad}\) falls outside"
+        )):
+            render_targets([good, broken], 16, 16, 4)
+
+    def test_later_annotation_wins_a_shared_offset_cell(self):
+        first = square_extremes(20.25, 20, 8, 8)
+        second = square_extremes(21.5, 20, 9, 8)  # same top cell (3, 5)
+        tb = render_targets([first, second], 16, 16, 4)
+        assert tb.gt_cells[0, 0].tolist() == tb.gt_cells[1, 0].tolist() == [3, 5]
+        assert tb.gt_offsets[:, 0, 0].tolist() == [0.0625, 0.375]
+        assert tb.bundle.offset_maps[0, 3, 5] == np.float32(0.375)
+
+    def test_unaddressable_grid_is_a_memory_error(self):
+        with pytest.raises(MemoryError, match="2147483647x2147483647 heatmap"):
+            targets.HeatmapBundle.zeros(2**31 - 1, 2**31 - 1, 1, (1, 1))
+        with pytest.raises(ValueError, match="negative dimensions"):
+            targets.HeatmapBundle.zeros(-1, 4, 1, (1, 1))
 
     def test_argmax_recovers_cells(self):
         ann = square_extremes(33.75, 41.5, 13, 9)
