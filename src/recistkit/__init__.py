@@ -47,7 +47,7 @@ from .grouping import (
     Detection,
     Detections,
     GroupingConfig,
-    Peak,
+    Peaks,
     detect,
     enumerate_quadruples,
     extract_peaks,

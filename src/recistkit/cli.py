@@ -206,7 +206,14 @@ def _cmd_detect(args) -> int:
 
     def run_one(path: Path):
         bundle = read_heatmaps(path)
-        return path.stem, detect(bundle, grouping_cfg)
+        try:
+            return path.stem, detect(bundle, grouping_cfg)
+        except MemoryError:
+            raise InputFormatError(
+                f"config keys grouping.kernel and grouping.k1: grouping {path.name} "
+                f"with kernel {grouping_cfg.kernel} and k1 {grouping_cfg.k1} "
+                "needs more memory than can be allocated"
+            ) from None
 
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:

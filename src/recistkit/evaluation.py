@@ -71,12 +71,6 @@ class FrocResult:
     n_images: int
     n_lesions: int
 
-    def sensitivity_at(self, fp_target: float) -> float:
-        for point in self.points:
-            if point.fp_target == fp_target:
-                return point.sensitivity
-        raise KeyError(f"no operating point for fp target {fp_target}")
-
 
 @dataclass
 class Strata:

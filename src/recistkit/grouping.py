@@ -26,16 +26,20 @@ import numpy as np
 from .geometry import BBox, ExtremePoints, Point2
 from .targets import EXTREME_ROLES, HeatmapBundle
 
-Cell = tuple[int, int]
+# window cells gathered at once in peak extraction, which bounds its memory
+_WINDOW_CELLS = 1 << 20
 
 
-@dataclass(frozen=True, slots=True)
-class Peak:
-    """One retained local maximum of a keypoint map."""
+@dataclass(frozen=True, slots=True, eq=False)
+class Peaks:
+    """One keypoint map's kept peaks: ``array`` is (3, n) float64 rows,
+    columns and scores, best first; ``len()`` gives n."""
 
-    cell: Cell  # (row, col)
-    score: float
     role: str
+    array: np.ndarray
+
+    def __len__(self) -> int:
+        return self.array.shape[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,39 +168,7 @@ class Detections(Sequence):
         return f"Detections({list(self)!r})"
 
 
-def _peak_array(heatmap: np.ndarray, cfg: GroupingConfig) -> np.ndarray:
-    """(3, n) float64 rows, columns and scores of one map's kept peaks.
-
-    Only a cell above ``tau_e`` can be kept, so only those cells are
-    tested: one is a peak when no cell of its window is greater or NaN.
-    Window indices are clipped to the grid, which reads the map through an
-    edge-replicated pad without building it; a border window then holds
-    copies of in-bounds cells only, so no fill value is needed and any
-    dtype works. See :func:`extract_peaks` for why this is the window
-    max-equality rule.
-    """
-    h, w = heatmap.shape
-    flat = heatmap.ravel()
-    cells = np.flatnonzero(flat > cfg.tau_e)
-    rows, cols = np.divmod(cells, w)
-    reach = np.arange(-(cfg.kernel // 2), cfg.kernel // 2 + 1)[:, None]
-    near_rows = np.clip(rows + reach, 0, h - 1)
-    near_rows *= w
-    near_cols = np.clip(cols + reach, 0, w - 1)
-    values = flat[cells]
-    # (kernel, kernel, n) window cells, candidates along the last axis
-    window = flat[near_rows[:, None, :] + near_cols[None, :, :]]
-    keep = (window <= values).all(axis=(0, 1))
-    rows, cols = rows[keep], cols[keep]
-    scores = values[keep].astype(np.float64)
-    # cells come in row-major order, so a stable sort breaks ties on (row, col)
-    order = np.argsort(-scores, kind="stable")[: cfg.k1]
-    return np.stack((rows[order], cols[order], scores[order]))
-
-
-def extract_peaks(
-    heatmap: np.ndarray, cfg: GroupingConfig, role: str
-) -> list[Peak]:
+def extract_peaks(heatmap: np.ndarray, cfg: GroupingConfig, role: str) -> Peaks:
     """Local peaks of one map: neighborhood-max cells scoring above tau_e.
 
     A cell qualifies when it equals the maximum of its ``kernel`` x
@@ -211,12 +183,35 @@ def extract_peaks(
     equals the window's maximum exactly when no window cell is greater; a
     NaN in the window makes that maximum NaN, which equals nothing, and
     fails ``>=`` just the same; a NaN cell is never above the threshold.
+    Window indices are clipped to the grid, which reads the map through an
+    edge-replicated pad without building it; a border window then holds
+    copies of in-bounds cells only, so no fill value is needed and any
+    dtype works. A window reaching past the grid from every cell covers
+    the whole grid, so a wider one is cut to that size, and windows are
+    gathered a bounded number of cells at a time.
     """
-    rows, cols, scores = _peak_array(heatmap, cfg).tolist()
-    return [
-        Peak(cell=(int(r), int(c)), score=s, role=role)
-        for r, c, s in zip(rows, cols, scores)
-    ]
+    h, w = heatmap.shape
+    flat = heatmap.ravel()
+    cells = np.flatnonzero(flat > cfg.tau_e)
+    rows, cols = np.divmod(cells, w)
+    values = flat[cells]
+    half = min(cfg.kernel // 2, max(h, w) - 1)
+    reach = np.arange(-half, half + 1)[:, None]
+    keep = np.empty(cells.size, dtype=bool)
+    step = max(1, _WINDOW_CELLS // reach.size**2)
+    for lo in range(0, cells.size, step):
+        part = slice(lo, lo + step)
+        near_rows = np.clip(rows[part] + reach, 0, h - 1)
+        near_rows *= w
+        near_cols = np.clip(cols[part] + reach, 0, w - 1)
+        # (width, width, m) window cells, this part's candidates along the last axis
+        window = flat[near_rows[:, None, :] + near_cols[None, :, :]]
+        keep[part] = (window <= values[part]).all(axis=(0, 1))
+    rows, cols = rows[keep], cols[keep]
+    scores = values[keep].astype(np.float64)
+    # cells come in row-major order, so a stable sort breaks ties on (row, col)
+    order = np.argsort(-scores, kind="stable")[: cfg.k1]
+    return Peaks(role, np.stack((rows[order], cols[order], scores[order])))
 
 
 def _center_scores_nearest(
@@ -353,41 +348,8 @@ def _select_top_k2(blocks: list, k2: int) -> Detections:
     return Detections(rows[order], scores[order], ("original",) * order.size)
 
 
-def _enumerate_rows(
-    arrays: Mapping[str, np.ndarray],
-    center_map: np.ndarray,
-    cfg: GroupingConfig,
-    workers: int = 1,
-) -> Detections:
-    """:func:`enumerate_quadruples` on each role's (3, n) peak array."""
-    if any(arrays[role].shape[1] == 0 for role in EXTREME_ROLES):
-        return Detections.of(())
-
-    n_tops = arrays["top"].shape[1]
-    n_chunks = max(1, min(workers, n_tops))
-
-    def run_chunk(lo: int, hi: int):
-        return _enumerate_block(
-            arrays["top"][:, lo:hi], arrays["bottom"], arrays["left"],
-            arrays["right"], center_map, cfg,
-        )
-
-    if n_chunks == 1:
-        blocks = [run_chunk(0, n_tops)]
-    else:
-        chunk_bounds = np.linspace(0, n_tops, n_chunks + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-            futures = [
-                pool.submit(run_chunk, int(lo), int(hi))
-                for lo, hi in zip(chunk_bounds[:-1], chunk_bounds[1:])
-                if hi > lo
-            ]
-            blocks = [f.result() for f in futures]
-    return _select_top_k2(blocks, cfg.k2)
-
-
 def enumerate_quadruples(
-    peaks_by_role: Mapping[str, Sequence[Peak]],
+    peaks_by_role: Mapping[str, Peaks],
     center_map: np.ndarray,
     cfg: GroupingConfig,
     workers: int = 1,
@@ -403,14 +365,27 @@ def enumerate_quadruples(
     ``workers`` > 1 partitions the (top, bottom) pair space; the merged
     result is bit-identical to the sequential one.
     """
-    arrays = {
-        role: np.array(
-            [(*p.cell, p.score) for p in peaks_by_role.get(role, [])],
-            dtype=np.float64,
-        ).reshape(-1, 3).T
-        for role in EXTREME_ROLES
-    }
-    return _enumerate_rows(arrays, center_map, cfg, workers)
+    top, left, bottom, right = (peaks_by_role[role].array for role in EXTREME_ROLES)
+    n_tops = top.shape[1]
+    if not all(p.shape[1] for p in (top, left, bottom, right)):
+        return Detections.of(())
+    n_chunks = max(1, min(workers, n_tops))
+
+    def run_chunk(lo: int, hi: int):
+        return _enumerate_block(top[:, lo:hi], bottom, left, right, center_map, cfg)
+
+    if n_chunks == 1:
+        blocks = [run_chunk(0, n_tops)]
+    else:
+        chunk_bounds = np.linspace(0, n_tops, n_chunks + 1).astype(int)
+        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+            futures = [
+                pool.submit(run_chunk, int(lo), int(hi))
+                for lo, hi in zip(chunk_bounds[:-1], chunk_bounds[1:])
+                if hi > lo
+            ]
+            blocks = [f.result() for f in futures]
+    return _select_top_k2(blocks, cfg.k2)
 
 
 def refine_with_offsets(
@@ -439,16 +414,14 @@ def refine_with_offsets(
 def detect(
     bundle: HeatmapBundle, cfg: GroupingConfig = GroupingConfig(), workers: int = 1
 ) -> Detections:
-    """Full grouping pipeline for one heatmap bundle.
-
-    Extracts peaks per extreme role, enumerates center-validated quadruples,
-    and refines coordinates to input pixels. Output is ordered by score
-    descending with deterministic tie-breaking; it equals what
-    :func:`extract_peaks`, :func:`enumerate_quadruples` and
-    :func:`refine_with_offsets` give in turn.
+    """Full grouping pipeline for one heatmap bundle: :func:`extract_peaks`
+    per extreme role, :func:`enumerate_quadruples` and
+    :func:`refine_with_offsets` in turn. Output is ordered by score
+    descending with deterministic tie-breaking.
     """
-    arrays = {
-        role: _peak_array(bundle.keypoint_map(role), cfg) for role in EXTREME_ROLES
+    peaks = {
+        role: extract_peaks(bundle.keypoint_map(role), cfg, role)
+        for role in EXTREME_ROLES
     }
-    candidates = _enumerate_rows(arrays, bundle.keypoint_map("center"), cfg, workers)
+    candidates = enumerate_quadruples(peaks, bundle.keypoint_map("center"), cfg, workers)
     return refine_with_offsets(candidates, bundle.offset_maps, bundle.stride)

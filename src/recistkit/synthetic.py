@@ -29,7 +29,7 @@ from .geometry import (
     flip_horizontal,
     ordered_diameters,
 )
-from .grouping import GroupingConfig, _enumerate_rows
+from .grouping import GroupingConfig, Peaks, enumerate_quadruples
 from .rng import SplitMix64
 from .targets import (
     EXTREME_ROLES,
@@ -133,13 +133,13 @@ def _decodes_to_itself(
     cells, _ = _draw_lesions(bundle, extremes_list, min_overlap, sigma_divisor)
     # (row, col) per lesion and extreme role
     truth = np.array([c[:4] for c in cells], dtype=float).reshape(-1, 4, 2)
-    # each role's peaks as grouping's (3, n) rows, columns and scores of 1.0
+    # each role's peaks: the true rows and columns, with scores of 1.0
     peaks = {
-        role: np.vstack((truth[:, j].T, np.ones(len(truth))))
+        role: Peaks(role, np.vstack((truth[:, j].T, np.ones(len(truth)))))
         for j, role in enumerate(EXTREME_ROLES)
     }
     center = bundle.keypoint_map("center")
-    kept = _enumerate_rows(peaks, center, GroupingConfig(tau_c=tau_c))
+    kept = enumerate_quadruples(peaks, center, GroupingConfig(tau_c=tau_c))
     found = kept.rows[:, [1, 0, 3, 2, 5, 4, 7, 6]].tolist()
     return sorted(found) == sorted(truth.reshape(-1, 8).tolist())
 

@@ -26,6 +26,7 @@ from tests.test_grouping import (
     detection_tuple,
     exhaustive_quadruples,
     naive_peaks,
+    peak_tuples,
     random_peak_bundle,
 )
 from tests.test_losses import random_focal_instance
@@ -149,14 +150,14 @@ def test_criterion_05_extract_peak_oracle_equivalence():
     total = 0
     for _ in range(100):
         grid = rng.uniform(0, 1, size=(64, 64)).astype(np.float32)
-        got = [(p.cell, p.score) for p in extract_peaks(grid, cfg, "top")]
+        got = peak_tuples(extract_peaks(grid, cfg, "top"))
         expected = naive_peaks(grid, cfg.tau_e)
         assert got == expected
         total += len(got)
 
     flat = np.full((64, 64), 0.5, dtype=np.float32)
     peaks = extract_peaks(flat, GroupingConfig(k1=40), "top")
-    assert [p.cell for p in peaks] == [(0, c) for c in range(40)]
+    assert [cell for cell, _ in peak_tuples(peaks)] == [(0, c) for c in range(40)]
     report(5, f"100 grids, {total} peaks, naive-scan equality and K1=40 tie-break")
 
 

@@ -205,6 +205,30 @@ class TestErrorPaths:
         assert run("detect", "--heatmaps", tmp_path / "nope",
                    "--out", tmp_path / "d.json") == 3
 
+    @pytest.mark.parametrize("kernel", [99999, 2**31 - 1])
+    def test_kernel_past_the_grid_keeps_the_whole_grid_window(self, kernel,
+                                                              tmp_path, capsys):
+        # such kernels used to end in a MemoryError, exit 4
+        sim = tmp_path / "sim"
+        assert run("simulate", "--out", sim, "--n-lesions", 1,
+                   "--image-size", 128) == 0
+        wide, whole = tmp_path / "wide.json", tmp_path / "whole.json"
+        code = run("detect", "--heatmaps", sim, "--kernel", kernel, "--out", wide)
+        assert code == 0, capsys.readouterr().err
+        # the 32 x 32 output grid's whole-grid window
+        assert run("detect", "--heatmaps", sim, "--kernel", 63, "--out", whole) == 0
+        assert read_detections(wide)[0] == read_detections(whole)[0]
+
+    def test_grouping_out_of_memory_exit_3(self, sim_dir, tmp_path, capsys,
+                                           monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli, "detect", out_of_memory)
+        out = tmp_path / "d.json"
+        assert run("detect", "--heatmaps", sim_dir, "--out", out) == 3
+        assert "config keys grouping.kernel and grouping.k1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_heatmap_exit_3_no_partial_output(self, tmp_path):
         bad_dir = tmp_path / "bundles"
         bad_dir.mkdir()

@@ -30,7 +30,7 @@ from recistkit.geometry import (
 from recistkit.grouping import (
     Detection,
     GroupingConfig,
-    Peak,
+    Peaks,
     detect,
     enumerate_quadruples,
     extract_peaks,
@@ -42,6 +42,7 @@ from recistkit.synthetic import (
     simulate_heatmaps,
 )
 from recistkit.targets import EXTREME_ROLES
+from tests.test_grouping import make_peaks
 
 # --- oracles: the per-detection implementations -----------------------------
 
@@ -314,13 +315,10 @@ class TestRefineOracle:
         grid = 24
         for trial in range(5):
             peaks = {
-                role: [
-                    Peak((int(r), int(c)), float(s), role)
-                    for r, c, s in zip(
-                        rng.integers(grid, size=6), rng.integers(grid, size=6),
-                        rng.uniform(0.1, 1.0, size=6),
-                    )
-                ]
+                role: make_peaks(role, list(zip(
+                    rng.integers(grid, size=6), rng.integers(grid, size=6),
+                    rng.uniform(0.1, 1.0, size=6),
+                )))
                 for role in EXTREME_ROLES
             }
             center = rng.uniform(0, 1, (grid, grid)).astype(np.float32)
@@ -365,7 +363,8 @@ class TestStagedChain:
                 role: extract_peaks(bundle.keypoint_map(role), cfg, role)
                 for role in EXTREME_ROLES
             }
-            assert all(isinstance(p, list) for p in peaks.values())
+            assert all(isinstance(p, Peaks) for p in peaks.values())
+            assert [len(p) for p in peaks.values()] == [cfg.k1] * len(EXTREME_ROLES)
             candidates = enumerate_quadruples(
                 peaks, bundle.keypoint_map("center"), cfg, workers=1
             )

@@ -4,12 +4,13 @@ artifacts at numpy's SIMD dispatch levels below this host's own.
 numpy picks its SIMD kernels when it is imported, and
 ``NPY_DISABLE_CPU_FEATURES`` switches dispatch targets off for one process.
 Each level below runs the named tests in a child process with that variable
-set in the child's environment only. The simulator skips Box-Muller where
-the sign of cos or sin says the clip gives 0, so these runs check that
-reasoning against other ``cos``, ``sin`` and ``log1p`` kernels; the focal
-losses refuse a NaN prediction, whose result's sign would follow the kernel.
-A level the host does not reach above is skipped: the main run already
-covers it.
+set in the child's environment only. The children of all levels start at
+once, from one module fixture, and each level's test waits for its own. The
+simulator skips Box-Muller where the sign of cos or sin says the clip gives
+0, so these runs check that reasoning against other ``cos``, ``sin`` and
+``log1p`` kernels; the focal losses refuse a NaN prediction, whose result's
+sign would follow the kernel. A level the host does not reach above is
+skipped: the main run already covers it.
 """
 
 import os
@@ -52,17 +53,42 @@ sys.exit(pytest.main(sys.argv[2:]))
 """
 
 
-@pytest.mark.parametrize("level", list(LEVELS))
-def test_noise_oracles_and_golden_bytes_pass(level):
+def _start(level: str, log: Path):
+    """The child run of ``level``, writing to ``log``; None with no target to
+    switch off."""
     off = [t for t in __cpu_dispatch__ if __cpu_features__.get(t) and LEVELS[level](t)]
     if "X86_V3" not in __cpu_dispatch__ or not off:
-        pytest.skip(f"numpy on this host dispatches no x86 target above {level}")
+        return None
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off))
     src = str(Path(recistkit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    child = subprocess.run(
-        [sys.executable, "-c", CHILD, " ".join(off), "-q", "-p", "no:cacheprovider",
-         *TEST_IDS],
-        cwd=TESTS.parent, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert child.returncode == 0, child.stdout + child.stderr
+    with log.open("w") as out:
+        return subprocess.Popen(
+            [sys.executable, "-c", CHILD, " ".join(off), "-q", "-p", "no:cacheprovider",
+             *TEST_IDS],
+            cwd=TESTS.parent, env=env, stdout=out, stderr=subprocess.STDOUT,
+        )
+
+
+@pytest.fixture(scope="module")
+def children(tmp_path_factory):
+    """Every level's child run and its log, all started at once."""
+    logs = tmp_path_factory.mktemp("dispatch_levels")
+    started = {}
+    for i, level in enumerate(LEVELS):
+        log = logs / f"level{i}.log"
+        started[level] = (_start(level, log), log)
+    yield started
+    for child, _ in started.values():
+        if child is not None and child.poll() is None:
+            child.kill()
+            child.wait()
+
+
+@pytest.mark.parametrize("level", list(LEVELS))
+def test_noise_oracles_and_golden_bytes_pass(level, children):
+    child, log = children[level]
+    if child is None:
+        pytest.skip(f"numpy on this host dispatches no x86 target above {level}")
+    child.wait(timeout=120)
+    assert child.returncode == 0, log.read_text()

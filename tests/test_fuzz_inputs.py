@@ -420,7 +420,8 @@ wrong_config_values = st.one_of(
 # Sizes are drawn from a set whose heatmap planes are small (at most 384 x 384
 # cells) or far larger than any address space, so that numpy refuses them at
 # once; a grid in between could really be allocated. ``kernel`` stays small
-# for the same reason (see CHANGES.md).
+# so that each example stays quick: a whole-grid window on a noisy 768 px
+# bundle takes seconds.
 SAFE_VALUES = {
     ("render", "input_size"): [64, 511, 768, 2**31 - 1],
     ("render", "stride"): [2, 4, 8, 2**31 - 1],

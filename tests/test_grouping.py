@@ -9,7 +9,7 @@ import pytest
 from recistkit.grouping import (
     Detection,
     GroupingConfig,
-    Peak,
+    Peaks,
     detect,
     enumerate_quadruples,
     extract_peaks,
@@ -36,30 +36,42 @@ def naive_peaks(grid: np.ndarray, tau: float, kernel: int = 3):
     return out
 
 
+def make_peaks(role: str, triples) -> Peaks:
+    """The ``Peaks`` record of (row, col, score) triples, in their order."""
+    return Peaks(role, np.array(triples, dtype=np.float64).reshape(-1, 3).T)
+
+
+def peak_tuples(peaks: Peaks):
+    """((row, col), score) per peak, as Python ints and floats."""
+    rows, cols, scores = peaks.array.tolist()
+    return [((int(r), int(c)), s) for r, c, s in zip(rows, cols, scores)]
+
+
 def exhaustive_quadruples(peaks_by_role, center_map, tau_c):
     """Nested-loop enumerator with the documented contract, no truncation.
 
     Scores use the same fixed float64 association the contract states:
     (s_t + s_b) + (s_l + s_r) + 2 * s_c.
     """
+    top, left, bottom, right = (
+        peak_tuples(peaks_by_role[role]) for role in ("top", "left", "bottom", "right")
+    )
     results = []
-    for t in peaks_by_role["top"]:
-        for l in peaks_by_role["left"]:
-            for b in peaks_by_role["bottom"]:
-                for r in peaks_by_role["right"]:
-                    if t.cell[0] > b.cell[0] or l.cell[1] > r.cell[1]:
+    for t, t_score in top:
+        for l, l_score in left:
+            for b, b_score in bottom:
+                for r, r_score in right:
+                    if t[0] > b[0] or l[1] > r[1]:
                         continue
-                    crow = (t.cell[0] + b.cell[0]) * 0.5
-                    ccol = (l.cell[1] + r.cell[1]) * 0.5
+                    crow = (t[0] + b[0]) * 0.5
+                    ccol = (l[1] + r[1]) * 0.5
                     cell_r = math.floor(crow + 0.5)
                     cell_c = math.floor(ccol + 0.5)
                     cscore = float(center_map[cell_r, cell_c])
                     if not cscore > tau_c:
                         continue
-                    score = (t.score + b.score) + (l.score + r.score) + 2.0 * cscore
-                    results.append(
-                        (score, t.cell, l.cell, b.cell, r.cell, (ccol, crow))
-                    )
+                    score = (t_score + b_score) + (l_score + r_score) + 2.0 * cscore
+                    results.append((score, t, l, b, r, (ccol, crow)))
     results.sort(key=lambda item: (-item[0],) + item[1:5])
     return results
 
@@ -77,19 +89,15 @@ def detection_tuple(det: Detection):
 
 
 def random_peak_bundle(rng, grid=24, n_per_role=6, tau_e=0.1):
-    """Random peak lists plus a random center map, for oracle comparisons."""
+    """Random peaks per role plus a random center map, for oracle comparisons."""
     peaks = {}
     for role in EXTREME_ROLES:
         n = int(rng.integers(1, n_per_role + 1))
         cells = rng.choice(grid * grid, size=n, replace=False)
-        peaks[role] = [
-            Peak(
-                cell=(int(c // grid), int(c % grid)),
-                score=float(rng.uniform(tau_e + 1e-6, 1.0)),
-                role=role,
-            )
-            for c in cells
-        ]
+        peaks[role] = make_peaks(
+            role,
+            [(c // grid, c % grid, rng.uniform(tau_e + 1e-6, 1.0)) for c in cells],
+        )
     center = rng.uniform(0.0, 1.0, size=(grid, grid)).astype(np.float32)
     # sparsify so the center test actually filters
     center[rng.random((grid, grid)) < 0.5] = 0.0
@@ -101,33 +109,36 @@ class TestExtractPeaks:
         grid = np.zeros((5, 5), dtype=np.float32)
         grid[2, 3] = 0.9
         peaks = extract_peaks(grid, GroupingConfig(), "top")
+        assert isinstance(peaks, Peaks)
         assert len(peaks) == 1
-        assert peaks[0].cell == (2, 3)
-        assert peaks[0].score == pytest.approx(0.9)
-        assert peaks[0].role == "top"
+        ((cell, score),) = peak_tuples(peaks)
+        assert cell == (2, 3)
+        assert score == pytest.approx(0.9)
+        assert peaks.role == "top"
 
     def test_all_below_threshold_empty(self):
         grid = np.full((5, 5), 0.1, dtype=np.float32)  # exactly tau: excluded
-        assert extract_peaks(grid, GroupingConfig(), "top") == []
+        peaks = extract_peaks(grid, GroupingConfig(), "top")
+        assert len(peaks) == 0 and peaks.array.shape == (3, 0)
 
     def test_matches_naive_scan_random(self):
         rng = np.random.default_rng(30)
         cfg = GroupingConfig(k1=1000)
         for _ in range(50):
             grid = rng.uniform(0, 1, size=(16, 16)).astype(np.float32)
-            got = [(p.cell, p.score) for p in extract_peaks(grid, cfg, "top")]
+            got = peak_tuples(extract_peaks(grid, cfg, "top"))
             assert got == naive_peaks(grid, cfg.tau_e)
 
     def test_plateau_cells_all_qualify(self):
         grid = np.zeros((5, 5), dtype=np.float32)
         grid[2, 2] = grid[2, 3] = 0.7
-        cells = {p.cell for p in extract_peaks(grid, GroupingConfig(), "top")}
-        assert cells == {(2, 2), (2, 3)}
+        peaks = extract_peaks(grid, GroupingConfig(), "top")
+        assert {cell for cell, _ in peak_tuples(peaks)} == {(2, 2), (2, 3)}
 
     def test_truncation_tie_break_row_then_col(self):
         grid = np.full((8, 8), 0.5, dtype=np.float32)  # all cells tie
         peaks = extract_peaks(grid, GroupingConfig(k1=10), "top")
-        assert [p.cell for p in peaks] == [
+        assert [cell for cell, _ in peak_tuples(peaks)] == [
             (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
             (1, 0), (1, 1),
         ]
@@ -135,16 +146,16 @@ class TestExtractPeaks:
     def test_border_cells_use_inbounds_window(self):
         grid = np.zeros((4, 4), dtype=np.float32)
         grid[0, 0] = 0.8
-        assert extract_peaks(grid, GroupingConfig(), "top")[0].cell == (0, 0)
+        peaks = extract_peaks(grid, GroupingConfig(), "top")
+        assert peak_tuples(peaks)[0][0] == (0, 0)
 
     def test_kernel_five(self):
         grid = np.zeros((7, 7), dtype=np.float32)
         grid[3, 3] = 0.9
         grid[3, 5] = 0.8  # within the 5x5 window of (3,3): suppressed
         cfg = GroupingConfig(kernel=5)
-        cells = [p.cell for p in extract_peaks(grid, cfg, "top")]
-        assert cells == [(3, 3)]
-        got = [(p.cell, p.score) for p in extract_peaks(grid, cfg, "top")]
+        got = peak_tuples(extract_peaks(grid, cfg, "top"))
+        assert [cell for cell, _ in got] == [(3, 3)]
         assert got == naive_peaks(grid, cfg.tau_e, kernel=5)
 
 
@@ -153,10 +164,10 @@ class TestEnumerateQuadruples:
         center = np.zeros((10, 10), dtype=np.float32)
         center[5, 5] = 0.5
         peaks = {
-            "top": [Peak((2, 5), 0.9, "top")],
-            "left": [Peak((5, 2), 0.8, "left")],
-            "bottom": [Peak((8, 5), 0.7, "bottom")],
-            "right": [Peak((5, 8), 0.6, "right")],
+            "top": make_peaks("top", [(2, 5, 0.9)]),
+            "left": make_peaks("left", [(5, 2, 0.8)]),
+            "bottom": make_peaks("bottom", [(8, 5, 0.7)]),
+            "right": make_peaks("right", [(5, 8, 0.6)]),
         }
         dets = enumerate_quadruples(peaks, center, GroupingConfig())
         assert len(dets) == 1
@@ -166,10 +177,10 @@ class TestEnumerateQuadruples:
         center = np.zeros((10, 10), dtype=np.float32)
         center[5, 5] = np.float32(0.1)  # exactly tau_c: strict inequality
         peaks = {
-            "top": [Peak((2, 5), 0.9, "top")],
-            "left": [Peak((5, 2), 0.8, "left")],
-            "bottom": [Peak((8, 5), 0.7, "bottom")],
-            "right": [Peak((5, 8), 0.6, "right")],
+            "top": make_peaks("top", [(2, 5, 0.9)]),
+            "left": make_peaks("left", [(5, 2, 0.8)]),
+            "bottom": make_peaks("bottom", [(8, 5, 0.7)]),
+            "right": make_peaks("right", [(5, 8, 0.6)]),
         }
         cfg = GroupingConfig(tau_c=float(np.float32(0.1)))
         assert enumerate_quadruples(peaks, center, cfg) == []
@@ -177,10 +188,10 @@ class TestEnumerateQuadruples:
     def test_invalid_order_rejected(self):
         center = np.ones((10, 10), dtype=np.float32)
         peaks = {
-            "top": [Peak((8, 5), 0.9, "top")],  # below the bottom peak
-            "left": [Peak((5, 2), 0.8, "left")],
-            "bottom": [Peak((2, 5), 0.7, "bottom")],
-            "right": [Peak((5, 8), 0.6, "right")],
+            "top": make_peaks("top", [(8, 5, 0.9)]),  # below the bottom peak
+            "left": make_peaks("left", [(5, 2, 0.8)]),
+            "bottom": make_peaks("bottom", [(2, 5, 0.7)]),
+            "right": make_peaks("right", [(5, 8, 0.6)]),
         }
         assert enumerate_quadruples(peaks, center, GroupingConfig()) == []
 
@@ -208,7 +219,7 @@ class TestEnumerateQuadruples:
 
     def test_empty_role_gives_empty_output(self):
         center = np.ones((4, 4), dtype=np.float32)
-        peaks = {"top": [], "left": [], "bottom": [], "right": []}
+        peaks = {role: make_peaks(role, []) for role in EXTREME_ROLES}
         assert enumerate_quadruples(peaks, center, GroupingConfig()) == []
 
     def test_permutation_of_peak_lists_irrelevant(self):
@@ -217,8 +228,8 @@ class TestEnumerateQuadruples:
         cfg = GroupingConfig()
         base = enumerate_quadruples(peaks, center, cfg)
         shuffled = {
-            role: list(rng.permutation(np.array(plist, dtype=object)))
-            for role, plist in peaks.items()
+            role: Peaks(role, p.array[:, rng.permutation(len(p))])
+            for role, p in peaks.items()
         }
         assert enumerate_quadruples(shuffled, center, cfg) == base
 

@@ -2,12 +2,15 @@
 the dense implementations they replaced, bit for bit.
 
 The three oracles below are the dense implementations, copied without
-change. The enumeration oracle is swapped in for the block function, so
-both sides share the peak packing, the worker partition and the top-k2
-merge. Results are compared by ``float.hex`` of every coordinate and score.
+change but for ``dense_extract_peaks`` returning the ``Peaks`` record. The
+enumeration oracle is swapped in for the block function, so both sides
+share the worker partition and the top-k2 merge. Detections are compared by
+``float.hex`` of every coordinate and score, peaks by the bytes of their
+arrays.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from recistkit import grouping
 from recistkit.grouping import (
     Detection,
     GroupingConfig,
-    Peak,
+    Peaks,
     detect,
     enumerate_quadruples,
     extract_peaks,
@@ -26,6 +29,7 @@ from recistkit.grouping import (
 )
 from recistkit.targets import EXTREME_ROLES
 from tests.test_detection_rows import bits, noisy_views
+from tests.test_grouping import make_peaks, peak_tuples
 
 # -inf center cells make bilinear weights of 0 multiply -inf, on both sides
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -46,21 +50,14 @@ def dense_window_max(grid: np.ndarray, kernel: int) -> np.ndarray:
     return out
 
 
-def dense_extract_peaks(
-    heatmap: np.ndarray, cfg: GroupingConfig, role: str
-) -> list[Peak]:
+def dense_extract_peaks(heatmap: np.ndarray, cfg: GroupingConfig, role: str) -> Peaks:
     """Local peaks of one map: neighborhood-max cells scoring above tau_e."""
     win = dense_window_max(heatmap, cfg.kernel)
     mask = (heatmap == win) & (heatmap > cfg.tau_e)
     rows, cols = np.nonzero(mask)
-    if rows.size == 0:
-        return []
     scores = heatmap[rows, cols].astype(np.float64)
     order = np.lexsort((cols, rows, -scores))[: cfg.k1]
-    return [
-        Peak(cell=(int(rows[i]), int(cols[i])), score=float(scores[i]), role=role)
-        for i in order
-    ]
+    return make_peaks(role, np.column_stack((rows[order], cols[order], scores[order])))
 
 
 def _center_scores_nearest(
@@ -148,8 +145,8 @@ def dense_enumerate_block(top, bottom, left, right, center_map, cfg):
 LEVELS = [float(np.float32(v)) for v in (0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0)]
 
 
-def peak_bits(peaks):
-    return [(p.cell, p.score.hex(), p.role) for p in peaks]
+def peak_bits(peaks: Peaks):
+    return peaks.role, peaks.array.dtype, peaks.array.shape, peaks.array.tobytes()
 
 
 def dense_enumerate(peaks, center, cfg, workers):
@@ -179,10 +176,9 @@ def random_enumeration_case(rng):
             scores = rng.uniform(0.1, 1.0, size=n).astype(np.float32)
         else:  # float64 scores, whose sums show the association
             scores = rng.uniform(0.1, 1.0, size=n)
-        peaks[role] = [
-            Peak((int(c // w), int(c % w)), float(s), role)
-            for c, s in zip(cells, scores)
-        ]
+        peaks[role] = make_peaks(
+            role, [(c // w, c % w, s) for c, s in zip(cells, scores)]
+        )
     finite = center[np.isfinite(center)]
     if finite.size and rng.random() < 0.5:
         tau_c = float(rng.choice(finite[finite <= 1.0]))  # strict > at a map value
@@ -224,7 +220,7 @@ def test_enumeration_matches_dense_oracle(center_interp):
 def test_ties_at_the_k2_cut():
     """Every candidate scores the same, so the cut falls inside one tie."""
     peaks = {
-        role: [Peak((r, c), 0.5, role) for r in range(3) for c in range(4)]
+        role: make_peaks(role, [(r, c, 0.5) for r in range(3) for c in range(4)])
         for role in EXTREME_ROLES
     }
     center = np.full((3, 4), 0.75, dtype=np.float32)
@@ -242,10 +238,11 @@ def test_ties_at_the_k2_cut():
 def test_one_by_one_map_and_empty_role():
     cfg = GroupingConfig()
     center = np.full((1, 1), 0.5, dtype=np.float32)
-    peaks = {role: [Peak((0, 0), 0.5, role)] for role in EXTREME_ROLES}
+    peaks = {role: make_peaks(role, [(0, 0, 0.5)]) for role in EXTREME_ROLES}
     (det,) = enumerate_quadruples(peaks, center, cfg)
     assert det.score == (0.5 + 0.5) + (0.5 + 0.5) + 2.0 * 0.5
-    assert enumerate_quadruples({**peaks, "left": []}, center, cfg) == []
+    no_left = {**peaks, "left": make_peaks("left", [])}
+    assert enumerate_quadruples(no_left, center, cfg) == []
 
 
 def test_detect_matches_dense_pipeline():
@@ -271,7 +268,7 @@ def test_detect_matches_dense_pipeline():
 
 @st.composite
 def grouping_cases(draw):
-    """Peak sets without repeated cells per role, and a small center map."""
+    """Peaks per role without repeated cells, and a small center map."""
     h, w = draw(st.integers(1, 10)), draw(st.integers(1, 10))
     value = st.sampled_from(LEVELS + [math.nan, -math.inf])
     center = np.array(
@@ -281,10 +278,9 @@ def grouping_cases(draw):
         st.integers(0, h - 1), st.integers(0, w - 1), st.sampled_from(LEVELS[1:])
     )
     peaks = {
-        role: [
-            Peak((r, c), s, role)
-            for r, c, s in draw(st.lists(peak, max_size=6, unique_by=lambda p: p[:2]))
-        ]
+        role: make_peaks(
+            role, draw(st.lists(peak, max_size=6, unique_by=lambda p: p[:2]))
+        )
         for role in EXTREME_ROLES
     }
     cfg = GroupingConfig(
@@ -337,7 +333,7 @@ def test_window_max_matches_dense_oracle(kernel):
         for grid in (random_peak_grid(rng), *more_peak_grids(more, kernel)):
             tau_e = float(more.choice([0.0, 0.1, 0.5]))
             cfg = GroupingConfig(tau_e=tau_e, k1=grid.size, kernel=kernel)
-            rows, cols, scores = grouping._peak_array(grid, cfg)
+            rows, cols, scores = extract_peaks(grid, cfg, "top").array
             # the oracle fills with -inf, so integer maps go in as float64
             exact = grid if grid.dtype.kind == "f" else grid.astype(np.float64)
             win = dense_window_max(exact, kernel)
@@ -369,9 +365,40 @@ def test_extract_peaks_matches_dense_oracle(kernel):
         cfg = GroupingConfig(tau_e=tau_e, k1=k1, kernel=kernel)
         got = extract_peaks(grid, cfg, "left")
         assert peak_bits(got) == peak_bits(dense_extract_peaks(grid, cfg, "left"))
-        assert all(type(p.cell[0]) is int and type(p.score) is float for p in got)
+        assert got.array.dtype == np.float64 and got.array.shape == (3, len(got))
         found += len(got)
     assert found > 500
+
+
+def test_kernel_past_the_grid_keeps_the_whole_grid_window():
+    """A window that reaches past the grid from every cell covers all of it,
+    so any wider kernel keeps the peaks of kernel ``2 * max(h, w) - 1``."""
+    rng = np.random.default_rng(80)
+    more = np.random.default_rng(180)
+    for i in range(15):
+        for grid in (random_peak_grid(rng), *more_peak_grids(more, 7)):
+            cfg = GroupingConfig(k1=grid.size, kernel=2 * max(grid.shape) - 1)
+            expected = peak_bits(extract_peaks(grid, cfg, "top"))
+            if i < 3:
+                assert expected == peak_bits(dense_extract_peaks(grid, cfg, "top"))
+            for kernel in (99999, 2**31 - 1):
+                wide = replace(cfg, kernel=kernel)
+                assert peak_bits(extract_peaks(grid, wide, "top")) == expected
+
+
+def test_window_gathered_in_parts_matches_dense_oracle(monkeypatch):
+    """``extract_peaks`` bounds the window cells it gathers at once; parts of
+    one candidate, or of a few with a remainder, keep the same peaks."""
+    rng = np.random.default_rng(90)
+    for window_cells in (1, 50):
+        monkeypatch.setattr(grouping, "_WINDOW_CELLS", window_cells)
+        for kernel in (1, 3, 5, 7):
+            for _ in range(10):
+                grid = random_peak_grid(rng)
+                cfg = GroupingConfig(k1=grid.size, kernel=kernel)
+                assert peak_bits(extract_peaks(grid, cfg, "top")) == peak_bits(
+                    dense_extract_peaks(grid, cfg, "top")
+                )
 
 
 def test_nan_cell_suppresses_its_window_as_before():
@@ -380,5 +407,6 @@ def test_nan_cell_suppresses_its_window_as_before():
     grid[2, 2] = np.nan
     grid[4, 4] = 0.8
     cfg = GroupingConfig()
-    assert extract_peaks(grid, cfg, "top") == dense_extract_peaks(grid, cfg, "top")
-    assert [p.cell for p in extract_peaks(grid, cfg, "top")] == [(4, 4)]
+    got = extract_peaks(grid, cfg, "top")
+    assert peak_bits(got) == peak_bits(dense_extract_peaks(grid, cfg, "top"))
+    assert [cell for cell, _ in peak_tuples(got)] == [(4, 4)]

@@ -10,8 +10,9 @@ previous ``simulate_heatmaps``, which drew the three uniforms of each
 lesion role one scalar call at a time, and drew each keypoint with its own
 ``draw_keypoint`` and sized its kernel with its own ``lesion_radius``
 rather than through the shared lesion path of ``targets``. They are copied
-without change but for their docstrings, the names of what they import and
-the spurious-peak score floor and radius, which are module constants now
+without change but for their docstrings, the names of what they import,
+the ``Peaks`` records the clearance check hands to ``enumerate_quadruples``
+and the spurious-peak score floor and radius, which are module constants now
 rather than ``DegradationConfig`` fields. Coordinates are
 compared by ``float.hex`` and the generator by its state afterwards, so
 an extra or a missing draw fails.
@@ -53,7 +54,7 @@ from recistkit.synthetic import (
     simulate_heatmaps,
 )
 from recistkit.geometry import ExtremePoints
-from recistkit.grouping import GroupingConfig, _enumerate_rows
+from recistkit.grouping import GroupingConfig, Peaks, enumerate_quadruples
 from recistkit.targets import (
     _MAX_OFFSET,
     EXTREME_ROLES,
@@ -126,12 +127,12 @@ def frozen_decodes_to_itself(
         radius = lesion_radius(e, stride, min_overlap)
         draw_gaussian(center_map, center, radius, sigma_divisor=sigma_divisor)
         truth[i] = cells
-    # each role's peaks as grouping's (3, n) rows, columns and scores of 1.0
+    # each role's peaks: the true rows and columns, with scores of 1.0
     peaks = {
-        role: np.vstack((truth[:, j].T, np.ones(len(truth))))
+        role: Peaks(role, np.vstack((truth[:, j].T, np.ones(len(truth)))))
         for j, role in enumerate(EXTREME_ROLES)
     }
-    kept = _enumerate_rows(peaks, center_map, GroupingConfig(tau_c=tau_c))
+    kept = enumerate_quadruples(peaks, center_map, GroupingConfig(tau_c=tau_c))
     found = kept.rows[:, [1, 0, 3, 2, 5, 4, 7, 6]].tolist()
     return sorted(found) == sorted(truth.reshape(-1, 8).tolist())
 
