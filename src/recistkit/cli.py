@@ -37,6 +37,7 @@ from .dataio import (
     write_json,
 )
 from .evaluation import (
+    check_fp_targets,
     diameter_bucket,
     froc,
     interval_bucket,
@@ -573,7 +574,7 @@ _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 def _fps_list(raw: str) -> list[float]:
     try:
         values = [float(p) for p in raw.split(",") if p.strip()]
-        config_mod.check_fp_targets(values)
+        check_fp_targets(values)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{raw!r}: {exc}") from None
     return values

@@ -12,10 +12,10 @@ from __future__ import annotations
 import copy
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .dataio import MAX_HEADER_INT, InputFormatError, is_finite_number, load_json
-from .evaluation import FP_TARGETS_DEFAULT
+from .evaluation import FP_TARGETS_DEFAULT, check_fp_targets
 from .fusion import SoftNmsConfig
 from .grouping import GroupingConfig
 from .losses import FocalParams
@@ -99,15 +99,6 @@ def load_config(path: str | Path | None) -> dict[str, Any]:
     if not isinstance(data, dict):
         raise InputFormatError(f"{path}: config root must be an object")
     return merge(DEFAULTS, data)
-
-
-def check_fp_targets(values: Sequence[float]) -> None:
-    """FPs-per-image targets must be a non-empty list of finite numbers >= 0."""
-    if not values or not all(is_finite_number(v) and v >= 0 for v in values):
-        raise ValueError(
-            f"FP targets must be a non-empty list of finite numbers >= 0, "
-            f"got {list(values)!r}"
-        )
 
 
 def build_sections(cfg: Mapping[str, Any]) -> dict[str, Any]:

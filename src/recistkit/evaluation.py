@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataio import is_finite_number
 from .geometry import BBox, pairwise_iou
 from .grouping import BOX_COLUMNS, Detection, Detections
 
@@ -45,12 +46,79 @@ class DetectionMatch:
     gt_index: int | None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True, eq=False)
 class MatchResult:
-    """All detection outcomes for one image plus its lesion count."""
+    """One image's detection outcomes as arrays, plus its lesion count.
 
-    records: list[DetectionMatch]
+    ``order`` (intp) holds the detection indices in visit order, score
+    descending with ties by input index; ``scores`` (float64) their scores
+    in that order; ``gt_index`` (intp) the lesion each one matched, or -1
+    for a false positive. Building one raises ValueError, naming the first
+    bad record, unless the arrays are 1-D of one length, every
+    ``gt_index`` lies in [-1, ``n_gt``), no lesion is matched twice and
+    ``n_gt`` >= 0. It equals a result with the same ``records`` and
+    ``n_gt``. Its arrays are shared, not copied: do not write to them.
+    """
+
+    order: np.ndarray
+    scores: np.ndarray
+    gt_index: np.ndarray
     n_gt: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "order", np.asarray(self.order, dtype=np.intp))
+        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
+        object.__setattr__(self, "gt_index", np.asarray(self.gt_index, dtype=np.intp))
+        order, scores, lesions, n_gt = self.order, self.scores, self.gt_index, self.n_gt
+        if not (order.ndim == 1 and order.shape == scores.shape == lesions.shape):
+            raise ValueError("order, scores and gt_index must be 1-D and of one length")
+        if n_gt < 0:
+            raise ValueError(f"n_gt must be >= 0, got {n_gt}")
+        tps = lesions[lesions >= 0].tolist()
+        if ((lesions >= -1) & (lesions < n_gt)).all() and len(set(tps)) == len(tps):
+            return
+        matched = set()  # the arrays are bad: name the first bad record
+        for k, g in enumerate(lesions.tolist()):
+            if not -1 <= g < n_gt:
+                raise ValueError(f"record {k}: gt_index {g} is outside [-1, {n_gt})")
+            if g in matched:
+                raise ValueError(f"record {k}: lesion {g} is matched twice")
+            if g >= 0:
+                matched.add(g)
+
+    @classmethod
+    def of(cls, records: Sequence[DetectionMatch], n_gt: int) -> MatchResult:
+        """The record of ``records``, in their order; a true positive must
+        name a lesion and a false positive none, else ValueError."""
+        for k, r in enumerate(records):
+            if r.is_tp != (r.gt_index is not None) or r.is_tp and r.gt_index < 0:
+                raise ValueError(
+                    f"record {k}: is_tp {r.is_tp} with gt_index {r.gt_index!r}"
+                )
+        return cls(
+            [r.det_index for r in records],
+            [r.score for r in records],
+            [-1 if r.gt_index is None else r.gt_index for r in records],
+            n_gt,
+        )
+
+    @property
+    def records(self) -> list[DetectionMatch]:
+        """One :class:`DetectionMatch` view per detection, in visit order,
+        built as it is read, with Python numbers and None for -1."""
+        return [
+            DetectionMatch(i, score, g >= 0, g if g >= 0 else None)
+            for i, score, g in zip(
+                self.order.tolist(), self.scores.tolist(), self.gt_index.tolist()
+            )
+        ]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, MatchResult):
+            return (self.records, self.n_gt) == (other.records, other.n_gt)
+        return NotImplemented
+
+    __hash__ = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,8 +163,7 @@ def match_detections(
     reaches the threshold; every ground truth is matched at most once.
     """
     dets = Detections.of(detections)
-    scores = dets.scores.tolist()
-    order = np.argsort(-dets.scores, kind="stable").tolist()
+    order = np.argsort(-dets.scores, kind="stable")
     # padded as pad_bbox pads: x1 - pad, y1 - pad, x2 + pad, y2 + pad
     padded = dets.rows[:, BOX_COLUMNS] + np.array([-pad, -pad, pad, pad])
     gts = np.array([g.as_tuple() for g in gt_boxes], dtype=np.float64).reshape(-1, 4)
@@ -105,18 +172,29 @@ def match_detections(
     # the last column, always 0, keeps argmax defined without ground truth
     overlap = np.zeros((len(dets), len(gt_boxes) + 1))
     np.copyto(overlap[:, :-1], ious, where=ious > 0.0)
-    records = []
+    gt_index = []
     best = None
-    for i in order:
+    for i in order.tolist():
         if best is None:  # after each match: argmax is the scan's first maximum
             best, best_iou = overlap.argmax(axis=1).tolist(), overlap.max(axis=1).tolist()
         if best_iou[i] > 0.0 and best_iou[i] >= iou_threshold:
             overlap[:, best[i]] = 0.0  # every ground truth is matched at most once
-            records.append(DetectionMatch(i, scores[i], True, best[i]))
+            gt_index.append(best[i])
             best = None
         else:
-            records.append(DetectionMatch(i, scores[i], False, None))
-    return MatchResult(records=records, n_gt=len(gt_boxes))
+            gt_index.append(-1)
+    return MatchResult(order, dets.scores[order], gt_index, len(gt_boxes))
+
+
+def check_fp_targets(values: Sequence[float]) -> None:
+    """FPs-per-image targets must be a non-empty list of finite numbers >= 0;
+    numpy scalars are judged as the Python numbers they hold."""
+    targets = [v.item() if isinstance(v, np.generic) else v for v in values]
+    if not targets or not all(is_finite_number(v) and v >= 0 for v in targets):
+        raise ValueError(
+            f"FP targets must be a non-empty list of finite numbers >= 0, "
+            f"got {targets!r}"
+        )
 
 
 def froc(
@@ -126,8 +204,9 @@ def froc(
     """Sensitivity at the requested FPs-per-image targets.
 
     This is :func:`stratified_froc` with every lesion in one stratum.
-    Raises ValueError when there are no images or no lesions; an image set
-    with detections on none of them still yields sensitivity 0 everywhere.
+    Raises ValueError when there are no images or no lesions, or when
+    :func:`check_fp_targets` refuses ``fp_targets``; an image set with
+    detections on none of them still yields sensitivity 0 everywhere.
     """
     if len(matches) == 0:
         raise ValueError("froc requires at least one image")
@@ -149,13 +228,15 @@ def stratified_froc(
     ``gt_labels[i][g]`` is the stratum of ground truth ``g`` on image ``i``.
     A threshold's FP rate is computed over all detections of all images;
     its per-stratum sensitivity counts only true positives matched to that
-    stratum's lesions, over that stratum's lesion count.
+    stratum's lesions, over that stratum's lesion count. Raises ValueError
+    when :func:`check_fp_targets` refuses ``fp_targets``.
     """
     if len(gt_labels) != len(matches):
         raise ValueError("gt_labels must align with matches per image")
     for m, labels in zip(matches, gt_labels):
         if len(labels) != m.n_gt:
             raise ValueError("per-image label count must equal n_gt")
+    check_fp_targets(fp_targets)
 
     n_per_stratum: dict[str, int] = {}
     for labels in gt_labels:
@@ -164,19 +245,20 @@ def stratified_froc(
     strata = sorted(n_per_stratum)
 
     # every detection's score, and the stratum index of the lesion it
-    # matched (-1 for a false positive), in score-descending order
+    # matched (-1 for a false positive), in image order: each lesion is
+    # found among every image's lesions laid end to end, and a false
+    # positive points past them at a -1
     code = {stratum: j for j, stratum in enumerate(strata)}
-    scores = np.array(
-        [rec.score for m in matches for rec in m.records], dtype=np.float64
+    lesion_code = np.array(
+        [code[label] for labels in gt_labels for label in labels] + [-1], dtype=np.intp
     )
-    codes = np.array(
-        [
-            code[labels[rec.gt_index]] if rec.is_tp else -1
-            for m, labels in zip(matches, gt_labels)
-            for rec in m.records
-        ],
-        dtype=np.intp,
+    image_lesions = np.array([m.n_gt for m in matches], dtype=np.intp)
+    first_lesion = np.repeat(
+        np.cumsum(image_lesions) - image_lesions, [m.scores.size for m in matches]
     )
+    scores = np.concatenate([np.empty(0), *(m.scores for m in matches)])
+    lesions = np.concatenate([np.empty(0, np.intp), *(m.gt_index for m in matches)])
+    codes = lesion_code[np.where(lesions >= 0, first_lesion + lesions, -1)]
     order = np.argsort(-scores, kind="stable")
     ranked, codes = scores[order], codes[order]
     # one operating point per distinct score, at the last detection scoring

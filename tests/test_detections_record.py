@@ -132,7 +132,7 @@ def oracle_match_detections(
             best = None
         else:
             records.append(DetectionMatch(i, detections[i].score, False, None))
-    return MatchResult(records=records, n_gt=len(gt_boxes))
+    return MatchResult.of(records, len(gt_boxes))
 
 
 _SOURCES = ("original", "flipped")

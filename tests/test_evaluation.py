@@ -1,21 +1,26 @@
 """Evaluation: greedy matching, the hand-enumerated 3-image FROC scenario,
-monotonicity properties, stratification boundaries, and the array FROC
-sweep against the per-detection sweep it replaced."""
+monotonicity properties, stratification boundaries, the array FROC sweep
+against the per-detection sweep it replaced, and the match record's storage
+and refusals."""
 
+import gc
 import math
-from dataclasses import dataclass
+import tracemalloc
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recistkit import evaluation
 from recistkit.evaluation import (
     DetectionMatch,
     FrocPoint,
     FrocResult,
     MatchResult,
     Strata,
+    check_fp_targets,
     diameter_bucket,
     froc,
     interval_bucket,
@@ -24,7 +29,7 @@ from recistkit.evaluation import (
     stratified_froc,
 )
 from recistkit.geometry import BBox, iou, pad_bbox
-from tests.test_fusion import make_detection
+from tests.test_fusion import make_detection, random_detections
 
 
 def loop_match_detections(detections, gt_boxes, iou_threshold=0.5, pad=5.0):
@@ -46,7 +51,7 @@ def loop_match_detections(detections, gt_boxes, iou_threshold=0.5, pad=5.0):
             records.append(DetectionMatch(i, detections[i].score, True, best_gt))
         else:
             records.append(DetectionMatch(i, detections[i].score, False, None))
-    return MatchResult(records=records, n_gt=len(gt_boxes))
+    return MatchResult.of(records, len(gt_boxes))
 
 
 def gt_at(x, y, size=20.0, pad=5.0):
@@ -206,7 +211,7 @@ class TestFroc:
             assert p.fp_per_image == 0.0
 
     def test_no_detections(self):
-        matches = [MatchResult(records=[], n_gt=2) for _ in range(3)]
+        matches = [MatchResult.of([], 2) for _ in range(3)]
         result = froc(matches)
         for p in result.points:
             assert p.sensitivity == 0.0
@@ -214,7 +219,7 @@ class TestFroc:
 
     def test_zero_lesions_error(self):
         with pytest.raises(ValueError, match="lesion"):
-            froc([MatchResult(records=[], n_gt=0)])
+            froc([MatchResult.of([], 0)])
         with pytest.raises(ValueError, match="image"):
             froc([])
 
@@ -255,7 +260,7 @@ class TestFroc:
             extra = [m for m in matches]
             records = list(extra[0].records)
             records.append(DetectionMatch(99, float(rng.uniform(0, 1)), False, None))
-            extra[0] = MatchResult(records=records, n_gt=extra[0].n_gt)
+            extra[0] = MatchResult.of(records, extra[0].n_gt)
             more = froc(extra).points
             for p_base, p_more in zip(base, more):
                 assert p_more.sensitivity <= p_base.sensitivity + 1e-12
@@ -270,7 +275,7 @@ class TestFroc:
             taken = {r.gt_index for r in records if r.is_tp}
             free = next(g for g in range(extra[0].n_gt) if g not in taken)
             records.append(DetectionMatch(99, float(rng.uniform(0, 1)), True, free))
-            extra[0] = MatchResult(records=records, n_gt=extra[0].n_gt)
+            extra[0] = MatchResult.of(records, extra[0].n_gt)
             more = froc(extra).points
             for p_base, p_more in zip(base, more):
                 assert p_more.sensitivity >= p_base.sensitivity - 1e-12
@@ -291,7 +296,7 @@ def random_matches(rng, n_images=None, spare_gt=False):
                 records.append(DetectionMatch(det_index, score, True, gt))
             else:
                 records.append(DetectionMatch(det_index, score, False, None))
-        out.append(MatchResult(records=records, n_gt=n_gt))
+        out.append(MatchResult.of(records, n_gt))
     return out
 
 
@@ -446,7 +451,7 @@ def labelled_matches(draw):
                     draw(st.integers(0, len(free) - 1)))))
             else:
                 records.append(DetectionMatch(i, score, False, None))
-        matches.append(MatchResult(records=records, n_gt=n_gt))
+        matches.append(MatchResult.of(records, n_gt))
         labels.append(draw(st.lists(
             st.sampled_from(["<10", "10-30", ">30"]), min_size=n_gt, max_size=n_gt
         )))
@@ -479,3 +484,134 @@ class TestFrocSweepOracle:
             assert strata_bits(stratified_froc(matches, labels, "all", targets)) == (
                 strata_bits(oracle_stratified_froc(matches, labels, "all", targets))
             )
+
+
+class TestMatchRecord:
+    def test_fields_are_three_arrays_and_a_count(self):
+        rng = np.random.default_rng(86)
+        dets = random_detections(rng, 40)
+        gts = [pad_bbox(d.bbox, 5.0) for d in dets[:4]]
+        result = match_detections(dets, gts)
+        assert [f.name for f in fields(MatchResult)] == [
+            "order", "scores", "gt_index", "n_gt"
+        ]
+        assert MatchResult.__slots__ == ("order", "scores", "gt_index", "n_gt")
+        for array, dtype in (
+            (result.order, np.intp), (result.scores, np.float64),
+            (result.gt_index, np.intp),
+        ):
+            assert type(array) is np.ndarray and array.dtype == dtype
+            assert array.shape == (40,)
+        assert result.n_gt == 4 and (result.gt_index >= 0).sum() == 4
+        assert result.records == loop_match_detections(dets, gts).records
+
+    def test_match_and_froc_build_no_detection_match(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a DetectionMatch was built")
+
+        matches = crafted_three_image_matches()  # built before the patch
+        monkeypatch.setattr(evaluation, "DetectionMatch", refuse)
+        match_detections([det_at(10, 10, 0.9), det_at(60, 60, 0.8)], [gt_at(10, 10)])
+        froc(matches)
+        stratified_froc(matches, [["a", "b"], ["b", "b"], ["a"]], "type")
+
+    def test_retains_under_4_kb_per_112_detection_image(self):
+        rng = np.random.default_rng(87)
+        dets = random_detections(rng, 112, span=700.0)
+        gts = [pad_bbox(d.bbox, 5.0) for d in dets[:3]]
+        match_detections(dets, gts)  # lazy set-up happens outside the trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [match_detections(dets, gts) for _ in range(20)]
+            gc.collect()
+            retained = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+        finally:
+            tracemalloc.stop()
+        assert len(kept[0].order) == 112
+        assert retained < 4096, retained
+
+    def test_records_round_trip_through_of(self):
+        rng = np.random.default_rng(83)
+        cases = [crafted_three_image_matches()] + [
+            random_matches(rng) for _ in range(200)
+        ]
+        for matches in cases:
+            copies = [MatchResult.of(m.records, m.n_gt) for m in matches]
+            assert copies == matches
+            labels = [
+                [("<10", ">30")[g % 2] for g in range(m.n_gt)] for m in matches
+            ]
+            targets = (0.0, 0.5, 1, 2.0, 4.0)
+            assert froc(copies, targets) == froc(matches, targets)
+            assert strata_bits(stratified_froc(copies, labels, "d", targets)) == (
+                strata_bits(stratified_froc(matches, labels, "d", targets))
+            )
+
+    def test_views_use_python_numbers_and_none(self):
+        result = MatchResult([2, 0], [0.5, 0.25], [-1, 1], 2)
+        assert result.records == [
+            DetectionMatch(2, 0.5, False, None), DetectionMatch(0, 0.25, True, 1)
+        ]
+        for r in result.records:
+            assert type(r.det_index) is int and type(r.score) is float
+            assert type(r.is_tp) is bool
+        assert result != MatchResult([2, 0], [0.5, 0.25], [-1, 1], 3)
+        assert result.__hash__ is None
+
+    # rows froc would misread: each gives a wrong sensitivity or a crash there
+    BAD_ROWS = [
+        ("tp with gt_index -1", [DetectionMatch(0, 0.9, True, -1)], 2,
+         "record 0: is_tp True with gt_index -1"),
+        ("two tps on one lesion",
+         [DetectionMatch(0, 0.9, True, 0), DetectionMatch(1, 0.8, True, 0)], 1,
+         "record 1: lesion 0 is matched twice"),
+        ("tp with gt_index None",
+         [DetectionMatch(0, 0.9, False, None), DetectionMatch(1, 0.8, True, None)], 1,
+         "record 1: is_tp True with gt_index None"),
+        ("gt_index past n_gt", [DetectionMatch(0, 0.9, True, 5)], 1,
+         r"record 0: gt_index 5 is outside \[-1, 1\)"),
+        ("fp with gt_index 0", [DetectionMatch(0, 0.9, False, 0)], 1,
+         "record 0: is_tp False with gt_index 0"),
+    ]
+
+    @pytest.mark.parametrize(
+        "case,rows,n_gt,message", BAD_ROWS, ids=[c[0] for c in BAD_ROWS]
+    )
+    def test_of_refuses_inconsistent_rows(self, case, rows, n_gt, message):
+        with pytest.raises(ValueError, match=message):
+            MatchResult.of(rows, n_gt)
+
+    def test_arrays_refused_when_inconsistent(self):
+        with pytest.raises(ValueError, match="record 2: lesion 1 is matched twice"):
+            MatchResult([0, 1, 2], [0.9, 0.8, 0.7], [1, -1, 1], 2)
+        with pytest.raises(ValueError, match=r"record 1: gt_index -2 is outside"):
+            MatchResult([0, 1, 2], [0.9, 0.8, 0.7], [0, -2, 7], 2)
+        with pytest.raises(ValueError, match="n_gt must be >= 0"):
+            MatchResult([], [], [], -1)
+        with pytest.raises(ValueError, match="of one length"):
+            MatchResult([0, 1], [0.9], [-1, -1], 0)
+
+
+class TestFpTargets:
+    @pytest.mark.parametrize(
+        "targets", [[math.nan, -1.0], [], [-1.0], [math.inf], [True], ["1"]]
+    )
+    def test_froc_and_stratified_froc_refuse(self, targets):
+        matches = crafted_three_image_matches()
+        labels = [["LU"] * m.n_gt for m in matches]
+        with pytest.raises(ValueError, match="FP targets must be"):
+            froc(matches, targets)
+        with pytest.raises(ValueError, match="FP targets must be"):
+            stratified_froc(matches, labels, "type", targets)
+        with pytest.raises(ValueError, match="FP targets must be"):
+            check_fp_targets(targets)
+
+    def test_numpy_targets_accepted(self):
+        matches = crafted_three_image_matches()
+        expected = froc(matches, [0.5, 1.0])
+        for targets in (np.array([0.5, 1.0]), [np.float32(0.5), np.int64(1)]):
+            assert froc(matches, targets) == expected
+        with pytest.raises(ValueError, match=r"got \[True, 1\]"):
+            froc(matches, [np.bool_(True), np.int64(1)])
