@@ -23,6 +23,7 @@ from .dataio import (
     write_heatmaps,
 )
 from .evaluation import (
+    EvalConfig,
     FrocPoint,
     FrocResult,
     MatchResult,
@@ -72,6 +73,7 @@ from .synthetic import (
 )
 from .targets import (
     HeatmapBundle,
+    RenderConfig,
     TargetBundle,
     gaussian_radius,
     offset_target,

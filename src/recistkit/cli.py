@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -87,12 +88,6 @@ class _Outputs:
             self.dirs.append(directory)
         path.mkdir(exist_ok=True)  # raises if path exists but is no directory
 
-    def write_bytes(self, path: Path, data: bytes) -> None:
-        self.run(path, lambda tmp: tmp.write_bytes(data))
-
-    def write_text(self, path: Path, text: str) -> None:
-        self.write_bytes(path, text.encode("utf-8"))
-
     def run(self, path: Path, writer) -> None:
         """Run a writer function against a temp path, then move into place."""
         tmp = path.with_name(path.name + ".tmp")
@@ -144,10 +139,9 @@ def _load_effective_config(args) -> tuple[dict, dict]:
 
 
 def _cmd_render_targets(args) -> int:
-    cfg, _ = _load_effective_config(args)
-    render = cfg["render"]
-    stride = render["stride"]
-    input_size = render["input_size"]
+    cfg, sections = _load_effective_config(args)
+    render = sections["render"]
+    stride, input_size = render.stride, render.input_size
     out_h, out_w = output_grid((input_size, input_size), stride)
 
     parsed = parse_annotations(args.annotations, args.exclusions)
@@ -168,8 +162,8 @@ def _cmd_render_targets(args) -> int:
                     out_h,
                     out_w,
                     stride,
-                    min_overlap=render["min_overlap"],
-                    sigma_divisor=render["sigma_divisor"],
+                    min_overlap=render.min_overlap,
+                    sigma_divisor=render.sigma_divisor,
                     input_size=(input_size, input_size),
                 )
             except ValueError as exc:
@@ -216,11 +210,8 @@ def _cmd_detect(args) -> int:
                 "needs more memory than can be allocated"
             ) from None
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = dict(pool.map(run_one, files))
-    else:
-        results = dict(run_one(f) for f in files)
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        results = dict(pool.map(run_one, files))
 
     outputs = _Outputs()
     outputs.run(
@@ -265,7 +256,7 @@ def _stratum_label(ann, key: str) -> str:
     return interval_bucket(ann.slice_interval_mm)
 
 
-def _format_report_text(result, strata, iou_threshold, pad, fp_targets) -> str:
+def _format_report_text(result, strata, eval_cfg) -> str:
     def row(label: str, values) -> str:
         return label.ljust(14) + "".join(f"{v:>9}" for v in values)
 
@@ -275,10 +266,10 @@ def _format_report_text(result, strata, iou_threshold, pad, fp_targets) -> str:
         return f"{value:.4f}"
 
     lines = [
-        f"FROC sensitivity (matching: IoU >= {iou_threshold:g} "
-        f"on boxes padded {pad:g} px)",
+        f"FROC sensitivity (matching: IoU >= {eval_cfg.iou_threshold:g} "
+        f"on boxes padded {eval_cfg.pad:g} px)",
         f"images: {result.n_images}    lesions: {result.n_lesions}",
-        row("FPs/image", [f"{t:g}" for t in fp_targets]),
+        row("FPs/image", [f"{t:g}" for t in eval_cfg.fp_targets]),
         row("sensitivity", [fmt(p.sensitivity) for p in result.points]),
         row("threshold", [fmt(p.threshold) for p in result.points]),
     ]
@@ -313,9 +304,8 @@ def _froc_to_dict(result) -> dict:
 
 
 def _cmd_eval(args) -> int:
-    cfg, _ = _load_effective_config(args)
-    eval_cfg = cfg["eval"]
-    fp_targets = tuple(eval_cfg["fp_targets"])
+    cfg, sections = _load_effective_config(args)
+    eval_cfg = sections["eval"]
 
     detections, _ = read_detections(args.detections)
     parsed = parse_annotations(args.annotations, args.exclusions)
@@ -342,16 +332,16 @@ def _cmd_eval(args) -> int:
             match_detections(
                 detections.get(key, []),
                 [ann.bbox for ann in anns],
-                iou_threshold=eval_cfg["iou_threshold"],
-                pad=eval_cfg["pad"],
+                iou_threshold=eval_cfg.iou_threshold,
+                pad=eval_cfg.pad,
             )
         )
         if args.stratify:
             labels.append([_stratum_label(ann, args.stratify) for ann in anns])
 
-    result = froc(matches, fp_targets)
+    result = froc(matches, eval_cfg.fp_targets)
     strata = (
-        stratified_froc(matches, labels, args.stratify, fp_targets)
+        stratified_froc(matches, labels, args.stratify, eval_cfg.fp_targets)
         if args.stratify
         else None
     )
@@ -370,21 +360,20 @@ def _cmd_eval(args) -> int:
             },
         },
     }
-    text = _format_report_text(
-        result, strata, eval_cfg["iou_threshold"], eval_cfg["pad"], fp_targets
-    )
+    text = _format_report_text(result, strata, eval_cfg)
 
     with _Outputs() as outputs:
         outputs.run(Path(args.out + ".json"), lambda tmp: write_json(report, tmp))
-        outputs.write_text(Path(args.out + ".txt"), text)
+        encoded = text.encode("utf-8")
+        outputs.run(Path(args.out + ".txt"), lambda tmp: tmp.write_bytes(encoded))
     print(text, end="")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    cfg, _ = _load_effective_config(args)
-    render = cfg["render"]
-    stride = render["stride"]
+    cfg, sections = _load_effective_config(args)
+    render = sections["render"]
+    stride = render.stride
 
     degradation_seed = (
         args.degradation_seed if args.degradation_seed is not None else args.scene_seed
@@ -402,9 +391,9 @@ def _cmd_simulate(args) -> int:
             image_size=(args.image_size, args.image_size),
             seed=args.scene_seed,
             clearance_stride=stride,
-            clearance_tau=cfg["grouping"]["tau_c"],
-            min_overlap=render["min_overlap"],
-            sigma_divisor=render["sigma_divisor"],
+            clearance_tau=sections["grouping"].tau_c,
+            min_overlap=render.min_overlap,
+            sigma_divisor=render.sigma_divisor,
         )
         # (directory, scene, degradation) of the original view, then the flipped
         views = [(args.out, scene, degradation)]
@@ -413,8 +402,8 @@ def _cmd_simulate(args) -> int:
             views.append((args.flipped_out, flip_scene(scene), flipped))
         bundles = [
             simulate_heatmaps(view, view_degradation, stride,
-                              min_overlap=render["min_overlap"],
-                              sigma_divisor=render["sigma_divisor"])
+                              min_overlap=render.min_overlap,
+                              sigma_divisor=render.sigma_divisor)
             for _, view, view_degradation in views
         ]
     except ValueError as exc:
@@ -481,57 +470,44 @@ def _small_offset_targets():
 
 def _cmd_check_gradients(args) -> int:
     rng = np.random.default_rng(args.seed)
-    params = FocalParams()
-    worst_focal = 0.0
-    worst_offset = 0.0
+    offset_targets = _small_offset_targets()
 
-    for _ in range(args.trials):
+    def draw(name: str) -> tuple[dict, np.ndarray]:
+        """One trial's loss arguments besides the prediction, and the
+        prediction, drawn from ``rng``."""
+        if name == "offset":
+            shape = offset_targets.bundle.offset_maps.shape
+            return {"targets": offset_targets}, rng.uniform(0.0, 1.0, size=shape)
         pred = rng.uniform(0.05, 0.95, size=(8, 8))
         target = np.zeros((8, 8))
-        peaks = rng.integers(1, 4)
+        peaks = int(rng.integers(1, 4))
         for _ in range(peaks):
             r, c = rng.integers(0, 8, size=2)
             target[r, c] = 1.0
         shoulders = rng.uniform(0.0, 0.99, size=(8, 8))
         target = np.where(target == 1.0, 1.0, shoulders * (rng.random((8, 8)) < 0.3))
+        return {"target": target, "n_objects": peaks, "params": FocalParams()}, pred
 
-        report = finite_diff_check(
-            lambda x: focal_loss(x, target, n_objects=int(peaks), params=params),
-            lambda x: focal_loss_grad(x, target, n_objects=int(peaks), params=params),
-            pred,
-            tol=args.tol,
-        )
-        worst_focal = max(worst_focal, report.max_rel_err)
-        if not report.passed:
-            print(
-                f"FAIL focal: max_rel_err={report.max_rel_err:.3e} "
-                f"at cell {report.worst_cell}"
-            )
-            return 4
-
+    losses = {"focal": (focal_loss, focal_loss_grad),
+              "offset": (offset_loss, offset_loss_grad)}
     # the offset check sweeps every plane cell, so fewer trials suffice
-    offset_trials = max(1, args.trials // 10)
-    targets = _small_offset_targets()
-    shape = targets.bundle.offset_maps.shape
-    for _ in range(offset_trials):
-        pred = rng.uniform(0.0, 1.0, size=shape)
-        report = finite_diff_check(
-            lambda x: offset_loss(x, targets),
-            lambda x: offset_loss_grad(x, targets),
-            pred,
-            tol=args.tol,
-        )
-        worst_offset = max(worst_offset, report.max_rel_err)
+    trials = {"focal": args.trials, "offset": max(1, args.trials // 10)}
+    worst = dict.fromkeys(trials, 0.0)
+    for name in [name for name, n in trials.items() for _ in range(n)]:
+        kwargs, pred = draw(name)
+        loss, grad = (functools.partial(f, **kwargs) for f in losses[name])
+        report = finite_diff_check(loss, grad, pred, tol=args.tol)
+        worst[name] = max(worst[name], report.max_rel_err)
         if not report.passed:
             print(
-                f"FAIL offset: max_rel_err={report.max_rel_err:.3e} "
+                f"FAIL {name}: max_rel_err={report.max_rel_err:.3e} "
                 f"at cell {report.worst_cell}"
             )
             return 4
 
     print(
-        f"PASS: {args.trials} focal trials (max_rel_err={worst_focal:.3e}), "
-        f"{offset_trials} offset trials (max_rel_err={worst_offset:.3e}), "
+        f"PASS: {trials['focal']} focal trials (max_rel_err={worst['focal']:.3e}), "
+        f"{trials['offset']} offset trials (max_rel_err={worst['offset']:.3e}), "
         f"tol={args.tol:g}"
     )
     return 0
@@ -541,7 +517,7 @@ def _cmd_window(args) -> int:
     data = np.fromfile(args.infile, dtype="<f4")
     normalized = apply_ct_window(data, args.level, args.width).astype("<f4")
     outputs = _Outputs()
-    outputs.write_bytes(Path(args.out), normalized.tobytes())
+    outputs.run(Path(args.out), lambda tmp: tmp.write_bytes(normalized.tobytes()))
     print(f"windowed {data.size} value(s) to {args.out}")
     return 0
 

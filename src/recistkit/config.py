@@ -14,32 +14,25 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Mapping
 
-from .dataio import MAX_HEADER_INT, InputFormatError, is_finite_number, load_json
-from .evaluation import FP_TARGETS_DEFAULT, check_fp_targets
+from .dataio import InputFormatError, is_finite_number, load_json
+from .evaluation import EvalConfig
 from .fusion import SoftNmsConfig
 from .grouping import GroupingConfig
 from .losses import FocalParams
+from .targets import RenderConfig
 
-# config sections whose keys and defaults are the fields of a library type
+# config sections whose keys and defaults are the fields of a library type,
+# in the order build_sections checks them
 SECTION_TYPES = {
     "grouping": GroupingConfig,
     "soft_nms": SoftNmsConfig,
     "focal": FocalParams,
+    "eval": EvalConfig,
+    "render": RenderConfig,
 }
 
 DEFAULTS: dict[str, Any] = {
     **{name: asdict(cls()) for name, cls in SECTION_TYPES.items()},
-    "eval": {
-        "iou_threshold": 0.5,
-        "pad": 5.0,
-        "fp_targets": list(FP_TARGETS_DEFAULT),
-    },
-    "render": {
-        "stride": 4,
-        "input_size": 511,
-        "min_overlap": 0.3,
-        "sigma_divisor": 3.0,
-    },
     # (level, width) pairs for multi-window CT display normalization
     "window_presets": [[50, 449], [-505, 1980], [446, 1960]],
 }
@@ -113,20 +106,4 @@ def build_sections(cfg: Mapping[str, Any]) -> dict[str, Any]:
             built[name] = cls(**cfg[name])
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"config section {name}: {exc}") from None
-    try:
-        check_fp_targets(cfg["eval"]["fp_targets"])
-    except ValueError as exc:
-        raise InputFormatError(f"config section eval: {exc}") from None
-    render = cfg["render"]
-    if not (
-        1 <= render["stride"] <= MAX_HEADER_INT
-        and 1 <= render["input_size"] <= MAX_HEADER_INT
-        and 0.0 < render["min_overlap"] < 1.0
-        and 0.0 < render["sigma_divisor"] <= MAX_HEADER_INT
-    ):
-        raise InputFormatError(
-            "config section render: stride and input_size must lie in "
-            f"[1, {MAX_HEADER_INT}], min_overlap in (0, 1) and "
-            f"sigma_divisor in (0, {MAX_HEADER_INT}], got {render}"
-        )
     return built

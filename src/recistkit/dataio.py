@@ -32,7 +32,7 @@ from .geometry import (
     pad_bbox,
 )
 from .grouping import BOX_COLUMNS, Detection, Detections
-from .targets import KEYPOINT_CHANNELS, OFFSET_CHANNELS, HeatmapBundle
+from .targets import KEYPOINT_CHANNELS, MAX_HEADER_INT, OFFSET_CHANNELS, HeatmapBundle
 
 HEATMAP_MAGIC = b"RKHM1\n"
 CHANNEL_NAMES = KEYPOINT_CHANNELS + OFFSET_CHANNELS
@@ -238,11 +238,8 @@ def _non_finite_channels(*groups: np.ndarray) -> str:
     )
 
 
-# The header's sizes and stride are integers in [1, MAX_HEADER_INT]. The
-# bound keeps stride * (cell + offset) finite in float64 for every finite
-# float32 offset, so the detections of a readable bundle can be written.
+# The header's sizes and stride are integers in [1, MAX_HEADER_INT].
 HEADER_INTS = ("height", "width", "stride", "input_width", "input_height")
-MAX_HEADER_INT = 2**31 - 1
 
 
 def _header_int_error(header: dict) -> str:

@@ -11,7 +11,7 @@ each stratum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +32,6 @@ LESION_TYPE_NAMES = {
     7: "ST",  # soft tissue
     8: "PV",  # pelvis
 }
-
-STRATIFY_KEYS = ("lesion_type", "diameter", "interval")
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,11 +146,37 @@ class Strata:
     per_stratum: dict[str, FrocResult]
 
 
+def check_match_settings(iou_threshold: float, pad: float) -> None:
+    """Matching needs ``iou_threshold`` in [0, 1] and ``pad`` finite and
+    >= 0; anything else raises ValueError."""
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold!r}")
+    if not 0.0 <= pad < math.inf:
+        raise ValueError(f"pad must be finite and >= 0, got {pad!r}")
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """How detections are scored, and the library's defaults for it (no
+    slots, so ``EvalConfig.pad`` reads a default): a detection box padded by
+    ``pad`` px matches a lesion at IoU >= ``iou_threshold``, and sensitivity
+    is read at the ``fp_targets`` FPs-per-image rates, a list as in a config
+    file. Values the checks below refuse raise ValueError."""
+
+    iou_threshold: float = 0.5
+    pad: float = 5.0
+    fp_targets: list[float] = field(default_factory=lambda: list(FP_TARGETS_DEFAULT))
+
+    def __post_init__(self) -> None:
+        check_match_settings(self.iou_threshold, self.pad)
+        check_fp_targets(self.fp_targets)
+
+
 def match_detections(
     detections: Sequence[Detection],
     gt_boxes: Sequence[BBox],
-    iou_threshold: float = 0.5,
-    pad: float = 5.0,
+    iou_threshold: float = EvalConfig.iou_threshold,
+    pad: float = EvalConfig.pad,
 ) -> MatchResult:
     """Greedy best-IoU matching of one image's detections to its lesions.
 
@@ -161,7 +185,9 @@ def match_detections(
     ground-truth boxes are expected to be padded already. A detection is a
     true positive when its best IoU against a still-unmatched ground truth
     reaches the threshold; every ground truth is matched at most once.
+    Settings :func:`check_match_settings` refuses raise ValueError.
     """
+    check_match_settings(iou_threshold, pad)
     dets = Detections.of(detections)
     order = np.argsort(-dets.scores, kind="stable")
     # padded as pad_bbox pads: x1 - pad, y1 - pad, x2 + pad, y2 + pad

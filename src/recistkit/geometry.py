@@ -64,18 +64,13 @@ def ordered_diameters(
 
 @dataclass(frozen=True, slots=True)
 class ExtremePoints:
-    """The four directional extremes of a lesion plus its geometric center.
-
-    ``degenerate`` flags annotations whose endpoints collapse to zero
-    width or height; callers decide whether to keep them.
-    """
+    """The four directional extremes of a lesion plus its geometric center."""
 
     top: Point2
     left: Point2
     bottom: Point2
     right: Point2
     center: Point2
-    degenerate: bool = False
 
     def points(self) -> tuple[Point2, Point2, Point2, Point2, Point2]:
         return (self.top, self.left, self.bottom, self.right, self.center)
@@ -124,8 +119,7 @@ def extremes_from_recist(d: RecistDiameters) -> ExtremePoints:
     right = min(ranked, key=lambda pr: (-pr[0].x, pr[1], pr[0].y))[0]
 
     center = Point2((left.x + right.x) / 2.0, (top.y + bottom.y) / 2.0)
-    degenerate = (right.x - left.x) == 0.0 or (bottom.y - top.y) == 0.0
-    return ExtremePoints(top, left, bottom, right, center, degenerate)
+    return ExtremePoints(top, left, bottom, right, center)
 
 
 def bbox_from_extremes(e: ExtremePoints) -> BBox:
@@ -133,20 +127,9 @@ def bbox_from_extremes(e: ExtremePoints) -> BBox:
     return BBox(e.left.x, e.top.y, e.right.x, e.bottom.y)
 
 
-def pad_bbox(
-    b: BBox, pad: float = 5.0, bounds: tuple[float, float] | None = None
-) -> BBox:
-    """Grow a box by ``pad`` pixels in each direction.
-
-    When ``bounds`` is given as (image_width, image_height), the result is
-    clamped to the valid coordinate range [0, width - 1] x [0, height - 1].
-    """
-    x1, y1, x2, y2 = b.x1 - pad, b.y1 - pad, b.x2 + pad, b.y2 + pad
-    if bounds is not None:
-        w, h = bounds
-        x1, x2 = max(x1, 0.0), min(x2, w - 1.0)
-        y1, y2 = max(y1, 0.0), min(y2, h - 1.0)
-    return BBox(x1, y1, x2, y2)
+def pad_bbox(b: BBox, pad: float) -> BBox:
+    """Grow a box by ``pad`` pixels in each direction."""
+    return BBox(b.x1 - pad, b.y1 - pad, b.x2 + pad, b.y2 + pad)
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -224,5 +207,4 @@ def _(obj: ExtremePoints, image_width: float) -> ExtremePoints:
         bottom=flip_horizontal(obj.bottom, image_width),
         right=flip_horizontal(obj.left, image_width),
         center=flip_horizontal(obj.center, image_width),
-        degenerate=obj.degenerate,
     )

@@ -328,20 +328,14 @@ def _enumerate_block(top, bottom, left, right, center_map, cfg):
 def _select_top_k2(blocks: list, k2: int) -> Detections:
     """Deterministic top-k2 across blocks: score desc, then cells ascending.
 
-    The cell tuple orders distinct candidates totally and the cut keeps
-    ties, so the result does not depend on the order blocks list them in.
+    The cell tuple orders distinct candidates totally and each block keeps
+    ties at its cut, so the result does not depend on the block order.
     """
     blocks = [b for b in blocks if b is not None]
     if not blocks:
         return Detections.of(())
     scores = np.concatenate([s for s, _ in blocks])
     rows = np.concatenate([r for _, r in blocks])
-
-    if scores.size > k2:
-        # prune on score alone first, keeping everything tied at the cut
-        cut = np.partition(scores, scores.size - k2)[scores.size - k2]
-        keep = scores >= cut
-        scores, rows = scores[keep], rows[keep]
 
     # primary key last: -score, then (row, col) of top, left, bottom, right
     order = np.lexsort((*rows[:, [6, 7, 4, 5, 2, 3, 0, 1]].T, -scores))[:k2]

@@ -35,6 +35,7 @@ from .targets import (
     EXTREME_ROLES,
     KEYPOINT_CHANNELS,
     HeatmapBundle,
+    RenderConfig,
     TargetBundle,
     _draw_lesions,
     draw_gaussian,
@@ -125,14 +126,20 @@ def _decodes_to_itself(
 
     On a clean bundle each role's peaks are exactly the true keypoint
     cells, so grouping's own enumeration runs on those cells and the
-    rendered center plane, and must keep the n true quadruples and
-    nothing else.
+    rendered center plane, the only plane drawn, and must keep the n true
+    quadruples and nothing else.
     """
     out_h, out_w = output_grid(image_size, stride)
     bundle = HeatmapBundle.zeros(out_h, out_w, stride, image_size)
-    cells, _ = _draw_lesions(bundle, extremes_list, min_overlap, sigma_divisor)
+    true_cells = []
+
+    def center_only(cells):  # record the extremes' cells, draw the center
+        true_cells.append(cells[:4])
+        return [None] * 4 + cells[4:]
+
+    _draw_lesions(bundle, extremes_list, min_overlap, sigma_divisor, center_only)
     # (row, col) per lesion and extreme role
-    truth = np.array([c[:4] for c in cells], dtype=float).reshape(-1, 4, 2)
+    truth = np.array(true_cells, dtype=float).reshape(-1, 4, 2)
     # each role's peaks: the true rows and columns, with scores of 1.0
     peaks = {
         role: Peaks(role, np.vstack((truth[:, j].T, np.ones(len(truth)))))
@@ -150,10 +157,10 @@ def generate_scene(
     seed: int = 0,
     min_gap: float = 16.0,
     max_restarts: int = 50,
-    clearance_stride: int | None = 4,
-    clearance_tau: float = 0.1,
-    min_overlap: float = 0.3,
-    sigma_divisor: float = 3.0,
+    clearance_stride: int | None = RenderConfig.stride,
+    clearance_tau: float = GroupingConfig().tau_c,
+    min_overlap: float = RenderConfig.min_overlap,
+    sigma_divisor: float = RenderConfig.sigma_divisor,
 ) -> SyntheticScene:
     """Sample non-overlapping elliptical lesions, deterministic per seed.
 
@@ -299,9 +306,9 @@ def flip_scene(scene: SyntheticScene) -> SyntheticScene:
 
 def render_scene(
     scene: SyntheticScene,
-    stride: int = 4,
-    min_overlap: float = 0.3,
-    sigma_divisor: float = 3.0,
+    stride: int = RenderConfig.stride,
+    min_overlap: float = RenderConfig.min_overlap,
+    sigma_divisor: float = RenderConfig.sigma_divisor,
 ) -> TargetBundle:
     """Ground-truth targets for a scene at the given stride."""
     out_h, out_w = output_grid(scene.image_size, stride)
@@ -319,9 +326,9 @@ def render_scene(
 def simulate_heatmaps(
     scene: SyntheticScene,
     cfg: DegradationConfig = DegradationConfig(),
-    stride: int = 4,
-    min_overlap: float = 0.3,
-    sigma_divisor: float = 3.0,
+    stride: int = RenderConfig.stride,
+    min_overlap: float = RenderConfig.min_overlap,
+    sigma_divisor: float = RenderConfig.sigma_divisor,
 ) -> HeatmapBundle:
     """Render the scene's targets through a controllable degradation model.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,7 +30,39 @@ OFFSET_CHANNELS = (
 # largest float32 strictly below 1: offsets are targets in [0, 1)
 _MAX_OFFSET = float(np.nextafter(np.float32(1.0), np.float32(0.0)))
 
+# Grid sizes and strides are integers in [1, MAX_HEADER_INT]. The bound
+# keeps stride * (cell + offset) finite in float64 for every finite float32
+# offset, so the detections of a readable bundle can be written.
+MAX_HEADER_INT = 2**31 - 1
+
 Cell = tuple[int, int]  # (row, col) on the output grid
+
+
+@dataclass(frozen=True)
+class RenderConfig:
+    """How ground truth is rendered, and the library's defaults for it (no
+    slots, so ``RenderConfig.stride`` reads a default): ``stride`` input px
+    per output cell, ``input_size`` the side of a square input, and the
+    kernel rule, radius from a box IoU of ``min_overlap`` and sigma =
+    radius / ``sigma_divisor``."""
+
+    stride: int = 4
+    input_size: int = 511
+    min_overlap: float = 0.3
+    sigma_divisor: float = 3.0
+
+    def __post_init__(self) -> None:
+        if not (
+            1 <= self.stride <= MAX_HEADER_INT
+            and 1 <= self.input_size <= MAX_HEADER_INT
+            and 0.0 < self.min_overlap < 1.0
+            and 0.0 < self.sigma_divisor <= MAX_HEADER_INT
+        ):
+            raise ValueError(
+                "stride and input_size must lie in "
+                f"[1, {MAX_HEADER_INT}], min_overlap in (0, 1) and "
+                f"sigma_divisor in (0, {MAX_HEADER_INT}], got {asdict(self)}"
+            )
 
 
 @dataclass
@@ -98,7 +130,7 @@ class TargetBundle:
 
 
 def gaussian_radius(
-    box_width: float, box_height: float, min_overlap: float = 0.3
+    box_width: float, box_height: float, min_overlap: float = RenderConfig.min_overlap
 ) -> int:
     """Kernel radius in output cells for a box of the given cell dimensions.
 
@@ -121,7 +153,9 @@ def gaussian_radius(
     return max(1, int(math.floor(r)))
 
 
-def gaussian_kernel(radius: int, sigma_divisor: float = 3.0) -> np.ndarray:
+def gaussian_kernel(
+    radius: int, sigma_divisor: float = RenderConfig.sigma_divisor
+) -> np.ndarray:
     """(2r+1)^2 kernel exp(-d^2 / (2 sigma^2)) with sigma = r / divisor."""
     sigma = radius / sigma_divisor
     ax = np.arange(-radius, radius + 1, dtype=np.float64)
@@ -146,7 +180,7 @@ def draw_gaussian(
     cell: Cell,
     radius: int,
     peak: float = 1.0,
-    sigma_divisor: float = 3.0,
+    sigma_divisor: float = RenderConfig.sigma_divisor,
 ) -> None:
     """Max-combine a Gaussian kernel into ``heatmap`` in place.
 
@@ -193,7 +227,8 @@ def _draw_lesions(
 ) -> tuple[list[list], list[list]]:
     """Draw each annotation's five keypoints, lesion by lesion; return
     (cells, offsets): each one's drawn cells in KEYPOINT_CHANNELS order and
-    its four extremes' offset targets, float32-rounded and clamped below 1.
+    its four extremes' offset targets, float32-rounded and clamped below 1
+    (None for an extreme not drawn).
 
     A lesion draws each kernel, of gaussian_radius of its box in cells, then
     each extreme's offset at its cell, so a later lesion wins a shared cell.
@@ -217,15 +252,15 @@ def _draw_lesions(
         box_w, box_h = ann.right.x - ann.left.x, ann.bottom.y - ann.top.y
         radius = gaussian_radius(box_w / stride, box_h / stride, min_overlap)
         drawn.append(cells if move is None else move(cells))
-        offsets.append([
-            [min(float(np.float32(v)), _MAX_OFFSET) for v in offset_target(p, stride)]
-            for p in ann.points()[:4]
-        ])
         for plane, cell in zip(bundle.keypoint_maps, drawn[-1]):
             if cell is not None:
                 draw_gaussian(plane, cell, radius, sigma_divisor=sigma_divisor)
-        for role_idx, (cell, (dx, dy)) in enumerate(zip(drawn[-1], offsets[-1])):
+        offsets.append([None] * len(EXTREME_ROLES))
+        for role_idx, (p, cell) in enumerate(zip(ann.points(), drawn[-1][:4])):
             if cell is not None:
+                dx, dy = (min(float(np.float32(v)), _MAX_OFFSET)
+                          for v in offset_target(p, stride))
+                offsets[-1][role_idx] = (dx, dy)
                 bundle.offset_maps[2 * role_idx, cell[0], cell[1]] = dx
                 bundle.offset_maps[2 * role_idx + 1, cell[0], cell[1]] = dy
     return drawn, offsets
@@ -236,8 +271,8 @@ def render_targets(
     out_h: int,
     out_w: int,
     stride: int,
-    min_overlap: float = 0.3,
-    sigma_divisor: float = 3.0,
+    min_overlap: float = RenderConfig.min_overlap,
+    sigma_divisor: float = RenderConfig.sigma_divisor,
     input_size: tuple[int, int] | None = None,
 ) -> TargetBundle:
     """Render multi-peak Gaussian targets for a set of lesion keypoints.

@@ -515,6 +515,16 @@ EXIT_CODE_CASES = [
         _dets(), "--config", _huge(_cfg({"soft_nms": {"sigma": "<huge>"}}), 4301))),
     ("rkhm header 4301-digit int", 3, [
         "detect", "--heatmaps", _huge(_bundles(stride="<huge>"), 4301)]),
+    # out-of-range matching settings used to exit 0 with sensitivity 0
+    ("eval --iou 1.5", 3, [
+        "eval", "--detections", _dets(), "--annotations", _sim_csv, "--iou", 1.5]),
+    ("eval --iou -0.1", 3, [
+        "eval", "--detections", _dets(), "--annotations", _sim_csv, "--iou=-0.1"]),
+    ("eval --pad -1", 3, [
+        "eval", "--detections", _dets(), "--annotations", _sim_csv, "--pad=-1"]),
+    ("config eval.iou_threshold 2", 3, [
+        "eval", "--detections", _dets(), "--annotations", _sim_csv,
+        "--config", _cfg({"eval": {"iou_threshold": 2}})]),
 ]
 
 # What the message of a case above or in OUTPUT_PATH_CASES must name, besides
@@ -541,6 +551,11 @@ NAMED_IN_ERROR = {
     "render-targets csv empty key": "image key '' is not a file name",
     "render-targets exclusions not UTF-8": "edited.csv: not UTF-8 text",
     "render-targets config render.sigma_divisor 1e300": "sigma_divisor in (0, ",
+    "eval --iou 1.5": "config section eval: iou_threshold must lie in [0, 1]",
+    "eval --iou -0.1": "config section eval: iou_threshold must lie in [0, 1]",
+    "eval --pad -1": "config section eval: pad must be finite and >= 0",
+    "config eval.iou_threshold 2":
+        "config section eval: iou_threshold must lie in [0, 1], got 2",
     "detect --workers 0": "argument --workers: must be >= 1",
     "detect --workers -5": "argument --workers: must be >= 1",
     "check-gradients --trials -5": "argument --trials: must be >= 1",
@@ -779,6 +794,18 @@ class TestCheckGradients:
         out = capsys.readouterr().out.strip()
         assert re.fullmatch(r"FAIL focal: max_rel_err=\S+ at cell \(\d, \d\)", out), out
 
+    @pytest.mark.parametrize("argv,code,stdout", [
+        (["--trials", 20, "--seed", 3], 0,
+         "PASS: 20 focal trials (max_rel_err=1.824e-07), 2 offset trials "
+         "(max_rel_err=4.992e-09), tol=1e-05\n"),
+        (["--trials", 5, "--seed", 1, "--tol", "1e-30"], 4,
+         "FAIL focal: max_rel_err=6.598e-08 at cell (4, 5)\n"),
+    ], ids=["pass", "fail"])
+    def test_stdout_pinned(self, argv, code, stdout, capsys):
+        # the draw order is focal trials first, then offset trials
+        assert run("check-gradients", *argv) == code
+        assert capsys.readouterr().out == stdout
+
 
 class TestHelp:
     def test_help_lists_flag_defaults(self, capsys):
@@ -791,6 +818,13 @@ class TestHelp:
             "render-targets": ["(default: 511)", "(default: 4)", "(default: 0.3)"],
             "eval": ["(default: 0.5)", "(default: 5)", "0.5,1,2,3,4"],
             "fuse": ["(default: 0.5)", "(default: 0.001)", "(default: gaussian)"],
+            "simulate": [],
+        }
+        # the default named in one flag's own help entry
+        flag_defaults = {
+            ("render-targets", "--sigma-divisor"): "(default: 3)",
+            ("render-targets", "--min-overlap"): "(default: 0.3)",
+            ("simulate", "--stride"): "(default: 4)",
         }
         for command, expected in cases.items():
             with pytest.raises(SystemExit) as excinfo:
@@ -799,6 +833,82 @@ class TestHelp:
             text = capsys.readouterr().out
             for fragment in expected:
                 assert fragment in text, (command, fragment)
+            entries = {
+                entry.split()[0]: " ".join(entry.split())
+                for entry in re.split(r"\n(?=  -)", text)
+            }
+            for (flag_command, flag), fragment in flag_defaults.items():
+                if flag_command == command:
+                    assert fragment in entries[flag], (command, flag, entries[flag])
+
+
+class TestConfigDefaults:
+    def test_defaults_golden(self):
+        from recistkit.config import DEFAULTS, SECTION_TYPES
+
+        assert json.dumps(DEFAULTS) == (
+            '{"grouping": {"tau_e": 0.1, "tau_c": 0.1, "k1": 40, "k2": 100, '
+            '"kernel": 3, "center_interp": "nearest"}, '
+            '"soft_nms": {"sigma": 0.5, "score_floor": 0.001, "method": "gaussian", '
+            '"linear_iou_threshold": 0.3}, '
+            '"focal": {"alpha": 2.0, "beta": 4.0, "clamp_eps": 1e-12}, '
+            '"eval": {"iou_threshold": 0.5, "pad": 5.0, '
+            '"fp_targets": [0.5, 1.0, 2.0, 3.0, 4.0]}, '
+            '"render": {"stride": 4, "input_size": 511, "min_overlap": 0.3, '
+            '"sigma_divisor": 3.0}, '
+            '"window_presets": [[50, 449], [-505, 1980], [446, 1960]]}'
+        )
+
+        def kinds(value):
+            if isinstance(value, dict):
+                return {key: kinds(v) for key, v in value.items()}
+            if isinstance(value, list):
+                return [kinds(v) for v in value]
+            return type(value).__name__
+
+        assert kinds(DEFAULTS) == {
+            "grouping": {"tau_e": "float", "tau_c": "float", "k1": "int",
+                         "k2": "int", "kernel": "int", "center_interp": "str"},
+            "soft_nms": {"sigma": "float", "score_floor": "float",
+                         "method": "str", "linear_iou_threshold": "float"},
+            "focal": {"alpha": "float", "beta": "float", "clamp_eps": "float"},
+            "eval": {"iou_threshold": "float", "pad": "float",
+                     "fp_targets": ["float"] * 5},
+            "render": {"stride": "int", "input_size": "int",
+                       "min_overlap": "float", "sigma_divisor": "float"},
+            "window_presets": [["int", "int"]] * 3,
+        }
+        sections = [name for name, v in DEFAULTS.items() if isinstance(v, dict)]
+        assert sections == list(SECTION_TYPES)
+
+    def test_library_defaults_are_config_defaults(self):
+        import inspect
+
+        from recistkit import evaluation, synthetic, targets
+        from recistkit.config import DEFAULTS
+
+        render, ev = DEFAULTS["render"], DEFAULTS["eval"]
+        kernel = {"min_overlap": render["min_overlap"],
+                  "sigma_divisor": render["sigma_divisor"]}
+        expected = {
+            targets.gaussian_radius: {"min_overlap": render["min_overlap"]},
+            targets.gaussian_kernel: {"sigma_divisor": render["sigma_divisor"]},
+            targets.draw_gaussian: {"sigma_divisor": render["sigma_divisor"]},
+            targets.render_targets: kernel,
+            synthetic.generate_scene: {
+                "clearance_stride": render["stride"],
+                "clearance_tau": DEFAULTS["grouping"]["tau_c"], **kernel},
+            synthetic.render_scene: {"stride": render["stride"], **kernel},
+            synthetic.simulate_heatmaps: {"stride": render["stride"], **kernel},
+            evaluation.match_detections: {"iou_threshold": ev["iou_threshold"],
+                                          "pad": ev["pad"]},
+        }
+        for func, defaults in expected.items():
+            params = inspect.signature(func).parameters
+            for name, value in defaults.items():
+                default = params[name].default
+                assert (default, type(default)) == (value, type(value)), (
+                    func.__name__, name)
 
 
 class TestGoldenBytes:

@@ -112,6 +112,18 @@ class TestMatchDetections:
             shuffled = match_detections([dets[i] for i in order], gts)
             assert {(r.score, r.is_tp, r.gt_index) for r in shuffled.records} == outcome
 
+    @pytest.mark.parametrize("iou_threshold,pad,named", [
+        (1.5, 5.0, "iou_threshold"), (-0.1, 5.0, "iou_threshold"),
+        (math.nan, 5.0, "iou_threshold"), (0.5, -1.0, "pad"),
+        (0.5, math.inf, "pad"), (0.5, math.nan, "pad"),
+    ])
+    def test_out_of_range_settings_raise(self, iou_threshold, pad, named):
+        # an IoU above 1 or a negative pad once matched nothing, and a
+        # negative IoU any overlap, without a word
+        with pytest.raises(ValueError, match=named):
+            match_detections([det_at(10, 10, 0.9)], [gt_at(10, 10)],
+                             iou_threshold=iou_threshold, pad=pad)
+
 
 class TestMatchOnIouMatrix:
     """One IoU matrix against the per-pair loop, record for record."""

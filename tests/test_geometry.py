@@ -33,7 +33,6 @@ class TestExtremesFromRecist:
         assert (e.left.x, e.left.y) == (12, 31)
         assert (e.right.x, e.right.y) == (47, 29)
         assert (e.center.x, e.center.y) == (29.5, 30)
-        assert not e.degenerate
 
     def test_shared_roles_diagonal_cross(self):
         e = extremes_from_recist(diam(0, 0, 10, 10, 0, 10, 10, 0))
@@ -61,7 +60,6 @@ class TestExtremesFromRecist:
 
     def test_degenerate_flagged_not_rejected(self):
         e = extremes_from_recist(diam(0, 5, 10, 5, 4, 5, 6, 5))
-        assert e.degenerate
         assert e.top.y == e.bottom.y
 
     def test_validity_invariants_random(self):
@@ -121,10 +119,6 @@ class TestPadBBox:
     def test_zero_pad_identity(self):
         box = BBox(3.5, 4.25, 9.75, 11.5)
         assert pad_bbox(box, 0) == box
-
-    def test_clamped_to_image(self):
-        padded = pad_bbox(BBox(2, 2, 10, 10), 5, bounds=(512, 512))
-        assert padded.as_tuple() == (0, 0, 15, 15)
 
     def test_pad_additivity_without_clamp(self):
         # dyadic pads and corners make the split and combined paths bit-equal
