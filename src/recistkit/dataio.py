@@ -432,6 +432,24 @@ def _entry_table(dets: Sequence[Detection], where: str) -> tuple[np.ndarray, tup
     return table[:, _ENTRY_COLUMNS], sources
 
 
+def _float_texts(table: np.ndarray) -> list[str]:
+    """``repr`` of each float64 of ``table``, in raveled order, formatting
+    each distinct value once; by bits, so -0.0 stays apart from 0.0."""
+    bits = table.view(np.uint64).ravel()
+    order = bits.argsort()
+    ordered = bits[order]
+    # first[i]: ordered[i] starts a run of equal bits
+    first = np.empty(bits.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    text = [repr(v) for v in ordered[first].view(np.float64).tolist()]
+    rank = first.cumsum()
+    rank -= 1  # each sorted value's index into text
+    where = np.empty_like(rank)
+    where[order] = rank
+    return list(map(text.__getitem__, where.tolist()))
+
+
 def write_detections(
     detections_by_image: Mapping[str, Sequence[Detection]],
     path: str | Path,
@@ -457,10 +475,7 @@ def write_detections(
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write('{\n  "config": %s,\n  "images": {' % echo)
         for i, (key, table, sources) in enumerate(images):
-            # repr each distinct float once; by bits, so -0.0 stays apart from 0.0
-            distinct, where = np.unique(table.view(np.uint64), return_inverse=True)
-            text = [repr(v) for v in distinct.view(np.float64).tolist()]
-            values = list(map(text.__getitem__, where.ravel().tolist()))
+            values = _float_texts(table)
             width = table.shape[1]
             entries = ",\n".join([
                 _ENTRY_TEMPLATE % (*values[j * width : (j + 1) * width], source)

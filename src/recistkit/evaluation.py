@@ -189,24 +189,28 @@ def match_detections(
     """
     check_match_settings(iou_threshold, pad)
     dets = Detections.of(detections)
-    order = np.argsort(-dets.scores, kind="stable")
+    order = (-dets.scores).argsort(kind="stable")
     # padded as pad_bbox pads: x1 - pad, y1 - pad, x2 + pad, y2 + pad
     padded = dets.rows[:, BOX_COLUMNS] + np.array([-pad, -pad, pad, pad])
     gts = np.array([g.as_tuple() for g in gt_boxes], dtype=np.float64).reshape(-1, 4)
     ious = pairwise_iou(padded, gts)
-    # only an overlap strictly above 0 can match, which also rules out NaN;
-    # the last column, always 0, keeps argmax defined without ground truth
-    overlap = np.zeros((len(dets), len(gt_boxes) + 1))
-    np.copyto(overlap[:, :-1], ious, where=ious > 0.0)
-    gt_index = []
-    best = None
+    # only an overlap strictly above 0 can match, which also rules out NaN
+    overlap = np.where(ious > 0.0, ious, 0.0)
+    # each detection's lesions by overlap, best first, ties to the lower
+    # index as argmax breaks them: its best unmatched one is the first
+    # unmatched in this order
+    ranked = (-overlap).argsort(axis=1, kind="stable").tolist()
+    values = overlap.tolist()
+    gt_index, matched = [], set()
     for i in order.tolist():
-        if best is None:  # after each match: argmax is the scan's first maximum
-            best, best_iou = overlap.argmax(axis=1).tolist(), overlap.max(axis=1).tolist()
-        if best_iou[i] > 0.0 and best_iou[i] >= iou_threshold:
-            overlap[:, best[i]] = 0.0  # every ground truth is matched at most once
-            gt_index.append(best[i])
-            best = None
+        for g in ranked[i]:
+            if g not in matched:
+                break
+        else:
+            g = -1
+        if g >= 0 and values[i][g] > 0.0 and values[i][g] >= iou_threshold:
+            matched.add(g)  # every ground truth is matched at most once
+            gt_index.append(g)
         else:
             gt_index.append(-1)
     return MatchResult(order, dets.scores[order], gt_index, len(gt_boxes))

@@ -17,6 +17,12 @@ import numpy as np
 from .geometry import pairwise_iou
 from .grouping import BOX_COLUMNS, Detection, Detections
 
+# the box columns of a detection row, least significant first: y2, x2, y1, x1
+_BOX_KEYS = np.array(BOX_COLUMNS[::-1])
+
+# a row's columns as the mirrored row reads them: left and right swap roles
+_MIRRORED_COLUMNS = np.array([0, 1, 6, 7, 4, 5, 2, 3, 8, 9])
+
 
 @dataclass(frozen=True, slots=True)
 class SoftNmsConfig:
@@ -55,8 +61,8 @@ def unflip_detections(
     """
     dets = Detections.of(detections)
     # left and right swap roles, and every x mirrors
-    rows = dets.rows[:, [0, 1, 6, 7, 4, 5, 2, 3, 8, 9]]
-    rows[:, 0::2] = image_width - 1.0 - rows[:, 0::2]
+    rows = dets.rows.take(_MIRRORED_COLUMNS, axis=1)
+    np.subtract(image_width - 1.0, rows[:, 0::2], out=rows[:, 0::2])
     return Detections(rows, dets.scores, ("flipped",) * len(rows))
 
 
@@ -74,25 +80,27 @@ def soft_nms(
     then to the earlier input.
     """
     dets = Detections.of(detections)
-    pool = np.flatnonzero(dets.scores >= cfg.score_floor)
+    pool = (dets.scores >= cfg.score_floor).nonzero()[0]
     rows = dets.rows[pool]
-    is_original = np.array(
-        [dets.sources[i] == "original" for i in pool.tolist()], dtype=bool
-    )
-    # the tie order of soft_nms, primary key last, so that argmax's first
-    # hit below is the first live detection in that order
-    order = pool[
-        np.lexsort((*rows[:, 7::-1].T, is_original, *rows[:, BOX_COLUMNS[::-1]].T))
-    ]
-    boxes, scores = dets.rows[order][:, BOX_COLUMNS], dets.scores[order]
+    sources = dets.sources
+    is_original = np.array([sources[i] == "original" for i in pool.tolist()], float)
+    # the tie order of soft_nms, one key per row, primary key last, so that
+    # argmax's first hit below is the first live detection in that order
+    keys = np.concatenate((rows.T[7::-1], is_original[None], rows.T[_BOX_KEYS]))
+    ranked = np.lexsort(keys)
+    order = pool[ranked]
+    boxes, scores = rows[ranked][:, BOX_COLUMNS], dets.scores[order]
     overlap = pairwise_iou(boxes, boxes)
+    index = np.arange(len(order))
     if cfg.method == "gaussian":
         # math.exp, not np.exp, which is 1 ulp off on some inputs; a pair
         # without overlap keeps its exact factor of 1.0. The IoU matrix is
         # bit-symmetric, so each pair's factor is computed once, above the
         # diagonal, and mirrored.
-        decay = np.ones_like(overlap)
-        hit = np.triu(overlap != 0.0, 1)
+        decay = np.empty_like(overlap)
+        decay.fill(1.0)
+        hit = index[:, None] < index
+        hit &= overlap != 0.0
         pairs = overlap[hit]
         exponent = -(pairs * pairs) / cfg.sigma
         factors = np.fromiter(map(math.exp, exponent.tolist()), np.float64, pairs.size)
@@ -101,7 +109,7 @@ def soft_nms(
     else:
         decay = np.where(overlap > cfg.linear_iou_threshold, 1.0 - overlap, 1.0)
     # a selected detection decays itself to -inf, or to NaN at score 0
-    np.fill_diagonal(decay, -np.inf)
+    decay[index, index] = -np.inf
 
     # scores in tie order; once kept or dropped, a detection's is -inf, which
     # decays to -inf or NaN, never to a score at or above the floor

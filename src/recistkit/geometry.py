@@ -149,10 +149,12 @@ def iou(a: BBox, b: BBox) -> float:
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """:func:`iou` of each row of ``a`` with each row of ``b``, bit for bit,
     as a (len(a), len(b)) matrix; rows are (x1, y1, x2, y2)."""
-    ax1, ay1, ax2, ay2 = a.T
-    bx1, by1, bx2, by2 = b.T
-    # three full-size float arrays and one mask, written in place
+    ax1, ay1, ax2, ay2 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
+    bx1, by1, bx2, by2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
+    # three full-size float arrays and one mask, written in place: a larger
+    # temporary costs more in fresh pages than a call saves
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        a_side, b_side = a[:, 2:] - a[:, :2], b[:, 2:] - b[:, :2]  # width, height
         inter = np.minimum.outer(ax2, bx2)
         work = np.maximum.outer(ax1, bx1)
         inter -= work  # intersection width
@@ -163,7 +165,7 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         empty |= ih <= 0.0
         inter *= ih
         np.copyto(inter, 0.0, where=empty)
-        np.add.outer((ax2 - ax1) * (ay2 - ay1), (bx2 - bx1) * (by2 - by1), out=work)
+        np.add.outer(a_side[:, 0] * a_side[:, 1], b_side[:, 0] * b_side[:, 1], out=work)
         work -= inter  # union
         np.less_equal(work, 0.0, out=empty)
         inter /= work

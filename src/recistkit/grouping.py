@@ -73,6 +73,10 @@ class GroupingConfig:
 # the (x1, y1, x2, y2) columns of a detection row: left x, top y, right x, bottom y
 BOX_COLUMNS = [2, 1, 6, 5]
 
+# the row columns of the cell tie-break key, least significant first:
+# right (col, row), bottom, left, top
+_CELL_KEYS = np.array([6, 7, 4, 5, 2, 3, 0, 1])
+
 
 @dataclass(frozen=True, slots=True)
 class Detection:
@@ -192,7 +196,7 @@ def extract_peaks(heatmap: np.ndarray, cfg: GroupingConfig, role: str) -> Peaks:
     """
     h, w = heatmap.shape
     flat = heatmap.ravel()
-    cells = np.flatnonzero(flat > cfg.tau_e)
+    cells = (flat > cfg.tau_e).nonzero()[0]
     rows, cols = np.divmod(cells, w)
     values = flat[cells]
     half = min(cfg.kernel // 2, max(h, w) - 1)
@@ -201,28 +205,37 @@ def extract_peaks(heatmap: np.ndarray, cfg: GroupingConfig, role: str) -> Peaks:
     step = max(1, _WINDOW_CELLS // reach.size**2)
     for lo in range(0, cells.size, step):
         part = slice(lo, lo + step)
-        near_rows = np.clip(rows[part] + reach, 0, h - 1)
+        near_rows = _clamp(rows[part] + reach, h)
         near_rows *= w
-        near_cols = np.clip(cols[part] + reach, 0, w - 1)
+        near_cols = _clamp(cols[part] + reach, w)
         # (width, width, m) window cells, this part's candidates along the last axis
         window = flat[near_rows[:, None, :] + near_cols[None, :, :]]
-        keep[part] = (window <= values[part]).all(axis=(0, 1))
-    rows, cols = rows[keep], cols[keep]
-    scores = values[keep].astype(np.float64)
+        np.logical_and.reduce(window <= values[part], axis=(0, 1), out=keep[part])
+    kept = keep.nonzero()[0]
+    scores = values[kept].astype(np.float64)
     # cells come in row-major order, so a stable sort breaks ties on (row, col)
-    order = np.argsort(-scores, kind="stable")[: cfg.k1]
-    return Peaks(role, np.stack((rows[order], cols[order], scores[order])))
+    order = (-scores).argsort(kind="stable")[: cfg.k1]
+    kept = kept[order]
+    table = np.concatenate((rows[kept], cols[kept], scores[order]))
+    return Peaks(role, table.reshape(3, -1))
+
+
+def _clamp(index: np.ndarray, n: int) -> np.ndarray:
+    """``index`` clipped in place to [0, n - 1]; ``np.clip``'s result
+    without its Python-level setup."""
+    np.maximum(index, 0, out=index)
+    return np.minimum(index, n - 1, out=index)
 
 
 def _center_scores_nearest(
-    center_map: np.ndarray, crow: np.ndarray, ccol: np.ndarray
+    center_map: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
-    """Sample at the nearest cell, rounding halves up per component."""
-    r = np.floor(crow + 0.5).astype(np.intp)
-    c = np.floor(ccol + 0.5).astype(np.intp)
-    np.clip(r, 0, center_map.shape[0] - 1, out=r)
-    np.clip(c, 0, center_map.shape[1] - 1, out=c)
-    return center_map[r[:, None], c[None, :]].astype(np.float64)
+    """The map at the cells given as whole-number float rows and columns,
+    clipped to the grid."""
+    h, w = center_map.shape
+    r = _clamp(rows.astype(np.intp), h)
+    c = _clamp(cols.astype(np.intp), w)
+    return center_map[r[:, None], c].astype(np.float64)
 
 
 def _center_scores_bilinear(
@@ -230,8 +243,8 @@ def _center_scores_bilinear(
 ) -> np.ndarray:
     """Bilinear interpolation of the center map at fractional coordinates."""
     h, w = center_map.shape
-    r0 = np.clip(np.floor(crow).astype(np.intp), 0, h - 1)
-    c0 = np.clip(np.floor(ccol).astype(np.intp), 0, w - 1)
+    r0 = _clamp(np.floor(crow).astype(np.intp), h)
+    c0 = _clamp(np.floor(ccol).astype(np.intp), w)
     r1 = np.minimum(r0 + 1, h - 1)
     c1 = np.minimum(c0 + 1, w - 1)
     fr = (crow - r0)[:, None]
@@ -249,7 +262,8 @@ def _runs(values: np.ndarray):
     order = values.argsort(kind="stable")
     ordered = values[order]
     # bounds: the start of each run, then the end of the last one
-    first = np.ones(ordered.size + 1, dtype=bool)
+    first = np.empty(ordered.size + 1, dtype=bool)
+    first[0] = first[-1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:-1])
     bounds = first.nonzero()[0]
     starts = bounds[:-1]
@@ -267,21 +281,22 @@ def _enumerate_block(top, bottom, left, right, center_map, cfg):
     distinct rounded rows x rounded columns). Only the table cells
     above ``tau_c`` are expanded into their (t, b) x (l, r) pairs and scored.
     """
-    t_rows, t_cols, t_scores = top
-    b_rows, b_cols, b_scores = bottom
-    l_rows, l_cols, l_scores = left
-    r_rows, r_cols, r_scores = right
-    ti, bi = np.nonzero(t_rows[:, None] <= b_rows[None, :])
-    li, ri = np.nonzero(l_cols[:, None] <= r_cols[None, :])
+    # indexed, not unpacked: unpacking an array iterates it to the end
+    t_rows, t_cols, t_scores = top[0], top[1], top[2]
+    b_rows, b_cols, b_scores = bottom[0], bottom[1], bottom[2]
+    l_rows, l_cols, l_scores = left[0], left[1], left[2]
+    r_rows, r_cols, r_scores = right[0], right[1], right[2]
+    ti, bi = (t_rows[:, None] <= b_rows).nonzero()
+    li, ri = (l_cols[:, None] <= r_cols).nonzero()
     if ti.size == 0 or li.size == 0:
         return None
 
     crow = (t_rows[ti] + b_rows[bi]) * 0.5
     ccol = (l_cols[li] + r_cols[ri]) * 0.5
     if cfg.center_interp == "nearest":
-        # key the table by the cell each center rounds to, so a half-integer
-        # center shares its row or column with the whole one that reaches
-        # the same cell; the sampler's own rounding then changes nothing
+        # key the table by the cell each center rounds to, halves up, so a
+        # half-integer center shares its row or column with the whole one
+        # that reaches the same cell
         u_row, tb_order, tb_start, tb_count = _runs(np.floor(crow + 0.5))
         u_col, lr_order, lr_start, lr_count = _runs(np.floor(ccol + 0.5))
         table = _center_scores_nearest(center_map, u_row, u_col)
@@ -289,7 +304,7 @@ def _enumerate_block(top, bottom, left, right, center_map, cfg):
         u_row, tb_order, tb_start, tb_count = _runs(crow)
         u_col, lr_order, lr_start, lr_count = _runs(ccol)
         table = _center_scores_bilinear(center_map, u_row, u_col)
-    kr, kc = np.nonzero(table > cfg.tau_c)
+    kr, kc = (table > cfg.tau_c).nonzero()
     if kr.size == 0:
         return None
 
@@ -297,15 +312,15 @@ def _enumerate_block(top, bottom, left, right, center_map, cfg):
     # (t, b)-major; `local` is a pair's position within its cell
     width = lr_count[kc]
     sizes = tb_count[kr] * width
-    cell = np.arange(kr.size).repeat(sizes)
-    local = np.arange(cell.size) - (sizes.cumsum() - sizes).repeat(sizes)
-    tb_off, lr_off = np.divmod(local, width[cell])
-    tb = tb_order[tb_start[kr][cell] + tb_off]
-    lr = lr_order[lr_start[kc][cell] + lr_off]
+    ends = sizes.cumsum()
+    local = np.arange(ends[-1]) - (ends - sizes).repeat(sizes)
+    tb_off, lr_off = np.divmod(local, width.repeat(sizes))
+    tb = tb_order[tb_start[kr].repeat(sizes) + tb_off]
+    lr = lr_order[lr_start[kc].repeat(sizes) + lr_off]
 
     s_tb = t_scores[ti] + b_scores[bi]
     s_lr = l_scores[li] + r_scores[ri]
-    scores = (s_tb[tb] + s_lr[lr]) + 2.0 * table[kr, kc][cell]
+    scores = (s_tb[tb] + s_lr[lr]) + 2.0 * table[kr, kc].repeat(sizes)
     if scores.size > cfg.k2:
         # block-local prune; ties at the cut are kept so the cross-block
         # merge still sees every candidate the global top-k2 could select
@@ -313,16 +328,12 @@ def _enumerate_block(top, bottom, left, right, center_map, cfg):
         kept = scores >= cut
         scores, tb, lr = scores[kept], tb[kept], lr[kept]
 
-    tk, bk = ti[tb], bi[tb]
-    lk, rk = li[lr], ri[lr]
-    rows = np.column_stack(
-        (
-            t_cols[tk], t_rows[tk], l_cols[lk], l_rows[lk],
-            b_cols[bk], b_rows[bk], r_cols[rk], r_rows[rk],
-            ccol[lr], crow[tb],
-        )
+    # each role's (col, row) of every candidate, then the center's
+    columns = (
+        top[1::-1, ti[tb]], left[1::-1, li[lr]], bottom[1::-1, bi[tb]],
+        right[1::-1, ri[lr]], ccol[lr][None], crow[tb][None],
     )
-    return scores, rows
+    return scores, np.concatenate(columns).T
 
 
 def _select_top_k2(blocks: list, k2: int) -> Detections:
@@ -338,7 +349,8 @@ def _select_top_k2(blocks: list, k2: int) -> Detections:
     rows = np.concatenate([r for _, r in blocks])
 
     # primary key last: -score, then (row, col) of top, left, bottom, right
-    order = np.lexsort((*rows[:, [6, 7, 4, 5, 2, 3, 0, 1]].T, -scores))[:k2]
+    keys = rows.take(_CELL_KEYS, axis=1).T
+    order = np.lexsort((*keys, -scores))[:k2]
     return Detections(rows[order], scores[order], ("original",) * order.size)
 
 
@@ -392,16 +404,14 @@ def refine_with_offsets(
     offsets).
     """
     dets = Detections.of(detections)
-    col = dets.rows[:, 0:8:2].astype(np.intp)  # one column per extreme role
-    row = dets.rows[:, 1:8:2].astype(np.intp)
-    dx_plane = 2 * np.arange(len(EXTREME_ROLES))
-    dx = offset_maps[dx_plane, row, col].astype(np.float64)
-    dy = offset_maps[dx_plane + 1, row, col].astype(np.float64)
+    cells = dets.rows[:, :8].astype(np.intp)  # (x, y) per extreme role
+    # row column k's fraction is on offset plane k, at its extreme's cell
+    col, row = cells[:, 0::2].repeat(2, axis=1), cells[:, 1::2].repeat(2, axis=1)
+    fraction = offset_maps[np.arange(8), row, col].astype(np.float64)
     refined = np.empty_like(dets.rows)
-    refined[:, 0:8:2] = stride * (col + dx)
-    refined[:, 1:8:2] = stride * (row + dy)
-    refined[:, 8] = (refined[:, 2] + refined[:, 6]) / 2.0
-    refined[:, 9] = (refined[:, 1] + refined[:, 5]) / 2.0
+    np.multiply(stride, cells + fraction, out=refined[:, :8])
+    # the center x from the left and right x, its y from the top and bottom y
+    refined[:, 8:] = (refined[:, [2, 1]] + refined[:, [6, 5]]) / 2.0
     return Detections(refined, dets.scores, dets.sources)
 
 

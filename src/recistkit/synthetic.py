@@ -38,6 +38,7 @@ from .targets import (
     RenderConfig,
     TargetBundle,
     _draw_lesions,
+    _zero_planes,
     draw_gaussian,
     output_grid,
     render_targets,
@@ -126,26 +127,28 @@ def _decodes_to_itself(
 
     On a clean bundle each role's peaks are exactly the true keypoint
     cells, so grouping's own enumeration runs on those cells and the
-    rendered center plane, the only plane drawn, and must keep the n true
-    quadruples and nothing else.
+    rendered center plane, the only plane drawn or read, and must keep the
+    n true quadruples and nothing else.
     """
-    out_h, out_w = output_grid(image_size, stride)
-    bundle = HeatmapBundle.zeros(out_h, out_w, stride, image_size)
+    center = _zero_planes(1, *output_grid(image_size, stride))[0]
     true_cells = []
 
     def center_only(cells):  # record the extremes' cells, draw the center
         true_cells.append(cells[:4])
         return [None] * 4 + cells[4:]
 
-    _draw_lesions(bundle, extremes_list, min_overlap, sigma_divisor, center_only)
+    # no extreme is drawn, so the center plane stands in for every keypoint
+    # plane and there are no offset planes
+    _draw_lesions(
+        [center] * 5, None, stride, extremes_list, min_overlap, sigma_divisor,
+        center_only,
+    )
     # (row, col) per lesion and extreme role
     truth = np.array(true_cells, dtype=float).reshape(-1, 4, 2)
     # each role's peaks: the true rows and columns, with scores of 1.0
-    peaks = {
-        role: Peaks(role, np.vstack((truth[:, j].T, np.ones(len(truth)))))
-        for j, role in enumerate(EXTREME_ROLES)
-    }
-    center = bundle.keypoint_map("center")
+    arrays = np.ones((len(EXTREME_ROLES), 3, len(truth)))
+    arrays[:, :2] = truth.transpose(1, 2, 0)
+    peaks = {role: Peaks(role, a) for role, a in zip(EXTREME_ROLES, arrays)}
     kept = enumerate_quadruples(peaks, center, GroupingConfig(tau_c=tau_c))
     found = kept.rows[:, [1, 0, 3, 2, 5, 4, 7, 6]].tolist()
     return sorted(found) == sorted(truth.reshape(-1, 8).tolist())
@@ -362,7 +365,10 @@ def simulate_heatmaps(
         return moved
 
     extremes = scene.extremes()
-    drawn, _ = _draw_lesions(bundle, extremes, min_overlap, sigma_divisor, degrade)
+    drawn, _ = _draw_lesions(
+        bundle.keypoint_maps, bundle.offset_maps, stride, extremes, min_overlap,
+        sigma_divisor, degrade,
+    )
     for role_idx in range(n_roles):
         true_cells = [c[role_idx] for c in drawn if c[role_idx] is not None]
         count = rng.poisson(cfg.spurious_rate)

@@ -104,13 +104,21 @@ class HeatmapBundle:
         cls, out_h: int, out_w: int, stride: int, input_size: tuple[int, int]
     ) -> HeatmapBundle:
         """Zeroed planes; a grid too large to allocate raises MemoryError."""
-        try:
-            planes = [np.zeros((n, out_h, out_w), np.float32) for n in (5, 8)]
-        except ValueError:  # numpy's refusal of more bytes than it can address
-            if min(out_h, out_w) < 0:
-                raise
-            raise MemoryError(f"{out_w}x{out_h} heatmap planes are too large") from None
-        return cls(*planes, stride=stride, input_size=input_size)
+        return cls(
+            _zero_planes(5, out_h, out_w), _zero_planes(8, out_h, out_w),
+            stride=stride, input_size=input_size,
+        )
+
+
+def _zero_planes(n: int, out_h: int, out_w: int) -> np.ndarray:
+    """(n, out_h, out_w) float32 zeros; a grid too large to allocate raises
+    MemoryError."""
+    try:
+        return np.zeros((n, out_h, out_w), np.float32)
+    except ValueError:  # numpy's refusal of more bytes than it can address
+        if min(out_h, out_w) < 0:
+            raise
+        raise MemoryError(f"{out_w}x{out_h} heatmap planes are too large") from None
 
 
 @dataclass
@@ -222,21 +230,23 @@ def output_grid(input_size: tuple[int, int], stride: int) -> tuple[int, int]:
 
 
 def _draw_lesions(
-    bundle: HeatmapBundle, annotations: list[ExtremePoints], min_overlap: float,
-    sigma_divisor: float, move=None,
+    keypoint_maps, offset_maps, stride: int, annotations: list[ExtremePoints],
+    min_overlap: float, sigma_divisor: float, move=None,
 ) -> tuple[list[list], list[list]]:
-    """Draw each annotation's five keypoints, lesion by lesion; return
-    (cells, offsets): each one's drawn cells in KEYPOINT_CHANNELS order and
-    its four extremes' offset targets, float32-rounded and clamped below 1
-    (None for an extreme not drawn).
+    """Draw each annotation's five keypoints, lesion by lesion, into the
+    (H, W) ``keypoint_maps`` in KEYPOINT_CHANNELS order and the (8, H, W)
+    ``offset_maps``; return (cells, offsets): each one's drawn cells in
+    KEYPOINT_CHANNELS order and its four extremes' offset targets,
+    float32-rounded and clamped below 1 (None for an extreme not drawn).
 
     A lesion draws each kernel, of gaussian_radius of its box in cells, then
     each extreme's offset at its cell, so a later lesion wins a shared cell.
-    ``move`` maps a lesion's true cells to those drawn (None: not drawn). A
-    keypoint that is not finite or off the grid raises ValueError naming
-    its annotation, before its box is sized.
+    ``move`` maps a lesion's true cells to those drawn (None: not drawn); a
+    plane that no drawn cell reaches is never touched. A keypoint that is
+    not finite or off the (H, W) grid raises ValueError naming its
+    annotation, before its box is sized.
     """
-    (out_h, out_w), stride = bundle.grid_shape, bundle.stride
+    out_h, out_w = keypoint_maps[0].shape
     drawn, offsets = [], []
     for index, ann in enumerate(annotations):
         cells = []
@@ -252,7 +262,7 @@ def _draw_lesions(
         box_w, box_h = ann.right.x - ann.left.x, ann.bottom.y - ann.top.y
         radius = gaussian_radius(box_w / stride, box_h / stride, min_overlap)
         drawn.append(cells if move is None else move(cells))
-        for plane, cell in zip(bundle.keypoint_maps, drawn[-1]):
+        for plane, cell in zip(keypoint_maps, drawn[-1]):
             if cell is not None:
                 draw_gaussian(plane, cell, radius, sigma_divisor=sigma_divisor)
         offsets.append([None] * len(EXTREME_ROLES))
@@ -261,8 +271,8 @@ def _draw_lesions(
                 dx, dy = (min(float(np.float32(v)), _MAX_OFFSET)
                           for v in offset_target(p, stride))
                 offsets[-1][role_idx] = (dx, dy)
-                bundle.offset_maps[2 * role_idx, cell[0], cell[1]] = dx
-                bundle.offset_maps[2 * role_idx + 1, cell[0], cell[1]] = dy
+                offset_maps[2 * role_idx, cell[0], cell[1]] = dx
+                offset_maps[2 * role_idx + 1, cell[0], cell[1]] = dy
     return drawn, offsets
 
 
@@ -289,7 +299,10 @@ def render_targets(
     if input_size is None:
         input_size = (out_w * stride, out_h * stride)
     bundle = HeatmapBundle.zeros(out_h, out_w, stride, input_size)
-    cells, offsets = _draw_lesions(bundle, annotations, min_overlap, sigma_divisor)
+    cells, offsets = _draw_lesions(
+        bundle.keypoint_maps, bundle.offset_maps, stride, annotations,
+        min_overlap, sigma_divisor,
+    )
     shape = (len(cells), len(EXTREME_ROLES), 2)
     return TargetBundle(
         bundle=bundle,

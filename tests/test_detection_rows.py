@@ -280,6 +280,19 @@ class TestSoftNmsOracle:
         assert_same(fusion.soft_nms(pool), soft_nms(pool))
 
     @pytest.mark.parametrize("cfg", CONFIGS[:2], ids=CONFIG_IDS[:2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_small_pools_with_tied_scores(self, n, cfg):
+        # a clean image's pool sizes, every score tied, so the tie order
+        # alone picks each selection; every other pool repeats one box
+        rng = np.random.default_rng(30 + n)
+        for trial in range(20):
+            pool = random_pool(rng, n)
+            if trial % 2 and n > 1:
+                pool[-1] = replace(pool[0], source=pool[-1].source)
+            pool = [replace(d, score=1.5) for d in pool]
+            assert_same(fusion.soft_nms(pool, cfg), soft_nms(pool, cfg))
+
+    @pytest.mark.parametrize("cfg", CONFIGS[:2], ids=CONFIG_IDS[:2])
     def test_exact_duplicate_boxes(self, cfg):
         # each box four times: twice as is, once from the other view and
         # once at half the score; copies overlap with IoU 1, or 0 at zero area

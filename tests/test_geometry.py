@@ -201,6 +201,30 @@ class TestPairwiseIou:
         assert np.array_equal(as_bits(square), as_bits(square.T))
 
 
+    def test_empty_inputs(self):
+        boxes = np.array([[0.0, 0.0, 2.0, 2.0], [1.0, 1.0, 3.0, 3.0]])
+        none = np.empty((0, 4))
+        for a, b in ((none, boxes), (boxes, none), (none, none)):
+            matrix = pairwise_iou(a, b)
+            assert matrix.shape == (len(a), len(b))
+            assert matrix.dtype == np.float64
+
+    def test_zero_area_boxes(self):
+        # points, segments, signed zeros and an inverted box, against each
+        # other and a proper box: 0 where the scalar iou gives 0, never NaN
+        boxes = np.array([
+            [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 3.0, 1.0], [1.0, 1.0, 1.0, 3.0],
+            [0.0, 0.0, 4.0, 4.0], [-0.0, 0.0, 0.0, -0.0], [0.0, -0.0, -0.0, 0.0],
+            [3.0, 3.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0],
+        ])
+        matrix = pairwise_iou(boxes, boxes)
+        rows = boxes.tolist()
+        scalar = [[iou(BBox(*p), BBox(*q)) for q in rows] for p in rows]
+        assert np.array_equal(as_bits(matrix), as_bits(scalar))
+        assert not np.isnan(matrix).any()
+        assert matrix[3].tolist() == [0.0] * 3 + [1.0] + [0.0] * 4
+
+
 class TestFlipHorizontal:
     def test_point(self):
         assert flip_horizontal(Point2(10, 7), 100) == Point2(89, 7)

@@ -9,6 +9,7 @@ share the worker partition and the top-k2 merge. Detections are compared by
 arrays.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -235,6 +236,35 @@ def test_ties_at_the_k2_cut():
                 assert [bits(d) for d in got] == [bits(d) for d in expected]
 
 
+@pytest.mark.parametrize("center_interp", ["nearest", "bilinear"])
+def test_zero_one_or_two_peaks_per_role_match_dense_oracle(center_interp):
+    """Every mix of 0, 1 and 2 peaks across the four roles, the sizes a
+    clean image gives, on small maps with tied levels."""
+    rng = np.random.default_rng(53 if center_interp == "nearest" else 54)
+    kept = 0
+    for counts in itertools.product(range(3), repeat=len(EXTREME_ROLES)):
+        for _ in range(3):
+            h, w = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            center = rng.choice(LEVELS, size=(h, w)).astype(np.float32)
+            peaks = {}
+            for role, n in zip(EXTREME_ROLES, counts):
+                cells = rng.choice(h * w, size=min(n, h * w), replace=False)
+                scores = rng.choice(LEVELS[1:], size=cells.size)
+                peaks[role] = make_peaks(
+                    role, [(c // w, c % w, s) for c, s in zip(cells, scores)]
+                )
+            cfg = GroupingConfig(
+                tau_c=float(rng.choice(LEVELS[:3])), k2=int(rng.choice([1, 2, 100])),
+                center_interp=center_interp,
+            )
+            for workers in (1, 2):
+                got = enumerate_quadruples(peaks, center, cfg, workers=workers)
+                expected = dense_enumerate(peaks, center, cfg, workers)
+                assert [bits(d) for d in got] == [bits(d) for d in expected]
+                kept += len(got)
+    assert kept > 50  # the cases are not mostly empty
+
+
 def test_one_by_one_map_and_empty_role():
     cfg = GroupingConfig()
     center = np.full((1, 1), 0.5, dtype=np.float32)
@@ -399,6 +429,27 @@ def test_window_gathered_in_parts_matches_dense_oracle(monkeypatch):
                 assert peak_bits(extract_peaks(grid, cfg, "top")) == peak_bits(
                     dense_extract_peaks(grid, cfg, "top")
                 )
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (1, 9), (9, 1)])
+def test_border_peaks_on_thin_maps_match_dense_oracle(shape, kernel):
+    """On 1 x 1, 1 x n and n x 1 maps every cell is a border cell, so every
+    window is clipped to the grid, on one axis or both; the best cell sits
+    at either end in turn, and levels tie into plateaus."""
+    rng = np.random.default_rng(100 * kernel + shape[0] + 10 * shape[1])
+    found = 0
+    for trial in range(40):
+        grid = rng.choice(LEVELS, size=shape).astype(np.float32)
+        grid.flat[-(trial % 2)] = 1.0  # the first cell, then the last
+        if trial % 5 == 4:
+            grid.flat[int(rng.integers(grid.size))] = np.nan
+        for tau_e in (0.0, 0.1):
+            cfg = GroupingConfig(tau_e=tau_e, k1=grid.size, kernel=kernel)
+            got = extract_peaks(grid, cfg, "right")
+            assert peak_bits(got) == peak_bits(dense_extract_peaks(grid, cfg, "right"))
+            found += len(got)
+    assert found > 40
 
 
 def test_nan_cell_suppresses_its_window_as_before():
