@@ -541,6 +541,7 @@ def _checked(type_, ok, rule: str):
 
 _positive_float = _checked(float, lambda v: v > 0, "> 0")
 _positive_finite_float = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_finite_float = _checked(float, math.isfinite, "finite")
 _nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _probability = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
@@ -713,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random instances per loss (default: 100)")
     p.add_argument("--tol", type=_positive_finite_float, default=1e-5,
                    help="max relative error (default: 1e-5)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_nonnegative_int, default=0,
                    help="RNG seed (default: 0)")
     p.set_defaults(func=_cmd_check_gradients)
 
@@ -721,8 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
         "window",
         help="normalize raw float32 CT intensities to [0, 1]",
     )
-    p.add_argument("--level", type=float, required=True,
-                   help="window center in HU")
+    p.add_argument("--level", type=_finite_float, required=True,
+                   help="window center in HU, finite")
     p.add_argument("--width", type=_positive_finite_float, required=True,
                    help="window width in HU, finite and > 0")
     p.add_argument("--in", dest="infile", required=True,

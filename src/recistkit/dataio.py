@@ -14,7 +14,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -31,7 +31,7 @@ from .geometry import (
     ordered_diameters,
     pad_bbox,
 )
-from .grouping import BOX_COLUMNS, Detection, Detections
+from .grouping import BOX_COLUMNS, SOURCES, Detection, Detections
 from .targets import KEYPOINT_CHANNELS, MAX_HEADER_INT, OFFSET_CHANNELS, HeatmapBundle
 
 HEATMAP_MAGIC = b"RKHM1\n"
@@ -49,8 +49,8 @@ CSV_COLUMNS = (
     "Train_Val_Test",
 )
 
-# padding convention used when checking an annotation's provided box
-# against the box re-derived from its diameters
+# padding convention used when checking an annotation's provided box against
+# the box re-derived from its diameters; simulated boxes use it to pass that check
 BOX_PADDING = 5.0
 BOX_CONSISTENCY_TOL = 1e-3
 
@@ -95,7 +95,11 @@ class ParseResult:
 
     annotations: list[RecistAnnotation]
     n_excluded: int = 0
-    inconsistent: list[str] = field(default_factory=list)  # file_name keys
+
+    @property
+    def inconsistent(self) -> list[str]:
+        """The file_name keys of the annotations not bbox_consistent, in order."""
+        return [a.file_name for a in self.annotations if not a.bbox_consistent]
 
 
 def _floats(row: dict, column: str, expect: int, row_num: int) -> list[float]:
@@ -183,8 +187,6 @@ def parse_annotations(
             abs(a - b) <= BOX_CONSISTENCY_TOL
             for a, b in zip(derived.as_tuple(), bbox.as_tuple())
         )
-        if not consistent:
-            result.inconsistent.append(key)
 
         result.annotations.append(
             RecistAnnotation(
@@ -388,8 +390,6 @@ def write_json(obj, path: str | Path) -> None:
         fh.write("\n")
 
 
-_SOURCES = ("original", "flipped")
-
 # One detections entry laid out as write_json lays it out inside a document,
 # with a %s placeholder per value, filled with float.__repr__ text as json
 # writes a float. The numbers follow sorted keys: bbox, the extremes by
@@ -413,23 +413,19 @@ _ENTRY_COLUMNS = [
 ]
 
 
-def _entry_table(dets: Sequence[Detection], where: str) -> tuple[np.ndarray, tuple]:
+def _entry_table(dets: Sequence[Detection], where: str) -> tuple[np.ndarray, list]:
     """(n, 15) float64 values of one image's entries in template order, and
-    their sources; ValueError names the first entry that
+    their flipped flags; ValueError names the first entry that
     :func:`read_detections` would refuse."""
-    dets = Detections.of(dets)
+    try:
+        dets = Detections.of(dets)
+    except ValueError as exc:  # a list entry's source, named as [i].source
+        raise ValueError(f"{where}{exc}") from None
     table = np.column_stack((dets.rows, dets.scores))
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
         raise ValueError(f"{where}[{bad[0]}]: non-finite coordinate or score")
-    sources = dets.sources
-    for i, source in enumerate(sources):
-        if source not in _SOURCES:
-            raise ValueError(
-                f"{where}[{i}].source: expected 'original' or 'flipped', "
-                f"got {source!r}"
-            )
-    return table[:, _ENTRY_COLUMNS], sources
+    return table[:, _ENTRY_COLUMNS], dets.flipped.tolist()
 
 
 def _float_texts(table: np.ndarray) -> list[str]:
@@ -474,12 +470,12 @@ def write_detections(
     ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write('{\n  "config": %s,\n  "images": {' % echo)
-        for i, (key, table, sources) in enumerate(images):
+        for i, (key, table, flipped) in enumerate(images):
             values = _float_texts(table)
             width = table.shape[1]
             entries = ",\n".join([
-                _ENTRY_TEMPLATE % (*values[j * width : (j + 1) * width], source)
-                for j, source in enumerate(sources)
+                _ENTRY_TEMPLATE % (*values[j * width : (j + 1) * width], SOURCES[f])
+                for j, f in enumerate(flipped)
             ])
             body = f"[\n{entries}\n    ]" if entries else "[]"
             fh.write(f"{',' if i else ''}\n    {json.dumps(key)}: {body}")
@@ -518,12 +514,14 @@ def _entries_record(entries: list) -> Detections | None:
     n = len(entries)
     box, rows, scores = table[: 4 * n], table[4 * n : 14 * n], table[14 * n :]
     rows = rows.reshape(n, 10)
+    # by ==, which is False for a JSON value that is not a string
+    flipped = [s == "flipped" for s in sources]
     if (
         np.isfinite(table).all()
         and (box.reshape(n, 4) == rows[:, BOX_COLUMNS]).all()
-        and sum(map(sources.count, _SOURCES)) == n
+        and sources.count("original") + sum(flipped) == n
     ):
-        return Detections(rows, scores, sources)
+        return Detections(rows, scores, np.array(flipped))
     return None
 
 
@@ -559,7 +557,7 @@ def _entry_error(entry) -> str:
         return f".bbox: {values[:4]} is not the tight box of the extremes, {box}"
     if not is_finite_number(entry["score"]):
         return ".score: expected a finite number"
-    if entry["source"] not in _SOURCES:
+    if entry["source"] not in SOURCES:
         return ".source: expected 'original' or 'flipped'"
     return ""
 
@@ -596,9 +594,13 @@ def apply_ct_window(values: np.ndarray, level: float, width: float) -> np.ndarra
     """Linear window map of CT intensities onto [0, 1].
 
     Values at or below level - width/2 map to 0, at or above level + width/2
-    to 1, linearly in between. Monotone non-decreasing in the input.
+    to 1, linearly in between. Monotone non-decreasing in the input. A
+    non-finite level, or a width not finite and > 0, raises ValueError.
     """
-    if width <= 0:
-        raise ValueError(f"window width must be > 0, got {width}")
+    if not math.isfinite(level):
+        raise ValueError(f"window level must be finite, got {level}")
+    if not 0 < width < math.inf:
+        raise ValueError(f"window width must be finite and > 0, got {width}")
     lo = level - width / 2.0
-    return np.clip((np.asarray(values, dtype=np.float64) - lo) / width, 0.0, 1.0)
+    with np.errstate(over="ignore"):  # a tiny width's +-inf clips to 0 or 1
+        return np.clip((np.asarray(values, dtype=np.float64) - lo) / width, 0.0, 1.0)

@@ -36,12 +36,15 @@ LESION_TYPE_NAMES = {
 
 @dataclass(frozen=True, slots=True)
 class DetectionMatch:
-    """One detection's outcome against an image's ground truth."""
+    """One detection's outcome: the lesion it matched, or None if none."""
 
     det_index: int
     score: float
-    is_tp: bool
     gt_index: int | None
+
+    @property
+    def is_tp(self) -> bool:
+        return self.gt_index is not None
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -86,13 +89,11 @@ class MatchResult:
 
     @classmethod
     def of(cls, records: Sequence[DetectionMatch], n_gt: int) -> MatchResult:
-        """The record of ``records``, in their order; a true positive must
-        name a lesion and a false positive none, else ValueError."""
+        """The record of ``records``, in their order; a negative ``gt_index``,
+        which the arrays would read as a false positive, raises ValueError."""
         for k, r in enumerate(records):
-            if r.is_tp != (r.gt_index is not None) or r.is_tp and r.gt_index < 0:
-                raise ValueError(
-                    f"record {k}: is_tp {r.is_tp} with gt_index {r.gt_index!r}"
-                )
+            if r.is_tp and r.gt_index < 0:
+                raise ValueError(f"record {k}: is_tp True with gt_index {r.gt_index}")
         return cls(
             [r.det_index for r in records],
             [r.score for r in records],
@@ -105,7 +106,7 @@ class MatchResult:
         """One :class:`DetectionMatch` view per detection, in visit order,
         built as it is read, with Python numbers and None for -1."""
         return [
-            DetectionMatch(i, score, g >= 0, g if g >= 0 else None)
+            DetectionMatch(i, score, g if g >= 0 else None)
             for i, score, g in zip(
                 self.order.tolist(), self.scores.tolist(), self.gt_index.tolist()
             )

@@ -63,7 +63,7 @@ def unflip_detections(
     # left and right swap roles, and every x mirrors
     rows = dets.rows.take(_MIRRORED_COLUMNS, axis=1)
     np.subtract(image_width - 1.0, rows[:, 0::2], out=rows[:, 0::2])
-    return Detections(rows, dets.scores, ("flipped",) * len(rows))
+    return Detections(rows, dets.scores, np.ones(len(rows), dtype=bool))
 
 
 def soft_nms(
@@ -82,11 +82,9 @@ def soft_nms(
     dets = Detections.of(detections)
     pool = (dets.scores >= cfg.score_floor).nonzero()[0]
     rows = dets.rows[pool]
-    sources = dets.sources
-    is_original = np.array([sources[i] == "original" for i in pool.tolist()], float)
     # the tie order of soft_nms, one key per row, primary key last, so that
     # argmax's first hit below is the first live detection in that order
-    keys = np.concatenate((rows.T[7::-1], is_original[None], rows.T[_BOX_KEYS]))
+    keys = np.concatenate((rows.T[7::-1], ~dets.flipped[None, pool], rows.T[_BOX_KEYS]))
     ranked = np.lexsort(keys)
     order = pool[ranked]
     boxes, scores = rows[ranked][:, BOX_COLUMNS], dets.scores[order]
@@ -127,9 +125,7 @@ def soft_nms(
             np.greater_equal(scores, cfg.score_floor, out=alive)
             np.copyto(scores, -np.inf, where=~alive)
     kept = order[kept]
-    return Detections(
-        dets.rows[kept], kept_scores, [dets.sources[i] for i in kept.tolist()]
-    )
+    return Detections(dets.rows[kept], kept_scores, dets.flipped[kept])
 
 
 def fuse_tta(
@@ -144,6 +140,6 @@ def fuse_tta(
     pooled = Detections(
         np.concatenate((original.rows, unflipped.rows)),
         np.concatenate((original.scores, unflipped.scores)),
-        original.sources + unflipped.sources,
+        np.concatenate((original.flipped, unflipped.flipped)),
     )
     return soft_nms(pooled, cfg)

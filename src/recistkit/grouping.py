@@ -73,6 +73,8 @@ class GroupingConfig:
 # the (x1, y1, x2, y2) columns of a detection row: left x, top y, right x, bottom y
 BOX_COLUMNS = [2, 1, 6, 5]
 
+SOURCES = ("original", "flipped")  # a detection's source, by its flipped flag
+
 # the row columns of the cell tie-break key, least significant first:
 # right (col, row), bottom, left, top
 _CELL_KEYS = np.array([6, 7, 4, 5, 2, 3, 0, 1])
@@ -107,52 +109,62 @@ class Detection:
 class Detections(Sequence):
     """One image's detections as arrays: ``rows`` (n, 10) float64, the
     (x, y) of top, left, bottom, right and center; ``scores`` (n,) float64;
-    ``sources`` a tuple of n strings.
+    ``flipped`` (n,) bool, True for the flipped view (else TypeError).
 
     A read-only sequence of :class:`Detection` views, built as they are
-    read, with Python floats. It equals a list (or record) of the same
-    detections, and ``+`` joins it with one into a list. Its arrays are
-    shared, not copied: do not write to them.
+    read, with Python floats and source ``SOURCES[flipped]``. It equals a
+    list (or record) of the same detections, and ``+`` joins it with one
+    into a list. Its arrays are shared, not copied: do not write to them.
     """
 
-    __slots__ = ("rows", "scores", "sources")
+    __slots__ = ("rows", "scores", "flipped")
 
-    def __init__(self, rows, scores, sources):
+    def __init__(self, rows, scores, flipped):
         self.rows = np.asarray(rows, dtype=np.float64).reshape(-1, 10)
         self.scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-        self.sources = tuple(sources)
-        if not len(self.rows) == len(self.scores) == len(self.sources):
-            raise ValueError("rows, scores and sources differ in length")
+        # not cast: numpy reads any non-empty string, such as a source, as True
+        self.flipped = np.asarray(flipped).reshape(-1)
+        if self.flipped.dtype != bool:
+            raise TypeError(f"flipped must be bool, got {self.flipped.dtype}")
+        if not len(self.rows) == len(self.scores) == len(self.flipped):
+            raise ValueError("rows, scores and flipped differ in length")
 
     @classmethod
     def of(cls, detections: Sequence[Detection]) -> Detections:
-        """``detections`` itself if it is a record, else its arrays."""
+        """``detections`` itself if it is a record, else its arrays; ValueError
+        names the first source not in SOURCES, as ``[i].source``."""
         if isinstance(detections, Detections):
             return detections
+        sources = [d.source for d in detections]
+        for i, source in enumerate(sources):
+            if source not in SOURCES:
+                raise ValueError(
+                    f"[{i}].source: expected 'original' or 'flipped', got {source!r}"
+                )
         return cls(
             [d.row for d in detections],
             [d.score for d in detections],
-            [d.source for d in detections],
+            np.array([s == "flipped" for s in sources], dtype=bool),
         )
 
     def __len__(self) -> int:
-        return len(self.sources)
+        return len(self.scores)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return Detections(
-                self.rows[index], self.scores[index], self.sources[index]
+                self.rows[index], self.scores[index], self.flipped[index]
             )
         return Detection(
             tuple(self.rows[index].tolist()),
             float(self.scores[index]),
-            self.sources[index],
+            SOURCES[self.flipped[index].item()],
         )
 
     def __iter__(self):
         return map(
             Detection, map(tuple, self.rows.tolist()), self.scores.tolist(),
-            self.sources,
+            map(SOURCES.__getitem__, self.flipped.tolist()),
         )
 
     def __eq__(self, other) -> bool:
@@ -351,7 +363,7 @@ def _select_top_k2(blocks: list, k2: int) -> Detections:
     # primary key last: -score, then (row, col) of top, left, bottom, right
     keys = rows.take(_CELL_KEYS, axis=1).T
     order = np.lexsort((*keys, -scores))[:k2]
-    return Detections(rows[order], scores[order], ("original",) * order.size)
+    return Detections(rows[order], scores[order], np.zeros(order.size, dtype=bool))
 
 
 def enumerate_quadruples(
@@ -412,7 +424,7 @@ def refine_with_offsets(
     np.multiply(stride, cells + fraction, out=refined[:, :8])
     # the center x from the left and right x, its y from the top and bottom y
     refined[:, 8:] = (refined[:, [2, 1]] + refined[:, [6, 5]]) / 2.0
-    return Detections(refined, dets.scores, dets.sources)
+    return Detections(refined, dets.scores, dets.flipped)
 
 
 def detect(

@@ -22,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import RecistAnnotation
+from .dataio import BOX_PADDING, RecistAnnotation
 from .geometry import (
     BBox,
     Point2,
     flip_horizontal,
     ordered_diameters,
+    pad_bbox,
 )
 from .grouping import GroupingConfig, Peaks, enumerate_quadruples
 from .rng import SplitMix64
@@ -57,7 +58,6 @@ _SPACING = (1.0, 1.0, 1.0)
 _ASPECT_RANGE = (0.9, 1.0)
 _MIN_BOX_SIDE = 40.0
 _MAX_ATTEMPTS = 500
-_BOX_PAD = 5.0  # px added on each side of a tight box
 
 # Spurious peaks: the lowest score and the kernel radius in cells.
 _SPURIOUS_SCORE_MIN = 0.1
@@ -192,7 +192,7 @@ def generate_scene(
     """
     rng = SplitMix64(seed)
     width, height = image_size
-    need = n_lesions * (_MIN_BOX_SIDE + 2 * _BOX_PAD) + (n_lesions - 1) * min_gap
+    need = n_lesions * (_MIN_BOX_SIDE + 2 * BOX_PADDING) + (n_lesions - 1) * min_gap
     if n_lesions > 0 and min_gap >= 0 and need > min(width, height) - 1:
         raise ValueError(
             f"could not place {n_lesions} lesion(s) in {width}x{height}: their "
@@ -235,7 +235,7 @@ def generate_scene(
                 x1, x2, y1, y2 = min(xs), max(xs), min(ys), max(ys)
                 if x2 - x1 < _MIN_BOX_SIDE or y2 - y1 < _MIN_BOX_SIDE:
                     continue
-                padded = (x1 - _BOX_PAD, y1 - _BOX_PAD, x2 + _BOX_PAD, y2 + _BOX_PAD)
+                padded = pad_bbox(BBox(x1, y1, x2, y2), BOX_PADDING).as_tuple()
                 if not (
                     padded[0] >= 0
                     and padded[1] >= 0
@@ -439,7 +439,8 @@ def _add_clipped_noise(rng: SplitMix64, plane: np.ndarray, sigma: float) -> None
         np.sqrt(radius, out=radius)
         noise = trig(u[first + 1])
         noise *= radius
-        noise *= sigma
+        with np.errstate(over="ignore"):  # a huge sigma's +-inf clips to 0 or 1
+            noise *= sigma
         cells = first + parity
         noise += plane[cells]
         np.clip(noise, 0.0, 1.0, out=noise)

@@ -132,9 +132,12 @@ class TargetBundle:
     """
 
     bundle: HeatmapBundle
-    n_objects: int
     gt_cells: np.ndarray
     gt_offsets: np.ndarray
+
+    @property
+    def n_objects(self) -> int:
+        return len(self.gt_cells)
 
 
 def gaussian_radius(
@@ -306,7 +309,6 @@ def render_targets(
     shape = (len(cells), len(EXTREME_ROLES), 2)
     return TargetBundle(
         bundle=bundle,
-        n_objects=len(cells),
         gt_cells=np.array([c[:4] for c in cells], dtype=np.intp).reshape(shape),
         gt_offsets=np.array(offsets, dtype=np.float64).reshape(shape),
     )

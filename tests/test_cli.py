@@ -487,6 +487,7 @@ EXIT_CODE_CASES = [
     ("check-gradients --tol nan", 2, ["check-gradients", "--tol", "nan"]),
     ("check-gradients --tol -1", 2, ["check-gradients", "--tol=-1"]),
     ("check-gradients --tol inf", 2, ["check-gradients", "--tol", "inf"]),
+    ("check-gradients --seed -5", 2, ["check-gradients", "--seed=-5"]),
     ("rkhm NaN offset plane", 3, ["detect", "--heatmaps", _bundle_value(7, np.nan)]),
     ("rkhm inf keypoint plane", 3, [
         "detect", "--heatmaps", _bundle_value(4, np.inf)]),
@@ -504,6 +505,10 @@ EXIT_CODE_CASES = [
         "fuse", "--original", _dets(), "--flipped", _dets(), "--image-width", "inf"]),
     ("window --width inf", 2, [
         "window", "--level", 50, "--width", "inf", "--in", _raw_f32]),
+    ("window --level nan", 2, [
+        "window", "--level", "nan", "--width", 400, "--in", _raw_f32]),
+    ("window --level inf", 2, [
+        "window", "--level", "inf", "--width", 400, "--in", _raw_f32]),
     ("detections score 401-digit int", 3, _fuse(_huge(_dets(score="<huge>"), 401))),
     ("detections extremes 401-digit int", 3, _fuse(_huge(_dets(extremes={
         "top": [125.0, 100.0], "left": [100.0, 125.0], "bottom": [125.0, 150.0],
@@ -563,8 +568,11 @@ NAMED_IN_ERROR = {
     "check-gradients --tol nan": "argument --tol: must be finite and > 0",
     "check-gradients --tol -1": "argument --tol: must be finite and > 0",
     "check-gradients --tol inf": "argument --tol: must be finite and > 0",
+    "check-gradients --seed -5": "argument --seed: must be >= 0",
     "fuse --image-width inf": "argument --image-width: must be finite and > 0",
     "window --width inf": "argument --width: must be finite and > 0",
+    "window --level nan": "argument --level: must be finite",
+    "window --level inf": "argument --level: must be finite",
 }
 
 
@@ -760,6 +768,30 @@ class TestHugeCoordinates:
         )(tmp_path, sim_dir)
         assert run(*_fuse(dets), "--out", tmp_path / "fused.json") == 0
         assert capsys.readouterr().err == ""
+
+
+class TestQuietOverflow:
+    """An overflow whose clipped result is the defined output exits 0 with
+    nothing on stderr."""
+
+    def test_window_of_a_tiny_width(self, tmp_path, capsys):
+        raw = tmp_path / "raw.f32"
+        raw.write_bytes(np.array([-150.0, 50.0, 250.0], dtype="<f4").tobytes())
+        out = tmp_path / "norm.f32"
+        assert run("window", "--level", 50, "--width", "1e-320",
+                   "--in", raw, "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        # 50 - lo rounds to 0, so the window's center maps to 0 here
+        assert np.frombuffer(out.read_bytes(), dtype="<f4").tolist() == [0.0, 0.0, 1.0]
+
+    def test_simulate_with_a_huge_noise(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert run("simulate", "--out", out, "--n-lesions", 1, "--image-size", 128,
+                   "--noise", "1e308") == 0
+        assert capsys.readouterr().err == ""
+        (path,) = out.glob("*.rkhm")
+        planes = read_heatmaps(path).keypoint_maps
+        assert ((planes >= 0.0) & (planes <= 1.0)).all()
 
 
 class TestWindow:

@@ -380,6 +380,19 @@ class TestApplyCtWindow:
         with pytest.raises(ValueError, match="width"):
             apply_ct_window(np.zeros(3), 50, 0)
 
+    @pytest.mark.parametrize("level,width,name", [
+        (math.nan, 400, "level"), (math.inf, 400, "level"),
+        (-math.inf, 400, "level"), (50, math.nan, "width"), (50, math.inf, "width"),
+    ])
+    def test_non_finite_setting(self, level, width, name):
+        with pytest.raises(ValueError, match=f"window {name} must be finite"):
+            apply_ct_window(np.zeros(3), level, width)
+
+    def test_tiny_width_overflows_quietly_to_the_clip(self):
+        # (value - lo) / 1e-320 overflows to +-inf, which clips to 0 or 1
+        out = apply_ct_window(np.array([-1.0, 0.0, 1.0]), 0.0, 1e-320)
+        assert out.tolist() == [0.0, 0.5, 1.0]
+
 
 class TestSimulatedBundleIo:
     def test_simulated_bundle_round_trips(self, tmp_path):

@@ -415,7 +415,8 @@ class TestRowViews:
         for d in dets:
             assert d.bbox == bbox_from_extremes(d.extremes)
         back = list(grouping.Detections(
-            [d.row for d in dets], [d.score for d in dets], [d.source for d in dets]
+            [d.row for d in dets], [d.score for d in dets],
+            [d.source == "flipped" for d in dets],
         ))
         assert_same(back, dets, list)
 

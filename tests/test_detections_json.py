@@ -160,12 +160,16 @@ class TestWriterRefusals:
             )
         assert not path.exists()
 
-    @pytest.mark.parametrize("source", ["both", "", None])
+    @pytest.mark.parametrize("source", ["both", "", None, "bogus"])
     def test_unknown_source(self, tmp_path, source):
         det = Detection(tuple(float(v) for v in range(10)), 0.5, source)
         path = tmp_path / "d.json"
-        with pytest.raises(ValueError, match=r"images\['k'\]\[0\]\.source"):
+        with pytest.raises(ValueError) as excinfo:
             write_detections({"k": [det]}, path)
+        assert str(excinfo.value) == (
+            f"{path}: images['k'][0].source: expected 'original' or 'flipped', "
+            f"got {source!r}"
+        )
         assert not path.exists()
 
     def test_non_finite_config_echo(self, tmp_path):

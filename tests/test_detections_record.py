@@ -13,6 +13,7 @@ empty and one-element pools.
 
 import json
 import math
+import re
 from typing import Sequence
 
 import numpy as np
@@ -128,10 +129,10 @@ def oracle_match_detections(
             best, best_iou = overlap.argmax(axis=1).tolist(), overlap.max(axis=1).tolist()
         if best_iou[i] > 0.0 and best_iou[i] >= iou_threshold:
             overlap[:, best[i]] = 0.0  # every ground truth is matched at most once
-            records.append(DetectionMatch(i, detections[i].score, True, best[i]))
+            records.append(DetectionMatch(i, detections[i].score, best[i]))
             best = None
         else:
-            records.append(DetectionMatch(i, detections[i].score, False, None))
+            records.append(DetectionMatch(i, detections[i].score, None))
     return MatchResult.of(records, len(gt_boxes))
 
 
@@ -457,6 +458,20 @@ class TestReaderOracle:
             assert isinstance(dets, Detections)
             assert bits(dets) == bits(expected[0][key])
 
+    @pytest.mark.parametrize(
+        "source", [["flipped"], {"flipped": True}, None, 1, 0.5, True, "Original"]
+    )
+    def test_unknown_source(self, source, tmp_path):
+        doc = valid_document(some_detections(3))
+        doc["images"]["k"][1]["source"] = source
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        message = "images['k'][1].source: expected 'original' or 'flipped'"
+        for read in (read_detections, oracle_read_detections):
+            with pytest.raises(InputFormatError) as excinfo:
+                read(path)
+            assert str(excinfo.value) == message
+
 
 # --- the record's contract ----------------------------------------------------
 
@@ -509,7 +524,22 @@ class TestRecordContract:
 
     def test_lengths_must_agree(self):
         with pytest.raises(ValueError, match="differ in length"):
-            Detections(np.zeros((2, 10)), [1.0], ["original", "original"])
+            Detections(np.zeros((2, 10)), [1.0], [False, False])
+
+    @pytest.mark.parametrize("flipped", [["original"], ["flipped"], [1], [0.0]])
+    def test_flags_must_be_bool(self, flipped):
+        # numpy casts any non-empty string to True, so a source list passed
+        # as the flags would otherwise read every row as flipped
+        with pytest.raises(TypeError, match="flipped must be bool"):
+            Detections(np.zeros((1, 10)), [1.0], flipped)
+
+    @pytest.mark.parametrize("source", ["bogus", "Original", None])
+    def test_of_refuses_an_unknown_source(self, source):
+        dets = some_detections(3)
+        dets[1] = Detection(dets[1].row, dets[1].score, source)
+        message = f"[1].source: expected 'original' or 'flipped', got {source!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Detections.of(dets)
 
     def test_staged_pool_survives(self, noisy_image):
         _, original, flipped = noisy_image
@@ -557,6 +587,9 @@ class TestReaderNamesFirstBadEntry:
         (lambda e: e.update(score=-(10**400)), ".score: "),
         (lambda e: e.update(source="Original"), ".source: "),
         (lambda e: e.update(source=None), ".source: "),
+        (lambda e: e.update(source=["flipped"]), ".source: "),
+        (lambda e: e.update(source={"flipped": 1}), ".source: "),
+        (lambda e: e.update(source=2), ".source: "),
     ])
     @pytest.mark.parametrize("later", [
         lambda e: e.pop("bbox"),  # a shape fault

@@ -48,9 +48,9 @@ def loop_match_detections(detections, gt_boxes, iou_threshold=0.5, pad=5.0):
                 best_iou, best_gt = overlap, g
         if best_gt is not None and best_iou >= iou_threshold:
             taken[best_gt] = True
-            records.append(DetectionMatch(i, detections[i].score, True, best_gt))
+            records.append(DetectionMatch(i, detections[i].score, best_gt))
         else:
-            records.append(DetectionMatch(i, detections[i].score, False, None))
+            records.append(DetectionMatch(i, detections[i].score, None))
     return MatchResult.of(records, len(gt_boxes))
 
 
@@ -271,7 +271,7 @@ class TestFroc:
             base = froc(matches).points
             extra = [m for m in matches]
             records = list(extra[0].records)
-            records.append(DetectionMatch(99, float(rng.uniform(0, 1)), False, None))
+            records.append(DetectionMatch(99, float(rng.uniform(0, 1)), None))
             extra[0] = MatchResult.of(records, extra[0].n_gt)
             more = froc(extra).points
             for p_base, p_more in zip(base, more):
@@ -286,7 +286,7 @@ class TestFroc:
             records = list(extra[0].records)
             taken = {r.gt_index for r in records if r.is_tp}
             free = next(g for g in range(extra[0].n_gt) if g not in taken)
-            records.append(DetectionMatch(99, float(rng.uniform(0, 1)), True, free))
+            records.append(DetectionMatch(99, float(rng.uniform(0, 1)), free))
             extra[0] = MatchResult.of(records, extra[0].n_gt)
             more = froc(extra).points
             for p_base, p_more in zip(base, more):
@@ -305,9 +305,9 @@ def random_matches(rng, n_images=None, spare_gt=False):
             score = float(rng.uniform(0, 1))
             if available and rng.random() < 0.5:
                 gt = available.pop(0)
-                records.append(DetectionMatch(det_index, score, True, gt))
+                records.append(DetectionMatch(det_index, score, gt))
             else:
-                records.append(DetectionMatch(det_index, score, False, None))
+                records.append(DetectionMatch(det_index, score, None))
         out.append(MatchResult.of(records, n_gt))
     return out
 
@@ -459,10 +459,10 @@ def labelled_matches(draw):
                 st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5]), st.floats(0.0, 6.0)
             ))
             if free and draw(st.booleans()):
-                records.append(DetectionMatch(i, score, True, free.pop(
+                records.append(DetectionMatch(i, score, free.pop(
                     draw(st.integers(0, len(free) - 1)))))
             else:
-                records.append(DetectionMatch(i, score, False, None))
+                records.append(DetectionMatch(i, score, None))
         matches.append(MatchResult.of(records, n_gt))
         labels.append(draw(st.lists(
             st.sampled_from(["<10", "10-30", ">30"]), min_size=n_gt, max_size=n_gt
@@ -564,7 +564,7 @@ class TestMatchRecord:
     def test_views_use_python_numbers_and_none(self):
         result = MatchResult([2, 0], [0.5, 0.25], [-1, 1], 2)
         assert result.records == [
-            DetectionMatch(2, 0.5, False, None), DetectionMatch(0, 0.25, True, 1)
+            DetectionMatch(2, 0.5, None), DetectionMatch(0, 0.25, 1)
         ]
         for r in result.records:
             assert type(r.det_index) is int and type(r.score) is float
@@ -574,18 +574,13 @@ class TestMatchRecord:
 
     # rows froc would misread: each gives a wrong sensitivity or a crash there
     BAD_ROWS = [
-        ("tp with gt_index -1", [DetectionMatch(0, 0.9, True, -1)], 2,
+        ("tp with gt_index -1", [DetectionMatch(0, 0.9, -1)], 2,
          "record 0: is_tp True with gt_index -1"),
         ("two tps on one lesion",
-         [DetectionMatch(0, 0.9, True, 0), DetectionMatch(1, 0.8, True, 0)], 1,
+         [DetectionMatch(0, 0.9, 0), DetectionMatch(1, 0.8, 0)], 1,
          "record 1: lesion 0 is matched twice"),
-        ("tp with gt_index None",
-         [DetectionMatch(0, 0.9, False, None), DetectionMatch(1, 0.8, True, None)], 1,
-         "record 1: is_tp True with gt_index None"),
-        ("gt_index past n_gt", [DetectionMatch(0, 0.9, True, 5)], 1,
+        ("gt_index past n_gt", [DetectionMatch(0, 0.9, 5)], 1,
          r"record 0: gt_index 5 is outside \[-1, 1\)"),
-        ("fp with gt_index 0", [DetectionMatch(0, 0.9, False, 0)], 1,
-         "record 0: is_tp False with gt_index 0"),
     ]
 
     @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from recistkit import synthetic
-from recistkit.dataio import RecistAnnotation
+from recistkit.dataio import BOX_PADDING, RecistAnnotation
 from recistkit.geometry import (
     BBox,
     Point2,
@@ -38,7 +38,6 @@ from recistkit.geometry import (
 from recistkit.rng import _GAMMA, SplitMix64
 from recistkit.synthetic import (
     _ASPECT_RANGE,
-    _BOX_PAD,
     _MAX_ATTEMPTS,
     _MIN_BOX_SIDE,
     _SIZE_RANGE_MM,
@@ -151,7 +150,7 @@ def frozen_generate_scene(
     """The previous ``generate_scene``."""
     rng = SplitMix64(seed)
     width, height = image_size
-    need = n_lesions * (_MIN_BOX_SIDE + 2 * _BOX_PAD) + (n_lesions - 1) * min_gap
+    need = n_lesions * (_MIN_BOX_SIDE + 2 * BOX_PADDING) + (n_lesions - 1) * min_gap
     if n_lesions > 0 and min_gap >= 0 and need > min(width, height) - 1:
         raise ValueError(
             f"could not place {n_lesions} lesion(s) in {width}x{height}: their "
@@ -190,7 +189,7 @@ def frozen_generate_scene(
                 diameters = ordered_diameters(*points)
                 extremes = extremes_from_recist(diameters)
                 tight = bbox_from_extremes(extremes)
-                padded = pad_bbox(tight, _BOX_PAD)
+                padded = pad_bbox(tight, BOX_PADDING)
 
                 if tight.width < _MIN_BOX_SIDE or tight.height < _MIN_BOX_SIDE:
                     continue
@@ -373,7 +372,7 @@ def test_generate_scene_matches_object_per_attempt_oracle():
     attempts = placed = failed = 0
     for seed in range(240):
         n = 1 + seed % 5
-        need = int(n * (_MIN_BOX_SIDE + 2 * _BOX_PAD) + (n - 1) * 16.0) + 1
+        need = int(n * (_MIN_BOX_SIDE + 2 * BOX_PADDING) + (n - 1) * 16.0) + 1
         if seed % 4:
             side = need + 90 * (n - 1) + int(rng.integers(0, 60))
         else:
