@@ -10,74 +10,72 @@ stands in for a trained network so the whole pipeline can be exercised
 closed-loop.
 """
 
-from .dataio import (
-    InputFormatError,
-    ParseResult,
-    RecistAnnotation,
-    apply_ct_window,
-    parse_annotations,
-    read_detections,
-    read_heatmaps,
-    write_annotations,
-    write_detections,
-    write_heatmaps,
-)
-from .evaluation import (
-    EvalConfig,
-    FrocPoint,
-    FrocResult,
-    MatchResult,
-    Strata,
-    froc,
-    match_detections,
-    stratified_froc,
-)
-from .fusion import SoftNmsConfig, fuse_tta, soft_nms, unflip_detections
-from .geometry import (
-    BBox,
-    ExtremePoints,
-    Point2,
-    RecistDiameters,
-    bbox_from_extremes,
-    extremes_from_recist,
-    flip_horizontal,
-    iou,
-    pad_bbox,
-)
-from .grouping import (
-    Detection,
-    Detections,
-    GroupingConfig,
-    Peaks,
-    detect,
-    enumerate_quadruples,
-    extract_peaks,
-    refine_with_offsets,
-)
-from .losses import (
-    FocalParams,
-    finite_diff_check,
-    focal_loss,
-    focal_loss_grad,
-    offset_loss,
-    offset_loss_grad,
-    smooth_l1,
-)
-from .synthetic import (
-    DegradationConfig,
-    SyntheticScene,
-    flip_scene,
-    generate_scene,
-    render_scene,
-    simulate_heatmaps,
-)
-from .targets import (
-    HeatmapBundle,
-    RenderConfig,
-    TargetBundle,
-    gaussian_radius,
-    offset_target,
-    render_targets,
-)
+import sys
 
 __version__ = "0.1.0"
+
+# every public name, by the submodule that defines it; a name is imported
+# on first use, so ``import recistkit`` loads no submodule (PEP 562)
+_EXPORTS = {
+    "config": (
+        "EvalConfig", "FocalParams", "GroupingConfig", "RenderConfig",
+        "SoftNmsConfig",
+    ),
+    "dataio": (
+        "InputFormatError", "ParseResult", "RecistAnnotation",
+        "apply_ct_window", "parse_annotations", "read_detections",
+        "read_heatmaps", "write_annotations", "write_detections",
+        "write_heatmaps",
+    ),
+    "evaluation": (
+        "FrocPoint", "FrocResult", "MatchResult", "Strata", "froc",
+        "match_detections", "stratified_froc",
+    ),
+    "fusion": ("fuse_tta", "soft_nms", "unflip_detections"),
+    "geometry": (
+        "BBox", "ExtremePoints", "Point2", "RecistDiameters",
+        "bbox_from_extremes", "extremes_from_recist", "flip_horizontal", "iou",
+        "pad_bbox",
+    ),
+    "grouping": (
+        "Detection", "Detections", "Peaks", "detect", "enumerate_quadruples",
+        "extract_peaks", "refine_with_offsets",
+    ),
+    "losses": (
+        "finite_diff_check", "focal_loss", "focal_loss_grad", "offset_loss",
+        "offset_loss_grad", "smooth_l1",
+    ),
+    "synthetic": (
+        "DegradationConfig", "SyntheticScene", "flip_scene", "generate_scene",
+        "render_scene", "simulate_heatmaps",
+    ),
+    "targets": (
+        "HeatmapBundle", "TargetBundle", "gaussian_radius", "offset_target",
+        "render_targets",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset([*_EXPORTS, "cli", "rng"])
+
+__all__ = sorted(_SOURCE)
+
+
+def _submodule(name: str):
+    """Import submodule ``name`` as an import statement would, which also
+    puts it in ``python -X importtime``'s report."""
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _submodule(name)
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_submodule(_SOURCE[name]), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SOURCE, *_SUBMODULES})

@@ -20,49 +20,13 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
+# each command imports the library modules it runs, so a process loads only
+# those (see README, "Start-up")
 from . import config as config_mod
-from .dataio import (
-    InputFormatError,
-    apply_ct_window,
-    parse_annotations,
-    read_detections,
-    read_heatmaps,
-    write_annotations,
-    write_detections,
-    write_heatmaps,
-    write_json,
-)
-from .evaluation import (
-    check_fp_targets,
-    diameter_bucket,
-    froc,
-    interval_bucket,
-    lesion_type_name,
-    match_detections,
-    stratified_froc,
-)
-from .fusion import fuse_tta
-from .grouping import detect
-from .losses import (
-    FocalParams,
-    finite_diff_check,
-    focal_loss,
-    focal_loss_grad,
-    offset_loss,
-    offset_loss_grad,
-)
-from .synthetic import (
-    DegradationConfig,
-    flip_scene,
-    generate_scene,
-    simulate_heatmaps,
-)
-from .targets import output_grid, render_targets
 
 HEATMAP_SUFFIX = ".rkhm"
 
@@ -139,6 +103,9 @@ def _load_effective_config(args) -> tuple[dict, dict]:
 
 
 def _cmd_render_targets(args) -> int:
+    from .dataio import InputFormatError, parse_annotations, write_heatmaps, write_json
+    from .targets import output_grid, render_targets
+
     cfg, sections = _load_effective_config(args)
     render = sections["render"]
     stride, input_size = render.stride, render.input_size
@@ -191,6 +158,11 @@ def _cmd_render_targets(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from .dataio import InputFormatError, read_heatmaps, write_detections
+    from .grouping import detect
+
     cfg, sections = _load_effective_config(args)
     grouping_cfg = sections["grouping"]
 
@@ -226,6 +198,9 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    from .dataio import read_detections, write_detections
+    from .fusion import fuse_tta
+
     cfg, sections = _load_effective_config(args)
     nms_cfg = sections["soft_nms"]
 
@@ -249,6 +224,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _stratum_label(ann, key: str) -> str:
+    from .evaluation import diameter_bucket, interval_bucket, lesion_type_name
+
     if key == "type":
         return lesion_type_name(ann.lesion_type)
     if key == "diameter":
@@ -304,6 +281,9 @@ def _froc_to_dict(result) -> dict:
 
 
 def _cmd_eval(args) -> int:
+    from .dataio import InputFormatError, parse_annotations, read_detections, write_json
+    from .evaluation import froc, match_detections, stratified_froc
+
     cfg, sections = _load_effective_config(args)
     eval_cfg = sections["eval"]
 
@@ -371,6 +351,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .dataio import write_annotations, write_heatmaps, write_json
+    from .synthetic import (
+        DegradationConfig,
+        flip_scene,
+        generate_scene,
+        simulate_heatmaps,
+    )
+
     cfg, sections = _load_effective_config(args)
     render = sections["render"]
     stride = render.stride
@@ -455,6 +443,7 @@ def _cmd_simulate(args) -> int:
 def _small_offset_targets():
     """Two lesions on a 12x12 grid: compact planes for offset FD checks."""
     from .geometry import ExtremePoints, Point2
+    from .targets import render_targets
 
     def diamond(cx, cy, hw, hh):
         return ExtremePoints(
@@ -469,6 +458,15 @@ def _small_offset_targets():
 
 
 def _cmd_check_gradients(args) -> int:
+    from .losses import (
+        FocalParams,
+        finite_diff_check,
+        focal_loss,
+        focal_loss_grad,
+        offset_loss,
+        offset_loss_grad,
+    )
+
     rng = np.random.default_rng(args.seed)
     offset_targets = _small_offset_targets()
 
@@ -514,6 +512,8 @@ def _cmd_check_gradients(args) -> int:
 
 
 def _cmd_window(args) -> int:
+    from .dataio import apply_ct_window
+
     data = np.fromfile(args.infile, dtype="<f4")
     normalized = apply_ct_window(data, args.level, args.width).astype("<f4")
     outputs = _Outputs()
@@ -551,7 +551,7 @@ _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 def _fps_list(raw: str) -> list[float]:
     try:
         values = [float(p) for p in raw.split(",") if p.strip()]
-        check_fp_targets(values)
+        config_mod.check_fp_targets(values)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{raw!r}: {exc}") from None
     return values
@@ -601,6 +601,14 @@ _CONFIG_FLAGS = {
 }
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _default_text(value) -> str:
     if isinstance(value, list):
         return ",".join(_default_text(v) for v in value)
@@ -645,9 +653,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--heatmaps", required=True, help="directory of bundles")
     _add_config_flags(p, "detect")
-    p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
+    p.add_argument("--workers", type=_positive_int, default=_usable_cpus(),
                    help="images processed in parallel; output is identical "
-                        "regardless (default: machine parallelism)")
+                        "regardless (default: the CPUs this process may run "
+                        "on)")
     p.add_argument("--out", required=True, help="detections JSON path")
     p.set_defaults(func=_cmd_detect)
 
@@ -740,15 +749,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
-        print(f"error: input-format: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         # a missing input, or an output path that cannot be created or
         # replaced; the message names the path
         print(f"error: path: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001 - deliberate catch-all boundary
+        from .dataio import InputFormatError  # loaded already if it was raised
+
+        if isinstance(exc, InputFormatError):
+            print(f"error: input-format: {exc}", file=sys.stderr)
+            return 3
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

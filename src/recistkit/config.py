@@ -1,25 +1,189 @@
-"""Run configuration: defaults, config-file loading, and flag overrides.
+"""Run configuration: the typed sections, defaults, config-file loading,
+and flag overrides.
 
 A run is configured from three layers, later ones winning: built-in
 defaults, an optional JSON config file, and explicit command-line flags.
 Unknown keys anywhere in the file are rejected rather than ignored, and the
 effective configuration is echoed into every output artifact so results
 stay attributable.
+
+Each config section is a frozen dataclass defined here, whose fields are the
+section's keys and defaults; the module that runs a section re-exports it
+(``grouping.GroupingConfig`` is ``GroupingConfig``). This module imports no
+other recistkit module at load time, so a command pays only for the modules
+it runs.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Literal, Mapping, Sequence
 
-from .dataio import InputFormatError, is_finite_number, load_json
-from .evaluation import EvalConfig
-from .fusion import SoftNmsConfig
-from .grouping import GroupingConfig
-from .losses import FocalParams
-from .targets import RenderConfig
+import numpy as np
+
+# Grid sizes and strides are integers in [1, MAX_HEADER_INT]. The bound
+# keeps stride * (cell + offset) finite in float64 for every finite float32
+# offset, so the detections of a readable bundle can be written.
+MAX_HEADER_INT = 2**31 - 1
+
+FP_TARGETS_DEFAULT = (0.5, 1.0, 2.0, 3.0, 4.0)
+
+
+def is_finite_number(value) -> bool:
+    """A JSON number (not a bool) that is neither NaN nor infinite; an int
+    too large for a float is not finite either."""
+    try:
+        return (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
+    except OverflowError:
+        return False
+
+
+def check_match_settings(iou_threshold: float, pad: float) -> None:
+    """Matching needs ``iou_threshold`` in [0, 1] and ``pad`` finite and
+    >= 0; anything else raises ValueError."""
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold!r}")
+    if not 0.0 <= pad < math.inf:
+        raise ValueError(f"pad must be finite and >= 0, got {pad!r}")
+
+
+def check_fp_targets(values: Sequence[float]) -> None:
+    """FPs-per-image targets must be a non-empty list of finite numbers >= 0;
+    numpy scalars are judged as the Python numbers they hold."""
+    targets = [v.item() if isinstance(v, np.generic) else v for v in values]
+    if not targets or not all(is_finite_number(v) and v >= 0 for v in targets):
+        raise ValueError(
+            f"FP targets must be a non-empty list of finite numbers >= 0, "
+            f"got {targets!r}"
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class GroupingConfig:
+    """Thresholds and caps for the grouping pipeline.
+
+    ``tau_e``/``tau_c`` are strict lower bounds on extreme / center scores,
+    ``k1`` caps peaks kept per map, ``k2`` caps retained combinations, and
+    ``kernel`` is the odd window size for peak suppression. ``center_interp``
+    selects how the center map is sampled at fractional coordinates.
+    """
+
+    tau_e: float = 0.1
+    tau_c: float = 0.1
+    k1: int = 40
+    k2: int = 100
+    kernel: int = 3
+    center_interp: Literal["nearest", "bilinear"] = "nearest"
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.tau_e <= 1.0 or not 0.0 <= self.tau_c <= 1.0:
+            raise ValueError("thresholds must lie in [0, 1]")
+        if self.k1 < 1 or self.k2 < 1:
+            raise ValueError("k1 and k2 must be >= 1")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ValueError(f"kernel must be odd and >= 1, got {self.kernel}")
+        if self.center_interp not in ("nearest", "bilinear"):
+            raise ValueError(f"unknown center_interp {self.center_interp!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class SoftNmsConfig:
+    """Decay law and floor for Soft-NMS.
+
+    ``gaussian`` decays every overlapping score by exp(-iou^2 / sigma);
+    ``linear`` scales by (1 - iou) once the overlap exceeds
+    ``linear_iou_threshold``. Detections whose score falls below
+    ``score_floor`` are dropped.
+    """
+
+    sigma: float = 0.5
+    score_floor: float = 0.001
+    method: Literal["gaussian", "linear"] = "gaussian"
+    linear_iou_threshold: float = 0.3
+
+    def __post_init__(self) -> None:
+        if self.sigma <= 0.0:
+            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if self.score_floor < 0.0:
+            raise ValueError(f"score_floor must be >= 0, got {self.score_floor}")
+        if self.method not in ("gaussian", "linear"):
+            raise ValueError(f"unknown method {self.method!r}")
+        if not 0.0 <= self.linear_iou_threshold <= 1.0:
+            raise ValueError("linear_iou_threshold must lie in [0, 1]")
+
+
+@dataclass(frozen=True, slots=True)
+class FocalParams:
+    """Exponents and log-clamping for the penalty-reduced focal loss.
+
+    ``alpha`` weights easy predictions down, ``beta`` reduces the penalty on
+    cells near (but not at) a ground-truth peak. Predictions are clamped to
+    [clamp_eps, 1 - clamp_eps] before the logs.
+    """
+
+    alpha: float = 2.0
+    beta: float = 4.0
+    clamp_eps: float = 1e-12
+
+    def __post_init__(self) -> None:
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if self.beta < 0:
+            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not 0.0 < self.clamp_eps < 0.5:
+            raise ValueError(f"clamp_eps must be in (0, 0.5), got {self.clamp_eps}")
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """How detections are scored, and the library's defaults for it (no
+    slots, so ``EvalConfig.pad`` reads a default): a detection box padded by
+    ``pad`` px matches a lesion at IoU >= ``iou_threshold``, and sensitivity
+    is read at the ``fp_targets`` FPs-per-image rates, a list as in a config
+    file. Values the checks above refuse raise ValueError."""
+
+    iou_threshold: float = 0.5
+    pad: float = 5.0
+    fp_targets: list[float] = field(default_factory=lambda: list(FP_TARGETS_DEFAULT))
+
+    def __post_init__(self) -> None:
+        check_match_settings(self.iou_threshold, self.pad)
+        check_fp_targets(self.fp_targets)
+
+
+@dataclass(frozen=True)
+class RenderConfig:
+    """How ground truth is rendered, and the library's defaults for it (no
+    slots, so ``RenderConfig.stride`` reads a default): ``stride`` input px
+    per output cell, ``input_size`` the side of a square input, and the
+    kernel rule, radius from a box IoU of ``min_overlap`` and sigma =
+    radius / ``sigma_divisor``."""
+
+    stride: int = 4
+    input_size: int = 511
+    min_overlap: float = 0.3
+    sigma_divisor: float = 3.0
+
+    def __post_init__(self) -> None:
+        if not (
+            1 <= self.stride <= MAX_HEADER_INT
+            and 1 <= self.input_size <= MAX_HEADER_INT
+            and 0.0 < self.min_overlap < 1.0
+            and 0.0 < self.sigma_divisor <= MAX_HEADER_INT
+        ):
+            raise ValueError(
+                "stride and input_size must lie in "
+                f"[1, {MAX_HEADER_INT}], min_overlap in (0, 1) and "
+                f"sigma_divisor in (0, {MAX_HEADER_INT}], got {asdict(self)}"
+            )
+
 
 # config sections whose keys and defaults are the fields of a library type,
 # in the order build_sections checks them
@@ -46,6 +210,8 @@ def _check_type(where: str, value: Any, default: Any) -> None:
     else:
         ok = isinstance(value, type(default))
     if not ok:
+        from .dataio import InputFormatError
+
         raise InputFormatError(
             f"config key {where} must be of type {type(default).__name__}, "
             f"got {value!r}"
@@ -65,6 +231,8 @@ def _all_finite(value: Any) -> bool:
 def merge(base: dict, override: Mapping, path: str = "") -> dict:
     """``override`` layered over ``base``; unknown keys, wrong types and
     non-finite numbers raise."""
+    from .dataio import InputFormatError
+
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -88,6 +256,8 @@ def load_config(path: str | Path | None) -> dict[str, Any]:
     """Defaults merged with an optional JSON config file."""
     if path is None:
         return copy.deepcopy(DEFAULTS)
+    from .dataio import InputFormatError, load_json
+
     data = load_json(path)
     if not isinstance(data, dict):
         raise InputFormatError(f"{path}: config root must be an object")
@@ -100,6 +270,8 @@ def build_sections(cfg: Mapping[str, Any]) -> dict[str, Any]:
     Returns one instance per ``SECTION_TYPES`` entry. A value the library
     rejects raises :class:`InputFormatError` naming its section.
     """
+    from .dataio import InputFormatError
+
     built = {}
     for name, cls in SECTION_TYPES.items():
         try:

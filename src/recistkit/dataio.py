@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import MAX_HEADER_INT, is_finite_number
 from .geometry import (
     BBox,
     ExtremePoints,
@@ -32,7 +33,7 @@ from .geometry import (
     pad_bbox,
 )
 from .grouping import BOX_COLUMNS, SOURCES, Detection, Detections
-from .targets import KEYPOINT_CHANNELS, MAX_HEADER_INT, OFFSET_CHANNELS, HeatmapBundle
+from .targets import KEYPOINT_CHANNELS, OFFSET_CHANNELS, HeatmapBundle
 
 HEATMAP_MAGIC = b"RKHM1\n"
 CHANNEL_NAMES = KEYPOINT_CHANNELS + OFFSET_CHANNELS
@@ -353,19 +354,6 @@ def load_json(path: str | Path):
             return json.load(fh, parse_constant=reject)
     except ValueError as exc:  # JSONDecodeError, the int digit limit, bad UTF-8
         raise InputFormatError(f"{path}: malformed JSON: {exc}") from None
-
-
-def is_finite_number(value) -> bool:
-    """A JSON number (not a bool) that is neither NaN nor infinite; an int
-    too large for a float is not finite either."""
-    try:
-        return (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-        )
-    except OverflowError:
-        return False
 
 
 def detection_to_dict(det: Detection) -> dict:

@@ -11,16 +11,19 @@ each stratum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dataio import is_finite_number
+from .config import (
+    FP_TARGETS_DEFAULT,
+    EvalConfig,
+    check_fp_targets,
+    check_match_settings,
+)
 from .geometry import BBox, pairwise_iou
 from .grouping import BOX_COLUMNS, Detection, Detections
-
-FP_TARGETS_DEFAULT = (0.5, 1.0, 2.0, 3.0, 4.0)
 
 LESION_TYPE_NAMES = {
     1: "BN",  # bone
@@ -147,32 +150,6 @@ class Strata:
     per_stratum: dict[str, FrocResult]
 
 
-def check_match_settings(iou_threshold: float, pad: float) -> None:
-    """Matching needs ``iou_threshold`` in [0, 1] and ``pad`` finite and
-    >= 0; anything else raises ValueError."""
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold!r}")
-    if not 0.0 <= pad < math.inf:
-        raise ValueError(f"pad must be finite and >= 0, got {pad!r}")
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """How detections are scored, and the library's defaults for it (no
-    slots, so ``EvalConfig.pad`` reads a default): a detection box padded by
-    ``pad`` px matches a lesion at IoU >= ``iou_threshold``, and sensitivity
-    is read at the ``fp_targets`` FPs-per-image rates, a list as in a config
-    file. Values the checks below refuse raise ValueError."""
-
-    iou_threshold: float = 0.5
-    pad: float = 5.0
-    fp_targets: list[float] = field(default_factory=lambda: list(FP_TARGETS_DEFAULT))
-
-    def __post_init__(self) -> None:
-        check_match_settings(self.iou_threshold, self.pad)
-        check_fp_targets(self.fp_targets)
-
-
 def match_detections(
     detections: Sequence[Detection],
     gt_boxes: Sequence[BBox],
@@ -215,17 +192,6 @@ def match_detections(
         else:
             gt_index.append(-1)
     return MatchResult(order, dets.scores[order], gt_index, len(gt_boxes))
-
-
-def check_fp_targets(values: Sequence[float]) -> None:
-    """FPs-per-image targets must be a non-empty list of finite numbers >= 0;
-    numpy scalars are judged as the Python numbers they hold."""
-    targets = [v.item() if isinstance(v, np.generic) else v for v in values]
-    if not targets or not all(is_finite_number(v) and v >= 0 for v in targets):
-        raise ValueError(
-            f"FP targets must be a non-empty list of finite numbers >= 0, "
-            f"got {targets!r}"
-        )
 
 
 def froc(

@@ -9,11 +9,11 @@ outright.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .config import SoftNmsConfig
 from .geometry import pairwise_iou
 from .grouping import BOX_COLUMNS, Detection, Detections
 
@@ -22,32 +22,6 @@ _BOX_KEYS = np.array(BOX_COLUMNS[::-1])
 
 # a row's columns as the mirrored row reads them: left and right swap roles
 _MIRRORED_COLUMNS = np.array([0, 1, 6, 7, 4, 5, 2, 3, 8, 9])
-
-
-@dataclass(frozen=True, slots=True)
-class SoftNmsConfig:
-    """Decay law and floor for Soft-NMS.
-
-    ``gaussian`` decays every overlapping score by exp(-iou^2 / sigma);
-    ``linear`` scales by (1 - iou) once the overlap exceeds
-    ``linear_iou_threshold``. Detections whose score falls below
-    ``score_floor`` are dropped.
-    """
-
-    sigma: float = 0.5
-    score_floor: float = 0.001
-    method: Literal["gaussian", "linear"] = "gaussian"
-    linear_iou_threshold: float = 0.3
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if self.score_floor < 0.0:
-            raise ValueError(f"score_floor must be >= 0, got {self.score_floor}")
-        if self.method not in ("gaussian", "linear"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if not 0.0 <= self.linear_iou_threshold <= 1.0:
-            raise ValueError("linear_iou_threshold must lie in [0, 1]")
 
 
 def unflip_detections(

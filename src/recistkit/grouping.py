@@ -23,6 +23,7 @@ from typing import Literal
 
 import numpy as np
 
+from .config import GroupingConfig
 from .geometry import BBox, ExtremePoints, Point2
 from .targets import EXTREME_ROLES, HeatmapBundle
 
@@ -40,34 +41,6 @@ class Peaks:
 
     def __len__(self) -> int:
         return self.array.shape[1]
-
-
-@dataclass(frozen=True, slots=True)
-class GroupingConfig:
-    """Thresholds and caps for the grouping pipeline.
-
-    ``tau_e``/``tau_c`` are strict lower bounds on extreme / center scores,
-    ``k1`` caps peaks kept per map, ``k2`` caps retained combinations, and
-    ``kernel`` is the odd window size for peak suppression. ``center_interp``
-    selects how the center map is sampled at fractional coordinates.
-    """
-
-    tau_e: float = 0.1
-    tau_c: float = 0.1
-    k1: int = 40
-    k2: int = 100
-    kernel: int = 3
-    center_interp: Literal["nearest", "bilinear"] = "nearest"
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.tau_e <= 1.0 or not 0.0 <= self.tau_c <= 1.0:
-            raise ValueError("thresholds must lie in [0, 1]")
-        if self.k1 < 1 or self.k2 < 1:
-            raise ValueError("k1 and k2 must be >= 1")
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ValueError(f"kernel must be odd and >= 1, got {self.kernel}")
-        if self.center_interp not in ("nearest", "bilinear"):
-            raise ValueError(f"unknown center_interp {self.center_interp!r}")
 
 
 # the (x1, y1, x2, y2) columns of a detection row: left x, top y, right x, bottom y

@@ -30,29 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import FocalParams
 from .targets import EXTREME_ROLES, TargetBundle
-
-
-@dataclass(frozen=True, slots=True)
-class FocalParams:
-    """Exponents and log-clamping for the penalty-reduced focal loss.
-
-    ``alpha`` weights easy predictions down, ``beta`` reduces the penalty on
-    cells near (but not at) a ground-truth peak. Predictions are clamped to
-    [clamp_eps, 1 - clamp_eps] before the logs.
-    """
-
-    alpha: float = 2.0
-    beta: float = 4.0
-    clamp_eps: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not 0.0 < self.clamp_eps < 0.5:
-            raise ValueError(f"clamp_eps must be in (0, 0.5), got {self.clamp_eps}")
 
 
 def _focal_inputs(

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RenderConfig
 from .geometry import ExtremePoints, Point2
 
 # Fixed channel orders; serialization and grouping both rely on them.
@@ -30,39 +31,7 @@ OFFSET_CHANNELS = (
 # largest float32 strictly below 1: offsets are targets in [0, 1)
 _MAX_OFFSET = float(np.nextafter(np.float32(1.0), np.float32(0.0)))
 
-# Grid sizes and strides are integers in [1, MAX_HEADER_INT]. The bound
-# keeps stride * (cell + offset) finite in float64 for every finite float32
-# offset, so the detections of a readable bundle can be written.
-MAX_HEADER_INT = 2**31 - 1
-
 Cell = tuple[int, int]  # (row, col) on the output grid
-
-
-@dataclass(frozen=True)
-class RenderConfig:
-    """How ground truth is rendered, and the library's defaults for it (no
-    slots, so ``RenderConfig.stride`` reads a default): ``stride`` input px
-    per output cell, ``input_size`` the side of a square input, and the
-    kernel rule, radius from a box IoU of ``min_overlap`` and sigma =
-    radius / ``sigma_divisor``."""
-
-    stride: int = 4
-    input_size: int = 511
-    min_overlap: float = 0.3
-    sigma_divisor: float = 3.0
-
-    def __post_init__(self) -> None:
-        if not (
-            1 <= self.stride <= MAX_HEADER_INT
-            and 1 <= self.input_size <= MAX_HEADER_INT
-            and 0.0 < self.min_overlap < 1.0
-            and 0.0 < self.sigma_divisor <= MAX_HEADER_INT
-        ):
-            raise ValueError(
-                "stride and input_size must lie in "
-                f"[1, {MAX_HEADER_INT}], min_overlap in (0, 1) and "
-                f"sigma_divisor in (0, {MAX_HEADER_INT}], got {asdict(self)}"
-            )
 
 
 @dataclass

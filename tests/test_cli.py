@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recistkit import cli
+from recistkit import cli, dataio, grouping
 from recistkit.cli import main
 from recistkit.dataio import read_detections, read_heatmaps
 
@@ -87,6 +87,19 @@ class TestDetectEvalFlow:
         assert run("detect", "--heatmaps", sim_dir, "--workers", 1, "--out", a) == 0
         assert run("detect", "--heatmaps", sim_dir, "--workers", 4, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_workers_default_is_the_cpus_the_process_may_run_on(self, monkeypatch):
+        def default_workers():
+            args = ["detect", "--heatmaps", "h", "--out", "o"]
+            return cli.build_parser().parse_args(args).workers
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        # pinned to two of the machine's eight CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+        assert default_workers() == 2
+        # a platform without affinity masks
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert default_workers() == 8
 
     def test_detect_flag_overrides_config_file(self, sim_dir, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -223,7 +236,7 @@ class TestErrorPaths:
                                            monkeypatch):
         def out_of_memory(*args, **kwargs):
             raise MemoryError
-        monkeypatch.setattr(cli, "detect", out_of_memory)
+        monkeypatch.setattr(grouping, "detect", out_of_memory)
         out = tmp_path / "d.json"
         assert run("detect", "--heatmaps", sim_dir, "--out", out) == 3
         assert "config keys grouping.kernel and grouping.k1" in capsys.readouterr().err
@@ -748,7 +761,7 @@ class TestReRuns:
             Path(path).write_bytes(b"partial")
             raise OSError(errno.ENOSPC, "No space left on device", str(path))
 
-        monkeypatch.setattr(cli, "write_detections", failing_writer)
+        monkeypatch.setattr(dataio, "write_detections", failing_writer)
         assert run("detect", "--heatmaps", sim_dir, "--out", out) == 3
         assert "dets.json.tmp" in capsys.readouterr().err
         assert out.read_bytes() == b"old"

@@ -11,6 +11,10 @@ simulator skips Box-Muller where the sign of cos or sin says the clip gives
 ``log1p`` kernels; the focal losses refuse a NaN prediction, whose result's
 sign would follow the kernel. A level the host does not reach above is
 skipped: the main run already covers it.
+
+The focal losses' ``log``, ``log1p`` and ``power`` change bits with the
+dispatch level too, so a training-sized loss digest is promised only at one
+level: two fresh processes at the host's own level must agree on it.
 """
 
 import os
@@ -53,15 +57,46 @@ sys.exit(pytest.main(sys.argv[2:]))
 """
 
 
+# the loss values and gradients of one train_targets benchmark sample: focal
+# loss on (5, 192, 192) heatmaps and offset loss on (8, 192, 192) planes
+LOSS_DIGEST = """
+import hashlib
+import numpy as np
+from recistkit import (
+    focal_loss, focal_loss_grad, generate_scene, offset_loss, offset_loss_grad,
+    render_targets,
+)
+scene = generate_scene(4, image_size=(768, 768), seed=5)
+extremes = [ann.extremes() for ann in scene.annotations]
+targets = render_targets(extremes, 192, 192, 4, input_size=(768, 768))
+planes, n = targets.bundle.keypoint_maps, targets.n_objects
+rng = np.random.default_rng(0)
+heat = rng.uniform(0.001, 0.5, (5, 192, 192)).astype(np.float32)
+offsets = rng.uniform(0.0, 1.0, (8, 192, 192)).astype(np.float32)
+losses = [focal_loss(heat, planes, n), offset_loss(offsets, targets)]
+digest = hashlib.sha256(np.array(losses, dtype="<f8").tobytes())
+for grad in (focal_loss_grad(heat, planes, n), offset_loss_grad(offsets, targets)):
+    digest.update(np.ascontiguousarray(grad, dtype="<f8").tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _child_env(**extra: str) -> dict:
+    """This process's environment plus ``extra``, with this recistkit first
+    on the path."""
+    env = dict(os.environ, **extra)
+    src = str(Path(recistkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 def _start(level: str, log: Path):
     """The child run of ``level``, writing to ``log``; None with no target to
     switch off."""
     off = [t for t in __cpu_dispatch__ if __cpu_features__.get(t) and LEVELS[level](t)]
     if "X86_V3" not in __cpu_dispatch__ or not off:
         return None
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off))
-    src = str(Path(recistkit.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env = _child_env(NPY_DISABLE_CPU_FEATURES=" ".join(off))
     with log.open("w") as out:
         return subprocess.Popen(
             [sys.executable, "-c", CHILD, " ".join(off), "-q", "-p", "no:cacheprovider",
@@ -92,3 +127,20 @@ def test_noise_oracles_and_golden_bytes_pass(level, children):
         pytest.skip(f"numpy on this host dispatches no x86 target above {level}")
     child.wait(timeout=120)
     assert child.returncode == 0, log.read_text()
+
+
+def test_loss_digest_is_identical_in_fresh_processes_at_the_host_level():
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", LOSS_DIGEST], env=_child_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for _ in range(2)
+    ]
+    digests = []
+    for child in children:
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        digests.append(out.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]

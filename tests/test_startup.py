@@ -1,0 +1,168 @@
+"""Start-up: the package is a lazy namespace, and each CLI command loads only
+the library modules it runs.
+
+Module lists are taken in fresh child processes, since this process has
+imported every module long before these tests run.
+"""
+
+import dataclasses
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import recistkit
+from recistkit import config
+from recistkit.cli import main
+
+SRC = str(Path(recistkit.__file__).resolve().parents[1])
+
+# every name the package exported when it imported all of its modules
+PUBLIC_NAMES = """
+    BBox Detection Detections DegradationConfig EvalConfig ExtremePoints
+    FocalParams FrocPoint FrocResult GroupingConfig HeatmapBundle
+    InputFormatError MatchResult ParseResult Peaks Point2 RecistAnnotation
+    RecistDiameters RenderConfig SoftNmsConfig Strata SyntheticScene
+    TargetBundle apply_ct_window bbox_from_extremes detect enumerate_quadruples
+    extract_peaks extremes_from_recist finite_diff_check flip_horizontal
+    flip_scene focal_loss focal_loss_grad froc fuse_tta gaussian_radius
+    generate_scene iou match_detections offset_loss offset_loss_grad
+    offset_target pad_bbox parse_annotations read_detections read_heatmaps
+    refine_with_offsets render_scene render_targets simulate_heatmaps
+    smooth_l1 soft_nms stratified_froc unflip_detections write_annotations
+    write_detections write_heatmaps
+""".split()
+
+# prints the recistkit submodules loaded after the code given as argv[1];
+# the code's own stdout comes first
+LOADED = """
+import sys
+exec(sys.argv[1])
+print(" ".join(sorted(m[10:] for m in sys.modules if m.startswith("recistkit."))))
+"""
+
+
+def loaded_after(code: str) -> set[str]:
+    """The recistkit submodules a fresh interpreter has loaded after ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED, code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def run_command(*argv) -> str:
+    """Code that runs the CLI on ``argv`` and fails unless it exits 0."""
+    return f"from recistkit.cli import main\nassert main({[str(a) for a in argv]!r}) == 0"
+
+
+class TestImportFootprint:
+    def test_package_and_cli_load_only_config(self):
+        assert loaded_after("import recistkit, recistkit.cli") == {"cli", "config"}
+
+    def test_bare_package_loads_no_submodule(self):
+        assert loaded_after("import recistkit") == set()
+
+    def test_commands_load_only_what_they_run(self, tmp_path):
+        sim, flipped = tmp_path / "sim", tmp_path / "sim_flipped"
+        assert main([
+            "simulate", "--out", str(sim), "--flipped-out", str(flipped),
+            "--image-size", "256", "--n-lesions", "2", "--scene-seed", "3",
+        ]) == 0
+        original_json, flipped_json = tmp_path / "o.json", tmp_path / "f.json"
+        fused_json = tmp_path / "fused.json"
+        commands = {
+            "detect": [
+                ("detect", "--heatmaps", sim, "--out", original_json),
+                ("detect", "--heatmaps", flipped, "--out", flipped_json),
+            ],
+            "fuse": [
+                ("fuse", "--original", original_json, "--flipped", flipped_json,
+                 "--image-width", 256, "--out", fused_json),
+            ],
+            "eval": [
+                ("eval", "--detections", fused_json,
+                 "--annotations", sim / "annotations.csv",
+                 "--stratify", "diameter", "--out", tmp_path / "report"),
+            ],
+        }
+        never = {"synthetic", "rng", "losses"}
+        unused = {
+            "detect": never | {"evaluation", "fusion"},
+            "fuse": never | {"evaluation"},
+            "eval": never | {"fusion"},
+        }
+        for command, runs in commands.items():
+            for argv in runs:
+                loaded = loaded_after(run_command(*argv))
+                assert not loaded & unused[command], (command, sorted(loaded))
+                assert {"cli", "config", "dataio"} <= loaded
+
+    def test_submodule_attribute_imports_it(self):
+        code = "import recistkit\nprint(recistkit.grouping.detect.__module__)"
+        assert loaded_after(code) == {"config", "geometry", "grouping", "targets"}
+
+
+class TestLazyNamespace:
+    def test_all_is_the_public_api(self):
+        assert sorted(recistkit.__all__) == sorted(PUBLIC_NAMES)
+
+    @pytest.mark.parametrize("name", PUBLIC_NAMES)
+    def test_name_is_the_object_its_submodule_defines(self, name):
+        value = getattr(recistkit, name)  # every public name is a class or function
+        assert value.__module__.startswith("recistkit.")
+        assert getattr(importlib.import_module(value.__module__), name) is value
+
+    def test_sections_are_defined_once(self):
+        from recistkit import evaluation, fusion, grouping, losses, targets
+
+        assert grouping.GroupingConfig is config.GroupingConfig
+        assert fusion.SoftNmsConfig is config.SoftNmsConfig
+        assert losses.FocalParams is config.FocalParams
+        assert evaluation.EvalConfig is config.EvalConfig
+        assert targets.RenderConfig is config.RenderConfig
+        for cls in config.SECTION_TYPES.values():
+            assert cls.__module__ == "recistkit.config"
+
+    def test_dir_lists_all_names_and_submodules(self):
+        listed = set(dir(recistkit))
+        assert set(recistkit.__all__) <= listed
+        assert {"cli", "config", "grouping", "rng", "__version__"} <= listed
+
+    def test_unknown_name_raises_attribute_error_naming_the_module(self):
+        with pytest.raises(AttributeError, match="'recistkit' has no attribute 'nope'"):
+            recistkit.nope  # noqa: B018
+        assert not hasattr(recistkit, "nope")
+
+    def test_star_import_binds_exactly_all(self):
+        namespace: dict = {}
+        exec("from recistkit import *", namespace)
+        namespace.pop("__builtins__")
+        assert sorted(namespace) == sorted(recistkit.__all__)
+
+    def test_section_keys_order_and_defaults_are_unchanged(self):
+        # the config echo in every artifact is this document
+        assert list(config.SECTION_TYPES) == [
+            "grouping", "soft_nms", "focal", "eval", "render"
+        ]
+        assert json.dumps(config.DEFAULTS) == (
+            '{"grouping": {"tau_e": 0.1, "tau_c": 0.1, "k1": 40, "k2": 100, '
+            '"kernel": 3, "center_interp": "nearest"}, '
+            '"soft_nms": {"sigma": 0.5, "score_floor": 0.001, '
+            '"method": "gaussian", "linear_iou_threshold": 0.3}, '
+            '"focal": {"alpha": 2.0, "beta": 4.0, "clamp_eps": 1e-12}, '
+            '"eval": {"iou_threshold": 0.5, "pad": 5.0, '
+            '"fp_targets": [0.5, 1.0, 2.0, 3.0, 4.0]}, '
+            '"render": {"stride": 4, "input_size": 511, "min_overlap": 0.3, '
+            '"sigma_divisor": 3.0}, '
+            '"window_presets": [[50, 449], [-505, 1980], [446, 1960]]}'
+        )
+        for name, cls in config.SECTION_TYPES.items():
+            assert dataclasses.asdict(cls()) == config.DEFAULTS[name]
