@@ -200,6 +200,7 @@ def _cmd_detect(args) -> int:
 def _cmd_fuse(args) -> int:
     from .dataio import read_detections, write_detections
     from .fusion import fuse_tta
+    from .grouping import Detections
 
     cfg, sections = _load_effective_config(args)
     nms_cfg = sections["soft_nms"]
@@ -207,9 +208,10 @@ def _cmd_fuse(args) -> int:
     original, _ = read_detections(args.original)
     flipped, _ = read_detections(args.flipped)
     keys = sorted(set(original) | set(flipped))
+    empty = Detections.of(())
     fused = {
         key: fuse_tta(
-            original.get(key, []), flipped.get(key, []), args.image_width, nms_cfg
+            original.get(key, empty), flipped.get(key, empty), args.image_width, nms_cfg
         )
         for key in keys
     }
@@ -283,6 +285,7 @@ def _froc_to_dict(result) -> dict:
 def _cmd_eval(args) -> int:
     from .dataio import InputFormatError, parse_annotations, read_detections, write_json
     from .evaluation import froc, match_detections, stratified_froc
+    from .grouping import Detections
 
     cfg, sections = _load_effective_config(args)
     eval_cfg = sections["eval"]
@@ -305,12 +308,13 @@ def _cmd_eval(args) -> int:
         )
 
     keys = sorted(set(detections) | set(gts_by_image))
+    empty = Detections.of(())
     matches, labels = [], []
     for key in keys:
         anns = gts_by_image.get(key, [])
         matches.append(
             match_detections(
-                detections.get(key, []),
+                detections.get(key, empty),
                 [ann.bbox for ann in anns],
                 iou_threshold=eval_cfg.iou_threshold,
                 pad=eval_cfg.pad,
@@ -512,9 +516,12 @@ def _cmd_check_gradients(args) -> int:
 
 
 def _cmd_window(args) -> int:
-    from .dataio import apply_ct_window
+    from .dataio import InputFormatError, apply_ct_window
 
-    data = np.fromfile(args.infile, dtype="<f4")
+    raw = Path(args.infile).read_bytes()
+    if len(raw) % 4:
+        raise InputFormatError(f"{args.infile}: {len(raw)} bytes, not a multiple of 4")
+    data = np.frombuffer(raw, dtype="<f4")
     normalized = apply_ct_window(data, args.level, args.width).astype("<f4")
     outputs = _Outputs()
     outputs.run(Path(args.out), lambda tmp: tmp.write_bytes(normalized.tobytes()))

@@ -401,14 +401,10 @@ _ENTRY_COLUMNS = [
 ]
 
 
-def _entry_table(dets: Sequence[Detection], where: str) -> tuple[np.ndarray, list]:
+def _entry_table(dets: Detections, where: str) -> tuple[np.ndarray, list]:
     """(n, 15) float64 values of one image's entries in template order, and
-    their flipped flags; ValueError names the first entry that
-    :func:`read_detections` would refuse."""
-    try:
-        dets = Detections.of(dets)
-    except ValueError as exc:  # a list entry's source, named as [i].source
-        raise ValueError(f"{where}{exc}") from None
+    their flipped flags; ValueError names the first entry with a non-finite
+    value, which :func:`read_detections` would refuse."""
     table = np.column_stack((dets.rows, dets.scores))
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
@@ -435,19 +431,19 @@ def _float_texts(table: np.ndarray) -> list[str]:
 
 
 def write_detections(
-    detections_by_image: Mapping[str, Sequence[Detection]],
+    detections_by_image: Mapping[str, Detections],
     path: str | Path,
     config: Mapping | None = None,
 ) -> None:
-    """Write per-image detection lists as a JSON document.
+    """Write per-image detection records as a JSON document.
 
     The bytes are those :func:`write_json` gives the document of
     :func:`detection_to_dict` entries, with every coordinate and score a
     float at full precision (shortest round-trippable decimal); one
     template formats each entry and one string is written per image.
     ``config`` is echoed verbatim for provenance. Raises ValueError, before
-    the file is opened, on a NaN or +-inf value and on a source other than
-    'original' or 'flipped', which :func:`read_detections` would refuse.
+    the file is opened, on a NaN or +-inf value, which
+    :func:`read_detections` would refuse.
     """
     echo = "null" if config is None else json.dumps(
         dict(config), sort_keys=True, indent=2, allow_nan=False

@@ -23,7 +23,7 @@ from .config import (
     check_match_settings,
 )
 from .geometry import BBox, pairwise_iou
-from .grouping import BOX_COLUMNS, Detection, Detections
+from .grouping import BOX_COLUMNS, Detections
 
 LESION_TYPE_NAMES = {
     1: "BN",  # bone
@@ -151,7 +151,7 @@ class Strata:
 
 
 def match_detections(
-    detections: Sequence[Detection],
+    detections: Detections,
     gt_boxes: Sequence[BBox],
     iou_threshold: float = EvalConfig.iou_threshold,
     pad: float = EvalConfig.pad,
@@ -166,10 +166,9 @@ def match_detections(
     Settings :func:`check_match_settings` refuses raise ValueError.
     """
     check_match_settings(iou_threshold, pad)
-    dets = Detections.of(detections)
-    order = (-dets.scores).argsort(kind="stable")
+    order = (-detections.scores).argsort(kind="stable")
     # padded as pad_bbox pads: x1 - pad, y1 - pad, x2 + pad, y2 + pad
-    padded = dets.rows[:, BOX_COLUMNS] + np.array([-pad, -pad, pad, pad])
+    padded = detections.rows[:, BOX_COLUMNS] + np.array([-pad, -pad, pad, pad])
     gts = np.array([g.as_tuple() for g in gt_boxes], dtype=np.float64).reshape(-1, 4)
     ious = pairwise_iou(padded, gts)
     # only an overlap strictly above 0 can match, which also rules out NaN
@@ -191,7 +190,7 @@ def match_detections(
             gt_index.append(g)
         else:
             gt_index.append(-1)
-    return MatchResult(order, dets.scores[order], gt_index, len(gt_boxes))
+    return MatchResult(order, detections.scores[order], gt_index, len(gt_boxes))
 
 
 def froc(

@@ -9,13 +9,12 @@ outright.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from .config import SoftNmsConfig
 from .geometry import pairwise_iou
-from .grouping import BOX_COLUMNS, Detection, Detections
+from .grouping import BOX_COLUMNS, Detections
 
 # the box columns of a detection row, least significant first: y2, x2, y1, x1
 _BOX_KEYS = np.array(BOX_COLUMNS[::-1])
@@ -24,24 +23,21 @@ _BOX_KEYS = np.array(BOX_COLUMNS[::-1])
 _MIRRORED_COLUMNS = np.array([0, 1, 6, 7, 4, 5, 2, 3, 8, 9])
 
 
-def unflip_detections(
-    detections: Sequence[Detection], image_width: float
-) -> Detections:
+def unflip_detections(detections: Detections, image_width: float) -> Detections:
     """Map detections made on a flipped image back to the original frame.
 
     Geometry mirrors as ``flip_horizontal`` does (left and right roles
     swap), scores are untouched, and each detection is tagged as coming
     from the flipped view.
     """
-    dets = Detections.of(detections)
     # left and right swap roles, and every x mirrors
-    rows = dets.rows.take(_MIRRORED_COLUMNS, axis=1)
+    rows = detections.rows.take(_MIRRORED_COLUMNS, axis=1)
     np.subtract(image_width - 1.0, rows[:, 0::2], out=rows[:, 0::2])
-    return Detections(rows, dets.scores, np.ones(len(rows), dtype=bool))
+    return Detections(rows, detections.scores, np.ones(len(rows), dtype=bool))
 
 
 def soft_nms(
-    detections: Sequence[Detection], cfg: SoftNmsConfig = SoftNmsConfig()
+    detections: Detections, cfg: SoftNmsConfig = SoftNmsConfig()
 ) -> Detections:
     """Score-decay non-maximum suppression.
 
@@ -53,15 +49,15 @@ def soft_nms(
     to the flipped view, then to the smaller row (top x, ..., right y), and
     then to the earlier input.
     """
-    dets = Detections.of(detections)
-    pool = (dets.scores >= cfg.score_floor).nonzero()[0]
-    rows = dets.rows[pool]
+    pool = (detections.scores >= cfg.score_floor).nonzero()[0]
+    rows = detections.rows[pool]
     # the tie order of soft_nms, one key per row, primary key last, so that
     # argmax's first hit below is the first live detection in that order
-    keys = np.concatenate((rows.T[7::-1], ~dets.flipped[None, pool], rows.T[_BOX_KEYS]))
+    flipped = detections.flipped[None, pool]
+    keys = np.concatenate((rows.T[7::-1], ~flipped, rows.T[_BOX_KEYS]))
     ranked = np.lexsort(keys)
     order = pool[ranked]
-    boxes, scores = rows[ranked][:, BOX_COLUMNS], dets.scores[order]
+    boxes, scores = rows[ranked][:, BOX_COLUMNS], detections.scores[order]
     overlap = pairwise_iou(boxes, boxes)
     index = np.arange(len(order))
     if cfg.method == "gaussian":
@@ -99,21 +95,16 @@ def soft_nms(
             np.greater_equal(scores, cfg.score_floor, out=alive)
             np.copyto(scores, -np.inf, where=~alive)
     kept = order[kept]
-    return Detections(dets.rows[kept], kept_scores, dets.flipped[kept])
+    return Detections(detections.rows[kept], kept_scores, detections.flipped[kept])
 
 
 def fuse_tta(
-    dets_original: Sequence[Detection],
-    dets_flipped_raw: Sequence[Detection],
+    dets_original: Detections,
+    dets_flipped_raw: Detections,
     image_width: float,
     cfg: SoftNmsConfig = SoftNmsConfig(),
 ) -> Detections:
-    """Pool original and un-flipped detections, then Soft-NMS the pool."""
-    original = Detections.of(dets_original)
-    unflipped = unflip_detections(dets_flipped_raw, image_width)
-    pooled = Detections(
-        np.concatenate((original.rows, unflipped.rows)),
-        np.concatenate((original.scores, unflipped.scores)),
-        np.concatenate((original.flipped, unflipped.flipped)),
-    )
+    """Pool the original detections and the un-flipped flipped-view ones
+    into one record, originals first, then Soft-NMS the pool."""
+    pooled = dets_original + unflip_detections(dets_flipped_raw, image_width)
     return soft_nms(pooled, cfg)

@@ -16,7 +16,7 @@ independent of how the work is partitioned across workers.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
@@ -79,15 +79,17 @@ class Detection:
         return BBox(*(self.row[i] for i in BOX_COLUMNS))
 
 
-class Detections(Sequence):
+class Detections:
     """One image's detections as arrays: ``rows`` (n, 10) float64, the
     (x, y) of top, left, bottom, right and center; ``scores`` (n,) float64;
     ``flipped`` (n,) bool, True for the flipped view (else TypeError).
 
-    A read-only sequence of :class:`Detection` views, built as they are
-    read, with Python floats and source ``SOURCES[flipped]``. It equals a
-    list (or record) of the same detections, and ``+`` joins it with one
-    into a list. Its arrays are shared, not copied: do not write to them.
+    The one type the detection stages take. An index gives a
+    :class:`Detection` view, built as it is read, with Python floats and
+    source ``SOURCES[flipped]``; a slice gives a record. Records are equal
+    when their arrays are elementwise equal; a record never equals a list.
+    ``+`` joins records, or a record and a list, into one record, rows in
+    order. Its arrays are shared, not copied: do not write to them.
     """
 
     __slots__ = ("rows", "scores", "flipped")
@@ -103,7 +105,7 @@ class Detections(Sequence):
             raise ValueError("rows, scores and flipped differ in length")
 
     @classmethod
-    def of(cls, detections: Sequence[Detection]) -> Detections:
+    def of(cls, detections: Collection[Detection]) -> Detections:
         """``detections`` itself if it is a record, else its arrays; ValueError
         names the first source not in SOURCES, as ``[i].source``."""
         if isinstance(detections, Detections):
@@ -141,20 +143,22 @@ class Detections(Sequence):
         )
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (Detections, list)):
-            return list(self) == list(other)
-        return NotImplemented
+        if not isinstance(other, Detections):
+            return NotImplemented
+        return all(map(np.array_equal, self._arrays(), other._arrays()))
 
-    __hash__ = None
+    def __add__(self, other) -> Detections:
+        pairs = zip(self._arrays(), Detections.of(other)._arrays())
+        return Detections(*map(np.concatenate, pairs))
 
-    def __add__(self, other) -> list[Detection]:
-        return list(self) + list(other)
-
-    def __radd__(self, other) -> list[Detection]:
-        return list(other) + list(self)
+    def __radd__(self, other) -> Detections:
+        return Detections.of(other) + self
 
     def __repr__(self) -> str:
         return f"Detections({list(self)!r})"
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.rows, self.scores, self.flipped
 
 
 def extract_peaks(heatmap: np.ndarray, cfg: GroupingConfig, role: str) -> Peaks:
@@ -380,7 +384,7 @@ def enumerate_quadruples(
 
 
 def refine_with_offsets(
-    detections: Sequence[Detection], offset_maps: np.ndarray, stride: int
+    detections: Detections, offset_maps: np.ndarray, stride: int
 ) -> Detections:
     """Map grid-cell detections to input pixels using the offset planes.
 
@@ -388,16 +392,15 @@ def refine_with_offsets(
     center is recomputed from the refined extremes (the center role has no
     offsets).
     """
-    dets = Detections.of(detections)
-    cells = dets.rows[:, :8].astype(np.intp)  # (x, y) per extreme role
+    cells = detections.rows[:, :8].astype(np.intp)  # (x, y) per extreme role
     # row column k's fraction is on offset plane k, at its extreme's cell
     col, row = cells[:, 0::2].repeat(2, axis=1), cells[:, 1::2].repeat(2, axis=1)
     fraction = offset_maps[np.arange(8), row, col].astype(np.float64)
-    refined = np.empty_like(dets.rows)
+    refined = np.empty_like(detections.rows)
     np.multiply(stride, cells + fraction, out=refined[:, :8])
     # the center x from the left and right x, its y from the top and bottom y
     refined[:, 8:] = (refined[:, [2, 1]] + refined[:, [6, 5]]) / 2.0
-    return Detections(refined, dets.scores, dets.flipped)
+    return Detections(refined, detections.scores, detections.flipped)
 
 
 def detect(

@@ -14,7 +14,13 @@ import recistkit as rk
 from recistkit.cli import main as cli_main
 from recistkit.evaluation import froc, match_detections
 from recistkit.fusion import SoftNmsConfig, soft_nms
-from recistkit.grouping import GroupingConfig, detect, enumerate_quadruples, extract_peaks
+from recistkit.grouping import (
+    Detections,
+    GroupingConfig,
+    detect,
+    enumerate_quadruples,
+    extract_peaks,
+)
 from recistkit.losses import finite_diff_check, focal_loss, focal_loss_grad, offset_loss
 from recistkit.synthetic import DegradationConfig, generate_scene, render_scene, simulate_heatmaps
 from recistkit.targets import HeatmapBundle, render_targets, offset_target
@@ -164,7 +170,7 @@ def test_criterion_05_extract_peak_oracle_equivalence():
 def test_criterion_06_soft_nms():
     """The e^-2 decay example and 1,000 random property instances."""
     dets = [make_detection(0, 0, 10, 10, 0.9), make_detection(0, 0, 10, 10, 0.8)]
-    out = soft_nms(dets, SoftNmsConfig(sigma=0.5))
+    out = soft_nms(Detections.of(dets), SoftNmsConfig(sigma=0.5))
     decayed = out[1].score
     assert abs(decayed - 0.10827) <= 1e-5, decayed
 
@@ -182,7 +188,7 @@ def test_criterion_06_soft_nms():
             assert any(d.score <= s for s in by_box[d.bbox.as_tuple()])
         far = [make_detection(1000 + 30 * i, 0, 1015 + 30 * i, 15, 0.5 + i / 10)
                for i in range(3)]
-        untouched = soft_nms(far, cfg)
+        untouched = soft_nms(Detections.of(far), cfg)
         assert [d.score for d in untouched] == sorted(
             (d.score for d in far), reverse=True
         )

@@ -397,6 +397,13 @@ def _raw_f32(tmp_path, sim_dir):
     return path
 
 
+def _five_bytes(tmp_path, sim_dir):
+    """A raw input one byte past a whole float32 value."""
+    path = tmp_path / "five.f32"
+    path.write_bytes(b"\x00\x00\x48\x42\x00")
+    return path
+
+
 def _fuse(dets, *flags):
     return ["fuse", "--original", dets, "--flipped", dets,
             "--image-width", 768, *flags]
@@ -522,6 +529,9 @@ EXIT_CODE_CASES = [
         "window", "--level", "nan", "--width", 400, "--in", _raw_f32]),
     ("window --level inf", 2, [
         "window", "--level", "inf", "--width", 400, "--in", _raw_f32]),
+    # a tail short of a float32 value used to be dropped with exit 0
+    ("window raw input of 5 bytes", 3, [
+        "window", "--level", 50, "--width", 400, "--in", _five_bytes]),
     ("detections score 401-digit int", 3, _fuse(_huge(_dets(score="<huge>"), 401))),
     ("detections extremes 401-digit int", 3, _fuse(_huge(_dets(extremes={
         "top": [125.0, 100.0], "left": [100.0, 125.0], "bottom": [125.0, 150.0],
@@ -586,6 +596,7 @@ NAMED_IN_ERROR = {
     "window --width inf": "argument --width: must be finite and > 0",
     "window --level nan": "argument --level: must be finite",
     "window --level inf": "argument --level: must be finite",
+    "window raw input of 5 bytes": "five.f32: 5 bytes, not a multiple of 4",
 }
 
 

@@ -19,6 +19,7 @@ from recistkit.dataio import (
     write_heatmaps,
 )
 from recistkit.geometry import Point2
+from recistkit.grouping import Detections
 from recistkit.synthetic import generate_scene, simulate_heatmaps
 from recistkit.targets import HeatmapBundle
 from tests.test_fusion import make_detection
@@ -291,11 +292,11 @@ class TestDetectionsFile:
 
     def test_round_trip_preserves_order_and_sources(self, tmp_path):
         dets = {
-            "img_b": [
+            "img_b": Detections.of([
                 make_detection(0, 0, 10, 10, 4.0, source="original"),
                 make_detection(5, 5, 25, 30, 1.25, source="flipped"),
-            ],
-            "img_a": [make_detection(2.5, 3.75, 8.0625, 9.5, 5.9)],
+            ]),
+            "img_a": Detections.of([make_detection(2.5, 3.75, 8.0625, 9.5, 5.9)]),
         }
         path = tmp_path / "d.json"
         write_detections(dets, path, config={"tau_e": 0.1})
@@ -308,7 +309,8 @@ class TestDetectionsFile:
     def test_full_precision_scores(self, tmp_path):
         score = 4.000000000000001  # not representable in short decimals
         path = tmp_path / "d.json"
-        write_detections({"k": [make_detection(0, 0, 1, 1, score)]}, path)
+        dets = Detections.of([make_detection(0, 0, 1, 1, score)])
+        write_detections({"k": dets}, path)
         back, _ = read_detections(path)
         assert back["k"][0].score == score
 
@@ -327,7 +329,7 @@ class TestDetectionsFile:
             read_detections(path)
 
     def test_byte_determinism(self, tmp_path):
-        dets = {"img": [make_detection(1, 2, 3, 4, 0.5)]}
+        dets = {"img": Detections.of([make_detection(1, 2, 3, 4, 0.5)])}
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write_detections(dets, a, config={"x": 1})
         write_detections(dets, b, config={"x": 1})
@@ -343,16 +345,18 @@ class TestDetectionsFile:
 
     def test_writer_refuses_non_finite_values(self, tmp_path):
         path = tmp_path / "d.json"
+        nan = Detections.of([make_detection(0, 0, 1, 1, float("nan"))])
         with pytest.raises(ValueError):
-            write_detections({"k": [make_detection(0, 0, 1, 1, float("nan"))]}, path)
+            write_detections({"k": nan}, path)
 
     def test_bbox_must_be_the_tight_box_of_the_extremes(self, tmp_path):
         path = tmp_path / "d.json"
-        write_detections({"k": [make_detection(0, 0, 4, 2, 1.0)]}, path)
+        dets = Detections.of([make_detection(0, 0, 4, 2, 1.0)])
+        write_detections({"k": dets}, path)
         doc = json.loads(path.read_text())
         doc["images"]["k"][0]["bbox"] = [0, 0, 4, 2]  # ints compare by value
         path.write_text(json.dumps(doc))
-        assert read_detections(path)[0]["k"] == [make_detection(0, 0, 4, 2, 1.0)]
+        assert read_detections(path)[0]["k"] == dets
         doc["images"]["k"][0]["bbox"] = [0.0, 0.0, 4.0, 2.5]
         path.write_text(json.dumps(doc))
         with pytest.raises(InputFormatError, match=r"images\['k'\]\[0\]\.bbox"):

@@ -17,7 +17,7 @@ from recistkit.dataio import (
     read_detections,
     write_detections,
 )
-from recistkit.grouping import Detection
+from recistkit.grouping import Detection, Detections
 
 # --- oracle: the json.dump writer ---------------------------------------------
 
@@ -68,7 +68,8 @@ def random_document(rng) -> dict:
 
 def assert_same_bytes(tmp_path, doc, config=None) -> bytes:
     new, old = tmp_path / "new.json", tmp_path / "old.json"
-    write_detections(doc, new, config=config)
+    records = {key: Detections.of(dets) for key, dets in doc.items()}
+    write_detections(records, new, config=config)
     oracle_write_detections(doc, old, config=config)
     assert new.read_bytes() == old.read_bytes()
     return new.read_bytes()
@@ -110,7 +111,8 @@ class TestWriterOracle:
 
     def test_integer_values_are_written_as_floats(self, tmp_path):
         path = tmp_path / "d.json"
-        write_detections({"k": [Detection((0,) * 10, 1, "original")]}, path)
+        ints = Detections.of([Detection((0,) * 10, 1, "original")])
+        write_detections({"k": ints}, path)
         entry = json.loads(path.read_text())["images"]["k"][0]
         assert entry["bbox"] == [0.0] * 4 and all(
             type(v) is float for v in entry["bbox"]
@@ -128,7 +130,8 @@ class TestRoundTrip:
             for i, v in enumerate(SPECIAL_FLOATS)
         ]
         path = tmp_path / "d.json"
-        write_detections(doc, path, config=NESTED_CONFIG)
+        records = {key: Detections.of(dets) for key, dets in doc.items()}
+        write_detections(records, path, config=NESTED_CONFIG)
         back, config = read_detections(path)
         assert config == json.loads(json.dumps(NESTED_CONFIG))
 
@@ -156,19 +159,21 @@ class TestWriterRefusals:
         path = tmp_path / "d.json"
         with pytest.raises(ValueError, match=r"images\['k'\]\[1\]: non-finite"):
             write_detections(
-                {"k": [good, Detection(tuple(row), score, "original")]}, path
+                {"k": Detections.of([good, Detection(tuple(row), score, "original")])},
+                path,
             )
         assert not path.exists()
 
     @pytest.mark.parametrize("source", ["both", "", None, "bogus"])
     def test_unknown_source(self, tmp_path, source):
+        # the writer takes records, whose bool flags hold only the two known
+        # sources, so an unknown one is refused on its way into the record
         det = Detection(tuple(float(v) for v in range(10)), 0.5, source)
         path = tmp_path / "d.json"
         with pytest.raises(ValueError) as excinfo:
-            write_detections({"k": [det]}, path)
+            write_detections({"k": Detections.of([det])}, path)
         assert str(excinfo.value) == (
-            f"{path}: images['k'][0].source: expected 'original' or 'flipped', "
-            f"got {source!r}"
+            f"[0].source: expected 'original' or 'flipped', got {source!r}"
         )
         assert not path.exists()
 
@@ -186,7 +191,7 @@ class TestReaderPaths:
     def document(tmp_path, *changes):
         dets = [Detection(tuple(float(v) for v in range(10)), 0.5, "original")] * 3
         path = tmp_path / "d.json"
-        write_detections({"k": dets}, path)
+        write_detections({"k": Detections.of(dets)}, path)
         doc = json.loads(path.read_text())
         for i, change in changes:
             change(doc["images"]["k"][i])

@@ -14,7 +14,7 @@ empty and one-element pools.
 import json
 import math
 import re
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -313,7 +313,6 @@ class TestSoftNmsOracle:
     @given(pool=pools(), cfg=st.sampled_from(CONFIGS))
     def test_list_and_record_bitwise(self, pool, cfg):
         expected = bits(oracle_soft_nms(pool, cfg))
-        assert bits(soft_nms(pool, cfg)) == expected
         assert bits(soft_nms(Detections.of(pool), cfg)) == expected
 
     @settings(max_examples=60)
@@ -323,19 +322,21 @@ class TestSoftNmsOracle:
         expected = oracle_soft_nms(
             original + oracle_unflip_detections(flipped, width), cfg
         )
-        fused = fuse_tta(original, flipped, width, cfg)
+        fused = fuse_tta(Detections.of(original), Detections.of(flipped), width, cfg)
         assert isinstance(fused, Detections)
         assert bits(fused) == bits(expected)
-        assert bits(unflip_detections(flipped, width)) == bits(
+        assert bits(unflip_detections(Detections.of(flipped), width)) == bits(
             oracle_unflip_detections(flipped, width)
         )
 
     @pytest.mark.parametrize("cfg", CONFIGS)
     def test_empty_and_one_element_pools(self, cfg):
         one = Detection((1.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 1.0), 0.0, "flipped")
+        empty = Detections.of([])
         for pool in ([], [one], [one, one]):
-            assert bits(soft_nms(pool, cfg)) == bits(oracle_soft_nms(pool, cfg))
-            assert bits(fuse_tta(pool, [], 8.0, cfg)) == bits(oracle_soft_nms(pool, cfg))
+            record, expected = Detections.of(pool), bits(oracle_soft_nms(pool, cfg))
+            assert bits(soft_nms(record, cfg)) == expected
+            assert bits(fuse_tta(record, empty, 8.0, cfg)) == expected
 
     def test_noisy_pool_bitwise(self, noisy_image):
         _, original, flipped = noisy_image
@@ -343,7 +344,7 @@ class TestSoftNmsOracle:
         assert len(pool) >= 150
         for cfg in CONFIGS:
             expected = bits(oracle_soft_nms(pool, cfg))
-            assert bits(soft_nms(pool, cfg)) == expected
+            assert bits(soft_nms(Detections.of(pool), cfg)) == expected
             assert bits(fuse_tta(original, flipped, 768, cfg)) == expected
 
 
@@ -360,7 +361,6 @@ class TestMatchOracle:
         boxes = [BBox(d.bbox.x1 - pad, d.bbox.y1 - pad, d.bbox.x2 + pad,
                       d.bbox.y2 + pad) for d in gt + pool[:2]]
         expected = match_bits(oracle_match_detections(pool, boxes, iou_threshold, pad))
-        assert match_bits(match_detections(pool, boxes, iou_threshold, pad)) == expected
         assert match_bits(
             match_detections(Detections.of(pool), boxes, iou_threshold, pad)
         ) == expected
@@ -485,35 +485,57 @@ def some_detections(n=4) -> list[Detection]:
 
 
 class TestRecordContract:
-    def test_equals_the_list_of_its_views(self):
+    def test_equals_records_and_never_lists(self):
         dets = some_detections()
         record = Detections.of(dets)
-        assert record == dets and dets == record
         assert record == Detections.of(list(dets))
-        assert record != dets[:-1] and record != dets[::-1]
-        assert record != tuple(dets)  # as a list is not equal to a tuple
-        assert Detections.of([]) == []
+        assert record != dets and dets != record
+        assert record != Detections.of(dets[:-1])
+        assert record != Detections.of(dets[::-1])
+        assert record != tuple(dets)
+        assert Detections.of([]) == Detections.of(()) and Detections.of([]) != []
+
+    def test_equality_is_elementwise(self):
+        rows, scores = np.zeros((2, 10)), np.array([1.0, 0.5])
+        flipped = np.array([False, True])
+        record = Detections(rows, scores, flipped)
+        # -0.0 equals 0.0, as it does in a Detection
+        assert record == Detections(-rows, scores, flipped)
+        assert record != Detections(rows, scores, ~flipped)
+        assert record != Detections(rows, scores[::-1], flipped)
+        # NaN equals nothing, the same record included
+        nan = Detections(rows, [math.nan, 0.5], flipped)
+        assert nan != nan and nan != Detections(rows, [math.nan, 0.5], flipped)
 
     def test_sequence_of_views(self):
         dets = some_detections()
         record = Detections.of(dets)
+        assert not isinstance(record, Sequence)
         assert len(record) == 4
         assert list(record) == dets
         assert all(type(d) is Detection for d in record)
         assert record[0] == dets[0] and record[-1] == dets[-1]
         assert type(record[1].score) is float
         assert all(type(v) is float for v in record[2].row)
-        assert isinstance(record[1:3], Detections) and record[1:3] == dets[1:3]
-        assert record.index(dets[2]) == 2 and record.count(dets[1]) == 1
+        assert isinstance(record[1:3], Detections)
+        assert record[1:3] == Detections.of(dets[1:3])
+        assert dets[2] in record and list(reversed(record)) == dets[::-1]
         with pytest.raises(IndexError):
             record[4]
 
-    def test_joins_into_lists(self):
+    def test_joins_into_one_record(self):
         dets = some_detections()
         record = Detections.of(dets)
-        assert record + dets[:1] == dets + dets[:1]
-        assert dets[:1] + record == dets[:1] + dets
-        assert isinstance(record + record, list)
+        for joined, expected in [
+            (record + dets[:1], dets + dets[:1]),
+            (dets[:1] + record, dets[:1] + dets),
+            (record + record[::-1], dets + dets[::-1]),
+            (record + [], dets),
+        ]:
+            assert isinstance(joined, Detections)
+            assert list(joined) == expected  # rows in order, each source kept
+        with pytest.raises(ValueError, match=re.escape("[0].source")):
+            record + [Detection(dets[0].row, 1.0, "bogus")]
 
     def test_read_only_and_unhashable(self):
         record = Detections.of(some_detections())
@@ -541,24 +563,29 @@ class TestRecordContract:
         with pytest.raises(ValueError, match=re.escape(message)):
             Detections.of(dets)
 
-    def test_staged_pool_survives(self, noisy_image):
+    def test_staged_pool_survives(self, noisy_image, tmp_path):
+        # the benchmark's staged fusion pools a list of views with a record
         _, original, flipped = noisy_image
         assert isinstance(original, Detections)
         pooled = list(original) + unflip_detections(flipped, 768)
-        assert isinstance(pooled, list)
-        fused = fusion.soft_nms(pooled)
-        assert isinstance(fused, Detections)
-        assert fused == fuse_tta(original, flipped, 768)
+        assert isinstance(pooled, Detections)
+        assert pooled == original + unflip_detections(flipped, 768)
+        staged, one_call = tmp_path / "staged.json", tmp_path / "one_call.json"
+        write_detections({"k": fusion.soft_nms(pooled)}, staged)
+        write_detections({"k": fuse_tta(original, flipped, 768)}, one_call)
+        assert staged.read_bytes() == one_call.read_bytes()
 
-    def test_writer_takes_records_and_lists_alike(self, noisy_image, tmp_path):
+    def test_writer_round_trips_records(self, noisy_image, tmp_path):
         _, original, flipped = noisy_image
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_detections({"o": original, "f": flipped}, a, config={"k": 1})
-        write_detections({"o": list(original), "f": list(flipped)}, b, config={"k": 1})
+        views = {"o": original, "f": flipped}
+        write_detections(views, a, config={"k": 1})
+        converted = {k: Detections.of(list(d)) for k, d in views.items()}
+        write_detections(converted, b, config={"k": 1})
         assert a.read_bytes() == b.read_bytes()
         back, _ = read_detections(a)
         assert all(isinstance(d, Detections) for d in back.values())
-        assert back == {"o": original, "f": flipped}
+        assert back == views
         assert bits(back["o"]) == bits(original)
 
 

@@ -29,6 +29,7 @@ from recistkit.evaluation import (
     stratified_froc,
 )
 from recistkit.geometry import BBox, iou, pad_bbox
+from recistkit.grouping import Detections
 from tests.test_fusion import make_detection, random_detections
 
 
@@ -66,37 +67,39 @@ def det_at(x, y, score, size=20.0):
 
 class TestMatchDetections:
     def test_exact_match_is_tp(self):
-        result = match_detections([det_at(10, 10, 0.9)], [gt_at(10, 10)])
+        result = match_detections(Detections.of([det_at(10, 10, 0.9)]), [gt_at(10, 10)])
         assert result.records[0].is_tp
         assert result.records[0].gt_index == 0
         assert result.n_gt == 1
 
     def test_two_dets_one_gt(self):
         dets = [det_at(10, 10, 0.7), det_at(10, 10, 0.9)]
-        result = match_detections(dets, [gt_at(10, 10)])
+        result = match_detections(Detections.of(dets), [gt_at(10, 10)])
         by_index = {r.det_index: r for r in result.records}
         assert by_index[1].is_tp  # higher score wins the gt
         assert not by_index[0].is_tp
 
     def test_score_order_with_index_tiebreak(self):
         dets = [det_at(10, 10, 0.9), det_at(10, 10, 0.9)]
-        result = match_detections(dets, [gt_at(10, 10)])
+        result = match_detections(Detections.of(dets), [gt_at(10, 10)])
         by_index = {r.det_index: r for r in result.records}
         assert by_index[0].is_tp
         assert not by_index[1].is_tp
 
     def test_best_iou_gt_chosen(self):
         gts = [gt_at(10, 10), gt_at(18, 10)]
-        result = match_detections([det_at(17, 10, 0.9)], gts, iou_threshold=0.3)
+        dets = Detections.of([det_at(17, 10, 0.9)])
+        result = match_detections(dets, gts, iou_threshold=0.3)
         assert result.records[0].gt_index == 1
 
     def test_below_threshold_is_fp(self):
-        result = match_detections([det_at(100, 100, 0.9)], [gt_at(10, 10)])
+        dets = Detections.of([det_at(100, 100, 0.9)])
+        result = match_detections(dets, [gt_at(10, 10)])
         assert not result.records[0].is_tp
 
     def test_each_gt_matched_once(self):
         dets = [det_at(10, 10, s) for s in (0.9, 0.8, 0.7)]
-        result = match_detections(dets, [gt_at(10, 10), gt_at(10, 10)])
+        result = match_detections(Detections.of(dets), [gt_at(10, 10), gt_at(10, 10)])
         assert sum(r.is_tp for r in result.records) == 2
 
     def test_input_order_invariant_for_distinct_scores(self):
@@ -106,10 +109,10 @@ class TestMatchDetections:
             positions = rng.choice(np.arange(10), size=6, replace=False) * 40.0
             dets = [det_at(x, 10, float(s)) for x, s in zip(positions, scores)]
             gts = [gt_at(positions[i], 10) for i in range(3)]
-            base = match_detections(dets, gts)
+            base = match_detections(Detections.of(dets), gts)
             outcome = {(r.score, r.is_tp, r.gt_index) for r in base.records}
             order = list(rng.permutation(len(dets)))
-            shuffled = match_detections([dets[i] for i in order], gts)
+            shuffled = match_detections(Detections.of([dets[i] for i in order]), gts)
             assert {(r.score, r.is_tp, r.gt_index) for r in shuffled.records} == outcome
 
     @pytest.mark.parametrize("iou_threshold,pad,named", [
@@ -121,7 +124,7 @@ class TestMatchDetections:
         # an IoU above 1 or a negative pad once matched nothing, and a
         # negative IoU any overlap, without a word
         with pytest.raises(ValueError, match=named):
-            match_detections([det_at(10, 10, 0.9)], [gt_at(10, 10)],
+            match_detections(Detections.of([det_at(10, 10, 0.9)]), [gt_at(10, 10)],
                              iou_threshold=iou_threshold, pad=pad)
 
 
@@ -156,7 +159,7 @@ class TestMatchOnIouMatrix:
                 dets.append(make_detection(*box.as_tuple(), score))
             threshold = float(rng.choice([0.0, 0.1, 0.3, 0.5, 1.0]))
             pad = float(rng.choice([0.0, 2.5, 5.0]))
-            got = match_detections(dets, gts, threshold, pad)
+            got = match_detections(Detections.of(dets), gts, threshold, pad)
             expected = loop_match_detections(dets, gts, threshold, pad)
             assert got == expected
             assert [r.score.hex() for r in got.records] == [
@@ -172,7 +175,7 @@ class TestMatchOnIouMatrix:
         dets = [det_at(10, 10, 0.9), det_at(10, 10, 0.8)]
         expected = loop_match_detections(dets, gts)
         assert [r.gt_index for r in expected.records] == [1, None]
-        assert match_detections(dets, gts) == expected
+        assert match_detections(Detections.of(dets), gts) == expected
 
 
 def crafted_three_image_matches():
@@ -183,14 +186,18 @@ def crafted_three_image_matches():
     image 3: FP@0.4 (1 gt, never detected)
     """
     img1 = match_detections(
-        [det_at(10, 10, 0.9), det_at(300, 300, 0.8), det_at(60, 60, 0.7)],
+        Detections.of(
+            [det_at(10, 10, 0.9), det_at(300, 300, 0.8), det_at(60, 60, 0.7)]
+        ),
         [gt_at(10, 10), gt_at(60, 60)],
     )
     img2 = match_detections(
-        [det_at(10, 10, 0.85), det_at(300, 300, 0.6), det_at(60, 60, 0.5)],
+        Detections.of(
+            [det_at(10, 10, 0.85), det_at(300, 300, 0.6), det_at(60, 60, 0.5)]
+        ),
         [gt_at(10, 10), gt_at(60, 60)],
     )
-    img3 = match_detections([det_at(300, 300, 0.4)], [gt_at(10, 10)])
+    img3 = match_detections(Detections.of([det_at(300, 300, 0.4)]), [gt_at(10, 10)])
     return [img1, img2, img3]
 
 
@@ -214,7 +221,7 @@ class TestFroc:
 
     def test_perfect_detection(self):
         matches = [
-            match_detections([det_at(10, 10, 1.0)], [gt_at(10, 10)])
+            match_detections(Detections.of([det_at(10, 10, 1.0)]), [gt_at(10, 10)])
             for _ in range(4)
         ]
         result = froc(matches)
@@ -327,7 +334,7 @@ class TestStratifiedFroc:
 
     def test_two_disjoint_perfect_strata(self):
         img = match_detections(
-            [det_at(10, 10, 0.9), det_at(60, 60, 0.8)],
+            Detections.of([det_at(10, 10, 0.9), det_at(60, 60, 0.8)]),
             [gt_at(10, 10), gt_at(60, 60)],
         )
         strata = stratified_froc([img], [["LU", "LV"]], key="type")
@@ -338,8 +345,10 @@ class TestStratifiedFroc:
         # the LV stratum's detection is clean, but a flood of global FPs
         # above its score pushes it past every FP budget
         img = match_detections(
-            [det_at(300 + 40 * i, 300, 0.9) for i in range(8)]
-            + [det_at(10, 10, 0.5)],
+            Detections.of(
+                [det_at(300 + 40 * i, 300, 0.9) for i in range(8)]
+                + [det_at(10, 10, 0.5)]
+            ),
             [gt_at(10, 10)],
         )
         strata = stratified_froc([img], [["LV"]], key="type")
@@ -523,7 +532,8 @@ class TestMatchRecord:
 
         matches = crafted_three_image_matches()  # built before the patch
         monkeypatch.setattr(evaluation, "DetectionMatch", refuse)
-        match_detections([det_at(10, 10, 0.9), det_at(60, 60, 0.8)], [gt_at(10, 10)])
+        dets = Detections.of([det_at(10, 10, 0.9), det_at(60, 60, 0.8)])
+        match_detections(dets, [gt_at(10, 10)])
         froc(matches)
         stratified_froc(matches, [["a", "b"], ["b", "b"], ["a"]], "type")
 

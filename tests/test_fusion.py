@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from recistkit.fusion import SoftNmsConfig, fuse_tta, soft_nms, unflip_detections
-from recistkit.grouping import Detection, detect
+from recistkit.grouping import Detection, Detections, detect
 from recistkit.synthetic import flip_scene, generate_scene, render_scene
 
 
@@ -25,15 +25,15 @@ def random_detections(rng, n, span=100.0):
         x1, y1 = np.floor(rng.uniform(0, span, size=2) * 16) / 16
         w, h = np.floor(rng.uniform(2, span / 3, size=2) * 16) / 16
         dets.append(make_detection(x1, y1, x1 + w, y1 + h, float(rng.uniform(0.1, 6.0))))
-    return dets
+    return Detections.of(dets)
 
 
 class TestSoftNms:
     def test_identical_boxes_gaussian_decay(self):
-        dets = [
+        dets = Detections.of([
             make_detection(0, 0, 10, 10, 0.9),
             make_detection(0, 0, 10, 10, 0.8),
-        ]
+        ])
         out = soft_nms(dets, SoftNmsConfig(sigma=0.5))
         assert len(out) == 2
         assert out[0].score == 0.9
@@ -41,24 +41,24 @@ class TestSoftNms:
         assert out[1].score == pytest.approx(0.10827, abs=1e-5)
 
     def test_disjoint_boxes_unchanged_bitwise(self):
-        dets = [
+        dets = Detections.of([
             make_detection(0, 0, 10, 10, 0.9),
             make_detection(50, 50, 60, 60, 0.7),
             make_detection(200, 0, 210, 10, 0.5),
-        ]
+        ])
         out = soft_nms(dets, SoftNmsConfig())
         assert [d.score for d in out] == [0.9, 0.7, 0.5]
 
     def test_single_detection_unchanged(self):
         det = make_detection(5, 5, 20, 25, 0.42)
-        assert soft_nms([det], SoftNmsConfig()) == [det]
+        assert soft_nms(Detections.of([det]), SoftNmsConfig()) == Detections.of([det])
 
     def test_linear_method(self):
-        dets = [
+        dets = Detections.of([
             make_detection(0, 0, 10, 10, 0.9),
             make_detection(0, 0, 10, 10, 0.8),
             make_detection(9, 0, 19, 10, 0.6),  # iou 1/19 below threshold
-        ]
+        ])
         out = soft_nms(dets, SoftNmsConfig(method="linear", linear_iou_threshold=0.3))
         # identical boxes have iou 1 -> scaled by (1 - 1) = 0 and dropped;
         # the small-overlap box is below the linear threshold: untouched
@@ -92,17 +92,17 @@ class TestSoftNms:
         assert sorted((d.score for d in dets), reverse=True) == [d.score for d in out]
 
     def test_below_floor_dropped(self):
-        dets = [
+        dets = Detections.of([
             make_detection(0, 0, 10, 10, 0.9),
             make_detection(0, 0, 10, 10, 0.8),
-        ]
+        ])
         out = soft_nms(dets, SoftNmsConfig(sigma=1e-4))
         assert len(out) == 1  # duplicate decays to ~0.8 * e^-10000
 
 
 class TestUnflip:
     def test_empty(self):
-        assert unflip_detections([], 64) == []
+        assert unflip_detections(Detections.of([]), 64) == Detections.of([])
 
     def test_round_trip_against_direct_detection(self):
         scene = generate_scene(2, seed=70)
@@ -136,7 +136,8 @@ class TestFuseTta:
     def test_empty_flipped_equals_plain_nms(self):
         rng = np.random.default_rng(73)
         dets = random_detections(rng, 6)
-        assert fuse_tta(dets, [], 128, SoftNmsConfig()) == soft_nms(dets, SoftNmsConfig())
+        fused = fuse_tta(dets, Detections.of([]), 128, SoftNmsConfig())
+        assert fused == soft_nms(dets, SoftNmsConfig())
 
     def test_agreeing_views_duplicate_decays_below_floor(self):
         scene = generate_scene(1, seed=74)
@@ -153,7 +154,7 @@ class TestFuseTta:
         b = random_detections(rng, 5)
         cfg = SoftNmsConfig()
         first = fuse_tta(a, b, 128, cfg)
-        second = fuse_tta(list(reversed(a)), list(reversed(b)), 128, cfg)
+        second = fuse_tta(a[::-1], b[::-1], 128, cfg)
         assert [d.bbox for d in first] == [d.bbox for d in second]
         assert [d.score for d in first] == [d.score for d in second]
 

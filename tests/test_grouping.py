@@ -8,6 +8,7 @@ import pytest
 
 from recistkit.grouping import (
     Detection,
+    Detections,
     GroupingConfig,
     Peaks,
     detect,
@@ -183,7 +184,7 @@ class TestEnumerateQuadruples:
             "right": make_peaks("right", [(5, 8, 0.6)]),
         }
         cfg = GroupingConfig(tau_c=float(np.float32(0.1)))
-        assert enumerate_quadruples(peaks, center, cfg) == []
+        assert list(enumerate_quadruples(peaks, center, cfg)) == []
 
     def test_invalid_order_rejected(self):
         center = np.ones((10, 10), dtype=np.float32)
@@ -193,7 +194,7 @@ class TestEnumerateQuadruples:
             "bottom": make_peaks("bottom", [(2, 5, 0.7)]),
             "right": make_peaks("right", [(5, 8, 0.6)]),
         }
-        assert enumerate_quadruples(peaks, center, GroupingConfig()) == []
+        assert list(enumerate_quadruples(peaks, center, GroupingConfig())) == []
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(31)
@@ -220,7 +221,7 @@ class TestEnumerateQuadruples:
     def test_empty_role_gives_empty_output(self):
         center = np.ones((4, 4), dtype=np.float32)
         peaks = {role: make_peaks(role, []) for role in EXTREME_ROLES}
-        assert enumerate_quadruples(peaks, center, GroupingConfig()) == []
+        assert list(enumerate_quadruples(peaks, center, GroupingConfig())) == []
 
     def test_permutation_of_peak_lists_irrelevant(self):
         rng = np.random.default_rng(33)
@@ -286,7 +287,7 @@ class TestRefineWithOffsets:
     def test_zero_offsets_scale_by_stride(self):
         offsets = np.zeros((8, 10, 10), dtype=np.float32)
         det = Detection(row=_grid_row((2, 5), (5, 2), (8, 5), (5, 8)), score=4.0)
-        refined = refine_with_offsets([det], offsets, 4)[0]
+        refined = refine_with_offsets(Detections.of([det]), offsets, 4)[0]
         assert (refined.extremes.top.x, refined.extremes.top.y) == (20, 8)
         assert (refined.extremes.left.x, refined.extremes.left.y) == (8, 20)
 
@@ -295,7 +296,7 @@ class TestRefineWithOffsets:
         offsets[0, 1, 2] = 0.5   # top dx at cell (row 1, col 2)
         offsets[1, 1, 2] = 0.75  # top dy
         det = Detection(row=_grid_row((1, 2), (5, 0), (9, 2), (5, 4)), score=4.0)
-        refined = refine_with_offsets([det], offsets, 4)[0]
+        refined = refine_with_offsets(Detections.of([det]), offsets, 4)[0]
         assert (refined.extremes.top.x, refined.extremes.top.y) == (10, 7)
 
     def test_round_trip_with_exact_target_offsets(self):
@@ -354,7 +355,7 @@ class TestDetect:
 
     def test_empty_bundle(self):
         bundle = HeatmapBundle.zeros(16, 16, 4, (64, 64))
-        assert detect(bundle) == []
+        assert list(detect(bundle)) == []
 
     def test_two_separated_annotations(self):
         from recistkit.geometry import bbox_from_extremes, iou, pad_bbox

@@ -272,7 +272,7 @@ def test_one_by_one_map_and_empty_role():
     (det,) = enumerate_quadruples(peaks, center, cfg)
     assert det.score == (0.5 + 0.5) + (0.5 + 0.5) + 2.0 * 0.5
     no_left = {**peaks, "left": make_peaks("left", [])}
-    assert enumerate_quadruples(no_left, center, cfg) == []
+    assert list(enumerate_quadruples(no_left, center, cfg)) == []
 
 
 def test_detect_matches_dense_pipeline():

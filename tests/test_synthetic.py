@@ -169,7 +169,7 @@ class TestSimulateHeatmaps:
         cfg = DegradationConfig(peak_drop_prob=1.0, seed=16)
         bundle = simulate_heatmaps(scene, cfg)
         assert not bundle.keypoint_maps.any()
-        assert detect(bundle) == []
+        assert list(detect(bundle)) == []
 
     def test_spurious_peaks_respect_exclusion_zone(self):
         scene = generate_scene(2, seed=17)
