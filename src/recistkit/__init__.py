@@ -18,11 +18,11 @@ __version__ = "0.1.0"
 # on first use, so ``import recistkit`` loads no submodule (PEP 562)
 _EXPORTS = {
     "config": (
-        "EvalConfig", "FocalParams", "GroupingConfig", "RenderConfig",
-        "SoftNmsConfig",
+        "EvalConfig", "FocalParams", "GroupingConfig", "InputFormatError",
+        "RenderConfig", "SoftNmsConfig",
     ),
     "dataio": (
-        "InputFormatError", "ParseResult", "RecistAnnotation",
+        "ParseResult", "RecistAnnotation",
         "apply_ct_window", "parse_annotations", "read_detections",
         "read_heatmaps", "write_annotations", "write_detections",
         "write_heatmaps",

@@ -27,6 +27,7 @@ import numpy as np
 # each command imports the library modules it runs, so a process loads only
 # those (see README, "Start-up")
 from . import config as config_mod
+from .config import InputFormatError
 
 HEATMAP_SUFFIX = ".rkhm"
 
@@ -84,18 +85,14 @@ class _Outputs:
 
 
 def _load_effective_config(args) -> tuple[dict, dict]:
-    """Defaults, then the --config file, then explicit flags.
-
-    Returns the merged config and its typed sections (see
-    ``config.build_sections``).
-    """
+    """The config of a run and its typed sections (``config.effective``):
+    the explicit flags, each set to its key, override the --config file."""
     overrides: dict[str, dict] = {}
     for flag, section, key, *_ in _CONFIG_FLAGS[args.command]:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
             overrides.setdefault(section, {})[key] = value
-    cfg = config_mod.merge(config_mod.load_config(args.config), overrides)
-    return cfg, config_mod.build_sections(cfg)
+    return config_mod.effective(args.config, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +100,7 @@ def _load_effective_config(args) -> tuple[dict, dict]:
 
 
 def _cmd_render_targets(args) -> int:
-    from .dataio import InputFormatError, parse_annotations, write_heatmaps, write_json
+    from .dataio import parse_annotations, write_heatmaps, write_json
     from .targets import output_grid, render_targets
 
     cfg, sections = _load_effective_config(args)
@@ -160,7 +157,7 @@ def _cmd_render_targets(args) -> int:
 def _cmd_detect(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
-    from .dataio import InputFormatError, read_heatmaps, write_detections
+    from .dataio import read_heatmaps, write_detections
     from .grouping import detect
 
     cfg, sections = _load_effective_config(args)
@@ -283,7 +280,7 @@ def _froc_to_dict(result) -> dict:
 
 
 def _cmd_eval(args) -> int:
-    from .dataio import InputFormatError, parse_annotations, read_detections, write_json
+    from .dataio import parse_annotations, read_detections, write_json
     from .evaluation import froc, match_detections, stratified_froc
     from .grouping import Detections
 
@@ -516,7 +513,7 @@ def _cmd_check_gradients(args) -> int:
 
 
 def _cmd_window(args) -> int:
-    from .dataio import InputFormatError, apply_ct_window
+    from .dataio import apply_ct_window
 
     raw = Path(args.infile).read_bytes()
     if len(raw) % 4:
@@ -761,12 +758,10 @@ def main(argv: list[str] | None = None) -> int:
         # replaced; the message names the path
         print(f"error: path: {exc}", file=sys.stderr)
         return 3
+    except InputFormatError as exc:
+        print(f"error: input-format: {exc}", file=sys.stderr)
+        return 3
     except Exception as exc:  # noqa: BLE001 - deliberate catch-all boundary
-        from .dataio import InputFormatError  # loaded already if it was raised
-
-        if isinstance(exc, InputFormatError):
-            print(f"error: input-format: {exc}", file=sys.stderr)
-            return 3
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

@@ -1,17 +1,17 @@
-"""Run configuration: the typed sections, defaults, config-file loading,
-and flag overrides.
+"""Run configuration: the typed sections and their defaults, the effective
+config of a run, and the error type and strict JSON reader of every input.
 
 A run is configured from three layers, later ones winning: built-in
-defaults, an optional JSON config file, and explicit command-line flags.
-Unknown keys anywhere in the file are rejected rather than ignored, and the
-effective configuration is echoed into every output artifact so results
-stay attributable.
+defaults, an optional JSON config file, and explicit command-line flags;
+:func:`effective` layers them. Unknown keys anywhere in the file are
+rejected rather than ignored, and the effective configuration is echoed
+into every output artifact so results stay attributable.
 
 Each config section is a frozen dataclass defined here, whose fields are the
-section's keys and defaults; the module that runs a section re-exports it
-(``grouping.GroupingConfig`` is ``GroupingConfig``). This module imports no
-other recistkit module at load time, so a command pays only for the modules
-it runs.
+section's keys and whose class attributes are its defaults; the module that
+runs a section re-exports it (``grouping.GroupingConfig`` is
+``GroupingConfig``). This module imports no other recistkit module, so a
+command pays only for the modules it runs.
 """
 
 from __future__ import annotations
@@ -30,6 +30,26 @@ import numpy as np
 MAX_HEADER_INT = 2**31 - 1
 
 FP_TARGETS_DEFAULT = (0.5, 1.0, 2.0, 3.0, 4.0)
+
+
+class InputFormatError(Exception):
+    """A file failed to parse or violated its declared schema."""
+
+
+def load_json(path: str | Path):
+    """Parse a JSON file as strict JSON: the NaN, Infinity and -Infinity
+    tokens that :func:`json.load` accepts raise :class:`InputFormatError`,
+    as do malformed JSON and an integer literal too long to convert."""
+    import json  # only a run that reads JSON pays for the import
+
+    def reject(token: str):
+        raise InputFormatError(f"{path}: non-finite number {token} is not JSON")
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=reject)
+    except ValueError as exc:  # JSONDecodeError, the int digit limit, bad UTF-8
+        raise InputFormatError(f"{path}: malformed JSON: {exc}") from None
 
 
 def is_finite_number(value) -> bool:
@@ -65,7 +85,7 @@ def check_fp_targets(values: Sequence[float]) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class GroupingConfig:
     """Thresholds and caps for the grouping pipeline.
 
@@ -93,7 +113,7 @@ class GroupingConfig:
             raise ValueError(f"unknown center_interp {self.center_interp!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SoftNmsConfig:
     """Decay law and floor for Soft-NMS.
 
@@ -119,7 +139,7 @@ class SoftNmsConfig:
             raise ValueError("linear_iou_threshold must lie in [0, 1]")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FocalParams:
     """Exponents and log-clamping for the penalty-reduced focal loss.
 
@@ -143,11 +163,12 @@ class FocalParams:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """How detections are scored, and the library's defaults for it (no
-    slots, so ``EvalConfig.pad`` reads a default): a detection box padded by
-    ``pad`` px matches a lesion at IoU >= ``iou_threshold``, and sensitivity
-    is read at the ``fp_targets`` FPs-per-image rates, a list as in a config
-    file. Values the checks above refuse raise ValueError."""
+    """How detections are scored, and the library's defaults for it: a
+    detection box padded by ``pad`` px matches a lesion at IoU >=
+    ``iou_threshold``, and sensitivity is read at the ``fp_targets``
+    FPs-per-image rates, a list as in a config file (its default is
+    ``FP_TARGETS_DEFAULT``). Values the checks above refuse raise
+    ValueError."""
 
     iou_threshold: float = 0.5
     pad: float = 5.0
@@ -160,11 +181,10 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class RenderConfig:
-    """How ground truth is rendered, and the library's defaults for it (no
-    slots, so ``RenderConfig.stride`` reads a default): ``stride`` input px
-    per output cell, ``input_size`` the side of a square input, and the
-    kernel rule, radius from a box IoU of ``min_overlap`` and sigma =
-    radius / ``sigma_divisor``."""
+    """How ground truth is rendered, and the library's defaults for it:
+    ``stride`` input px per output cell, ``input_size`` the side of a square
+    input, and the kernel rule, radius from a box IoU of ``min_overlap`` and
+    sigma = radius / ``sigma_divisor``."""
 
     stride: int = 4
     input_size: int = 511
@@ -186,7 +206,7 @@ class RenderConfig:
 
 
 # config sections whose keys and defaults are the fields of a library type,
-# in the order build_sections checks them
+# in the order effective checks them
 SECTION_TYPES = {
     "grouping": GroupingConfig,
     "soft_nms": SoftNmsConfig,
@@ -210,8 +230,6 @@ def _check_type(where: str, value: Any, default: Any) -> None:
     else:
         ok = isinstance(value, type(default))
     if not ok:
-        from .dataio import InputFormatError
-
         raise InputFormatError(
             f"config key {where} must be of type {type(default).__name__}, "
             f"got {value!r}"
@@ -231,8 +249,6 @@ def _all_finite(value: Any) -> bool:
 def merge(base: dict, override: Mapping, path: str = "") -> dict:
     """``override`` layered over ``base``; unknown keys, wrong types and
     non-finite numbers raise."""
-    from .dataio import InputFormatError
-
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -252,30 +268,27 @@ def merge(base: dict, override: Mapping, path: str = "") -> dict:
     return out
 
 
-def load_config(path: str | Path | None) -> dict[str, Any]:
-    """Defaults merged with an optional JSON config file."""
-    if path is None:
-        return copy.deepcopy(DEFAULTS)
-    from .dataio import InputFormatError, load_json
+def effective(
+    path: str | Path | None, overrides: Mapping[str, Any]
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """The config of a run and its typed sections.
 
-    data = load_json(path)
-    if not isinstance(data, dict):
-        raise InputFormatError(f"{path}: config root must be an object")
-    return merge(DEFAULTS, data)
-
-
-def build_sections(cfg: Mapping[str, Any]) -> dict[str, Any]:
-    """Validate a merged config and build its typed sections.
-
-    Returns one instance per ``SECTION_TYPES`` entry. A value the library
-    rejects raises :class:`InputFormatError` naming its section.
+    Layers the defaults, the JSON config file at ``path`` (if any) and
+    ``overrides``, then builds one instance per ``SECTION_TYPES`` entry.
+    Raises :class:`InputFormatError` for the file first, then for the
+    overrides, then for a value the library rejects, naming its section.
     """
-    from .dataio import InputFormatError
-
-    built = {}
+    cfg = DEFAULTS
+    if path is not None:
+        data = load_json(path)
+        if not isinstance(data, dict):
+            raise InputFormatError(f"{path}: config root must be an object")
+        cfg = merge(cfg, data)
+    cfg = merge(cfg, overrides)
+    sections = {}
     for name, cls in SECTION_TYPES.items():
         try:
-            built[name] = cls(**cfg[name])
+            sections[name] = cls(**cfg[name])
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"config section {name}: {exc}") from None
-    return built
+    return cfg, sections

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import MAX_HEADER_INT, is_finite_number
+from .config import MAX_HEADER_INT, InputFormatError, is_finite_number, load_json
 from .geometry import (
     BBox,
     ExtremePoints,
@@ -54,10 +54,6 @@ CSV_COLUMNS = (
 # the box re-derived from its diameters; simulated boxes use it to pass that check
 BOX_PADDING = 5.0
 BOX_CONSISTENCY_TOL = 1e-3
-
-
-class InputFormatError(Exception):
-    """A file failed to parse or violated its declared schema."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,21 +99,22 @@ class ParseResult:
         return [a.file_name for a in self.annotations if not a.bbox_consistent]
 
 
-def _floats(row: dict, column: str, expect: int, row_num: int) -> list[float]:
+def _floats(row: dict, column: str, expect: int, where: str) -> list[float]:
+    """Column ``column`` of the CSV row at ``where`` ("path: row n"), as
+    ``expect`` finite floats."""
     raw = row[column]
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != expect:
         raise InputFormatError(
-            f"row {row_num}: column {column} expected {expect} values, "
-            f"got {len(parts)}"
+            f"{where}: column {column} expected {expect} values, got {len(parts)}"
         )
     try:
         values = [float(p) for p in parts]
     except ValueError as exc:
-        raise InputFormatError(f"row {row_num}: column {column}: {exc}") from None
+        raise InputFormatError(f"{where}: column {column}: {exc}") from None
     if not all(map(math.isfinite, values)):
         raise InputFormatError(
-            f"row {row_num}: column {column} must hold finite numbers, got {raw!r}"
+            f"{where}: column {column} must hold finite numbers, got {raw!r}"
         )
     return values
 
@@ -139,7 +136,7 @@ def parse_annotations(
     on it is dropped and counted. Rows whose provided bounding box does not
     reproduce from the diameters are kept but flagged. A file that is not
     UTF-8, a missing column, or a malformed or short row raises
-    :class:`InputFormatError`.
+    :class:`InputFormatError` whose message starts with the file's path.
     """
     excluded_keys: set[str] = set()
     if exclusion_list_path is not None:
@@ -153,29 +150,33 @@ def parse_annotations(
     header = reader.fieldnames or []
     missing = [c for c in CSV_COLUMNS if c not in header]
     if missing:
-        raise InputFormatError(f"missing required column(s): {', '.join(missing)}")
+        raise InputFormatError(
+            f"{csv_path}: missing required column(s): {', '.join(missing)}"
+        )
 
     for row_num, row in enumerate(reader, start=2):  # 1 is the header
+        where = f"{csv_path}: row {row_num}"
         if None in row.values():  # a field the header names is missing
-            raise InputFormatError(f"row {row_num}: fewer fields than the header")
+            raise InputFormatError(f"{where}: fewer fields than the header")
         key = row["File_name"].strip()
         if key in excluded_keys:
             result.n_excluded += 1
             continue
 
-        coords = _floats(row, "Measurement_coordinates", 8, row_num)
-        box_vals = _floats(row, "Bounding_boxes", 4, row_num)
-        diam_px = _floats(row, "Lesion_diameters_Pixel_", 2, row_num)
-        spacing = _floats(row, "Spacing_mm_px_", 3, row_num)
-        try:
-            lesion_type = int(row["Coarse_lesion_type"])
-            split_code = int(row["Train_Val_Test"])
-        except ValueError as exc:
-            raise InputFormatError(f"row {row_num}: {exc}") from None
+        coords = _floats(row, "Measurement_coordinates", 8, where)
+        box_vals = _floats(row, "Bounding_boxes", 4, where)
+        diam_px = _floats(row, "Lesion_diameters_Pixel_", 2, where)
+        spacing = _floats(row, "Spacing_mm_px_", 3, where)
+        codes = []
+        for column in ("Coarse_lesion_type", "Train_Val_Test"):
+            try:
+                codes.append(int(row[column]))
+            except ValueError as exc:
+                raise InputFormatError(f"{where}: column {column}: {exc}") from None
+        lesion_type, split_code = codes
         if split_code not in SPLIT_NAMES:
             raise InputFormatError(
-                f"row {row_num}: Train_Val_Test must be 1, 2 or 3, "
-                f"got {split_code}"
+                f"{where}: Train_Val_Test must be 1, 2 or 3, got {split_code}"
             )
 
         diameters = ordered_diameters(*map(Point2, coords[0::2], coords[1::2]))
@@ -340,20 +341,6 @@ def read_heatmaps(path: str | Path) -> HeatmapBundle:
         stride=header["stride"],
         input_size=(header["input_width"], header["input_height"]),
     )
-
-
-def load_json(path: str | Path):
-    """Parse a JSON file as strict JSON: the NaN, Infinity and -Infinity
-    tokens that :func:`json.load` accepts raise :class:`InputFormatError`,
-    as do malformed JSON and an integer literal too long to convert."""
-    def reject(token: str):
-        raise InputFormatError(f"{path}: non-finite number {token} is not JSON")
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=reject)
-    except ValueError as exc:  # JSONDecodeError, the int digit limit, bad UTF-8
-        raise InputFormatError(f"{path}: malformed JSON: {exc}") from None
 
 
 def detection_to_dict(det: Detection) -> dict:
@@ -552,8 +539,8 @@ def read_detections(path: str | Path) -> tuple[dict[str, Detections], dict | Non
     Each image's entries are checked for shape, then for values all at
     once: numbers that are not bools and are finite as floats, a bbox that
     is the tight box of the extremes, and a known source. The first bad
-    entry raises InputFormatError naming its path, such as
-    ``images['k'][0].bbox``.
+    entry raises InputFormatError naming the file and the entry's path in
+    it, such as ``d.json: images['k'][0].bbox``.
     """
     doc = load_json(path)
     if not isinstance(doc, dict) or "images" not in doc:
@@ -564,13 +551,13 @@ def read_detections(path: str | Path) -> tuple[dict[str, Detections], dict | Non
     out: dict[str, Detections] = {}
     for key, entries in images.items():
         if not isinstance(entries, list):
-            raise InputFormatError(f"images[{key!r}]: expected a list")
+            raise InputFormatError(f"{path}: images[{key!r}]: expected a list")
         out[key] = _entries_record(entries)
         if out[key] is None:
             i, error = next(
                 (i, e) for i, e in enumerate(map(_entry_error, entries)) if e
             )
-            raise InputFormatError(f"images[{key!r}][{i}]{error}")
+            raise InputFormatError(f"{path}: images[{key!r}][{i}]{error}")
     return out, doc.get("config")
 
 

@@ -110,6 +110,7 @@ class Detections:
         names the first source not in SOURCES, as ``[i].source``."""
         if isinstance(detections, Detections):
             return detections
+        detections = list(detections)  # read once: it may be an iterator
         sources = [d.source for d in detections]
         for i, source in enumerate(sources):
             if source not in SOURCES:

@@ -161,7 +161,7 @@ def generate_scene(
     min_gap: float = 16.0,
     max_restarts: int = 50,
     clearance_stride: int | None = RenderConfig.stride,
-    clearance_tau: float = GroupingConfig().tau_c,
+    clearance_tau: float = GroupingConfig.tau_c,
     min_overlap: float = RenderConfig.min_overlap,
     sigma_divisor: float = RenderConfig.sigma_divisor,
 ) -> SyntheticScene:

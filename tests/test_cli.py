@@ -151,6 +151,44 @@ class TestDetectEvalFlow:
         assert doc["strata"]["key"] == "type"
         assert len(doc["strata"]["per_stratum"]) >= 1
 
+    def test_eval_stratified_by_interval(self, sim_dir, tmp_path):
+        dets_path = tmp_path / "dets.json"
+        assert run("detect", "--heatmaps", sim_dir, "--out", dets_path) == 0
+        report = tmp_path / "r"
+        assert run("eval", "--detections", dets_path,
+                   "--annotations", sim_dir / "annotations.csv",
+                   "--stratify", "interval", "--out", report) == 0
+        doc = json.loads(report.with_suffix(".json").read_text())
+        assert doc["strata"]["key"] == "interval"
+        # the simulator writes a 1 mm slice interval
+        assert list(doc["strata"]["per_stratum"]) == ["<2.5"]
+        assert doc["strata"]["per_stratum"]["<2.5"]["n_lesions"] == 3
+
+    def test_eval_fps_list(self, sim_dir, tmp_path):
+        dets_path = tmp_path / "dets.json"
+        assert run("detect", "--heatmaps", sim_dir, "--out", dets_path) == 0
+        report = tmp_path / "r"
+        assert run("eval", "--detections", dets_path,
+                   "--annotations", sim_dir / "annotations.csv",
+                   "--fps", "1,2", "--out", report) == 0
+        doc = json.loads(report.with_suffix(".json").read_text())
+        assert doc["config"]["eval"]["fp_targets"] == [1.0, 2.0]
+        assert [p["fp_target"] for p in doc["froc"]["points"]] == [1.0, 2.0]
+        assert "FPs/image             1        2\n" in (
+            report.with_suffix(".txt").read_text())
+
+    def test_eval_reports_excluded_rows(self, sim_dir, tmp_path, capsys):
+        csv_path, exclusions = _csv_with_excluded_key(sim_dir, tmp_path)
+        dets_path = tmp_path / "dets.json"
+        assert run("detect", "--heatmaps", sim_dir, "--out", dets_path) == 0
+        capsys.readouterr()
+        report = tmp_path / "r"
+        assert run("eval", "--detections", dets_path, "--annotations", csv_path,
+                   "--exclusions", exclusions, "--out", report) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("excluded 1 annotation row(s)\n")
+        assert "images: 1    lesions: 3" in out
+
 
 class TestFuseFlow:
     def test_tta_round_trip(self, tmp_path):
@@ -195,12 +233,34 @@ class TestRenderTargets:
         bundle = read_heatmaps(next(out.glob("*.rkhm")))
         assert bundle.grid_shape == (128, 128)
 
+    def test_reports_excluded_rows(self, sim_dir, tmp_path, capsys):
+        csv_path, exclusions = _csv_with_excluded_key(sim_dir, tmp_path)
+        out = tmp_path / "rendered"
+        assert run("render-targets", "--annotations", csv_path,
+                   "--exclusions", exclusions, "--input-size", 768,
+                   "--out", out) == 0
+        assert capsys.readouterr().out == (
+            f"excluded 1 annotation row(s)\nwrote 1 heatmap bundle(s) to {out}\n"
+        )
+        assert [f.name for f in out.glob("*.rkhm")] == ["syn_11.rkhm"]
+
     def test_oversized_coordinates_exit_3(self, sim_dir, tmp_path):
         out = tmp_path / "rendered"
         code = run("render-targets", "--annotations", sim_dir / "annotations.csv",
                    "--input-size", 64, "--out", out)
         assert code == 3
         assert not list(out.glob("*.rkhm"))  # partial outputs removed
+
+
+def _csv_with_excluded_key(sim_dir, tmp_path):
+    """The simulated CSV plus a copy of its first row under the key
+    ``excluded``, and an exclusion list naming that key."""
+    lines = (sim_dir / "annotations.csv").read_bytes().splitlines(keepends=True)
+    csv_path = tmp_path / "with_excluded.csv"
+    csv_path.write_bytes(b"".join(lines) + lines[1].replace(b"syn_11", b"excluded"))
+    exclusions = tmp_path / "exclusions.txt"
+    exclusions.write_text("# rows to drop\nexcluded\n")
+    return csv_path, exclusions
 
 
 class TestErrorPaths:
@@ -240,6 +300,17 @@ class TestErrorPaths:
         out = tmp_path / "d.json"
         assert run("detect", "--heatmaps", sim_dir, "--out", out) == 3
         assert "config keys grouping.kernel and grouping.k1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_internal_error_exit_4(self, sim_dir, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("an invariant broke")
+        monkeypatch.setattr(grouping, "detect", broken)
+        out = tmp_path / "d.json"
+        assert run("detect", "--heatmaps", sim_dir, "--out", out) == 4
+        assert capsys.readouterr().err == (
+            "error: internal: RuntimeError: an invariant broke\n"
+        )
         assert not out.exists()
 
     def test_corrupt_heatmap_exit_3_no_partial_output(self, tmp_path):
@@ -322,6 +393,27 @@ def _bundle_value(channel, value):
         (out / "syn_11.rkhm").write_bytes(bytes(data))
         return out
     return build
+
+
+def _rkhm_header(line):
+    """A copy of the simulated bundle whose header line is ``line``."""
+    def build(tmp_path, sim_dir):
+        data = (sim_dir / "syn_11.rkhm").read_bytes()
+        start = len(b"RKHM1\n")
+        out = tmp_path / "bundles"
+        out.mkdir()
+        (out / "syn_11.rkhm").write_bytes(
+            data[:start] + line + data[data.index(b"\n", start):]
+        )
+        return out
+    return build
+
+
+def _renamed(build, name):
+    """``build``'s input file, moved to ``name`` in the same directory."""
+    def moved(tmp_path, sim_dir):
+        return build(tmp_path, sim_dir).rename(tmp_path / name)
+    return moved
 
 
 def _dets_config(config):
@@ -428,6 +520,7 @@ EXIT_CODE_CASES = [
     ("rkhm stride string", 3, ["detect", "--heatmaps", _bundles(stride="4")]),
     ("rkhm negative height", 3, ["detect", "--heatmaps", _bundles(height=-192)]),
     ("rkhm stride 2**31", 3, ["detect", "--heatmaps", _bundles(stride=2**31)]),
+    ("rkhm header a JSON list", 3, ["detect", "--heatmaps", _rkhm_header(b"[1]")]),
     # a stride past the float range used to end in an OverflowError, exit 4
     ("rkhm stride 310-digit int", 3, [
         "detect", "--heatmaps", _bundles(stride=10**309)]),
@@ -459,6 +552,9 @@ EXIT_CODE_CASES = [
     ("render-targets csv key ../up", 3, [
         "render-targets", "--input-size", 768, "--annotations",
         _sim_csv_with("File_name", 0, "../up")]),
+    ("render-targets csv lesion type x", 3, [
+        "render-targets", "--annotations",
+        _sim_csv_with("Coarse_lesion_type", 0, "x")]),
     ("render-targets csv empty key", 3, [
         "render-targets", "--input-size", 768, "--annotations",
         _sim_csv_with("File_name", 0, "")]),
@@ -473,6 +569,11 @@ EXIT_CODE_CASES = [
         _dets(bbox=[100.0, 100.0, 150.0, "abc"]))),
     ("detections bbox null", 3, _fuse(_dets(bbox=[100.0, 100.0, 150.0, None]))),
     ("detections score true", 3, _fuse(_dets(score=True))),
+    # the message named the entry but not the file it is in
+    ("fuse bad --flipped file", 3, [
+        "fuse", "--original", _renamed(_dets(), "original.json"),
+        "--flipped", _renamed(_dets(score=True), "flipped.json"),
+        "--image-width", 768]),
     ("detections bbox off its extremes, fuse", 3, _fuse(
         _dets(bbox=[300.0, 100.0, 350.0, 150.0]))),
     ("detections bbox off its extremes, eval", 3, [
@@ -565,6 +666,11 @@ NAMED_IN_ERROR = {
     "config 4301-digit int": "cfg.json",
     "rkhm header 4301-digit int": "syn_11.rkhm",
     "rkhm stride 2**31": "header stride must be an integer in [1, 2147483647]",
+    "rkhm header a JSON list": "syn_11.rkhm: header must be a JSON object",
+    "fuse bad --flipped file":
+        "flipped.json: images['syn_11'][0].score: expected a finite number",
+    "render-targets csv lesion type x":
+        "edited.csv: row 2: column Coarse_lesion_type: invalid literal for int()",
     "rkhm stride 310-digit int": "syn_11.rkhm: header stride must be an integer",
     "render-targets --stride 2**31": "input_size must lie in [1, 2147483647]",
     "render-targets keypoints off a 64 px input": "outside the 16x16 output grid",

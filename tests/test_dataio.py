@@ -4,6 +4,7 @@ bit-exact heatmap round trips, detections JSON, and CT windowing."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,15 +104,49 @@ class TestParseAnnotations:
         write_csv(path, [csv_row(), csv_row(**{field: raw})])
         with pytest.raises(
             InputFormatError,
-            match=f"^row 3: column {column} must hold finite numbers, got",
+            match=f"^{re.escape(str(path))}: row 3: column {column} must hold "
+                  "finite numbers, got",
         ):
             parse_annotations(path)
+
+    @pytest.mark.parametrize("column,field", [
+        ("Coarse_lesion_type", "lesion_type"), ("Train_Val_Test", "split"),
+    ])
+    def test_non_integer_code_names_path_row_and_column(self, tmp_path, column,
+                                                        field):
+        path = tmp_path / "a.csv"
+        write_csv(path, [csv_row(), csv_row(**{field: "x"})])
+        with pytest.raises(InputFormatError) as excinfo:
+            parse_annotations(path)
+        assert str(excinfo.value) == (
+            f"{path}: row 3: column {column}: "
+            "invalid literal for int() with base 10: 'x'"
+        )
+
+    @pytest.mark.parametrize("rows,message", [
+        ([csv_row(split=4)], "row 2: Train_Val_Test must be 1, 2 or 3, got 4"),
+        ([csv_row(coords="1, 2, 3")],
+         "row 2: column Measurement_coordinates expected 8 values, got 3"),
+        ([csv_row(diam="a, 40.0")],
+         "row 2: column Lesion_diameters_Pixel_: could not convert string to "
+         "float: 'a'"),
+        (['k,"1, 2"\n'], "row 2: fewer fields than the header"),
+    ])
+    def test_row_messages_start_with_the_path(self, tmp_path, rows, message):
+        path = tmp_path / "a.csv"
+        write_csv(path, rows)
+        with pytest.raises(InputFormatError) as excinfo:
+            parse_annotations(path)
+        assert str(excinfo.value) == f"{path}: {message}"
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("File_name,Bounding_boxes\nx,\"1,2,3,4\"\n")
-        with pytest.raises(InputFormatError, match="Measurement_coordinates"):
+        with pytest.raises(InputFormatError) as excinfo:
             parse_annotations(path)
+        assert str(excinfo.value).startswith(
+            f"{path}: missing required column(s): Measurement_coordinates"
+        )
 
     def test_bad_split_code(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -270,6 +305,17 @@ class TestHeatmapFile:
         with pytest.raises(InputFormatError, match=expected):
             read_heatmaps(path)
 
+    @pytest.mark.parametrize("input_size", [(0, 48), (64, 0)])
+    def test_writer_refuses_a_zero_input_size(self, tmp_path, input_size):
+        bundle = dataclasses.replace(
+            random_bundle(np.random.default_rng(96)), input_size=input_size
+        )
+        path = tmp_path / "b.rkhm"
+        with pytest.raises(ValueError, match=r"header input_\w+ must be an integer "
+                           r"in \[1, 2147483647\], got 0"):
+            write_heatmaps(bundle, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("group", ["keypoint_maps", "offset_maps"])
     def test_writer_refuses_non_finite_planes(self, tmp_path, group, value):
@@ -321,6 +367,20 @@ class TestDetectionsFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(InputFormatError, match=r"images\['img'\]\[0\].bbox"):
             read_detections(path)
+
+    @pytest.mark.parametrize("images,where", [
+        ([], "'images' must be an object"),
+        ({"img": {"bbox": [0, 0, 1, 1]}}, "images['img']: expected a list"),
+        ({"img": [{"bbox": [1, 2, 3, 4], "extremes": [[1, 2]] * 5,
+                   "score": 1.0, "source": "original"}]},
+         "images['img'][0].extremes: expected an object"),
+    ])
+    def test_document_shape_errors_name_the_file(self, tmp_path, images, where):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"config": None, "images": images}))
+        with pytest.raises(InputFormatError) as excinfo:
+            read_detections(path)
+        assert str(excinfo.value) == f"{path}: {where}"
 
     def test_missing_images_key(self, tmp_path):
         path = tmp_path / "d.json"

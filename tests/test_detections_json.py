@@ -216,7 +216,7 @@ class TestReaderPaths:
         path = self.document(tmp_path, (1, change), (2, lambda e: e.pop("score")))
         with pytest.raises(InputFormatError) as excinfo:
             read_detections(path)
-        assert str(excinfo.value).startswith(f"images['k'][1]{suffix}")
+        assert str(excinfo.value).startswith(f"{path}: images['k'][1]{suffix}")
 
     def test_integral_values_read_as_floats(self, tmp_path):
         path = self.document(tmp_path, (0, lambda e: e.update(score=2)))

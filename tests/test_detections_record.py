@@ -220,7 +220,7 @@ def oracle_read_detections(path):
         raise InputFormatError(f"{path}: 'images' must be an object")
     out: dict[str, list[Detection]] = {}
     for key, entries in images.items():
-        where = f"images[{key!r}]"
+        where = f"{path}: images[{key!r}]"
         if not isinstance(entries, list):
             raise InputFormatError(f"{where}: expected a list")
         values: list = []
@@ -466,7 +466,7 @@ class TestReaderOracle:
         doc["images"]["k"][1]["source"] = source
         path = tmp_path / "d.json"
         path.write_text(json.dumps(doc))
-        message = "images['k'][1].source: expected 'original' or 'flipped'"
+        message = f"{path}: images['k'][1].source: expected 'original' or 'flipped'"
         for read in (read_detections, oracle_read_detections):
             with pytest.raises(InputFormatError) as excinfo:
                 read(path)
@@ -563,6 +563,12 @@ class TestRecordContract:
         with pytest.raises(ValueError, match=re.escape(message)):
             Detections.of(dets)
 
+    def test_of_reads_an_iterator_once(self):
+        dets = some_detections(3)
+        assert Detections.of(d for d in dets) == Detections.of(dets)
+        assert Detections.of(iter(dets)) == Detections.of(dets)
+        assert len(Detections.of(d for d in ())) == 0
+
     def test_staged_pool_survives(self, noisy_image, tmp_path):
         # the benchmark's staged fusion pools a list of views with a record
         _, original, flipped = noisy_image
@@ -624,7 +630,8 @@ class TestReaderNamesFirstBadEntry:
     ])
     def test_first_bad_entry(self, tmp_path, change, suffix, later):
         message = self.read(tmp_path, (2, change), (4, later))
-        assert message.startswith(f"images['k'][2]{suffix}"), message
+        prefix = f"{tmp_path / 'd.json'}: images['k'][2]{suffix}"
+        assert message.startswith(prefix), message
 
     def test_entry_that_is_not_an_object(self, tmp_path):
         doc = valid_document(some_detections(5))
@@ -634,4 +641,4 @@ class TestReaderNamesFirstBadEntry:
         path.write_text(json.dumps(doc))
         with pytest.raises(InputFormatError) as excinfo:
             read_detections(path)
-        assert str(excinfo.value) == "images['k'][3]: expected an object"
+        assert str(excinfo.value) == f"{path}: images['k'][3]: expected an object"

@@ -361,6 +361,13 @@ class TestStratifiedFroc:
         with pytest.raises(ValueError):
             stratified_froc(matches, [["LU"]], key="type")
 
+    def test_label_count_must_equal_each_images_lesions(self):
+        matches = crafted_three_image_matches()
+        labels = [["LU"] * m.n_gt for m in matches]
+        labels[1].append("LU")
+        with pytest.raises(ValueError, match="per-image label count must equal n_gt"):
+            stratified_froc(matches, labels, key="type")
+
     def test_diameter_buckets(self):
         assert diameter_bucket(9.9) == "<10"
         assert diameter_bucket(10.0) == "10-30"

@@ -5,6 +5,7 @@ Module lists are taken in fresh child processes, since this process has
 imported every module long before these tests run.
 """
 
+import ast
 import dataclasses
 import importlib
 import json
@@ -58,6 +59,20 @@ def loaded_after(code: str) -> set[str]:
     return set(proc.stdout.splitlines()[-1].split())
 
 
+def recistkit_imports(tree: ast.AST) -> list[ast.AST]:
+    """The import statements under ``tree`` that import a recistkit module."""
+    def names(node) -> list[str]:
+        if isinstance(node, ast.ImportFrom):  # a relative import is recistkit's
+            return ["recistkit" if node.level else node.module or ""]
+        return [alias.name for alias in node.names]
+
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(name.split(".")[0] == "recistkit" for name in names(node))
+    ]
+
+
 def run_command(*argv) -> str:
     """Code that runs the CLI on ``argv`` and fails unless it exits 0."""
     return f"from recistkit.cli import main\nassert main({[str(a) for a in argv]!r}) == 0"
@@ -66,6 +81,38 @@ def run_command(*argv) -> str:
 class TestImportFootprint:
     def test_package_and_cli_load_only_config(self):
         assert loaded_after("import recistkit, recistkit.cli") == {"cli", "config"}
+
+    def test_package_and_cli_leave_json_unloaded(self):
+        # json takes milliseconds to import: only a command that reads JSON pays
+        code = "import sys, recistkit, recistkit.cli\nprint('json' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.stdout == "False\n", proc.stderr
+
+    def test_error_type_loads_no_other_module(self):
+        assert loaded_after("import recistkit\nrecistkit.InputFormatError") == {
+            "config"
+        }
+
+    def test_effective_config_of_a_bad_file_loads_no_other_module(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"grouping": ')
+        code = (
+            "from recistkit import config\n"
+            "try:\n"
+            f"    config.effective({str(bad)!r}, {{}})\n"
+            "except config.InputFormatError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC}
+        proc = subprocess.run([sys.executable, "-c", LOADED, code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        message, loaded = proc.stdout.splitlines()
+        assert message.startswith(f"{bad}: malformed JSON: ")
+        assert loaded == "config"
 
     def test_bare_package_loads_no_submodule(self):
         assert loaded_after("import recistkit") == set()
@@ -166,3 +213,82 @@ class TestLazyNamespace:
         )
         for name, cls in config.SECTION_TYPES.items():
             assert dataclasses.asdict(cls()) == config.DEFAULTS[name]
+
+
+class TestConfigIsTheRoot:
+    # every module but cli, whose commands each import what they run
+    MODULES = sorted(
+        p for p in Path(recistkit.__file__).parent.glob("*.py") if p.name != "cli.py"
+    )
+
+    def test_config_imports_no_recistkit_module(self):
+        tree = ast.parse(Path(config.__file__).read_text())
+        assert recistkit_imports(tree) == []
+
+    @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+    def test_only_cli_imports_recistkit_inside_a_function(self, path):
+        functions = [
+            node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        ]
+        late = [node.lineno for f in functions for node in recistkit_imports(f)]
+        assert late == [], f"{path.name} imports recistkit at lines {late}"
+
+    def test_one_error_type(self):
+        from recistkit import dataio
+
+        assert recistkit.InputFormatError is dataio.InputFormatError
+        assert dataio.InputFormatError is config.InputFormatError
+        assert config.load_json is dataio.load_json
+
+    def test_sections_are_frozen_and_their_class_attributes_are_defaults(self):
+        for name, cls in config.SECTION_TYPES.items():
+            assert cls.__dataclass_params__.frozen, name
+            assert not hasattr(cls, "__slots__"), name
+            for key, value in config.DEFAULTS[name].items():
+                if key != "fp_targets":  # a list, from a default factory
+                    assert getattr(cls, key) == value, (name, key)
+        assert config.GroupingConfig.tau_c == 0.1
+
+    def test_effective_layers_defaults_file_and_overrides(self, tmp_path):
+        cfg, sections = config.effective(None, {})
+        assert cfg == config.DEFAULTS and cfg is not config.DEFAULTS
+        assert sections == {
+            name: cls() for name, cls in config.SECTION_TYPES.items()
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"grouping": {"k1": 7, "tau_c": 0.2}, "eval": {"pad": 1}}
+        ))
+        cfg, sections = config.effective(path, {"grouping": {"k1": 9}})
+        assert cfg["grouping"] == {**config.DEFAULTS["grouping"], "k1": 9,
+                                   "tau_c": 0.2}
+        assert sections["grouping"] == config.GroupingConfig(k1=9, tau_c=0.2)
+        assert sections["eval"].pad == 1
+        assert list(cfg) == list(config.DEFAULTS)
+        assert json.dumps(config.DEFAULTS["grouping"]) == (
+            '{"tau_e": 0.1, "tau_c": 0.1, "k1": 40, "k2": 100, "kernel": 3, '
+            '"center_interp": "nearest"}'
+        )  # the layers never write into the defaults
+
+    @pytest.mark.parametrize("document,overrides,message", [
+        # the file is checked first, then the overrides, then the sections
+        ("[1]", {"nope": 1}, "{path}: config root must be an object"),
+        ('{"grouping": {"k1": "40"}}', {"nope": 1},
+         "config key grouping.k1 must be of type int, got '40'"),
+        ('{"grouping": {"kernel": 2}}', {"nope": 1}, "unknown config key: nope"),
+        ('{"grouping": {"kernel": 2}}', {"eval": {"pad": -1.0}},
+         "config section grouping: kernel must be odd and >= 1, got 2"),
+        ("{}", {"eval": {"pad": float("nan")}},
+         "config key eval.pad must be finite, got nan"),
+        ("{}", {"eval": []}, "config key eval must be an object"),
+        ('{"eval": {"pad": NaN}}', {}, "{path}: non-finite number NaN is not JSON"),
+    ])
+    def test_errors_come_file_then_overrides_then_sections(
+        self, tmp_path, document, overrides, message
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(document)
+        with pytest.raises(config.InputFormatError) as excinfo:
+            config.effective(path, overrides)
+        assert str(excinfo.value) == message.format(path=path)
