@@ -47,7 +47,7 @@ _EXPORTS = {
     ),
     "synthetic": (
         "DegradationConfig", "SyntheticScene", "flip_scene", "generate_scene",
-        "render_scene", "simulate_heatmaps",
+        "simulate_heatmaps",
     ),
     "targets": (
         "HeatmapBundle", "TargetBundle", "gaussian_radius", "offset_target",

@@ -519,6 +519,12 @@ def _cmd_window(args) -> int:
     if len(raw) % 4:
         raise InputFormatError(f"{args.infile}: {len(raw)} bytes, not a multiple of 4")
     data = np.frombuffer(raw, dtype="<f4")
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        raise InputFormatError(
+            f"{args.infile}: {bad.size} non-finite value(s), the first at index "
+            f"{bad[0]}"
+        )
     normalized = apply_ct_window(data, args.level, args.width).astype("<f4")
     outputs = _Outputs()
     outputs.run(Path(args.out), lambda tmp: tmp.write_bytes(normalized.tobytes()))

@@ -126,6 +126,19 @@ def _utf8_text(path: str | Path) -> str:
         raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
+def _csv_rows(reader: csv.DictReader, path: str | Path):
+    """``reader``'s field names (a list, empty for an empty file), then its
+    rows. A csv.Error, such as a field over the csv module's size limit,
+    raises :class:`InputFormatError` naming the line."""
+    try:
+        yield reader.fieldnames or []
+        yield from reader
+    except csv.Error as exc:
+        # the underlying reader's count includes the line it refused
+        line = reader.reader.line_num
+        raise InputFormatError(f"{path}: line {line}: {exc}") from None
+
+
 def parse_annotations(
     csv_path: str | Path, exclusion_list_path: str | Path | None = None
 ) -> ParseResult:
@@ -135,8 +148,9 @@ def parse_annotations(
     (blank lines and ``#`` comments ignored); every row whose key appears
     on it is dropped and counted. Rows whose provided bounding box does not
     reproduce from the diameters are kept but flagged. A file that is not
-    UTF-8, a missing column, or a malformed or short row raises
-    :class:`InputFormatError` whose message starts with the file's path.
+    UTF-8, a missing column, a malformed or short row, or a field over the
+    csv module's size limit raises :class:`InputFormatError` whose message
+    starts with the file's path.
     """
     excluded_keys: set[str] = set()
     if exclusion_list_path is not None:
@@ -147,14 +161,15 @@ def parse_annotations(
 
     result = ParseResult(annotations=[])
     reader = csv.DictReader(io.StringIO(_utf8_text(csv_path), newline=""))
-    header = reader.fieldnames or []
+    rows = _csv_rows(reader, csv_path)
+    header = next(rows)
     missing = [c for c in CSV_COLUMNS if c not in header]
     if missing:
         raise InputFormatError(
             f"{csv_path}: missing required column(s): {', '.join(missing)}"
         )
 
-    for row_num, row in enumerate(reader, start=2):  # 1 is the header
+    for row_num, row in enumerate(rows, start=2):  # 1 is the header
         where = f"{csv_path}: row {row_num}"
         if None in row.values():  # a field the header names is missing
             raise InputFormatError(f"{where}: fewer fields than the header")

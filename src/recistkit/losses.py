@@ -33,6 +33,9 @@ import numpy as np
 from .config import FocalParams
 from .targets import EXTREME_ROLES, TargetBundle
 
+# finite_diff_check's central-difference step
+_FD_STEP = 1e-6
+
 
 def _focal_inputs(
     pred: np.ndarray, target: np.ndarray, n_objects: int, params: FocalParams
@@ -136,23 +139,23 @@ def focal_loss_grad(
     return grad
 
 
-def smooth_l1(x, beta: float = 1.0):
-    """Smooth L1: quadratic below ``beta``, linear above, C1 everywhere.
+def smooth_l1(x):
+    """Smooth L1 with its breakpoint at 1: quadratic below, linear above,
+    C1 everywhere.
 
-    0.5 * x^2 / beta for |x| < beta, else |x| - 0.5 * beta. Accepts scalars
-    or arrays.
+    0.5 * x^2 for |x| < 1, else |x| - 0.5. Accepts scalars or arrays.
     """
     ax = np.abs(np.asarray(x, dtype=np.float64))
-    out = np.where(ax < beta, 0.5 * ax * ax / beta, ax - 0.5 * beta)
+    out = np.where(ax < 1.0, 0.5 * ax * ax, ax - 0.5)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
 
 
-def smooth_l1_grad(x, beta: float = 1.0):
-    """Derivative of :func:`smooth_l1`: x / beta inside, sign(x) outside."""
+def smooth_l1_grad(x):
+    """Derivative of :func:`smooth_l1`: x inside, sign(x) outside."""
     xv = np.asarray(x, dtype=np.float64)
-    out = np.where(np.abs(xv) < beta, xv / beta, np.sign(xv))
+    out = np.where(np.abs(xv) < 1.0, xv, np.sign(xv))
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
@@ -176,9 +179,7 @@ def _gt_residuals(pred_offsets: np.ndarray, targets: TargetBundle):
     return index, residual
 
 
-def offset_loss(
-    pred_offsets: np.ndarray, targets: TargetBundle, beta: float = 1.0
-) -> float:
+def offset_loss(pred_offsets: np.ndarray, targets: TargetBundle) -> float:
     """Smooth-L1 offset loss read only at ground-truth extreme cells.
 
     Sums over annotations, the four extreme roles, and the two offset
@@ -190,16 +191,14 @@ def offset_loss(
     n = targets.n_objects
     if n == 0:
         return 0.0
-    terms = smooth_l1(residual, beta)
+    terms = smooth_l1(residual)
     # one x + y term per (annotation, role), added left to right: np.sum
     # would add them pairwise and change the last bits
     total = np.add.accumulate((terms[..., 0] + terms[..., 1]).ravel())[-1]
     return float(total / n)
 
 
-def offset_loss_grad(
-    pred_offsets: np.ndarray, targets: TargetBundle, beta: float = 1.0
-) -> np.ndarray:
+def offset_loss_grad(pred_offsets: np.ndarray, targets: TargetBundle) -> np.ndarray:
     """Analytic gradient of :func:`offset_loss` w.r.t. the offset planes."""
     index, residual = _gt_residuals(pred_offsets, targets)
     grad = np.zeros(pred_offsets.shape, dtype=np.float64)
@@ -207,7 +206,7 @@ def offset_loss_grad(
     if n == 0:
         return grad
     # annotations sharing a cell accumulate there in annotation order
-    np.add.at(grad, index, smooth_l1_grad(residual, beta) / n)
+    np.add.at(grad, index, smooth_l1_grad(residual) / n)
     return grad
 
 
@@ -218,14 +217,12 @@ class GradCheckReport:
     max_rel_err: float
     worst_cell: tuple[int, ...]
     passed: bool
-    tol: float
 
 
 def finite_diff_check(
     loss_fn,
     grad_fn,
     x: np.ndarray,
-    h: float = 1e-6,
     tol: float = 1e-5,
 ) -> GradCheckReport:
     """Compare ``grad_fn(x)`` against central differences of ``loss_fn``.
@@ -233,8 +230,9 @@ def finite_diff_check(
     Each cell's error is scored relative to its own gradient magnitude,
     floored at 1e-3 of the grid's largest gradient: cells near a gradient
     zero-crossing would otherwise amplify finite-difference roundoff (the
-    difference quotient carries absolute noise around eps * |loss| / h)
-    into meaningless relative errors. A constant loss reports 0.
+    difference quotient with step h = ``_FD_STEP`` carries absolute noise
+    around eps * |loss| / h) into meaningless relative errors. A constant
+    loss reports 0.
     ``loss_fn`` maps an array like ``x`` to a scalar; ``grad_fn`` maps it
     to an array of the same shape.
     """
@@ -245,16 +243,16 @@ def finite_diff_check(
     for _ in it:
         idx = it.multi_index
         orig = flat[idx]
-        flat[idx] = orig + h
+        flat[idx] = orig + _FD_STEP
         up = loss_fn(flat)
-        flat[idx] = orig - h
+        flat[idx] = orig - _FD_STEP
         down = loss_fn(flat)
         flat[idx] = orig
-        numeric[idx] = (up - down) / (2.0 * h)
+        numeric[idx] = (up - down) / (2.0 * _FD_STEP)
 
     grid_scale = max(float(np.abs(analytic).max()), float(np.abs(numeric).max()))
     if grid_scale == 0.0:
-        return GradCheckReport(0.0, (0,) * x.ndim, True, tol)
+        return GradCheckReport(0.0, (0,) * x.ndim, True)
     scale = np.maximum(
         np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3 * grid_scale
     )
@@ -262,5 +260,5 @@ def finite_diff_check(
     worst = tuple(int(i) for i in np.unravel_index(int(np.argmax(rel)), rel.shape))
     max_rel = float(rel[worst])
     return GradCheckReport(
-        max_rel_err=max_rel, worst_cell=worst, passed=max_rel < tol, tol=tol
+        max_rel_err=max_rel, worst_cell=worst, passed=max_rel < tol
     )

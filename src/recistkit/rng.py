@@ -4,14 +4,12 @@ The generator is splitmix64: the 64-bit state advances by the golden-ratio
 increment and each output is a fixed avalanche mix of the new state. Its
 64-bit outputs and ``uniform``/``uniforms`` doubles are simple enough to
 reimplement bit-for-bit in any language, so those draws can be regenerated
-elsewhere and compared byte by byte. The Box-Muller normals of
-``gaussians`` are not: they go through numpy's ``log1p``, ``cos`` and
-``sin``, whose last bits depend on libm and on numpy's SIMD kernels.
+elsewhere and compared byte by byte. Normals are not drawn here: the
+simulator turns pairs of these uniforms into Box-Muller normals itself.
 
 Draw accounting is part of the contract. Every uniform consumes exactly one
-64-bit output; ``gaussians(n)`` consumes ``2 * ceil(n / 2)`` outputs
-(Box-Muller pairs); ``poisson`` consumes one. Scalar and vectorized calls
-advance the same stream identically.
+64-bit output, and ``poisson`` consumes one whatever its rate. Scalar and
+vectorized calls advance the same stream identically.
 """
 
 from __future__ import annotations
@@ -27,6 +25,9 @@ _MIX2 = 0x94D049BB133111EB
 
 # float64 has a 53-bit mantissa; top 53 bits of the output map to [0, 1)
 _INV_2_53 = 2.0 ** -53
+
+# the largest count poisson returns
+_POISSON_CAP = 64
 
 
 def _mix(z: int) -> int:
@@ -76,31 +77,9 @@ class SplitMix64:
         u *= _INV_2_53
         return u
 
-    def gaussians(self, n: int) -> np.ndarray:
-        """n standard normals via Box-Muller on consecutive uniform pairs.
-
-        Pair k uses uniforms (2k, 2k+1); the log argument is 1 - u to stay
-        in (0, 1]. An odd n still consumes the full last pair.
-        """
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        pairs = (n + 1) // 2
-        u = self.uniforms(2 * pairs)
-        # the same IEEE operations on the same operands as
-        # radius * cos(2 pi u2) and radius * sin(2 pi u2), written over u
-        radius = np.negative(u[0::2])
-        np.log1p(radius, out=radius)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        angle = u[1::2] * (2.0 * np.pi)
-        np.cos(angle, out=u[0::2])
-        np.sin(angle, out=u[1::2])
-        u[0::2] *= radius
-        u[1::2] *= radius
-        return u[:n]
-
-    def poisson(self, lam: float, cap: int = 64) -> int:
-        """Poisson count by CDF inversion of a single uniform, capped."""
+    def poisson(self, lam: float) -> int:
+        """Poisson count by CDF inversion of one uniform, capped at
+        ``_POISSON_CAP``."""
         if lam <= 0.0:
             self.uniform()  # keep draw accounting independent of lam
             return 0
@@ -108,7 +87,7 @@ class SplitMix64:
         pmf = math.exp(-lam)
         cdf = pmf
         k = 0
-        while u >= cdf and k < cap:
+        while u >= cdf and k < _POISSON_CAP:
             k += 1
             pmf *= lam / k
             cdf += pmf

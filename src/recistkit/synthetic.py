@@ -37,12 +37,10 @@ from .targets import (
     KEYPOINT_CHANNELS,
     HeatmapBundle,
     RenderConfig,
-    TargetBundle,
     _draw_lesions,
     _zero_planes,
     draw_gaussian,
     output_grid,
-    render_targets,
 )
 
 # Endpoint coordinates snap to this sub-pixel lattice. 1/16 px keeps scenes
@@ -51,13 +49,16 @@ from .targets import (
 QUANTUM = 1.0 / 16.0
 
 # Scene sampling: long diameters in mm at 1 mm/px spacing, short/long
-# aspect, the smallest tight-box side in px, and draws per lesion. The
+# aspect, the smallest tight-box side in px, the least gap in px between
+# padded boxes, draws per lesion, and arrangement attempts per scene. The
 # narrow size band keeps every kernel radius at 3 cells at stride 4.
 _SIZE_RANGE_MM = (44.0, 47.0)
 _SPACING = (1.0, 1.0, 1.0)
 _ASPECT_RANGE = (0.9, 1.0)
 _MIN_BOX_SIDE = 40.0
+_MIN_GAP = 16.0
 _MAX_ATTEMPTS = 500
+_MAX_RESTARTS = 50
 
 # Spurious peaks: the lowest score and the kernel radius in cells.
 _SPURIOUS_SCORE_MIN = 0.1
@@ -87,8 +88,8 @@ class DegradationConfig:
             raise ValueError("peak_drop_prob must lie in [0, 1]")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be finite and >= 0")
-        if self.spurious_rate < 0.0:
-            raise ValueError("spurious_rate must be >= 0")
+        if not 0.0 <= self.spurious_rate < math.inf:
+            raise ValueError("spurious_rate must be finite and >= 0")
         if self.jitter_cells < 0:
             raise ValueError("jitter_cells must be >= 0")
 
@@ -158,8 +159,6 @@ def generate_scene(
     n_lesions: int,
     image_size: tuple[int, int] = (768, 768),
     seed: int = 0,
-    min_gap: float = 16.0,
-    max_restarts: int = 50,
     clearance_stride: int | None = RenderConfig.stride,
     clearance_tau: float = GroupingConfig.tau_c,
     min_overlap: float = RenderConfig.min_overlap,
@@ -173,7 +172,7 @@ def generate_scene(
     and retried when the lesion's tight box has a side below
     ``_MIN_BOX_SIDE`` (keeps its Gaussian kernels wide enough for grouping
     at stride 4), any keypoint leaves the padded image interior, or its
-    padded box comes within ``min_gap`` of an already placed one in either
+    padded box comes within ``_MIN_GAP`` of an already placed one in either
     axis (lesions never share a row or column band, so swapping extremes
     between two lesions cannot reproduce either one's center). Together
     with the narrow size band these make the clearance check below pass
@@ -184,22 +183,21 @@ def generate_scene(
     ``sigma_divisor`` and center threshold ``clearance_tau``) and redrawn
     unless grouping keeps exactly its own lesions, so a clean rendering of
     the scene decodes to exactly those lesions. Packing failure after
-    ``_MAX_ATTEMPTS`` draws per lesion and ``max_restarts`` arrangement
+    ``_MAX_ATTEMPTS`` draws per lesion and ``_MAX_RESTARTS`` arrangement
     attempts raises ValueError, as does, before any draw, a scene whose
-    padded boxes cannot fit side by side on both axes (with ``min_gap`` >=
-    0). Generation consumes a variable but seed-deterministic number of
-    random draws.
+    padded boxes cannot fit side by side on both axes. Generation consumes
+    a variable but seed-deterministic number of random draws.
     """
     rng = SplitMix64(seed)
     width, height = image_size
-    need = n_lesions * (_MIN_BOX_SIDE + 2 * BOX_PADDING) + (n_lesions - 1) * min_gap
-    if n_lesions > 0 and min_gap >= 0 and need > min(width, height) - 1:
+    need = n_lesions * (_MIN_BOX_SIDE + 2 * BOX_PADDING) + (n_lesions - 1) * _MIN_GAP
+    if n_lesions > 0 and need > min(width, height) - 1:
         raise ValueError(
             f"could not place {n_lesions} lesion(s) in {width}x{height}: their "
             f"padded boxes need {need:g} px along each axis"
         )
 
-    for _restart in range(max_restarts):
+    for _restart in range(_MAX_RESTARTS):
         placed_boxes: list[tuple[float, float, float, float]] = []
         annotations: list[RecistAnnotation] = []
         feasible = True
@@ -244,7 +242,7 @@ def generate_scene(
                 ):
                     continue
                 if any(
-                    min(_axis_gaps(padded, other)) < min_gap
+                    min(_axis_gaps(padded, other)) < _MIN_GAP
                     for other in placed_boxes
                 ):
                     continue
@@ -287,7 +285,7 @@ def generate_scene(
 
     raise ValueError(
         f"could not place {n_lesions} lesion(s) in {width}x{height} after "
-        f"{max_restarts} arrangement attempts"
+        f"{_MAX_RESTARTS} arrangement attempts"
     )
 
 
@@ -307,25 +305,6 @@ def flip_scene(scene: SyntheticScene) -> SyntheticScene:
     return dataclasses.replace(scene, annotations=flipped)
 
 
-def render_scene(
-    scene: SyntheticScene,
-    stride: int = RenderConfig.stride,
-    min_overlap: float = RenderConfig.min_overlap,
-    sigma_divisor: float = RenderConfig.sigma_divisor,
-) -> TargetBundle:
-    """Ground-truth targets for a scene at the given stride."""
-    out_h, out_w = output_grid(scene.image_size, stride)
-    return render_targets(
-        scene.extremes(),
-        out_h,
-        out_w,
-        stride,
-        min_overlap=min_overlap,
-        sigma_divisor=sigma_divisor,
-        input_size=scene.image_size,
-    )
-
-
 def simulate_heatmaps(
     scene: SyntheticScene,
     cfg: DegradationConfig = DegradationConfig(),
@@ -335,10 +314,11 @@ def simulate_heatmaps(
 ) -> HeatmapBundle:
     """Render the scene's targets through a controllable degradation model.
 
-    With a zero configuration the output equals ``render_scene(...)``'s
-    bundle bit for bit. Offsets stay exact except at dropped peaks (absent)
-    and jittered peaks (the fraction is written at the moved cell, so the
-    recovered coordinate inherits the jitter error).
+    With a zero configuration the output equals the bundle of
+    ``render_targets`` for the scene's extremes at the same stride, kernel
+    overlap and sigma divisor, bit for bit. Offsets stay exact except at
+    dropped peaks (absent) and jittered peaks (the fraction is written at
+    the moved cell, so the recovered coordinate inherits the jitter error).
     """
     rng = SplitMix64(cfg.seed)
     out_h, out_w = output_grid(scene.image_size, stride)
@@ -412,14 +392,16 @@ _NEGATIVE_SIN = (math.pi + _MARGIN, 2.0 * math.pi - _MARGIN)
 
 
 def _add_clipped_noise(rng: SplitMix64, plane: np.ndarray, sigma: float) -> None:
-    """``plane[:] = clip(plane + sigma * rng.gaussians(plane.size), 0, 1)``,
-    bit for bit, on a flat float32 plane.
+    """``plane[:] = clip(plane + sigma * normals, 0, 1)`` on a flat float32
+    plane, with one Box-Muller normal per cell.
 
-    It draws the same uniforms as ``gaussians``. A cell that holds +0.0 and
-    whose normal is certainly negative clips to the +0.0 it already holds,
-    so it is skipped; about half the cells of a mostly empty plane are.
-    Every other cell runs ``gaussians``' float64 operations in the same
-    order, then the scale, the add and the clip.
+    Cell k's normal comes from uniform pair k // 2 of ``plane.size``
+    rounded up to even draws: radius sqrt(-2 log1p(-u0)) times cos(2 pi u1)
+    at even k and sin(2 pi u1) at odd k, in float64. A cell that holds +0.0
+    and whose normal is certainly negative clips to the +0.0 it already
+    holds, so it is skipped; about half the cells of a mostly empty plane
+    are. Every other cell runs those operations in that order, then the
+    scale, the add and the clip.
     """
     n = plane.size
     u = rng.uniforms(n + n % 2)

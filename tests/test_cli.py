@@ -489,6 +489,13 @@ def _raw_f32(tmp_path, sim_dir):
     return path
 
 
+def _non_finite_f32(tmp_path, sim_dir):
+    """A raw input holding NaN, +inf and -inf after one finite value."""
+    path = tmp_path / "non_finite.f32"
+    path.write_bytes(np.array([40.0, np.nan, np.inf, -np.inf], dtype="<f4").tobytes())
+    return path
+
+
 def _five_bytes(tmp_path, sim_dir):
     """A raw input one byte past a whole float32 value."""
     path = tmp_path / "five.f32"
@@ -558,6 +565,10 @@ EXIT_CODE_CASES = [
     ("render-targets csv empty key", 3, [
         "render-targets", "--input-size", 768, "--annotations",
         _sim_csv_with("File_name", 0, "")]),
+    # a field over the csv module's size limit used to end in exit 4
+    ("render-targets csv field over the csv size limit", 3, [
+        "render-targets", "--annotations",
+        _sim_csv_with("Measurement_coordinates", 0, "1" * 200_000)]),
     ("render-targets exclusions not UTF-8", 3, [
         "render-targets", "--annotations", _sim_csv,
         "--exclusions", _sim_csv_bytes(lambda _: b"syn_\xff\n")]),
@@ -633,6 +644,9 @@ EXIT_CODE_CASES = [
     # a tail short of a float32 value used to be dropped with exit 0
     ("window raw input of 5 bytes", 3, [
         "window", "--level", 50, "--width", 400, "--in", _five_bytes]),
+    # NaN and +-inf used to pass through, NaN as NaN, with exit 0
+    ("window non-finite raw input", 3, [
+        "window", "--level", 50, "--width", 400, "--in", _non_finite_f32]),
     ("detections score 401-digit int", 3, _fuse(_huge(_dets(score="<huge>"), 401))),
     ("detections extremes 401-digit int", 3, _fuse(_huge(_dets(extremes={
         "top": [125.0, 100.0], "left": [100.0, 125.0], "bottom": [125.0, 150.0],
@@ -684,6 +698,8 @@ NAMED_IN_ERROR = {
     "render-targets csv key ../up": "image key '../up' is not a file name",
     "render-targets csv empty key": "image key '' is not a file name",
     "render-targets exclusions not UTF-8": "edited.csv: not UTF-8 text",
+    "render-targets csv field over the csv size limit":
+        "edited.csv: line 2: field larger than field limit",
     "render-targets config render.sigma_divisor 1e300": "sigma_divisor in (0, ",
     "eval --iou 1.5": "config section eval: iou_threshold must lie in [0, 1]",
     "eval --iou -0.1": "config section eval: iou_threshold must lie in [0, 1]",
@@ -703,6 +719,8 @@ NAMED_IN_ERROR = {
     "window --level nan": "argument --level: must be finite",
     "window --level inf": "argument --level: must be finite",
     "window raw input of 5 bytes": "five.f32: 5 bytes, not a multiple of 4",
+    "window non-finite raw input":
+        "non_finite.f32: 3 non-finite value(s), the first at index 1",
 }
 
 
@@ -1060,7 +1078,6 @@ class TestConfigDefaults:
             synthetic.generate_scene: {
                 "clearance_stride": render["stride"],
                 "clearance_tau": DEFAULTS["grouping"]["tau_c"], **kernel},
-            synthetic.render_scene: {"stride": render["stride"], **kernel},
             synthetic.simulate_heatmaps: {"stride": render["stride"], **kernel},
             evaluation.match_detections: {"iou_threshold": ev["iou_threshold"],
                                           "pad": ev["pad"]},

@@ -8,7 +8,7 @@ import pytest
 
 from recistkit.fusion import SoftNmsConfig, fuse_tta, soft_nms, unflip_detections
 from recistkit.grouping import Detection, Detections, detect
-from recistkit.synthetic import flip_scene, generate_scene, render_scene
+from recistkit.synthetic import flip_scene, generate_scene, simulate_heatmaps
 
 
 def make_detection(x1, y1, x2, y2, score, source="original"):
@@ -106,8 +106,8 @@ class TestUnflip:
 
     def test_round_trip_against_direct_detection(self):
         scene = generate_scene(2, seed=70)
-        direct = detect(render_scene(scene).bundle)
-        flipped_view = detect(render_scene(flip_scene(scene)).bundle)
+        direct = detect(simulate_heatmaps(scene))
+        flipped_view = detect(simulate_heatmaps(flip_scene(scene)))
         unflipped = unflip_detections(flipped_view, scene.image_size[0])
         assert len(unflipped) == len(direct)
         direct_boxes = {d.bbox.as_tuple() for d in direct}
@@ -142,8 +142,8 @@ class TestFuseTta:
     def test_agreeing_views_duplicate_decays_below_floor(self):
         scene = generate_scene(1, seed=74)
         width = scene.image_size[0]
-        original = detect(render_scene(scene).bundle)
-        flipped_raw = detect(render_scene(flip_scene(scene)).bundle)
+        original = detect(simulate_heatmaps(scene))
+        flipped_raw = detect(simulate_heatmaps(flip_scene(scene)))
         fused = fuse_tta(original, flipped_raw, width, SoftNmsConfig(sigma=1e-4))
         assert len(fused) == 1
         assert fused[0].score == original[0].score

@@ -16,7 +16,7 @@ from recistkit.grouping import (
     extract_peaks,
     refine_with_offsets,
 )
-from recistkit.synthetic import generate_scene, render_scene
+from recistkit.synthetic import generate_scene, simulate_heatmaps
 from recistkit.targets import EXTREME_ROLES, HeatmapBundle
 
 
@@ -301,8 +301,7 @@ class TestRefineWithOffsets:
 
     def test_round_trip_with_exact_target_offsets(self):
         scene = generate_scene(2, seed=40)
-        targets = render_scene(scene)
-        dets = detect(targets.bundle)
+        dets = detect(simulate_heatmaps(scene))
         recovered = {
             (d.extremes.top.x, d.extremes.top.y, d.extremes.right.x) for d in dets
         }
@@ -341,8 +340,7 @@ class TestDetect:
 
     def test_round_trip_single_random_annotation_exact_coords(self):
         scene = generate_scene(1, seed=41)
-        targets = render_scene(scene)
-        dets = detect(targets.bundle)
+        dets = detect(simulate_heatmaps(scene))
         assert len(dets) == 1
         e = scene.extremes()[0]
         d = dets[0]
@@ -361,8 +359,7 @@ class TestDetect:
         from recistkit.geometry import bbox_from_extremes, iou, pad_bbox
 
         scene = generate_scene(2, seed=42)
-        targets = render_scene(scene)
-        dets = detect(targets.bundle)
+        dets = detect(simulate_heatmaps(scene))
         assert len(dets) == 2
         for e in scene.extremes():
             gt_padded = pad_bbox(bbox_from_extremes(e), 5)
@@ -370,7 +367,7 @@ class TestDetect:
 
     def test_detection_invariants(self):
         scene = generate_scene(3, seed=43)
-        dets = detect(render_scene(scene).bundle)
+        dets = detect(simulate_heatmaps(scene))
         for d in dets:
             assert 0.0 <= d.score <= 6.0
             e = d.extremes
@@ -381,6 +378,6 @@ class TestDetect:
 
     def test_scores_sorted_descending(self):
         scene = generate_scene(4, seed=44)
-        dets = detect(render_scene(scene).bundle)
+        dets = detect(simulate_heatmaps(scene))
         scores = [d.score for d in dets]
         assert scores == sorted(scores, reverse=True)

@@ -365,9 +365,11 @@ def draws(seed: int, state: int) -> int:
 # --- tests ----------------------------------------------------------------------
 
 
-def test_generate_scene_matches_object_per_attempt_oracle():
+def test_generate_scene_matches_object_per_attempt_oracle(monkeypatch):
     """Mostly tight images, where most draws are rejected and some
     arrangements fail, and some roomy ones."""
+    # few restarts keep a failing arrangement cheap
+    monkeypatch.setattr(synthetic, "_MAX_RESTARTS", 4)
     rng = np.random.default_rng(83)
     attempts = placed = failed = 0
     for seed in range(240):
@@ -378,8 +380,7 @@ def test_generate_scene_matches_object_per_attempt_oracle():
         else:
             side = int(rng.integers(need, 769))
         size = (side, side + int(rng.integers(0, 3)))
-        # few restarts keep a failing arrangement cheap
-        new, new_state = recorded(generate_scene, n, size, seed, max_restarts=4)
+        new, new_state = recorded(generate_scene, n, size, seed)
         old, old_state = recorded(
             frozen_generate_scene, n, size, seed, max_restarts=4
         )
@@ -395,14 +396,14 @@ def test_generate_scene_matches_object_per_attempt_oracle():
     assert 20 < failed < 120
 
 
-def test_clearance_check_matches_center_plane_oracle():
+def test_clearance_check_matches_center_plane_oracle(monkeypatch):
     """Crowded arrangements, placed without a gap or a clearance check,
     so that grouping often keeps a quadruple that mixes two lesions."""
+    monkeypatch.setattr(synthetic, "_MIN_GAP", -40.0)
     outcomes = []
     for seed in range(60):
         scene = generate_scene(
-            2 + seed % 4, (320, 320), seed=seed, min_gap=-40.0,
-            clearance_stride=None,
+            2 + seed % 4, (320, 320), seed=seed, clearance_stride=None,
         )
         extremes = scene.extremes()
         for stride, min_overlap, sigma_divisor, tau_c in [

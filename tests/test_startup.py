@@ -22,7 +22,8 @@ from recistkit.cli import main
 
 SRC = str(Path(recistkit.__file__).resolve().parents[1])
 
-# every name the package exported when it imported all of its modules
+# every name the package exported when it imported all of its modules,
+# less the removed render_scene
 PUBLIC_NAMES = """
     BBox Detection Detections DegradationConfig EvalConfig ExtremePoints
     FocalParams FrocPoint FrocResult GroupingConfig HeatmapBundle
@@ -33,7 +34,7 @@ PUBLIC_NAMES = """
     flip_scene focal_loss focal_loss_grad froc fuse_tta gaussian_radius
     generate_scene iou match_detections offset_loss offset_loss_grad
     offset_target pad_bbox parse_annotations read_detections read_heatmaps
-    refine_with_offsets render_scene render_targets simulate_heatmaps
+    refine_with_offsets render_targets simulate_heatmaps
     smooth_l1 soft_nms stratified_froc unflip_detections write_annotations
     write_detections write_heatmaps
 """.split()

@@ -4,6 +4,7 @@ packing guarantees, and degradation semantics."""
 import numpy as np
 import pytest
 
+from recistkit import synthetic
 from recistkit.grouping import detect
 from recistkit.rng import SplitMix64
 from recistkit.synthetic import (
@@ -11,10 +12,9 @@ from recistkit.synthetic import (
     _axis_gaps,
     flip_scene,
     generate_scene,
-    render_scene,
     simulate_heatmaps,
 )
-from recistkit.targets import keypoint_cell
+from recistkit.targets import keypoint_cell, output_grid, render_targets
 
 
 class TestSplitMix64:
@@ -36,20 +36,6 @@ class TestSplitMix64:
         assert (vals >= 0).all() and (vals < 1).all()
         assert abs(vals.mean() - 0.5) < 0.02
         assert list(SplitMix64(123).uniforms(10000)) == list(vals)
-
-    def test_gaussians_shape_and_moments(self):
-        rng = SplitMix64(7)
-        vals = rng.gaussians(20001)  # odd count consumes the full last pair
-        assert vals.shape == (20001,)
-        assert abs(vals.mean()) < 0.03
-        assert abs(vals.std() - 1.0) < 0.03
-
-    def test_gaussian_draw_accounting(self):
-        a = SplitMix64(9)
-        a.gaussians(5)  # 3 pairs = 6 uniforms
-        b = SplitMix64(9)
-        b.uniforms(6)
-        assert a.next_u64() == b.next_u64()
 
     def test_poisson_zero_rate(self):
         rng = SplitMix64(11)
@@ -76,8 +62,9 @@ class TestGenerateScene:
         b = generate_scene(3, seed=6)
         assert a.annotations != b.annotations
 
-    def test_three_lesions_at_512_with_gaps(self):
-        scene = generate_scene(3, image_size=(512, 512), seed=8, min_gap=16.0)
+    def test_three_lesions_at_512_with_gaps(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "_MIN_GAP", 16.0)
+        scene = generate_scene(3, image_size=(512, 512), seed=8)
         assert len(scene.annotations) == 3
         boxes = [ann.bbox.as_tuple() for ann in scene.annotations]
         for i in range(3):
@@ -98,9 +85,10 @@ class TestGenerateScene:
             for ann in scene.annotations:
                 assert ann.diameters.long_length >= ann.diameters.short_length
 
-    def test_infeasible_packing_raises(self):
+    def test_infeasible_packing_raises(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "_MAX_RESTARTS", 3)
         with pytest.raises(ValueError, match="could not place"):
-            generate_scene(40, image_size=(256, 256), seed=10, max_restarts=3)
+            generate_scene(40, image_size=(256, 256), seed=10)
 
     def test_unplaceable_scene_fails_before_drawing(self, monkeypatch):
         # two padded boxes of >= 50 px plus a 16 px gap need 116 px per axis
@@ -140,7 +128,10 @@ class TestSimulateHeatmaps:
     def test_zero_degradation_bitwise_identity(self):
         for seed in (0, 3, 14):
             scene = generate_scene(3, seed=seed)
-            clean = render_scene(scene).bundle
+            clean = render_targets(
+                scene.extremes(), *output_grid(scene.image_size, 4), 4,
+                input_size=scene.image_size,
+            ).bundle
             simulated = simulate_heatmaps(scene, DegradationConfig(seed=seed))
             assert np.array_equal(
                 simulated.keypoint_maps.view(np.uint32),
@@ -175,7 +166,7 @@ class TestSimulateHeatmaps:
         scene = generate_scene(2, seed=17)
         cfg = DegradationConfig(spurious_rate=4.0, seed=17)
         bundle = simulate_heatmaps(scene, cfg)
-        clean = render_scene(scene).bundle
+        clean = simulate_heatmaps(scene)
         stride = bundle.stride
         for role_idx, role in enumerate(
             ("top", "left", "bottom", "right", "center")
@@ -201,7 +192,7 @@ class TestSimulateHeatmaps:
     def test_noise_applies_to_keypoint_maps_only(self):
         scene = generate_scene(2, seed=18)
         noisy = simulate_heatmaps(scene, DegradationConfig(noise_sigma=0.2, seed=5))
-        clean = render_scene(scene).bundle
+        clean = simulate_heatmaps(scene)
         assert not np.array_equal(noisy.keypoint_maps, clean.keypoint_maps)
         assert np.array_equal(noisy.offset_maps, clean.offset_maps)
         assert noisy.keypoint_maps.min() >= 0.0
@@ -236,3 +227,8 @@ class TestSimulateHeatmaps:
     def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
         with pytest.raises(ValueError, match="noise_sigma must be finite"):
             DegradationConfig(noise_sigma=sigma)
+
+    @pytest.mark.parametrize("rate", [-0.1, float("inf"), float("nan")])
+    def test_spurious_rate_must_be_finite_and_nonnegative(self, rate):
+        with pytest.raises(ValueError, match="spurious_rate must be finite"):
+            DegradationConfig(spurious_rate=rate)
