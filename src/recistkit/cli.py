@@ -87,12 +87,13 @@ class _Outputs:
 def _load_effective_config(args) -> tuple[dict, dict]:
     """The config of a run and its typed sections (``config.effective``):
     the explicit flags, each set to its key, override the --config file."""
-    overrides: dict[str, dict] = {}
-    for flag, section, key, *_ in _CONFIG_FLAGS[args.command]:
+    section, flags = _CONFIG_FLAGS[args.command]
+    overrides = {}
+    for flag, key, _ in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            overrides.setdefault(section, {})[key] = value
-    return config_mod.effective(args.config, overrides)
+            overrides[key] = value
+    return config_mod.effective(args.config, {section: overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +550,6 @@ def _checked(type_, ok, rule: str):
     return parse
 
 
-_positive_float = _checked(float, lambda v: v > 0, "> 0")
 _positive_finite_float = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _finite_float = _checked(float, math.isfinite, "finite")
 _nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
@@ -560,54 +560,40 @@ _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 
 def _fps_list(raw: str) -> list[float]:
     try:
-        values = [float(p) for p in raw.split(",") if p.strip()]
-        config_mod.check_fp_targets(values)
+        return [float(p) for p in raw.split(",") if p.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{raw!r}: {exc}") from None
-    return values
 
 
-# Flags that set one config key, per subcommand:
-# (flag, section, key, type, choices, help).
+# Flags that set one config key, per subcommand: the section they set, and
+# (flag, key, help) per flag. A flag parses as its default's type; the
+# section type judges the value, as it judges one from a config file.
 _CONFIG_FLAGS = {
-    "render-targets": [
-        ("--input-size", "render", "input_size", int, None,
-         "input pixels, square"),
-        ("--stride", "render", "stride", int, None, "down-sampling factor"),
-        ("--min-overlap", "render", "min_overlap", float, None,
-         "kernel radius rule IoU"),
-        ("--sigma-divisor", "render", "sigma_divisor", float, None,
-         "kernel sigma = radius / divisor"),
-    ],
-    "detect": [
-        ("--tau-e", "grouping", "tau_e", float, None,
-         "extreme-peak threshold, strict"),
-        ("--tau-c", "grouping", "tau_c", float, None,
-         "center-response threshold, strict"),
-        ("--k1", "grouping", "k1", int, None, "max peaks kept per map"),
-        ("--k2", "grouping", "k2", int, None, "max combinations kept"),
-        ("--kernel", "grouping", "kernel", int, None,
-         "odd peak-suppression window"),
-        ("--center-interp", "grouping", "center_interp", None,
-         ["nearest", "bilinear"], "center map sampling"),
-    ],
-    "fuse": [
-        ("--sigma", "soft_nms", "sigma", _positive_float, None,
-         "gaussian decay bandwidth"),
-        ("--score-floor", "soft_nms", "score_floor", float, None,
-         "minimum retained score"),
-        ("--method", "soft_nms", "method", None, ["gaussian", "linear"],
-         "decay law"),
-    ],
-    "eval": [
-        ("--iou", "eval", "iou_threshold", float, None, "match IoU threshold"),
-        ("--pad", "eval", "pad", float, None, "detection box padding in px"),
-        ("--fps", "eval", "fp_targets", _fps_list, None,
-         "comma-separated FPs-per-image targets"),
-    ],
-    "simulate": [
-        ("--stride", "render", "stride", int, None, "down-sampling factor"),
-    ],
+    "render-targets": ("render", [
+        ("--input-size", "input_size", "input pixels, square"),
+        ("--stride", "stride", "down-sampling factor"),
+        ("--min-overlap", "min_overlap", "kernel radius rule IoU"),
+        ("--sigma-divisor", "sigma_divisor", "kernel sigma = radius / divisor"),
+    ]),
+    "detect": ("grouping", [
+        ("--tau-e", "tau_e", "extreme-peak threshold, strict"),
+        ("--tau-c", "tau_c", "center-response threshold, strict"),
+        ("--k1", "k1", "max peaks kept per map"),
+        ("--k2", "k2", "max combinations kept"),
+        ("--kernel", "kernel", "odd peak-suppression window"),
+        ("--center-interp", "center_interp", "center lookup: nearest or bilinear"),
+    ]),
+    "fuse": ("soft_nms", [
+        ("--sigma", "sigma", "gaussian decay bandwidth"),
+        ("--score-floor", "score_floor", "minimum retained score"),
+        ("--method", "method", "decay law: gaussian or linear"),
+    ]),
+    "eval": ("eval", [
+        ("--iou", "iou_threshold", "match IoU threshold"),
+        ("--pad", "pad", "detection box padding in px"),
+        ("--fps", "fp_targets", "comma-separated FPs-per-image targets"),
+    ]),
+    "simulate": ("render", [("--stride", "stride", "down-sampling factor")]),
 }
 
 
@@ -632,10 +618,12 @@ def _add_config_flags(p: argparse.ArgumentParser, command: str) -> None:
     overrides the config file; the help text shows the built-in default.
     """
     p.add_argument("--config", default=None, help="JSON config file")
-    for flag, section, key, type_, choices, text in _CONFIG_FLAGS[command]:
-        default = _default_text(config_mod.DEFAULTS[section][key])
-        p.add_argument(flag, type=type_, choices=choices, default=None,
-                       help=f"{text} (default: {default})")
+    section, flags = _CONFIG_FLAGS[command]
+    for flag, key, text in flags:
+        default = config_mod.DEFAULTS[section][key]
+        type_ = _fps_list if isinstance(default, list) else type(default)
+        p.add_argument(flag, type=type_, default=None,
+                       help=f"{text} (default: {_default_text(default)})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -39,7 +39,8 @@ class InputFormatError(Exception):
 def load_json(path: str | Path):
     """Parse a JSON file as strict JSON: the NaN, Infinity and -Infinity
     tokens that :func:`json.load` accepts raise :class:`InputFormatError`,
-    as do malformed JSON and an integer literal too long to convert."""
+    as do malformed JSON, an integer literal too long to convert and JSON
+    nested past the parser's recursion limit."""
     import json  # only a run that reads JSON pays for the import
 
     def reject(token: str):
@@ -50,6 +51,8 @@ def load_json(path: str | Path):
             return json.load(fh, parse_constant=reject)
     except ValueError as exc:  # JSONDecodeError, the int digit limit, bad UTF-8
         raise InputFormatError(f"{path}: malformed JSON: {exc}") from None
+    except RecursionError:
+        raise InputFormatError(f"{path}: JSON nested too deeply") from None
 
 
 def is_finite_number(value) -> bool:

@@ -323,6 +323,8 @@ def read_heatmaps(path: str | Path) -> HeatmapBundle:
             header = json.loads(header_line)
         except ValueError as exc:  # JSONDecodeError, the int digit limit, bad UTF-8
             raise InputFormatError(f"{path}: malformed header: {exc}") from None
+        except RecursionError:
+            raise InputFormatError(f"{path}: header JSON nested too deeply") from None
         if not isinstance(header, dict):
             raise InputFormatError(f"{path}: header must be a JSON object")
         error = _header_int_error(header)

@@ -202,11 +202,9 @@ def offset_loss_grad(pred_offsets: np.ndarray, targets: TargetBundle) -> np.ndar
     """Analytic gradient of :func:`offset_loss` w.r.t. the offset planes."""
     index, residual = _gt_residuals(pred_offsets, targets)
     grad = np.zeros(pred_offsets.shape, dtype=np.float64)
-    n = targets.n_objects
-    if n == 0:
-        return grad
-    # annotations sharing a cell accumulate there in annotation order
-    np.add.at(grad, index, smooth_l1_grad(residual) / n)
+    # annotations sharing a cell accumulate there in annotation order; with
+    # none, the index is empty and the gradient stays zero
+    np.add.at(grad, index, smooth_l1_grad(residual) / targets.n_objects)
     return grad
 
 

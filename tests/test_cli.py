@@ -439,6 +439,16 @@ def _huge(build, digits):
     return wrapped
 
 
+def _deep_json(name):
+    """A file ``name`` opening 100,000 nested JSON lists, past the parser's
+    recursion limit."""
+    def build(tmp_path, sim_dir):
+        path = tmp_path / name
+        path.write_bytes(b"[" * 100_000)
+        return path
+    return build
+
+
 def _header_only_csv(tmp_path, sim_dir):
     from recistkit.dataio import CSV_COLUMNS
 
@@ -597,12 +607,30 @@ EXIT_CODE_CASES = [
         "--annotations", _sim_csv]),
     ("eval header-only csv", 3, [
         "eval", "--detections", _dets(), "--annotations", _header_only_csv]),
-    ("eval --fps ,", 2, [
+    # a config flag that parses is judged by its section, as a config file
+    # value is: these exited 2 from the flag's own checks
+    ("eval --fps ,", 3, [
         "eval", "--detections", _dets(), "--annotations", _sim_csv, "--fps", ","]),
-    ("eval --fps nan", 2, [
+    ("eval --fps nan", 3, [
         "eval", "--detections", _dets(), "--annotations", _sim_csv, "--fps", "nan"]),
-    ("eval --fps -1", 2, [
+    ("eval --fps -1", 3, [
         "eval", "--detections", _dets(), "--annotations", _sim_csv, "--fps=-1"]),
+    ("fuse --sigma 0", 3, _fuse(_dets(), "--sigma", 0)),
+    ("fuse --sigma -1", 3, _fuse(_dets(), "--sigma=-1")),
+    ("fuse --sigma nan", 3, _fuse(_dets(), "--sigma", "nan")),
+    ("fuse --method x", 3, _fuse(_dets(), "--method", "x")),
+    ("detect --center-interp x", 3, [
+        "detect", "--heatmaps", _sim_dir, "--center-interp", "x"]),
+    ("eval --fps a", 2, [
+        "eval", "--detections", _dets(), "--annotations", _sim_csv, "--fps", "a"]),
+    ("detect --k1 x", 2, ["detect", "--heatmaps", _sim_dir, "--k1", "x"]),
+    # JSON nested past the parser's recursion limit used to end in exit 4
+    ("config nested 100,000 deep", 3, [
+        "detect", "--heatmaps", _sim_dir, "--config", _deep_json("cfg.json")]),
+    ("detections nested 100,000 deep", 3, [
+        "eval", "--detections", _deep_json("dets.json"), "--annotations", _sim_csv]),
+    ("rkhm header nested 100,000 deep", 3, [
+        "detect", "--heatmaps", _rkhm_header(b"[" * 100_000)]),
     ("simulate --drop 2", 2, ["simulate", "--drop", 2]),
     ("simulate --drop -0.5", 2, ["simulate", "--drop=-0.5"]),
     ("simulate --noise -1", 2, ["simulate", "--noise=-1"]),
@@ -701,6 +729,19 @@ NAMED_IN_ERROR = {
     "render-targets csv field over the csv size limit":
         "edited.csv: line 2: field larger than field limit",
     "render-targets config render.sigma_divisor 1e300": "sigma_divisor in (0, ",
+    "eval --fps ,": "config section eval: FP targets must be a non-empty list",
+    "eval --fps -1": "config section eval: FP targets must be a non-empty list",
+    "eval --fps nan": "config key eval.fp_targets must be finite",
+    "fuse --sigma 0": "config section soft_nms: sigma must be > 0, got 0.0",
+    "fuse --sigma -1": "config section soft_nms: sigma must be > 0, got -1.0",
+    "fuse --sigma nan": "config key soft_nms.sigma must be finite",
+    "fuse --method x": "config section soft_nms: unknown method 'x'",
+    "detect --center-interp x": "config section grouping: unknown center_interp 'x'",
+    "eval --fps a": "argument --fps: 'a': could not convert string to float",
+    "detect --k1 x": "argument --k1: invalid int value: 'x'",
+    "config nested 100,000 deep": "cfg.json: JSON nested too deeply",
+    "detections nested 100,000 deep": "dets.json: JSON nested too deeply",
+    "rkhm header nested 100,000 deep": "syn_11.rkhm: header JSON nested too deeply",
     "eval --iou 1.5": "config section eval: iou_threshold must lie in [0, 1]",
     "eval --iou -0.1": "config section eval: iou_threshold must lie in [0, 1]",
     "eval --pad -1": "config section eval: pad must be finite and >= 0",
@@ -768,6 +809,21 @@ OUTPUT_PATH_CASES = [
 ]
 
 
+# A parsed config flag refused by its section, and the same value in a
+# config file: (argv before the flag, flag, its text, section, key, value).
+FLAG_AND_FILE_CASES = [
+    (_fuse(_dets()), "--sigma", "0", "soft_nms", "sigma", 0.0),
+    (_fuse(_dets()), "--method", "x", "soft_nms", "method", "x"),
+    (["detect", "--heatmaps", _sim_dir], "--center-interp", "x",
+     "grouping", "center_interp", "x"),
+    (["detect", "--heatmaps", _sim_dir], "--kernel", "2", "grouping", "kernel", 2),
+    (["eval", "--detections", _dets(), "--annotations", _sim_csv], "--fps", "-1",
+     "eval", "fp_targets", [-1.0]),
+    (["eval", "--detections", _dets(), "--annotations", _sim_csv], "--iou", "1.5",
+     "eval", "iou_threshold", 1.5),
+]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "case,expected,parts", EXIT_CODE_CASES,
@@ -789,6 +845,23 @@ class TestExitCodes:
             assert "images['syn_11'][0].bbox" in err, err
         assert NAMED_IN_ERROR.get(case, "") in err, err
         assert not list(tmp_path.glob("out*"))  # no partial outputs
+
+    @pytest.mark.parametrize(
+        "parts,flag,text,section,key,value", FLAG_AND_FILE_CASES,
+        ids=[f"{c[1]} {c[2]}" for c in FLAG_AND_FILE_CASES],
+    )
+    def test_flag_refused_as_its_config_file_value(
+        self, parts, flag, text, section, key, value, sim_dir, tmp_path, capsys
+    ):
+        argv = [part(tmp_path, sim_dir) if callable(part) else part
+                for part in parts]
+        config = _cfg({section: {key: value}})(tmp_path, sim_dir)
+        errors = []
+        for source in ([f"{flag}={text}"], ["--config", config]):
+            assert run(*argv, *source, "--out", tmp_path / "out") == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: input-format: config section {section}: ")
 
     @pytest.mark.parametrize(
         "case,parts", OUTPUT_PATH_CASES, ids=[c[0] for c in OUTPUT_PATH_CASES]

@@ -623,6 +623,18 @@ class TestReaderNamesFirstBadEntry:
         (lambda e: e.update(source=["flipped"]), ".source: "),
         (lambda e: e.update(source={"flipped": 1}), ".source: "),
         (lambda e: e.update(source=2), ".source: "),
+        (lambda e: e.update(score=True), ".score: "),
+        (lambda e: e.update(score=10**400), ".score: "),
+        (lambda e: e.update(score="0.5"), ".score: "),
+        (lambda e: e.update(source="both"), ".source: "),
+        (lambda e: e["bbox"].__setitem__(2, 5.5), ".bbox: "),
+        (lambda e: e["bbox"].__setitem__(0, None), ".bbox: "),
+        (lambda e: e["bbox"].pop(), ".bbox: "),
+        (lambda e: e["extremes"]["left"].__setitem__(1, [3.0]), ".extremes.left: "),
+        (lambda e: e["extremes"]["right"].__setitem__(0, -(10**309)),
+         ".extremes.right: "),
+        (lambda e: e["extremes"].pop("center"), ".extremes: missing center"),
+        (lambda e: e.pop("extremes"), ": missing field extremes"),
     ])
     @pytest.mark.parametrize("later", [
         lambda e: e.pop("bbox"),  # a shape fault

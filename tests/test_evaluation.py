@@ -587,6 +587,8 @@ class TestMatchRecord:
             assert type(r.det_index) is int and type(r.score) is float
             assert type(r.is_tp) is bool
         assert result != MatchResult([2, 0], [0.5, 0.25], [-1, 1], 3)
+        assert result.__eq__(result.records) is NotImplemented
+        assert result != result.records
         assert result.__hash__ is None
 
     # rows froc would misread: each gives a wrong sensitivity or a crash there

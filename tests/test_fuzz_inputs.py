@@ -19,11 +19,11 @@ writes back to the same bytes.
 Each annotation CSV example mutates the rows of a simulated scene's CSV: a
 number, a count of numbers, an integer column, a key, a row's length, the
 header or a lesion's extent. Each config example sets one or two keys of a
-valid config file to wrong types, out-of-range or boundary values, or
-breaks the file's root or text. Either way a command exits 0, 2 or 3, never
-4; it raises no warning; a refusal leaves no output or ``*.tmp`` behind; an
-accepted run writes only its outputs; and an accepted CSV writes and reads
-back to the same annotations.
+valid config file to wrong types, out-of-range or boundary values, breaks
+the file's root or text, or nests lists to a drawn depth. Either way a
+command exits 0, 2 or 3, never 4; it raises no warning; a refusal leaves no
+output or ``*.tmp`` behind; an accepted run writes only its outputs; and an
+accepted CSV writes and reads back to the same annotations.
 """
 
 import contextlib
@@ -232,7 +232,8 @@ def rkhm_cases(draw) -> tuple[str, bytes]:
         ))
     elif kind == "line":
         line = draw(st.sampled_from(
-            [b"[]", b"3", b'"h"', b"{", b'{"height": 2', b"\xff\xfe{}", b"", b"null"]
+            [b"[]", b"3", b'"h"', b"{", b'{"height": 2', b"\xff\xfe{}", b"", b"null",
+             b"[" * 100_000]
         ))
         return kind, HEATMAP_MAGIC + line + b"\n" + payload
     elif kind == "magic":
@@ -439,7 +440,12 @@ CONFIG_SLOTS = [(section, key) for section, keys in DEFAULTS.items()
 @st.composite
 def config_texts(draw) -> str:
     """A config file's text: one or two keys changed, or a broken root."""
-    kind = draw(st.sampled_from(["keys", "keys", "keys", "grid", "root", "text"]))
+    kind = draw(st.sampled_from(
+        ["keys", "keys", "keys", "grid", "root", "text", "nest"]
+    ))
+    if kind == "nest":  # lists nested to either side of the parser's limit
+        depth = draw(st.integers(1, 100_000))
+        return "[" * depth + "]" * depth
     if kind == "root":
         doc = draw(st.sampled_from(
             [[], 3, "x", None, {"nope": {}}, {"render": 3}, {"render": {"x": 1}},

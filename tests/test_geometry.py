@@ -228,6 +228,8 @@ class TestPairwiseIou:
 class TestFlipHorizontal:
     def test_point(self):
         assert flip_horizontal(Point2(10, 7), 100) == Point2(89, 7)
+        with pytest.raises(TypeError, match="cannot flip object of type tuple"):
+            flip_horizontal((10, 7), 100)
 
     def test_involution_all_types(self):
         # coordinates on the 1/16-px lattice flip without rounding, so the

@@ -92,6 +92,8 @@ class TestFocalLoss:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape"):
             focal_loss(np.zeros((2, 2)), np.zeros((2, 3)), 1)
+        with pytest.raises(ValueError, match="shape"):
+            offset_loss(np.zeros((8, 8, 9)), render_targets([], 8, 8, 4))
 
     def test_moving_toward_branch_optimum_decreases(self):
         # peak cells: optimum pred 1; all other cells: optimum pred 0
@@ -131,6 +133,8 @@ class TestFocalGrad:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape"):
             focal_loss_grad(np.zeros((2, 2)), np.zeros((2, 3)), 1)
+        with pytest.raises(ValueError, match="shape"):
+            offset_loss_grad(np.zeros((8, 8, 9)), render_targets([], 8, 8, 4))
 
     @pytest.mark.parametrize("fn", [focal_loss, focal_loss_grad])
     def test_negative_n_objects_raises(self, fn):
@@ -233,7 +237,10 @@ class TestOffsetLoss:
 
     def test_empty_targets_zero(self):
         tb = render_targets([], 8, 8, 4)
-        assert offset_loss(np.zeros((8, 8, 8)), tb) == 0.0
+        pred = np.ones((8, 8, 8))
+        assert offset_loss(pred, tb) == 0.0
+        grad = offset_loss_grad(pred, tb)
+        assert grad.dtype == np.float64 and not grad.any()
 
     def test_matches_scalar_loop_bitwise(self):
         a, b = square_extremes(20.5, 24.25, 8, 9), square_extremes(60, 52.75, 10, 7)

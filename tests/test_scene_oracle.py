@@ -425,8 +425,10 @@ def test_clearance_check_matches_center_plane_oracle(monkeypatch):
         {"peak_drop_prob": 0.1, "jitter_cells": 1, "spurious_rate": 2.0,
          "noise_sigma": 0.05},
         {"peak_drop_prob": 1.0},
+        # redraws spurious peaks that land within 2 cells of a true peak
+        {"spurious_rate": 40.0},
     ],
-    ids=["clean", "drop+jitter", "noisy", "all dropped"],
+    ids=["clean", "drop+jitter", "noisy", "all dropped", "crowded spurious"],
 )
 def test_simulate_heatmaps_matches_scalar_draw_oracle(degradation):
     for seed in range(6):

@@ -282,6 +282,14 @@ class TestConfigIsTheRoot:
          "config section grouping: kernel must be odd and >= 1, got 2"),
         ("{}", {"eval": {"pad": float("nan")}},
          "config key eval.pad must be finite, got nan"),
+        ("{}", {"soft_nms": {"score_floor": -0.5}},
+         "config section soft_nms: score_floor must be >= 0, got -0.5"),
+        ("{}", {"focal": {"alpha": 0.0}},
+         "config section focal: alpha must be > 0, got 0.0"),
+        ("{}", {"focal": {"clamp_eps": 0.5}},
+         "config section focal: clamp_eps must be in (0, 0.5), got 0.5"),
+        ("{}", {"focal": {"clamp_eps": 0.0}},
+         "config section focal: clamp_eps must be in (0, 0.5), got 0.0"),
         ("{}", {"eval": []}, "config key eval must be an object"),
         ('{"eval": {"pad": NaN}}', {}, "{path}: non-finite number NaN is not JSON"),
     ])

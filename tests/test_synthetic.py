@@ -223,12 +223,15 @@ class TestSimulateHeatmaps:
             jitter_cells=1, noise_sigma=0.2, seed=42))
         assert np.array_equal(a.offset_maps, b.offset_maps)
 
-    @pytest.mark.parametrize("sigma", [-0.1, float("inf"), float("nan")])
-    def test_noise_sigma_must_be_finite_and_nonnegative(self, sigma):
-        with pytest.raises(ValueError, match="noise_sigma must be finite"):
-            DegradationConfig(noise_sigma=sigma)
-
-    @pytest.mark.parametrize("rate", [-0.1, float("inf"), float("nan")])
-    def test_spurious_rate_must_be_finite_and_nonnegative(self, rate):
-        with pytest.raises(ValueError, match="spurious_rate must be finite"):
-            DegradationConfig(spurious_rate=rate)
+    @pytest.mark.parametrize("field,value,message", [
+        *[("noise_sigma", v, "noise_sigma must be finite and >= 0")
+          for v in (-0.1, float("inf"), float("nan"))],
+        *[("spurious_rate", v, "spurious_rate must be finite and >= 0")
+          for v in (-0.1, float("inf"), float("nan"))],
+        *[("peak_drop_prob", v, r"peak_drop_prob must lie in \[0, 1\]")
+          for v in (-0.1, 1.5)],
+        ("jitter_cells", -1, "jitter_cells must be >= 0"),
+    ])
+    def test_out_of_range_field_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            DegradationConfig(**{field: value})

@@ -83,6 +83,9 @@ class TestGaussianRadius:
             gaussian_radius(0.0, 5.0)
         with pytest.raises(ValueError):
             gaussian_radius(5.0, -1.0)
+        for min_overlap in (0.0, 1.0):
+            with pytest.raises(ValueError, match="min_overlap must be in"):
+                gaussian_radius(5.0, 5.0, min_overlap)
 
 
 def drawn(radius, peak=1.0, sigma_divisor=3.0) -> np.ndarray:
@@ -157,6 +160,8 @@ class TestOffsetTarget:
 
     def test_stride_one(self):
         assert offset_target(Point2(3.25, 9.875), 1) == (0.25, 0.875)
+        with pytest.raises(ValueError, match="stride must be >= 1, got 0"):
+            offset_target(Point2(3.25, 9.875), 0)
 
     def test_exact_reconstruction_10k_points(self):
         rng = np.random.default_rng(12)
@@ -285,6 +290,16 @@ class TestRenderTargets:
             targets.HeatmapBundle.zeros(2**31 - 1, 2**31 - 1, 1, (1, 1))
         with pytest.raises(ValueError, match="negative dimensions"):
             targets.HeatmapBundle.zeros(-1, 4, 1, (1, 1))
+        # the bundle's own checks of the planes it is given
+        good = targets.HeatmapBundle.zeros(2, 3, 4, (12, 8))
+        for change, message in (
+            ({"keypoint_maps": good.keypoint_maps[:4]}, r"must be \(5, H, W\)"),
+            ({"offset_maps": good.offset_maps[:, :1]}, r"must be \(8, 2, 3\)"),
+            ({"offset_maps": good.offset_maps.astype(np.float64)}, "float32"),
+            ({"stride": 0}, "stride must be >= 1, got 0"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(good, **change)
 
     def test_argmax_recovers_cells(self):
         ann = square_extremes(33.75, 41.5, 13, 9)
