@@ -312,10 +312,7 @@ def _cmd_eval(args) -> int:
         anns = gts_by_image.get(key, [])
         matches.append(
             match_detections(
-                detections.get(key, empty),
-                [ann.bbox for ann in anns],
-                iou_threshold=eval_cfg.iou_threshold,
-                pad=eval_cfg.pad,
+                detections.get(key, empty), [ann.bbox for ann in anns], eval_cfg
             )
         )
         if args.stratify:
@@ -368,13 +365,15 @@ def _cmd_simulate(args) -> int:
     degradation_seed = (
         args.degradation_seed if args.degradation_seed is not None else args.scene_seed
     )
-    degradation = DegradationConfig(
-        noise_sigma=args.noise,
-        peak_drop_prob=args.drop,
-        spurious_rate=args.spurious,
-        jitter_cells=args.jitter,
-        seed=degradation_seed,
-    )
+    fields = {}
+    for flag, field in _DEGRADATION_FLAGS.items():
+        fields[field] = getattr(args, flag[2:])
+        try:  # one field at a time, so that a refusal names its flag
+            DegradationConfig(**{field: fields[field]})
+        except ValueError as exc:
+            print(f"error: usage: {flag}: {exc}", file=sys.stderr)
+            return 2
+    degradation = DegradationConfig(**fields, seed=degradation_seed)
     try:
         scene = generate_scene(
             args.n_lesions,
@@ -552,8 +551,6 @@ def _checked(type_, ok, rule: str):
 
 _positive_finite_float = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _finite_float = _checked(float, math.isfinite, "finite")
-_nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
-_probability = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 
@@ -595,6 +592,10 @@ _CONFIG_FLAGS = {
     ]),
     "simulate": ("render", [("--stride", "stride", "down-sampling factor")]),
 }
+
+# simulate's degradation flags, each judged by the DegradationConfig field it sets
+_DEGRADATION_FLAGS = {"--noise": "noise_sigma", "--drop": "peak_drop_prob",
+                      "--spurious": "spurious_rate", "--jitter": "jitter_cells"}
 
 
 def _usable_cpus() -> int:
@@ -693,17 +694,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--scene-seed", type=int, default=0,
                    help="scene RNG seed (default: 0)")
-    p.add_argument("--n-lesions", type=_nonnegative_int, default=3,
+    p.add_argument("--n-lesions", type=int, default=3,
                    help="lesions to place (default: 3)")
     p.add_argument("--image-size", type=_positive_int, default=768,
                    help="image pixels, square (default: 768)")
-    p.add_argument("--noise", type=_nonnegative_float, default=0.0,
+    p.add_argument("--noise", type=float, default=0.0,
                    help="keypoint-map noise sigma (default: 0)")
-    p.add_argument("--drop", type=_probability, default=0.0,
+    p.add_argument("--drop", type=float, default=0.0,
                    help="kernel drop probability (default: 0)")
-    p.add_argument("--spurious", type=_nonnegative_float, default=0.0,
+    p.add_argument("--spurious", type=float, default=0.0,
                    help="expected fake peaks per map (default: 0)")
-    p.add_argument("--jitter", type=_nonnegative_int, default=0,
+    p.add_argument("--jitter", type=int, default=0,
                    help="max peak-cell jitter in cells (default: 0)")
     p.add_argument("--degradation-seed", type=int, default=None,
                    help="degradation RNG seed (default: the scene seed)")

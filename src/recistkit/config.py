@@ -68,15 +68,6 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def check_match_settings(iou_threshold: float, pad: float) -> None:
-    """Matching needs ``iou_threshold`` in [0, 1] and ``pad`` finite and
-    >= 0; anything else raises ValueError."""
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must lie in [0, 1], got {iou_threshold!r}")
-    if not 0.0 <= pad < math.inf:
-        raise ValueError(f"pad must be finite and >= 0, got {pad!r}")
-
-
 def check_fp_targets(values: Sequence[float]) -> None:
     """FPs-per-image targets must be a non-empty list of finite numbers >= 0;
     numpy scalars are judged as the Python numbers they hold."""
@@ -170,15 +161,21 @@ class EvalConfig:
     detection box padded by ``pad`` px matches a lesion at IoU >=
     ``iou_threshold``, and sensitivity is read at the ``fp_targets``
     FPs-per-image rates, a list as in a config file (its default is
-    ``FP_TARGETS_DEFAULT``). Values the checks above refuse raise
-    ValueError."""
+    ``FP_TARGETS_DEFAULT``). An ``iou_threshold`` outside [0, 1], a ``pad``
+    not finite and >= 0, or ``fp_targets`` that :func:`check_fp_targets`
+    refuses raise ValueError."""
 
     iou_threshold: float = 0.5
     pad: float = 5.0
     fp_targets: list[float] = field(default_factory=lambda: list(FP_TARGETS_DEFAULT))
 
     def __post_init__(self) -> None:
-        check_match_settings(self.iou_threshold, self.pad)
+        if not 0.0 <= self.iou_threshold <= 1.0:
+            raise ValueError(
+                f"iou_threshold must lie in [0, 1], got {self.iou_threshold!r}"
+            )
+        if not 0.0 <= self.pad < math.inf:
+            raise ValueError(f"pad must be finite and >= 0, got {self.pad!r}")
         check_fp_targets(self.fp_targets)
 
 

@@ -16,12 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import (
-    FP_TARGETS_DEFAULT,
-    EvalConfig,
-    check_fp_targets,
-    check_match_settings,
-)
+from .config import FP_TARGETS_DEFAULT, EvalConfig, check_fp_targets
 from .geometry import BBox, pairwise_iou
 from .grouping import BOX_COLUMNS, Detections
 
@@ -153,19 +148,18 @@ class Strata:
 def match_detections(
     detections: Detections,
     gt_boxes: Sequence[BBox],
-    iou_threshold: float = EvalConfig.iou_threshold,
-    pad: float = EvalConfig.pad,
+    cfg: EvalConfig = EvalConfig(),
 ) -> MatchResult:
     """Greedy best-IoU matching of one image's detections to its lesions.
 
     Detections are visited in score-descending order (ties by input index).
-    Each detection's box is padded by ``pad`` pixels before comparison; the
-    ground-truth boxes are expected to be padded already. A detection is a
-    true positive when its best IoU against a still-unmatched ground truth
-    reaches the threshold; every ground truth is matched at most once.
-    Settings :func:`check_match_settings` refuses raise ValueError.
+    Each detection's box is padded by ``cfg.pad`` pixels before comparison;
+    the ground-truth boxes are expected to be padded already. A detection is
+    a true positive when its best IoU against a still-unmatched ground truth
+    reaches ``cfg.iou_threshold``; every ground truth is matched at most
+    once.
     """
-    check_match_settings(iou_threshold, pad)
+    pad, threshold = cfg.pad, cfg.iou_threshold
     order = (-detections.scores).argsort(kind="stable")
     # padded as pad_bbox pads: x1 - pad, y1 - pad, x2 + pad, y2 + pad
     padded = detections.rows[:, BOX_COLUMNS] + np.array([-pad, -pad, pad, pad])
@@ -185,7 +179,7 @@ def match_detections(
                 break
         else:
             g = -1
-        if g >= 0 and values[i][g] > 0.0 and values[i][g] >= iou_threshold:
+        if g >= 0 and values[i][g] > 0.0 and values[i][g] >= threshold:
             matched.add(g)  # every ground truth is matched at most once
             gt_index.append(g)
         else:

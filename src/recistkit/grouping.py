@@ -272,10 +272,10 @@ def _enumerate_block(top, bottom, left, right, center_map, cfg):
     above ``tau_c`` are expanded into their (t, b) x (l, r) pairs and scored.
     """
     # indexed, not unpacked: unpacking an array iterates it to the end
-    t_rows, t_cols, t_scores = top[0], top[1], top[2]
-    b_rows, b_cols, b_scores = bottom[0], bottom[1], bottom[2]
-    l_rows, l_cols, l_scores = left[0], left[1], left[2]
-    r_rows, r_cols, r_scores = right[0], right[1], right[2]
+    t_rows, t_scores = top[0], top[2]
+    b_rows, b_scores = bottom[0], bottom[2]
+    l_cols, l_scores = left[1], left[2]
+    r_cols, r_scores = right[1], right[2]
     ti, bi = (t_rows[:, None] <= b_rows).nonzero()
     li, ri = (l_cols[:, None] <= r_cols).nonzero()
     if ti.size == 0 or li.size == 0:

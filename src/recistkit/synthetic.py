@@ -85,13 +85,15 @@ class DegradationConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.peak_drop_prob <= 1.0:
-            raise ValueError("peak_drop_prob must lie in [0, 1]")
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise ValueError("noise_sigma must be finite and >= 0")
-        if not 0.0 <= self.spurious_rate < math.inf:
-            raise ValueError("spurious_rate must be finite and >= 0")
+            raise ValueError(
+                f"peak_drop_prob must lie in [0, 1], got {self.peak_drop_prob!r}"
+            )
+        for name in ("noise_sigma", "spurious_rate"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.jitter_cells < 0:
-            raise ValueError("jitter_cells must be >= 0")
+            raise ValueError(f"jitter_cells must be >= 0, got {self.jitter_cells!r}")
 
 
 @dataclass
@@ -184,10 +186,13 @@ def generate_scene(
     unless grouping keeps exactly its own lesions, so a clean rendering of
     the scene decodes to exactly those lesions. Packing failure after
     ``_MAX_ATTEMPTS`` draws per lesion and ``_MAX_RESTARTS`` arrangement
-    attempts raises ValueError, as does, before any draw, a scene whose
-    padded boxes cannot fit side by side on both axes. Generation consumes
-    a variable but seed-deterministic number of random draws.
+    attempts raises ValueError, as do, before any draw, a negative
+    ``n_lesions`` and a scene whose padded boxes cannot fit side by side on
+    both axes. Generation consumes a variable but seed-deterministic number
+    of random draws.
     """
+    if n_lesions < 0:
+        raise ValueError(f"n_lesions must be >= 0, got {n_lesions!r}")
     rng = SplitMix64(seed)
     width, height = image_size
     need = n_lesions * (_MIN_BOX_SIDE + 2 * BOX_PADDING) + (n_lesions - 1) * _MIN_GAP

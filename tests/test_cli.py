@@ -718,6 +718,13 @@ NAMED_IN_ERROR = {
     "render-targets keypoints off a 64 px input": "outside the 16x16 output grid",
     "render-targets --input-size 2**31-1": "render.input_size",
     "simulate --image-size 2**31-1": "cannot be allocated",
+    # each refused by the library type that owns the value, not by the parser
+    "simulate --drop 2": "peak_drop_prob must lie in [0, 1], got 2.0",
+    "simulate --drop -0.5": "peak_drop_prob must lie in [0, 1], got -0.5",
+    "simulate --noise -1": "noise_sigma must be finite and >= 0, got -1.0",
+    "simulate --spurious -1": "spurious_rate must be finite and >= 0, got -1.0",
+    "simulate --jitter -1": "jitter_cells must be >= 0, got -1",
+    "simulate --n-lesions -1": "n_lesions must be >= 0, got -1",
     "render-targets csv inf coordinate": "row 2: column Measurement_coordinates",
     "render-targets csv nan coordinate": "row 2: column Measurement_coordinates",
     "eval --stratify diameter csv nan spacing": "row 2: column Spacing_mm_px_",
@@ -1138,9 +1145,9 @@ class TestConfigDefaults:
         import inspect
 
         from recistkit import evaluation, synthetic, targets
-        from recistkit.config import DEFAULTS
+        from recistkit.config import DEFAULTS, EvalConfig
 
-        render, ev = DEFAULTS["render"], DEFAULTS["eval"]
+        render = DEFAULTS["render"]
         kernel = {"min_overlap": render["min_overlap"],
                   "sigma_divisor": render["sigma_divisor"]}
         expected = {
@@ -1152,8 +1159,7 @@ class TestConfigDefaults:
                 "clearance_stride": render["stride"],
                 "clearance_tau": DEFAULTS["grouping"]["tau_c"], **kernel},
             synthetic.simulate_heatmaps: {"stride": render["stride"], **kernel},
-            evaluation.match_detections: {"iou_threshold": ev["iou_threshold"],
-                                          "pad": ev["pad"]},
+            evaluation.match_detections: {"cfg": EvalConfig(**DEFAULTS["eval"])},
         }
         for func, defaults in expected.items():
             params = inspect.signature(func).parameters

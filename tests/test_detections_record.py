@@ -29,7 +29,12 @@ from recistkit.dataio import (
     read_detections,
     write_detections,
 )
-from recistkit.evaluation import DetectionMatch, MatchResult, match_detections
+from recistkit.evaluation import (
+    DetectionMatch,
+    EvalConfig,
+    MatchResult,
+    match_detections,
+)
 from recistkit.fusion import SoftNmsConfig, fuse_tta, soft_nms, unflip_detections
 from recistkit.geometry import BBox, pairwise_iou
 from recistkit.grouping import BOX_COLUMNS, Detection, Detections, detect
@@ -361,9 +366,8 @@ class TestMatchOracle:
         boxes = [BBox(d.bbox.x1 - pad, d.bbox.y1 - pad, d.bbox.x2 + pad,
                       d.bbox.y2 + pad) for d in gt + pool[:2]]
         expected = match_bits(oracle_match_detections(pool, boxes, iou_threshold, pad))
-        assert match_bits(
-            match_detections(Detections.of(pool), boxes, iou_threshold, pad)
-        ) == expected
+        cfg = EvalConfig(iou_threshold=iou_threshold, pad=pad)
+        assert match_bits(match_detections(Detections.of(pool), boxes, cfg)) == expected
 
     def test_noisy_image(self, noisy_image):
         scene, original, flipped = noisy_image

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from recistkit import evaluation
 from recistkit.evaluation import (
     DetectionMatch,
+    EvalConfig,
     FrocPoint,
     FrocResult,
     MatchResult,
@@ -89,7 +90,7 @@ class TestMatchDetections:
     def test_best_iou_gt_chosen(self):
         gts = [gt_at(10, 10), gt_at(18, 10)]
         dets = Detections.of([det_at(17, 10, 0.9)])
-        result = match_detections(dets, gts, iou_threshold=0.3)
+        result = match_detections(dets, gts, EvalConfig(iou_threshold=0.3))
         assert result.records[0].gt_index == 1
 
     def test_below_threshold_is_fp(self):
@@ -125,7 +126,7 @@ class TestMatchDetections:
         # negative IoU any overlap, without a word
         with pytest.raises(ValueError, match=named):
             match_detections(Detections.of([det_at(10, 10, 0.9)]), [gt_at(10, 10)],
-                             iou_threshold=iou_threshold, pad=pad)
+                             EvalConfig(iou_threshold=iou_threshold, pad=pad))
 
 
 class TestMatchOnIouMatrix:
@@ -159,7 +160,9 @@ class TestMatchOnIouMatrix:
                 dets.append(make_detection(*box.as_tuple(), score))
             threshold = float(rng.choice([0.0, 0.1, 0.3, 0.5, 1.0]))
             pad = float(rng.choice([0.0, 2.5, 5.0]))
-            got = match_detections(Detections.of(dets), gts, threshold, pad)
+            got = match_detections(
+                Detections.of(dets), gts, EvalConfig(iou_threshold=threshold, pad=pad)
+            )
             expected = loop_match_detections(dets, gts, threshold, pad)
             assert got == expected
             assert [r.score.hex() for r in got.records] == [

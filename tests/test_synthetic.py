@@ -223,6 +223,8 @@ class TestSimulateHeatmaps:
             jitter_cells=1, noise_sigma=0.2, seed=42))
         assert np.array_equal(a.offset_maps, b.offset_maps)
 
+    # each value a simulate flag passes on: DegradationConfig's fields and
+    # generate_scene's lesion count, which once gave an empty scene at -1
     @pytest.mark.parametrize("field,value,message", [
         *[("noise_sigma", v, "noise_sigma must be finite and >= 0")
           for v in (-0.1, float("inf"), float("nan"))],
@@ -231,7 +233,10 @@ class TestSimulateHeatmaps:
         *[("peak_drop_prob", v, r"peak_drop_prob must lie in \[0, 1\]")
           for v in (-0.1, 1.5)],
         ("jitter_cells", -1, "jitter_cells must be >= 0"),
+        ("n_lesions", -1, "n_lesions must be >= 0"),
     ])
     def test_out_of_range_field_refused(self, field, value, message):
-        with pytest.raises(ValueError, match=message):
-            DegradationConfig(**{field: value})
+        build = generate_scene if field == "n_lesions" else DegradationConfig
+        with pytest.raises(ValueError, match=message) as excinfo:
+            build(**{field: value})
+        assert str(excinfo.value).endswith(f", got {value!r}")
