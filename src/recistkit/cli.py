@@ -358,6 +358,12 @@ def _cmd_simulate(args) -> int:
         simulate_heatmaps,
     )
 
+    # realpath, unlike Path.resolve, does not raise on a symlink loop
+    realpath = os.path.realpath
+    if args.flipped_out and realpath(args.flipped_out) == realpath(args.out):
+        print("error: usage: --out and --flipped-out are the same directory, "
+              f"{args.out}", file=sys.stderr)
+        return 2
     cfg, sections = _load_effective_config(args)
     render = sections["render"]
     stride = render.stride
@@ -396,8 +402,7 @@ def _cmd_simulate(args) -> int:
             for _, view, view_degradation in views
         ]
     except ValueError as exc:
-        print(f"error: usage: --n-lesions {args.n_lesions} at --stride {stride}: "
-              f"{exc}", file=sys.stderr)
+        print(f"error: usage: --n-lesions {args.n_lesions}: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print(f"error: usage: --image-size {args.image_size} at --stride {stride}: "

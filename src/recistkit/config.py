@@ -1,5 +1,5 @@
 """Run configuration: the typed sections and their defaults, the effective
-config of a run, and the error type and strict JSON reader of every input.
+config of a run, and the error type, text decoder and JSON reader of inputs.
 
 A run is configured from three layers, later ones winning: built-in
 defaults, an optional JSON config file, and explicit command-line flags;
@@ -36,23 +36,36 @@ class InputFormatError(Exception):
     """A file failed to parse or violated its declared schema."""
 
 
-def load_json(path: str | Path):
-    """Parse a JSON file as strict JSON: the NaN, Infinity and -Infinity
-    tokens that :func:`json.load` accepts raise :class:`InputFormatError`,
-    as do malformed JSON, an integer literal too long to convert and JSON
-    nested past the parser's recursion limit."""
+def decode_text(data: bytes, where: str | Path) -> str:
+    """``data`` as UTF-8 text after an optional byte-order mark, the decoding of
+    every text input; other bytes raise InputFormatError naming ``where``."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{where}: not UTF-8 text: {exc}") from None
+
+
+def load_json(path: str | Path, data: bytes | None = None) -> dict:
+    """Parse ``data``, by default the file at ``path``, as strict JSON with an
+    object at the root: text :func:`decode_text` refuses, a NaN or Infinity
+    token, malformed JSON, an integer literal too long to convert, nesting
+    past the parser's recursion limit or another root raise InputFormatError
+    naming ``path``."""
     import json  # only a run that reads JSON pays for the import
 
     def reject(token: str):
         raise InputFormatError(f"{path}: non-finite number {token} is not JSON")
 
+    text = decode_text(Path(path).read_bytes() if data is None else data, path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=reject)
-    except ValueError as exc:  # JSONDecodeError, the int digit limit, bad UTF-8
+        doc = json.loads(text, parse_constant=reject)
+    except ValueError as exc:  # JSONDecodeError, the int digit limit
         raise InputFormatError(f"{path}: malformed JSON: {exc}") from None
     except RecursionError:
         raise InputFormatError(f"{path}: JSON nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise InputFormatError(f"{path}: JSON root must be an object")
+    return doc
 
 
 def is_finite_number(value) -> bool:
@@ -280,10 +293,7 @@ def effective(
     """
     cfg = DEFAULTS
     if path is not None:
-        data = load_json(path)
-        if not isinstance(data, dict):
-            raise InputFormatError(f"{path}: config root must be an object")
-        cfg = merge(cfg, data)
+        cfg = merge(cfg, load_json(path))
     cfg = merge(cfg, overrides)
     sections = {}
     for name, cls in SECTION_TYPES.items():

@@ -21,7 +21,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import MAX_HEADER_INT, InputFormatError, is_finite_number, load_json
+from .config import (MAX_HEADER_INT, InputFormatError, decode_text, is_finite_number,
+                     load_json)
 from .geometry import (
     BBox,
     ExtremePoints,
@@ -119,13 +120,6 @@ def _floats(row: dict, column: str, expect: int, where: str) -> list[float]:
     return values
 
 
-def _utf8_text(path: str | Path) -> str:
-    try:
-        return Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from None
-
-
 def _csv_rows(reader: csv.DictReader, path: str | Path):
     """``reader``'s field names (a list, empty for an empty file), then its
     rows. A csv.Error, such as a field over the csv module's size limit,
@@ -154,13 +148,15 @@ def parse_annotations(
     """
     excluded_keys: set[str] = set()
     if exclusion_list_path is not None:
-        for line in _utf8_text(exclusion_list_path).splitlines():
+        text = decode_text(Path(exclusion_list_path).read_bytes(), exclusion_list_path)
+        for line in text.splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
                 excluded_keys.add(line)
 
     result = ParseResult(annotations=[])
-    reader = csv.DictReader(io.StringIO(_utf8_text(csv_path), newline=""))
+    text = decode_text(Path(csv_path).read_bytes(), csv_path)
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     rows = _csv_rows(reader, csv_path)
     header = next(rows)
     missing = [c for c in CSV_COLUMNS if c not in header]
@@ -319,14 +315,7 @@ def read_heatmaps(path: str | Path) -> HeatmapBundle:
         header_line = fh.readline()
         if not header_line.endswith(b"\n"):
             raise InputFormatError(f"{path}: truncated header")
-        try:
-            header = json.loads(header_line)
-        except ValueError as exc:  # JSONDecodeError, the int digit limit, bad UTF-8
-            raise InputFormatError(f"{path}: malformed header: {exc}") from None
-        except RecursionError:
-            raise InputFormatError(f"{path}: header JSON nested too deeply") from None
-        if not isinstance(header, dict):
-            raise InputFormatError(f"{path}: header must be a JSON object")
+        header = load_json(path, header_line)
         error = _header_int_error(header)
         if error:
             raise InputFormatError(f"{path}: {error}")
@@ -560,7 +549,7 @@ def read_detections(path: str | Path) -> tuple[dict[str, Detections], dict | Non
     it, such as ``d.json: images['k'][0].bbox``.
     """
     doc = load_json(path)
-    if not isinstance(doc, dict) or "images" not in doc:
+    if "images" not in doc:
         raise InputFormatError(f"{path}: missing top-level 'images' object")
     images = doc["images"]
     if not isinstance(images, dict):

@@ -291,6 +291,7 @@ def generate_scene(
     raise ValueError(
         f"could not place {n_lesions} lesion(s) in {width}x{height} after "
         f"{_MAX_RESTARTS} arrangement attempts"
+        + (f" at clearance stride {clearance_stride}" if clearance_stride else "")
     )
 
 

@@ -333,6 +333,34 @@ class TestErrorPaths:
         assert run("eval", "--detections", tmp_path / "missing.json",
                    "--annotations", csv, "--out", tmp_path / "r") == 3
 
+    def test_simulate_out_through_a_symlink_loop_exit_3(self, tmp_path, capsys):
+        # comparing --out with --flipped-out must not fail on the loop itself
+        (tmp_path / "a").symlink_to("b")
+        (tmp_path / "b").symlink_to("a")
+        assert run("simulate", "--out", tmp_path / "a" / "x",
+                   "--flipped-out", tmp_path / "flip") == 3
+        assert capsys.readouterr().err.startswith("error: path: ")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "a", tmp_path / "b"]
+
+    def test_failed_command_keeps_what_it_did_not_write(self, tmp_path,
+                                                         monkeypatch, capsys):
+        # while simulate writes, something else removes one of its outputs
+        # and adds a file of its own to the new output directory
+        out = tmp_path / "new" / "sim"
+
+        def interfered_write_json(obj, path):
+            (out / "syn_0.rkhm").unlink()
+            (out / "notes.txt").write_text("not simulate's")
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(dataio, "write_json", interfered_write_json)
+        assert run("simulate", "--out", out, "--n-lesions", 1,
+                   "--image-size", 128) == 3
+        # the command's own error, not one of the clean-up
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == [
+            tmp_path / "new", out, out / "notes.txt"]
+
 
 # Argument builders for the exit-code table: each returns a function of
 # (tmp_path, sim_dir) that writes its input file and returns the path.
@@ -439,12 +467,11 @@ def _huge(build, digits):
     return wrapped
 
 
-def _deep_json(name):
-    """A file ``name`` opening 100,000 nested JSON lists, past the parser's
-    recursion limit."""
+def _file(name, data):
+    """A file ``name`` holding the bytes ``data``."""
     def build(tmp_path, sim_dir):
         path = tmp_path / name
-        path.write_bytes(b"[" * 100_000)
+        path.write_bytes(data)
         return path
     return build
 
@@ -582,6 +609,19 @@ EXIT_CODE_CASES = [
     ("render-targets exclusions not UTF-8", 3, [
         "render-targets", "--annotations", _sim_csv,
         "--exclusions", _sim_csv_bytes(lambda _: b"syn_\xff\n")]),
+    ("config not UTF-8", 3, [
+        "detect", "--heatmaps", _sim_dir,
+        "--config", _file("cfg.json", b'{"grouping": {}}\xff')]),
+    ("detections not UTF-8", 3, [
+        "eval", "--detections", _file("dets.json", b'{"images": {"syn_\xff": []}}'),
+        "--annotations", _sim_csv]),
+    ("rkhm header not UTF-8", 3, [
+        "detect", "--heatmaps", _rkhm_header(b'{"note": "\xff"}')]),
+    # non-finite tokens in a header key the reader does not otherwise check
+    # used to be accepted
+    ("rkhm header NaN", 3, ["detect", "--heatmaps", _bundles(note=float("nan"))]),
+    ("rkhm header Infinity", 3, [
+        "detect", "--heatmaps", _bundles(note=float("inf"))]),
     # a vanishing kernel sigma used to draw NaN planes and end in exit 4
     ("render-targets config render.sigma_divisor 1e300", 3, [
         "render-targets", "--annotations", _sim_csv, "--input-size", 768,
@@ -626,9 +666,11 @@ EXIT_CODE_CASES = [
     ("detect --k1 x", 2, ["detect", "--heatmaps", _sim_dir, "--k1", "x"]),
     # JSON nested past the parser's recursion limit used to end in exit 4
     ("config nested 100,000 deep", 3, [
-        "detect", "--heatmaps", _sim_dir, "--config", _deep_json("cfg.json")]),
+        "detect", "--heatmaps", _sim_dir,
+        "--config", _file("cfg.json", b"[" * 100_000)]),
     ("detections nested 100,000 deep", 3, [
-        "eval", "--detections", _deep_json("dets.json"), "--annotations", _sim_csv]),
+        "eval", "--detections", _file("dets.json", b"[" * 100_000),
+        "--annotations", _sim_csv]),
     ("rkhm header nested 100,000 deep", 3, [
         "detect", "--heatmaps", _rkhm_header(b"[" * 100_000)]),
     ("simulate --drop 2", 2, ["simulate", "--drop", 2]),
@@ -640,6 +682,10 @@ EXIT_CODE_CASES = [
     ("simulate --image-size 0", 2, ["simulate", "--image-size", 0]),
     ("simulate --n-lesions 40 at 256 px", 2, [
         "simulate", "--n-lesions", 40, "--image-size", 256]),
+    # both views used to be written into one directory, with exit 0
+    ("simulate --flipped-out the --out directory", 2, [
+        "simulate", "--flipped-out",
+        lambda tmp_path, sim_dir: tmp_path / "sub" / ".." / "out"]),
     ("detect --workers 0", 2, ["detect", "--heatmaps", _sim_dir, "--workers", 0]),
     ("detect --workers -5", 2, ["detect", "--heatmaps", _sim_dir, "--workers=-5"]),
     ("check-gradients --trials -5", 2, ["check-gradients", "--trials=-5"]),
@@ -708,7 +754,7 @@ NAMED_IN_ERROR = {
     "config 4301-digit int": "cfg.json",
     "rkhm header 4301-digit int": "syn_11.rkhm",
     "rkhm stride 2**31": "header stride must be an integer in [1, 2147483647]",
-    "rkhm header a JSON list": "syn_11.rkhm: header must be a JSON object",
+    "rkhm header a JSON list": "syn_11.rkhm: JSON root must be an object",
     "fuse bad --flipped file":
         "flipped.json: images['syn_11'][0].score: expected a finite number",
     "render-targets csv lesion type x":
@@ -724,7 +770,12 @@ NAMED_IN_ERROR = {
     "simulate --noise -1": "noise_sigma must be finite and >= 0, got -1.0",
     "simulate --spurious -1": "spurious_rate must be finite and >= 0, got -1.0",
     "simulate --jitter -1": "jitter_cells must be >= 0, got -1",
-    "simulate --n-lesions -1": "n_lesions must be >= 0, got -1",
+    # the count alone: the stride plays no part in these two refusals
+    "simulate --n-lesions -1": "--n-lesions -1: n_lesions must be >= 0, got -1",
+    "simulate --n-lesions 40 at 256 px": "--n-lesions 40: could not place 40 "
+        "lesion(s) in 256x256: their padded boxes need",
+    "simulate --flipped-out the --out directory":
+        "--out and --flipped-out are the same directory",
     "render-targets csv inf coordinate": "row 2: column Measurement_coordinates",
     "render-targets csv nan coordinate": "row 2: column Measurement_coordinates",
     "eval --stratify diameter csv nan spacing": "row 2: column Spacing_mm_px_",
@@ -733,6 +784,11 @@ NAMED_IN_ERROR = {
     "render-targets csv key ../up": "image key '../up' is not a file name",
     "render-targets csv empty key": "image key '' is not a file name",
     "render-targets exclusions not UTF-8": "edited.csv: not UTF-8 text",
+    "config not UTF-8": "cfg.json: not UTF-8 text",
+    "detections not UTF-8": "dets.json: not UTF-8 text",
+    "rkhm header not UTF-8": "syn_11.rkhm: not UTF-8 text",
+    "rkhm header NaN": "syn_11.rkhm: non-finite number NaN is not JSON",
+    "rkhm header Infinity": "syn_11.rkhm: non-finite number Infinity is not JSON",
     "render-targets csv field over the csv size limit":
         "edited.csv: line 2: field larger than field limit",
     "render-targets config render.sigma_divisor 1e300": "sigma_divisor in (0, ",
@@ -748,7 +804,7 @@ NAMED_IN_ERROR = {
     "detect --k1 x": "argument --k1: invalid int value: 'x'",
     "config nested 100,000 deep": "cfg.json: JSON nested too deeply",
     "detections nested 100,000 deep": "dets.json: JSON nested too deeply",
-    "rkhm header nested 100,000 deep": "syn_11.rkhm: header JSON nested too deeply",
+    "rkhm header nested 100,000 deep": "syn_11.rkhm: JSON nested too deeply",
     "eval --iou 1.5": "config section eval: iou_threshold must lie in [0, 1]",
     "eval --iou -0.1": "config section eval: iou_threshold must lie in [0, 1]",
     "eval --pad -1": "config section eval: pad must be finite and >= 0",
@@ -981,6 +1037,57 @@ class TestReRuns:
         assert "dets.json.tmp" in capsys.readouterr().err
         assert out.read_bytes() == b"old"
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """Any text input may start with a UTF-8 byte-order mark, as a file
+    re-saved from a spreadsheet often does; the mark changes no result."""
+
+    def test_csv_renders_the_same_bundles(self, sim_dir, tmp_path):
+        plain = sim_dir / "annotations.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(BOM + plain.read_bytes())
+        for csv_path, out in ((plain, "plain"), (marked, "marked")):
+            assert run("render-targets", "--annotations", csv_path,
+                       "--input-size", 768, "--out", tmp_path / out) == 0
+        assert _files(tmp_path / "marked") == _files(tmp_path / "plain")
+
+    def test_exclusion_list_drops_its_first_key(self, sim_dir, tmp_path, capsys):
+        csv_path, _ = _csv_with_excluded_key(sim_dir, tmp_path)
+        exclusions = tmp_path / "marked.txt"
+        exclusions.write_bytes(BOM + b"excluded\n")
+        dets = tmp_path / "dets.json"
+        assert run("detect", "--heatmaps", sim_dir, "--out", dets) == 0
+        for argv in (["render-targets", "--input-size", 768],
+                     ["eval", "--detections", dets]):
+            capsys.readouterr()
+            assert run(*argv, "--annotations", csv_path, "--exclusions", exclusions,
+                       "--out", tmp_path / "out") == 0
+            assert capsys.readouterr().out.startswith("excluded 1 annotation row(s)\n")
+        assert json.loads((tmp_path / "out.json").read_text())["froc"]["n_lesions"] == 3
+
+    def test_config_detections_and_rkhm_header_load(self, sim_dir, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(BOM + b'{"grouping": {"k1": 7}}')
+        plain = tmp_path / "plain.json"
+        assert run("detect", "--heatmaps", sim_dir, "--config", config,
+                   "--out", plain) == 0
+        assert read_detections(plain)[1]["grouping"]["k1"] == 7
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(BOM + plain.read_bytes())
+        assert read_detections(marked) == read_detections(plain)
+
+        data = (sim_dir / "syn_11.rkhm").read_bytes()
+        start = len(dataio.HEATMAP_MAGIC)
+        (tmp_path / "maps").mkdir()
+        (tmp_path / "maps" / "syn_11.rkhm").write_bytes(
+            data[:start] + BOM + data[start:])
+        assert run("detect", "--heatmaps", tmp_path / "maps", "--config", config,
+                   "--out", marked) == 0
+        assert marked.read_bytes() == plain.read_bytes()
 
 
 class TestHugeCoordinates:

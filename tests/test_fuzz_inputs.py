@@ -14,7 +14,7 @@ Each ``.rkhm`` example writes a small valid bundle's bytes, then mutates
 one header field, the header line, the magic or the payload bytes. ``detect``
 exits 0, 2 or 3, never 4; it raises no warning; a refusal names the file
 and leaves no output or ``*.tmp`` behind; and a bundle it accepts reads and
-writes back to the same bytes.
+writes back to the same bytes, less a byte-order mark.
 
 Each annotation CSV example mutates the rows of a simulated scene's CSV: a
 number, a count of numbers, an integer column, a key, a row's length, the
@@ -24,6 +24,9 @@ the file's root or text, or nests lists to a drawn depth. Either way a
 command exits 0, 2 or 3, never 4; it raises no warning; a refusal leaves no
 output or ``*.tmp`` behind; an accepted run writes only its outputs; and an
 accepted CSV writes and reads back to the same annotations.
+
+Every harness also draws whether its file starts with a UTF-8 byte-order
+mark (a ``.rkhm`` bundle, its header line), which every text reader skips.
 """
 
 import contextlib
@@ -56,6 +59,7 @@ from recistkit.dataio import (
 from recistkit.targets import KEYPOINT_CHANNELS
 
 KEY = "syn_11"
+BOM = b"\xef\xbb\xbf"
 
 
 def valid_entry(x: float, y: float, w: float, h: float, score: float) -> dict:
@@ -151,12 +155,12 @@ def run_quietly(argv: list) -> tuple[int, str]:
 
 
 @settings(max_examples=120)
-@given(doc=mutated_documents())
-def test_mutated_detections_exit_0_or_3(annotations, doc):
+@given(doc=mutated_documents(), bom=st.booleans())
+def test_mutated_detections_exit_0_or_3(annotations, doc, bom):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         dets = tmp / "dets.json"
-        dets.write_text(json.dumps(doc))
+        dets.write_bytes(BOM * bom + json.dumps(doc).encode())
         commands = {
             "fused.json": ["fuse", "--original", dets, "--flipped", dets,
                            "--image-width", 768, "--out", tmp / "fused.json"],
@@ -263,14 +267,16 @@ def valid_bundle() -> bytes:
 
 
 @settings(max_examples=200)
-@given(case=rkhm_cases())
-def test_fuzzed_rkhm_detect_exits_0_2_or_3(valid_bundle, case):
+@given(case=rkhm_cases(), bom=st.booleans())
+def test_fuzzed_rkhm_detect_exits_0_2_or_3(valid_bundle, case, bom):
     kind, data = case
+    start = len(HEATMAP_MAGIC)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "maps").mkdir()
         (tmp / "maps" / "a.rkhm").write_bytes(valid_bundle)
-        (tmp / "maps" / "b.rkhm").write_bytes(data)
+        (tmp / "maps" / "b.rkhm").write_bytes(
+            data[:start] + BOM * bom + data[start:])
         out = tmp / "dets.json"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -387,11 +393,12 @@ def test_fuzzed_csv_render_targets_and_eval_exit_0_2_or_3(
     csv_rows, detections, data
 ):
     kind, rows = data.draw(mutated_csvs(csv_rows))
+    encoding = data.draw(st.sampled_from(["utf-8", "utf-8-sig"]))  # -sig: a BOM
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "in").mkdir()  # every command writes beside it, never into it
         path = tmp / "in" / "annotations.csv"
-        with path.open("w", newline="") as fh:
+        with path.open("w", newline="", encoding=encoding) as fh:
             csv.writer(fh).writerows(rows)
         rendered = run_checked(tmp, [
             "render-targets", "--annotations", path, "--input-size", 768,
@@ -474,16 +481,16 @@ def config_texts(draw) -> str:
 
 
 @settings(max_examples=50)
-@given(text=config_texts())
-@example(text='{"render": {"input_size": 2147483647}}')
-@example(text='{"render": {"input_size": 768, "sigma_divisor": 1e300}}')
+@given(text=config_texts(), bom=st.booleans())
+@example(text='{"render": {"input_size": 2147483647}}', bom=False)
+@example(text='{"render": {"input_size": 768, "sigma_divisor": 1e300}}', bom=True)
 def test_fuzzed_config_detect_and_render_targets_exit_0_2_or_3(
-    annotations, text
+    annotations, text, bom
 ):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         config = tmp / "cfg.json"
-        config.write_text(text, encoding="utf-8")
+        config.write_bytes(BOM * bom + text.encode())
         run_checked(tmp, [
             "detect", "--heatmaps", annotations.parent, "--config", config,
             "--workers", 1, "--out", tmp / "dets.json"], ["dets.json"])

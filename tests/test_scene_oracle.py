@@ -244,6 +244,7 @@ def frozen_generate_scene(
     raise ValueError(
         f"could not place {n_lesions} lesion(s) in {width}x{height} after "
         f"{max_restarts} arrangement attempts"
+        + (f" at clearance stride {clearance_stride}" if clearance_stride else "")
     )
 
 

@@ -274,7 +274,7 @@ class TestConfigIsTheRoot:
 
     @pytest.mark.parametrize("document,overrides,message", [
         # the file is checked first, then the overrides, then the sections
-        ("[1]", {"nope": 1}, "{path}: config root must be an object"),
+        ("[1]", {"nope": 1}, "{path}: JSON root must be an object"),
         ('{"grouping": {"k1": "40"}}', {"nope": 1},
          "config key grouping.k1 must be of type int, got '40'"),
         ('{"grouping": {"kernel": 2}}', {"nope": 1}, "unknown config key: nope"),
@@ -284,6 +284,10 @@ class TestConfigIsTheRoot:
          "config key eval.pad must be finite, got nan"),
         ("{}", {"soft_nms": {"score_floor": -0.5}},
          "config section soft_nms: score_floor must be >= 0, got -0.5"),
+        ("{}", {"soft_nms": {"linear_iou_threshold": 1.5}},
+         "config section soft_nms: linear_iou_threshold must lie in [0, 1]"),
+        ("{}", {"focal": {"beta": -1.0}},
+         "config section focal: beta must be >= 0, got -1.0"),
         ("{}", {"focal": {"alpha": 0.0}},
          "config section focal: alpha must be > 0, got 0.0"),
         ("{}", {"focal": {"clamp_eps": 0.5}},
