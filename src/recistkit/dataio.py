@@ -37,6 +37,9 @@ from .grouping import BOX_COLUMNS, SOURCES, Detection, Detections
 from .targets import KEYPOINT_CHANNELS, OFFSET_CHANNELS, HeatmapBundle
 
 HEATMAP_MAGIC = b"RKHM1\n"
+# the longest .rkhm header line read, its newline included; a real one is
+# about 200 bytes
+_MAX_HEADER_BYTES = 1 << 20
 CHANNEL_NAMES = KEYPOINT_CHANNELS + OFFSET_CHANNELS
 
 SPLIT_NAMES = {1: "train", 2: "val", 3: "test"}
@@ -312,7 +315,11 @@ def read_heatmaps(path: str | Path) -> HeatmapBundle:
         magic = fh.read(len(HEATMAP_MAGIC))
         if magic != HEATMAP_MAGIC:
             raise InputFormatError(f"{path}: bad magic, not a heatmap file")
-        header_line = fh.readline()
+        header_line = fh.readline(_MAX_HEADER_BYTES + 1)
+        if len(header_line) > _MAX_HEADER_BYTES:
+            raise InputFormatError(
+                f"{path}: header line longer than {_MAX_HEADER_BYTES} bytes"
+            )
         if not header_line.endswith(b"\n"):
             raise InputFormatError(f"{path}: truncated header")
         header = load_json(path, header_line)

@@ -40,8 +40,9 @@ _FD_STEP = 1e-6
 def _focal_inputs(
     pred: np.ndarray, target: np.ndarray, n_objects: int, params: FocalParams
 ):
-    """Checks the arguments (a NaN prediction raises ValueError), then
-    returns what both focal functions read.
+    """Checks the arguments (a NaN prediction, or one of a dtype that does
+    not cast safely to float64, such as longdouble, raises ValueError),
+    then returns what both focal functions read.
 
     That is the prediction clamped to [clamp_eps, 1 - clamp_eps] as a fresh
     float64 array the caller may overwrite, the flat (C-order) indices of
@@ -52,13 +53,16 @@ def _focal_inputs(
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
     if n_objects < 0:
         raise ValueError(f"n_objects must be >= 0, got {n_objects}")
+    if not np.can_cast(pred.dtype, np.float64):
+        raise ValueError(f"pred dtype must cast safely to float64, got {pred.dtype}")
     # max is NaN iff some value is, and allocates nothing
     if pred.size and np.isnan(pred.max()):
         raise ValueError("pred holds NaN")
     p = np.clip(pred, params.clamp_eps, 1.0 - params.clamp_eps, dtype=np.float64)
-    pos = (target == 1.0).ravel().nonzero()[0]
     near = (target != 0.0).ravel().nonzero()[0]
-    weight = (1.0 - target.take(near).astype(np.float64)) ** params.beta
+    values = target.take(near)
+    pos = near[values == 1.0]
+    weight = (1.0 - values.astype(np.float64)) ** params.beta
     return p, pos, near, weight
 
 
@@ -108,13 +112,18 @@ def focal_loss_grad(
     n_objects: int,
     params: FocalParams = FocalParams(),
 ) -> np.ndarray:
-    """Analytic d(loss)/d(pred), zero at cells where the clamp is active.
+    """Analytic d(loss)/d(pred), zero exactly at the cells where the clamp
+    to [clamp_eps, 1 - clamp_eps] moved the prediction, in every dtype
+    accepted.
 
     Like :func:`focal_loss`, the positive branch is evaluated only at the
     target-1 cells and (1-Y)^beta only where the target is not 0; the
     bracket of the negative branch runs over the whole grid in place.
     """
     p, pos, near, weight = _focal_inputs(pred, target, n_objects, params)
+    # float64 holds pred's values exactly (an integer it cannot is clamped
+    # anyway), so this is exactly where the clip moved the prediction
+    clamped = p != pred
     a = params.alpha
     pp = p.take(pos)
     d_pos = -a * (1.0 - pp) ** (a - 1.0) * np.log(pp) + (1.0 - pp) ** a / pp
@@ -135,7 +144,7 @@ def focal_loss_grad(
 
     np.negative(grad, out=grad)
     grad /= max(n_objects, 1)
-    grad[(pred < params.clamp_eps) | (pred > 1.0 - params.clamp_eps)] = 0.0
+    grad[clamped] = 0.0
     return grad
 
 

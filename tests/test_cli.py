@@ -673,6 +673,9 @@ EXIT_CODE_CASES = [
         "--annotations", _sim_csv]),
     ("rkhm header nested 100,000 deep", 3, [
         "detect", "--heatmaps", _rkhm_header(b"[" * 100_000)]),
+    # the whole line used to be read, then decoded, before it was refused
+    ("rkhm header line of 2 MiB", 3, [
+        "detect", "--heatmaps", _rkhm_header(b" " * (2 << 20))]),
     ("simulate --drop 2", 2, ["simulate", "--drop", 2]),
     ("simulate --drop -0.5", 2, ["simulate", "--drop=-0.5"]),
     ("simulate --noise -1", 2, ["simulate", "--noise=-1"]),
@@ -805,6 +808,8 @@ NAMED_IN_ERROR = {
     "config nested 100,000 deep": "cfg.json: JSON nested too deeply",
     "detections nested 100,000 deep": "dets.json: JSON nested too deeply",
     "rkhm header nested 100,000 deep": "syn_11.rkhm: JSON nested too deeply",
+    "rkhm header line of 2 MiB":
+        "syn_11.rkhm: header line longer than 1048576 bytes",
     "eval --iou 1.5": "config section eval: iou_threshold must lie in [0, 1]",
     "eval --iou -0.1": "config section eval: iou_threshold must lie in [0, 1]",
     "eval --pad -1": "config section eval: pad must be finite and >= 0",

@@ -149,6 +149,31 @@ class TestFocalGrad:
         assert grad[1, 0] == 0.0
         assert grad[0, 1] != 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_zero_exactly_where_the_clip_moves_the_prediction(self, dtype):
+        # 1.0 and float32(1e-12) = 9.99999996e-13 lie outside the clamp in
+        # every dtype, float16 cannot hold 1e-12 at all, and a value on a
+        # bound or inside the clamp keeps its gradient
+        eps = 1e-12
+        values = [1.0, np.float32(eps), 0.0, -0.0, 0.5, eps, 1.0 - eps]
+        pred = np.array([values, values], dtype=dtype)
+        target = np.array([[0.0] * len(values), [1.0] * len(values)])
+        grad = focal_loss_grad(pred, target, 1)
+        moved = np.clip(pred.astype(np.float64), eps, 1.0 - eps) != pred
+        assert np.array_equal(grad == 0.0, moved)
+        assert moved[:, :4].all() and not moved[:, 4].any()
+
+    # longdouble is float64 itself on some platforms
+    @pytest.mark.parametrize("dtype", [np.complex128] + (
+        [] if np.can_cast(np.longdouble, np.float64) else [np.longdouble]))
+    def test_pred_dtype_beyond_float64_raises(self, dtype):
+        # a third would be clipped as its float64 rounding, a value the
+        # clip did not move but that differs from the prediction
+        pred = np.full((2, 2), 1, dtype=dtype) / 3
+        for fn in (focal_loss, focal_loss_grad):
+            with pytest.raises(ValueError, match="cast safely to float64"):
+                fn(pred, np.zeros((2, 2)), 1)
+
 
 class TestSmoothL1:
     def test_values(self):

@@ -3,7 +3,11 @@ replaced, bit for bit.
 
 ``dense_focal_loss`` and ``dense_focal_loss_grad`` evaluate both branches
 and (1-Y)^beta on every cell, as ``losses`` did before it evaluated each
-branch only where it applies; their bodies are copied without change.
+branch only where it applies; their bodies are copied without change but
+for the gradient's clamp mask, which now compares the prediction with the
+clamp bounds in float64, the dtype the clip runs in: the copied mask
+compared in the prediction's own dtype and missed a float16 or float32
+prediction of exactly 1.0.
 Floats are compared through ``.view(np.uint64)``, so a sign of zero, a
 NaN's sign or a last-ulp difference fails. Three orderings carry the bits,
 and each case group below exercises them:
@@ -75,7 +79,8 @@ def dense_focal_loss_grad(
     )
     grad = -np.where(pos, d_pos, d_neg) / max(n_objects, 1)
 
-    clamped = (pred < params.clamp_eps) | (pred > 1.0 - params.clamp_eps)
+    pred64 = pred.astype(np.float64)
+    clamped = (pred64 < params.clamp_eps) | (pred64 > 1.0 - params.clamp_eps)
     grad[clamped] = 0.0
     return grad
 
@@ -162,7 +167,7 @@ SPECIAL_TARGETS = [0.0, -0.0, 1.0, 0.5, 0.999, 1.5, 2.0, -0.5, np.nan]
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=lambda p: f"a{p.alpha:g}-b{p.beta:g}")
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
 @pytest.mark.parametrize("n", [0, 1])
 def test_special_values(params, dtype, n):
     # every special prediction against every special target

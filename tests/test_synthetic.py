@@ -87,8 +87,9 @@ class TestGenerateScene:
 
     def test_infeasible_packing_raises(self, monkeypatch):
         monkeypatch.setattr(synthetic, "_MAX_RESTARTS", 3)
-        with pytest.raises(ValueError, match="could not place"):
-            generate_scene(40, image_size=(256, 256), seed=10)
+        # the padded boxes need 314 of 359 px, so only the restart loop refuses
+        with pytest.raises(ValueError, match="after 3 arrangement attempts"):
+            generate_scene(5, image_size=(360, 360), seed=0)
 
     def test_unplaceable_scene_fails_before_drawing(self, monkeypatch):
         # two padded boxes of >= 50 px plus a 16 px gap need 116 px per axis
