@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 # on first use, so ``import recistkit`` loads no submodule (PEP 562)
 _EXPORTS = {
     "config": (
-        "EvalConfig", "FocalParams", "GroupingConfig", "InputFormatError",
-        "RenderConfig", "SoftNmsConfig",
+        "DegradationConfig", "EvalConfig", "FocalParams", "GroupingConfig",
+        "InputFormatError", "RenderConfig", "SoftNmsConfig",
     ),
     "dataio": (
         "ParseResult", "RecistAnnotation",
@@ -46,8 +46,7 @@ _EXPORTS = {
         "offset_loss_grad", "smooth_l1",
     ),
     "synthetic": (
-        "DegradationConfig", "SyntheticScene", "flip_scene", "generate_scene",
-        "simulate_heatmaps",
+        "SyntheticScene", "flip_scene", "generate_scene", "simulate_heatmaps",
     ),
     "targets": (
         "HeatmapBundle", "TargetBundle", "gaussian_radius", "offset_target",

@@ -27,7 +27,7 @@ import numpy as np
 # each command imports the library modules it runs, so a process loads only
 # those (see README, "Start-up")
 from . import config as config_mod
-from .config import InputFormatError
+from .config import DegradationConfig, InputFormatError
 
 HEATMAP_SUFFIX = ".rkhm"
 
@@ -351,12 +351,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from .dataio import write_annotations, write_heatmaps, write_json
-    from .synthetic import (
-        DegradationConfig,
-        flip_scene,
-        generate_scene,
-        simulate_heatmaps,
-    )
+    from .synthetic import flip_scene, generate_scene, simulate_heatmaps
 
     # realpath, unlike Path.resolve, does not raise on a symlink loop
     realpath = os.path.realpath
@@ -371,24 +366,25 @@ def _cmd_simulate(args) -> int:
     degradation_seed = (
         args.degradation_seed if args.degradation_seed is not None else args.scene_seed
     )
-    fields = {}
-    for flag, field in _DEGRADATION_FLAGS.items():
-        fields[field] = getattr(args, flag[2:])
+    given = {}
+    for flag, (field, _) in _DEGRADATION_FLAGS.items():
+        value = getattr(args, flag[2:])
+        if value is None:
+            continue
         try:  # one field at a time, so that a refusal names its flag
-            DegradationConfig(**{field: fields[field]})
+            DegradationConfig(**{field: value})
         except ValueError as exc:
             print(f"error: usage: {flag}: {exc}", file=sys.stderr)
             return 2
-    degradation = DegradationConfig(**fields, seed=degradation_seed)
+        given[field] = value
+    degradation = DegradationConfig(**given, seed=degradation_seed)
     try:
         scene = generate_scene(
             args.n_lesions,
             image_size=(args.image_size, args.image_size),
             seed=args.scene_seed,
-            clearance_stride=stride,
-            clearance_tau=sections["grouping"].tau_c,
-            min_overlap=render.min_overlap,
-            sigma_divisor=render.sigma_divisor,
+            render=render,
+            grouping=sections["grouping"],
         )
         # (directory, scene, degradation) of the original view, then the flipped
         views = [(args.out, scene, degradation)]
@@ -411,15 +407,13 @@ def _cmd_simulate(args) -> int:
 
     key = f"syn_{args.scene_seed}"
     provenance = dict(cfg)
+    degraded = dataclasses.asdict(degradation)
+    degraded["degradation_seed"] = degraded.pop("seed")
     provenance["simulate"] = {
         "scene_seed": args.scene_seed,
         "n_lesions": args.n_lesions,
         "image_size": args.image_size,
-        "noise_sigma": args.noise,
-        "peak_drop_prob": args.drop,
-        "spurious_rate": args.spurious,
-        "jitter_cells": args.jitter,
-        "degradation_seed": degradation_seed,
+        **degraded,
     }
 
     with _Outputs() as outputs:
@@ -598,9 +592,14 @@ _CONFIG_FLAGS = {
     "simulate": ("render", [("--stride", "stride", "down-sampling factor")]),
 }
 
-# simulate's degradation flags, each judged by the DegradationConfig field it sets
-_DEGRADATION_FLAGS = {"--noise": "noise_sigma", "--drop": "peak_drop_prob",
-                      "--spurious": "spurious_rate", "--jitter": "jitter_cells"}
+# simulate's degradation flags: the DegradationConfig field each sets, whose
+# default and rule are the flag's, and its help
+_DEGRADATION_FLAGS = {
+    "--noise": ("noise_sigma", "keypoint-map noise sigma"),
+    "--drop": ("peak_drop_prob", "kernel drop probability"),
+    "--spurious": ("spurious_rate", "expected fake peaks per map"),
+    "--jitter": ("jitter_cells", "max peak-cell jitter in cells"),
+}
 
 
 def _usable_cpus() -> int:
@@ -617,19 +616,23 @@ def _default_text(value) -> str:
     return f"{value:g}" if isinstance(value, float) else str(value)
 
 
-def _add_config_flags(p: argparse.ArgumentParser, command: str) -> None:
-    """Add a subcommand's config-backed flags.
+def _add_default_flag(p: argparse.ArgumentParser, flag: str, text: str,
+                      default) -> None:
+    """Add a flag that parses as ``default``'s type. Its argparse default
+    stays None so that only an explicit flag overrides; the help text
+    shows ``default``."""
+    type_ = _fps_list if isinstance(default, list) else type(default)
+    p.add_argument(flag, type=type_, default=None,
+                   help=f"{text} (default: {_default_text(default)})")
 
-    Their argparse default stays None so that only an explicit flag
-    overrides the config file; the help text shows the built-in default.
-    """
+
+def _add_config_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """Add a subcommand's config-backed flags, which override the config
+    file, each showing its built-in default."""
     p.add_argument("--config", default=None, help="JSON config file")
     section, flags = _CONFIG_FLAGS[command]
     for flag, key, text in flags:
-        default = config_mod.DEFAULTS[section][key]
-        type_ = _fps_list if isinstance(default, list) else type(default)
-        p.add_argument(flag, type=type_, default=None,
-                       help=f"{text} (default: {_default_text(default)})")
+        _add_default_flag(p, flag, text, config_mod.DEFAULTS[section][key])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -703,14 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lesions to place (default: 3)")
     p.add_argument("--image-size", type=_positive_int, default=768,
                    help="image pixels, square (default: 768)")
-    p.add_argument("--noise", type=float, default=0.0,
-                   help="keypoint-map noise sigma (default: 0)")
-    p.add_argument("--drop", type=float, default=0.0,
-                   help="kernel drop probability (default: 0)")
-    p.add_argument("--spurious", type=float, default=0.0,
-                   help="expected fake peaks per map (default: 0)")
-    p.add_argument("--jitter", type=int, default=0,
-                   help="max peak-cell jitter in cells (default: 0)")
+    for flag, (field, text) in _DEGRADATION_FLAGS.items():
+        _add_default_flag(p, flag, text, getattr(DegradationConfig, field))
     p.add_argument("--degradation-seed", type=int, default=None,
                    help="degradation RNG seed (default: the scene seed)")
     p.add_argument("--flipped-out", default=None,

@@ -10,8 +10,10 @@ into every output artifact so results stay attributable.
 Each config section is a frozen dataclass defined here, whose fields are the
 section's keys and whose class attributes are its defaults; the module that
 runs a section re-exports it (``grouping.GroupingConfig`` is
-``GroupingConfig``). This module imports no other recistkit module, so a
-command pays only for the modules it runs.
+``GroupingConfig``). ``DegradationConfig``, the settings of ``simulate``
+that are flags only, is defined here in the same form and re-exported by
+``synthetic``. This module imports no other recistkit module, so a command
+pays only for the modules it runs.
 """
 
 from __future__ import annotations
@@ -216,6 +218,38 @@ class RenderConfig:
                 f"[1, {MAX_HEADER_INT}], min_overlap in (0, 1) and "
                 f"sigma_divisor in (0, {MAX_HEADER_INT}], got {asdict(self)}"
             )
+
+
+@dataclass(frozen=True)
+class DegradationConfig:
+    """How hard ``simulate`` corrupts a rendered bundle; not a config section.
+
+    ``noise_sigma`` adds clamped Gaussian noise to the five keypoint maps
+    (offset planes stay exact). Each keypoint kernel is dropped with
+    ``peak_drop_prob``; surviving kernels move uniformly within
+    ``jitter_cells`` cells per axis. Spurious peaks arrive Poisson
+    (``spurious_rate``) per map with scores uniform in
+    (``synthetic._SPURIOUS_SCORE_MIN``, 1), never within 2 cells of a true
+    peak.
+    """
+
+    noise_sigma: float = 0.0
+    peak_drop_prob: float = 0.0
+    spurious_rate: float = 0.0
+    jitter_cells: int = 0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.peak_drop_prob <= 1.0:
+            raise ValueError(
+                f"peak_drop_prob must lie in [0, 1], got {self.peak_drop_prob!r}"
+            )
+        for name in ("noise_sigma", "spurious_rate"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.jitter_cells < 0:
+            raise ValueError(f"jitter_cells must be >= 0, got {self.jitter_cells!r}")
 
 
 # config sections whose keys and defaults are the fields of a library type,

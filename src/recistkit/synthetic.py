@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DegradationConfig
 from .dataio import BOX_PADDING, RecistAnnotation
 from .geometry import (
     BBox,
@@ -65,37 +66,6 @@ _SPURIOUS_SCORE_MIN = 0.1
 _SPURIOUS_RADIUS = 2
 
 
-@dataclass(frozen=True, slots=True)
-class DegradationConfig:
-    """How hard to corrupt a rendered bundle.
-
-    ``noise_sigma`` adds clamped Gaussian noise to the five keypoint maps
-    (offset planes stay exact). Each keypoint kernel is dropped with
-    ``peak_drop_prob``; surviving kernels move uniformly within
-    ``jitter_cells`` cells per axis. Spurious peaks arrive Poisson
-    (``spurious_rate``) per map with scores uniform in
-    (``_SPURIOUS_SCORE_MIN``, 1), never within 2 cells of a true peak.
-    """
-
-    noise_sigma: float = 0.0
-    peak_drop_prob: float = 0.0
-    spurious_rate: float = 0.0
-    jitter_cells: int = 0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.peak_drop_prob <= 1.0:
-            raise ValueError(
-                f"peak_drop_prob must lie in [0, 1], got {self.peak_drop_prob!r}"
-            )
-        for name in ("noise_sigma", "spurious_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.jitter_cells < 0:
-            raise ValueError(f"jitter_cells must be >= 0, got {self.jitter_cells!r}")
-
-
 @dataclass
 class SyntheticScene:
     """A procedurally generated image's worth of lesion annotations."""
@@ -121,18 +91,18 @@ def _axis_gaps(a, b) -> tuple[float, float]:
 def _decodes_to_itself(
     extremes_list,
     image_size: tuple[int, int],
-    stride: int,
-    min_overlap: float,
-    sigma_divisor: float,
-    tau_c: float,
+    render: RenderConfig,
+    grouping: GroupingConfig,
 ) -> bool:
     """Whether grouping a clean rendering yields exactly these lesions.
 
     On a clean bundle each role's peaks are exactly the true keypoint
-    cells, so grouping's own enumeration runs on those cells and the
-    rendered center plane, the only plane drawn or read, and must keep the
-    n true quadruples and nothing else.
+    cells, so grouping's own enumeration, with the whole ``grouping``
+    section as ``detect`` runs it, runs on those cells and the center
+    plane rendered by ``render``'s stride and kernel rule, the only plane
+    drawn or read, and must keep the n true quadruples and nothing else.
     """
+    stride = render.stride
     center = _zero_planes(1, *output_grid(image_size, stride))[0]
     true_cells = []
 
@@ -143,8 +113,8 @@ def _decodes_to_itself(
     # no extreme is drawn, so the center plane stands in for every keypoint
     # plane and there are no offset planes
     _draw_lesions(
-        [center] * 5, None, stride, extremes_list, min_overlap, sigma_divisor,
-        center_only,
+        [center] * 5, None, stride, extremes_list, render.min_overlap,
+        render.sigma_divisor, center_only,
     )
     # (row, col) per lesion and extreme role
     truth = np.array(true_cells, dtype=float).reshape(-1, 4, 2)
@@ -152,7 +122,7 @@ def _decodes_to_itself(
     arrays = np.ones((len(EXTREME_ROLES), 3, len(truth)))
     arrays[:, :2] = truth.transpose(1, 2, 0)
     peaks = {role: Peaks(role, a) for role, a in zip(EXTREME_ROLES, arrays)}
-    kept = enumerate_quadruples(peaks, center, GroupingConfig(tau_c=tau_c))
+    kept = enumerate_quadruples(peaks, center, grouping)
     found = kept.rows[:, [1, 0, 3, 2, 5, 4, 7, 6]].tolist()
     return sorted(found) == sorted(truth.reshape(-1, 8).tolist())
 
@@ -161,10 +131,8 @@ def generate_scene(
     n_lesions: int,
     image_size: tuple[int, int] = (768, 768),
     seed: int = 0,
-    clearance_stride: int | None = RenderConfig.stride,
-    clearance_tau: float = GroupingConfig.tau_c,
-    min_overlap: float = RenderConfig.min_overlap,
-    sigma_divisor: float = RenderConfig.sigma_divisor,
+    render: RenderConfig = RenderConfig(),
+    grouping: GroupingConfig = GroupingConfig(),
 ) -> SyntheticScene:
     """Sample non-overlapping elliptical lesions, deterministic per seed.
 
@@ -180,19 +148,25 @@ def generate_scene(
     with the narrow size band these make the clearance check below pass
     within a few redraws even for five lesions.
 
-    Unless ``clearance_stride`` is None, a finished arrangement is also
-    grouped as a clean rendering at that stride (with ``min_overlap``,
-    ``sigma_divisor`` and center threshold ``clearance_tau``) and redrawn
-    unless grouping keeps exactly its own lesions, so a clean rendering of
-    the scene decodes to exactly those lesions. Packing failure after
-    ``_MAX_ATTEMPTS`` draws per lesion and ``_MAX_RESTARTS`` arrangement
-    attempts raises ValueError, as do, before any draw, a negative
-    ``n_lesions`` and a scene whose padded boxes cannot fit side by side on
-    both axes. Generation consumes a variable but seed-deterministic number
-    of random draws.
+    A finished arrangement is also grouped as a clean rendering, drawn by
+    the ``render`` section's stride and kernel rule and enumerated with
+    the whole ``grouping`` section, and redrawn unless grouping keeps
+    exactly its own lesions, so a clean rendering of the scene decodes to
+    exactly those lesions. Packing failure after ``_MAX_ATTEMPTS`` draws
+    per lesion and ``_MAX_RESTARTS`` arrangement attempts raises
+    ValueError, as do, before any draw, a negative ``n_lesions``, a
+    ``grouping.k2`` below ``n_lesions`` (no arrangement could pass) and a
+    scene whose padded boxes cannot fit side by side on both axes.
+    Generation consumes a variable but seed-deterministic number of random
+    draws.
     """
     if n_lesions < 0:
         raise ValueError(f"n_lesions must be >= 0, got {n_lesions!r}")
+    if grouping.k2 < n_lesions:
+        raise ValueError(
+            f"grouping.k2 {grouping.k2} keeps fewer quadruples than the "
+            f"{n_lesions} lesion(s) to place"
+        )
     rng = SplitMix64(seed)
     width, height = image_size
     need = n_lesions * (_MIN_BOX_SIDE + 2 * BOX_PADDING) + (n_lesions - 1) * _MIN_GAP
@@ -275,13 +249,8 @@ def generate_scene(
 
         if not feasible:
             continue
-        if clearance_stride is not None and not _decodes_to_itself(
-            [ann.extremes() for ann in annotations],
-            image_size,
-            clearance_stride,
-            min_overlap,
-            sigma_divisor,
-            clearance_tau,
+        if not _decodes_to_itself(
+            [ann.extremes() for ann in annotations], image_size, render, grouping
         ):
             continue
         return SyntheticScene(
@@ -290,8 +259,7 @@ def generate_scene(
 
     raise ValueError(
         f"could not place {n_lesions} lesion(s) in {width}x{height} after "
-        f"{_MAX_RESTARTS} arrangement attempts"
-        + (f" at clearance stride {clearance_stride}" if clearance_stride else "")
+        f"{_MAX_RESTARTS} arrangement attempts at clearance stride {render.stride}"
     )
 
 

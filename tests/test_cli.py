@@ -2,6 +2,7 @@
 config layering, partial-output cleanup, and re-runs into the same paths."""
 
 import csv
+import dataclasses
 import errno
 import hashlib
 import json
@@ -45,6 +46,22 @@ class TestSimulate:
         for name in ("syn_3.rkhm", "annotations.csv", "config.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_config_echo_holds_the_built_degradation(self, tmp_path):
+        from recistkit.config import DegradationConfig
+
+        out = tmp_path / "o"
+        assert run("simulate", "--out", out, "--scene-seed", 5, "--n-lesions", 2,
+                   "--noise", 0.05, "--drop", 0.25, "--spurious", 1.5,
+                   "--jitter", 2, "--degradation-seed", 9) == 0
+        block = json.loads((out / "config.json").read_text())["simulate"]
+        built = DegradationConfig(noise_sigma=0.05, peak_drop_prob=0.25,
+                                  spurious_rate=1.5, jitter_cells=2, seed=9)
+        fields = dataclasses.asdict(built)
+        fields["degradation_seed"] = fields.pop("seed")
+        assert block == {"scene_seed": 5, "n_lesions": 2, "image_size": 768,
+                         **fields}
+        assert type(block["jitter_cells"]) is int
+
     def test_flipped_output(self, tmp_path):
         out, flipped = tmp_path / "o", tmp_path / "f"
         assert run("simulate", "--out", out, "--flipped-out", flipped,
@@ -81,6 +98,24 @@ class TestDetectEvalFlow:
                    "--out", report) == 0
         points = json.loads(report.with_suffix(".json").read_text())["froc"]["points"]
         assert [p["sensitivity"] for p in points if p["fp_target"] == 4.0] == [1.0]
+
+    @pytest.mark.parametrize("seed,n_lesions", [(1, 3), (60, 3), (8, 5)])
+    def test_clean_scene_decodes_to_itself_under_bilinear(self, seed, n_lesions,
+                                                          tmp_path):
+        # simulate's clearance check groups with the run's whole grouping
+        # section; with tau_c alone, seed 1 decoded to 5 detections
+        from recistkit.geometry import bbox_from_extremes
+
+        config = _cfg({"grouping": {"center_interp": "bilinear"}})(tmp_path, None)
+        sim, dets_path = tmp_path / "sim", tmp_path / "dets.json"
+        assert run("simulate", "--out", sim, "--scene-seed", seed,
+                   "--n-lesions", n_lesions, "--config", config) == 0
+        assert run("detect", "--heatmaps", sim, "--config", config,
+                   "--out", dets_path) == 0
+        found = read_detections(dets_path)[0][f"syn_{seed}"]
+        truth = dataio.parse_annotations(sim / "annotations.csv").annotations
+        assert sorted(d.bbox.as_tuple() for d in found) == sorted(
+            bbox_from_extremes(a.extremes()).as_tuple() for a in truth)
 
     def test_detect_workers_byte_identical(self, sim_dir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -685,6 +720,9 @@ EXIT_CODE_CASES = [
     ("simulate --image-size 0", 2, ["simulate", "--image-size", 0]),
     ("simulate --n-lesions 40 at 256 px", 2, [
         "simulate", "--n-lesions", 40, "--image-size", 256]),
+    # no arrangement can decode to itself when grouping keeps fewer quadruples
+    ("simulate --n-lesions 3 over grouping.k2 2", 2, [
+        "simulate", "--n-lesions", 3, "--config", _cfg({"grouping": {"k2": 2}})]),
     # both views used to be written into one directory, with exit 0
     ("simulate --flipped-out the --out directory", 2, [
         "simulate", "--flipped-out",
@@ -777,6 +815,8 @@ NAMED_IN_ERROR = {
     "simulate --n-lesions -1": "--n-lesions -1: n_lesions must be >= 0, got -1",
     "simulate --n-lesions 40 at 256 px": "--n-lesions 40: could not place 40 "
         "lesion(s) in 256x256: their padded boxes need",
+    "simulate --n-lesions 3 over grouping.k2 2": "--n-lesions 3: grouping.k2 2 "
+        "keeps fewer quadruples than the 3 lesion(s) to place",
     "simulate --flipped-out the --out directory":
         "--out and --flipped-out are the same directory",
     "render-targets csv inf coordinate": "row 2: column Measurement_coordinates",
@@ -1213,6 +1253,22 @@ class TestHelp:
                 if flag_command == command:
                     assert fragment in entries[flag], (command, flag, entries[flag])
 
+    def test_simulate_help_shows_degradation_defaults(self, capsys):
+        from recistkit.cli import _DEGRADATION_FLAGS, build_parser
+        from recistkit.config import DegradationConfig
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert list(_DEGRADATION_FLAGS) == ["--noise", "--drop", "--spurious",
+                                            "--jitter"]
+        defaults = DegradationConfig()
+        for flag, (field, help_text) in _DEGRADATION_FLAGS.items():
+            default = getattr(defaults, field)
+            shown = f"{default:g}" if isinstance(default, float) else str(default)
+            expected = f"{flag} {flag[2:].upper()} {help_text} (default: {shown})"
+            assert expected in text, expected
+
 
 class TestConfigDefaults:
     def test_defaults_golden(self):
@@ -1257,7 +1313,12 @@ class TestConfigDefaults:
         import inspect
 
         from recistkit import evaluation, synthetic, targets
-        from recistkit.config import DEFAULTS, EvalConfig
+        from recistkit.config import (
+            DEFAULTS,
+            EvalConfig,
+            GroupingConfig,
+            RenderConfig,
+        )
 
         render = DEFAULTS["render"]
         kernel = {"min_overlap": render["min_overlap"],
@@ -1268,8 +1329,8 @@ class TestConfigDefaults:
             targets.draw_gaussian: {"sigma_divisor": render["sigma_divisor"]},
             targets.render_targets: kernel,
             synthetic.generate_scene: {
-                "clearance_stride": render["stride"],
-                "clearance_tau": DEFAULTS["grouping"]["tau_c"], **kernel},
+                "render": RenderConfig(**render),
+                "grouping": GroupingConfig(**DEFAULTS["grouping"])},
             synthetic.simulate_heatmaps: {"stride": render["stride"], **kernel},
             evaluation.match_detections: {"cfg": EvalConfig(**DEFAULTS["eval"])},
         }

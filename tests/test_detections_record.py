@@ -541,6 +541,15 @@ class TestRecordContract:
         with pytest.raises(ValueError, match=re.escape("[0].source")):
             record + [Detection(dets[0].row, 1.0, "bogus")]
 
+    def test_repr_lists_the_detection_views(self):
+        dets = some_detections(2)
+        assert repr(Detections.of(dets)) == f"Detections({dets!r})"
+        assert repr(Detections.of(dets)).startswith(
+            "Detections([Detection(row=(5.0, 0.0, 0.0, 5.0, 5.0, 10.0, 10.0, "
+            "5.0, 5.0, 5.0), score=1.0, source='original'), Detection(row=(6.0, "
+        )
+        assert repr(Detections.of([])) == "Detections([])"
+
     def test_read_only_and_unhashable(self):
         record = Detections.of(some_detections())
         with pytest.raises(TypeError):

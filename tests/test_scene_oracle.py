@@ -59,6 +59,7 @@ from recistkit.targets import (
     EXTREME_ROLES,
     KEYPOINT_CHANNELS,
     HeatmapBundle,
+    RenderConfig,
     draw_gaussian,
     gaussian_radius,
     keypoint_cell,
@@ -397,23 +398,29 @@ def test_generate_scene_matches_object_per_attempt_oracle(monkeypatch):
     assert 20 < failed < 120
 
 
-def test_clearance_check_matches_center_plane_oracle(monkeypatch):
+def test_clearance_check_matches_center_plane_oracle():
     """Crowded arrangements, placed without a gap or a clearance check,
     so that grouping often keeps a quadruple that mixes two lesions."""
-    monkeypatch.setattr(synthetic, "_MIN_GAP", -40.0)
     outcomes = []
     for seed in range(60):
-        scene = generate_scene(
-            2 + seed % 4, (320, 320), seed=seed, clearance_stride=None,
+        scene = frozen_generate_scene(
+            2 + seed % 4, (320, 320), seed=seed, min_gap=-40.0,
+            clearance_stride=None,
         )
         extremes = scene.extremes()
         for stride, min_overlap, sigma_divisor, tau_c in [
             (4, 0.3, 3.0, 0.1), (4, 0.7, 3.0, 0.3), (8, 0.3, 2.0, 0.05),
         ]:
-            args = (extremes, scene.image_size, stride, min_overlap,
-                    sigma_divisor, tau_c)
-            new = _decodes_to_itself(*args)
-            assert new is frozen_decodes_to_itself(*args), (seed, stride)
+            render = RenderConfig(stride=stride, min_overlap=min_overlap,
+                                  sigma_divisor=sigma_divisor)
+            new = _decodes_to_itself(
+                extremes, scene.image_size, render, GroupingConfig(tau_c=tau_c)
+            )
+            old = frozen_decodes_to_itself(
+                extremes, scene.image_size, stride, min_overlap, sigma_divisor,
+                tau_c,
+            )
+            assert new is old, (seed, stride)
             outcomes.append(new)
     assert 20 < sum(outcomes) < len(outcomes) - 20
 

@@ -1,10 +1,14 @@
 """Synthetic simulator: seeded determinism, the zero-degradation identity,
 packing guarantees, and degradation semantics."""
 
+import re
+
 import numpy as np
 import pytest
 
 from recistkit import synthetic
+from recistkit.config import GroupingConfig, RenderConfig
+from recistkit.geometry import bbox_from_extremes
 from recistkit.grouping import detect
 from recistkit.rng import SplitMix64
 from recistkit.synthetic import (
@@ -93,14 +97,52 @@ class TestGenerateScene:
 
     def test_unplaceable_scene_fails_before_drawing(self, monkeypatch):
         # two padded boxes of >= 50 px plus a 16 px gap need 116 px per axis
-        def no_draws(self, n):
+        def no_draws(self, n=1):
             raise AssertionError("drew random numbers for an unplaceable scene")
 
+        # generate_scene draws with uniform(), one scalar at a time
+        monkeypatch.setattr(SplitMix64, "uniform", no_draws)
         monkeypatch.setattr(SplitMix64, "uniforms", no_draws)
         with pytest.raises(ValueError, match="could not place"):
             generate_scene(2, image_size=(64, 64))
         with pytest.raises(ValueError, match="could not place"):
             generate_scene(40, image_size=(256, 256))
+        # grouping keeps at most k2 quadruples, so no arrangement could pass
+        with pytest.raises(ValueError, match=re.escape(
+            "grouping.k2 2 keeps fewer quadruples than the 3 lesion(s) to place"
+        )):
+            generate_scene(3, grouping=GroupingConfig(k2=2))
+
+    def test_k2_of_n_lesions_is_enough(self):
+        scene = generate_scene(3, seed=4, grouping=GroupingConfig(k2=3))
+        assert scene.annotations == generate_scene(3, seed=4).annotations
+
+    @pytest.mark.parametrize("center_interp", ["nearest", "bilinear"])
+    def test_clean_scene_decodes_to_itself_with_its_grouping(self, center_interp):
+        # the clearance check enumerates with the whole grouping section, as
+        # detect does; with tau_c alone, 8 of these 60 bilinear scenes
+        # decoded to extra quadruples
+        grouping = GroupingConfig(center_interp=center_interp)
+        for n_lesions in (3, 5):
+            for seed in range(30):
+                scene = generate_scene(n_lesions, seed=seed, grouping=grouping)
+                found = detect(simulate_heatmaps(scene), grouping)
+                assert sorted(d.bbox.as_tuple() for d in found) == sorted(
+                    bbox_from_extremes(e).as_tuple() for e in scene.extremes()
+                ), (n_lesions, seed)
+
+    def test_clearance_check_takes_both_sections_whole(self, monkeypatch):
+        render = RenderConfig(stride=8, min_overlap=0.5, sigma_divisor=2.0)
+        grouping = GroupingConfig(tau_c=0.3, center_interp="bilinear")
+        checked = []
+
+        def check(extremes, image_size, *sections):
+            checked.append(sections)
+            return True
+
+        monkeypatch.setattr(synthetic, "_decodes_to_itself", check)
+        generate_scene(2, seed=3, render=render, grouping=grouping)
+        assert checked == [(render, grouping)]
 
     def test_provided_bbox_is_padded_tight_box(self):
         from recistkit.geometry import bbox_from_extremes, pad_bbox
