@@ -28,7 +28,7 @@ _EXPORTS = {
         "write_heatmaps",
     ),
     "evaluation": (
-        "FrocPoint", "FrocResult", "MatchResult", "Strata", "froc",
+        "FrocPoint", "FrocResult", "MatchResult", "Strata", "evaluate", "froc",
         "match_detections", "stratified_froc",
     ),
     "fusion": ("fuse_tta", "soft_nms", "unflip_detections"),

@@ -101,7 +101,7 @@ def _load_effective_config(args) -> tuple[dict, dict]:
 
 
 def _cmd_render_targets(args) -> int:
-    from .dataio import parse_annotations, write_heatmaps, write_json
+    from .dataio import by_image, parse_annotations, write_heatmaps, write_json
     from .targets import output_grid, render_targets
 
     cfg, sections = _load_effective_config(args)
@@ -110,17 +110,15 @@ def _cmd_render_targets(args) -> int:
     out_h, out_w = output_grid((input_size, input_size), stride)
 
     parsed = parse_annotations(args.annotations, args.exclusions)
-    by_image: dict[str, list] = {}
-    for ann in parsed.annotations:
-        by_image.setdefault(ann.file_name, []).append(ann)
+    groups = by_image(parsed.annotations)
 
     out_dir = Path(args.out)
     with _Outputs() as outputs:
         outputs.mkdir(out_dir)
-        for key in sorted(by_image):
+        for key in sorted(groups):
             if not key or Path(key).name != key:  # it names the output file
                 raise InputFormatError(f"image key {key!r} is not a file name")
-            extremes = [ann.extremes() for ann in by_image[key]]
+            extremes = [ann.extremes() for ann in groups[key]]
             try:
                 targets = render_targets(
                     extremes,
@@ -151,7 +149,7 @@ def _cmd_render_targets(args) -> int:
             f"warning: {len(parsed.inconsistent)} annotation(s) with "
             f"inconsistent bounding boxes: {', '.join(parsed.inconsistent)}"
         )
-    print(f"wrote {len(by_image)} heatmap bundle(s) to {out_dir}")
+    print(f"wrote {len(groups)} heatmap bundle(s) to {out_dir}")
     return 0
 
 
@@ -223,67 +221,9 @@ def _cmd_fuse(args) -> int:
     return 0
 
 
-def _stratum_label(ann, key: str) -> str:
-    from .evaluation import diameter_bucket, interval_bucket, lesion_type_name
-
-    if key == "type":
-        return lesion_type_name(ann.lesion_type)
-    if key == "diameter":
-        return diameter_bucket(ann.long_diameter_mm)
-    return interval_bucket(ann.slice_interval_mm)
-
-
-def _format_report_text(result, strata, eval_cfg) -> str:
-    def row(label: str, values) -> str:
-        return label.ljust(14) + "".join(f"{v:>9}" for v in values)
-
-    def fmt(value) -> str:
-        if value is None or (isinstance(value, float) and math.isinf(value)):
-            return "-"
-        return f"{value:.4f}"
-
-    lines = [
-        f"FROC sensitivity (matching: IoU >= {eval_cfg.iou_threshold:g} "
-        f"on boxes padded {eval_cfg.pad:g} px)",
-        f"images: {result.n_images}    lesions: {result.n_lesions}",
-        row("FPs/image", [f"{t:g}" for t in eval_cfg.fp_targets]),
-        row("sensitivity", [fmt(p.sensitivity) for p in result.points]),
-        row("threshold", [fmt(p.threshold) for p in result.points]),
-    ]
-    if strata is not None:
-        lines.append("")
-        lines.append(f"stratified by {strata.key}")
-        for name in sorted(strata.per_stratum):
-            sub = strata.per_stratum[name]
-            lines.append(
-                row(
-                    f"{name} ({sub.n_lesions})",
-                    [fmt(p.sensitivity) for p in sub.points],
-                )
-            )
-    return "\n".join(lines) + "\n"
-
-
-def _froc_to_dict(result) -> dict:
-    return {
-        "n_images": result.n_images,
-        "n_lesions": result.n_lesions,
-        "points": [
-            {
-                "fp_target": p.fp_target,
-                "sensitivity": p.sensitivity,
-                "threshold": None if math.isinf(p.threshold) else p.threshold,
-                "fp_per_image": p.fp_per_image,
-            }
-            for p in result.points
-        ],
-    }
-
-
 def _cmd_eval(args) -> int:
     from .dataio import parse_annotations, read_detections, write_json
-    from .evaluation import froc, match_detections, stratified_froc
-    from .grouping import Detections
+    from .evaluation import evaluate, format_report
 
     cfg, sections = _load_effective_config(args)
     eval_cfg = sections["eval"]
@@ -294,10 +234,7 @@ def _cmd_eval(args) -> int:
         print(f"excluded {parsed.n_excluded} annotation row(s)")
     if not parsed.annotations:
         raise InputFormatError(f"{args.annotations}: no lesions to evaluate against")
-    gts_by_image: dict[str, list] = {}
-    for ann in parsed.annotations:
-        gts_by_image.setdefault(ann.file_name, []).append(ann)
-    unknown = sorted(set(detections) - set(gts_by_image))
+    unknown = sorted(set(detections) - {ann.file_name for ann in parsed.annotations})
     if unknown:  # each is scored as one more image, of false positives only
         print(
             f"warning: {len(unknown)} detection image key(s) not in the "
@@ -305,41 +242,9 @@ def _cmd_eval(args) -> int:
             file=sys.stderr,
         )
 
-    keys = sorted(set(detections) | set(gts_by_image))
-    empty = Detections.of(())
-    matches, labels = [], []
-    for key in keys:
-        anns = gts_by_image.get(key, [])
-        matches.append(
-            match_detections(
-                detections.get(key, empty), [ann.bbox for ann in anns], eval_cfg
-            )
-        )
-        if args.stratify:
-            labels.append([_stratum_label(ann, args.stratify) for ann in anns])
-
-    result = froc(matches, eval_cfg.fp_targets)
-    strata = (
-        stratified_froc(matches, labels, args.stratify, eval_cfg.fp_targets)
-        if args.stratify
-        else None
-    )
-
-    report = {
-        "config": cfg,
-        "criterion": "iou-on-padded-boxes",
-        "froc": _froc_to_dict(result),
-        "strata": None
-        if strata is None
-        else {
-            "key": strata.key,
-            "per_stratum": {
-                name: _froc_to_dict(sub)
-                for name, sub in strata.per_stratum.items()
-            },
-        },
-    }
-    text = _format_report_text(result, strata, eval_cfg)
+    report = {"config": cfg,
+              **evaluate(detections, parsed.annotations, eval_cfg, args.stratify)}
+    text = format_report(report, eval_cfg)
 
     with _Outputs() as outputs:
         outputs.run(Path(args.out + ".json"), lambda tmp: write_json(report, tmp))

@@ -103,6 +103,15 @@ class ParseResult:
         return [a.file_name for a in self.annotations if not a.bbox_consistent]
 
 
+def by_image(annotations: Sequence[RecistAnnotation]) -> dict[str, list]:
+    """The annotations grouped by ``file_name``, keys in first-seen order and
+    each image's annotations in input order."""
+    groups: dict[str, list] = {}
+    for ann in annotations:
+        groups.setdefault(ann.file_name, []).append(ann)
+    return groups
+
+
 def _floats(row: dict, column: str, expect: int, where: str) -> list[float]:
     """Column ``column`` of the CSV row at ``where`` ("path: row n"), as
     ``expect`` finite floats."""

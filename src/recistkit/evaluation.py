@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .config import FP_TARGETS_DEFAULT, EvalConfig, check_fp_targets
+from .dataio import RecistAnnotation, by_image
 from .geometry import BBox, pairwise_iou
 from .grouping import BOX_COLUMNS, Detections
 
@@ -294,3 +295,88 @@ def interval_bucket(slice_interval_mm: float) -> str:
 def lesion_type_name(code: int) -> str:
     """Two-letter lesion-type label for a coarse type code; unknown -> other."""
     return LESION_TYPE_NAMES.get(code, "other")
+
+
+_STRATUM_LABELS = {
+    "type": lambda ann: lesion_type_name(ann.lesion_type),
+    "diameter": lambda ann: diameter_bucket(ann.long_diameter_mm),
+    "interval": lambda ann: interval_bucket(ann.slice_interval_mm),
+}
+
+
+def _froc_dict(result: FrocResult) -> dict:
+    return {
+        "n_images": result.n_images,
+        "n_lesions": result.n_lesions,
+        "points": [
+            {
+                "fp_target": p.fp_target,
+                "sensitivity": p.sensitivity,
+                "threshold": None if math.isinf(p.threshold) else p.threshold,
+                "fp_per_image": p.fp_per_image,
+            }
+            for p in result.points
+        ],
+    }
+
+
+def evaluate(
+    detections: Mapping[str, Detections],
+    annotations: Sequence[RecistAnnotation],
+    cfg: EvalConfig,
+    stratify: str | None,
+) -> dict:
+    """The ``eval`` report less its config echo: the matching criterion, the
+    FROC result and the per-stratum results by ``stratify`` ("type",
+    "diameter", "interval", or None for none). Every image key of either
+    input is scored, in sorted order; a detection key with no annotation is
+    one more image, of false positives only. An unknown ``stratify`` key,
+    or no annotation at all, raises ValueError."""
+    if stratify is not None and stratify not in _STRATUM_LABELS:
+        raise ValueError(f"unknown stratify key {stratify!r}: expected one of "
+                         f"{', '.join(_STRATUM_LABELS)}")
+    gts = by_image(annotations)
+    empty = Detections.of(())
+    matches, labels = [], []
+    for key in sorted(set(detections) | set(gts)):
+        anns = gts.get(key, [])
+        boxes = [a.bbox for a in anns]
+        matches.append(match_detections(detections.get(key, empty), boxes, cfg))
+        if stratify is not None:
+            labels.append([_STRATUM_LABELS[stratify](a) for a in anns])
+
+    result = froc(matches, cfg.fp_targets)
+    strata = None
+    if stratify is not None:
+        per = stratified_froc(matches, labels, stratify, cfg.fp_targets).per_stratum
+        strata = {"key": stratify,
+                  "per_stratum": {name: _froc_dict(r) for name, r in per.items()}}
+    return {"criterion": "iou-on-padded-boxes", "froc": _froc_dict(result),
+            "strata": strata}
+
+
+def format_report(report: dict, cfg: EvalConfig) -> str:
+    """The text table of an :func:`evaluate` report made under ``cfg``; a
+    threshold that keeps nothing reads "-"."""
+
+    def row(label: str, values) -> str:
+        return label.ljust(14) + "".join(f"{v:>9}" for v in values)
+
+    def fmt(value) -> str:
+        return "-" if value is None else f"{value:.4f}"
+
+    result, strata = report["froc"], report["strata"]
+    lines = [
+        f"FROC sensitivity (matching: IoU >= {cfg.iou_threshold:g} "
+        f"on boxes padded {cfg.pad:g} px)",
+        f"images: {result['n_images']}    lesions: {result['n_lesions']}",
+        row("FPs/image", [f"{t:g}" for t in cfg.fp_targets]),
+        row("sensitivity", [fmt(p["sensitivity"]) for p in result["points"]]),
+        row("threshold", [fmt(p["threshold"]) for p in result["points"]]),
+    ]
+    if strata is not None:
+        lines += ["", f"stratified by {strata['key']}"]
+        for name, sub in sorted(strata["per_stratum"].items()):
+            lines.append(row(f"{name} ({sub['n_lesions']})",
+                             [fmt(p["sensitivity"]) for p in sub["points"]]))
+    return "\n".join(lines) + "\n"

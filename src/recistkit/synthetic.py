@@ -155,17 +155,25 @@ def generate_scene(
     exactly those lesions. Packing failure after ``_MAX_ATTEMPTS`` draws
     per lesion and ``_MAX_RESTARTS`` arrangement attempts raises
     ValueError, as do, before any draw, a negative ``n_lesions``, a
-    ``grouping.k2`` below ``n_lesions`` (no arrangement could pass) and a
-    scene whose padded boxes cannot fit side by side on both axes.
+    ``grouping.k1`` or ``k2`` below ``n_lesions`` or a ``tau_e`` of 1.0 over
+    any lesion (no arrangement could pass: a clean peak scores exactly 1.0
+    and ``tau_e`` is a strict bound) and a scene whose padded boxes cannot
+    fit side by side on both axes.
     Generation consumes a variable but seed-deterministic number of random
     draws.
     """
     if n_lesions < 0:
         raise ValueError(f"n_lesions must be >= 0, got {n_lesions!r}")
-    if grouping.k2 < n_lesions:
+    for key, kept in (("k1", "peaks per map"), ("k2", "quadruples")):
+        if getattr(grouping, key) < n_lesions:
+            raise ValueError(
+                f"grouping.{key} {getattr(grouping, key)} keeps fewer {kept} than "
+                f"the {n_lesions} lesion(s) to place"
+            )
+    if n_lesions and grouping.tau_e >= 1.0:
         raise ValueError(
-            f"grouping.k2 {grouping.k2} keeps fewer quadruples than the "
-            f"{n_lesions} lesion(s) to place"
+            f"grouping.tau_e {grouping.tau_e:g} keeps no clean peak: one scores "
+            "exactly 1.0, and tau_e is a strict bound"
         )
     rng = SplitMix64(seed)
     width, height = image_size

@@ -723,6 +723,13 @@ EXIT_CODE_CASES = [
     # no arrangement can decode to itself when grouping keeps fewer quadruples
     ("simulate --n-lesions 3 over grouping.k2 2", 2, [
         "simulate", "--n-lesions", 3, "--config", _cfg({"grouping": {"k2": 2}})]),
+    # no clean rendering decodes when grouping keeps fewer peaks per map than
+    # lesions, or when tau_e, a strict bound, is a clean peak's score of 1.0
+    ("simulate --n-lesions 3 over grouping.k1 2", 2, [
+        "simulate", "--n-lesions", 3, "--config", _cfg({"grouping": {"k1": 2}})]),
+    ("simulate --n-lesions 3 over grouping.tau_e 1", 2, [
+        "simulate", "--n-lesions", 3, "--config",
+        _cfg({"grouping": {"tau_e": 1.0}})]),
     # both views used to be written into one directory, with exit 0
     ("simulate --flipped-out the --out directory", 2, [
         "simulate", "--flipped-out",
@@ -817,6 +824,10 @@ NAMED_IN_ERROR = {
         "lesion(s) in 256x256: their padded boxes need",
     "simulate --n-lesions 3 over grouping.k2 2": "--n-lesions 3: grouping.k2 2 "
         "keeps fewer quadruples than the 3 lesion(s) to place",
+    "simulate --n-lesions 3 over grouping.k1 2": "--n-lesions 3: grouping.k1 2 "
+        "keeps fewer peaks per map than the 3 lesion(s) to place",
+    "simulate --n-lesions 3 over grouping.tau_e 1": "--n-lesions 3: "
+        "grouping.tau_e 1 keeps no clean peak: one scores exactly 1.0",
     "simulate --flipped-out the --out directory":
         "--out and --flipped-out are the same directory",
     "render-targets csv inf coordinate": "row 2: column Measurement_coordinates",
@@ -1404,3 +1415,33 @@ class TestGoldenBytes:
             if p.is_file()
         }
         assert written == self.DIGESTS
+
+
+class TestEvaluateIsTheEvalCommand:
+    def test_library_report_matches_recorded_digests(self, tmp_path):
+        # the golden closed loop up to fuse, then its report made in process
+        from recistkit import config
+        from recistkit.evaluation import evaluate, format_report
+
+        sim, flip = tmp_path / "sim", tmp_path / "flip"
+        steps = [
+            ("simulate", "--out", sim, "--flipped-out", flip,
+             "--scene-seed", 17, "--noise", 0.02),
+            ("detect", "--heatmaps", sim, "--out", tmp_path / "orig.json"),
+            ("detect", "--heatmaps", flip, "--out", tmp_path / "flip.json"),
+            ("fuse", "--original", tmp_path / "orig.json",
+             "--flipped", tmp_path / "flip.json", "--image-width", 768,
+             "--out", tmp_path / "fused.json"),
+        ]
+        for argv in steps:
+            assert run(*argv) == 0, argv
+        cfg, sections = config.effective(None, {})
+        detections, _ = read_detections(tmp_path / "fused.json")
+        annotations = dataio.parse_annotations(sim / "annotations.csv").annotations
+        report = evaluate(detections, annotations, sections["eval"], "diameter")
+        dataio.write_json({"config": cfg, **report}, tmp_path / "report.json")
+        text = format_report(report, sections["eval"])
+        for name, data in [("report.json", (tmp_path / "report.json").read_bytes()),
+                           ("report.txt", text.encode("utf-8"))]:
+            digest = hashlib.sha256(data).hexdigest()
+            assert digest == TestGoldenBytes.DIGESTS[name], name

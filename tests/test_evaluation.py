@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recistkit import evaluation
+from recistkit.dataio import RecistAnnotation
 from recistkit.evaluation import (
     DetectionMatch,
     EvalConfig,
@@ -23,13 +24,15 @@ from recistkit.evaluation import (
     Strata,
     check_fp_targets,
     diameter_bucket,
+    evaluate,
+    format_report,
     froc,
     interval_bucket,
     lesion_type_name,
     match_detections,
     stratified_froc,
 )
-from recistkit.geometry import BBox, iou, pad_bbox
+from recistkit.geometry import BBox, Point2, RecistDiameters, iou, pad_bbox
 from recistkit.grouping import Detections
 from tests.test_fusion import make_detection, random_detections
 
@@ -384,10 +387,89 @@ class TestStratifiedFroc:
         assert interval_bucket(5.0) == ">2.5"
 
     def test_lesion_type_names(self):
-        assert lesion_type_name(5) == "LU"
-        assert lesion_type_name(1) == "BN"
+        # every code's label is pinned: with only distinct labels checked, a
+        # code mapped to another key reads "other" and still passes
+        assert [lesion_type_name(code) for code in range(10)] == [
+            "other", "BN", "AB", "ME", "LV", "LU", "KD", "ST", "PV", "other",
+        ]
         assert lesion_type_name(-1) == "other"
-        assert len({lesion_type_name(code) for code in range(1, 9)}) == 8
+
+
+def lesion(key, x, y, lesion_type, long_px, spacing):
+    """An annotation of image ``key`` whose padded box is gt_at(x, y)."""
+    diameters = RecistDiameters(Point2(x, y + 10), Point2(x + 20, y + 10),
+                                Point2(x + 10, y), Point2(x + 10, y + 20))
+    return RecistAnnotation(key, diameters, gt_at(x, y), lesion_type,
+                            (long_px, long_px / 2), spacing, "test")
+
+
+def mixed_key_inputs():
+    """Detections and annotations keyed differently: image "a" holds two
+    lesions, both found; "b" one lesion and no detection; "c" one false
+    positive, scored highest, and no lesion."""
+    found, missed = (1, 5.0, (1.0, 1.0, 1.0)), (2, 40.0, (1.0, 1.0, 5.0))
+    annotations = [lesion("a", 0, 0, *found), lesion("b", 0, 0, *missed),
+                   lesion("a", 100, 0, *found)]
+    detections = {
+        "a": Detections.of([det_at(100, 0, 0.8), det_at(0, 0, 0.9)]),
+        "c": Detections.of([det_at(50, 50, 0.95)]),
+    }
+    return detections, annotations
+
+
+class TestEvaluate:
+    @staticmethod
+    def froc_dict(n_lesions, sensitivity, threshold, fp_per_image):
+        points = [{"fp_target": t, "sensitivity": sensitivity, "threshold": threshold,
+                   "fp_per_image": fp_per_image} for t in EvalConfig().fp_targets]
+        return {"n_images": 3, "n_lesions": n_lesions, "points": points}
+
+    @pytest.mark.parametrize("stratify,found,missed", [
+        (None, None, None),
+        ("type", "BN", "AB"),
+        ("diameter", "<10", ">30"),
+        ("interval", "<2.5", ">2.5"),
+    ])
+    def test_every_key_of_either_input_is_one_image(self, stratify, found, missed):
+        # "c" counts as an image of false positives only, "b" as one with a
+        # lesion missed: without either the rates below would differ
+        report = evaluate(*mixed_key_inputs(), EvalConfig(), stratify)
+        assert list(report) == ["criterion", "froc", "strata"]
+        assert report["criterion"] == "iou-on-padded-boxes"
+        assert report["froc"] == self.froc_dict(3, 2 / 3, 0.8, 1 / 3)
+        if stratify is None:
+            assert report["strata"] is None
+        else:
+            assert report["strata"] == {"key": stratify, "per_stratum": {
+                found: self.froc_dict(2, 1.0, 0.8, 1 / 3),
+                missed: self.froc_dict(1, 0.0, None, 0.0),
+            }}
+
+    def test_text_table(self):
+        # at 0.25 FPs per image only the empty point qualifies: no threshold
+        cfg = EvalConfig(fp_targets=[0.25, 4.0])
+        report = evaluate(*mixed_key_inputs(), cfg, "type")
+        assert format_report(report, cfg) == (
+            "FROC sensitivity (matching: IoU >= 0.5 on boxes padded 5 px)\n"
+            "images: 3    lesions: 3\n"
+            "FPs/image          0.25        4\n"
+            "sensitivity      0.0000   0.6667\n"
+            "threshold             -   0.8000\n"
+            "\n"
+            "stratified by type\n"
+            "AB (1)           0.0000   0.0000\n"
+            "BN (2)           0.0000   1.0000\n"
+        )
+
+    def test_unknown_stratify_key_is_named(self):
+        with pytest.raises(ValueError, match="unknown stratify key 'size': "
+                                             "expected one of type, diameter"):
+            evaluate(*mixed_key_inputs(), EvalConfig(), "size")
+
+    def test_no_annotation_raises(self):
+        detections, _ = mixed_key_inputs()
+        with pytest.raises(ValueError, match="at least one ground-truth lesion"):
+            evaluate(detections, [], EvalConfig(), None)
 
 
 # --- oracle: the per-detection FROC sweep -------------------------------------

@@ -31,7 +31,7 @@ PUBLIC_NAMES = """
     RecistDiameters RenderConfig SoftNmsConfig Strata SyntheticScene
     TargetBundle apply_ct_window bbox_from_extremes detect enumerate_quadruples
     extract_peaks extremes_from_recist finite_diff_check flip_horizontal
-    flip_scene focal_loss focal_loss_grad froc fuse_tta gaussian_radius
+    evaluate flip_scene focal_loss focal_loss_grad froc fuse_tta gaussian_radius
     generate_scene iou match_detections offset_loss offset_loss_grad
     offset_target pad_bbox parse_annotations read_detections read_heatmaps
     refine_with_offsets render_targets simulate_heatmaps

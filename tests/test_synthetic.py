@@ -112,10 +112,36 @@ class TestGenerateScene:
             "grouping.k2 2 keeps fewer quadruples than the 3 lesion(s) to place"
         )):
             generate_scene(3, grouping=GroupingConfig(k2=2))
+        # nor when it keeps fewer peaks per map, or none of a clean rendering
+        with pytest.raises(ValueError, match=re.escape(
+            "grouping.k1 2 keeps fewer peaks per map than the 3 lesion(s) to place"
+        )):
+            generate_scene(3, grouping=GroupingConfig(k1=2))
+        with pytest.raises(ValueError, match=re.escape(
+            "grouping.tau_e 1 keeps no clean peak: one scores exactly 1.0"
+        )):
+            generate_scene(3, grouping=GroupingConfig(tau_e=1.0))
 
     def test_k2_of_n_lesions_is_enough(self):
         scene = generate_scene(3, seed=4, grouping=GroupingConfig(k2=3))
         assert scene.annotations == generate_scene(3, seed=4).annotations
+
+    @pytest.mark.parametrize("grouping", [
+        GroupingConfig(k1=3), GroupingConfig(tau_e=0.99),
+    ], ids=["k1 3", "tau_e 0.99"])
+    def test_k1_of_n_lesions_and_tau_e_below_1_are_enough(self, grouping):
+        # the clearance check hands grouping the true cells at score 1.0, so
+        # neither key changes the arrangement; a clean rendering decodes
+        scene = generate_scene(3, seed=4, grouping=grouping)
+        assert scene.annotations == generate_scene(3, seed=4).annotations
+        found = detect(simulate_heatmaps(scene), grouping)
+        assert sorted(d.bbox.as_tuple() for d in found) == sorted(
+            bbox_from_extremes(e).as_tuple() for e in scene.extremes()
+        )
+
+    def test_no_lesion_is_placed_under_any_tau_e(self):
+        scene = generate_scene(0, grouping=GroupingConfig(tau_e=1.0, k1=1))
+        assert scene.annotations == []
 
     @pytest.mark.parametrize("center_interp", ["nearest", "bilinear"])
     def test_clean_scene_decodes_to_itself_with_its_grouping(self, center_interp):
