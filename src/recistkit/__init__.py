@@ -32,11 +32,7 @@ _EXPORTS = {
         "match_detections", "stratified_froc",
     ),
     "fusion": ("fuse_tta", "soft_nms", "unflip_detections"),
-    "geometry": (
-        "BBox", "ExtremePoints", "Point2", "RecistDiameters",
-        "bbox_from_extremes", "extremes_from_recist", "flip_horizontal", "iou",
-        "pad_bbox",
-    ),
+    "geometry": ("BBox", "ExtremePoints", "Point2", "iou", "pad_bbox"),
     "grouping": (
         "Detection", "Detections", "Peaks", "detect", "enumerate_quadruples",
         "extract_peaks", "refine_with_offsets",

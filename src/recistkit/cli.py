@@ -116,7 +116,7 @@ def _cmd_render_targets(args) -> int:
     with _Outputs() as outputs:
         outputs.mkdir(out_dir)
         for key in sorted(groups):
-            if not key or Path(key).name != key:  # it names the output file
+            if not key or "\0" in key or Path(key).name != key:  # the output's name
                 raise InputFormatError(f"image key {key!r} is not a file name")
             extremes = [ann.extremes() for ann in groups[key]]
             try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Literal, Mapping, Sequence
 
@@ -94,6 +94,15 @@ def check_fp_targets(values: Sequence[float]) -> None:
         )
 
 
+def _refuse_non_finite(section) -> None:
+    """Raise ValueError naming the first float field of ``section`` that is
+    NaN or infinite; a section calls it after its own range checks."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GroupingConfig:
     """Thresholds and caps for the grouping pipeline.
@@ -120,6 +129,7 @@ class GroupingConfig:
             raise ValueError(f"kernel must be odd and >= 1, got {self.kernel}")
         if self.center_interp not in ("nearest", "bilinear"):
             raise ValueError(f"unknown center_interp {self.center_interp!r}")
+        _refuse_non_finite(self)
 
 
 @dataclass(frozen=True)
@@ -146,6 +156,7 @@ class SoftNmsConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0.0 <= self.linear_iou_threshold <= 1.0:
             raise ValueError("linear_iou_threshold must lie in [0, 1]")
+        _refuse_non_finite(self)
 
 
 @dataclass(frozen=True)
@@ -168,6 +179,7 @@ class FocalParams:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if not 0.0 < self.clamp_eps < 0.5:
             raise ValueError(f"clamp_eps must be in (0, 0.5), got {self.clamp_eps}")
+        _refuse_non_finite(self)
 
 
 @dataclass(frozen=True)
@@ -250,6 +262,7 @@ class DegradationConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.jitter_cells < 0:
             raise ValueError(f"jitter_cells must be >= 0, got {self.jitter_cells!r}")
+        _refuse_non_finite(self)
 
 
 # config sections whose keys and defaults are the fields of a library type,

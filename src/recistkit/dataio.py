@@ -23,16 +23,7 @@ import numpy as np
 
 from .config import (MAX_HEADER_INT, InputFormatError, decode_text, is_finite_number,
                      load_json)
-from .geometry import (
-    BBox,
-    ExtremePoints,
-    Point2,
-    RecistDiameters,
-    bbox_from_extremes,
-    extremes_from_recist,
-    ordered_diameters,
-    pad_bbox,
-)
+from .geometry import BBox, ExtremePoints, Point2, pad_bbox
 from .grouping import BOX_COLUMNS, SOURCES, Detection, Detections
 from .targets import KEYPOINT_CHANNELS, OFFSET_CHANNELS, HeatmapBundle
 
@@ -55,22 +46,33 @@ CSV_COLUMNS = (
 )
 
 # padding convention used when checking an annotation's provided box against
-# the box re-derived from its diameters; simulated boxes use it to pass that check
+# the min/max box of its endpoints; simulated boxes use it to pass that check
 BOX_PADDING = 5.0
 BOX_CONSISTENCY_TOL = 1e-3
+
+
+def _long_first(coords: Sequence[float]) -> tuple[float, ...]:
+    """The 8 endpoint coordinates (x, y per point, two points per diameter)
+    with the longer diameter's points first; a tie keeps the input order."""
+    ax, ay, bx, by, cx, cy, dx, dy = coords
+    if math.hypot(ax - bx, ay - by) >= math.hypot(cx - dx, cy - dy):
+        return (ax, ay, bx, by, cx, cy, dx, dy)
+    return (cx, cy, dx, dy, ax, ay, bx, by)
 
 
 @dataclass(frozen=True, slots=True)
 class RecistAnnotation:
     """One lesion measurement row.
 
+    ``endpoints`` holds the 8 ``Measurement_coordinates`` values, x and y of
+    the long diameter's two endpoints, then of the short diameter's.
     ``bbox`` is the padded box as provided by the source file.
-    ``bbox_consistent`` records whether that box agrees with the box
-    re-derived from the diameters (pad 5, tolerance 1e-3 per coordinate).
+    ``bbox_consistent`` records whether that box agrees with the min/max
+    box of the endpoints padded by 5 (tolerance 1e-3 per coordinate).
     """
 
     file_name: str
-    diameters: RecistDiameters
+    endpoints: tuple[float, ...]
     bbox: BBox
     lesion_type: int
     diameters_px: tuple[float, float]
@@ -79,7 +81,24 @@ class RecistAnnotation:
     bbox_consistent: bool = True
 
     def extremes(self) -> ExtremePoints:
-        return extremes_from_recist(self.diameters)
+        """The top, left, bottom and right endpoints and their center
+        ((left.x + right.x) / 2, (top.y + bottom.y) / 2).
+
+        One endpoint may fill several roles. Ties go to a long-diameter
+        endpoint, then to the smaller x (top, bottom) or y (left, right).
+        """
+        xs, ys = self.endpoints[0::2], self.endpoints[1::2]
+        rank = (0, 0, 1, 1)  # the long diameter's endpoints win ties
+        top_y, _, top_x = min(zip(ys, rank, xs))
+        left_x, _, left_y = min(zip(xs, rank, ys))
+        neg_bottom_y, _, bottom_x = min(zip([-y for y in ys], rank, xs))
+        neg_right_x, _, right_y = min(zip([-x for x in xs], rank, ys))
+        bottom_y, right_x = -neg_bottom_y, -neg_right_x
+        return ExtremePoints(
+            Point2(top_x, top_y), Point2(left_x, left_y),
+            Point2(bottom_x, bottom_y), Point2(right_x, right_y),
+            Point2((left_x + right_x) / 2.0, (top_y + bottom_y) / 2.0),
+        )
 
     @property
     def long_diameter_mm(self) -> float:
@@ -152,11 +171,11 @@ def parse_annotations(
 
     The exclusion list is a text file of File_name keys, one per line
     (blank lines and ``#`` comments ignored); every row whose key appears
-    on it is dropped and counted. Rows whose provided bounding box does not
-    reproduce from the diameters are kept but flagged. A file that is not
-    UTF-8, a missing column, a malformed or short row, or a field over the
-    csv module's size limit raises :class:`InputFormatError` whose message
-    starts with the file's path.
+    on it is dropped and counted. Rows whose provided bounding box is not
+    the min/max box of the endpoints padded by 5 are kept but flagged. A
+    file that is not UTF-8, a missing column, a malformed or short row, or
+    a field over the csv module's size limit raises
+    :class:`InputFormatError` whose message starts with the file's path.
     """
     excluded_keys: set[str] = set()
     if exclusion_list_path is not None:
@@ -202,22 +221,19 @@ def parse_annotations(
                 f"{where}: Train_Val_Test must be 1, 2 or 3, got {split_code}"
             )
 
-        diameters = ordered_diameters(*map(Point2, coords[0::2], coords[1::2]))
-        bbox = BBox(*box_vals)
-
-        derived = pad_bbox(
-            bbox_from_extremes(extremes_from_recist(diameters)), BOX_PADDING
-        )
+        endpoints = _long_first(coords)
+        xs, ys = endpoints[0::2], endpoints[1::2]
+        derived = pad_bbox(BBox(min(xs), min(ys), max(xs), max(ys)), BOX_PADDING)
         consistent = all(
             abs(a - b) <= BOX_CONSISTENCY_TOL
-            for a, b in zip(derived.as_tuple(), bbox.as_tuple())
+            for a, b in zip(derived.as_tuple(), box_vals)
         )
 
         result.annotations.append(
             RecistAnnotation(
                 file_name=key,
-                diameters=diameters,
-                bbox=bbox,
+                endpoints=endpoints,
+                bbox=BBox(*box_vals),
                 lesion_type=lesion_type,
                 diameters_px=(diam_px[0], diam_px[1]),
                 spacing=(spacing[0], spacing[1], spacing[2]),
@@ -228,19 +244,39 @@ def parse_annotations(
     return result
 
 
+def _unwritable(ann: RecistAnnotation, numbers: list) -> str:
+    """'' when parse_annotations reads ``ann`` back unchanged, written with
+    the number columns ``numbers``, else what it would not."""
+    if tuple(map(len, numbers)) != (8, 4, 2, 3):
+        return "endpoints, box, diameters and spacing must hold 8, 4, 2 and 3 numbers"
+    if not all(map(is_finite_number, chain(*numbers))):
+        return "coordinates, diameters and spacing must be finite numbers"
+    if ann.file_name != ann.file_name.strip():
+        return f"key {ann.file_name!r} must not start or end with whitespace"
+    if isinstance(ann.lesion_type, bool) or not isinstance(ann.lesion_type, int):
+        return f"lesion type must be an int, got {ann.lesion_type!r}"
+    if ann.split not in SPLIT_NAMES.values():
+        return f"split must be train, val or test, got {ann.split!r}"
+    return ""
+
+
 def write_annotations(
     annotations: Sequence[RecistAnnotation], csv_path: str | Path
 ) -> None:
-    """Write annotations in the same CSV schema that parse_annotations reads;
-    a NaN or infinite number raises ValueError before the file is opened."""
+    """Write annotations in the same CSV schema that parse_annotations reads.
+
+    What it would not read back unchanged raises ValueError before the file
+    is opened: a NaN or infinite number, endpoints that are not 8 numbers,
+    a key with leading or trailing whitespace, a lesion type that is not an
+    int, or a split other than train, val or test.
+    """
     split_codes = {name: code for code, name in SPLIT_NAMES.items()}
     rows = []
     for index, ann in enumerate(annotations):
-        coords = [v for p in ann.diameters.endpoints() for v in (p.x, p.y)]
-        numbers = [coords, ann.bbox.as_tuple(), ann.diameters_px, ann.spacing]
-        if not all(map(math.isfinite, chain(*numbers))):
-            raise ValueError(f"annotation {index} ({ann.file_name}): coordinates, "
-                             "diameters and spacing must be finite")
+        numbers = [ann.endpoints, ann.bbox.as_tuple(), ann.diameters_px, ann.spacing]
+        problem = _unwritable(ann, numbers)
+        if problem:
+            raise ValueError(f"annotation {index} ({ann.file_name}): {problem}")
         text = [", ".join(map(repr, column)) for column in numbers]
         rows.append([ann.file_name, *text[:2], ann.lesion_type, *text[2:],
                      split_codes[ann.split]])

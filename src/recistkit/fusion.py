@@ -26,9 +26,10 @@ _MIRRORED_COLUMNS = np.array([0, 1, 6, 7, 4, 5, 2, 3, 8, 9])
 def unflip_detections(detections: Detections, image_width: float) -> Detections:
     """Map detections made on a flipped image back to the original frame.
 
-    Geometry mirrors as ``flip_horizontal`` does (left and right roles
-    swap), scores are untouched, and each detection is tagged as coming
-    from the flipped view.
+    Every x maps to ``image_width - 1 - x`` and the left and right roles
+    swap, so unflipping a flipped detection restores it; scores are
+    untouched, and each detection is tagged as coming from the flipped
+    view.
     """
     # left and right swap roles, and every x mirrors
     rows = detections.rows.take(_MIRRORED_COLUMNS, axis=1)

@@ -23,14 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DegradationConfig
-from .dataio import BOX_PADDING, RecistAnnotation
-from .geometry import (
-    BBox,
-    Point2,
-    flip_horizontal,
-    ordered_diameters,
-    pad_bbox,
-)
+from .dataio import BOX_PADDING, RecistAnnotation, _long_first
+from .geometry import BBox, pad_bbox
 from .grouping import GroupingConfig, Peaks, enumerate_quadruples
 from .rng import SplitMix64
 from .targets import (
@@ -235,16 +229,17 @@ def generate_scene(
                     continue
 
                 placed_boxes.append(padded)
-                diameters = ordered_diameters(*map(Point2, xs, ys))
+                endpoints = _long_first([v for p in zip(xs, ys) for v in p])
+                ax, ay, bx, by, cx, cy, dx, dy = endpoints
                 annotations.append(
                     RecistAnnotation(
                         file_name=f"syn_{seed}",
-                        diameters=diameters,
+                        endpoints=endpoints,
                         bbox=BBox(*padded),
                         lesion_type=(index % 8) + 1,
                         diameters_px=(
-                            diameters.long_length,
-                            diameters.short_length,
+                            math.hypot(ax - bx, ay - by),
+                            math.hypot(cx - dx, cy - dy),
                         ),
                         spacing=_SPACING,
                         split="test",
@@ -272,15 +267,17 @@ def generate_scene(
 
 
 def flip_scene(scene: SyntheticScene) -> SyntheticScene:
-    """The same scene as seen in a horizontally mirrored image."""
-    width = scene.image_size[0]
+    """The same scene as seen in a horizontally mirrored image: every x
+    maps to ``width - 1 - x``, so flipping twice is the identity."""
+    mirror = scene.image_size[0] - 1.0
     flipped = [
         dataclasses.replace(
             ann,
-            diameters=ordered_diameters(
-                *(flip_horizontal(p, width) for p in ann.diameters.endpoints())
-            ),
-            bbox=flip_horizontal(ann.bbox, width),
+            endpoints=_long_first([
+                mirror - v if i % 2 == 0 else v for i, v in enumerate(ann.endpoints)
+            ]),
+            bbox=BBox(mirror - ann.bbox.x2, ann.bbox.y1, mirror - ann.bbox.x1,
+                      ann.bbox.y2),
         )
         for ann in scene.annotations
     ]

@@ -104,8 +104,6 @@ class TestDetectEvalFlow:
                                                           tmp_path):
         # simulate's clearance check groups with the run's whole grouping
         # section; with tau_c alone, seed 1 decoded to 5 detections
-        from recistkit.geometry import bbox_from_extremes
-
         config = _cfg({"grouping": {"center_interp": "bilinear"}})(tmp_path, None)
         sim, dets_path = tmp_path / "sim", tmp_path / "dets.json"
         assert run("simulate", "--out", sim, "--scene-seed", seed,
@@ -114,8 +112,9 @@ class TestDetectEvalFlow:
                    "--out", dets_path) == 0
         found = read_detections(dets_path)[0][f"syn_{seed}"]
         truth = dataio.parse_annotations(sim / "annotations.csv").annotations
+        tight = [a.extremes() for a in truth]
         assert sorted(d.bbox.as_tuple() for d in found) == sorted(
-            bbox_from_extremes(a.extremes()).as_tuple() for a in truth)
+            (e.left.x, e.top.y, e.right.x, e.bottom.y) for e in tight)
 
     def test_detect_workers_byte_identical(self, sim_dir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -637,6 +636,10 @@ EXIT_CODE_CASES = [
     ("render-targets csv empty key", 3, [
         "render-targets", "--input-size", 768, "--annotations",
         _sim_csv_with("File_name", 0, "")]),
+    # Python 3.10's csv reader refuses the NUL itself, with its own message
+    ("render-targets csv key with a NUL byte", 3, [
+        "render-targets", "--input-size", 768, "--annotations",
+        _sim_csv_with("File_name", 0, "syn\x001")]),
     # a field over the csv module's size limit used to end in exit 4
     ("render-targets csv field over the csv size limit", 3, [
         "render-targets", "--annotations",

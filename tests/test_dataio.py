@@ -19,7 +19,6 @@ from recistkit.dataio import (
     write_detections,
     write_heatmaps,
 )
-from recistkit.geometry import Point2
 from recistkit.grouping import Detections
 from recistkit.synthetic import generate_scene, simulate_heatmaps
 from recistkit.targets import HeatmapBundle
@@ -53,8 +52,8 @@ class TestParseAnnotations:
         path = tmp_path / "a.csv"
         write_csv(path, [csv_row()])
         ann = parse_annotations(path).annotations[0]
-        assert (ann.diameters.long_a.x, ann.diameters.long_a.y) == (30, 10)
-        assert (ann.diameters.short_a.x, ann.diameters.short_a.y) == (12, 31)
+        assert ann.endpoints[:2] == (30, 10)
+        assert ann.endpoints[4:6] == (12, 31)
 
     def test_long_short_kept_when_first_longer(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -63,8 +62,8 @@ class TestParseAnnotations:
             [csv_row(coords="30, 10, 30, 50, 12, 31, 16, 29", bbox="7, 5, 52, 55")],
         )
         ann = parse_annotations(path).annotations[0]
-        assert (ann.diameters.long_a.x, ann.diameters.long_a.y) == (30, 10)
-        assert (ann.diameters.short_a.x, ann.diameters.short_a.y) == (12, 31)
+        assert ann.endpoints[:2] == (30, 10)
+        assert ann.endpoints[4:6] == (12, 31)
 
     def test_split_mapping(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -178,21 +177,20 @@ class TestParseAnnotations:
         assert len(back.annotations) == 3
         for orig, re_read in zip(scene.annotations, back.annotations):
             assert re_read.file_name == orig.file_name
-            assert re_read.diameters == orig.diameters
+            assert re_read.endpoints == orig.endpoints
             assert re_read.bbox == orig.bbox
             assert re_read.lesion_type == orig.lesion_type
             assert re_read.spacing == orig.spacing
             assert re_read.split == orig.split
 
-    @pytest.mark.parametrize("field", ["diameters", "bbox", "diameters_px",
+    @pytest.mark.parametrize("field", ["endpoints", "bbox", "diameters_px",
                                        "spacing"])
     def test_writer_refuses_non_finite_numbers_before_opening(self, tmp_path,
                                                               field):
         anns = generate_scene(2, seed=90).annotations
         ann = anns[1]
-        if field == "diameters":
-            d = ann.diameters
-            bad = dataclasses.replace(d, short_b=Point2(math.nan, d.short_b.y))
+        if field == "endpoints":
+            bad = ann.endpoints[:6] + (math.nan, ann.endpoints[7])
         elif field == "bbox":
             bad = dataclasses.replace(ann.bbox, x2=math.inf)
         else:
@@ -202,6 +200,37 @@ class TestParseAnnotations:
         with pytest.raises(ValueError, match=r"^annotation 1 \(syn_90\): "):
             write_annotations(anns, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("lesion_type", 1.5, "lesion type must be an int, got 1.5"),
+        ("lesion_type", True, "lesion type must be an int, got True"),
+        ("file_name", " k ", "key ' k ' must not start or end with whitespace"),
+        ("file_name", "k\n", "key 'k\\n' must not start or end with whitespace"),
+        ("split", "foo", "split must be train, val or test, got 'foo'"),
+        ("endpoints", (1.0,) * 7, "must hold 8, 4, 2 and 3 numbers"),
+        ("endpoints", (1.0,) * 9, "must hold 8, 4, 2 and 3 numbers"),
+        ("endpoints", (1.0,) * 7 + (True,), "must be finite"),
+        ("spacing", (1.0, 1.0), "must hold 8, 4, 2 and 3 numbers"),
+    ], ids=["type 1.5", "type True", "key ' k '", "key 'k\\n'", "split foo",
+            "7 endpoints", "9 endpoints", "a bool endpoint", "2 spacings"])
+    def test_writer_refuses_what_it_would_not_read_back(self, tmp_path, field,
+                                                       value, message):
+        anns = generate_scene(2, seed=90).annotations
+        anns[1] = dataclasses.replace(anns[1], **{field: value})
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=r"^annotation 1 \(") as excinfo:
+            write_annotations(anns, path)
+        assert message in str(excinfo.value)
+        assert not path.exists()
+
+    def test_writer_round_trip_keeps_every_field(self, tmp_path):
+        # what the writer accepts reads back equal, field by field
+        anns = [dataclasses.replace(a, file_name="k 1", lesion_type=-3, split=s)
+                for a, s in zip(generate_scene(3, seed=91).annotations,
+                                ("train", "val", "test"))]
+        path = tmp_path / "out.csv"
+        write_annotations(anns, path)
+        assert parse_annotations(path).annotations == anns
 
     def test_metadata_accessors(self, tmp_path):
         path = tmp_path / "a.csv"

@@ -5,8 +5,9 @@ against ``detect`` and ``fuse_tta``.
 The three oracles below are the per-row implementations, copied without
 change except that they build each ``Detection`` from its extremes through
 ``from_extremes``; ``sort_key`` is the tree-based tie order Soft-NMS used,
-copied verbatim. Outputs are compared by value and by ``float.hex`` of every
-coordinate and score: an oracle passes numpy scalars through where the row
+and ``flip_horizontal`` the mirror of extreme points that the un-flip
+oracle called, both copied verbatim but for the dispatch on type. Outputs
+are compared by value and by ``float.hex`` of every coordinate and score: an oracle passes numpy scalars through where the row
 code returns Python floats, so reprs may differ while the values agree.
 """
 
@@ -20,13 +21,7 @@ import pytest
 from recistkit import fusion, grouping
 from recistkit.dataio import detection_to_dict, read_detections, write_detections
 from recistkit.fusion import SoftNmsConfig, fuse_tta
-from recistkit.geometry import (
-    ExtremePoints,
-    Point2,
-    bbox_from_extremes,
-    flip_horizontal,
-    iou,
-)
+from recistkit.geometry import BBox, ExtremePoints, Point2, iou
 from recistkit.grouping import (
     Detection,
     Detections,
@@ -100,6 +95,23 @@ def refine_with_offsets(
         )
         refined.append(from_extremes(extremes, det.score, det.source))
     return refined
+
+
+def flip_point(p: Point2, image_width: float) -> Point2:
+    return Point2(image_width - 1.0 - p.x, p.y)
+
+
+def flip_horizontal(obj: ExtremePoints, image_width: float) -> ExtremePoints:
+    # center flipped directly rather than recomputed from the swapped
+    # extremes: same value in exact arithmetic, and it keeps flip∘flip
+    # bit-exact for every stored coordinate
+    return ExtremePoints(
+        top=flip_point(obj.top, image_width),
+        left=flip_point(obj.right, image_width),
+        bottom=flip_point(obj.bottom, image_width),
+        right=flip_point(obj.left, image_width),
+        center=flip_point(obj.center, image_width),
+    )
 
 
 def unflip_detections(
@@ -418,7 +430,8 @@ class TestRowViews:
     def assert_row_views(dets):
         assert dets
         for d in dets:
-            assert d.bbox == bbox_from_extremes(d.extremes)
+            e = d.extremes
+            assert d.bbox == BBox(e.left.x, e.top.y, e.right.x, e.bottom.y)
         back = list(grouping.Detections(
             [d.row for d in dets], [d.score for d in dets],
             [d.source == "flipped" for d in dets],

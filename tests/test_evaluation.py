@@ -32,7 +32,7 @@ from recistkit.evaluation import (
     match_detections,
     stratified_froc,
 )
-from recistkit.geometry import BBox, Point2, RecistDiameters, iou, pad_bbox
+from recistkit.geometry import BBox, iou, pad_bbox
 from recistkit.grouping import Detections
 from tests.test_fusion import make_detection, random_detections
 
@@ -397,9 +397,8 @@ class TestStratifiedFroc:
 
 def lesion(key, x, y, lesion_type, long_px, spacing):
     """An annotation of image ``key`` whose padded box is gt_at(x, y)."""
-    diameters = RecistDiameters(Point2(x, y + 10), Point2(x + 20, y + 10),
-                                Point2(x + 10, y), Point2(x + 10, y + 20))
-    return RecistAnnotation(key, diameters, gt_at(x, y), lesion_type,
+    endpoints = (x, y + 10, x + 20, y + 10, x + 10, y, x + 10, y + 20)
+    return RecistAnnotation(key, endpoints, gt_at(x, y), lesion_type,
                             (long_px, long_px / 2), spacing, "test")
 
 

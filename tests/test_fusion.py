@@ -2,6 +2,7 @@
 the flipped view, and the no-increase / identity properties."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -86,9 +87,11 @@ class TestSoftNms:
             assert scores == sorted(scores, reverse=True)
 
     def test_sigma_infinity_is_resort(self):
+        # sigma must be finite; at the largest float exp(-iou^2 / sigma)
+        # rounds to 1, so no score decays, as under an infinite sigma
         rng = np.random.default_rng(61)
         dets = random_detections(rng, 8)
-        out = soft_nms(dets, SoftNmsConfig(sigma=math.inf))
+        out = soft_nms(dets, SoftNmsConfig(sigma=sys.float_info.max))
         assert sorted((d.score for d in dets), reverse=True) == [d.score for d in out]
 
     def test_below_floor_dropped(self):

@@ -1,33 +1,36 @@
-"""Geometry primitives: worked examples, tie rules, and brute-force oracles."""
+"""Geometry primitives and the RECIST rules of ``RecistAnnotation``:
+worked examples, tie rules, and brute-force oracles."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recistkit.geometry import (
-    BBox,
-    Point2,
-    RecistDiameters,
-    bbox_from_extremes,
-    extremes_from_recist,
-    flip_horizontal,
-    iou,
-    ordered_diameters,
-    pad_bbox,
-    pairwise_iou,
-)
+from recistkit.dataio import RecistAnnotation, _long_first
+from recistkit.geometry import BBox, iou, pad_bbox, pairwise_iou
+from recistkit.synthetic import SyntheticScene, flip_scene
 
 
-def diam(lax, lay, lbx, lby, sax, say, sbx, sby):
-    return RecistDiameters(
-        Point2(lax, lay), Point2(lbx, lby), Point2(sax, say), Point2(sbx, sby)
-    )
+def ann(*endpoints, bbox=BBox(0, 0, 0, 0)):
+    """An annotation whose endpoints are the 8 coordinates as given."""
+    return RecistAnnotation("k", tuple(endpoints), bbox, 1, (0.0, 0.0),
+                            (1.0, 1.0, 1.0), "test")
 
 
-class TestExtremesFromRecist:
+def long_first(pts):
+    """An annotation of 8 coordinates, its longer diameter put first."""
+    return ann(*_long_first(list(pts)))
+
+
+def tight_box(e):
+    return BBox(e.left.x, e.top.y, e.right.x, e.bottom.y)
+
+
+class TestExtremes:
     def test_worked_example(self):
-        e = extremes_from_recist(diam(30, 10, 30, 50, 12, 31, 47, 29))
+        e = ann(30, 10, 30, 50, 12, 31, 47, 29).extremes()
         assert (e.top.x, e.top.y) == (30, 10)
         assert (e.bottom.x, e.bottom.y) == (30, 50)
         assert (e.left.x, e.left.y) == (12, 31)
@@ -35,7 +38,7 @@ class TestExtremesFromRecist:
         assert (e.center.x, e.center.y) == (29.5, 30)
 
     def test_shared_roles_diagonal_cross(self):
-        e = extremes_from_recist(diam(0, 0, 10, 10, 0, 10, 10, 0))
+        e = ann(0, 0, 10, 10, 0, 10, 10, 0).extremes()
         assert (e.top.x, e.top.y) == (0, 0)
         assert (e.left.x, e.left.y) == (0, 0)
         assert (e.bottom.x, e.bottom.y) == (10, 10)
@@ -44,69 +47,55 @@ class TestExtremesFromRecist:
 
     def test_tie_prefers_long_diameter_endpoint(self):
         # (5,2) on the short diameter and (9,2) on the long tie for top
-        d = diam(9, 2, 9, 40, 5, 2, 30, 21)
-        e = extremes_from_recist(d)
+        e = ann(9, 2, 9, 40, 5, 2, 30, 21).extremes()
         assert (e.top.x, e.top.y) == (9, 2)
 
     def test_tie_same_diameter_prefers_smaller_x(self):
         # both top candidates on the long diameter, plus a short-diameter tie
-        e = extremes_from_recist(diam(9, 2, 5, 2, 7, 2, 7, 5))
+        e = ann(9, 2, 5, 2, 7, 2, 7, 5).extremes()
         assert (e.top.x, e.top.y) == (5, 2)
 
     def test_tie_left_right_prefers_smaller_y(self):
-        e = extremes_from_recist(diam(3, 9, 3, 1, 3, 5, 9, 5))
+        e = ann(3, 9, 3, 1, 3, 5, 9, 5).extremes()
         # x-ties at 3: long endpoints win; among (3,9) and (3,1), smaller y
         assert (e.left.x, e.left.y) == (3, 1)
 
     def test_degenerate_flagged_not_rejected(self):
-        e = extremes_from_recist(diam(0, 5, 10, 5, 4, 5, 6, 5))
+        e = ann(0, 5, 10, 5, 4, 5, 6, 5).extremes()
         assert e.top.y == e.bottom.y
 
     def test_validity_invariants_random(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
-            pts = rng.uniform(0, 100, size=8)
-            e = extremes_from_recist(ordered_diameters(
-                Point2(pts[0], pts[1]), Point2(pts[2], pts[3]),
-                Point2(pts[4], pts[5]), Point2(pts[6], pts[7]),
-            ))
+            e = long_first(rng.uniform(0, 100, size=8)).extremes()
             assert e.top.y <= e.bottom.y
             assert e.left.x <= e.right.x
             assert e.center.x == (e.left.x + e.right.x) / 2
             assert e.center.y == (e.top.y + e.bottom.y) / 2
 
 
-class TestBBoxFromExtremes:
+class TestTightBox:
     def test_worked_example(self):
-        e = extremes_from_recist(diam(30, 10, 30, 50, 12, 31, 47, 29))
-        assert bbox_from_extremes(e).as_tuple() == (12, 10, 47, 50)
+        e = ann(30, 10, 30, 50, 12, 31, 47, 29).extremes()
+        assert tight_box(e).as_tuple() == (12, 10, 47, 50)
 
     def test_degenerate_point(self):
-        e = extremes_from_recist(diam(12, 10, 12, 10, 12, 10, 12, 10))
-        assert bbox_from_extremes(e).as_tuple() == (12, 10, 12, 10)
+        e = ann(12, 10, 12, 10, 12, 10, 12, 10).extremes()
+        assert tight_box(e).as_tuple() == (12, 10, 12, 10)
 
     def test_matches_minmax_oracle_random(self):
         rng = np.random.default_rng(1)
         for _ in range(300):
             pts = rng.uniform(0, 200, size=8)
-            corners = [(pts[2 * i], pts[2 * i + 1]) for i in range(4)]
-            e = extremes_from_recist(ordered_diameters(
-                *(Point2(x, y) for x, y in corners)
-            ))
-            box = bbox_from_extremes(e)
-            xs = [x for x, _ in corners]
-            ys = [y for _, y in corners]
+            box = tight_box(long_first(pts).extremes())
+            xs, ys = pts[0::2], pts[1::2]
             assert box.as_tuple() == (min(xs), min(ys), max(xs), max(ys))
 
     def test_contains_all_five_points(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            pts = rng.uniform(0, 64, size=8)
-            e = extremes_from_recist(ordered_diameters(
-                Point2(pts[0], pts[1]), Point2(pts[2], pts[3]),
-                Point2(pts[4], pts[5]), Point2(pts[6], pts[7]),
-            ))
-            box = bbox_from_extremes(e)
+            e = long_first(rng.uniform(0, 64, size=8)).extremes()
+            box = tight_box(e)
             for p in e.points():
                 assert box.x1 <= p.x <= box.x2
                 assert box.y1 <= p.y <= box.y2
@@ -225,39 +214,44 @@ class TestPairwiseIou:
         assert matrix[3].tolist() == [0.0] * 3 + [1.0] + [0.0] * 4
 
 
-class TestFlipHorizontal:
-    def test_point(self):
-        assert flip_horizontal(Point2(10, 7), 100) == Point2(89, 7)
-        with pytest.raises(TypeError, match="cannot flip object of type tuple"):
-            flip_horizontal((10, 7), 100)
+def flipped(annotation, width):
+    """``annotation`` as ``flip_scene`` mirrors it in an image ``width`` px
+    wide."""
+    scene = SyntheticScene((width, width), [annotation], seed=0)
+    return flip_scene(scene).annotations[0]
 
-    def test_involution_all_types(self):
+
+class TestFlipScene:
+    def test_point(self):
+        f = flipped(ann(10, 7, 10, 7, 10, 7, 10, 7, bbox=BBox(10, 7, 10, 7)), 100)
+        assert f.endpoints == (89, 7, 89, 7, 89, 7, 89, 7)
+        assert f.bbox == BBox(89, 7, 89, 7)
+
+    def test_involution_endpoints_and_box(self):
         # coordinates on the 1/16-px lattice flip without rounding, so the
         # double flip is bit-exact; arbitrary doubles may move by 1 ulp
         rng = np.random.default_rng(5)
         for _ in range(100):
             x, y = np.floor(rng.uniform(0, 63, size=2) * 16) / 16
-            assert flip_horizontal(flip_horizontal(Point2(x, y), 64), 64) == Point2(x, y)
             box = BBox(min(x, y), 0, max(x, y), 5)
-            assert flip_horizontal(flip_horizontal(box, 64), 64) == box
             pts = np.floor(rng.uniform(0, 63, size=8) * 16) / 16
-            e = extremes_from_recist(ordered_diameters(
-                Point2(pts[0], pts[1]), Point2(pts[2], pts[3]),
-                Point2(pts[4], pts[5]), Point2(pts[6], pts[7]),
-            ))
-            assert flip_horizontal(flip_horizontal(e, 64), 64) == e
+            a = ann(*_long_first(pts.tolist()), bbox=box)
+            back = flipped(flipped(a, 64), 64)
+            assert back == a
+            assert back.extremes() == a.extremes()
 
     def test_involution_approx_for_arbitrary_floats(self):
         rng = np.random.default_rng(50)
         for _ in range(200):
             x, y = rng.uniform(0, 63, size=2)
-            back = flip_horizontal(flip_horizontal(Point2(x, y), 64), 64)
-            assert back.x == pytest.approx(x, abs=1e-12)
-            assert back.y == y
+            a = ann(x, y, x, y, x, y, x, y, bbox=BBox(x, y, x, y))
+            back = flipped(flipped(a, 64), 64)
+            assert back.endpoints[0] == pytest.approx(x, abs=1e-12)
+            assert back.endpoints[1] == y
+            assert back.bbox.x2 == pytest.approx(x, abs=1e-12)
 
     def test_extremes_role_swap_worked_example(self):
-        e = extremes_from_recist(diam(30, 10, 30, 50, 12, 31, 47, 29))
-        f = flip_horizontal(e, 64)
+        f = flipped(ann(30, 10, 30, 50, 12, 31, 47, 29), 64).extremes()
         assert (f.left.x, f.left.y) == (16, 29)
         assert (f.right.x, f.right.y) == (51, 31)
         assert (f.top.x, f.top.y) == (33, 10)
@@ -265,11 +259,14 @@ class TestFlipHorizontal:
     def test_flipped_extremes_stay_valid(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
-            pts = rng.uniform(0, 100, size=8)
-            e = extremes_from_recist(ordered_diameters(
-                Point2(pts[0], pts[1]), Point2(pts[2], pts[3]),
-                Point2(pts[4], pts[5]), Point2(pts[6], pts[7]),
-            ))
-            f = flip_horizontal(e, 101)
+            f = flipped(long_first(rng.uniform(0, 100, size=8)), 101).extremes()
             assert f.top.y <= f.bottom.y
             assert f.left.x <= f.right.x
+            assert f.center.x == (f.left.x + f.right.x) / 2
+
+    def test_mirror_keeps_the_long_diameter_first(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            f = flipped(long_first(rng.uniform(0, 100, size=8)), 101)
+            ax, ay, bx, by, cx, cy, dx, dy = f.endpoints
+            assert math.hypot(ax - bx, ay - by) >= math.hypot(cx - dx, cy - dy)

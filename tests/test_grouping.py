@@ -174,6 +174,32 @@ class TestEnumerateQuadruples:
         assert len(dets) == 1
         assert dets[0].score == pytest.approx(0.9 + 0.8 + 0.7 + 0.6 + 2 * 0.5)
 
+    # equal scores at a k2 = 1 cut: the top row decides, then the top
+    # column, then the left row and column; tops are listed largest first,
+    # so the input order would pick the other candidate
+    @pytest.mark.parametrize("tops,lefts,centers,kept", [
+        # one top row: the top column decides
+        ([(2, 9), (2, 5)], [(5, 1)], [(5, 5)], (5, 2, 1, 5)),
+        # only (top 2, left col 2) and (top 3, left col 1) pass: the top row
+        # decides before any left coordinate
+        ([(3, 5), (2, 5)], [(5, 2), (5, 1)], [(5, 6), (6, 5)], (5, 2, 2, 5)),
+    ], ids=["top col", "top row before left col"])
+    def test_tied_cut_keeps_the_smallest_cells(self, tops, lefts, centers, kept):
+        center = np.zeros((10, 10), dtype=np.float32)
+        for cell in centers:
+            center[cell] = 0.5
+        peaks = {
+            "top": make_peaks("top", [(r, c, 1.0) for r, c in tops]),
+            "left": make_peaks("left", [(r, c, 1.0) for r, c in lefts]),
+            "bottom": make_peaks("bottom", [(8, 5, 1.0)]),
+            "right": make_peaks("right", [(5, 9, 1.0)]),
+        }
+        every = enumerate_quadruples(peaks, center, GroupingConfig(k2=10))
+        assert len(every) == 2 and len(set(every.scores.tolist())) == 1
+        dets = enumerate_quadruples(peaks, center, GroupingConfig(k2=1))
+        assert len(dets) == 1
+        assert tuple(dets.rows[0, :4].tolist()) == kept  # top (x, y), left (x, y)
+
     def test_center_score_at_threshold_rejected(self):
         center = np.zeros((10, 10), dtype=np.float32)
         center[5, 5] = np.float32(0.1)  # exactly tau_c: strict inequality
@@ -356,13 +382,13 @@ class TestDetect:
         assert list(detect(bundle)) == []
 
     def test_two_separated_annotations(self):
-        from recistkit.geometry import bbox_from_extremes, iou, pad_bbox
+        from recistkit.geometry import BBox, iou, pad_bbox
 
         scene = generate_scene(2, seed=42)
         dets = detect(simulate_heatmaps(scene))
         assert len(dets) == 2
         for e in scene.extremes():
-            gt_padded = pad_bbox(bbox_from_extremes(e), 5)
+            gt_padded = pad_bbox(BBox(e.left.x, e.top.y, e.right.x, e.bottom.y), 5)
             assert any(iou(pad_bbox(d.bbox, 5), gt_padded) == 1.0 for d in dets)
 
     def test_detection_invariants(self):

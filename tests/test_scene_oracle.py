@@ -2,8 +2,10 @@
 draws against the object-per-attempt implementations they replaced.
 
 ``frozen_generate_scene`` is the previous ``generate_scene``: it builds the
-diameters, extremes, tight box and padded box of every attempt as objects
-before its three rejection tests, and checks clearance with
+diameters, extremes, tight box and padded box of every attempt as objects,
+through frozen copies of the geometry helpers that ``RecistAnnotation`` and
+its endpoints replaced, before its three rejection tests, and stores the
+endpoints of its diameters, long first. It checks clearance with
 ``frozen_decodes_to_itself``, the previous clearance check, which drew the
 center plane alone. ``frozen_simulate_heatmaps`` is the
 previous ``simulate_heatmaps``, which drew the three uniforms of each
@@ -21,20 +23,14 @@ an extra or a missing draw fails.
 import dataclasses
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from recistkit import synthetic
 from recistkit.dataio import BOX_PADDING, RecistAnnotation
-from recistkit.geometry import (
-    BBox,
-    Point2,
-    bbox_from_extremes,
-    extremes_from_recist,
-    ordered_diameters,
-    pad_bbox,
-)
+from recistkit.geometry import BBox, ExtremePoints, Point2, pad_bbox
 from recistkit.rng import _GAMMA, SplitMix64
 from recistkit.synthetic import (
     _ASPECT_RANGE,
@@ -52,7 +48,6 @@ from recistkit.synthetic import (
     generate_scene,
     simulate_heatmaps,
 )
-from recistkit.geometry import ExtremePoints
 from recistkit.grouping import GroupingConfig, Peaks, enumerate_quadruples
 from recistkit.targets import (
     _MAX_OFFSET,
@@ -68,6 +63,60 @@ from recistkit.targets import (
 )
 
 # --- oracles: the object-per-attempt implementations ---------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class RecistDiameters:
+    """The two measured diameters of one lesion, long first."""
+
+    long_a: Point2
+    long_b: Point2
+    short_a: Point2
+    short_b: Point2
+
+    @property
+    def long_length(self) -> float:
+        return math.hypot(self.long_a.x - self.long_b.x, self.long_a.y - self.long_b.y)
+
+    @property
+    def short_length(self) -> float:
+        return math.hypot(
+            self.short_a.x - self.short_b.x, self.short_a.y - self.short_b.y
+        )
+
+    def endpoints(self) -> tuple[Point2, Point2, Point2, Point2]:
+        return (self.long_a, self.long_b, self.short_a, self.short_b)
+
+
+def ordered_diameters(
+    p1: Point2, p2: Point2, p3: Point2, p4: Point2
+) -> RecistDiameters:
+    """Build diameters from two segments, assigning long/short by length."""
+    if math.hypot(p1.x - p2.x, p1.y - p2.y) >= math.hypot(p3.x - p4.x, p3.y - p4.y):
+        return RecistDiameters(p1, p2, p3, p4)
+    return RecistDiameters(p3, p4, p1, p2)
+
+
+def extremes_from_recist(d: RecistDiameters) -> ExtremePoints:
+    """Pick the top/left/bottom/right extremes among the four endpoints:
+    long-diameter endpoints win ties, then the smaller x (top/bottom) or
+    y (left/right)."""
+    pts = d.endpoints()
+    # rank 0 for long-diameter endpoints, 1 for short: long wins ties
+    ranked = [(p, 0 if i < 2 else 1) for i, p in enumerate(pts)]
+
+    top = min(ranked, key=lambda pr: (pr[0].y, pr[1], pr[0].x))[0]
+    bottom = min(ranked, key=lambda pr: (-pr[0].y, pr[1], pr[0].x))[0]
+    left = min(ranked, key=lambda pr: (pr[0].x, pr[1], pr[0].y))[0]
+    right = min(ranked, key=lambda pr: (-pr[0].x, pr[1], pr[0].y))[0]
+
+    center = Point2((left.x + right.x) / 2.0, (top.y + bottom.y) / 2.0)
+    return ExtremePoints(top, left, bottom, right, center)
+
+
+def bbox_from_extremes(e: ExtremePoints) -> BBox:
+    """Tight box spanned by the four extremes."""
+    return BBox(e.left.x, e.top.y, e.right.x, e.bottom.y)
 
 
 def lesion_radius(extremes: ExtremePoints, stride: int, min_overlap: float) -> int:
@@ -211,7 +260,9 @@ def frozen_generate_scene(
                 annotations.append(
                     RecistAnnotation(
                         file_name=f"syn_{seed}",
-                        diameters=diameters,
+                        endpoints=tuple(
+                            v for p in diameters.endpoints() for v in (p.x, p.y)
+                        ),
                         bbox=padded,
                         lesion_type=(index % 8) + 1,
                         diameters_px=(

@@ -23,14 +23,15 @@ from recistkit.cli import main
 SRC = str(Path(recistkit.__file__).resolve().parents[1])
 
 # every name the package exported when it imported all of its modules,
-# less the removed render_scene
+# less the removed render_scene and the geometry helpers that RecistAnnotation
+# and flip_scene replaced, plus evaluate
 PUBLIC_NAMES = """
     BBox Detection Detections DegradationConfig EvalConfig ExtremePoints
     FocalParams FrocPoint FrocResult GroupingConfig HeatmapBundle
     InputFormatError MatchResult ParseResult Peaks Point2 RecistAnnotation
-    RecistDiameters RenderConfig SoftNmsConfig Strata SyntheticScene
-    TargetBundle apply_ct_window bbox_from_extremes detect enumerate_quadruples
-    extract_peaks extremes_from_recist finite_diff_check flip_horizontal
+    RenderConfig SoftNmsConfig Strata SyntheticScene
+    TargetBundle apply_ct_window detect enumerate_quadruples
+    extract_peaks finite_diff_check
     evaluate flip_scene focal_loss focal_loss_grad froc fuse_tta gaussian_radius
     generate_scene iou match_detections offset_loss offset_loss_grad
     offset_target pad_bbox parse_annotations read_detections read_heatmaps
@@ -305,3 +306,28 @@ class TestConfigIsTheRoot:
         with pytest.raises(config.InputFormatError) as excinfo:
             config.effective(path, overrides)
         assert str(excinfo.value) == message.format(path=path)
+
+    # a file or flag never reaches a section with a non-finite number, as
+    # merge refuses it first, so each section is built directly
+    @pytest.mark.parametrize("section,key,value", [
+        (cls, f.name, value)
+        for cls in (*config.SECTION_TYPES.values(), config.DegradationConfig)
+        for f in dataclasses.fields(cls)
+        if type(f.default) in (int, float)
+        for value in (float("nan"), float("inf"), float("-inf"))
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_every_section_refuses_a_non_finite_number(self, section, key, value):
+        with pytest.raises(ValueError):
+            section(**{key: value})
+
+    # each accepted once, and soft_nms then dropped an overlapping 0.8-scored
+    # detection under sigma NaN, and focal_loss returned NaN under alpha NaN
+    @pytest.mark.parametrize("section,key", [
+        (config.SoftNmsConfig, "sigma"), (config.SoftNmsConfig, "score_floor"),
+        (config.FocalParams, "alpha"), (config.FocalParams, "beta"),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=str)
+    def test_once_accepted_non_finite_numbers_are_named(self, section, key, value):
+        with pytest.raises(ValueError) as excinfo:
+            section(**{key: value})
+        assert str(excinfo.value) == f"{key} must be finite, got {value!r}"

@@ -1,6 +1,7 @@
 """Synthetic simulator: seeded determinism, the zero-degradation identity,
 packing guarantees, and degradation semantics."""
 
+import math
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from recistkit import synthetic
 from recistkit.config import GroupingConfig, RenderConfig
-from recistkit.geometry import bbox_from_extremes
+from recistkit.geometry import BBox
 from recistkit.grouping import detect
 from recistkit.rng import SplitMix64
 from recistkit.synthetic import (
@@ -19,6 +20,17 @@ from recistkit.synthetic import (
     simulate_heatmaps,
 )
 from recistkit.targets import keypoint_cell, output_grid, render_targets
+
+
+def tight_box(e):
+    """The box spanned by the extremes ``e``."""
+    return BBox(e.left.x, e.top.y, e.right.x, e.bottom.y)
+
+
+def diameter_lengths(ann):
+    """The long and the short diameter's lengths, from the endpoints."""
+    ax, ay, bx, by, cx, cy, dx, dy = ann.endpoints
+    return math.hypot(ax - bx, ay - by), math.hypot(cx - dx, cy - dy)
 
 
 class TestSplitMix64:
@@ -87,7 +99,8 @@ class TestGenerateScene:
         for seed in range(20):
             scene = generate_scene(2, seed=seed)
             for ann in scene.annotations:
-                assert ann.diameters.long_length >= ann.diameters.short_length
+                long_length, short_length = diameter_lengths(ann)
+                assert long_length >= short_length
 
     def test_infeasible_packing_raises(self, monkeypatch):
         monkeypatch.setattr(synthetic, "_MAX_RESTARTS", 3)
@@ -136,7 +149,7 @@ class TestGenerateScene:
         assert scene.annotations == generate_scene(3, seed=4).annotations
         found = detect(simulate_heatmaps(scene), grouping)
         assert sorted(d.bbox.as_tuple() for d in found) == sorted(
-            bbox_from_extremes(e).as_tuple() for e in scene.extremes()
+            tight_box(e).as_tuple() for e in scene.extremes()
         )
 
     def test_no_lesion_is_placed_under_any_tau_e(self):
@@ -154,7 +167,7 @@ class TestGenerateScene:
                 scene = generate_scene(n_lesions, seed=seed, grouping=grouping)
                 found = detect(simulate_heatmaps(scene), grouping)
                 assert sorted(d.bbox.as_tuple() for d in found) == sorted(
-                    bbox_from_extremes(e).as_tuple() for e in scene.extremes()
+                    tight_box(e).as_tuple() for e in scene.extremes()
                 ), (n_lesions, seed)
 
     def test_clearance_check_takes_both_sections_whole(self, monkeypatch):
@@ -171,11 +184,11 @@ class TestGenerateScene:
         assert checked == [(render, grouping)]
 
     def test_provided_bbox_is_padded_tight_box(self):
-        from recistkit.geometry import bbox_from_extremes, pad_bbox
+        from recistkit.geometry import pad_bbox
 
         scene = generate_scene(3, seed=11)
         for ann in scene.annotations:
-            derived = pad_bbox(bbox_from_extremes(ann.extremes()), 5.0)
+            derived = pad_bbox(tight_box(ann.extremes()), 5.0)
             assert derived == ann.bbox
 
 
@@ -189,7 +202,7 @@ class TestFlipScene:
         scene = generate_scene(2, seed=13)
         flipped = flip_scene(scene)
         for a, f in zip(scene.annotations, flipped.annotations):
-            assert f.diameters.long_length == pytest.approx(a.diameters.long_length)
+            assert diameter_lengths(f)[0] == pytest.approx(diameter_lengths(a)[0])
             assert f.diameters_px == a.diameters_px
 
 
