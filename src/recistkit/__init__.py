@@ -22,17 +22,16 @@ _EXPORTS = {
         "InputFormatError", "RenderConfig", "SoftNmsConfig",
     ),
     "dataio": (
-        "ParseResult", "RecistAnnotation",
-        "apply_ct_window", "parse_annotations", "read_detections",
-        "read_heatmaps", "write_annotations", "write_detections",
-        "write_heatmaps",
+        "ParseResult", "RecistAnnotation", "parse_annotations",
+        "read_detections", "read_heatmaps", "write_annotations",
+        "write_detections", "write_heatmaps",
     ),
     "evaluation": (
         "FrocPoint", "FrocResult", "MatchResult", "Strata", "evaluate", "froc",
         "match_detections", "stratified_froc",
     ),
     "fusion": ("fuse_tta", "soft_nms", "unflip_detections"),
-    "geometry": ("BBox", "ExtremePoints", "Point2", "iou", "pad_bbox"),
+    "geometry": ("BBox", "ExtremePoints", "Point2", "pad_bbox"),
     "grouping": (
         "Detection", "Detections", "Peaks", "detect", "enumerate_quadruples",
         "extract_peaks", "refine_with_offsets",

@@ -3,7 +3,7 @@
 Subcommands compose the library modules: render ground-truth heatmaps from
 an annotation CSV, group heatmap bundles into detections, fuse flip-
 augmented detections, evaluate FROC sensitivity, simulate degraded bundles,
-check loss gradients, and window raw CT intensities.
+and check loss gradients.
 
 Exit codes: 0 success, 2 usage error, 3 input-format error or unusable
 input or output path, 4 internal invariant violation. Failed commands
@@ -416,26 +416,6 @@ def _cmd_check_gradients(args) -> int:
     return 0
 
 
-def _cmd_window(args) -> int:
-    from .dataio import apply_ct_window
-
-    raw = Path(args.infile).read_bytes()
-    if len(raw) % 4:
-        raise InputFormatError(f"{args.infile}: {len(raw)} bytes, not a multiple of 4")
-    data = np.frombuffer(raw, dtype="<f4")
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        raise InputFormatError(
-            f"{args.infile}: {bad.size} non-finite value(s), the first at index "
-            f"{bad[0]}"
-        )
-    normalized = apply_ct_window(data, args.level, args.width).astype("<f4")
-    outputs = _Outputs()
-    outputs.run(Path(args.out), lambda tmp: tmp.write_bytes(normalized.tobytes()))
-    print(f"windowed {data.size} value(s) to {args.out}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -454,7 +434,6 @@ def _checked(type_, ok, rule: str):
 
 
 _positive_finite_float = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
-_finite_float = _checked(float, math.isfinite, "finite")
 _nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 
@@ -632,20 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonnegative_int, default=0,
                    help="RNG seed (default: 0)")
     p.set_defaults(func=_cmd_check_gradients)
-
-    p = sub.add_parser(
-        "window",
-        help="normalize raw float32 CT intensities to [0, 1]",
-    )
-    p.add_argument("--level", type=_finite_float, required=True,
-                   help="window center in HU, finite")
-    p.add_argument("--width", type=_positive_finite_float, required=True,
-                   help="window width in HU, finite and > 0")
-    p.add_argument("--in", dest="infile", required=True,
-                   help="raw little-endian float32 input file")
-    p.add_argument("--out", required=True,
-                   help="raw little-endian float32 output file")
-    p.set_defaults(func=_cmd_window)
 
     return parser
 

@@ -1,5 +1,4 @@
-"""File I/O: annotation CSVs, heatmap containers, detection documents, and
-CT intensity windowing.
+"""File I/O: annotation CSVs, heatmap containers and detection documents.
 
 All serialization here is byte-deterministic: identical inputs produce
 identical files. The heatmap container stores raw little-endian float32
@@ -277,7 +276,9 @@ def write_annotations(
         problem = _unwritable(ann, numbers)
         if problem:
             raise ValueError(f"annotation {index} ({ann.file_name}): {problem}")
-        text = [", ".join(map(repr, column)) for column in numbers]
+        # an int or float subclass, such as np.float64, writes as the plain number
+        text = [", ".join((float if isinstance(v, float) else int).__repr__(v)
+                          for v in column) for column in numbers]
         rows.append([ann.file_name, *text[:2], ann.lesion_type, *text[2:],
                      split_codes[ann.split]])
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -617,19 +618,3 @@ def read_detections(path: str | Path) -> tuple[dict[str, Detections], dict | Non
             )
             raise InputFormatError(f"{path}: images[{key!r}][{i}]{error}")
     return out, doc.get("config")
-
-
-def apply_ct_window(values: np.ndarray, level: float, width: float) -> np.ndarray:
-    """Linear window map of CT intensities onto [0, 1].
-
-    Values at or below level - width/2 map to 0, at or above level + width/2
-    to 1, linearly in between. Monotone non-decreasing in the input. A
-    non-finite level, or a width not finite and > 0, raises ValueError.
-    """
-    if not math.isfinite(level):
-        raise ValueError(f"window level must be finite, got {level}")
-    if not 0 < width < math.inf:
-        raise ValueError(f"window width must be finite and > 0, got {width}")
-    lo = level - width / 2.0
-    with np.errstate(over="ignore"):  # a tiny width's +-inf clips to 0 or 1
-        return np.clip((np.asarray(values, dtype=np.float64) - lo) / width, 0.0, 1.0)

@@ -5,7 +5,8 @@ centers). Boxes use the corner convention with width = x2 - x1, no +1.
 A horizontal flip maps every x to ``image_width - 1 - x``, so a box's
 mirrored x2 becomes its x1 and the left and right extremes trade roles;
 flipping twice is the identity. ``synthetic.flip_scene`` and
-``fusion.unflip_detections`` mirror by this rule.
+``fusion.unflip_detections`` mirror by this rule. Matching and Soft-NMS
+share one box overlap, :func:`pairwise_iou`.
 """
 
 from __future__ import annotations
@@ -67,23 +68,11 @@ def pad_bbox(b: BBox, pad: float) -> BBox:
     return BBox(b.x1 - pad, b.y1 - pad, b.x2 + pad, b.y2 + pad)
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes; 0 when the union is empty."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if iw <= 0.0 or ih <= 0.0:
-        inter = 0.0
-    else:
-        inter = iw * ih
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`iou` of each row of ``a`` with each row of ``b``, bit for bit,
-    as a (len(a), len(b)) matrix; rows are (x1, y1, x2, y2)."""
+    """Intersection over union of each row of ``a`` with each row of ``b``,
+    as a (len(a), len(b)) matrix; rows are (x1, y1, x2, y2). A pair whose
+    intersection width or height is not positive intersects in 0, and a
+    pair whose union is not positive gets 0."""
     ax1, ay1, ax2, ay2 = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
     bx1, by1, bx2, by2 = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
     # three full-size float arrays and one mask, written in place: a larger

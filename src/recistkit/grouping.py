@@ -24,7 +24,6 @@ from typing import Literal
 import numpy as np
 
 from .config import GroupingConfig
-from .geometry import BBox, ExtremePoints, Point2
 from .targets import EXTREME_ROLES, HeatmapBundle
 
 # window cells gathered at once in peak extraction, which bounds its memory
@@ -67,16 +66,6 @@ class Detection:
     row: tuple[float, ...]
     score: float
     source: Literal["original", "flipped"] = "original"
-
-    @property
-    def extremes(self) -> ExtremePoints:
-        r = self.row
-        return ExtremePoints(*(Point2(r[i], r[i + 1]) for i in range(0, 10, 2)))
-
-    @property
-    def bbox(self) -> BBox:
-        """The tight (unpadded) box of the extremes."""
-        return BBox(*(self.row[i] for i in BOX_COLUMNS))
 
 
 class Detections:

@@ -24,13 +24,15 @@ from recistkit.grouping import (
 from recistkit.losses import finite_diff_check, focal_loss, focal_loss_grad, offset_loss
 from recistkit.synthetic import DegradationConfig, generate_scene, simulate_heatmaps
 from recistkit.targets import HeatmapBundle, render_targets, offset_target
-from recistkit.geometry import BBox, Point2, iou, pad_bbox
+from recistkit.geometry import BBox, Point2, pad_bbox
 
 from tests.test_evaluation import crafted_three_image_matches, random_matches
-from tests.test_fusion import make_detection, random_detections
+from tests.test_fusion import box_of, make_detection, random_detections
+from tests.test_geometry import iou
 from tests.test_grouping import (
     detection_tuple,
     exhaustive_quadruples,
+    extreme_row,
     naive_peaks,
     peak_tuples,
     random_peak_bundle,
@@ -57,18 +59,14 @@ def test_criterion_01_zero_noise_round_trip():
         for e in extremes:
             errs = []
             for d in detections:
-                err = max(
-                    abs(d.extremes.top.x - e.top.x), abs(d.extremes.top.y - e.top.y),
-                    abs(d.extremes.left.x - e.left.x), abs(d.extremes.left.y - e.left.y),
-                    abs(d.extremes.bottom.x - e.bottom.x), abs(d.extremes.bottom.y - e.bottom.y),
-                    abs(d.extremes.right.x - e.right.x), abs(d.extremes.right.y - e.right.y),
-                )
+                # the four extremes' coordinates; the center follows from them
+                err = max(abs(a - b) for a, b in zip(d.row[:8], extreme_row(e)))
                 errs.append((err, d))
             err, best = min(errs, key=lambda item: item[0])
             assert err < 1e-6, f"seed {seed}: coordinate error {err}"
             worst_err = max(worst_err, err)
             tight = BBox(e.left.x, e.top.y, e.right.x, e.bottom.y)
-            overlap = iou(pad_bbox(best.bbox, 5), pad_bbox(tight, 5))
+            overlap = iou(pad_bbox(box_of(best), 5), pad_bbox(tight, 5))
             assert overlap == 1.0, f"seed {seed}: padded IoU {overlap}"
         matches.append(
             match_detections(detections, [a.bbox for a in scene.annotations])
@@ -182,9 +180,9 @@ def test_criterion_06_soft_nms():
         assert result[0].score == max(d.score for d in sample)
         by_box = {}
         for d in sample:
-            by_box.setdefault(d.bbox.as_tuple(), []).append(d.score)
+            by_box.setdefault(box_of(d), []).append(d.score)
         for d in result:
-            assert any(d.score <= s for s in by_box[d.bbox.as_tuple()])
+            assert any(d.score <= s for s in by_box[box_of(d)])
         far = [make_detection(1000 + 30 * i, 0, 1015 + 30 * i, 15, 0.5 + i / 10)
                for i in range(3)]
         untouched = soft_nms(Detections.of(far), cfg)

@@ -1,6 +1,7 @@
 """Command-line surface: end-to-end flows, exit codes, byte determinism,
 config layering, partial-output cleanup, and re-runs into the same paths."""
 
+import argparse
 import csv
 import dataclasses
 import errno
@@ -113,8 +114,8 @@ class TestDetectEvalFlow:
         found = read_detections(dets_path)[0][f"syn_{seed}"]
         truth = dataio.parse_annotations(sim / "annotations.csv").annotations
         tight = [a.extremes() for a in truth]
-        assert sorted(d.bbox.as_tuple() for d in found) == sorted(
-            (e.left.x, e.top.y, e.right.x, e.bottom.y) for e in tight)
+        assert sorted(found.rows[:, grouping.BOX_COLUMNS].tolist()) == sorted(
+            [e.left.x, e.top.y, e.right.x, e.bottom.y] for e in tight)
 
     def test_detect_workers_byte_identical(self, sim_dir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -553,27 +554,6 @@ def _sim_csv_bytes(edit):
     return build
 
 
-def _raw_f32(tmp_path, sim_dir):
-    """Three raw float32 CT values, the input of ``window``."""
-    path = tmp_path / "raw.f32"
-    path.write_bytes(np.array([-150.0, 50.0, 250.0], dtype="<f4").tobytes())
-    return path
-
-
-def _non_finite_f32(tmp_path, sim_dir):
-    """A raw input holding NaN, +inf and -inf after one finite value."""
-    path = tmp_path / "non_finite.f32"
-    path.write_bytes(np.array([40.0, np.nan, np.inf, -np.inf], dtype="<f4").tobytes())
-    return path
-
-
-def _five_bytes(tmp_path, sim_dir):
-    """A raw input one byte past a whole float32 value."""
-    path = tmp_path / "five.f32"
-    path.write_bytes(b"\x00\x00\x48\x42\x00")
-    return path
-
-
 def _fuse(dets, *flags):
     return ["fuse", "--original", dets, "--flipped", dets,
             "--image-width", 768, *flags]
@@ -760,18 +740,15 @@ EXIT_CODE_CASES = [
     ("fuse --sigma inf", 3, _fuse(_dets(), "--sigma", "inf")),
     ("fuse --image-width inf", 2, [
         "fuse", "--original", _dets(), "--flipped", _dets(), "--image-width", "inf"]),
-    ("window --width inf", 2, [
-        "window", "--level", 50, "--width", "inf", "--in", _raw_f32]),
-    ("window --level nan", 2, [
-        "window", "--level", "nan", "--width", 400, "--in", _raw_f32]),
-    ("window --level inf", 2, [
-        "window", "--level", "inf", "--width", 400, "--in", _raw_f32]),
-    # a tail short of a float32 value used to be dropped with exit 0
-    ("window raw input of 5 bytes", 3, [
-        "window", "--level", 50, "--width", 400, "--in", _five_bytes]),
-    # NaN and +-inf used to pass through, NaN as NaN, with exit 0
-    ("window non-finite raw input", 3, [
-        "window", "--level", 50, "--width", 400, "--in", _non_finite_f32]),
+    ("fuse --image-width nan", 2, [
+        "fuse", "--original", _dets(), "--flipped", _dets(), "--image-width", "nan"]),
+    ("fuse --image-width 0", 2, [
+        "fuse", "--original", _dets(), "--flipped", _dets(), "--image-width", "0"]),
+    ("fuse --image-width -1", 2, [
+        "fuse", "--original", _dets(), "--flipped", _dets(), "--image-width", "-1"]),
+    # a removed command is a usage error
+    ("removed window command", 2, [
+        "window", "--level", 50, "--width", 400, "--in", "raw.f32"]),
     ("detections score 401-digit int", 3, _fuse(_huge(_dets(score="<huge>"), 401))),
     ("detections extremes 401-digit int", 3, _fuse(_huge(_dets(extremes={
         "top": [125.0, 100.0], "left": [100.0, 125.0], "bottom": [125.0, 150.0],
@@ -878,12 +855,10 @@ NAMED_IN_ERROR = {
     "check-gradients --tol inf": "argument --tol: must be finite and > 0",
     "check-gradients --seed -5": "argument --seed: must be >= 0",
     "fuse --image-width inf": "argument --image-width: must be finite and > 0",
-    "window --width inf": "argument --width: must be finite and > 0",
-    "window --level nan": "argument --level: must be finite",
-    "window --level inf": "argument --level: must be finite",
-    "window raw input of 5 bytes": "five.f32: 5 bytes, not a multiple of 4",
-    "window non-finite raw input":
-        "non_finite.f32: 3 non-finite value(s), the first at index 1",
+    "fuse --image-width nan": "argument --image-width: must be finite and > 0",
+    "fuse --image-width 0": "argument --image-width: must be finite and > 0",
+    "fuse --image-width -1": "argument --image-width: must be finite and > 0",
+    "removed window command": "argument command: invalid choice: 'window'",
 }
 
 
@@ -1018,8 +993,6 @@ def _session(tmp_path):
          "--out", tmp_path / "fused.json"),
         ("eval", "--detections", tmp_path / "fused.json",
          "--annotations", sim / "annotations.csv", "--out", tmp_path / "report"),
-        ("window", "--level", 50, "--width", 400,
-         "--in", _raw_f32(tmp_path, None), "--out", tmp_path / "norm.f32"),
     ]
 
 
@@ -1061,16 +1034,14 @@ class TestReRuns:
         monkeypatch.setattr(cli.os, "replace", recording_replace)
         for argv in session:
             assert run(*argv) == 0, argv
-        outputs = sorted(set(_files(tmp_path)) - {"raw.f32"})
-        assert sorted(dst for dst, _ in moved) == outputs
+        assert sorted(dst for dst, _ in moved) == sorted(_files(tmp_path))
         assert [dst for dst, existed in moved if existed] == []
 
-    @pytest.mark.parametrize("command", ["window", "detect"])
+    @pytest.mark.parametrize("command", ["fuse", "detect"])
     def test_output_symlink_becomes_a_regular_file(self, command, sim_dir,
                                                    tmp_path):
         argv = {
-            "window": ["window", "--level", 50, "--width", 400,
-                       "--in", _raw_f32(tmp_path, sim_dir)],
+            "fuse": _fuse(_dets()(tmp_path, sim_dir)),
             "detect": ["detect", "--heatmaps", sim_dir],
         }[command]
         plain, link, target = tmp_path / "plain", tmp_path / "link", tmp_path / "target"
@@ -1168,16 +1139,6 @@ class TestQuietOverflow:
     """An overflow whose clipped result is the defined output exits 0 with
     nothing on stderr."""
 
-    def test_window_of_a_tiny_width(self, tmp_path, capsys):
-        raw = tmp_path / "raw.f32"
-        raw.write_bytes(np.array([-150.0, 50.0, 250.0], dtype="<f4").tobytes())
-        out = tmp_path / "norm.f32"
-        assert run("window", "--level", 50, "--width", "1e-320",
-                   "--in", raw, "--out", out) == 0
-        assert capsys.readouterr().err == ""
-        # 50 - lo rounds to 0, so the window's center maps to 0 here
-        assert np.frombuffer(out.read_bytes(), dtype="<f4").tolist() == [0.0, 0.0, 1.0]
-
     def test_simulate_with_a_huge_noise(self, tmp_path, capsys):
         out = tmp_path / "sim"
         assert run("simulate", "--out", out, "--n-lesions", 1, "--image-size", 128,
@@ -1186,26 +1147,6 @@ class TestQuietOverflow:
         (path,) = out.glob("*.rkhm")
         planes = read_heatmaps(path).keypoint_maps
         assert ((planes >= 0.0) & (planes <= 1.0)).all()
-
-
-class TestWindow:
-    def test_round_trip_values(self, tmp_path):
-        raw = tmp_path / "raw.f32"
-        data = np.array([-150.0, 50.0, 250.0, -1000.0, 3000.0], dtype="<f4")
-        raw.write_bytes(data.tobytes())
-        out = tmp_path / "norm.f32"
-        assert run("window", "--level", 50, "--width", 400,
-                   "--in", raw, "--out", out) == 0
-        normalized = np.frombuffer(out.read_bytes(), dtype="<f4")
-        assert list(normalized) == [0.0, 0.5, 1.0, 0.0, 1.0]
-
-    def test_nonpositive_width_usage_error(self, tmp_path):
-        raw = tmp_path / "raw.f32"
-        raw.write_bytes(np.zeros(4, dtype="<f4").tobytes())
-        with pytest.raises(SystemExit) as excinfo:
-            main(["window", "--level", "50", "--width", "0",
-                  "--in", str(raw), "--out", str(tmp_path / "o.f32")])
-        assert excinfo.value.code == 2
 
 
 class TestCheckGradients:
@@ -1234,6 +1175,18 @@ class TestCheckGradients:
 
 
 class TestHelp:
+    def test_readme_names_every_command_and_no_other(self):
+        # the quick start runs some commands and a bullet after it names
+        # each other one, so a command added or removed shows here
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        section = text.split("\n## Quick start", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"^recistkit ([a-z-]+) ", section, re.M))
+        documented |= set(re.findall(r"^- `([a-z-]+) ", section, re.M))
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert sorted(documented) == sorted(commands)
+
     def test_help_lists_flag_defaults(self, capsys):
         from recistkit.cli import build_parser
 

@@ -1,5 +1,5 @@
 """File formats: CSV schema parsing with exclusions and consistency checks,
-bit-exact heatmap round trips, detections JSON, and CT windowing."""
+bit-exact heatmap round trips, and detections JSON."""
 
 import dataclasses
 import json
@@ -11,7 +11,6 @@ import pytest
 
 from recistkit.dataio import (
     InputFormatError,
-    apply_ct_window,
     parse_annotations,
     read_detections,
     read_heatmaps,
@@ -19,6 +18,7 @@ from recistkit.dataio import (
     write_detections,
     write_heatmaps,
 )
+from recistkit.geometry import BBox
 from recistkit.grouping import Detections
 from recistkit.synthetic import generate_scene, simulate_heatmaps
 from recistkit.targets import HeatmapBundle
@@ -182,6 +182,46 @@ class TestParseAnnotations:
             assert re_read.lesion_type == orig.lesion_type
             assert re_read.spacing == orig.spacing
             assert re_read.split == orig.split
+
+    def test_writer_round_trip_of_numpy_floats(self, tmp_path):
+        # under numpy 2, repr(np.float64(318.0625)) is "np.float64(318.0625)",
+        # which the reader refuses; each number is written as the plain float
+        ann = generate_scene(1, seed=90).annotations[0]
+        as_numpy = dataclasses.replace(
+            ann,
+            endpoints=tuple(map(np.float64, ann.endpoints)),
+            bbox=BBox(*map(np.float64, ann.bbox.as_tuple())),
+            diameters_px=tuple(map(np.float64, ann.diameters_px)),
+            spacing=tuple(map(np.float64, ann.spacing)),
+        )
+        numpy_path, plain_path = tmp_path / "numpy.csv", tmp_path / "plain.csv"
+        write_annotations([as_numpy], numpy_path)
+        write_annotations([ann], plain_path)
+        assert parse_annotations(numpy_path).annotations == [ann]
+        assert numpy_path.read_bytes() == plain_path.read_bytes()
+
+    @pytest.mark.parametrize("value", [
+        318.0625, 0.1, 1 / 3, -0.0, 1e16, 5e-324, 1.7976931348623157e308,
+        123456789.0,
+    ])
+    def test_writer_writes_a_numpy_float_as_its_python_float(self, tmp_path,
+                                                             value):
+        # numpy's repr wraps each of these in its own way, "np.float64(1e+16)"
+        # among them; the CSV holds Python's repr and reads back bit for bit
+        ann = generate_scene(1, seed=90).annotations[0]
+        path = tmp_path / "out.csv"
+        spacing = (np.float64(value), 1.0, 5.0)
+        write_annotations([dataclasses.replace(ann, spacing=spacing)], path)
+        assert f',"{value!r}, 1.0, 5.0",' in path.read_text(encoding="utf-8")
+        back = parse_annotations(path).annotations[0].spacing
+        assert [float(v).hex() for v in back] == [value.hex(), "0x1.0000000000000p+0",
+                                                  "0x1.4000000000000p+2"]
+
+    def test_writer_keeps_the_text_of_python_ints(self, tmp_path):
+        ann = generate_scene(1, seed=90).annotations[0]
+        path = tmp_path / "out.csv"
+        write_annotations([dataclasses.replace(ann, spacing=(1, 1, 5))], path)
+        assert ',"1, 1, 5",' in path.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("field", ["endpoints", "bbox", "diameters_px",
                                        "spacing"])
@@ -450,41 +490,6 @@ class TestDetectionsFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(InputFormatError, match=r"images\['k'\]\[0\]\.bbox"):
             read_detections(path)
-
-
-class TestApplyCtWindow:
-    def test_lower_bound(self):
-        assert apply_ct_window(np.array([-150.0]), 50, 400)[0] == 0.0
-
-    def test_upper_bound(self):
-        assert apply_ct_window(np.array([250.0]), 50, 400)[0] == 1.0
-
-    def test_midpoint(self):
-        assert apply_ct_window(np.array([50.0]), 50, 400)[0] == 0.5
-
-    def test_monotone(self):
-        rng = np.random.default_rng(96)
-        values = np.sort(rng.uniform(-1200, 2000, size=200))
-        out = apply_ct_window(values, 40, 350)
-        assert (np.diff(out) >= 0).all()
-        assert out.min() >= 0.0 and out.max() <= 1.0
-
-    def test_bad_width(self):
-        with pytest.raises(ValueError, match="width"):
-            apply_ct_window(np.zeros(3), 50, 0)
-
-    @pytest.mark.parametrize("level,width,name", [
-        (math.nan, 400, "level"), (math.inf, 400, "level"),
-        (-math.inf, 400, "level"), (50, math.nan, "width"), (50, math.inf, "width"),
-    ])
-    def test_non_finite_setting(self, level, width, name):
-        with pytest.raises(ValueError, match=f"window {name} must be finite"):
-            apply_ct_window(np.zeros(3), level, width)
-
-    def test_tiny_width_overflows_quietly_to_the_clip(self):
-        # (value - lo) / 1e-320 overflows to +-inf, which clips to 0 or 1
-        out = apply_ct_window(np.array([-1.0, 0.0, 1.0]), 0.0, 1e-320)
-        assert out.tolist() == [0.0, 0.5, 1.0]
 
 
 class TestSimulatedBundleIo:

@@ -3,10 +3,12 @@ they replaced, bit for bit, plus the staged grouping/fusion call chain
 against ``detect`` and ``fuse_tta``.
 
 The three oracles below are the per-row implementations, copied without
-change except that they build each ``Detection`` from its extremes through
-``from_extremes``; ``sort_key`` is the tree-based tie order Soft-NMS used,
-and ``flip_horizontal`` the mirror of extreme points that the un-flip
-oracle called, both copied verbatim but for the dispatch on type. Outputs
+change except that they read each ``Detection``'s extremes and box from its
+row through ``extremes_of`` and ``box_of``, and build it from its extremes
+through ``from_extremes``; ``sort_key`` is the tree-based tie order
+Soft-NMS used, and ``flip_horizontal`` the mirror of extreme points that
+the un-flip oracle called, both copied verbatim but for the dispatch on
+type. Outputs
 are compared by value and by ``float.hex`` of every coordinate and score: an oracle passes numpy scalars through where the row
 code returns Python floats, so reprs may differ while the values agree.
 """
@@ -21,7 +23,7 @@ import pytest
 from recistkit import fusion, grouping
 from recistkit.dataio import detection_to_dict, read_detections, write_detections
 from recistkit.fusion import SoftNmsConfig, fuse_tta
-from recistkit.geometry import BBox, ExtremePoints, Point2, iou
+from recistkit.geometry import ExtremePoints, Point2
 from recistkit.grouping import (
     Detection,
     Detections,
@@ -38,15 +40,22 @@ from recistkit.synthetic import (
     simulate_heatmaps,
 )
 from recistkit.targets import EXTREME_ROLES
-from tests.test_grouping import make_peaks
+from tests.test_fusion import box_of
+from tests.test_geometry import iou
+from tests.test_grouping import extreme_row, make_peaks
 
 # --- oracles: the per-detection implementations -----------------------------
 
 
 def from_extremes(extremes: ExtremePoints, score, source) -> Detection:
     """The detection whose row holds ``extremes``, center last."""
-    row = tuple(v for p in extremes.points() for v in (p.x, p.y))
-    return Detection(row, score, source)
+    return Detection(extreme_row(extremes), score, source)
+
+
+def extremes_of(det: Detection) -> ExtremePoints:
+    """``det``'s row as extreme points: the inverse of ``from_extremes``."""
+    r = det.row
+    return ExtremePoints(*(Point2(r[i], r[i + 1]) for i in range(0, 10, 2)))
 
 
 def sort_key(det: Detection):
@@ -55,10 +64,10 @@ def sort_key(det: Detection):
     Deterministic regardless of list order, which makes pooled and
     partitioned pipelines reproduce sequential output exactly.
     """
-    e = det.extremes
+    e = extremes_of(det)
     return (
         -det.score,
-        det.bbox.x1, det.bbox.y1, det.bbox.x2, det.bbox.y2,
+        *box_of(det).as_tuple(),
         det.source,
         e.top.x, e.top.y, e.left.x, e.left.y,
         e.bottom.x, e.bottom.y, e.right.x, e.right.y,
@@ -76,7 +85,7 @@ def refine_with_offsets(
     """
     refined = []
     for det in detections:
-        e = det.extremes
+        e = extremes_of(det)
         points = {}
         for role_idx, role in enumerate(EXTREME_ROLES):
             p = getattr(e, role)
@@ -125,7 +134,7 @@ def unflip_detections(
     """
     out = []
     for det in detections:
-        extremes = flip_horizontal(det.extremes, image_width)
+        extremes = flip_horizontal(extremes_of(det), image_width)
         out.append(from_extremes(extremes, det.score, "flipped"))
     return out
 
@@ -149,7 +158,7 @@ def soft_nms(
         out.append(best)
         decayed = []
         for det in remaining:
-            overlap = iou(best.bbox, det.bbox)
+            overlap = iou(box_of(best), box_of(det))
             if cfg.method == "gaussian":
                 factor = math.exp(-(overlap * overlap) / cfg.sigma)
             else:
@@ -166,9 +175,7 @@ def soft_nms(
 
 def bits(det: Detection) -> tuple:
     """Every coordinate and the score as float.hex, plus the source."""
-    coords = [v for p in det.extremes.points() for v in (p.x, p.y)]
-    coords += det.bbox.as_tuple()
-    return (*(float(v).hex() for v in coords), float(det.score).hex(), det.source)
+    return (*(float(v).hex() for v in det.row), float(det.score).hex(), det.source)
 
 
 def assert_same(new, old: list, kind=grouping.Detections) -> None:
@@ -195,7 +202,7 @@ def random_pool(rng, n, span=120.0):
             if kind < 0.33:
                 twin = replace(twin, score=float(rng.choice(score_levels)))
             elif kind < 0.67:  # same box and score, other edge points
-                e = twin.extremes
+                e = extremes_of(twin)
                 twin = from_extremes(replace(
                     e, top=Point2(e.left.x, e.top.y),
                     bottom=Point2(e.right.x, e.bottom.y),
@@ -423,15 +430,11 @@ class TestStagedChain:
 
 
 class TestRowViews:
-    """Each detection's box is the tight box of its extremes, and rows
-    round-trip through the array form unchanged."""
+    """Rows round-trip through the array form unchanged."""
 
     @staticmethod
     def assert_row_views(dets):
         assert dets
-        for d in dets:
-            e = d.extremes
-            assert d.bbox == BBox(e.left.x, e.top.y, e.right.x, e.bottom.y)
         back = list(grouping.Detections(
             [d.row for d in dets], [d.score for d in dets],
             [d.source == "flipped" for d in dets],

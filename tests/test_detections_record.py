@@ -36,11 +36,12 @@ from recistkit.evaluation import (
     match_detections,
 )
 from recistkit.fusion import SoftNmsConfig, fuse_tta, soft_nms, unflip_detections
-from recistkit.geometry import BBox, pairwise_iou
+from recistkit.geometry import BBox, pad_bbox, pairwise_iou
 from recistkit.grouping import BOX_COLUMNS, Detection, Detections, detect
 from recistkit.synthetic import generate_scene
 from recistkit.targets import KEYPOINT_CHANNELS
 from tests.test_detection_rows import noisy_views
+from tests.test_fusion import box_of
 
 # --- oracles: the list-based code ---------------------------------------------
 
@@ -363,8 +364,7 @@ class TestMatchOracle:
     )
     def test_list_and_record_bitwise(self, pool, gt, iou_threshold, pad):
         # ground truth boxes are padded detection boxes, so some match exactly
-        boxes = [BBox(d.bbox.x1 - pad, d.bbox.y1 - pad, d.bbox.x2 + pad,
-                      d.bbox.y2 + pad) for d in gt + pool[:2]]
+        boxes = [pad_bbox(box_of(d), pad) for d in gt + pool[:2]]
         expected = match_bits(oracle_match_detections(pool, boxes, iou_threshold, pad))
         cfg = EvalConfig(iou_threshold=iou_threshold, pad=pad)
         assert match_bits(match_detections(Detections.of(pool), boxes, cfg)) == expected

@@ -32,18 +32,20 @@ from recistkit.evaluation import (
     match_detections,
     stratified_froc,
 )
-from recistkit.geometry import BBox, iou, pad_bbox
+from recistkit.geometry import BBox, pad_bbox
 from recistkit.grouping import Detections
-from tests.test_fusion import make_detection, random_detections
+from tests.test_fusion import box_of, make_detection, random_detections
+from tests.test_geometry import iou
 
 
 def loop_match_detections(detections, gt_boxes, iou_threshold=0.5, pad=5.0):
-    """The per-pair loop ``match_detections`` replaced, copied without change."""
+    """The per-pair loop ``match_detections`` replaced, copied without change
+    but for reading each box from the detection's row."""
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
     taken = [False] * len(gt_boxes)
     records = []
     for i in order:
-        det_box = pad_bbox(detections[i].bbox, pad)
+        det_box = pad_bbox(box_of(detections[i]), pad)
         best_iou, best_gt = 0.0, None
         for g, gt in enumerate(gt_boxes):
             if taken[g]:
@@ -602,7 +604,7 @@ class TestMatchRecord:
     def test_fields_are_three_arrays_and_a_count(self):
         rng = np.random.default_rng(86)
         dets = random_detections(rng, 40)
-        gts = [pad_bbox(d.bbox, 5.0) for d in dets[:4]]
+        gts = [pad_bbox(box_of(d), 5.0) for d in dets[:4]]
         result = match_detections(dets, gts)
         assert [f.name for f in fields(MatchResult)] == [
             "order", "scores", "gt_index", "n_gt"
@@ -631,7 +633,7 @@ class TestMatchRecord:
     def test_retains_under_4_kb_per_112_detection_image(self):
         rng = np.random.default_rng(87)
         dets = random_detections(rng, 112, span=700.0)
-        gts = [pad_bbox(d.bbox, 5.0) for d in dets[:3]]
+        gts = [pad_bbox(box_of(d), 5.0) for d in dets[:3]]
         match_detections(dets, gts)  # lazy set-up happens outside the trace
         gc.collect()
         tracemalloc.start()

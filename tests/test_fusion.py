@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from recistkit.fusion import SoftNmsConfig, fuse_tta, soft_nms, unflip_detections
-from recistkit.grouping import Detection, Detections, detect
+from recistkit.geometry import BBox
+from recistkit.grouping import BOX_COLUMNS, Detection, Detections, detect
 from recistkit.synthetic import flip_scene, generate_scene, simulate_heatmaps
 
 
@@ -17,6 +18,11 @@ def make_detection(x1, y1, x2, y2, score, source="original"):
     cx, cy = (x1 + x2) / 2, (y1 + y2) / 2
     row = (cx, y1, x1, cy, cx, y2, x2, cy, cx, cy)
     return Detection(tuple(float(v) for v in row), score, source)
+
+
+def box_of(det: Detection) -> BBox:
+    """The tight (unpadded) box of ``det``'s extremes, read from its row."""
+    return BBox(*(det.row[i] for i in BOX_COLUMNS))
 
 
 def random_detections(rng, n, span=100.0):
@@ -75,10 +81,10 @@ class TestSoftNms:
             # no score increases: compare against the input multiset by box
             in_by_box = {}
             for d in dets:
-                in_by_box.setdefault(d.bbox.as_tuple(), []).append(d.score)
+                in_by_box.setdefault(box_of(d), []).append(d.score)
             for d in out:
                 assert any(
-                    d.score <= s + 1e-15 for s in in_by_box[d.bbox.as_tuple()]
+                    d.score <= s + 1e-15 for s in in_by_box[box_of(d)]
                 )
             # top-1 score unchanged
             assert out[0].score == max(d.score for d in dets)
@@ -113,9 +119,9 @@ class TestUnflip:
         flipped_view = detect(simulate_heatmaps(flip_scene(scene)))
         unflipped = unflip_detections(flipped_view, scene.image_size[0])
         assert len(unflipped) == len(direct)
-        direct_boxes = {d.bbox.as_tuple() for d in direct}
+        direct_boxes = set(map(box_of, direct))
         for d in unflipped:
-            assert d.bbox.as_tuple() in direct_boxes
+            assert box_of(d) in direct_boxes
             assert d.source == "flipped"
 
     def test_double_unflip_geometric_identity(self):
@@ -123,8 +129,7 @@ class TestUnflip:
         dets = random_detections(rng, 6)
         twice = unflip_detections(unflip_detections(dets, 128), 128)
         for a, b in zip(dets, twice):
-            assert a.bbox == b.bbox
-            assert a.extremes == b.extremes
+            assert a.row == b.row
             assert a.score == b.score
             assert b.source == "flipped"  # provenance tag, not geometry
 
@@ -158,7 +163,7 @@ class TestFuseTta:
         cfg = SoftNmsConfig()
         first = fuse_tta(a, b, 128, cfg)
         second = fuse_tta(a[::-1], b[::-1], 128, cfg)
-        assert [d.bbox for d in first] == [d.bbox for d in second]
+        assert list(map(box_of, first)) == list(map(box_of, second))
         assert [d.score for d in first] == [d.score for d in second]
 
     def test_self_fusion_same_top1(self):
@@ -166,5 +171,5 @@ class TestFuseTta:
         dets = random_detections(rng, 6)
         doubled = soft_nms(dets + dets, SoftNmsConfig())
         single = soft_nms(dets, SoftNmsConfig())
-        assert doubled[0].bbox == single[0].bbox
+        assert box_of(doubled[0]) == box_of(single[0])
         assert doubled[0].score == single[0].score

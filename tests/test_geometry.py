@@ -1,5 +1,6 @@
 """Geometry primitives and the RECIST rules of ``RecistAnnotation``:
-worked examples, tie rules, and brute-force oracles."""
+worked examples, tie rules, and brute-force oracles, among them the scalar
+:func:`iou` that ``pairwise_iou`` must match bit for bit."""
 
 import math
 
@@ -9,8 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recistkit.dataio import RecistAnnotation, _long_first
-from recistkit.geometry import BBox, iou, pad_bbox, pairwise_iou
+from recistkit.geometry import BBox, pad_bbox, pairwise_iou
 from recistkit.synthetic import SyntheticScene, flip_scene
+
+
+def iou(a: BBox, b: BBox) -> float:
+    """Intersection over union of two boxes; 0 when the union is empty."""
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if iw <= 0.0 or ih <= 0.0:
+        inter = 0.0
+    else:
+        inter = iw * ih
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
 
 
 def ann(*endpoints, bbox=BBox(0, 0, 0, 0)):
@@ -177,7 +192,30 @@ def as_bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
+# (a, b, their IoU): the scalar examples above, then boxes that touch at an
+# edge or a corner, one inside another, and two crossing bars
+WORKED_PAIRS = {
+    "half overlap": ((0, 0, 10, 10), (5, 0, 15, 10), 1 / 3),
+    "identity": ((2, 3, 8, 9), (2, 3, 8, 9), 1.0),
+    "disjoint": ((0, 0, 1, 1), (5, 5, 6, 6), 0.0),
+    "zero union": ((1, 1, 1, 1), (1, 1, 1, 1), 0.0),
+    "shared edge": ((0, 0, 2, 2), (2, 0, 4, 2), 0.0),
+    "shared corner": ((0, 0, 2, 2), (2, 2, 4, 4), 0.0),
+    "nested": ((0, 0, 4, 4), (1, 1, 3, 3), 0.25),
+    "cross": ((0, 1, 4, 2), (1, 0, 2, 4), 1 / 7),
+}
+
+
 class TestPairwiseIou:
+    @pytest.mark.parametrize("a,b,expected", WORKED_PAIRS.values(),
+                             ids=list(WORKED_PAIRS))
+    def test_worked_pair(self, a, b, expected):
+        for p, q in ((a, b), (b, a)):
+            matrix = pairwise_iou(np.array([p], dtype=np.float64),
+                                  np.array([q], dtype=np.float64))
+            assert matrix.tolist() == [[expected]]
+            assert as_bits(matrix)[0, 0] == as_bits(iou(BBox(*p), BBox(*q)))
+
     @settings(max_examples=150)
     @given(box_arrays(), box_arrays())
     def test_scalar_iou_bit_for_bit_and_symmetric(self, a, b):

@@ -78,15 +78,11 @@ def exhaustive_quadruples(peaks_by_role, center_map, tau_c):
 
 
 def detection_tuple(det: Detection):
-    e = det.extremes
-    return (
-        det.score,
-        (int(e.top.y), int(e.top.x)),
-        (int(e.left.y), int(e.left.x)),
-        (int(e.bottom.y), int(e.bottom.x)),
-        (int(e.right.y), int(e.right.x)),
-        (e.center.x, e.center.y),
-    )
+    """The score, the (row, col) cell of top, left, bottom and right, and the
+    (x, y) center."""
+    r = det.row
+    cells = tuple((int(r[i + 1]), int(r[i])) for i in range(0, 8, 2))
+    return (det.score, *cells, (r[8], r[9]))
 
 
 def random_peak_bundle(rng, grid=24, n_per_role=6, tau_e=0.1):
@@ -314,8 +310,7 @@ class TestRefineWithOffsets:
         offsets = np.zeros((8, 10, 10), dtype=np.float32)
         det = Detection(row=_grid_row((2, 5), (5, 2), (8, 5), (5, 8)), score=4.0)
         refined = refine_with_offsets(Detections.of([det]), offsets, 4)[0]
-        assert (refined.extremes.top.x, refined.extremes.top.y) == (20, 8)
-        assert (refined.extremes.left.x, refined.extremes.left.y) == (8, 20)
+        assert refined.row[0:4] == (20, 8, 8, 20)  # top (x, y), left (x, y)
 
     def test_offset_example(self):
         offsets = np.zeros((8, 10, 10), dtype=np.float32)
@@ -323,18 +318,21 @@ class TestRefineWithOffsets:
         offsets[1, 1, 2] = 0.75  # top dy
         det = Detection(row=_grid_row((1, 2), (5, 0), (9, 2), (5, 4)), score=4.0)
         refined = refine_with_offsets(Detections.of([det]), offsets, 4)[0]
-        assert (refined.extremes.top.x, refined.extremes.top.y) == (10, 7)
+        assert refined.row[0:2] == (10, 7)  # top (x, y)
 
     def test_round_trip_with_exact_target_offsets(self):
         scene = generate_scene(2, seed=40)
         dets = detect(simulate_heatmaps(scene))
-        recovered = {
-            (d.extremes.top.x, d.extremes.top.y, d.extremes.right.x) for d in dets
-        }
+        recovered = {(d.row[0], d.row[1], d.row[6]) for d in dets}
         expected = {
             (e.top.x, e.top.y, e.right.x) for e in scene.extremes()
         }
         assert recovered == expected
+
+
+def extreme_row(e) -> tuple[float, ...]:
+    """The detection row of extreme points ``e``, center last."""
+    return tuple(v for p in e.points() for v in (p.x, p.y))
 
 
 def _grid_row(t, l, b, r):
@@ -358,11 +356,7 @@ class TestDetect:
         assert len(dets) == 1
         d = dets[0]
         assert d.score == 6.0
-        assert d.extremes.top == e.top
-        assert d.extremes.left == e.left
-        assert d.extremes.bottom == e.bottom
-        assert d.extremes.right == e.right
-        assert d.bbox.as_tuple() == (e.left.x, e.top.y, e.right.x, e.bottom.y)
+        assert d.row[:8] == extreme_row(e)[:8]
 
     def test_round_trip_single_random_annotation_exact_coords(self):
         scene = generate_scene(1, seed=41)
@@ -371,35 +365,32 @@ class TestDetect:
         e = scene.extremes()[0]
         d = dets[0]
         assert d.score > 4.0  # four exact extremes plus a positive center
-        assert d.extremes.top == e.top
-        assert d.extremes.left == e.left
-        assert d.extremes.bottom == e.bottom
-        assert d.extremes.right == e.right
-        assert d.bbox.as_tuple() == (e.left.x, e.top.y, e.right.x, e.bottom.y)
+        assert d.row[:8] == extreme_row(e)[:8]
 
     def test_empty_bundle(self):
         bundle = HeatmapBundle.zeros(16, 16, 4, (64, 64))
         assert list(detect(bundle)) == []
 
     def test_two_separated_annotations(self):
-        from recistkit.geometry import BBox, iou, pad_bbox
+        from recistkit.geometry import BBox, pad_bbox
+        from tests.test_fusion import box_of
+        from tests.test_geometry import iou
 
         scene = generate_scene(2, seed=42)
         dets = detect(simulate_heatmaps(scene))
         assert len(dets) == 2
         for e in scene.extremes():
             gt_padded = pad_bbox(BBox(e.left.x, e.top.y, e.right.x, e.bottom.y), 5)
-            assert any(iou(pad_bbox(d.bbox, 5), gt_padded) == 1.0 for d in dets)
+            assert any(iou(pad_bbox(box_of(d), 5), gt_padded) == 1.0 for d in dets)
 
     def test_detection_invariants(self):
         scene = generate_scene(3, seed=43)
         dets = detect(simulate_heatmaps(scene))
         for d in dets:
             assert 0.0 <= d.score <= 6.0
-            e = d.extremes
-            assert e.top.y <= e.bottom.y
-            assert e.left.x <= e.right.x
-            assert d.bbox.as_tuple() == (e.left.x, e.top.y, e.right.x, e.bottom.y)
+            top_y, left_x, bottom_y, right_x = d.row[1], d.row[2], d.row[5], d.row[6]
+            assert top_y <= bottom_y
+            assert left_x <= right_x
             assert d.source == "original"
 
     def test_scores_sorted_descending(self):

@@ -23,17 +23,17 @@ from recistkit.cli import main
 SRC = str(Path(recistkit.__file__).resolve().parents[1])
 
 # every name the package exported when it imported all of its modules,
-# less the removed render_scene and the geometry helpers that RecistAnnotation
-# and flip_scene replaced, plus evaluate
+# less the removed render_scene, apply_ct_window and scalar iou and the
+# geometry helpers that RecistAnnotation and flip_scene replaced, plus evaluate
 PUBLIC_NAMES = """
     BBox Detection Detections DegradationConfig EvalConfig ExtremePoints
     FocalParams FrocPoint FrocResult GroupingConfig HeatmapBundle
     InputFormatError MatchResult ParseResult Peaks Point2 RecistAnnotation
     RenderConfig SoftNmsConfig Strata SyntheticScene
-    TargetBundle apply_ct_window detect enumerate_quadruples
+    TargetBundle detect enumerate_quadruples
     extract_peaks finite_diff_check
     evaluate flip_scene focal_loss focal_loss_grad froc fuse_tta gaussian_radius
-    generate_scene iou match_detections offset_loss offset_loss_grad
+    generate_scene match_detections offset_loss offset_loss_grad
     offset_target pad_bbox parse_annotations read_detections read_heatmaps
     refine_with_offsets render_targets simulate_heatmaps
     smooth_l1 soft_nms stratified_froc unflip_detections write_annotations
@@ -189,6 +189,14 @@ class TestLazyNamespace:
         with pytest.raises(AttributeError, match="'recistkit' has no attribute 'nope'"):
             recistkit.nope  # noqa: B018
         assert not hasattr(recistkit, "nope")
+
+    @pytest.mark.parametrize("name", ["apply_ct_window", "iou"])
+    def test_removed_name_is_not_listed_or_resolved(self, name):
+        # a stale entry in the name table would resolve it from a module
+        # that no longer defines it
+        assert name not in dir(recistkit)
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(recistkit, name)
 
     def test_star_import_binds_exactly_all(self):
         namespace: dict = {}

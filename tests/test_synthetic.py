@@ -10,7 +10,7 @@ import pytest
 from recistkit import synthetic
 from recistkit.config import GroupingConfig, RenderConfig
 from recistkit.geometry import BBox
-from recistkit.grouping import detect
+from recistkit.grouping import BOX_COLUMNS, detect
 from recistkit.rng import SplitMix64
 from recistkit.synthetic import (
     DegradationConfig,
@@ -148,8 +148,8 @@ class TestGenerateScene:
         scene = generate_scene(3, seed=4, grouping=grouping)
         assert scene.annotations == generate_scene(3, seed=4).annotations
         found = detect(simulate_heatmaps(scene), grouping)
-        assert sorted(d.bbox.as_tuple() for d in found) == sorted(
-            tight_box(e).as_tuple() for e in scene.extremes()
+        assert sorted(found.rows[:, BOX_COLUMNS].tolist()) == sorted(
+            list(tight_box(e).as_tuple()) for e in scene.extremes()
         )
 
     def test_no_lesion_is_placed_under_any_tau_e(self):
@@ -166,8 +166,8 @@ class TestGenerateScene:
             for seed in range(30):
                 scene = generate_scene(n_lesions, seed=seed, grouping=grouping)
                 found = detect(simulate_heatmaps(scene), grouping)
-                assert sorted(d.bbox.as_tuple() for d in found) == sorted(
-                    tight_box(e).as_tuple() for e in scene.extremes()
+                assert sorted(found.rows[:, BOX_COLUMNS].tolist()) == sorted(
+                    list(tight_box(e).as_tuple()) for e in scene.extremes()
                 ), (n_lesions, seed)
 
     def test_clearance_check_takes_both_sections_whole(self, monkeypatch):

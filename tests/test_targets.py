@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from recistkit import targets
-from recistkit.geometry import BBox, Point2, iou
+from recistkit.geometry import BBox, Point2
 from recistkit.targets import (
     EXTREME_ROLES,
     KEYPOINT_CHANNELS,
@@ -19,6 +19,7 @@ from recistkit.targets import (
     offset_target,
     render_targets,
 )
+from tests.test_geometry import iou
 
 
 def square_extremes(cx, cy, half_w, half_h):
