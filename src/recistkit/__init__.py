@@ -31,7 +31,7 @@ _EXPORTS = {
         "match_detections", "stratified_froc",
     ),
     "fusion": ("fuse_tta", "soft_nms", "unflip_detections"),
-    "geometry": ("BBox", "ExtremePoints", "Point2", "pad_bbox"),
+    "geometry": ("ExtremePoints", "Point2", "pad_bbox"),
     "grouping": (
         "Detection", "Detections", "Peaks", "detect", "enumerate_quadruples",
         "extract_peaks", "refine_with_offsets",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import (MAX_HEADER_INT, InputFormatError, decode_text, is_finite_number,
                      load_json)
-from .geometry import BBox, ExtremePoints, Point2, pad_bbox
+from .geometry import ExtremePoints, Point2, pad_bbox
 from .grouping import BOX_COLUMNS, SOURCES, Detection, Detections
 from .targets import KEYPOINT_CHANNELS, OFFSET_CHANNELS, HeatmapBundle
 
@@ -65,14 +65,14 @@ class RecistAnnotation:
 
     ``endpoints`` holds the 8 ``Measurement_coordinates`` values, x and y of
     the long diameter's two endpoints, then of the short diameter's.
-    ``bbox`` is the padded box as provided by the source file.
-    ``bbox_consistent`` records whether that box agrees with the min/max
+    ``bbox`` is the padded (x1, y1, x2, y2) box as provided by the source
+    file. ``bbox_consistent`` records whether that box agrees with the min/max
     box of the endpoints padded by 5 (tolerance 1e-3 per coordinate).
     """
 
     file_name: str
     endpoints: tuple[float, ...]
-    bbox: BBox
+    bbox: tuple[float, float, float, float]
     lesion_type: int
     diameters_px: tuple[float, float]
     spacing: tuple[float, float, float]
@@ -81,7 +81,8 @@ class RecistAnnotation:
 
     def extremes(self) -> ExtremePoints:
         """The top, left, bottom and right endpoints and their center
-        ((left.x + right.x) / 2, (top.y + bottom.y) / 2).
+        ((left.x + right.x) / 2, (top.y + bottom.y) / 2), five (x, y)
+        points in one named tuple.
 
         One endpoint may fill several roles. Ties go to a long-diameter
         endpoint, then to the smaller x (top, bottom) or y (left, right).
@@ -222,17 +223,16 @@ def parse_annotations(
 
         endpoints = _long_first(coords)
         xs, ys = endpoints[0::2], endpoints[1::2]
-        derived = pad_bbox(BBox(min(xs), min(ys), max(xs), max(ys)), BOX_PADDING)
+        derived = pad_bbox((min(xs), min(ys), max(xs), max(ys)), BOX_PADDING)
         consistent = all(
-            abs(a - b) <= BOX_CONSISTENCY_TOL
-            for a, b in zip(derived.as_tuple(), box_vals)
+            abs(a - b) <= BOX_CONSISTENCY_TOL for a, b in zip(derived, box_vals)
         )
 
         result.annotations.append(
             RecistAnnotation(
                 file_name=key,
                 endpoints=endpoints,
-                bbox=BBox(*box_vals),
+                bbox=tuple(box_vals),
                 lesion_type=lesion_type,
                 diameters_px=(diam_px[0], diam_px[1]),
                 spacing=(spacing[0], spacing[1], spacing[2]),
@@ -272,7 +272,7 @@ def write_annotations(
     split_codes = {name: code for code, name in SPLIT_NAMES.items()}
     rows = []
     for index, ann in enumerate(annotations):
-        numbers = [ann.endpoints, ann.bbox.as_tuple(), ann.diameters_px, ann.spacing]
+        numbers = [ann.endpoints, ann.bbox, ann.diameters_px, ann.spacing]
         problem = _unwritable(ann, numbers)
         if problem:
             raise ValueError(f"annotation {index} ({ann.file_name}): {problem}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import FP_TARGETS_DEFAULT, EvalConfig, check_fp_targets
 from .dataio import RecistAnnotation, by_image
-from .geometry import BBox, pairwise_iou
+from .geometry import pairwise_iou
 from .grouping import BOX_COLUMNS, Detections
 
 LESION_TYPE_NAMES = {
@@ -148,10 +148,12 @@ class Strata:
 
 def match_detections(
     detections: Detections,
-    gt_boxes: Sequence[BBox],
+    gt_boxes: Sequence[Sequence[float]] | np.ndarray,
     cfg: EvalConfig = EvalConfig(),
 ) -> MatchResult:
-    """Greedy best-IoU matching of one image's detections to its lesions.
+    """Greedy best-IoU matching of one image's detections to its lesions,
+    whose (x1, y1, x2, y2) boxes ``gt_boxes`` holds as tuples or as the rows
+    of an (m, 4) array.
 
     Detections are visited in score-descending order (ties by input index).
     Each detection's box is padded by ``cfg.pad`` pixels before comparison;
@@ -164,7 +166,7 @@ def match_detections(
     order = (-detections.scores).argsort(kind="stable")
     # padded as pad_bbox pads: x1 - pad, y1 - pad, x2 + pad, y2 + pad
     padded = detections.rows[:, BOX_COLUMNS] + np.array([-pad, -pad, pad, pad])
-    gts = np.array([g.as_tuple() for g in gt_boxes], dtype=np.float64).reshape(-1, 4)
+    gts = np.asarray(gt_boxes, np.float64).reshape(len(gt_boxes), 4)
     ious = pairwise_iou(padded, gts)
     # only an overlap strictly above 0 can match, which also rules out NaN
     overlap = np.where(ious > 0.0, ious, 0.0)
@@ -185,7 +187,7 @@ def match_detections(
             gt_index.append(g)
         else:
             gt_index.append(-1)
-    return MatchResult(order, detections.scores[order], gt_index, len(gt_boxes))
+    return MatchResult(order, detections.scores[order], gt_index, len(gts))
 
 
 def froc(

@@ -1,32 +1,34 @@
 """Geometric primitives for diameter-annotated lesions.
 
 Coordinates are 0-based continuous pixels (a point may sit between pixel
-centers). Boxes use the corner convention with width = x2 - x1, no +1.
-A horizontal flip maps every x to ``image_width - 1 - x``, so a box's
-mirrored x2 becomes its x1 and the left and right extremes trade roles;
-flipping twice is the identity. ``synthetic.flip_scene`` and
+centers). A box is a plain ``(x1, y1, x2, y2)`` tuple in the corner
+convention, x1 <= x2 and y1 <= y2, with width = x2 - x1, no +1. A lesion's
+five keypoints are an :class:`ExtremePoints`, a named tuple of
+:class:`Point2` ``(x, y)`` pairs, so ``np.asarray`` of a list of them is an
+(n, 5, 2) array. A horizontal flip maps every x to ``image_width - 1 - x``,
+so a box's mirrored x2 becomes its x1 and the left and right extremes trade
+roles; flipping twice is the identity. ``synthetic.flip_scene`` and
 ``fusion.unflip_detections`` mirror by this rule. Matching and Soft-NMS
 share one box overlap, :func:`pairwise_iou`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True, slots=True)
-class Point2:
+class Point2(NamedTuple):
     """2D point in continuous input-pixel coordinates."""
 
     x: float
     y: float
 
 
-@dataclass(frozen=True, slots=True)
-class ExtremePoints:
-    """The four directional extremes of a lesion plus its geometric center."""
+class ExtremePoints(NamedTuple):
+    """The four directional extremes of a lesion plus its geometric center,
+    in ``targets.KEYPOINT_CHANNELS`` order."""
 
     top: Point2
     left: Point2
@@ -34,38 +36,11 @@ class ExtremePoints:
     right: Point2
     center: Point2
 
-    def points(self) -> tuple[Point2, Point2, Point2, Point2, Point2]:
-        return (self.top, self.left, self.bottom, self.right, self.center)
 
-
-@dataclass(frozen=True, slots=True)
-class BBox:
-    """Axis-aligned box, corner convention, x1 <= x2 and y1 <= y2."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
-
-
-def pad_bbox(b: BBox, pad: float) -> BBox:
-    """Grow a box by ``pad`` pixels in each direction."""
-    return BBox(b.x1 - pad, b.y1 - pad, b.x2 + pad, b.y2 + pad)
+def pad_bbox(box, pad: float) -> tuple[float, float, float, float]:
+    """Grow an (x1, y1, x2, y2) box by ``pad`` pixels in each direction."""
+    x1, y1, x2, y2 = box
+    return (x1 - pad, y1 - pad, x2 + pad, y2 + pad)
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

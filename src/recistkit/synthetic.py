@@ -5,7 +5,9 @@ turned into diameter annotations), renders their ground-truth heatmap
 bundles, and degrades them controllably: dropped keypoint kernels, jittered
 peak cells, spurious peaks, and additive Gaussian noise. With all
 degradation at zero the simulated bundle is bit-identical to the rendered
-target, which anchors the end-to-end tests.
+target, which anchors the end-to-end tests. The simulator draws from the
+same table of lesion cells, offsets and kernel radii that ``render_targets``
+draws: the degradation only selects and moves its cells, as arrays.
 
 Everything is driven by a single splitmix64 stream with a fixed draw order:
 per lesion, per keypoint role (3 uniforms each, drawn whether used or not),
@@ -24,7 +26,7 @@ import numpy as np
 
 from .config import DegradationConfig
 from .dataio import BOX_PADDING, RecistAnnotation, _long_first
-from .geometry import BBox, pad_bbox
+from .geometry import pad_bbox
 from .grouping import GroupingConfig, Peaks, enumerate_quadruples
 from .rng import SplitMix64
 from .targets import (
@@ -33,6 +35,7 @@ from .targets import (
     HeatmapBundle,
     RenderConfig,
     _draw_lesions,
+    _lesion_cells,
     _zero_planes,
     draw_gaussian,
     output_grid,
@@ -97,26 +100,23 @@ def _decodes_to_itself(
     drawn or read, and must keep the n true quadruples and nothing else.
     """
     stride = render.stride
-    center = _zero_planes(1, *output_grid(image_size, stride))[0]
-    true_cells = []
-
-    def center_only(cells):  # record the extremes' cells, draw the center
-        true_cells.append(cells[:4])
-        return [None] * 4 + cells[4:]
-
-    # no extreme is drawn, so the center plane stands in for every keypoint
-    # plane and there are no offset planes
+    out_h, out_w = output_grid(image_size, stride)
+    cells, offsets, radii = _lesion_cells(
+        extremes_list, stride, out_h, out_w, render.min_overlap
+    )
+    center = _zero_planes(1, out_h, out_w)
+    # only the center kernels are drawn: no extreme, so no offset planes
     _draw_lesions(
-        [center] * 5, None, stride, extremes_list, render.min_overlap,
-        render.sigma_divisor, center_only,
+        center, None, cells[:, 4:], offsets[:, :0], radii, render.sigma_divisor,
+        np.ones((len(radii), 1), dtype=bool),
     )
     # (row, col) per lesion and extreme role
-    truth = np.array(true_cells, dtype=float).reshape(-1, 4, 2)
+    truth = cells[:, :4].astype(float)
     # each role's peaks: the true rows and columns, with scores of 1.0
     arrays = np.ones((len(EXTREME_ROLES), 3, len(truth)))
     arrays[:, :2] = truth.transpose(1, 2, 0)
     peaks = {role: Peaks(role, a) for role, a in zip(EXTREME_ROLES, arrays)}
-    kept = enumerate_quadruples(peaks, center, grouping)
+    kept = enumerate_quadruples(peaks, center[0], grouping)
     found = kept.rows[:, [1, 0, 3, 2, 5, 4, 7, 6]].tolist()
     return sorted(found) == sorted(truth.reshape(-1, 8).tolist())
 
@@ -214,7 +214,7 @@ def generate_scene(
                 x1, x2, y1, y2 = min(xs), max(xs), min(ys), max(ys)
                 if x2 - x1 < _MIN_BOX_SIDE or y2 - y1 < _MIN_BOX_SIDE:
                     continue
-                padded = pad_bbox(BBox(x1, y1, x2, y2), BOX_PADDING).as_tuple()
+                padded = pad_bbox((x1, y1, x2, y2), BOX_PADDING)
                 if not (
                     padded[0] >= 0
                     and padded[1] >= 0
@@ -235,7 +235,7 @@ def generate_scene(
                     RecistAnnotation(
                         file_name=f"syn_{seed}",
                         endpoints=endpoints,
-                        bbox=BBox(*padded),
+                        bbox=padded,
                         lesion_type=(index % 8) + 1,
                         diameters_px=(
                             math.hypot(ax - bx, ay - by),
@@ -276,8 +276,7 @@ def flip_scene(scene: SyntheticScene) -> SyntheticScene:
             endpoints=_long_first([
                 mirror - v if i % 2 == 0 else v for i, v in enumerate(ann.endpoints)
             ]),
-            bbox=BBox(mirror - ann.bbox.x2, ann.bbox.y1, mirror - ann.bbox.x1,
-                      ann.bbox.y2),
+            bbox=(mirror - ann.bbox[2], ann.bbox[1], mirror - ann.bbox[0], ann.bbox[3]),
         )
         for ann in scene.annotations
     ]
@@ -302,34 +301,27 @@ def simulate_heatmaps(
     rng = SplitMix64(cfg.seed)
     out_h, out_w = output_grid(scene.image_size, stride)
     bundle = HeatmapBundle.zeros(out_h, out_w, stride, scene.image_size)
-    span = 2 * cfg.jitter_cells + 1
     n_roles = len(KEYPOINT_CHANNELS)
     # (drop, jitter x, jitter y) uniforms per lesion and role, in draw order
-    draws = rng.uniforms(3 * n_roles * len(scene.annotations))
-    lesion_draws = iter(draws.reshape(-1, n_roles, 3).tolist())
-
-    def degrade(cells):
-        """A lesion's cells, each dropped (None) or jittered by its draws."""
-        moved = []
-        for (row, col), (u_drop, u_jx, u_jy) in zip(cells, next(lesion_draws)):
-            if u_drop < cfg.peak_drop_prob:
-                moved.append(None)
-                continue
-            if cfg.jitter_cells > 0:
-                row += min(int(u_jy * span), span - 1) - cfg.jitter_cells
-                col += min(int(u_jx * span), span - 1) - cfg.jitter_cells
-                row = min(max(row, 0), out_h - 1)
-                col = min(max(col, 0), out_w - 1)
-            moved.append((row, col))
-        return moved
-
-    extremes = scene.extremes()
-    drawn, _ = _draw_lesions(
-        bundle.keypoint_maps, bundle.offset_maps, stride, extremes, min_overlap,
-        sigma_divisor, degrade,
+    draws = rng.uniforms(3 * n_roles * len(scene.annotations)).reshape(-1, n_roles, 3)
+    cells, offsets, radii = _lesion_cells(
+        scene.extremes(), stride, out_h, out_w, min_overlap
     )
+    # each cell is dropped, or jittered by its (y, x) draws and clipped to the
+    # grid, in float64: exact while the jitter is below 2**52 cells
+    drawn = draws[:, :, 0] >= cfg.peak_drop_prob
+    if cfg.jitter_cells > 0:
+        span = 2 * cfg.jitter_cells + 1
+        steps = np.minimum(np.floor(draws[:, :, 2:0:-1] * span), span - 1)
+        steps -= cfg.jitter_cells
+        cells = np.clip(cells + steps, 0, [out_h - 1, out_w - 1]).astype(np.intp)
+    _draw_lesions(
+        bundle.keypoint_maps, bundle.offset_maps, cells, offsets, radii,
+        sigma_divisor, drawn,
+    )
+    lesions = list(zip(cells.tolist(), drawn.tolist()))
     for role_idx in range(n_roles):
-        true_cells = [c[role_idx] for c in drawn if c[role_idx] is not None]
+        true_cells = [c[role_idx] for c, kept in lesions if kept[role_idx]]
         count = rng.poisson(cfg.spurious_rate)
         for _ in range(count):
             for _attempt in range(100):

@@ -1,10 +1,14 @@
 """Ground-truth heatmap and offset rendering at output (strided) resolution.
 
-Each lesion contributes one Gaussian kernel per keypoint role; per-role maps
-combine kernels with an element-wise maximum, so values stay in [0, 1] and
-the exact keypoint cell is always 1. Offset planes store the sub-cell
-fraction lost by the stride, written only at ground-truth cells (and never
-for the center role).
+A lesion is its five (x, y) keypoints in KEYPOINT_CHANNELS order, read as
+numbers: an ``ExtremePoints`` or a row of an (n, 5, 2) array. Each lesion
+contributes one Gaussian kernel per keypoint role; per-role maps combine
+kernels with an element-wise maximum, so values stay in [0, 1] and the
+exact keypoint cell is always 1. Offset planes store the sub-cell fraction
+lost by the stride, written only at ground-truth cells (and never for the
+center role). Rendering is two steps: ``_lesion_cells`` checks every lesion
+and returns its cells, offsets and kernel radius as one table, and
+``_draw_lesions`` draws the cells a mask selects from it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RenderConfig
-from .geometry import ExtremePoints, Point2
 
 # Fixed channel orders; serialization and grouping both rely on them.
 KEYPOINT_CHANNELS = ("top", "left", "bottom", "right", "center")
@@ -181,18 +184,21 @@ def draw_gaussian(
     np.maximum(view, kview, out=view)
 
 
-def offset_target(p: Point2, stride: int) -> tuple[float, float]:
-    """Componentwise fractional part of p / stride, each in [0, 1)."""
+def offset_target(p, stride: int) -> tuple[float, float]:
+    """Componentwise fractional part of the (x, y) point p / stride, each
+    in [0, 1)."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    qx = p.x / stride
-    qy = p.y / stride
+    x, y = p
+    qx = x / stride
+    qy = y / stride
     return (qx - math.floor(qx), qy - math.floor(qy))
 
 
-def keypoint_cell(p: Point2, stride: int) -> Cell:
-    """Output-grid cell floor(p / stride) as (row, col)."""
-    return (int(math.floor(p.y / stride)), int(math.floor(p.x / stride)))
+def keypoint_cell(p, stride: int) -> Cell:
+    """Output-grid cell floor(p / stride) of the (x, y) point p as (row, col)."""
+    x, y = p
+    return (int(math.floor(y / stride)), int(math.floor(x / stride)))
 
 
 def output_grid(input_size: tuple[int, int], stride: int) -> tuple[int, int]:
@@ -201,55 +207,78 @@ def output_grid(input_size: tuple[int, int], stride: int) -> tuple[int, int]:
     return -(-height // stride), -(-width // stride)
 
 
-def _draw_lesions(
-    keypoint_maps, offset_maps, stride: int, annotations: list[ExtremePoints],
-    min_overlap: float, sigma_divisor: float, move=None,
-) -> tuple[list[list], list[list]]:
-    """Draw each annotation's five keypoints, lesion by lesion, into the
-    (H, W) ``keypoint_maps`` in KEYPOINT_CHANNELS order and the (8, H, W)
-    ``offset_maps``; return (cells, offsets): each one's drawn cells in
-    KEYPOINT_CHANNELS order and its four extremes' offset targets,
-    float32-rounded and clamped below 1 (None for an extreme not drawn).
+def _lesion_cells(
+    annotations, stride: int, out_h: int, out_w: int, min_overlap: float
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each annotation's five (x, y) keypoints in KEYPOINT_CHANNELS order as
+    (cells, offsets, radii): its (row, col) cells, (n, 5, 2) intp; its four
+    extremes' offset targets, float32-rounded and clamped below 1, (n, 4, 2)
+    float64; and its kernel radius, gaussian_radius of its box in cells.
 
-    A lesion draws each kernel, of gaussian_radius of its box in cells, then
-    each extreme's offset at its cell, so a later lesion wins a shared cell.
-    ``move`` maps a lesion's true cells to those drawn (None: not drawn); a
-    plane that no drawn cell reaches is never touched. A keypoint that is
-    not finite or off the (H, W) grid raises ValueError naming its
-    annotation, before its box is sized.
+    Annotations are checked in order. One that is not five (x, y) points,
+    or has a keypoint that is not finite or off the (out_h, out_w) grid,
+    raises ValueError naming it, before its box is sized.
     """
-    out_h, out_w = keypoint_maps[0].shape
-    drawn, offsets = [], []
+    cells, offsets, radii = [], [], []
     for index, ann in enumerate(annotations):
-        cells = []
-        for role, p in zip(KEYPOINT_CHANNELS, ann.points()):
-            finite = math.isfinite(p.x) and math.isfinite(p.y)
+        try:
+            points = [(x, y) for _, (x, y)
+                      in zip(KEYPOINT_CHANNELS, ann, strict=True)]
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"annotation {index}: expected {len(KEYPOINT_CHANNELS)} (x, y) "
+                f"keypoints, {', '.join(KEYPOINT_CHANNELS)}"
+            ) from None
+        for role, p in zip(KEYPOINT_CHANNELS, points):
+            x, y = p
+            finite = math.isfinite(x) and math.isfinite(y)
             row, col = keypoint_cell(p, stride) if finite else (-1, -1)
             if not (0 <= row < out_h and 0 <= col < out_w):
                 raise ValueError(
-                    f"annotation {index}: {role} keypoint ({p.x}, {p.y}) falls "
+                    f"annotation {index}: {role} keypoint ({x}, {y}) falls "
                     f"outside the {out_w}x{out_h} output grid at stride {stride}"
                 )
             cells.append((row, col))
-        box_w, box_h = ann.right.x - ann.left.x, ann.bottom.y - ann.top.y
-        radius = gaussian_radius(box_w / stride, box_h / stride, min_overlap)
-        drawn.append(cells if move is None else move(cells))
-        for plane, cell in zip(keypoint_maps, drawn[-1]):
-            if cell is not None:
+        (_, top_y), (left_x, _), (_, bottom_y), (right_x, _), _ = points
+        radii.append(gaussian_radius(
+            (right_x - left_x) / stride, (bottom_y - top_y) / stride, min_overlap
+        ))
+        offsets += [[min(float(np.float32(v)), _MAX_OFFSET)
+                     for v in offset_target(p, stride)] for p in points[:4]]
+    return (
+        np.array(cells, dtype=np.intp).reshape(-1, len(KEYPOINT_CHANNELS), 2),
+        np.array(offsets, dtype=np.float64).reshape(-1, len(EXTREME_ROLES), 2),
+        radii,
+    )
+
+
+def _draw_lesions(
+    maps, offset_maps, cells: np.ndarray, offsets: np.ndarray, radii: list[int],
+    sigma_divisor: float, drawn: np.ndarray,
+) -> None:
+    """Draw, lesion by lesion, each kernel of radius ``radii[i]`` at
+    ``cells[i, k]`` into plane ``maps[k]``, then each extreme's offsets
+    ``offsets[i, k]`` at that cell into planes 2k and 2k + 1 of
+    ``offset_maps``, for the (i, k) that the bool ``drawn`` selects; so a
+    later lesion wins a shared offset cell. A plane that no drawn cell
+    reaches is never touched.
+    """
+    for radius, lesion_cells, lesion_offsets, chosen in zip(
+        radii, cells.tolist(), offsets.tolist(), drawn.tolist()
+    ):
+        for plane, cell, draw in zip(maps, lesion_cells, chosen):
+            if draw:
                 draw_gaussian(plane, cell, radius, sigma_divisor=sigma_divisor)
-        offsets.append([None] * len(EXTREME_ROLES))
-        for role_idx, (p, cell) in enumerate(zip(ann.points(), drawn[-1][:4])):
-            if cell is not None:
-                dx, dy = (min(float(np.float32(v)), _MAX_OFFSET)
-                          for v in offset_target(p, stride))
-                offsets[-1][role_idx] = (dx, dy)
-                offset_maps[2 * role_idx, cell[0], cell[1]] = dx
-                offset_maps[2 * role_idx + 1, cell[0], cell[1]] = dy
-    return drawn, offsets
+        for role, ((row, col), (dx, dy), draw) in enumerate(
+            zip(lesion_cells, lesion_offsets, chosen)
+        ):
+            if draw:
+                offset_maps[2 * role, row, col] = dx
+                offset_maps[2 * role + 1, row, col] = dy
 
 
 def render_targets(
-    annotations: list[ExtremePoints],
+    annotations,
     out_h: int,
     out_w: int,
     stride: int,
@@ -259,11 +288,13 @@ def render_targets(
 ) -> TargetBundle:
     """Render multi-peak Gaussian targets for a set of lesion keypoints.
 
-    Every keypoint must be finite and, divided by the stride, land inside
-    the output grid; a violation raises ValueError naming the offending
-    annotation. Rendering is order-independent (element-wise max is
-    commutative). If two annotations share a ground-truth cell for the same
-    role, the later annotation's offsets win at that cell.
+    Each annotation is a lesion's five (x, y) keypoints in KEYPOINT_CHANNELS
+    order: an ExtremePoints, or a row of an (n, 5, 2) array. One that is not
+    five (x, y) points, or has a keypoint that is not finite or, divided by
+    the stride, off the output grid, raises ValueError naming it. Rendering
+    is order-independent (element-wise max is commutative). If two
+    annotations share a ground-truth cell for the same role, the later
+    annotation's offsets win at that cell.
 
     ``input_size`` records the source image dimensions in the bundle;
     it defaults to (out_w * stride, out_h * stride).
@@ -271,13 +302,10 @@ def render_targets(
     if input_size is None:
         input_size = (out_w * stride, out_h * stride)
     bundle = HeatmapBundle.zeros(out_h, out_w, stride, input_size)
-    cells, offsets = _draw_lesions(
-        bundle.keypoint_maps, bundle.offset_maps, stride, annotations,
-        min_overlap, sigma_divisor,
+    cells, offsets, radii = _lesion_cells(annotations, stride, out_h, out_w,
+                                          min_overlap)
+    _draw_lesions(
+        bundle.keypoint_maps, bundle.offset_maps, cells, offsets, radii,
+        sigma_divisor, np.ones(cells.shape[:2], dtype=bool),
     )
-    shape = (len(cells), len(EXTREME_ROLES), 2)
-    return TargetBundle(
-        bundle=bundle,
-        gt_cells=np.array([c[:4] for c in cells], dtype=np.intp).reshape(shape),
-        gt_offsets=np.array(offsets, dtype=np.float64).reshape(shape),
-    )
+    return TargetBundle(bundle, gt_cells=cells[:, :4].copy(), gt_offsets=offsets)

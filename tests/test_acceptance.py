@@ -24,7 +24,7 @@ from recistkit.grouping import (
 from recistkit.losses import finite_diff_check, focal_loss, focal_loss_grad, offset_loss
 from recistkit.synthetic import DegradationConfig, generate_scene, simulate_heatmaps
 from recistkit.targets import HeatmapBundle, render_targets, offset_target
-from recistkit.geometry import BBox, Point2, pad_bbox
+from recistkit.geometry import Point2, pad_bbox
 
 from tests.test_evaluation import crafted_three_image_matches, random_matches
 from tests.test_fusion import box_of, make_detection, random_detections
@@ -65,7 +65,7 @@ def test_criterion_01_zero_noise_round_trip():
             err, best = min(errs, key=lambda item: item[0])
             assert err < 1e-6, f"seed {seed}: coordinate error {err}"
             worst_err = max(worst_err, err)
-            tight = BBox(e.left.x, e.top.y, e.right.x, e.bottom.y)
+            tight = (e.left.x, e.top.y, e.right.x, e.bottom.y)
             overlap = iou(pad_bbox(box_of(best), 5), pad_bbox(tight, 5))
             assert overlap == 1.0, f"seed {seed}: padded IoU {overlap}"
         matches.append(

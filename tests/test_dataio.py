@@ -18,7 +18,6 @@ from recistkit.dataio import (
     write_detections,
     write_heatmaps,
 )
-from recistkit.geometry import BBox
 from recistkit.grouping import Detections
 from recistkit.synthetic import generate_scene, simulate_heatmaps
 from recistkit.targets import HeatmapBundle
@@ -190,7 +189,7 @@ class TestParseAnnotations:
         as_numpy = dataclasses.replace(
             ann,
             endpoints=tuple(map(np.float64, ann.endpoints)),
-            bbox=BBox(*map(np.float64, ann.bbox.as_tuple())),
+            bbox=tuple(map(np.float64, ann.bbox)),
             diameters_px=tuple(map(np.float64, ann.diameters_px)),
             spacing=tuple(map(np.float64, ann.spacing)),
         )
@@ -232,7 +231,7 @@ class TestParseAnnotations:
         if field == "endpoints":
             bad = ann.endpoints[:6] + (math.nan, ann.endpoints[7])
         elif field == "bbox":
-            bad = dataclasses.replace(ann.bbox, x2=math.inf)
+            bad = ann.bbox[:2] + (math.inf, ann.bbox[3])
         else:
             bad = (-math.inf,) + getattr(ann, field)[1:]
         anns[1] = dataclasses.replace(ann, **{field: bad})
@@ -251,8 +250,10 @@ class TestParseAnnotations:
         ("endpoints", (1.0,) * 9, "must hold 8, 4, 2 and 3 numbers"),
         ("endpoints", (1.0,) * 7 + (True,), "must be finite"),
         ("spacing", (1.0, 1.0), "must hold 8, 4, 2 and 3 numbers"),
+        ("bbox", (1.0, 2.0, 3.0), "must hold 8, 4, 2 and 3 numbers"),
     ], ids=["type 1.5", "type True", "key ' k '", "key 'k\\n'", "split foo",
-            "7 endpoints", "9 endpoints", "a bool endpoint", "2 spacings"])
+            "7 endpoints", "9 endpoints", "a bool endpoint", "2 spacings",
+            "3 box numbers"])
     def test_writer_refuses_what_it_would_not_read_back(self, tmp_path, field,
                                                        value, message):
         anns = generate_scene(2, seed=90).annotations

@@ -67,7 +67,7 @@ def sort_key(det: Detection):
     e = extremes_of(det)
     return (
         -det.score,
-        *box_of(det).as_tuple(),
+        *box_of(det),
         det.source,
         e.top.x, e.top.y, e.left.x, e.left.y,
         e.bottom.x, e.bottom.y, e.right.x, e.right.y,
@@ -203,8 +203,8 @@ def random_pool(rng, n, span=120.0):
                 twin = replace(twin, score=float(rng.choice(score_levels)))
             elif kind < 0.67:  # same box and score, other edge points
                 e = extremes_of(twin)
-                twin = from_extremes(replace(
-                    e, top=Point2(e.left.x, e.top.y),
+                twin = from_extremes(e._replace(
+                    top=Point2(e.left.x, e.top.y),
                     bottom=Point2(e.right.x, e.bottom.y),
                 ), twin.score, twin.source)
             dets.append(twin)

@@ -36,7 +36,7 @@ from recistkit.evaluation import (
     match_detections,
 )
 from recistkit.fusion import SoftNmsConfig, fuse_tta, soft_nms, unflip_detections
-from recistkit.geometry import BBox, pad_bbox, pairwise_iou
+from recistkit.geometry import pad_bbox, pairwise_iou
 from recistkit.grouping import BOX_COLUMNS, Detection, Detections, detect
 from recistkit.synthetic import generate_scene
 from recistkit.targets import KEYPOINT_CHANNELS
@@ -114,7 +114,7 @@ def oracle_soft_nms(
 
 def oracle_match_detections(
     detections: Sequence[Detection],
-    gt_boxes: Sequence[BBox],
+    gt_boxes: Sequence[tuple[float, float, float, float]],
     iou_threshold: float = 0.5,
     pad: float = 5.0,
 ) -> MatchResult:
@@ -122,7 +122,7 @@ def oracle_match_detections(
     boxes = detections_to_rows(detections)[:, BOX_COLUMNS]
     # padded as pad_bbox pads: x1 - pad, y1 - pad, x2 + pad, y2 + pad
     padded = boxes + np.array([-pad, -pad, pad, pad])
-    gts = np.array([g.as_tuple() for g in gt_boxes], dtype=np.float64).reshape(-1, 4)
+    gts = np.array(gt_boxes, dtype=np.float64).reshape(-1, 4)
     ious = pairwise_iou(padded, gts)
     # only an overlap strictly above 0 can match, which also rules out NaN;
     # the last column, always 0, keeps argmax defined without ground truth

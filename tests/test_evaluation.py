@@ -32,7 +32,7 @@ from recistkit.evaluation import (
     match_detections,
     stratified_froc,
 )
-from recistkit.geometry import BBox, pad_bbox
+from recistkit.geometry import pad_bbox
 from recistkit.grouping import Detections
 from tests.test_fusion import box_of, make_detection, random_detections
 from tests.test_geometry import iou
@@ -63,7 +63,7 @@ def loop_match_detections(detections, gt_boxes, iou_threshold=0.5, pad=5.0):
 
 def gt_at(x, y, size=20.0, pad=5.0):
     """A padded ground-truth box whose unpadded core starts at (x, y)."""
-    return pad_bbox(BBox(x, y, x + size, y + size), pad)
+    return pad_bbox((x, y, x + size, y + size), pad)
 
 
 def det_at(x, y, score, size=20.0):
@@ -121,6 +121,33 @@ class TestMatchDetections:
             shuffled = match_detections(Detections.of([dets[i] for i in order]), gts)
             assert {(r.score, r.is_tp, r.gt_index) for r in shuffled.records} == outcome
 
+    def test_box_tuples_and_array_match_alike(self):
+        rng = np.random.default_rng(84)
+        for _ in range(50):
+            gts = [gt_at(*rng.integers(0, 8, 2) * 10.0) for _ in range(4)]
+            dets = Detections.of([det_at(*rng.integers(0, 8, 2) * 10.0, float(s))
+                                  for s in rng.uniform(size=6)])
+            cfg = EvalConfig(iou_threshold=0.3)
+            listed = match_detections(dets, gts, cfg)
+            assert match_detections(dets, np.asarray(gts), cfg) == listed
+            assert match_detections(dets, tuple(gts), cfg) == listed
+
+    def test_no_ground_truth_as_list_or_empty_array(self):
+        dets = Detections.of([det_at(10, 10, 0.9), det_at(50, 10, 0.8)])
+        for none in ([], (), np.empty((0, 4))):
+            result = match_detections(dets, none)
+            assert result.n_gt == 0
+            assert [r.gt_index for r in result.records] == [None, None]
+        assert match_detections(Detections.of([]), np.empty((0, 4))).records == []
+
+    def test_boxes_not_of_four_numbers_raise(self):
+        # three boxes of four numbers are not four boxes of three
+        dets = Detections.of([det_at(10, 10, 0.9)])
+        with pytest.raises(ValueError):
+            match_detections(dets, np.zeros((4, 3)))
+        with pytest.raises(ValueError):
+            match_detections(dets, [(0.0, 0.0, 1.0)] * 4)
+
     @pytest.mark.parametrize("iou_threshold,pad,named", [
         (1.5, 5.0, "iou_threshold"), (-0.1, 5.0, "iou_threshold"),
         (math.nan, 5.0, "iou_threshold"), (0.5, -1.0, "pad"),
@@ -143,7 +170,7 @@ class TestMatchOnIouMatrix:
         # and zero-area boxes, and many boxes with no overlap at all
         x1, y1 = rng.integers(0, 160, size=2) / 4
         w, h = rng.integers(0, 80, size=2) / 4
-        return BBox(x1, y1, x1 + w, y1 + h)
+        return (x1, y1, x1 + w, y1 + h)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(85)
@@ -162,7 +189,7 @@ class TestMatchOnIouMatrix:
                     score = float(rng.choice([0.25, 0.5, 0.75]))  # tied scores
                 else:
                     score = float(rng.uniform())
-                dets.append(make_detection(*box.as_tuple(), score))
+                dets.append(make_detection(*box, score))
             threshold = float(rng.choice([0.0, 0.1, 0.3, 0.5, 1.0]))
             pad = float(rng.choice([0.0, 2.5, 5.0]))
             got = match_detections(
@@ -179,7 +206,7 @@ class TestMatchOnIouMatrix:
     def test_nan_overlap_never_matches(self):
         # a zero-width box at x = inf has a NaN area, so every IoU with it
         # is NaN, which the strict > 0 test of the loop never picks
-        gts = [BBox(math.inf, 0.0, math.inf, 10.0), gt_at(10, 10)]
+        gts = [(math.inf, 0.0, math.inf, 10.0), gt_at(10, 10)]
         dets = [det_at(10, 10, 0.9), det_at(10, 10, 0.8)]
         expected = loop_match_detections(dets, gts)
         assert [r.gt_index for r in expected.records] == [1, None]

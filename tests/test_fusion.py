@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from recistkit.fusion import SoftNmsConfig, fuse_tta, soft_nms, unflip_detections
-from recistkit.geometry import BBox
 from recistkit.grouping import BOX_COLUMNS, Detection, Detections, detect
 from recistkit.synthetic import flip_scene, generate_scene, simulate_heatmaps
 
@@ -20,9 +19,10 @@ def make_detection(x1, y1, x2, y2, score, source="original"):
     return Detection(tuple(float(v) for v in row), score, source)
 
 
-def box_of(det: Detection) -> BBox:
-    """The tight (unpadded) box of ``det``'s extremes, read from its row."""
-    return BBox(*(det.row[i] for i in BOX_COLUMNS))
+def box_of(det: Detection) -> tuple[float, float, float, float]:
+    """The tight (unpadded) (x1, y1, x2, y2) box of ``det``'s extremes, read
+    from its row."""
+    return tuple(det.row[i] for i in BOX_COLUMNS)
 
 
 def random_detections(rng, n, span=100.0):

@@ -10,25 +10,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recistkit.dataio import RecistAnnotation, _long_first
-from recistkit.geometry import BBox, pad_bbox, pairwise_iou
+from recistkit.geometry import pad_bbox, pairwise_iou
 from recistkit.synthetic import SyntheticScene, flip_scene
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes; 0 when the union is empty."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+def iou(a, b) -> float:
+    """Intersection over union of two (x1, y1, x2, y2) boxes; 0 when the
+    union is empty."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
     if iw <= 0.0 or ih <= 0.0:
         inter = 0.0
     else:
         inter = iw * ih
-    union = a.area + b.area - inter
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
 
 
-def ann(*endpoints, bbox=BBox(0, 0, 0, 0)):
+def ann(*endpoints, bbox=(0, 0, 0, 0)):
     """An annotation whose endpoints are the 8 coordinates as given."""
     return RecistAnnotation("k", tuple(endpoints), bbox, 1, (0.0, 0.0),
                             (1.0, 1.0, 1.0), "test")
@@ -40,7 +43,7 @@ def long_first(pts):
 
 
 def tight_box(e):
-    return BBox(e.left.x, e.top.y, e.right.x, e.bottom.y)
+    return (e.left.x, e.top.y, e.right.x, e.bottom.y)
 
 
 class TestExtremes:
@@ -92,11 +95,11 @@ class TestExtremes:
 class TestTightBox:
     def test_worked_example(self):
         e = ann(30, 10, 30, 50, 12, 31, 47, 29).extremes()
-        assert tight_box(e).as_tuple() == (12, 10, 47, 50)
+        assert tight_box(e) == (12, 10, 47, 50)
 
     def test_degenerate_point(self):
         e = ann(12, 10, 12, 10, 12, 10, 12, 10).extremes()
-        assert tight_box(e).as_tuple() == (12, 10, 12, 10)
+        assert tight_box(e) == (12, 10, 12, 10)
 
     def test_matches_minmax_oracle_random(self):
         rng = np.random.default_rng(1)
@@ -104,24 +107,24 @@ class TestTightBox:
             pts = rng.uniform(0, 200, size=8)
             box = tight_box(long_first(pts).extremes())
             xs, ys = pts[0::2], pts[1::2]
-            assert box.as_tuple() == (min(xs), min(ys), max(xs), max(ys))
+            assert box == (min(xs), min(ys), max(xs), max(ys))
 
     def test_contains_all_five_points(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             e = long_first(rng.uniform(0, 64, size=8)).extremes()
             box = tight_box(e)
-            for p in e.points():
-                assert box.x1 <= p.x <= box.x2
-                assert box.y1 <= p.y <= box.y2
+            for p in e:
+                assert box[0] <= p.x <= box[2]
+                assert box[1] <= p.y <= box[3]
 
 
 class TestPadBBox:
     def test_basic(self):
-        assert pad_bbox(BBox(100, 50, 140, 90), 5).as_tuple() == (95, 45, 145, 95)
+        assert pad_bbox((100, 50, 140, 90), 5) == (95, 45, 145, 95)
 
     def test_zero_pad_identity(self):
-        box = BBox(3.5, 4.25, 9.75, 11.5)
+        box = (3.5, 4.25, 9.75, 11.5)
         assert pad_bbox(box, 0) == box
 
     def test_pad_additivity_without_clamp(self):
@@ -130,7 +133,7 @@ class TestPadBBox:
         for _ in range(100):
             x1, y1, w, h = np.floor(rng.uniform(0, 200, size=4) * 16) / 16
             a, c = np.floor(rng.uniform(0, 40, size=2) * 16) / 16
-            box = BBox(x1, y1, x1 + w, y1 + h)
+            box = (x1, y1, x1 + w, y1 + h)
             assert pad_bbox(pad_bbox(box, a), c) == pad_bbox(box, a + c)
 
     def test_pad_additivity_approx_for_arbitrary_floats(self):
@@ -138,33 +141,33 @@ class TestPadBBox:
         for _ in range(100):
             x1, y1, w, h = rng.uniform(0, 50, size=4)
             a, c = rng.uniform(0, 10, size=2)
-            box = BBox(x1, y1, x1 + w, y1 + h)
+            box = (x1, y1, x1 + w, y1 + h)
             split = pad_bbox(pad_bbox(box, a), c)
             joint = pad_bbox(box, a + c)
-            assert np.allclose(split.as_tuple(), joint.as_tuple(), atol=1e-12)
+            assert np.allclose(split, joint, atol=1e-12)
 
 
 class TestIou:
     def test_half_overlap(self):
-        assert iou(BBox(0, 0, 10, 10), BBox(5, 0, 15, 10)) == pytest.approx(1 / 3)
+        assert iou((0, 0, 10, 10), (5, 0, 15, 10)) == pytest.approx(1 / 3)
 
     def test_identity(self):
-        assert iou(BBox(2, 3, 8, 9), BBox(2, 3, 8, 9)) == 1.0
+        assert iou((2, 3, 8, 9), (2, 3, 8, 9)) == 1.0
 
     def test_disjoint(self):
-        assert iou(BBox(0, 0, 1, 1), BBox(5, 5, 6, 6)) == 0.0
+        assert iou((0, 0, 1, 1), (5, 5, 6, 6)) == 0.0
 
     def test_zero_union(self):
-        assert iou(BBox(1, 1, 1, 1), BBox(1, 1, 1, 1)) == 0.0
+        assert iou((1, 1, 1, 1), (1, 1, 1, 1)) == 0.0
 
     def test_symmetry_and_range_random(self):
         rng = np.random.default_rng(4)
         for _ in range(500):
             vals = rng.uniform(0, 30, size=8)
-            a = BBox(min(vals[0], vals[1]), min(vals[2], vals[3]),
-                     max(vals[0], vals[1]), max(vals[2], vals[3]))
-            b = BBox(min(vals[4], vals[5]), min(vals[6], vals[7]),
-                     max(vals[4], vals[5]), max(vals[6], vals[7]))
+            a = (min(vals[0], vals[1]), min(vals[2], vals[3]),
+                 max(vals[0], vals[1]), max(vals[2], vals[3]))
+            b = (min(vals[4], vals[5]), min(vals[6], vals[7]),
+                 max(vals[4], vals[5]), max(vals[6], vals[7]))
             assert iou(a, b) == iou(b, a)
             assert 0.0 <= iou(a, b) <= 1.0
 
@@ -214,13 +217,13 @@ class TestPairwiseIou:
             matrix = pairwise_iou(np.array([p], dtype=np.float64),
                                   np.array([q], dtype=np.float64))
             assert matrix.tolist() == [[expected]]
-            assert as_bits(matrix)[0, 0] == as_bits(iou(BBox(*p), BBox(*q)))
+            assert as_bits(matrix)[0, 0] == as_bits(iou(p, q))
 
     @settings(max_examples=150)
     @given(box_arrays(), box_arrays())
     def test_scalar_iou_bit_for_bit_and_symmetric(self, a, b):
         matrix = pairwise_iou(a, b)
-        scalar = [[iou(BBox(*p), BBox(*q)) for q in b.tolist()] for p in a.tolist()]
+        scalar = [[iou(p, q) for q in b.tolist()] for p in a.tolist()]
         assert matrix.shape == (len(a), len(b))
         assert np.array_equal(as_bits(matrix), as_bits(scalar))
         # Soft-NMS computes each pair's decay once and mirrors it
@@ -246,7 +249,7 @@ class TestPairwiseIou:
         ])
         matrix = pairwise_iou(boxes, boxes)
         rows = boxes.tolist()
-        scalar = [[iou(BBox(*p), BBox(*q)) for q in rows] for p in rows]
+        scalar = [[iou(p, q) for q in rows] for p in rows]
         assert np.array_equal(as_bits(matrix), as_bits(scalar))
         assert not np.isnan(matrix).any()
         assert matrix[3].tolist() == [0.0] * 3 + [1.0] + [0.0] * 4
@@ -261,9 +264,9 @@ def flipped(annotation, width):
 
 class TestFlipScene:
     def test_point(self):
-        f = flipped(ann(10, 7, 10, 7, 10, 7, 10, 7, bbox=BBox(10, 7, 10, 7)), 100)
+        f = flipped(ann(10, 7, 10, 7, 10, 7, 10, 7, bbox=(10, 7, 10, 7)), 100)
         assert f.endpoints == (89, 7, 89, 7, 89, 7, 89, 7)
-        assert f.bbox == BBox(89, 7, 89, 7)
+        assert f.bbox == (89, 7, 89, 7)
 
     def test_involution_endpoints_and_box(self):
         # coordinates on the 1/16-px lattice flip without rounding, so the
@@ -271,7 +274,7 @@ class TestFlipScene:
         rng = np.random.default_rng(5)
         for _ in range(100):
             x, y = np.floor(rng.uniform(0, 63, size=2) * 16) / 16
-            box = BBox(min(x, y), 0, max(x, y), 5)
+            box = (min(x, y), 0, max(x, y), 5)
             pts = np.floor(rng.uniform(0, 63, size=8) * 16) / 16
             a = ann(*_long_first(pts.tolist()), bbox=box)
             back = flipped(flipped(a, 64), 64)
@@ -282,11 +285,11 @@ class TestFlipScene:
         rng = np.random.default_rng(50)
         for _ in range(200):
             x, y = rng.uniform(0, 63, size=2)
-            a = ann(x, y, x, y, x, y, x, y, bbox=BBox(x, y, x, y))
+            a = ann(x, y, x, y, x, y, x, y, bbox=(x, y, x, y))
             back = flipped(flipped(a, 64), 64)
             assert back.endpoints[0] == pytest.approx(x, abs=1e-12)
             assert back.endpoints[1] == y
-            assert back.bbox.x2 == pytest.approx(x, abs=1e-12)
+            assert back.bbox[2] == pytest.approx(x, abs=1e-12)
 
     def test_extremes_role_swap_worked_example(self):
         f = flipped(ann(30, 10, 30, 50, 12, 31, 47, 29), 64).extremes()

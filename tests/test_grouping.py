@@ -332,7 +332,7 @@ class TestRefineWithOffsets:
 
 def extreme_row(e) -> tuple[float, ...]:
     """The detection row of extreme points ``e``, center last."""
-    return tuple(v for p in e.points() for v in (p.x, p.y))
+    return tuple(v for p in e for v in p)
 
 
 def _grid_row(t, l, b, r):
@@ -372,7 +372,7 @@ class TestDetect:
         assert list(detect(bundle)) == []
 
     def test_two_separated_annotations(self):
-        from recistkit.geometry import BBox, pad_bbox
+        from recistkit.geometry import pad_bbox
         from tests.test_fusion import box_of
         from tests.test_geometry import iou
 
@@ -380,7 +380,7 @@ class TestDetect:
         dets = detect(simulate_heatmaps(scene))
         assert len(dets) == 2
         for e in scene.extremes():
-            gt_padded = pad_bbox(BBox(e.left.x, e.top.y, e.right.x, e.bottom.y), 5)
+            gt_padded = pad_bbox((e.left.x, e.top.y, e.right.x, e.bottom.y), 5)
             assert any(iou(pad_bbox(box_of(d), 5), gt_padded) == 1.0 for d in dets)
 
     def test_detection_invariants(self):

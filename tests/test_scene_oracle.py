@@ -30,7 +30,7 @@ import pytest
 
 from recistkit import synthetic
 from recistkit.dataio import BOX_PADDING, RecistAnnotation
-from recistkit.geometry import BBox, ExtremePoints, Point2, pad_bbox
+from recistkit.geometry import ExtremePoints, Point2, pad_bbox
 from recistkit.rng import _GAMMA, SplitMix64
 from recistkit.synthetic import (
     _ASPECT_RANGE,
@@ -114,9 +114,9 @@ def extremes_from_recist(d: RecistDiameters) -> ExtremePoints:
     return ExtremePoints(top, left, bottom, right, center)
 
 
-def bbox_from_extremes(e: ExtremePoints) -> BBox:
-    """Tight box spanned by the four extremes."""
-    return BBox(e.left.x, e.top.y, e.right.x, e.bottom.y)
+def bbox_from_extremes(e: ExtremePoints) -> tuple[float, float, float, float]:
+    """Tight (x1, y1, x2, y2) box spanned by the four extremes."""
+    return (e.left.x, e.top.y, e.right.x, e.bottom.y)
 
 
 def lesion_radius(extremes: ExtremePoints, stride: int, min_overlap: float) -> int:
@@ -154,9 +154,10 @@ def draw_keypoint(
     return dx, dy
 
 
-def _axis_gaps(a: BBox, b: BBox) -> tuple[float, float]:
-    """Per-axis interval separation of two boxes; negative when overlapping."""
-    return (max(b.x1 - a.x2, a.x1 - b.x2), max(b.y1 - a.y2, a.y1 - b.y2))
+def _axis_gaps(a, b) -> tuple[float, float]:
+    """Per-axis interval separation of two (x1, y1, x2, y2) boxes; negative
+    when overlapping."""
+    return (max(b[0] - a[2], a[0] - b[2]), max(b[1] - a[3], a[1] - b[3]))
 
 
 def frozen_decodes_to_itself(
@@ -172,7 +173,7 @@ def frozen_decodes_to_itself(
     center_map = np.zeros(output_grid(image_size, stride), dtype=np.float32)
     truth = np.empty((len(extremes_list), 4, 2))  # (row, col) per extreme role
     for i, e in enumerate(extremes_list):
-        *cells, center = (keypoint_cell(p, stride) for p in e.points())
+        *cells, center = (keypoint_cell(p, stride) for p in e)
         radius = lesion_radius(e, stride, min_overlap)
         draw_gaussian(center_map, center, radius, sigma_divisor=sigma_divisor)
         truth[i] = cells
@@ -208,7 +209,7 @@ def frozen_generate_scene(
         )
 
     for _restart in range(max_restarts):
-        placed_boxes: list[BBox] = []
+        placed_boxes: list[tuple[float, float, float, float]] = []
         annotations: list[RecistAnnotation] = []
         feasible = True
 
@@ -241,13 +242,14 @@ def frozen_generate_scene(
                 tight = bbox_from_extremes(extremes)
                 padded = pad_bbox(tight, BOX_PADDING)
 
-                if tight.width < _MIN_BOX_SIDE or tight.height < _MIN_BOX_SIDE:
+                x1, y1, x2, y2 = tight
+                if x2 - x1 < _MIN_BOX_SIDE or y2 - y1 < _MIN_BOX_SIDE:
                     continue
                 if not (
-                    padded.x1 >= 0
-                    and padded.y1 >= 0
-                    and padded.x2 <= width - 1
-                    and padded.y2 <= height - 1
+                    padded[0] >= 0
+                    and padded[1] >= 0
+                    and padded[2] <= width - 1
+                    and padded[3] <= height - 1
                 ):
                     continue
                 if any(
@@ -322,7 +324,7 @@ def frozen_simulate_heatmaps(
         radius = lesion_radius(extremes, stride, min_overlap)
 
         for role_idx, (role, p) in enumerate(
-            zip(KEYPOINT_CHANNELS, extremes.points())
+            zip(KEYPOINT_CHANNELS, extremes)
         ):
             u_drop = rng.uniform()
             u_jx = rng.uniform()
@@ -401,6 +403,8 @@ def hexed(value):
     ``float.hex``."""
     if isinstance(value, float):
         return value.hex()
+    if hasattr(value, "_fields"):  # a named tuple keeps its type name
+        return [type(value).__name__] + [hexed(v) for v in value]
     if isinstance(value, (tuple, list)):
         return [hexed(v) for v in value]
     if dataclasses.is_dataclass(value):

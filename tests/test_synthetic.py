@@ -9,7 +9,6 @@ import pytest
 
 from recistkit import synthetic
 from recistkit.config import GroupingConfig, RenderConfig
-from recistkit.geometry import BBox
 from recistkit.grouping import BOX_COLUMNS, detect
 from recistkit.rng import SplitMix64
 from recistkit.synthetic import (
@@ -24,7 +23,7 @@ from recistkit.targets import keypoint_cell, output_grid, render_targets
 
 def tight_box(e):
     """The box spanned by the extremes ``e``."""
-    return BBox(e.left.x, e.top.y, e.right.x, e.bottom.y)
+    return (e.left.x, e.top.y, e.right.x, e.bottom.y)
 
 
 def diameter_lengths(ann):
@@ -82,7 +81,7 @@ class TestGenerateScene:
         monkeypatch.setattr(synthetic, "_MIN_GAP", 16.0)
         scene = generate_scene(3, image_size=(512, 512), seed=8)
         assert len(scene.annotations) == 3
-        boxes = [ann.bbox.as_tuple() for ann in scene.annotations]
+        boxes = [ann.bbox for ann in scene.annotations]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert min(_axis_gaps(boxes[i], boxes[j])) >= 16.0
@@ -91,7 +90,7 @@ class TestGenerateScene:
         scene = generate_scene(5, seed=9)
         w, h = scene.image_size
         for ann in scene.annotations:
-            for p in ann.extremes().points():
+            for p in ann.extremes():
                 assert 0 <= p.x <= w - 1
                 assert 0 <= p.y <= h - 1
 
@@ -149,7 +148,7 @@ class TestGenerateScene:
         assert scene.annotations == generate_scene(3, seed=4).annotations
         found = detect(simulate_heatmaps(scene), grouping)
         assert sorted(found.rows[:, BOX_COLUMNS].tolist()) == sorted(
-            list(tight_box(e).as_tuple()) for e in scene.extremes()
+            list(tight_box(e)) for e in scene.extremes()
         )
 
     def test_no_lesion_is_placed_under_any_tau_e(self):
@@ -167,7 +166,7 @@ class TestGenerateScene:
                 scene = generate_scene(n_lesions, seed=seed, grouping=grouping)
                 found = detect(simulate_heatmaps(scene), grouping)
                 assert sorted(found.rows[:, BOX_COLUMNS].tolist()) == sorted(
-                    list(tight_box(e).as_tuple()) for e in scene.extremes()
+                    list(tight_box(e)) for e in scene.extremes()
                 ), (n_lesions, seed)
 
     def test_clearance_check_takes_both_sections_whole(self, monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from recistkit import targets
-from recistkit.geometry import BBox, Point2
+from recistkit.geometry import Point2
 from recistkit.targets import (
     EXTREME_ROLES,
     KEYPOINT_CHANNELS,
@@ -40,10 +40,10 @@ def radius_oracle(w: float, h: float, min_overlap: float) -> int:
 
     Binary search on the continuous shift, independent of the closed form.
     """
-    box = BBox(0.0, 0.0, w, h)
+    box = (0.0, 0.0, w, h)
 
     def ok(r: float) -> bool:
-        return iou(box, BBox(r, r, w + r, h + r)) >= min_overlap
+        return iou(box, (r, r, w + r, h + r)) >= min_overlap
 
     lo, hi = 0.0, max(w, h)
     for _ in range(80):
@@ -269,10 +269,52 @@ class TestRenderTargets:
         ):
             render_targets([flat, off_grid], 16, 16, 4)
 
+    @pytest.mark.parametrize("bad", [
+        square_extremes(20, 20, 8, 8)[:4],
+        square_extremes(20, 20, 8, 8) + (Point2(20, 20),),
+        tuple(p + (0.0,) for p in square_extremes(20, 20, 8, 8)),
+        tuple(p[:1] for p in square_extremes(20, 20, 8, 8)),
+        20.0,
+    ], ids=["4 points", "6 points", "(x, y, z) points", "(x,) points", "a number"])
+    def test_annotation_not_five_points_names_it(self, bad):
+        # a short annotation is not zipped short, and a long one not cut
+        good = square_extremes(20, 20, 8, 8)
+        with pytest.raises(ValueError, match=(
+            r"^annotation 1: expected 5 \(x, y\) keypoints, top, left, bottom, "
+            r"right, center$"
+        )):
+            render_targets([good, bad], 16, 16, 4)
+
+    def test_first_error_in_order_among_shape_and_grid(self):
+        off_grid = square_extremes(70, 20, 8, 8)
+        short = square_extremes(20, 20, 8, 8)[:4]
+        with pytest.raises(ValueError, match="^annotation 0: top keypoint"):
+            render_targets([off_grid, short], 16, 16, 4)
+        with pytest.raises(ValueError, match="^annotation 0: expected 5"):
+            render_targets([short, off_grid], 16, 16, 4)
+
+    def test_array_of_keypoints_renders_as_the_list(self):
+        rng = np.random.default_rng(14)
+        anns = [
+            square_extremes(*rng.uniform(30, 200, 2), *rng.uniform(8, 25, 2))
+            for _ in range(4)
+        ]
+        listed = render_targets(anns, 64, 64, 4, input_size=(250, 256))
+        arrayed = render_targets(np.asarray(anns), 64, 64, 4, input_size=(250, 256))
+        for field in ("keypoint_maps", "offset_maps"):
+            assert np.array_equal(getattr(arrayed.bundle, field).view(np.uint32),
+                                  getattr(listed.bundle, field).view(np.uint32))
+        assert arrayed.bundle.input_size == listed.bundle.input_size
+        assert arrayed.gt_cells.dtype == listed.gt_cells.dtype == np.intp
+        assert np.array_equal(arrayed.gt_cells, listed.gt_cells)
+        assert arrayed.gt_offsets.tobytes() == listed.gt_offsets.tobytes()
+        empty = render_targets(np.empty((0, 5, 2)), 8, 8, 4)
+        assert empty.gt_cells.shape == empty.gt_offsets.shape == (0, 4, 2)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_keypoint_names_its_annotation(self, bad):
         good = square_extremes(20, 20, 8, 8)
-        broken = dataclasses.replace(good, left=Point2(12.0, bad))
+        broken = good._replace(left=Point2(12.0, bad))
         with pytest.raises(ValueError, match=(
             rf"^annotation 1: left keypoint \(12.0, {bad}\) falls outside"
         )):
