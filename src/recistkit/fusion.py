@@ -71,7 +71,8 @@ def soft_nms(
         hit = index[:, None] < index
         hit &= overlap != 0.0
         pairs = overlap[hit]
-        exponent = -(pairs * pairs) / cfg.sigma
+        with np.errstate(over="ignore"):  # a tiny sigma's -inf decays to 0.0
+            exponent = -(pairs * pairs) / cfg.sigma
         factors = np.fromiter(map(math.exp, exponent.tolist()), np.float64, pairs.size)
         decay[hit] = factors
         decay.T[hit] = factors

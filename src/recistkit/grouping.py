@@ -10,14 +10,12 @@ pairs whose center passes; the detection score is computed as
 
     (s_top + s_bottom) + (s_left + s_right) + 2 * s_center
 
-with exactly that float64 association, so results are bit-reproducible and
-independent of how the work is partitioned across workers.
+with exactly that float64 association, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
@@ -250,8 +248,8 @@ def _runs(values: np.ndarray):
 
 
 def _enumerate_block(top, bottom, left, right, center_map, cfg):
-    """Sparse enumeration over one block of (t, b) pairs: the candidates'
-    scores and (n, 10) grid-cell detection rows, or None when none passes.
+    """Sparse enumeration over one image's peaks: the candidates' scores
+    and (n, 10) grid-cell detection rows, or None when none passes.
 
     Each role's peaks come as a (3, n) array of rows, columns and scores.
     The center row depends only on the (t, b) pair and the center column
@@ -301,8 +299,8 @@ def _enumerate_block(top, bottom, left, right, center_map, cfg):
     s_lr = l_scores[li] + r_scores[ri]
     scores = (s_tb[tb] + s_lr[lr]) + 2.0 * table[kr, kc].repeat(sizes)
     if scores.size > cfg.k2:
-        # block-local prune; ties at the cut are kept so the cross-block
-        # merge still sees every candidate the global top-k2 could select
+        # ties at the cut are kept: the cell tie-break in _select_top_k2
+        # decides which of them survive
         cut = np.partition(scores, scores.size - cfg.k2)[scores.size - cfg.k2]
         kept = scores >= cut
         scores, tb, lr = scores[kept], tb[kept], lr[kept]
@@ -315,18 +313,13 @@ def _enumerate_block(top, bottom, left, right, center_map, cfg):
     return scores, np.concatenate(columns).T
 
 
-def _select_top_k2(blocks: list, k2: int) -> Detections:
-    """Deterministic top-k2 across blocks: score desc, then cells ascending.
-
-    The cell tuple orders distinct candidates totally and each block keeps
-    ties at its cut, so the result does not depend on the block order.
-    """
-    blocks = [b for b in blocks if b is not None]
-    if not blocks:
+def _select_top_k2(block, k2: int) -> Detections:
+    """Deterministic top-k2 of one ``(scores, rows)`` block, or of None:
+    score desc, then cells ascending, an order that is total on distinct
+    candidates."""
+    if block is None:
         return Detections.of(())
-    scores = np.concatenate([s for s, _ in blocks])
-    rows = np.concatenate([r for _, r in blocks])
-
+    scores, rows = block
     # primary key last: -score, then (row, col) of top, left, bottom, right
     keys = rows.take(_CELL_KEYS, axis=1).T
     order = np.lexsort((*keys, -scores))[:k2]
@@ -347,30 +340,17 @@ def enumerate_quadruples(
     The top ``k2`` combinations by score survive, ties broken on the cell
     tuple. Coordinates in the result are output-grid cells.
 
-    ``workers`` > 1 partitions the (top, bottom) pair space; the merged
-    result is bit-identical to the sequential one.
+    ``workers`` must be 1; ``recistkit detect --workers`` runs images in
+    parallel.
     """
+    if workers != 1:
+        raise ValueError(
+            f"workers must be 1, got {workers!r}: one image is grouped on one "
+            "thread; run images in parallel with `recistkit detect --workers`"
+        )
     top, left, bottom, right = (peaks_by_role[role].array for role in EXTREME_ROLES)
-    n_tops = top.shape[1]
-    if not all(p.shape[1] for p in (top, left, bottom, right)):
-        return Detections.of(())
-    n_chunks = max(1, min(workers, n_tops))
-
-    def run_chunk(lo: int, hi: int):
-        return _enumerate_block(top[:, lo:hi], bottom, left, right, center_map, cfg)
-
-    if n_chunks == 1:
-        blocks = [run_chunk(0, n_tops)]
-    else:
-        chunk_bounds = np.linspace(0, n_tops, n_chunks + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-            futures = [
-                pool.submit(run_chunk, int(lo), int(hi))
-                for lo, hi in zip(chunk_bounds[:-1], chunk_bounds[1:])
-                if hi > lo
-            ]
-            blocks = [f.result() for f in futures]
-    return _select_top_k2(blocks, cfg.k2)
+    block = _enumerate_block(top, bottom, left, right, center_map, cfg)
+    return _select_top_k2(block, cfg.k2)
 
 
 def refine_with_offsets(
@@ -399,7 +379,7 @@ def detect(
     """Full grouping pipeline for one heatmap bundle: :func:`extract_peaks`
     per extreme role, :func:`enumerate_quadruples` and
     :func:`refine_with_offsets` in turn. Output is ordered by score
-    descending with deterministic tie-breaking.
+    descending with deterministic tie-breaking. ``workers`` must be 1.
     """
     peaks = {
         role: extract_peaks(bundle.keypoint_map(role), cfg, role)

@@ -4,7 +4,8 @@
 every name it imports from recistkit must resolve, and the ground truth it
 builds, keyword-built ``ExtremePoints`` of ``Point2`` and a parsed
 annotation's ``extremes()`` and ``bbox``, must still feed
-``render_targets`` and ``match_detections``.
+``render_targets`` and ``match_detections``. It passes ``workers=1`` to
+``detect`` and ``enumerate_quadruples``, the one value they take.
 """
 
 import ast
@@ -14,10 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recistkit import Detections, match_detections, render_targets
+from recistkit import (
+    Detections, GroupingConfig, detect, enumerate_quadruples, extract_peaks,
+    match_detections, render_targets,
+)
 from recistkit.dataio import parse_annotations, write_annotations
 from recistkit.geometry import ExtremePoints, Point2
 from recistkit.synthetic import generate_scene
+from recistkit.targets import EXTREME_ROLES
+from tests.test_detection_rows import noisy_views
 from tests.test_fusion import make_detection
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -86,3 +92,30 @@ def test_parsed_extremes_and_boxes_feed_render_and_match(tmp_path):
     assert match.n_gt == 3
     assert sorted(r.gt_index for r in match.records) == [0, 1, 2]
     assert np.asarray([a.bbox for a in parsed]).shape == (3, 4)
+
+
+def peaks_of(bundle, cfg):
+    return {
+        role: extract_peaks(bundle.keypoint_map(role), cfg, role)
+        for role in EXTREME_ROLES
+    }
+
+
+def test_workers_1_keyword_is_the_default():
+    cfg = GroupingConfig()
+    for bundle in noisy_views(7):
+        peaks, center = peaks_of(bundle, cfg), bundle.keypoint_map("center")
+        assert enumerate_quadruples(peaks, center, cfg, workers=1) == (
+            enumerate_quadruples(peaks, center, cfg)
+        )
+        assert detect(bundle, cfg, workers=1) == detect(bundle, cfg)
+
+
+def test_other_workers_raise_naming_the_cli_flag():
+    cfg = GroupingConfig()
+    bundle = noisy_views(7)[0]
+    peaks, center = peaks_of(bundle, cfg), bundle.keypoint_map("center")
+    with pytest.raises(ValueError, match="detect --workers"):
+        detect(bundle, cfg, workers=2)
+    with pytest.raises(ValueError, match="detect --workers"):
+        enumerate_quadruples(peaks, center, cfg, workers=2)

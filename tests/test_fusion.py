@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from recistkit.fusion import SoftNmsConfig, fuse_tta, soft_nms, unflip_detections
+from recistkit.geometry import pairwise_iou
 from recistkit.grouping import BOX_COLUMNS, Detection, Detections, detect
 from recistkit.synthetic import flip_scene, generate_scene, simulate_heatmaps
 
@@ -99,6 +100,18 @@ class TestSoftNms:
         dets = random_detections(rng, 8)
         out = soft_nms(dets, SoftNmsConfig(sigma=sys.float_info.max))
         assert sorted((d.score for d in dets), reverse=True) == [d.score for d in out]
+
+    def test_tiny_sigma_drops_every_overlapping_box(self):
+        # -iou^2 / sigma overflows to -inf, whose exp is the exact decay 0.0
+        rng = np.random.default_rng(62)
+        dets = random_detections(rng, 12)
+        out = soft_nms(dets, SoftNmsConfig(sigma=5e-324))
+        boxes = np.array([box_of(d) for d in out])
+        overlap = pairwise_iou(boxes, boxes)
+        assert (overlap[~np.eye(len(out), dtype=bool)] == 0.0).all()
+        given = {(box_of(d), d.score) for d in dets}
+        assert {(box_of(d), d.score) for d in out} <= given  # input scores kept
+        assert len(out) < len(dets)
 
     def test_below_floor_dropped(self):
         dets = Detections.of([

@@ -256,14 +256,6 @@ class TestEnumerateQuadruples:
         }
         assert enumerate_quadruples(shuffled, center, cfg) == base
 
-    def test_workers_bit_identical(self):
-        rng = np.random.default_rng(34)
-        peaks, center = random_peak_bundle(rng, grid=32, n_per_role=12)
-        cfg = GroupingConfig()
-        sequential = enumerate_quadruples(peaks, center, cfg, workers=1)
-        for workers in (2, 3, 8):
-            assert enumerate_quadruples(peaks, center, cfg, workers=workers) == sequential
-
     def test_monotone_in_thresholds_without_truncation(self):
         rng = np.random.default_rng(35)
         for _ in range(30):

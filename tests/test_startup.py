@@ -49,8 +49,8 @@ print(" ".join(sorted(m[10:] for m in sys.modules if m.startswith("recistkit."))
 """
 
 
-def loaded_after(code: str) -> set[str]:
-    """The recistkit submodules a fresh interpreter has loaded after ``code``."""
+def output_lines(code: str) -> list[str]:
+    """The stdout lines of ``code`` run by ``LOADED`` in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -58,7 +58,12 @@ def loaded_after(code: str) -> set[str]:
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    return proc.stdout.splitlines()
+
+
+def loaded_after(code: str) -> set[str]:
+    """The recistkit submodules a fresh interpreter has loaded after ``code``."""
+    return set(output_lines(code)[-1].split())
 
 
 def recistkit_imports(tree: ast.AST) -> list[ast.AST]:
@@ -78,6 +83,34 @@ def recistkit_imports(tree: ast.AST) -> list[ast.AST]:
 def run_command(*argv) -> str:
     """Code that runs the CLI on ``argv`` and fails unless it exits 0."""
     return f"from recistkit.cli import main\nassert main({[str(a) for a in argv]!r}) == 0"
+
+
+def pipeline_commands(tmp_path) -> dict[str, list[tuple]]:
+    """Simulates one scene and its flipped view under ``tmp_path``, then
+    gives the argv of detect, fuse and eval on them, by command, in the
+    order in which each one's inputs exist."""
+    sim, flipped = tmp_path / "sim", tmp_path / "sim_flipped"
+    assert main([
+        "simulate", "--out", str(sim), "--flipped-out", str(flipped),
+        "--image-size", "256", "--n-lesions", "2", "--scene-seed", "3",
+    ]) == 0
+    original_json, flipped_json = tmp_path / "o.json", tmp_path / "f.json"
+    fused_json = tmp_path / "fused.json"
+    return {
+        "detect": [
+            ("detect", "--heatmaps", sim, "--out", original_json),
+            ("detect", "--heatmaps", flipped, "--out", flipped_json),
+        ],
+        "fuse": [
+            ("fuse", "--original", original_json, "--flipped", flipped_json,
+             "--image-width", 256, "--out", fused_json),
+        ],
+        "eval": [
+            ("eval", "--detections", fused_json,
+             "--annotations", sim / "annotations.csv",
+             "--stratify", "diameter", "--out", tmp_path / "report"),
+        ],
+    }
 
 
 class TestImportFootprint:
@@ -120,39 +153,29 @@ class TestImportFootprint:
         assert loaded_after("import recistkit") == set()
 
     def test_commands_load_only_what_they_run(self, tmp_path):
-        sim, flipped = tmp_path / "sim", tmp_path / "sim_flipped"
-        assert main([
-            "simulate", "--out", str(sim), "--flipped-out", str(flipped),
-            "--image-size", "256", "--n-lesions", "2", "--scene-seed", "3",
-        ]) == 0
-        original_json, flipped_json = tmp_path / "o.json", tmp_path / "f.json"
-        fused_json = tmp_path / "fused.json"
-        commands = {
-            "detect": [
-                ("detect", "--heatmaps", sim, "--out", original_json),
-                ("detect", "--heatmaps", flipped, "--out", flipped_json),
-            ],
-            "fuse": [
-                ("fuse", "--original", original_json, "--flipped", flipped_json,
-                 "--image-width", 256, "--out", fused_json),
-            ],
-            "eval": [
-                ("eval", "--detections", fused_json,
-                 "--annotations", sim / "annotations.csv",
-                 "--stratify", "diameter", "--out", tmp_path / "report"),
-            ],
-        }
         never = {"synthetic", "rng", "losses"}
         unused = {
             "detect": never | {"evaluation", "fusion"},
             "fuse": never | {"evaluation"},
             "eval": never | {"fusion"},
         }
-        for command, runs in commands.items():
+        for command, runs in pipeline_commands(tmp_path).items():
             for argv in runs:
                 loaded = loaded_after(run_command(*argv))
                 assert not loaded & unused[command], (command, sorted(loaded))
                 assert {"cli", "config", "dataio"} <= loaded
+
+    def test_only_detect_loads_a_thread_pool(self, tmp_path):
+        commands = pipeline_commands(tmp_path)
+        commands["render-targets"] = [(
+            "render-targets", "--annotations", tmp_path / "sim" / "annotations.csv",
+            "--input-size", 256, "--out", tmp_path / "rendered",
+        )]
+        check = "\nimport sys\nprint('concurrent.futures' in sys.modules)"
+        for command, runs in commands.items():
+            for argv in runs:
+                pooled = output_lines(run_command(*argv) + check)[-2]
+                assert pooled == str(command == "detect"), command
 
     def test_submodule_attribute_imports_it(self):
         code = "import recistkit\nprint(recistkit.grouping.detect.__module__)"
