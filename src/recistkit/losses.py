@@ -8,16 +8,20 @@ are bit-reproducible across runs.
 ``focal_loss`` and ``focal_loss_grad`` evaluate the positive branch only at
 the cells where the target is exactly 1, and (1 - Y)^beta only where the
 target is not 0 (everywhere else it is exactly 1); the rest of the negative
-branch runs over the whole grid, in place in a few float64 buffers. Every
-cell still goes through the same operations on the same operands as when
-both branches are evaluated everywhere. ``focal_loss`` sums each term
-(numpy's pairwise summation) over a full grid that is zero off that
-term's cells, then adds positive + negative, so the summation order is
-unchanged too. The grids follow the prediction's memory layout; that is
-the order of the all-cells evaluation whenever the prediction is C-ordered
-or laid out like the target. A NaN prediction raises ValueError: numpy's
-SIMD kernels at different dispatch levels give its result different NaN
-signs, so no result for it would be the same on every CPU.
+branch runs over the whole grid in blocks of 2**15 cells of the
+prediction's memory order, so that a block and its scratch stay in cache.
+Every cell still goes through the same operations on the same operands as
+when both branches are evaluated everywhere. The prediction is clipped to
+the clamp, and the gradient zeroed where the clip moved it, only when some
+value lies outside the clamp; otherwise it is copied to float64 as it is.
+``focal_loss`` sums each term (numpy's pairwise summation) over a full
+grid that is zero off that term's cells, then adds positive + negative, so
+the summation order is unchanged too. The grids follow the prediction's
+memory layout; that is the order of the all-cells evaluation when the
+prediction is laid out like the target. A NaN prediction raises
+ValueError: numpy's SIMD kernels at different dispatch levels give its
+result different NaN signs, so no result for it would be the same on every
+CPU.
 
 ``offset_loss`` adds one x + y term per (annotation, extreme role) strictly
 left to right, annotation by annotation, roles in EXTREME_ROLES order; its
@@ -26,6 +30,7 @@ gradient accumulates into shared cells in that same order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +40,9 @@ from .targets import EXTREME_ROLES, TargetBundle
 
 # finite_diff_check's central-difference step
 _FD_STEP = 1e-6
+# cells per block of the focal losses' dense branch: 256 KiB of float64, so a
+# block of the grid and its scratch stay in one core's L2 cache
+_BLOCK = 1 << 15
 
 
 def _focal_inputs(
@@ -45,9 +53,11 @@ def _focal_inputs(
     then returns what both focal functions read.
 
     That is the prediction clamped to [clamp_eps, 1 - clamp_eps] as a fresh
-    float64 array the caller may overwrite, the flat (C-order) indices of
-    the cells where the target is exactly 1 and of those where it is not 0
-    (NaN is not 0, -0.0 is), and (1 - target)^beta at the latter.
+    float64 array the caller may overwrite, laid out like the prediction;
+    whether the clamp moved any value; the flat indices, in that array's
+    memory order, of the cells where the target is exactly 1 and of those
+    where it is not 0 (NaN is not 0, -0.0 is); and (1 - target)^beta at the
+    latter.
     """
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
@@ -55,15 +65,45 @@ def _focal_inputs(
         raise ValueError(f"n_objects must be >= 0, got {n_objects}")
     if not np.can_cast(pred.dtype, np.float64):
         raise ValueError(f"pred dtype must cast safely to float64, got {pred.dtype}")
-    # max is NaN iff some value is, and allocates nothing
-    if pred.size and np.isnan(pred.max()):
-        raise ValueError("pred holds NaN")
-    p = np.clip(pred, params.clamp_eps, 1.0 - params.clamp_eps, dtype=np.float64)
+    lo, hi = params.clamp_eps, 1.0 - params.clamp_eps
+    clipped = False
+    if pred.size:
+        # max is NaN iff some value is, and allocates nothing
+        top = float(pred.max())
+        if math.isnan(top):
+            raise ValueError("pred holds NaN")
+        clipped = not (lo <= float(pred.min()) and top <= hi)
+    # both keep the prediction's layout; float64 holds its values exactly
+    if clipped:
+        p = np.clip(pred, lo, hi, dtype=np.float64)
+    else:
+        p = pred.astype(np.float64)
+    # with its axes in p's memory order, the target's C order is that order
+    if not p.flags.c_contiguous:
+        target = target.transpose(np.argsort(p.strides)[::-1])
     near = (target != 0.0).ravel().nonzero()[0]
     values = target.take(near)
     pos = near[values == 1.0]
     weight = (1.0 - values.astype(np.float64)) ** params.beta
-    return p, pos, near, weight
+    return p, clipped, pos, near, weight
+
+
+def _blocks(size: int, *cells: tuple[np.ndarray, np.ndarray]):
+    """The slice of each ``_BLOCK``-cell block of a flat grid of ``size``
+    cells, in order, with each (indices, values) pair in ``cells`` cut to
+    the indices (ascending) that fall in the block, made local to it. A
+    grid of at most one block is one block."""
+    if size <= _BLOCK:
+        yield slice(None), *cells
+        return
+    starts = range(0, size, _BLOCK)
+    cuts = [np.searchsorted(index, [*starts, size]) for index, _ in cells]
+    for k, start in enumerate(starts):
+        parts = [
+            (index[cut[k] : cut[k + 1]] - start, values[cut[k] : cut[k + 1]])
+            for (index, values), cut in zip(cells, cuts)
+        ]
+        yield slice(start, start + _BLOCK), *parts
 
 
 def focal_loss(
@@ -81,28 +121,32 @@ def focal_loss(
 
     The positive term is evaluated only at the target-1 cells and
     (1-Y)^beta only where the target is not 0; the rest of the negative
-    term runs over the whole grid in place. Each term is summed over a full
-    grid that is zero off its own cells, so the summation order, and every
-    bit of the result, is that of evaluating both terms on every cell.
+    term runs over the whole grid, block by block. Each term is summed over
+    a full grid that is zero off its own cells, so the summation order, and
+    every bit of the result, is that of evaluating both terms on every cell.
     """
-    p, pos, near, weight = _focal_inputs(pred, target, n_objects, params)
+    p, _, pos, near, weight = _focal_inputs(pred, target, n_objects, params)
     a = params.alpha
-    pp = p.take(pos)
+    flat = p.ravel(order="K")
+    pp = flat.take(pos)
     pos_terms = (1.0 - pp) ** a * np.log(pp)
 
-    terms = np.negative(p)
-    np.log1p(terms, out=terms)
-    p **= a
-    # left to right as in the formula: (1-Y)^beta * p^alpha, then the log
-    # factor; another order can change the last bit
-    p.put(near, weight * p.take(near))
-    p *= terms
-    p.put(pos, 0.0)
+    # each cell's negative term replaces its p
+    for span, (cells, w) in _blocks(flat.size, (near, weight)):
+        block = flat[span]
+        t = np.negative(block)
+        np.log1p(t, out=t)
+        block **= a
+        # left to right as in the formula: (1-Y)^beta * p^alpha, then the
+        # log factor; another order can change the last bit
+        block.put(cells, w * block.take(cells))
+        block *= t
+    flat.put(pos, 0.0)
     neg_sum = p.sum()
 
-    terms.fill(0.0)
-    terms.put(pos, pos_terms)
-    total = terms.sum() + neg_sum
+    p.fill(0.0)
+    flat.put(pos, pos_terms)
+    total = p.sum() + neg_sum
     return float(-total / max(n_objects, 1))
 
 
@@ -118,33 +162,40 @@ def focal_loss_grad(
 
     Like :func:`focal_loss`, the positive branch is evaluated only at the
     target-1 cells and (1-Y)^beta only where the target is not 0; the
-    bracket of the negative branch runs over the whole grid in place.
+    bracket of the negative branch runs over the whole grid, block by block.
     """
-    p, pos, near, weight = _focal_inputs(pred, target, n_objects, params)
+    p, clipped, pos, near, weight = _focal_inputs(pred, target, n_objects, params)
     # float64 holds pred's values exactly (an integer it cannot is clamped
     # anyway), so this is exactly where the clip moved the prediction
-    clamped = p != pred
+    clamped = p != pred if clipped else None
     a = params.alpha
-    pp = p.take(pos)
+    flat = p.ravel(order="K")
+    pp = flat.take(pos)
     d_pos = -a * (1.0 - pp) ** (a - 1.0) * np.log(pp) + (1.0 - pp) ** a / pp
 
     # d_neg = (1-Y)^beta * (a * p^(a-1) * log(1-p) - p^a / (1-p)), with
     # (1-Y)^beta applied to the finished bracket
-    grad = np.negative(p)
-    np.log1p(grad, out=grad)
-    work = p ** (a - 1.0)
-    np.multiply(a, work, out=work)
-    np.multiply(work, grad, out=grad)
-    np.subtract(1.0, p, out=work)
-    p **= a
-    p /= work
-    grad -= p
-    grad.put(near, weight * grad.take(near))
-    grad.put(pos, d_pos)
-
-    np.negative(grad, out=grad)
-    grad /= max(n_objects, 1)
-    grad[clamped] = 0.0
+    grad = np.empty_like(p)
+    out = grad.ravel(order="K")
+    n = max(n_objects, 1)
+    blocks = _blocks(flat.size, (near, weight), (pos, d_pos))
+    for span, (cells, w), (peaks, d) in blocks:
+        block, g = flat[span], out[span]
+        np.negative(block, out=g)
+        np.log1p(g, out=g)
+        work = block ** (a - 1.0)
+        np.multiply(a, work, out=work)
+        np.multiply(work, g, out=g)
+        np.subtract(1.0, block, out=work)
+        block **= a
+        block /= work
+        g -= block
+        g.put(cells, w * g.take(cells))
+        g.put(peaks, d)
+        np.negative(g, out=g)
+        g /= n
+    if clamped is not None:
+        grad[clamped] = 0.0
     return grad
 
 
@@ -239,14 +290,14 @@ def finite_diff_check(
     zero-crossing would otherwise amplify finite-difference roundoff (the
     difference quotient with step h = ``_FD_STEP`` carries absolute noise
     around eps * |loss| / h) into meaningless relative errors. A constant
-    loss reports 0.
+    loss, or an empty ``x``, reports 0.
     ``loss_fn`` maps an array like ``x`` to a scalar; ``grad_fn`` maps it
     to an array of the same shape.
     """
     analytic = np.asarray(grad_fn(x), dtype=np.float64)
     numeric = np.zeros_like(analytic)
-    flat = x.astype(np.float64).copy()
-    it = np.nditer(flat, flags=["multi_index"])
+    flat = x.astype(np.float64)
+    it = np.nditer(flat, flags=["multi_index", "zerosize_ok"])
     for _ in it:
         idx = it.multi_index
         orig = flat[idx]
@@ -257,7 +308,10 @@ def finite_diff_check(
         flat[idx] = orig
         numeric[idx] = (up - down) / (2.0 * _FD_STEP)
 
-    grid_scale = max(float(np.abs(analytic).max()), float(np.abs(numeric).max()))
+    grid_scale = max(
+        float(np.abs(analytic).max(initial=0.0)),
+        float(np.abs(numeric).max(initial=0.0)),
+    )
     if grid_scale == 0.0:
         return GradCheckReport(0.0, (0,) * x.ndim, True)
     scale = np.maximum(

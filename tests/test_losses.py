@@ -3,11 +3,13 @@ branch-explicit oracle, finite-difference gradient checks, and the exact
 1/N scaling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from recistkit.losses import (
+    GradCheckReport,
     finite_diff_check,
     focal_loss,
     focal_loss_grad,
@@ -17,6 +19,7 @@ from recistkit.losses import (
     smooth_l1_grad,
 )
 from recistkit.targets import render_targets
+from tests.test_losses_oracle import real_planes
 from tests.test_targets import square_extremes
 
 
@@ -175,6 +178,35 @@ class TestFocalGrad:
                 fn(pred, np.zeros((2, 2)), 1)
 
 
+def traced_peak(fn, *args):
+    """Bytes ``fn(*args)`` allocates at its peak, its result included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestFocalAllocation:
+    """A training-sized call allocates little beyond its one float64 grid
+    (and the gradient it returns): the dense branch's scratch is one block,
+    not a grid."""
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        planes, n = real_planes(4)
+        rng = np.random.default_rng(0)
+        return rng.uniform(0.001, 0.5, planes.shape).astype(np.float32), planes, n
+
+    @pytest.mark.parametrize("fn,budget", [(focal_loss, 1.5), (focal_loss_grad, 2.75)])
+    def test_peak_in_float64_grids(self, sample, fn, budget):
+        heat, planes, n = sample
+        grid = heat.size * np.dtype(np.float64).itemsize
+        assert traced_peak(fn, heat, planes, n) / grid <= budget
+
+
 class TestSmoothL1:
     def test_values(self):
         assert smooth_l1(0.0) == 0.0
@@ -317,3 +349,13 @@ class TestFiniteDiffCheck:
         assert report.worst_cell == (1, 2)
         assert all(type(i) is int for i in report.worst_cell)
         assert str(report.worst_cell) == "(1, 2)"
+
+    def test_empty_input_passes_like_a_constant_loss(self):
+        for shape in [(0,), (0, 3), (4, 0, 2)]:
+            target = np.zeros(shape)
+            report = finite_diff_check(
+                lambda x: focal_loss(x, target, 1),
+                lambda x: focal_loss_grad(x, target, 1),
+                np.zeros(shape),
+            )
+            assert report == GradCheckReport(0.0, (0,) * len(shape), True)

@@ -85,6 +85,79 @@ def dense_focal_loss_grad(
     return grad
 
 
+# --- oracles: the unblocked implementations ------------------------------------
+#
+# ``losses`` as it was before its dense branch ran in blocks, bodies copied
+# without change. It follows the prediction's memory layout as the blocked
+# code does, where the dense code above does not when the prediction and the
+# target are laid out differently, so it is the reference for those pairs.
+
+
+def _unblocked_inputs(pred, target, n_objects, params):
+    if pred.shape != target.shape:
+        raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
+    if n_objects < 0:
+        raise ValueError(f"n_objects must be >= 0, got {n_objects}")
+    if not np.can_cast(pred.dtype, np.float64):
+        raise ValueError(f"pred dtype must cast safely to float64, got {pred.dtype}")
+    if pred.size and np.isnan(pred.max()):
+        raise ValueError("pred holds NaN")
+    p = np.clip(pred, params.clamp_eps, 1.0 - params.clamp_eps, dtype=np.float64)
+    near = (target != 0.0).ravel().nonzero()[0]
+    values = target.take(near)
+    pos = near[values == 1.0]
+    weight = (1.0 - values.astype(np.float64)) ** params.beta
+    return p, pos, near, weight
+
+
+def unblocked_focal_loss(pred, target, n_objects, params=FocalParams()):
+    p, pos, near, weight = _unblocked_inputs(pred, target, n_objects, params)
+    a = params.alpha
+    pp = p.take(pos)
+    pos_terms = (1.0 - pp) ** a * np.log(pp)
+
+    terms = np.negative(p)
+    np.log1p(terms, out=terms)
+    p **= a
+    p.put(near, weight * p.take(near))
+    p *= terms
+    p.put(pos, 0.0)
+    neg_sum = p.sum()
+
+    terms.fill(0.0)
+    terms.put(pos, pos_terms)
+    total = terms.sum() + neg_sum
+    return float(-total / max(n_objects, 1))
+
+
+def unblocked_focal_loss_grad(pred, target, n_objects, params=FocalParams()):
+    p, pos, near, weight = _unblocked_inputs(pred, target, n_objects, params)
+    clamped = p != pred
+    a = params.alpha
+    pp = p.take(pos)
+    d_pos = -a * (1.0 - pp) ** (a - 1.0) * np.log(pp) + (1.0 - pp) ** a / pp
+
+    grad = np.negative(p)
+    np.log1p(grad, out=grad)
+    work = p ** (a - 1.0)
+    np.multiply(a, work, out=work)
+    np.multiply(work, grad, out=grad)
+    np.subtract(1.0, p, out=work)
+    p **= a
+    p /= work
+    grad -= p
+    grad.put(near, weight * grad.take(near))
+    grad.put(pos, d_pos)
+
+    np.negative(grad, out=grad)
+    grad /= max(n_objects, 1)
+    grad[clamped] = 0.0
+    return grad
+
+
+DENSE = (dense_focal_loss, dense_focal_loss_grad)
+UNBLOCKED = (unblocked_focal_loss, unblocked_focal_loss_grad)
+
 # --- cases ---------------------------------------------------------------------
 
 ALPHAS = (1.0, 1.5, 2.0, 3.0)
@@ -93,14 +166,14 @@ PARAMS = [FocalParams(a, b) for a in ALPHAS for b in BETAS]
 EPS = FocalParams().clamp_eps
 
 
-def assert_same_bits(pred, target, n, params):
+def assert_same_bits(pred, target, n, params, oracle=DENSE):
     loss = focal_loss(pred, target, n, params)
-    expected = dense_focal_loss(pred, target, n, params)
+    expected = oracle[0](pred, target, n, params)
     assert np.float64(loss).view(np.uint64) == np.float64(expected).view(np.uint64), (
         loss.hex(), expected.hex()
     )
     grad = focal_loss_grad(pred, target, n, params)
-    dense = dense_focal_loss_grad(pred, target, n, params)
+    dense = oracle[1](pred, target, n, params)
     assert grad.dtype == np.float64 and grad.shape == dense.shape
     assert np.array_equal(grad.view(np.uint64), dense.view(np.uint64))
 
@@ -203,10 +276,23 @@ def test_nan_signs_in_both_sums():
             assert_refused(one.astype(np.float32), target, 2, params)
 
 
+def _strided(a):
+    """``a`` as a view with a gap after each row of its last axis."""
+    padded = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, 3)])
+    return padded[..., : a.shape[-1]]
+
+
+def _permuted(a):
+    """``a`` in memory with its first axis last: neither C- nor F-ordered
+    when it has three axes."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+
+
 LAYOUTS = {
     "C": lambda a: a,
     "F": np.asfortranarray,
-    "strided": lambda a: np.pad(a, ((0, 0), (0, 0), (0, 3)))[:, :, : a.shape[2]],
+    "strided": _strided,
+    "permuted": _permuted,
 }
 
 
@@ -216,7 +302,9 @@ LAYOUTS = {
 )
 def test_memory_layouts(pred_layout, target_layout):
     """The sums follow the prediction's memory order, which is the dense
-    code's whenever the prediction is C-ordered or laid out like the target."""
+    code's when the prediction is laid out like the target. On grids this
+    small the mixed pairs below agree too; on larger ones they can differ in
+    the loss's last bit (see ``test_block_edges``)."""
     rng = np.random.default_rng(11)
     for _ in range(10):
         pred, target = random_grid(rng, (3, 40, 57))
@@ -224,3 +312,80 @@ def test_memory_layouts(pred_layout, target_layout):
             LAYOUTS[pred_layout](pred), LAYOUTS[target_layout](target), 2,
             FocalParams(1.5, 4.0),
         )
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_memory_layouts_large_grids(layout):
+    """A prediction laid out like its target sums in the dense code's order
+    on a training-sized grid too."""
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        pred, target = random_grid(rng, (3, 150, 211))
+        assert_same_bits(
+            LAYOUTS[layout](pred), LAYOUTS[layout](target), 2, FocalParams(1.5, 4.0)
+        )
+
+
+# --- block edges ---------------------------------------------------------------
+#
+# The dense branch runs in blocks of 2**15 cells of the prediction's memory
+# order. These grids span several blocks and end in a partial one, in every
+# layout, so a cell mapped to the wrong block, or a target index mapped to
+# the wrong memory position, shows as a bit difference.
+
+BLOCK = 1 << 15
+BLOCK_SHAPES = [(3, 150, 211), (2, BLOCK + 1)]
+
+
+SAME_LAYOUTS = [(name, name) for name in LAYOUTS]
+MIXED_LAYOUTS = [("C", "F"), ("F", "C"), ("strided", "C"), ("C", "permuted"),
+                 ("permuted", "F")]
+
+
+def clamp_edges(dtype):
+    """The dtype's values on or nearest inside each clamp bound, then the
+    nearest outside: EPS, 1 - EPS and their neighbours in float64, while
+    float16 cannot hold EPS at all."""
+    zero, one = dtype(0.0), dtype(1.0)
+    lo, hi = dtype(EPS), dtype(1.0 - EPS)
+    if float(lo) < EPS:
+        lo = np.nextafter(lo, one)
+    if float(hi) > 1.0 - EPS:
+        hi = np.nextafter(hi, zero)
+    return lo, hi, np.nextafter(lo, zero), np.nextafter(hi, one)
+
+
+def edge_predictions(rng, shape, dtype):
+    """Predictions inside the clamp, then also on its bounds, then also one
+    ulp outside, as (name, prediction, whether the clip moves a value)."""
+    lo, hi, below, above = clamp_edges(dtype)
+    inside = np.clip(rng.uniform(0.0, 1.0, shape).astype(dtype), lo, hi)
+    size = inside.size
+    # cells at both ends of a block, and the last cell of the grid
+    cells = np.unravel_index([0, BLOCK - 1, BLOCK, size - 1], shape)
+    bounds = inside.copy()
+    bounds[cells] = [lo, hi, hi, lo]
+    outside = bounds.copy()
+    outside[tuple(c[1:3] for c in cells)] = [below, above]
+    return [("inside", inside, False), ("bounds", bounds, False),
+            ("outside", outside, True)]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES, ids=str)
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+@pytest.mark.parametrize("pred_layout,target_layout", SAME_LAYOUTS + MIXED_LAYOUTS)
+def test_block_edges(shape, dtype, pred_layout, target_layout):
+    """Bit for bit against the dense code where prediction and target share
+    a layout, and against the unblocked code where they do not, with the
+    prediction inside the clamp (copied to float64), on its bounds (copied)
+    and one ulp outside (clipped)."""
+    rng = np.random.default_rng(sum(shape))
+    _, target = random_grid(rng, shape)
+    target = LAYOUTS[target_layout](target.astype(dtype))
+    oracle = DENSE if pred_layout == target_layout else UNBLOCKED
+    for name, pred, moved in edge_predictions(rng, shape, dtype):
+        # which branch the prediction takes: the clip only when it moves a value
+        outside = float(pred.min()) < EPS or float(pred.max()) > 1.0 - EPS
+        assert outside == moved, name
+        pred = LAYOUTS[pred_layout](pred)
+        assert_same_bits(pred, target, 2, FocalParams(), oracle)
