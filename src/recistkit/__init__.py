@@ -38,7 +38,7 @@ _EXPORTS = {
     ),
     "losses": (
         "finite_diff_check", "focal_loss", "focal_loss_grad", "offset_loss",
-        "offset_loss_grad", "smooth_l1",
+        "offset_loss_grad",
     ),
     "synthetic": (
         "SyntheticScene", "flip_scene", "generate_scene", "simulate_heatmaps",

@@ -347,15 +347,11 @@ def _cmd_simulate(args) -> int:
 
 def _small_offset_targets():
     """Two lesions on a 12x12 grid: compact planes for offset FD checks."""
-    from .geometry import ExtremePoints, Point2
     from .targets import render_targets
 
     def diamond(cx, cy, hw, hh):
-        return ExtremePoints(
-            top=Point2(cx, cy - hh), left=Point2(cx - hw, cy),
-            bottom=Point2(cx, cy + hh), right=Point2(cx + hw, cy),
-            center=Point2(cx, cy),
-        )
+        """Top, left, bottom, right and center (x, y) keypoints."""
+        return ((cx, cy - hh), (cx - hw, cy), (cx, cy + hh), (cx + hw, cy), (cx, cy))
 
     return render_targets(
         [diamond(14.5, 16.25, 9, 10), diamond(34.0, 30.75, 10, 8)], 12, 12, 4

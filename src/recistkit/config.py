@@ -121,15 +121,18 @@ class GroupingConfig:
     center_interp: Literal["nearest", "bilinear"] = "nearest"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.tau_e <= 1.0 or not 0.0 <= self.tau_c <= 1.0:
-            raise ValueError("thresholds must lie in [0, 1]")
-        if self.k1 < 1 or self.k2 < 1:
-            raise ValueError("k1 and k2 must be >= 1")
-        if self.kernel < 1 or self.kernel % 2 == 0:
+        for name in ("tau_e", "tau_c"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        for name in ("k1", "k2"):
+            value = getattr(self, name)
+            if not 1 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 1, got {value!r}")
+        if not (self.kernel >= 1 and self.kernel % 2 == 1):
             raise ValueError(f"kernel must be odd and >= 1, got {self.kernel}")
         if self.center_interp not in ("nearest", "bilinear"):
             raise ValueError(f"unknown center_interp {self.center_interp!r}")
-        _refuse_non_finite(self)
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,10 @@ class SoftNmsConfig:
         if self.method not in ("gaussian", "linear"):
             raise ValueError(f"unknown method {self.method!r}")
         if not 0.0 <= self.linear_iou_threshold <= 1.0:
-            raise ValueError("linear_iou_threshold must lie in [0, 1]")
+            raise ValueError(
+                "linear_iou_threshold must lie in [0, 1], "
+                f"got {self.linear_iou_threshold!r}"
+            )
         _refuse_non_finite(self)
 
 
@@ -219,16 +225,18 @@ class RenderConfig:
     sigma_divisor: float = 3.0
 
     def __post_init__(self) -> None:
-        if not (
-            1 <= self.stride <= MAX_HEADER_INT
-            and 1 <= self.input_size <= MAX_HEADER_INT
-            and 0.0 < self.min_overlap < 1.0
-            and 0.0 < self.sigma_divisor <= MAX_HEADER_INT
-        ):
+        for name in ("stride", "input_size"):
+            value = getattr(self, name)
+            if not 1 <= value <= MAX_HEADER_INT:
+                raise ValueError(
+                    f"{name} must lie in [1, {MAX_HEADER_INT}], got {value!r}"
+                )
+        if not 0.0 < self.min_overlap < 1.0:
+            raise ValueError(f"min_overlap must lie in (0, 1), got {self.min_overlap!r}")
+        if not 0.0 < self.sigma_divisor <= MAX_HEADER_INT:
             raise ValueError(
-                "stride and input_size must lie in "
-                f"[1, {MAX_HEADER_INT}], min_overlap in (0, 1) and "
-                f"sigma_divisor in (0, {MAX_HEADER_INT}], got {asdict(self)}"
+                f"sigma_divisor must lie in (0, {MAX_HEADER_INT}], "
+                f"got {self.sigma_divisor!r}"
             )
 
 
@@ -256,13 +264,12 @@ class DegradationConfig:
             raise ValueError(
                 f"peak_drop_prob must lie in [0, 1], got {self.peak_drop_prob!r}"
             )
-        for name in ("noise_sigma", "spurious_rate"):
+        for name in ("noise_sigma", "spurious_rate", "jitter_cells"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.jitter_cells < 0:
-            raise ValueError(f"jitter_cells must be >= 0, got {self.jitter_cells!r}")
-        _refuse_non_finite(self)
+        if not -math.inf < self.seed < math.inf:
+            raise ValueError(f"seed must be finite, got {self.seed!r}")
 
 
 # config sections whose keys and defaults are the fields of a library type,

@@ -56,8 +56,7 @@ class MatchResult:
     for a false positive. Building one raises ValueError, naming the first
     bad record, unless the arrays are 1-D of one length, every
     ``gt_index`` lies in [-1, ``n_gt``), no lesion is matched twice and
-    ``n_gt`` >= 0. It equals a result with the same ``records`` and
-    ``n_gt``. Its arrays are shared, not copied: do not write to them.
+    ``n_gt`` >= 0. Its arrays are shared, not copied: do not write to them.
     """
 
     order: np.ndarray
@@ -86,20 +85,6 @@ class MatchResult:
             if g >= 0:
                 matched.add(g)
 
-    @classmethod
-    def of(cls, records: Sequence[DetectionMatch], n_gt: int) -> MatchResult:
-        """The record of ``records``, in their order; a negative ``gt_index``,
-        which the arrays would read as a false positive, raises ValueError."""
-        for k, r in enumerate(records):
-            if r.is_tp and r.gt_index < 0:
-                raise ValueError(f"record {k}: is_tp True with gt_index {r.gt_index}")
-        return cls(
-            [r.det_index for r in records],
-            [r.score for r in records],
-            [-1 if r.gt_index is None else r.gt_index for r in records],
-            n_gt,
-        )
-
     @property
     def records(self) -> list[DetectionMatch]:
         """One :class:`DetectionMatch` view per detection, in visit order,
@@ -110,13 +95,6 @@ class MatchResult:
                 self.order.tolist(), self.scores.tolist(), self.gt_index.tolist()
             )
         ]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MatchResult):
-            return (self.records, self.n_gt) == (other.records, other.n_gt)
-        return NotImplemented
-
-    __hash__ = None
 
 
 @dataclass(frozen=True, slots=True)

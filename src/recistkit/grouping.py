@@ -63,7 +63,7 @@ class Detection:
 
     row: tuple[float, ...]
     score: float
-    source: Literal["original", "flipped"] = "original"
+    source: Literal["original", "flipped"]
 
 
 class Detections:
@@ -71,10 +71,11 @@ class Detections:
     (x, y) of top, left, bottom, right and center; ``scores`` (n,) float64;
     ``flipped`` (n,) bool, True for the flipped view (else TypeError).
 
-    The one type the detection stages take. An index gives a
-    :class:`Detection` view, built as it is read, with Python floats and
-    source ``SOURCES[flipped]``; a slice gives a record. Records are equal
-    when their arrays are elementwise equal; a record never equals a list.
+    The one type the detection stages take. It has a length, and iterates
+    as one :class:`Detection` view per row, built as it is read, with
+    Python floats and source ``SOURCES[flipped]``. It does not index: row
+    i is ``rows[i]``. Records are equal when their arrays are elementwise
+    equal; a record never equals a list.
     ``+`` joins records, or a record and a list, into one record, rows in
     order. Its arrays are shared, not copied: do not write to them.
     """
@@ -112,17 +113,6 @@ class Detections:
 
     def __len__(self) -> int:
         return len(self.scores)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Detections(
-                self.rows[index], self.scores[index], self.flipped[index]
-            )
-        return Detection(
-            tuple(self.rows[index].tolist()),
-            float(self.scores[index]),
-            SOURCES[self.flipped[index].item()],
-        )
 
     def __iter__(self):
         return map(

@@ -23,9 +23,12 @@ ValueError: numpy's SIMD kernels at different dispatch levels give its
 result different NaN signs, so no result for it would be the same on every
 CPU.
 
-``offset_loss`` adds one x + y term per (annotation, extreme role) strictly
-left to right, annotation by annotation, roles in EXTREME_ROLES order; its
-gradient accumulates into shared cells in that same order.
+``offset_loss`` scores each offset residual x by smooth L1 with its
+breakpoint at 1, 0.5 * x^2 for |x| < 1 and |x| - 0.5 beyond (C1 at the
+breakpoint; the gradient is x, then sign(x)). It adds one x + y term per
+(annotation, extreme role) strictly left to right, annotation by
+annotation, roles in EXTREME_ROLES order; its gradient accumulates into
+shared cells in that same order.
 """
 
 from __future__ import annotations
@@ -199,28 +202,6 @@ def focal_loss_grad(
     return grad
 
 
-def smooth_l1(x):
-    """Smooth L1 with its breakpoint at 1: quadratic below, linear above,
-    C1 everywhere.
-
-    0.5 * x^2 for |x| < 1, else |x| - 0.5. Accepts scalars or arrays.
-    """
-    ax = np.abs(np.asarray(x, dtype=np.float64))
-    out = np.where(ax < 1.0, 0.5 * ax * ax, ax - 0.5)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def smooth_l1_grad(x):
-    """Derivative of :func:`smooth_l1`: x inside, sign(x) outside."""
-    xv = np.asarray(x, dtype=np.float64)
-    out = np.where(np.abs(xv) < 1.0, xv, np.sign(xv))
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def _gt_residuals(pred_offsets: np.ndarray, targets: TargetBundle):
     """Index of every ground-truth offset and prediction minus target there.
 
@@ -251,7 +232,8 @@ def offset_loss(pred_offsets: np.ndarray, targets: TargetBundle) -> float:
     n = targets.n_objects
     if n == 0:
         return 0.0
-    terms = smooth_l1(residual)
+    a = np.abs(residual)
+    terms = np.where(a < 1.0, 0.5 * a * a, a - 0.5)
     # one x + y term per (annotation, role), added left to right: np.sum
     # would add them pairwise and change the last bits
     total = np.add.accumulate((terms[..., 0] + terms[..., 1]).ravel())[-1]
@@ -261,10 +243,11 @@ def offset_loss(pred_offsets: np.ndarray, targets: TargetBundle) -> float:
 def offset_loss_grad(pred_offsets: np.ndarray, targets: TargetBundle) -> np.ndarray:
     """Analytic gradient of :func:`offset_loss` w.r.t. the offset planes."""
     index, residual = _gt_residuals(pred_offsets, targets)
+    slope = np.where(np.abs(residual) < 1.0, residual, np.sign(residual))
     grad = np.zeros(pred_offsets.shape, dtype=np.float64)
     # annotations sharing a cell accumulate there in annotation order; with
     # none, the index is empty and the gradient stays zero
-    np.add.at(grad, index, smooth_l1_grad(residual) / targets.n_objects)
+    np.add.at(grad, index, slope / targets.n_objects)
     return grad
 
 

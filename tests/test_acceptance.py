@@ -168,7 +168,7 @@ def test_criterion_06_soft_nms():
     """The e^-2 decay example and 1,000 random property instances."""
     dets = [make_detection(0, 0, 10, 10, 0.9), make_detection(0, 0, 10, 10, 0.8)]
     out = soft_nms(Detections.of(dets), SoftNmsConfig(sigma=0.5))
-    decayed = out[1].score
+    decayed = out.scores[1]
     assert abs(decayed - 0.10827) <= 1e-5, decayed
 
     rng = np.random.default_rng(6)
@@ -177,7 +177,7 @@ def test_criterion_06_soft_nms():
         sample = random_detections(rng, int(rng.integers(1, 10)))
         result = soft_nms(sample, cfg)
         assert len(result) <= len(sample)
-        assert result[0].score == max(d.score for d in sample)
+        assert result.scores[0] == max(d.score for d in sample)
         by_box = {}
         for d in sample:
             by_box.setdefault(box_of(d), []).append(d.score)

@@ -788,7 +788,8 @@ NAMED_IN_ERROR = {
     "render-targets csv lesion type x":
         "edited.csv: row 2: column Coarse_lesion_type: invalid literal for int()",
     "rkhm stride 310-digit int": "syn_11.rkhm: header stride must be an integer",
-    "render-targets --stride 2**31": "input_size must lie in [1, 2147483647]",
+    "render-targets --stride 2**31":
+        "config section render: stride must lie in [1, 2147483647], got 2147483648",
     "render-targets keypoints off a 64 px input": "outside the 16x16 output grid",
     "render-targets --input-size 2**31-1": "render.input_size",
     "simulate --image-size 2**31-1": "cannot be allocated",
@@ -797,7 +798,7 @@ NAMED_IN_ERROR = {
     "simulate --drop -0.5": "peak_drop_prob must lie in [0, 1], got -0.5",
     "simulate --noise -1": "noise_sigma must be finite and >= 0, got -1.0",
     "simulate --spurious -1": "spurious_rate must be finite and >= 0, got -1.0",
-    "simulate --jitter -1": "jitter_cells must be >= 0, got -1",
+    "simulate --jitter -1": "jitter_cells must be finite and >= 0, got -1",
     # the count alone: the stride plays no part in these two refusals
     "simulate --n-lesions -1": "--n-lesions -1: n_lesions must be >= 0, got -1",
     "simulate --n-lesions 40 at 256 px": "--n-lesions 40: could not place 40 "
@@ -825,7 +826,8 @@ NAMED_IN_ERROR = {
     "rkhm header Infinity": "syn_11.rkhm: non-finite number Infinity is not JSON",
     "render-targets csv field over the csv size limit":
         "edited.csv: line 2: field larger than field limit",
-    "render-targets config render.sigma_divisor 1e300": "sigma_divisor in (0, ",
+    "render-targets config render.sigma_divisor 1e300":
+        "config section render: sigma_divisor must lie in (0, 2147483647], got 1e+300",
     "eval --fps ,": "config section eval: FP targets must be a non-empty list",
     "eval --fps -1": "config section eval: FP targets must be a non-empty list",
     "eval --fps nan": "config key eval.fp_targets must be finite",

@@ -428,7 +428,7 @@ class TestDetectionsFile:
         dets = Detections.of([make_detection(0, 0, 1, 1, score)])
         write_detections({"k": dets}, path)
         back, _ = read_detections(path)
-        assert back["k"][0].score == score
+        assert back["k"].scores[0] == score
 
     def test_schema_violation_names_path(self, tmp_path):
         path = tmp_path / "d.json"

@@ -195,4 +195,5 @@ class TestReaderPaths:
         doc["images"]["k"][0]["score"] = 2
         path.write_text(json.dumps(doc))
         back, _ = read_detections(path)
-        assert type(back["k"][0].score) is float
+        [det] = back["k"]
+        assert type(det.score) is float

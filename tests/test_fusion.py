@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from recistkit.evaluation import MatchResult
 from recistkit.fusion import SoftNmsConfig, fuse_tta, soft_nms, unflip_detections
 from recistkit.geometry import pairwise_iou
 from recistkit.grouping import BOX_COLUMNS, Detection, Detections, detect
@@ -20,10 +21,40 @@ def make_detection(x1, y1, x2, y2, score, source="original"):
     return Detection(tuple(float(v) for v in row), score, source)
 
 
+def sub_record(dets: Detections, index) -> Detections:
+    """The record of ``dets``' rows at ``index``, a slice or an index array."""
+    return Detections(dets.rows[index], dets.scores[index], dets.flipped[index])
+
+
 def box_of(det: Detection) -> tuple[float, float, float, float]:
     """The tight (unpadded) (x1, y1, x2, y2) box of ``det``'s extremes, read
     from its row."""
     return tuple(det.row[i] for i in BOX_COLUMNS)
+
+
+def match_result(rows, n_gt: int) -> MatchResult:
+    """The MatchResult of ``rows`` in visit order, each (det_index, score,
+    gt_index) with gt_index None for a false positive."""
+    rows = list(rows)
+    return MatchResult(
+        [i for i, _, _ in rows], [score for _, score, _ in rows],
+        [-1 if g is None else g for _, _, g in rows], n_gt,
+    )
+
+
+def match_rows(result: MatchResult) -> list[tuple]:
+    """The rows :func:`match_result` builds ``result`` from."""
+    return [
+        (i, score, None if g < 0 else g) for i, score, g in zip(
+            result.order.tolist(), result.scores.tolist(), result.gt_index.tolist()
+        )
+    ]
+
+
+def match_bits(result: MatchResult) -> tuple:
+    """``result``'s lesion count and rows, scores as float.hex: two results
+    hold the same outcomes exactly when these are equal."""
+    return result.n_gt, [(i, score.hex(), g) for i, score, g in match_rows(result)]
 
 
 def random_detections(rng, n, span=100.0):
@@ -44,9 +75,9 @@ class TestSoftNms:
         ])
         out = soft_nms(dets, SoftNmsConfig(sigma=0.5))
         assert len(out) == 2
-        assert out[0].score == 0.9
-        assert out[1].score == pytest.approx(0.8 * math.exp(-2.0), abs=1e-5)
-        assert out[1].score == pytest.approx(0.10827, abs=1e-5)
+        assert out.scores[0] == 0.9
+        assert out.scores[1] == pytest.approx(0.8 * math.exp(-2.0), abs=1e-5)
+        assert out.scores[1] == pytest.approx(0.10827, abs=1e-5)
 
     def test_disjoint_boxes_unchanged_bitwise(self):
         dets = Detections.of([
@@ -88,7 +119,7 @@ class TestSoftNms:
                     d.score <= s + 1e-15 for s in in_by_box[box_of(d)]
                 )
             # top-1 score unchanged
-            assert out[0].score == max(d.score for d in dets)
+            assert out.scores[0] == max(d.score for d in dets)
             # output sorted by final score
             scores = [d.score for d in out]
             assert scores == sorted(scores, reverse=True)
@@ -167,7 +198,7 @@ class TestFuseTta:
         flipped_raw = detect(simulate_heatmaps(flip_scene(scene)))
         fused = fuse_tta(original, flipped_raw, width, SoftNmsConfig(sigma=1e-4))
         assert len(fused) == 1
-        assert fused[0].score == original[0].score
+        assert fused.scores[0] == original.scores[0]
 
     def test_pooling_order_independent(self):
         rng = np.random.default_rng(75)
@@ -175,7 +206,8 @@ class TestFuseTta:
         b = random_detections(rng, 5)
         cfg = SoftNmsConfig()
         first = fuse_tta(a, b, 128, cfg)
-        second = fuse_tta(a[::-1], b[::-1], 128, cfg)
+        backwards = np.s_[::-1]
+        second = fuse_tta(sub_record(a, backwards), sub_record(b, backwards), 128, cfg)
         assert list(map(box_of, first)) == list(map(box_of, second))
         assert [d.score for d in first] == [d.score for d in second]
 
@@ -184,5 +216,5 @@ class TestFuseTta:
         dets = random_detections(rng, 6)
         doubled = soft_nms(dets + dets, SoftNmsConfig())
         single = soft_nms(dets, SoftNmsConfig())
-        assert box_of(doubled[0]) == box_of(single[0])
-        assert doubled[0].score == single[0].score
+        assert box_of(list(doubled)[0]) == box_of(list(single)[0])
+        assert doubled.scores[0] == single.scores[0]

@@ -18,6 +18,7 @@ from recistkit.grouping import (
 )
 from recistkit.synthetic import generate_scene, simulate_heatmaps
 from recistkit.targets import EXTREME_ROLES, HeatmapBundle
+from tests.test_fusion import sub_record
 
 
 def naive_peaks(grid: np.ndarray, tau: float, kernel: int = 3):
@@ -168,7 +169,7 @@ class TestEnumerateQuadruples:
         }
         dets = enumerate_quadruples(peaks, center, GroupingConfig())
         assert len(dets) == 1
-        assert dets[0].score == pytest.approx(0.9 + 0.8 + 0.7 + 0.6 + 2 * 0.5)
+        assert dets.scores[0] == pytest.approx(0.9 + 0.8 + 0.7 + 0.6 + 2 * 0.5)
 
     # equal scores at a k2 = 1 cut: the top row decides, then the top
     # column, then the left row and column; tops are listed largest first,
@@ -271,7 +272,7 @@ class TestEnumerateQuadruples:
         peaks, center = random_peak_bundle(rng)
         big = enumerate_quadruples(peaks, center, GroupingConfig(k2=50))
         small = enumerate_quadruples(peaks, center, GroupingConfig(k2=5))
-        assert small == big[:5]
+        assert small == sub_record(big, np.s_[:5])
 
     def test_lower_k1_never_adds_detections(self):
         # peak lists are deterministic prefixes, so with non-binding k2 a
@@ -300,16 +301,16 @@ class TestEnumerateQuadruples:
 class TestRefineWithOffsets:
     def test_zero_offsets_scale_by_stride(self):
         offsets = np.zeros((8, 10, 10), dtype=np.float32)
-        det = Detection(row=_grid_row((2, 5), (5, 2), (8, 5), (5, 8)), score=4.0)
-        refined = refine_with_offsets(Detections.of([det]), offsets, 4)[0]
+        det = Detection(_grid_row((2, 5), (5, 2), (8, 5), (5, 8)), 4.0, "original")
+        [refined] = refine_with_offsets(Detections.of([det]), offsets, 4)
         assert refined.row[0:4] == (20, 8, 8, 20)  # top (x, y), left (x, y)
 
     def test_offset_example(self):
         offsets = np.zeros((8, 10, 10), dtype=np.float32)
         offsets[0, 1, 2] = 0.5   # top dx at cell (row 1, col 2)
         offsets[1, 1, 2] = 0.75  # top dy
-        det = Detection(row=_grid_row((1, 2), (5, 0), (9, 2), (5, 4)), score=4.0)
-        refined = refine_with_offsets(Detections.of([det]), offsets, 4)[0]
+        det = Detection(_grid_row((1, 2), (5, 0), (9, 2), (5, 4)), 4.0, "original")
+        [refined] = refine_with_offsets(Detections.of([det]), offsets, 4)
         assert refined.row[0:2] == (10, 7)  # top (x, y)
 
     def test_round_trip_with_exact_target_offsets(self):
@@ -345,17 +346,15 @@ class TestDetect:
         e = square_extremes(48, 48, 24, 20)
         targets = render_targets([e], 32, 32, 4)
         dets = detect(targets.bundle)
-        assert len(dets) == 1
-        d = dets[0]
+        [d] = dets
         assert d.score == 6.0
         assert d.row[:8] == extreme_row(e)[:8]
 
     def test_round_trip_single_random_annotation_exact_coords(self):
         scene = generate_scene(1, seed=41)
         dets = detect(simulate_heatmaps(scene))
-        assert len(dets) == 1
+        [d] = dets
         e = scene.extremes()[0]
-        d = dets[0]
         assert d.score > 4.0  # four exact extremes plus a positive center
         assert d.row[:8] == extreme_row(e)[:8]
 

@@ -15,8 +15,6 @@ from recistkit.losses import (
     focal_loss_grad,
     offset_loss,
     offset_loss_grad,
-    smooth_l1,
-    smooth_l1_grad,
 )
 from recistkit.targets import render_targets
 from tests.test_losses_oracle import real_planes
@@ -208,27 +206,63 @@ class TestFocalAllocation:
 
 
 class TestSmoothL1:
-    def test_values(self):
-        assert smooth_l1(0.0) == 0.0
-        assert smooth_l1(0.5) == 0.125
-        assert smooth_l1(2.0) == 1.5
-        assert smooth_l1(-2.0) == 1.5
+    """The smooth-L1 term of the offset loss, read through one annotation
+    whose offsets are all 0, so that a prediction at a ground-truth cell is
+    its residual."""
 
-    def test_even_nonnegative_zero_only_at_zero(self):
+    @pytest.fixture(scope="class")
+    def targets(self):
+        tb = render_targets([square_extremes(40, 40, 16, 12)], 24, 24, 4)
+        assert tb.n_objects == 1 and not tb.gt_offsets.any()
+        return tb
+
+    @staticmethod
+    def residual(tb, x):
+        """A prediction whose top extreme's dx residual is ``x``, and every
+        other residual 0."""
+        pred = np.zeros(tb.bundle.offset_maps.shape)
+        row, col = tb.gt_cells[0, 0]
+        pred[0, row, col] = x
+        return pred
+
+    def loss(self, tb, x):
+        return offset_loss(self.residual(tb, x), tb)
+
+    def slope(self, tb, x):
+        row, col = tb.gt_cells[0, 0]
+        return offset_loss_grad(self.residual(tb, x), tb)[0, row, col]
+
+    def test_values(self, targets):
+        assert self.loss(targets, 0.0) == 0.0
+        assert self.loss(targets, 0.5) == 0.125
+        assert self.loss(targets, 2.0) == 1.5
+        assert self.loss(targets, -2.0) == 1.5
+
+    def test_even_nonnegative_zero_only_at_zero(self, targets):
         xs = np.linspace(-3, 3, 201)
-        vals = smooth_l1(xs)
-        assert np.array_equal(vals, smooth_l1(-xs))
+        vals = np.array([self.loss(targets, x) for x in xs])
+        assert np.array_equal(vals, [self.loss(targets, -x) for x in xs])
         assert (vals[xs != 0] > 0).all()
-        assert smooth_l1(0.0) == 0.0
+        assert self.loss(targets, 0.0) == 0.0
 
-    def test_c1_at_breakpoint(self):
+    def test_c1_at_breakpoint(self, targets):
         h = 1e-7
-        left = (smooth_l1(1.0) - smooth_l1(1.0 - h)) / h
-        right = (smooth_l1(1.0 + h) - smooth_l1(1.0)) / h
+        left = (self.loss(targets, 1.0) - self.loss(targets, 1.0 - h)) / h
+        right = (self.loss(targets, 1.0 + h) - self.loss(targets, 1.0)) / h
         assert left == pytest.approx(1.0, abs=1e-6)
         assert right == pytest.approx(1.0, abs=1e-6)
-        assert smooth_l1_grad(1.0) == 1.0
-        assert smooth_l1_grad(-1.0) == -1.0
+        assert self.slope(targets, 1.0) == 1.0
+        assert self.slope(targets, -1.0) == -1.0
+
+
+def smooth_l1(x: float) -> float:
+    """Smooth L1 of one residual, with its breakpoint at 1."""
+    return 0.5 * x * x if abs(x) < 1.0 else abs(x) - 0.5
+
+
+def smooth_l1_grad(x: float) -> float:
+    """Derivative of :func:`smooth_l1`: x inside, sign(x) outside."""
+    return x if abs(x) < 1.0 else float(np.sign(x))
 
 
 def offset_loss_oracle(pred, tb):

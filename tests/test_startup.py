@@ -23,8 +23,9 @@ from recistkit.cli import main
 SRC = str(Path(recistkit.__file__).resolve().parents[1])
 
 # every name the package exported when it imported all of its modules,
-# less the removed render_scene, apply_ct_window, scalar iou and BBox and the
-# geometry helpers that RecistAnnotation and flip_scene replaced, plus evaluate
+# less the removed render_scene, apply_ct_window, scalar iou, BBox and
+# smooth_l1 and the geometry helpers that RecistAnnotation and flip_scene
+# replaced, plus evaluate
 PUBLIC_NAMES = """
     Detection Detections DegradationConfig EvalConfig ExtremePoints
     FocalParams FrocPoint FrocResult GroupingConfig HeatmapBundle
@@ -36,7 +37,7 @@ PUBLIC_NAMES = """
     generate_scene match_detections offset_loss offset_loss_grad
     offset_target pad_bbox parse_annotations read_detections read_heatmaps
     refine_with_offsets render_targets simulate_heatmaps
-    smooth_l1 soft_nms stratified_froc unflip_detections write_annotations
+    soft_nms stratified_froc unflip_detections write_annotations
     write_detections write_heatmaps
 """.split()
 
@@ -249,6 +250,20 @@ class TestLazyNamespace:
             assert dataclasses.asdict(cls()) == config.DEFAULTS[name]
 
 
+# each int and float field's out-of-range values: a bound's far side, or the
+# value that once passed unnamed; a seed may be any integer
+OUT_OF_RANGE = {
+    "tau_e": (1.5,), "tau_c": (-0.5,), "k1": (0,), "k2": (0,), "kernel": (2,),
+    "sigma": (0.0,), "score_floor": (-0.5,), "linear_iou_threshold": (1.5,),
+    "alpha": (0.0,), "beta": (-1.0,), "clamp_eps": (0.5,),
+    "iou_threshold": (1.5,), "pad": (-1.0,),
+    "stride": (0, 2**31), "input_size": (0, 2**31), "min_overlap": (1.5,),
+    "sigma_divisor": (0.0,),
+    "noise_sigma": (-0.1,), "peak_drop_prob": (1.5,), "spurious_rate": (-0.1,),
+    "jitter_cells": (-1,), "seed": (),
+}
+
+
 class TestConfigIsTheRoot:
     # every module but cli, whose commands each import what they run
     MODULES = sorted(
@@ -318,7 +333,8 @@ class TestConfigIsTheRoot:
         ("{}", {"soft_nms": {"score_floor": -0.5}},
          "config section soft_nms: score_floor must be >= 0, got -0.5"),
         ("{}", {"soft_nms": {"linear_iou_threshold": 1.5}},
-         "config section soft_nms: linear_iou_threshold must lie in [0, 1]"),
+         "config section soft_nms: linear_iou_threshold must lie in [0, 1], "
+         "got 1.5"),
         ("{}", {"focal": {"beta": -1.0}},
          "config section focal: beta must be >= 0, got -1.0"),
         ("{}", {"focal": {"alpha": 0.0}},
@@ -339,18 +355,22 @@ class TestConfigIsTheRoot:
             config.effective(path, overrides)
         assert str(excinfo.value) == message.format(path=path)
 
-    # a file or flag never reaches a section with a non-finite number, as
-    # merge refuses it first, so each section is built directly
+    # a refusal names its key first and the refused value last, for every
+    # key; a key missing from OUT_OF_RANGE fails collection. A file or flag
+    # never reaches a section with a non-finite number, as merge refuses it
+    # first, so each section is built directly
     @pytest.mark.parametrize("section,key,value", [
         (cls, f.name, value)
         for cls in (*config.SECTION_TYPES.values(), config.DegradationConfig)
         for f in dataclasses.fields(cls)
         if type(f.default) in (int, float)
-        for value in (float("nan"), float("inf"), float("-inf"))
+        for value in (float("nan"), float("inf"), float("-inf"), *OUT_OF_RANGE[f.name])
     ], ids=lambda v: getattr(v, "__name__", str(v)))
-    def test_every_section_refuses_a_non_finite_number(self, section, key, value):
-        with pytest.raises(ValueError):
+    def test_refusal_names_its_key_and_value(self, section, key, value):
+        with pytest.raises(ValueError) as excinfo:
             section(**{key: value})
+        message = str(excinfo.value)
+        assert message.startswith(f"{key} ") and message.endswith(f"got {value!r}")
 
     # each accepted once, and soft_nms then dropped an overlapping 0.8-scored
     # detection under sigma NaN, and focal_loss returned NaN under alpha NaN

@@ -313,7 +313,7 @@ class TestSimulateHeatmaps:
           for v in (-0.1, float("inf"), float("nan"))],
         *[("peak_drop_prob", v, r"peak_drop_prob must lie in \[0, 1\]")
           for v in (-0.1, 1.5)],
-        ("jitter_cells", -1, "jitter_cells must be >= 0"),
+        ("jitter_cells", -1, "jitter_cells must be finite and >= 0"),
         ("n_lesions", -1, "n_lesions must be >= 0"),
     ])
     def test_out_of_range_field_refused(self, field, value, message):
