@@ -19,8 +19,11 @@ pays only for the modules it runs.
 from __future__ import annotations
 
 import copy
+import functools
 import math
-from dataclasses import asdict, dataclass, field, fields
+import numbers
+import sys
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Literal, Mapping, Sequence
 
@@ -94,13 +97,39 @@ def check_fp_targets(values: Sequence[float]) -> None:
         )
 
 
-def _refuse_non_finite(section) -> None:
-    """Raise ValueError naming the first float field of ``section`` that is
-    NaN or infinite; a section calls it after its own range checks."""
-    for f in fields(section):
-        value = getattr(section, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+@functools.cache
+def _bounds(interval: str) -> tuple[float, float, bool, bool]:
+    """The ends of an interval written as in ``"[0, 1]"`` or ``"(0, inf)"``,
+    and whether each is open."""
+    lo, hi = map(float, interval[1:-1].split(", "))
+    return lo, hi, interval[0] == "(", interval[-1] == ")"
+
+
+def _check_numbers(section, **intervals: str) -> None:
+    """The rule of every numeric config field: raise ValueError naming the
+    first field of ``intervals`` whose value in ``section`` is not a finite
+    number inside the field's interval, or is not an integer where the
+    field's default is one. A bool is neither; numpy scalars pass."""
+    defaults = type(section)
+    for name, interval in intervals.items():
+        value = getattr(section, name)
+        integral = type(getattr(defaults, name)) is int
+        # a plain int, or a plain float in a float field, skips the slower
+        # abstract-class checks
+        if type(value) is not int and (type(value) is not float or integral) and (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Integral if integral else numbers.Real)
+        ):
+            kind = "an integer" if integral else "a number"
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
+        lo, hi, lo_open, hi_open = _bounds(interval)
+        if not (
+            # an integer is finite; a float field's number must fit a float
+            (integral or abs(value) <= sys.float_info.max)
+            and (lo < value if lo_open else lo <= value)
+            and (value < hi if hi_open else value <= hi)
+        ):
+            raise ValueError(f"{name} must lie in {interval}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -121,16 +150,10 @@ class GroupingConfig:
     center_interp: Literal["nearest", "bilinear"] = "nearest"
 
     def __post_init__(self) -> None:
-        for name in ("tau_e", "tau_c"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        for name in ("k1", "k2"):
-            value = getattr(self, name)
-            if not 1 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 1, got {value!r}")
-        if not (self.kernel >= 1 and self.kernel % 2 == 1):
-            raise ValueError(f"kernel must be odd and >= 1, got {self.kernel}")
+        _check_numbers(self, tau_e="[0, 1]", tau_c="[0, 1]", k1="[1, inf)",
+                       k2="[1, inf)", kernel="[1, inf)")
+        if self.kernel % 2 == 0:
+            raise ValueError(f"kernel must be odd, got {self.kernel!r}")
         if self.center_interp not in ("nearest", "bilinear"):
             raise ValueError(f"unknown center_interp {self.center_interp!r}")
 
@@ -151,18 +174,10 @@ class SoftNmsConfig:
     linear_iou_threshold: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if self.score_floor < 0.0:
-            raise ValueError(f"score_floor must be >= 0, got {self.score_floor}")
+        _check_numbers(self, sigma="(0, inf)", score_floor="[0, inf)",
+                       linear_iou_threshold="[0, 1]")
         if self.method not in ("gaussian", "linear"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not 0.0 <= self.linear_iou_threshold <= 1.0:
-            raise ValueError(
-                "linear_iou_threshold must lie in [0, 1], "
-                f"got {self.linear_iou_threshold!r}"
-            )
-        _refuse_non_finite(self)
 
 
 @dataclass(frozen=True)
@@ -179,13 +194,7 @@ class FocalParams:
     clamp_eps: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not 0.0 < self.clamp_eps < 0.5:
-            raise ValueError(f"clamp_eps must be in (0, 0.5), got {self.clamp_eps}")
-        _refuse_non_finite(self)
+        _check_numbers(self, alpha="(0, inf)", beta="[0, inf)", clamp_eps="(0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -194,21 +203,15 @@ class EvalConfig:
     detection box padded by ``pad`` px matches a lesion at IoU >=
     ``iou_threshold``, and sensitivity is read at the ``fp_targets``
     FPs-per-image rates, a list as in a config file (its default is
-    ``FP_TARGETS_DEFAULT``). An ``iou_threshold`` outside [0, 1], a ``pad``
-    not finite and >= 0, or ``fp_targets`` that :func:`check_fp_targets`
-    refuses raise ValueError."""
+    ``FP_TARGETS_DEFAULT``), refused as :func:`check_fp_targets` refuses
+    them."""
 
     iou_threshold: float = 0.5
     pad: float = 5.0
     fp_targets: list[float] = field(default_factory=lambda: list(FP_TARGETS_DEFAULT))
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.iou_threshold <= 1.0:
-            raise ValueError(
-                f"iou_threshold must lie in [0, 1], got {self.iou_threshold!r}"
-            )
-        if not 0.0 <= self.pad < math.inf:
-            raise ValueError(f"pad must be finite and >= 0, got {self.pad!r}")
+        _check_numbers(self, iou_threshold="[0, 1]", pad="[0, inf)")
         check_fp_targets(self.fp_targets)
 
 
@@ -225,19 +228,9 @@ class RenderConfig:
     sigma_divisor: float = 3.0
 
     def __post_init__(self) -> None:
-        for name in ("stride", "input_size"):
-            value = getattr(self, name)
-            if not 1 <= value <= MAX_HEADER_INT:
-                raise ValueError(
-                    f"{name} must lie in [1, {MAX_HEADER_INT}], got {value!r}"
-                )
-        if not 0.0 < self.min_overlap < 1.0:
-            raise ValueError(f"min_overlap must lie in (0, 1), got {self.min_overlap!r}")
-        if not 0.0 < self.sigma_divisor <= MAX_HEADER_INT:
-            raise ValueError(
-                f"sigma_divisor must lie in (0, {MAX_HEADER_INT}], "
-                f"got {self.sigma_divisor!r}"
-            )
+        sizes = f"[1, {MAX_HEADER_INT}]"
+        _check_numbers(self, stride=sizes, input_size=sizes, min_overlap="(0, 1)",
+                       sigma_divisor=f"(0, {MAX_HEADER_INT}]")
 
 
 @dataclass(frozen=True)
@@ -260,16 +253,9 @@ class DegradationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.peak_drop_prob <= 1.0:
-            raise ValueError(
-                f"peak_drop_prob must lie in [0, 1], got {self.peak_drop_prob!r}"
-            )
-        for name in ("noise_sigma", "spurious_rate", "jitter_cells"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if not -math.inf < self.seed < math.inf:
-            raise ValueError(f"seed must be finite, got {self.seed!r}")
+        _check_numbers(self, noise_sigma="[0, inf)", peak_drop_prob="[0, 1]",
+                       spurious_rate="[0, inf)", jitter_cells="[0, inf)",
+                       seed="(-inf, inf)")
 
 
 # config sections whose keys and defaults are the fields of a library type,

@@ -13,7 +13,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -132,8 +132,8 @@ def by_image(annotations: Sequence[RecistAnnotation]) -> dict[str, list]:
 
 
 def _floats(row: dict, column: str, expect: int, where: str) -> list[float]:
-    """Column ``column`` of the CSV row at ``where`` ("path: row n"), as
-    ``expect`` finite floats."""
+    """Column ``column`` of the CSV row at ``where``, as ``expect`` finite
+    floats."""
     raw = row[column]
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != expect:
@@ -164,6 +164,39 @@ def _csv_rows(reader: csv.DictReader, path: str | Path):
         raise InputFormatError(f"{path}: line {line}: {exc}") from None
 
 
+def _annotation(row: Mapping[str, str], where: str) -> RecistAnnotation:
+    """The annotation of one CSV row, text by column: the row rule of
+    :func:`parse_annotations`, which :func:`write_annotations` applies to
+    what it would write. A refusal raises InputFormatError starting with
+    ``where``."""
+    coords = _floats(row, "Measurement_coordinates", 8, where)
+    box_vals = _floats(row, "Bounding_boxes", 4, where)
+    diam_px = _floats(row, "Lesion_diameters_Pixel_", 2, where)
+    spacing = _floats(row, "Spacing_mm_px_", 3, where)
+    codes = []
+    for column in ("Coarse_lesion_type", "Train_Val_Test"):
+        try:
+            codes.append(int(row[column]))
+        except ValueError as exc:
+            raise InputFormatError(f"{where}: column {column}: {exc}") from None
+    lesion_type, split_code = codes
+    if split_code not in SPLIT_NAMES:
+        raise InputFormatError(
+            f"{where}: Train_Val_Test must be 1, 2 or 3, got {split_code}"
+        )
+
+    endpoints = _long_first(coords)
+    xs, ys = endpoints[0::2], endpoints[1::2]
+    derived = pad_bbox((min(xs), min(ys), max(xs), max(ys)), BOX_PADDING)
+    consistent = all(
+        abs(a - b) <= BOX_CONSISTENCY_TOL for a, b in zip(derived, box_vals)
+    )
+    return RecistAnnotation(
+        row["File_name"].strip(), endpoints, tuple(box_vals), lesion_type,
+        tuple(diam_px), tuple(spacing), SPLIT_NAMES[split_code], consistent,
+    )
+
+
 def parse_annotations(
     csv_path: str | Path, exclusion_list_path: str | Path | None = None
 ) -> ParseResult:
@@ -173,8 +206,8 @@ def parse_annotations(
     (blank lines and ``#`` comments ignored); every row whose key appears
     on it is dropped and counted. Rows whose provided bounding box is not
     the min/max box of the endpoints padded by 5 are kept but flagged. A
-    file that is not UTF-8, a missing column, a malformed or short row, or
-    a field over the csv module's size limit raises
+    file that is not UTF-8, a missing column, a malformed, short or long
+    row, or a field over the csv module's size limit raises
     :class:`InputFormatError` whose message starts with the file's path.
     """
     excluded_keys: set[str] = set()
@@ -198,93 +231,49 @@ def parse_annotations(
 
     for row_num, row in enumerate(rows, start=2):  # 1 is the header
         where = f"{csv_path}: row {row_num}"
+        if None in row:  # the DictReader's key for fields past the header's
+            raise InputFormatError(f"{where}: more fields than the header")
         if None in row.values():  # a field the header names is missing
             raise InputFormatError(f"{where}: fewer fields than the header")
-        key = row["File_name"].strip()
-        if key in excluded_keys:
+        if row["File_name"].strip() in excluded_keys:
             result.n_excluded += 1
             continue
-
-        coords = _floats(row, "Measurement_coordinates", 8, where)
-        box_vals = _floats(row, "Bounding_boxes", 4, where)
-        diam_px = _floats(row, "Lesion_diameters_Pixel_", 2, where)
-        spacing = _floats(row, "Spacing_mm_px_", 3, where)
-        codes = []
-        for column in ("Coarse_lesion_type", "Train_Val_Test"):
-            try:
-                codes.append(int(row[column]))
-            except ValueError as exc:
-                raise InputFormatError(f"{where}: column {column}: {exc}") from None
-        lesion_type, split_code = codes
-        if split_code not in SPLIT_NAMES:
-            raise InputFormatError(
-                f"{where}: Train_Val_Test must be 1, 2 or 3, got {split_code}"
-            )
-
-        endpoints = _long_first(coords)
-        xs, ys = endpoints[0::2], endpoints[1::2]
-        derived = pad_bbox((min(xs), min(ys), max(xs), max(ys)), BOX_PADDING)
-        consistent = all(
-            abs(a - b) <= BOX_CONSISTENCY_TOL for a, b in zip(derived, box_vals)
-        )
-
-        result.annotations.append(
-            RecistAnnotation(
-                file_name=key,
-                endpoints=endpoints,
-                bbox=tuple(box_vals),
-                lesion_type=lesion_type,
-                diameters_px=(diam_px[0], diam_px[1]),
-                spacing=(spacing[0], spacing[1], spacing[2]),
-                split=SPLIT_NAMES[split_code],
-                bbox_consistent=consistent,
-            )
-        )
+        result.annotations.append(_annotation(row, where))
     return result
-
-
-def _unwritable(ann: RecistAnnotation, numbers: list) -> str:
-    """'' when parse_annotations reads ``ann`` back unchanged, written with
-    the number columns ``numbers``, else what it would not."""
-    if tuple(map(len, numbers)) != (8, 4, 2, 3):
-        return "endpoints, box, diameters and spacing must hold 8, 4, 2 and 3 numbers"
-    if not all(map(is_finite_number, chain(*numbers))):
-        return "coordinates, diameters and spacing must be finite numbers"
-    if ann.file_name != ann.file_name.strip():
-        return f"key {ann.file_name!r} must not start or end with whitespace"
-    if isinstance(ann.lesion_type, bool) or not isinstance(ann.lesion_type, int):
-        return f"lesion type must be an int, got {ann.lesion_type!r}"
-    if ann.split not in SPLIT_NAMES.values():
-        return f"split must be train, val or test, got {ann.split!r}"
-    return ""
 
 
 def write_annotations(
     annotations: Sequence[RecistAnnotation], csv_path: str | Path
 ) -> None:
-    """Write annotations in the same CSV schema that parse_annotations reads.
-
-    What it would not read back unchanged raises ValueError before the file
-    is opened: a NaN or infinite number, endpoints that are not 8 numbers,
-    a key with leading or trailing whitespace, a lesion type that is not an
-    int, or a split other than train, val or test.
+    """Write annotations in the CSV schema that parse_annotations reads, and
+    only what it reads back unchanged: before the file is opened, each row
+    is read by the reader's own row rule. A row that rule refuses, or one
+    that reads back as another annotation, raises ValueError naming the
+    annotation's index and key, then the reader's message or the first
+    field that differs and what it reads back as. Fields compare by value,
+    so a list box passes, and a float subclass such as ``np.float64`` is
+    written as the plain float it holds.
     """
     split_codes = {name: code for code, name in SPLIT_NAMES.items()}
     rows = []
     for index, ann in enumerate(annotations):
         numbers = [ann.endpoints, ann.bbox, ann.diameters_px, ann.spacing]
-        problem = _unwritable(ann, numbers)
-        if problem:
-            raise ValueError(f"annotation {index} ({ann.file_name}): {problem}")
-        # an int or float subclass, such as np.float64, writes as the plain number
-        text = [", ".join((float if isinstance(v, float) else int).__repr__(v)
+        text = [", ".join((float.__repr__ if isinstance(v, float) else repr)(v)
                           for v in column) for column in numbers]
-        rows.append([ann.file_name, *text[:2], ann.lesion_type, *text[2:],
-                     split_codes[ann.split]])
+        row = [str(ann.file_name), *text[:2], str(ann.lesion_type), *text[2:],
+               str(split_codes.get(ann.split, ann.split))]
+        where = f"annotation {index} ({ann.file_name})"
+        try:
+            back = _annotation(dict(zip(CSV_COLUMNS, row)), where)
+        except InputFormatError as exc:
+            raise ValueError(str(exc)) from None
+        for f in fields(back):
+            value, read = getattr(ann, f.name), getattr(back, f.name)
+            if (tuple(value) if isinstance(read, tuple) else value) != read:
+                raise ValueError(f"{where}: {f.name} reads back as {read!r}")
+        rows.append(row)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
+        csv.writer(fh).writerows([CSV_COLUMNS, *rows])
 
 
 def _non_finite_channels(*groups: np.ndarray) -> str:

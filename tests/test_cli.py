@@ -255,6 +255,9 @@ class TestRenderTargets:
         assert bundle.grid_shape == (192, 192)
         assert bundle.input_size == (768, 768)
         assert (out / "config.json").exists()
+        # the clean simulation's CSV renders to its own bundle, byte for byte:
+        # what the writer wrote, the reader read back unchanged
+        assert files[0].read_bytes() == (sim_dir / "syn_11.rkhm").read_bytes()
 
     def test_default_input_size_511_gives_128_cells(self, tmp_path):
         from recistkit.dataio import write_annotations
@@ -604,6 +607,13 @@ EXIT_CODE_CASES = [
     ("render-targets csv short row", 3, [
         "render-targets", "--annotations",
         _sim_csv_bytes(lambda b: b.replace(b",3\r\n", b"\r\n", 1))]),
+    # a field past the header's used to be dropped, and both exited 0
+    ("render-targets csv long row", 3, [
+        "render-targets", "--annotations",
+        _sim_csv_bytes(lambda b: b.replace(b",3\r\n", b",3,surplus\r\n", 1))]),
+    ("eval csv long row", 3, [
+        "eval", "--detections", _dets(), "--annotations",
+        _sim_csv_bytes(lambda b: b.replace(b",3\r\n", b",3,surplus\r\n", 1))]),
     ("render-targets csv not UTF-8", 3, [
         "render-targets", "--annotations",
         _sim_csv_bytes(lambda b: b.replace(b"syn_11", b"syn_\xff", 1))]),
@@ -796,9 +806,9 @@ NAMED_IN_ERROR = {
     # each refused by the library type that owns the value, not by the parser
     "simulate --drop 2": "peak_drop_prob must lie in [0, 1], got 2.0",
     "simulate --drop -0.5": "peak_drop_prob must lie in [0, 1], got -0.5",
-    "simulate --noise -1": "noise_sigma must be finite and >= 0, got -1.0",
-    "simulate --spurious -1": "spurious_rate must be finite and >= 0, got -1.0",
-    "simulate --jitter -1": "jitter_cells must be finite and >= 0, got -1",
+    "simulate --noise -1": "noise_sigma must lie in [0, inf), got -1.0",
+    "simulate --spurious -1": "spurious_rate must lie in [0, inf), got -1.0",
+    "simulate --jitter -1": "jitter_cells must lie in [0, inf), got -1",
     # the count alone: the stride plays no part in these two refusals
     "simulate --n-lesions -1": "--n-lesions -1: n_lesions must be >= 0, got -1",
     "simulate --n-lesions 40 at 256 px": "--n-lesions 40: could not place 40 "
@@ -815,6 +825,8 @@ NAMED_IN_ERROR = {
     "render-targets csv nan coordinate": "row 2: column Measurement_coordinates",
     "eval --stratify diameter csv nan spacing": "row 2: column Spacing_mm_px_",
     "render-targets csv short row": "row 2: fewer fields than the header",
+    "render-targets csv long row": "edited.csv: row 2: more fields than the header",
+    "eval csv long row": "edited.csv: row 2: more fields than the header",
     "render-targets csv not UTF-8": "edited.csv: not UTF-8 text",
     "render-targets csv key ../up": "image key '../up' is not a file name",
     "render-targets csv empty key": "image key '' is not a file name",
@@ -831,8 +843,8 @@ NAMED_IN_ERROR = {
     "eval --fps ,": "config section eval: FP targets must be a non-empty list",
     "eval --fps -1": "config section eval: FP targets must be a non-empty list",
     "eval --fps nan": "config key eval.fp_targets must be finite",
-    "fuse --sigma 0": "config section soft_nms: sigma must be > 0, got 0.0",
-    "fuse --sigma -1": "config section soft_nms: sigma must be > 0, got -1.0",
+    "fuse --sigma 0": "config section soft_nms: sigma must lie in (0, inf), got 0.0",
+    "fuse --sigma -1": "config section soft_nms: sigma must lie in (0, inf), got -1.0",
     "fuse --sigma nan": "config key soft_nms.sigma must be finite",
     "fuse --method x": "config section soft_nms: unknown method 'x'",
     "detect --center-interp x": "config section grouping: unknown center_interp 'x'",
@@ -845,7 +857,7 @@ NAMED_IN_ERROR = {
         "syn_11.rkhm: header line longer than 1048576 bytes",
     "eval --iou 1.5": "config section eval: iou_threshold must lie in [0, 1]",
     "eval --iou -0.1": "config section eval: iou_threshold must lie in [0, 1]",
-    "eval --pad -1": "config section eval: pad must be finite and >= 0",
+    "eval --pad -1": "config section eval: pad must lie in [0, inf)",
     "config eval.iou_threshold 2":
         "config section eval: iou_threshold must lie in [0, 1], got 2",
     "detect --workers 0": "argument --workers: must be >= 1",

@@ -23,7 +23,10 @@ valid config file to wrong types, out-of-range or boundary values, breaks
 the file's root or text, or nests lists to a drawn depth. Either way a
 command exits 0, 2 or 3, never 4; it raises no warning; a refusal leaves no
 output or ``*.tmp`` behind; an accepted run writes only its outputs; and an
-accepted CSV writes and reads back to the same annotations.
+accepted CSV writes and reads back to the same annotations. Each annotation
+example changes fields of simulated annotations: whatever
+``write_annotations`` accepts reads back equal, and writing that again gives
+the same bytes.
 
 Every harness also draws whether its file starts with a UTF-8 byte-order
 mark (a ``.rkhm`` bundle, its header line), which every text reader skips.
@@ -32,6 +35,7 @@ mark (a ``.rkhm`` bundle, its header line), which every text reader skips.
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -56,6 +60,7 @@ from recistkit.dataio import (
     write_annotations,
     write_heatmaps,
 )
+from recistkit.synthetic import generate_scene
 from recistkit.targets import KEYPOINT_CHANNELS
 
 KEY = "syn_11"
@@ -416,6 +421,79 @@ def test_fuzzed_csv_render_targets_and_eval_exit_0_2_or_3(
             ["report.json", "report.txt"])
         if kind == "none":
             assert rendered == evaluated == 0
+
+
+# --- annotations through write_annotations and back -------------------------------
+
+# the writer's numbers are floats, plain or numpy, one in 16 not finite: a
+# Python int keeps its own text (1, not 1.0), so only a float writes back to
+# the same bytes
+annotation_numbers = st.integers(0, 15).flatmap(
+    lambda i: st.floats(allow_nan=False, allow_infinity=False) if i
+    else st.sampled_from([math.nan, math.inf, -math.inf])
+).flatmap(lambda v: st.sampled_from([v, np.float64(v)]))
+
+
+def number_columns(n: int):
+    """``n`` numbers, sometimes one fewer or one more, in a tuple or a list."""
+    return st.sampled_from([n, n, n, n - 1, n + 1]).flatmap(
+        lambda k: st.lists(annotation_numbers, min_size=k, max_size=k)
+    ).flatmap(lambda v: st.sampled_from([tuple(v), v]))
+
+
+ANNOTATION_FIELDS = {
+    "file_name": st.sampled_from(
+        ["k", " k", "k ", "k\n", "a,b", 'q"t', "x\ny", "x\rz", "", "é", "\t"]),
+    "endpoints": number_columns(8),
+    "bbox": number_columns(4),
+    "lesion_type": st.sampled_from(
+        [-1, 0, 3, 8, 2**70, True, 1.5, "3", np.int64(3)]),
+    "diameters_px": number_columns(2),
+    "spacing": number_columns(3),
+    "split": st.sampled_from(["train", "val", "test", "foo", "1", ""]),
+    "bbox_consistent": st.booleans(),
+}
+SCENE_ANNOTATIONS = generate_scene(3, seed=90).annotations
+
+
+@st.composite
+def changed_annotations(draw) -> list:
+    """Simulated annotations, one or two fields of some replaced, or with
+    the long and short diameters swapped."""
+    anns = list(SCENE_ANNOTATIONS)
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(0, len(anns) - 1))
+        name = draw(st.sampled_from([*ANNOTATION_FIELDS, "swap"]))
+        if name == "swap":
+            ends = anns[at].endpoints
+            change = {"endpoints": ends[4:] + ends[:4]}
+        else:
+            change = {name: draw(ANNOTATION_FIELDS[name])}
+        anns[at] = dataclasses.replace(anns[at], **change)
+    return anns
+
+
+def by_value(ann) -> list:
+    """The fields of an annotation, a list as the tuple it reads back as."""
+    values = (getattr(ann, f.name) for f in dataclasses.fields(ann))
+    return [tuple(v) if isinstance(v, list) else v for v in values]
+
+
+@settings(max_examples=200)
+@given(anns=changed_annotations())
+def test_what_write_annotations_accepts_reads_back_equal(anns):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "a.csv", Path(tmp) / "again.csv"
+        try:
+            write_annotations(anns, path)
+        except ValueError as exc:
+            assert str(exc).startswith("annotation "), exc
+            assert not path.exists()
+            return
+        back = parse_annotations(path).annotations
+        assert list(map(by_value, back)) == list(map(by_value, anns))
+        write_annotations(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 # --- config files through detect and render-targets --------------------------------

@@ -307,13 +307,13 @@ class TestSimulateHeatmaps:
     # each value a simulate flag passes on: DegradationConfig's fields and
     # generate_scene's lesion count, which once gave an empty scene at -1
     @pytest.mark.parametrize("field,value,message", [
-        *[("noise_sigma", v, "noise_sigma must be finite and >= 0")
+        *[("noise_sigma", v, r"noise_sigma must lie in \[0, inf\)")
           for v in (-0.1, float("inf"), float("nan"))],
-        *[("spurious_rate", v, "spurious_rate must be finite and >= 0")
+        *[("spurious_rate", v, r"spurious_rate must lie in \[0, inf\)")
           for v in (-0.1, float("inf"), float("nan"))],
         *[("peak_drop_prob", v, r"peak_drop_prob must lie in \[0, 1\]")
           for v in (-0.1, 1.5)],
-        ("jitter_cells", -1, "jitter_cells must be finite and >= 0"),
+        ("jitter_cells", -1, r"jitter_cells must lie in \[0, inf\)"),
         ("n_lesions", -1, "n_lesions must be >= 0"),
     ])
     def test_out_of_range_field_refused(self, field, value, message):
