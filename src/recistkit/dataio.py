@@ -249,8 +249,9 @@ def write_annotations(
     only what it reads back unchanged: before the file is opened, each row
     is read by the reader's own row rule. A row that rule refuses, or one
     that reads back as another annotation, raises ValueError naming the
-    annotation's index and key, then the reader's message or the first
-    field that differs and what it reads back as. Fields compare by value,
+    annotation's index and key, then the reader's message, the first
+    field that differs and what it reads back as, or the characters that
+    UTF-8 cannot encode, such as a lone surrogate. Fields compare by value,
     so a list box passes, and a float subclass such as ``np.float64`` is
     written as the plain float it holds.
     """
@@ -271,6 +272,11 @@ def write_annotations(
             value, read = getattr(ann, f.name), getattr(back, f.name)
             if (tuple(value) if isinstance(read, tuple) else value) != read:
                 raise ValueError(f"{where}: {f.name} reads back as {read!r}")
+        try:
+            "".join(row).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            bad = exc.object[exc.start:exc.end]
+            raise ValueError(f"{where}: {bad!r} has no UTF-8 encoding") from None
         rows.append(row)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([CSV_COLUMNS, *rows])

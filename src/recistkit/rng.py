@@ -5,7 +5,10 @@ increment and each output is a fixed avalanche mix of the new state. Its
 64-bit outputs and ``uniform``/``uniforms`` doubles are simple enough to
 reimplement bit-for-bit in any language, so those draws can be regenerated
 elsewhere and compared byte by byte. Normals are not drawn here: the
-simulator turns pairs of these uniforms into Box-Muller normals itself.
+simulator turns pairs of these uniforms into Box-Muller normals itself,
+drawing n pairs at a time as two raw uint64 arrays: pair q's first output
+is step 2q + 1 of the stream and its second step 2q + 2, so their
+uniforms are the even and odd entries of ``uniforms(2 * n)``.
 
 Draw accounting is part of the contract. Every uniform consumes exactly one
 64-bit output, and ``poisson`` consumes one whatever its rate. Scalar and
@@ -36,6 +39,17 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix_block(z: np.ndarray, shifted: np.ndarray) -> None:
+    """``_mix`` of every uint64 state in ``z``, in place, with ``shifted``
+    as the one temporary of z's shape."""
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        z *= np.uint64(mix)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+
+
 class SplitMix64:
     """Seeded splitmix64 stream with scalar and vectorized draws."""
 
@@ -53,15 +67,22 @@ class SplitMix64:
         z = np.arange(1, n + 1, dtype=np.uint64)
         z *= np.uint64(_GAMMA)
         z += np.uint64(self._state)
-        shifted = np.empty_like(z)
-        for shift, mix in ((30, _MIX1), (27, _MIX2)):
-            np.right_shift(z, np.uint64(shift), out=shifted)
-            z ^= shifted
-            z *= np.uint64(mix)
-        np.right_shift(z, np.uint64(31), out=shifted)
-        z ^= shifted
+        _mix_block(z, np.empty_like(z))
         self._state = (self._state + n * _GAMMA) & _MASK
         return z
+
+    def _u64_pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_u64_block(2 * n)``'s even and odd entries as two contiguous
+        arrays: steps 2q + 1 and 2q + 2 of pair q."""
+        first = np.arange(1, 2 * n, 2, dtype=np.uint64)
+        first *= np.uint64(_GAMMA)
+        first += np.uint64(self._state)
+        second = first + np.uint64(_GAMMA)
+        shifted = np.empty_like(first)
+        _mix_block(first, shifted)
+        _mix_block(second, shifted)
+        self._state = (self._state + 2 * n * _GAMMA) & _MASK
+        return first, second
 
     def uniform(self) -> float:
         """One double in [0, 1)."""

@@ -11,9 +11,12 @@ draws: the degradation only selects and moves its cells, as arrays.
 
 Everything is driven by a single splitmix64 stream with a fixed draw order:
 per lesion, per keypoint role (3 uniforms each, drawn whether used or not),
-then spurious peaks per map, then noise in plane-by-plane raster order.
-Identical seeds therefore give bit-identical bundles regardless of
-configuration details that happen to ignore some draws.
+then spurious peaks per map, then noise: one stream of Box-Muller uniform
+pairs over the five keypoint planes in raster order, each plane rounding
+its cell count up to even, where pair q's radius uniform is noise draw
+2q + 1 and its angle uniform noise draw 2q + 2. Identical seeds therefore
+give bit-identical bundles regardless of configuration details that happen
+to ignore some draws.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .config import DegradationConfig
 from .dataio import BOX_PADDING, RecistAnnotation, _long_first
 from .geometry import pad_bbox
 from .grouping import GroupingConfig, Peaks, enumerate_quadruples
-from .rng import SplitMix64
+from .rng import _INV_2_53, SplitMix64
 from .targets import (
     EXTREME_ROLES,
     KEYPOINT_CHANNELS,
@@ -345,10 +348,7 @@ def simulate_heatmaps(
                 break
 
     if cfg.noise_sigma > 0.0:
-        # one draw per plane: a single five-plane draw is the same stream
-        # only for even H*W, and its temporaries fall out of cache
-        for plane in bundle.keypoint_maps.reshape(len(KEYPOINT_CHANNELS), -1):
-            _add_clipped_noise(rng, plane, cfg.noise_sigma)
+        _add_view_noise(rng, bundle.keypoint_maps, cfg.noise_sigma)
 
     return bundle
 
@@ -360,41 +360,67 @@ def simulate_heatmaps(
 _MARGIN = 1e-6
 _NEGATIVE_COS = (math.pi / 2 + _MARGIN, 1.5 * math.pi - _MARGIN)
 _NEGATIVE_SIN = (math.pi + _MARGIN, 2.0 * math.pi - _MARGIN)
+# (k >> 11) * (2**-53 * 2 pi) equals ((k >> 11) * 2**-53) * 2 pi, the angle
+# of raw draw k, since both products with 2**-53 are exact
+_ANGLE_SCALE = _INV_2_53 * (2.0 * math.pi)
+# uniform pairs per block of the noise pass: the block's two draw arrays,
+# its radii and angles over them, and the gathers of its kept cells stay
+# near one core's L2 cache
+_BLOCK = 1 << 15
 
 
-def _add_clipped_noise(rng: SplitMix64, plane: np.ndarray, sigma: float) -> None:
-    """``plane[:] = clip(plane + sigma * normals, 0, 1)`` on a flat float32
-    plane, with one Box-Muller normal per cell.
+def _add_view_noise(rng: SplitMix64, planes: np.ndarray, sigma: float) -> None:
+    """``planes[:] = clip(planes + sigma * normals, 0, 1)`` on a
+    C-contiguous stack of float32 planes of n cells, with one Box-Muller
+    normal per cell, in float64, drawn ``_BLOCK`` uniform pairs at a time.
 
-    Cell k's normal comes from uniform pair k // 2 of ``plane.size``
-    rounded up to even draws: radius sqrt(-2 log1p(-u0)) times cos(2 pi u1)
-    at even k and sin(2 pi u1) at odd k, in float64. A cell that holds +0.0
-    and whose normal is certainly negative clips to the +0.0 it already
-    holds, so it is skipped; about half the cells of a mostly empty plane
-    are. Every other cell runs those operations in that order, then the
-    scale, the add and the clip.
+    Each plane draws n rounded up to even uniforms, so the stack's draws
+    are one stream of pairs (u0, u1). A plane's pair j gives its cell 2j
+    radius * cos(angle) and its cell 2j + 1, if any, radius * sin(angle),
+    with radius sqrt(-2 log1p(-u0)), taken once per pair, and angle
+    2 pi u1. A cell that holds +0.0 and whose normal is certainly negative
+    clips to the +0.0 it already holds, so it is skipped; about half the
+    cells of a mostly empty plane are. Every other cell runs cos or sin,
+    the product with its radius, the scale, the add and the clip, in that
+    order.
     """
-    n = plane.size
-    u = rng.uniforms(n + n % 2)
-    angle = u[1::2]
-    angle *= 2.0 * math.pi
-    lit = plane.view(np.uint32) != 0  # any bits but +0.0, so -0.0 too
-    for parity, trig, (lo, hi) in ((0, np.cos, _NEGATIVE_COS),
-                                   (1, np.sin, _NEGATIVE_SIN)):
-        a = angle[: (n + 1 - parity) // 2]
-        keep = a < lo
-        keep |= a > hi
-        keep |= lit[parity::2]
-        first = 2 * np.flatnonzero(keep)  # each kept pair's radius uniform
-        radius = np.negative(u[first])
+    planes = planes.reshape(len(planes), -1)
+    if planes.shape[1] % 2 == 0:
+        # no pair spans two planes, so the stack is one long plane
+        planes = planes.reshape(1, -1)
+    per_plane = (planes.shape[1] + 1) // 2
+    total = len(planes) * per_plane
+    bits = planes.view(np.uint32)  # any bits but +0.0 (so -0.0 too) is lit
+    for start in range(0, total, _BLOCK):
+        stop = min(start + _BLOCK, total)
+        radius, angle = rng._u64_pairs(stop - start)
+        # -u0 and the angle from the top 53 bits, in place: -u0 is exact
+        for k, scale in ((radius, -_INV_2_53), (angle, _ANGLE_SCALE)):
+            k >>= np.uint64(11)
+            np.multiply(k, scale, out=k.view(np.float64))
+        radius, angle = radius.view(np.float64), angle.view(np.float64)
         np.log1p(radius, out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
-        noise = trig(u[first + 1])
-        noise *= radius
-        with np.errstate(over="ignore"):  # a huge sigma's +-inf clips to 0 or 1
-            noise *= sigma
-        cells = first + parity
-        noise += plane[cells]
-        np.clip(noise, 0.0, 1.0, out=noise)
-        plane[cells] = noise
+        # the block's run of pairs within each plane it touches
+        for plane in range(start // per_plane, (stop - 1) // per_plane + 1):
+            first = plane * per_plane
+            lo, hi = max(start, first), min(stop, first + per_plane)
+            pairs = slice(lo - start, hi - start)
+            cells = slice(2 * (lo - first), 2 * (hi - first))
+            for parity, trig, (neg_lo, neg_hi) in ((0, np.cos, _NEGATIVE_COS),
+                                                   (1, np.sin, _NEGATIVE_SIN)):
+                values = planes[plane, cells][parity::2]
+                a = angle[pairs][: len(values)]
+                keep = a < neg_lo
+                keep |= a > neg_hi
+                keep |= bits[plane, cells][parity::2] != 0
+                kept = np.flatnonzero(keep)
+                noise = a[kept]
+                trig(noise, out=noise)
+                noise *= radius[pairs][kept]
+                with np.errstate(over="ignore"):  # +-inf clips to 0 or 1
+                    noise *= sigma
+                noise += values[kept]
+                np.clip(noise, 0.0, 1.0, out=noise)
+                values[kept] = noise

@@ -264,9 +264,12 @@ class TestParseAnnotations:
         ("endpoints", lambda ann: ann.endpoints[4:] + ann.endpoints[:4],
          "endpoints reads back as ("),
         ("bbox", (0.0, 0.0, 99.0, 99.0), "bbox_consistent reads back as False"),
+        # reads back unchanged, but a lone surrogate has no UTF-8 bytes
+        ("file_name", "k\ud800", "'\\ud800' has no UTF-8 encoding"),
     ], ids=["type 1.5", "type True", "key ' k '", "key 'k\\n'", "split foo",
             "7 endpoints", "9 endpoints", "a bool endpoint", "2 spacings",
-            "3 box numbers", "short diameter first", "inconsistent box"])
+            "3 box numbers", "short diameter first", "inconsistent box",
+            "key with a lone surrogate"])
     def test_writer_refuses_what_it_would_not_read_back(self, tmp_path, field,
                                                        value, message):
         anns = generate_scene(2, seed=90).annotations

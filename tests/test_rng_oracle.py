@@ -3,15 +3,17 @@ against the allocating implementations they replaced, bit for bit.
 
 ``FrozenSplitMix64`` keeps ``_u64_block``, ``uniforms`` and ``gaussians``
 as they were, copied without change; its ``gaussians`` is the dense
-Box-Muller reference, which the library no longer has.
+Box-Muller reference, which the library no longer has. The library's
+``_u64_pairs`` must be its ``_u64_block`` split into even and odd steps.
 ``frozen_noisy_bundle`` keeps the noise loop of ``simulate_heatmaps`` as it
-was: dense Box-Muller on every cell, then
+was: dense Box-Muller on every cell, plane by plane, then
 ``clip(plane + sigma * noise, 0, 1)``. The simulator evaluates
-Box-Muller only where that clip can leave a value above 0;
-``TestClippedNoiseBoundaries`` feeds its helper crafted uniforms at the
-zeros of cos and sin and at its skip bounds. Floats are compared as
-unsigned integers of their width, so a sign of zero or a last-ulp
-difference fails.
+Box-Muller only where that clip can leave a value above 0, in blocks of
+``_BLOCK`` uniform pairs over the whole view; grids of 192 x 192 and
+193 x 193 cells span several blocks, whose edges fall inside planes.
+``TestClippedNoiseBoundaries`` feeds its pass crafted uniforms at the zeros
+of cos and sin and at its skip bounds. Floats are compared as unsigned
+integers of their width, so a sign of zero or a last-ulp difference fails.
 """
 
 from dataclasses import replace
@@ -25,11 +27,12 @@ from recistkit.synthetic import (
     _NEGATIVE_COS,
     _NEGATIVE_SIN,
     DegradationConfig,
-    _add_clipped_noise,
+    _add_view_noise,
     generate_scene,
     simulate_heatmaps,
 )
 from recistkit.targets import KEYPOINT_CHANNELS
+from tests.test_losses import traced_peak
 
 # --- oracles: the allocating implementations ----------------------------------
 
@@ -71,10 +74,9 @@ class FrozenSplitMix64(SplitMix64):
         return out[:n]
 
 
-def frozen_noisy_bundle(scene, cfg, stride, monkeypatch):
-    """``simulate_heatmaps(scene, cfg, stride)`` with the noise loop as it
-    was: the noise-free bundle of the same stream, then that loop on a
-    frozen generator that resumes where the noise-free run stopped."""
+def simulated(scene, cfg, stride, monkeypatch):
+    """``simulate_heatmaps(scene, cfg, stride)`` and the state of its
+    stream afterwards."""
     streams = []
 
     class Recording(SplitMix64):
@@ -84,10 +86,20 @@ def frozen_noisy_bundle(scene, cfg, stride, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(synthetic, "SplitMix64", Recording)
-        bundle = simulate_heatmaps(scene, replace(cfg, noise_sigma=0.0), stride)
+        bundle = simulate_heatmaps(scene, cfg, stride)
     (stream,) = streams
+    return bundle, stream._state
+
+
+def frozen_noisy_bundle(scene, cfg, stride, monkeypatch):
+    """``simulate_heatmaps(scene, cfg, stride)`` with the noise loop as it
+    was, and the state of its stream afterwards: the noise-free bundle of
+    the same stream, then that loop on a frozen generator that resumes
+    where the noise-free run stopped."""
+    bundle, state = simulated(scene, replace(cfg, noise_sigma=0.0), stride,
+                              monkeypatch)
     rng = FrozenSplitMix64(0)
-    rng._state = stream._state
+    rng._state = state
 
     out_h, out_w = bundle.grid_shape
     for role_idx in range(len(KEYPOINT_CHANNELS)):
@@ -95,7 +107,7 @@ def frozen_noisy_bundle(scene, cfg, stride, monkeypatch):
         plane = bundle.keypoint_maps[role_idx].astype(np.float64)
         plane = np.clip(plane + cfg.noise_sigma * noise, 0.0, 1.0)
         bundle.keypoint_maps[role_idx] = plane.astype(np.float32)
-    return bundle
+    return bundle, rng._state
 
 
 # --- tests ------------------------------------------------------------------
@@ -120,10 +132,25 @@ class TestBlockDrawOracle:
             assert new._state == old._state, method
         assert new.next_u64() == old.next_u64()
 
+    @pytest.mark.parametrize("seed", SEEDS, ids=["0", "1", "2**64-1"])
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_pairs_split_the_block_and_advance_as_far(self, seed, n):
+        new, old = SplitMix64(seed), FrozenSplitMix64(seed)
+        for _ in range(2):
+            first, second = new._u64_pairs(n)
+            block = old._u64_block(2 * n)
+            assert same_bits(first, block[0::2]) and same_bits(second, block[1::2])
+            assert new._state == old._state
+        assert new.next_u64() == old.next_u64()
+
 
 class TestNoisePathOracle:
-    @pytest.mark.parametrize("image_size,parity", [((256, 256), 0), ((260, 260), 1)],
-                             ids=["even HxW 64x64", "odd HxW 65x65"])
+    @pytest.mark.parametrize(
+        "image_size,parity",
+        [((256, 256), 0), ((260, 260), 1), ((768, 768), 0), ((772, 772), 1)],
+        ids=["even HxW 64x64", "odd HxW 65x65", "even HxW 192x192, 3 blocks",
+             "odd HxW 193x193, 3 blocks"],
+    )
     # at 1.0 and 3.0 the upper clip at 1.0 matters too
     @pytest.mark.parametrize("noise", [0.02, 0.05, 0.3, 1.0, 3.0])
     def test_noisy_bundle_bitwise(self, image_size, parity, noise, monkeypatch):
@@ -132,39 +159,78 @@ class TestNoisePathOracle:
             noise_sigma=noise, peak_drop_prob=0.1, spurious_rate=2.0,
             jitter_cells=1, seed=5,
         )
-        new = simulate_heatmaps(scene, cfg, 4)
-        old = frozen_noisy_bundle(scene, cfg, 4, monkeypatch)
+        new, new_state = simulated(scene, cfg, 4, monkeypatch)
+        old, old_state = frozen_noisy_bundle(scene, cfg, 4, monkeypatch)
         assert new.grid_shape[0] * new.grid_shape[1] % 2 == parity
         assert new.keypoint_maps.tobytes() == old.keypoint_maps.tobytes()
         assert new.offset_maps.tobytes() == old.offset_maps.tobytes()
+        assert new_state == old_state
+
+    def test_the_large_grids_span_blocks_that_end_inside_planes(self):
+        for side in (192, 193):
+            pairs_per_plane = (side * side + 1) // 2
+            pairs = len(KEYPOINT_CHANNELS) * pairs_per_plane
+            # more than two blocks, the last one short, and block edges
+            # that fall inside planes
+            assert pairs > 2 * synthetic._BLOCK
+            assert pairs % synthetic._BLOCK != 0
+            assert synthetic._BLOCK % pairs_per_plane != 0
+
+
+class TestNoiseAllocation:
+    """A noisy 192 x 192 view allocates little beyond its bundle: the noise
+    pass's scratch is one block of pairs, not a view."""
+
+    def test_peak_in_bundles(self):
+        scene = generate_scene(3, image_size=(768, 768), seed=3)
+        cfg = DegradationConfig(
+            noise_sigma=0.05, peak_drop_prob=0.1, spurious_rate=2.0,
+            jitter_cells=1, seed=5,
+        )
+        bundle = simulate_heatmaps(scene, cfg, 4)
+        assert bundle.grid_shape == (192, 192)
+        size = bundle.keypoint_maps.nbytes + bundle.offset_maps.nbytes
+        assert traced_peak(simulate_heatmaps, scene, cfg, 4) / size <= 2.0
 
 
 class CraftedUniforms(FrozenSplitMix64):
-    """A stream whose first ``uniforms`` call returns ``crafted`` instead of
-    its draws. That call still advances the state by as many steps, and
-    later calls draw as usual."""
+    """A stream whose first draws are the uniforms ``crafted`` instead of
+    its own, through ``uniforms`` (the dense reference's draw) or through
+    ``_u64_pairs`` (the simulator's), one call or several. Each call still
+    advances the state by as many steps, and draws past ``crafted`` are the
+    stream's own. The crafted uniforms are multiples of 2**-53, as every
+    drawn uniform is; their raw outputs set the low 11 bits, which a
+    uniform drops."""
 
     def __init__(self, seed, crafted):
         super().__init__(seed)
-        self.crafted = crafted
+        raw = (np.asarray(crafted) * 2.0**53).astype(np.uint64)
+        assert same_bits(raw * _INV_2_53, np.asarray(crafted, dtype=np.float64))
+        self.crafted = raw << np.uint64(11) | np.uint64(0x7FF)
+
+    def take(self, n):
+        raw, self.crafted = self.crafted[:n], self.crafted[n:]
+        return raw
 
     def uniforms(self, n):
         drawn = super().uniforms(n)
-        if self.crafted is None:
-            return drawn
-        assert n == len(self.crafted)
-        crafted, self.crafted = self.crafted.copy(), None
-        return crafted
+        raw = self.take(n)
+        drawn[: len(raw)] = (raw >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        return drawn
+
+    def _u64_pairs(self, n):
+        first, second = super()._u64_pairs(n)
+        raw = self.take(2 * n)
+        first[: len(raw) // 2] = raw[0::2]
+        second[: len(raw) // 2] = raw[1::2]
+        return first, second
 
 
 def around(x, steps):
-    """x and ``steps`` float64 neighbours on each side of it, ascending."""
-    below = [x]
-    above = [x]
-    for _ in range(steps):
-        below.insert(0, np.nextafter(below[0], -np.inf))
-        above.append(np.nextafter(above[-1], np.inf))
-    return below[:-1] + above
+    """The multiple of 2**-53 nearest x, the grid of drawn uniforms, and
+    ``steps`` grid neighbours on each side of it, ascending."""
+    k = round(x * 2**53)
+    return [(k + i) * 2.0**-53 for i in range(-steps, steps + 1)]
 
 
 TWO_PI = 2.0 * np.pi
@@ -214,17 +280,22 @@ class TestClippedNoiseBoundaries:
     @pytest.mark.parametrize("odd", [False, True], ids=["even n", "odd n"])
     # at 1e308 the product overflows to +-inf, and no warning may escape
     @pytest.mark.parametrize("sigma", [0.05, 1.0, 3.0, 1e308])
-    def test_helper_matches_dense_formula_bitwise(self, sigma, odd):
+    def test_helper_matches_dense_formula_bitwise(self, sigma, odd, monkeypatch):
         u2s = [u2 for group in CROSSINGS + SKIP_EDGES for u2 in group]
         crafted = np.array([(u1, u2) for u2 in u2s for u1 in RADIUS_U1]).ravel()
         n = crafted.size - odd
-        dense = CraftedUniforms(7, crafted)
-        sparse = CraftedUniforms(7, crafted)
-        # the crafted plane, then one drawn as usual: the state after each
-        # plane is the dense path's
-        for plane in (crafted_plane(n), crafted_plane(n + 40)):
-            expected = dense_clipped_noise(dense, plane, sigma)
-            _add_clipped_noise(sparse, plane, sigma)
-            assert same_bits(plane, expected)
-            assert sparse._state == dense._state
-        assert sparse.next_u64() == dense.next_u64()
+        # the crafted pairs in one block, then in blocks of 7 pairs, whose
+        # edges fall at every offset into a plane
+        for block in (synthetic._BLOCK, 7):
+            monkeypatch.setattr(synthetic, "_BLOCK", block)
+            dense = CraftedUniforms(7, crafted)
+            sparse = CraftedUniforms(7, crafted)
+            # the crafted plane, then one drawn as usual, then three more in
+            # one pass: the state after each pass is the dense path's
+            for planes in (crafted_plane(n)[None], crafted_plane(n + 40)[None],
+                           np.stack([crafted_plane(n + 1)] * 3)):
+                expected = [dense_clipped_noise(dense, p, sigma) for p in planes]
+                _add_view_noise(sparse, planes, sigma)
+                assert same_bits(planes, np.stack(expected))
+                assert sparse._state == dense._state
+            assert sparse.next_u64() == dense.next_u64()

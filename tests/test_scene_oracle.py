@@ -11,7 +11,9 @@ center plane alone. ``frozen_simulate_heatmaps`` is the
 previous ``simulate_heatmaps``, which drew the three uniforms of each
 lesion role one scalar call at a time, and drew each keypoint with its own
 ``draw_keypoint`` and sized its kernel with its own ``lesion_radius``
-rather than through the shared lesion path of ``targets``. They are copied
+rather than through the shared lesion path of ``targets``, and added noise
+one plane at a time through ``_add_clipped_noise``, the previous noise
+helper, which drew each plane's uniforms in one call. They are copied
 without change but for their docstrings, the names of what they import,
 the ``Peaks`` records the clearance check hands to ``enumerate_quadruples``
 and the spurious-peak score floor and radius, which are module constants now
@@ -42,7 +44,8 @@ from recistkit.synthetic import (
     _SPURIOUS_SCORE_MIN,
     DegradationConfig,
     SyntheticScene,
-    _add_clipped_noise,
+    _NEGATIVE_COS,
+    _NEGATIVE_SIN,
     _decodes_to_itself,
     _quantize,
     generate_scene,
@@ -300,6 +303,34 @@ def frozen_generate_scene(
         f"{max_restarts} arrangement attempts"
         + (f" at clearance stride {clearance_stride}" if clearance_stride else "")
     )
+
+
+def _add_clipped_noise(rng: SplitMix64, plane: np.ndarray, sigma: float) -> None:
+    """The previous per-plane noise helper."""
+    n = plane.size
+    u = rng.uniforms(n + n % 2)
+    angle = u[1::2]
+    angle *= 2.0 * math.pi
+    lit = plane.view(np.uint32) != 0  # any bits but +0.0, so -0.0 too
+    for parity, trig, (lo, hi) in ((0, np.cos, _NEGATIVE_COS),
+                                   (1, np.sin, _NEGATIVE_SIN)):
+        a = angle[: (n + 1 - parity) // 2]
+        keep = a < lo
+        keep |= a > hi
+        keep |= lit[parity::2]
+        first = 2 * np.flatnonzero(keep)  # each kept pair's radius uniform
+        radius = np.negative(u[first])
+        np.log1p(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        noise = trig(u[first + 1])
+        noise *= radius
+        with np.errstate(over="ignore"):  # a huge sigma's +-inf clips to 0 or 1
+            noise *= sigma
+        cells = first + parity
+        noise += plane[cells]
+        np.clip(noise, 0.0, 1.0, out=noise)
+        plane[cells] = noise
 
 
 def frozen_simulate_heatmaps(
