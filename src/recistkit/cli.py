@@ -268,21 +268,20 @@ def _cmd_simulate(args) -> int:
     render = sections["render"]
     stride = render.stride
 
-    degradation_seed = (
-        args.degradation_seed if args.degradation_seed is not None else args.scene_seed
-    )
-    given = {}
-    for flag, (field, _) in _DEGRADATION_FLAGS.items():
-        value = getattr(args, flag[2:])
-        if value is None:
-            continue
-        try:  # one field at a time, so that a refusal names its flag
-            DegradationConfig(**{field: value})
-        except ValueError as exc:
-            print(f"error: usage: {flag}: {exc}", file=sys.stderr)
-            return 2
-        given[field] = value
-    degradation = DegradationConfig(**given, seed=degradation_seed)
+    # the flag of each DegradationConfig field, the seed's among them
+    flags = {field: flag for flag, (field, _) in _DEGRADATION_FLAGS.items()}
+    flags["seed"] = ("--scene-seed" if args.degradation_seed is None
+                     else "--degradation-seed")
+    given = {field: getattr(args, flag[2:].replace("-", "_"))
+             for field, flag in flags.items()}
+    try:
+        degradation = DegradationConfig(
+            **{field: v for field, v in given.items() if v is not None})
+        if args.flipped_out:  # the flipped view's seed is one more
+            flipped = dataclasses.replace(degradation, seed=degradation.seed + 1)
+    except ValueError as exc:  # its message starts with the field at fault
+        print(f"error: usage: {flags[str(exc).split()[0]]}: {exc}", file=sys.stderr)
+        return 2
     try:
         scene = generate_scene(
             args.n_lesions,
@@ -294,7 +293,6 @@ def _cmd_simulate(args) -> int:
         # (directory, scene, degradation) of the original view, then the flipped
         views = [(args.out, scene, degradation)]
         if args.flipped_out:
-            flipped = dataclasses.replace(degradation, seed=degradation_seed + 1)
             views.append((args.flipped_out, flip_scene(scene), flipped))
         bundles = [
             simulate_heatmaps(view, view_degradation, stride,
@@ -432,6 +430,9 @@ def _checked(type_, ok, rule: str):
 _positive_finite_float = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _nonnegative_int = _checked(int, lambda v: v >= 0, ">= 0")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+# an image side: the .rkhm header refuses a larger input width
+_image_side = _checked(int, lambda v: 1 <= v <= config_mod.MAX_HEADER_INT,
+                       f"in [1, {config_mod.MAX_HEADER_INT}]")
 
 
 def _fps_list(raw: str) -> list[float]:
@@ -584,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scene RNG seed (default: 0)")
     p.add_argument("--n-lesions", type=int, default=3,
                    help="lesions to place (default: 3)")
-    p.add_argument("--image-size", type=_positive_int, default=768,
+    p.add_argument("--image-size", type=_image_side, default=768,
                    help="image pixels, square (default: 768)")
     for flag, (field, text) in _DEGRADATION_FLAGS.items():
         _add_default_flag(p, flag, text, getattr(DegradationConfig, field))

@@ -8,12 +8,13 @@ rejected rather than ignored, and the effective configuration is echoed
 into every output artifact so results stay attributable.
 
 Each config section is a frozen dataclass defined here, whose fields are the
-section's keys and whose class attributes are its defaults; the module that
-runs a section re-exports it (``grouping.GroupingConfig`` is
-``GroupingConfig``). ``DegradationConfig``, the settings of ``simulate``
-that are flags only, is defined here in the same form and re-exported by
-``synthetic``. This module imports no other recistkit module, so a command
-pays only for the modules it runs.
+section's keys and whose class attributes are its defaults; it alone judges
+its values, from a file, a flag or a library call. The module that runs a
+section re-exports it (``grouping.GroupingConfig`` is ``GroupingConfig``).
+``DegradationConfig``, the settings of ``simulate`` that are flags only, is
+defined here in the same form and re-exported by ``synthetic``. This module
+imports no other recistkit module, so a command pays only for the modules it
+runs.
 """
 
 from __future__ import annotations
@@ -87,14 +88,15 @@ def is_finite_number(value) -> bool:
 
 
 def check_fp_targets(values: Sequence[float]) -> None:
-    """FPs-per-image targets must be a non-empty list of finite numbers >= 0;
-    numpy scalars are judged as the Python numbers they hold."""
+    """FPs-per-image targets must be a non-empty list, tuple or 1-D array of
+    finite numbers >= 0, a numpy scalar judged as the Python number it holds."""
+    rule = "FP targets must be a non-empty list of finite numbers >= 0"
+    if not (isinstance(values, (list, tuple))
+            or isinstance(values, np.ndarray) and values.ndim == 1):
+        raise ValueError(f"{rule}, got {values!r}")
     targets = [v.item() if isinstance(v, np.generic) else v for v in values]
     if not targets or not all(is_finite_number(v) and v >= 0 for v in targets):
-        raise ValueError(
-            f"FP targets must be a non-empty list of finite numbers >= 0, "
-            f"got {targets!r}"
-        )
+        raise ValueError(f"{rule}, got {targets!r}")
 
 
 @functools.cache
@@ -107,9 +109,10 @@ def _bounds(interval: str) -> tuple[float, float, bool, bool]:
 
 def _check_numbers(section, **intervals: str) -> None:
     """The rule of every numeric config field: raise ValueError naming the
-    first field of ``intervals`` whose value in ``section`` is not a finite
-    number inside the field's interval, or is not an integer where the
-    field's default is one. A bool is neither; numpy scalars pass."""
+    first field of ``intervals`` whose value in ``section`` is not a number
+    inside the field's interval and finite as a float64, or is not an
+    integer where the field's default is one. A bool is neither; numpy
+    scalars pass."""
     defaults = type(section)
     for name, interval in intervals.items():
         value = getattr(section, name)
@@ -124,12 +127,12 @@ def _check_numbers(section, **intervals: str) -> None:
             raise ValueError(f"{name} must be {kind}, got {value!r}")
         lo, hi, lo_open, hi_open = _bounds(interval)
         if not (
-            # an integer is finite; a float field's number must fit a float
-            (integral or abs(value) <= sys.float_info.max)
-            and (lo < value if lo_open else lo <= value)
+            (lo < value if lo_open else lo <= value)
             and (value < hi if hi_open else value <= hi)
-        ):
+        ):  # NaN too
             raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+        if abs(value) > sys.float_info.max:  # an integer too large for a float
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -275,50 +278,28 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
-def _check_type(where: str, value: Any, default: Any) -> None:
-    """A value must have its default's JSON type; ints also pass as floats."""
-    if isinstance(default, (int, float)):
-        kinds = int if isinstance(default, int) else (int, float)
-        ok = isinstance(value, kinds) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, type(default))
-    if not ok:
-        raise InputFormatError(
-            f"config key {where} must be of type {type(default).__name__}, "
-            f"got {value!r}"
-        )
-
-
-def _all_finite(value: Any) -> bool:
-    """No NaN, infinity or integer too large for a float anywhere in a JSON
-    value: the echo must stay JSON, and numbers are used as floats."""
-    if isinstance(value, float) or type(value) is int:  # a bool is no number
-        return is_finite_number(value)
-    if isinstance(value, list):
-        return all(_all_finite(v) for v in value)
-    return True
-
-
 def merge(base: dict, override: Mapping, path: str = "") -> dict:
-    """``override`` layered over ``base``; unknown keys, wrong types and
-    non-finite numbers raise."""
+    """``override`` layered over ``base``; an unknown key, or an object where
+    ``base`` holds none or the reverse, raises. Sections judge the values."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise InputFormatError(f"unknown config key: {where}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, Mapping):
-                raise InputFormatError(f"config key {where} must be an object")
-            out[key] = merge(base[key], value, where)
-        else:
-            _check_type(where, value, base[key])
-            if not _all_finite(value):
-                raise InputFormatError(
-                    f"config key {where} must be finite, got {value!r}"
-                )
-            out[key] = value
+        nested = isinstance(base[key], dict)
+        if nested != isinstance(value, Mapping):
+            no = "" if nested else "not "
+            raise InputFormatError(f"config key {where} must {no}be an object")
+        out[key] = merge(base[key], value, where) if nested else value
     return out
+
+
+def _finite(value: Any) -> bool:
+    """No NaN, infinity or integer too large for a float in a JSON value."""
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not (isinstance(value, float) or type(value) is int) or (
+        is_finite_number(value))
 
 
 def effective(
@@ -327,18 +308,24 @@ def effective(
     """The config of a run and its typed sections.
 
     Layers the defaults, the JSON config file at ``path`` (if any) and
-    ``overrides``, then builds one instance per ``SECTION_TYPES`` entry.
-    Raises :class:`InputFormatError` for the file first, then for the
-    overrides, then for a value the library rejects, naming its section.
+    ``overrides``, and after each layer builds one instance per
+    ``SECTION_TYPES`` entry, so the file is judged whole, even a value an
+    override replaces, before the overrides are. Each layer raises
+    :class:`InputFormatError` for its structure, then for ``window_presets``,
+    the one key with no section, then for a value its section refuses,
+    naming the section and quoting the section type's ``ValueError``.
     """
     cfg = DEFAULTS
-    if path is not None:
-        cfg = merge(cfg, load_json(path))
-    cfg = merge(cfg, overrides)
-    sections = {}
-    for name, cls in SECTION_TYPES.items():
-        try:
-            sections[name] = cls(**cfg[name])
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"config section {name}: {exc}") from None
+    for layer in [overrides] if path is None else [load_json(path), overrides]:
+        cfg = merge(cfg, layer)
+        presets = cfg["window_presets"]
+        if not (isinstance(presets, list) and _finite(presets)):
+            raise InputFormatError(f"config key window_presets must be a list "
+                                   f"whose numbers are finite, got {presets!r}")
+        sections = {}
+        for name, cls in SECTION_TYPES.items():
+            try:
+                sections[name] = cls(**cfg[name])
+            except (TypeError, ValueError) as exc:
+                raise InputFormatError(f"config section {name}: {exc}") from None
     return cfg, sections

@@ -11,6 +11,7 @@ each stratum.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -179,13 +180,7 @@ def froc(
     :func:`check_fp_targets` refuses ``fp_targets``; an image set with
     detections on none of them still yields sensitivity 0 everywhere.
     """
-    if len(matches) == 0:
-        raise ValueError("froc requires at least one image")
-    if sum(m.n_gt for m in matches) == 0:
-        raise ValueError("froc requires at least one ground-truth lesion")
-
-    labels = [["all"] * m.n_gt for m in matches]
-    return stratified_froc(matches, labels, "all", fp_targets).per_stratum["all"]
+    return _sweep(matches, None, fp_targets, overall=True)[0]
 
 
 def stratified_froc(
@@ -207,22 +202,36 @@ def stratified_froc(
     for m, labels in zip(matches, gt_labels):
         if len(labels) != m.n_gt:
             raise ValueError("per-image label count must equal n_gt")
-    check_fp_targets(fp_targets)
+    return Strata(key=key, per_stratum=_sweep(matches, gt_labels, fp_targets)[1])
 
-    n_per_stratum: dict[str, int] = {}
-    for labels in gt_labels:
-        for label in labels:
-            n_per_stratum[label] = n_per_stratum.get(label, 0) + 1
+
+def _sweep(
+    matches: Sequence[MatchResult],
+    gt_labels: Sequence[Sequence[str]] | None,
+    fp_targets: Sequence[float],
+    overall: bool = False,
+) -> tuple[FrocResult | None, dict[str, FrocResult]]:
+    """One FROC sweep over ``matches``: the result over all lesions if
+    ``overall`` (else None, and it raises as :func:`froc` does), and one per
+    stratum of ``gt_labels``, labelled as :func:`stratified_froc` takes them."""
+    n_lesions = sum(m.n_gt for m in matches)
+    if overall and len(matches) == 0:
+        raise ValueError("froc requires at least one image")
+    if overall and n_lesions == 0:
+        raise ValueError("froc requires at least one ground-truth lesion")
+    check_fp_targets(fp_targets)
+    n_per_stratum = Counter(label for labels in gt_labels or () for label in labels)
     strata = sorted(n_per_stratum)
 
     # every detection's score, and the stratum index of the lesion it
     # matched (-1 for a false positive), in image order: each lesion is
     # found among every image's lesions laid end to end, and a false
-    # positive points past them at a -1
+    # positive points past them at a -1; without strata, each lesion's is 0
     code = {stratum: j for j, stratum in enumerate(strata)}
-    lesion_code = np.array(
-        [code[label] for labels in gt_labels for label in labels] + [-1], dtype=np.intp
-    )
+    lesion_code = np.full(n_lesions + 1, -1, dtype=np.intp)
+    lesion_code[:-1] = 0 if gt_labels is None else [
+        code[label] for labels in gt_labels for label in labels
+    ]
     image_lesions = np.array([m.n_gt for m in matches], dtype=np.intp)
     first_lesion = np.repeat(
         np.cumsum(image_lesions) - image_lesions, [m.scores.size for m in matches]
@@ -241,10 +250,9 @@ def stratified_froc(
     n_images = len(matches)
     fp_rate = np.concatenate(([0.0], np.cumsum(codes < 0)[ends] / n_images))
 
-    per_stratum = {}
-    for j, stratum in enumerate(strata):
-        n_gt = n_per_stratum[stratum]
-        sensitivity = np.concatenate(([0.0], np.cumsum(codes == j)[ends] / n_gt))
+    def result(hits: np.ndarray, n_gt: int) -> FrocResult:
+        """The FROC result of the lesions whose true positives are ``hits``."""
+        sensitivity = np.concatenate(([0.0], np.cumsum(hits)[ends] / n_gt))
         points = []
         for target in fp_targets:
             # the best sensitivity at an FP rate within the target, at the
@@ -254,8 +262,11 @@ def stratified_froc(
             points.append(FrocPoint(
                 target, sensitivity[k].item(), thresholds[k].item(), fp_rate[k].item()
             ))
-        per_stratum[stratum] = FrocResult(points, n_images=n_images, n_lesions=n_gt)
-    return Strata(key=key, per_stratum=per_stratum)
+        return FrocResult(points, n_images=n_images, n_lesions=n_gt)
+
+    per_stratum = {stratum: result(codes == j, n_per_stratum[stratum])
+                   for j, stratum in enumerate(strata)}
+    return (result(codes >= 0, n_lesions) if overall else None), per_stratum
 
 
 def diameter_bucket(long_diameter_mm: float) -> str:
@@ -317,20 +328,19 @@ def evaluate(
                          f"{', '.join(_STRATUM_LABELS)}")
     gts = by_image(annotations)
     empty = Detections.of(())
-    matches, labels = [], []
+    matches, labels = [], None if stratify is None else []
     for key in sorted(set(detections) | set(gts)):
         anns = gts.get(key, [])
         boxes = [a.bbox for a in anns]
         matches.append(match_detections(detections.get(key, empty), boxes, cfg))
-        if stratify is not None:
+        if labels is not None:
             labels.append([_STRATUM_LABELS[stratify](a) for a in anns])
 
-    result = froc(matches, cfg.fp_targets)
-    strata = None
-    if stratify is not None:
-        per = stratified_froc(matches, labels, stratify, cfg.fp_targets).per_stratum
-        strata = {"key": stratify,
-                  "per_stratum": {name: _froc_dict(r) for name, r in per.items()}}
+    # the overall and the per-stratum results of one sweep
+    result, per = _sweep(matches, labels, cfg.fp_targets, overall=True)
+    strata = None if labels is None else {
+        "key": stratify, "per_stratum": {name: _froc_dict(r) for name, r in per.items()}
+    }
     return {"criterion": "iou-on-padded-boxes", "froc": _froc_dict(result),
             "strata": strata}
 

@@ -16,6 +16,7 @@ import pytest
 
 from recistkit import cli, dataio, grouping
 from recistkit.cli import main
+from recistkit.config import SECTION_TYPES
 from recistkit.dataio import read_detections, read_heatmaps
 
 
@@ -711,6 +712,16 @@ EXIT_CODE_CASES = [
     ("simulate --jitter -1", 2, ["simulate", "--jitter=-1"]),
     ("simulate --n-lesions -1", 2, ["simulate", "--n-lesions=-1"]),
     ("simulate --image-size 0", 2, ["simulate", "--image-size", 0]),
+    # integers past the float range used to end in an OverflowError, exit 4,
+    # or, as a degradation seed, to be accepted
+    ("simulate --image-size 401-digit int", 2, ["simulate", "--image-size", 10**400]),
+    ("simulate --jitter 401-digit int", 2, ["simulate", "--jitter", 10**400]),
+    ("simulate --degradation-seed 401-digit int", 2, [
+        "simulate", "--degradation-seed", 10**400]),
+    ("simulate --scene-seed 401-digit int", 2, ["simulate", "--scene-seed", 10**400]),
+    # the scene seed names the bundle, a file name too long to create
+    ("simulate --scene-seed 401-digit int, --degradation-seed 0", 3, [
+        "simulate", "--scene-seed", 10**400, "--degradation-seed", 0]),
     ("simulate --n-lesions 40 at 256 px", 2, [
         "simulate", "--n-lesions", 40, "--image-size", 256]),
     # no arrangement can decode to itself when grouping keeps fewer quadruples
@@ -803,6 +814,11 @@ NAMED_IN_ERROR = {
     "render-targets keypoints off a 64 px input": "outside the 16x16 output grid",
     "render-targets --input-size 2**31-1": "render.input_size",
     "simulate --image-size 2**31-1": "cannot be allocated",
+    "simulate --image-size 401-digit int": "must be in [1, 2147483647], got 1000",
+    "simulate --jitter 401-digit int": "jitter_cells must be finite, got 1000",
+    "simulate --degradation-seed 401-digit int": "seed must be finite, got 1000",
+    "simulate --scene-seed 401-digit int": "seed must be finite, got 1000",
+    "simulate --scene-seed 401-digit int, --degradation-seed 0": "syn_1000",
     # each refused by the library type that owns the value, not by the parser
     "simulate --drop 2": "peak_drop_prob must lie in [0, 1], got 2.0",
     "simulate --drop -0.5": "peak_drop_prob must lie in [0, 1], got -0.5",
@@ -842,10 +858,11 @@ NAMED_IN_ERROR = {
         "config section render: sigma_divisor must lie in (0, 2147483647], got 1e+300",
     "eval --fps ,": "config section eval: FP targets must be a non-empty list",
     "eval --fps -1": "config section eval: FP targets must be a non-empty list",
-    "eval --fps nan": "config key eval.fp_targets must be finite",
+    "eval --fps nan": "config section eval: FP targets must be a non-empty list "
+        "of finite numbers >= 0, got [nan]",
     "fuse --sigma 0": "config section soft_nms: sigma must lie in (0, inf), got 0.0",
     "fuse --sigma -1": "config section soft_nms: sigma must lie in (0, inf), got -1.0",
-    "fuse --sigma nan": "config key soft_nms.sigma must be finite",
+    "fuse --sigma nan": "config section soft_nms: sigma must lie in (0, inf), got nan",
     "fuse --method x": "config section soft_nms: unknown method 'x'",
     "detect --center-interp x": "config section grouping: unknown center_interp 'x'",
     "eval --fps a": "argument --fps: 'a': could not convert string to float",
@@ -922,6 +939,7 @@ OUTPUT_PATH_CASES = [
 
 # A parsed config flag refused by its section, and the same value in a
 # config file: (argv before the flag, flag, its text, section, key, value).
+# A value no flag parses to has no flag and is given in the file alone.
 FLAG_AND_FILE_CASES = [
     (_fuse(_dets()), "--sigma", "0", "soft_nms", "sigma", 0.0),
     (_fuse(_dets()), "--method", "x", "soft_nms", "method", "x"),
@@ -932,6 +950,13 @@ FLAG_AND_FILE_CASES = [
      "eval", "fp_targets", [-1.0]),
     (["eval", "--detections", _dets(), "--annotations", _sim_csv], "--iou", "1.5",
      "eval", "iou_threshold", 1.5),
+    # type faults only a file can hold: these were once refused by the
+    # merge, in words of its own
+    (["detect", "--heatmaps", _sim_dir], None, None, "grouping", "k1", "40"),
+    (["detect", "--heatmaps", _sim_dir], None, None, "grouping", "k1", 2.5),
+    (["detect", "--heatmaps", _sim_dir], None, None, "grouping", "center_interp", 5),
+    (["eval", "--detections", _dets(), "--annotations", _sim_csv], None, None,
+     "eval", "fp_targets", 0.5),
 ]
 
 
@@ -959,7 +984,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "parts,flag,text,section,key,value", FLAG_AND_FILE_CASES,
-        ids=[f"{c[1]} {c[2]}" for c in FLAG_AND_FILE_CASES],
+        ids=[f"{c[1]} {c[2]}" if c[1] else f"config {c[3]}.{c[4]} {c[5]!r}"
+             for c in FLAG_AND_FILE_CASES],
     )
     def test_flag_refused_as_its_config_file_value(
         self, parts, flag, text, section, key, value, sim_dir, tmp_path, capsys
@@ -967,12 +993,17 @@ class TestExitCodes:
         argv = [part(tmp_path, sim_dir) if callable(part) else part
                 for part in parts]
         config = _cfg({section: {key: value}})(tmp_path, sim_dir)
+        sources = [["--config", config]] + [[f"{flag}={text}"]] * (flag is not None)
         errors = []
-        for source in ([f"{flag}={text}"], ["--config", config]):
+        for source in sources:
             assert run(*argv, *source, "--out", tmp_path / "out") == 3
             errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1]
-        assert errors[0].startswith(f"error: input-format: config section {section}: ")
+        # the one judge: the section type, as a library caller meets it
+        with pytest.raises(ValueError) as excinfo:
+            SECTION_TYPES[section](**{key: value})
+        assert set(errors) == {
+            f"error: input-format: config section {section}: {excinfo.value}\n"
+        }
 
     @pytest.mark.parametrize(
         "case,parts", OUTPUT_PATH_CASES, ids=[c[0] for c in OUTPUT_PATH_CASES]

@@ -5,6 +5,7 @@ and refusals."""
 
 import gc
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass, fields
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recistkit import evaluation
-from recistkit.dataio import RecistAnnotation
+from recistkit.dataio import RecistAnnotation, by_image
 from recistkit.evaluation import (
     DetectionMatch,
     EvalConfig,
@@ -500,6 +501,38 @@ class TestEvaluate:
                                              "expected one of type, diameter"):
             evaluate(*mixed_key_inputs(), EvalConfig(), "size")
 
+    @pytest.mark.parametrize("stratify", ["type", "diameter", "interval"])
+    def test_stratified_report_holds_froc_and_stratified_froc(self, stratify):
+        # the report's blocks come from one sweep; they must equal the two
+        # public sweeps over the same matches, on tied scores too
+        rng = np.random.default_rng(41)
+        annotations, detections = [], {}
+        for key in "abcde":
+            spots = (rng.permutation(8)[:5] * 60).tolist()
+            for x in spots[:3]:
+                spacing = (1.0, 1.0, float(rng.choice([1.0, 5.0])))
+                annotations.append(lesion(key, x, 0, int(rng.integers(1, 4)),
+                                          float(rng.uniform(5, 40)), spacing))
+            detections[key] = Detections.of([
+                det_at(x + int(rng.integers(-3, 4)), 0, int(rng.integers(1, 6)) / 5)
+                for x in spots
+            ])
+        cfg = EvalConfig(fp_targets=[0.25, 0.5, 1.0, 2.0])
+        report = evaluate(detections, annotations, cfg, stratify)
+
+        gts = by_image(annotations)
+        keys = sorted(gts)
+        matches = [match_detections(detections[k], [a.bbox for a in gts[k]], cfg)
+                   for k in keys]
+        labels = [[evaluation._STRATUM_LABELS[stratify](a) for a in gts[k]]
+                  for k in keys]
+        assert report["froc"] == evaluation._froc_dict(froc(matches, cfg.fp_targets))
+        per = stratified_froc(matches, labels, stratify, cfg.fp_targets).per_stratum
+        assert len(per) > 1
+        assert report["strata"]["per_stratum"] == {
+            name: evaluation._froc_dict(r) for name, r in per.items()
+        }
+
     def test_no_annotation_raises(self):
         detections, _ = mixed_key_inputs()
         with pytest.raises(ValueError, match="at least one ground-truth lesion"):
@@ -713,6 +746,24 @@ class TestFpTargets:
             stratified_froc(matches, labels, "type", targets)
         with pytest.raises(ValueError, match="FP targets must be"):
             check_fp_targets(targets)
+
+    @pytest.mark.parametrize(
+        "targets", [0.5, "12", None, np.float64(1.0), np.array(1.0), {1.0: 1.0}],
+        ids=repr,
+    )
+    def test_not_a_list_is_refused_by_the_rule(self, targets):
+        # these raised TypeError, or were read item by item ("12" as
+        # ["1", "2"]), before the rule refused what is no list
+        matches = crafted_three_image_matches()
+        labels = [["LU"] * m.n_gt for m in matches]
+        message = re.escape(f"FP targets must be a non-empty list of finite "
+                            f"numbers >= 0, got {targets!r}")
+        for call in (lambda: froc(matches, targets),
+                     lambda: stratified_froc(matches, labels, "type", targets),
+                     lambda: check_fp_targets(targets),
+                     lambda: EvalConfig(fp_targets=targets)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
 
     def test_numpy_targets_accepted(self):
         matches = crafted_three_image_matches()

@@ -500,7 +500,7 @@ def test_what_write_annotations_accepts_reads_back_equal(anns):
 
 wrong_config_values = st.one_of(
     st.sampled_from([True, None, "4", [], {}, [1], -1, 0, 0.5, 1e300, -1e300,
-                     2**31, 2**63, "<huge>"]),
+                     2**31, 2**63, 10**400, "<huge>"]),
     st.floats(-2, 2),
 )
 # Sizes are drawn from a set whose heatmap planes are small (at most 384 x 384

@@ -322,15 +322,23 @@ class TestConfigIsTheRoot:
         )  # the layers never write into the defaults
 
     @pytest.mark.parametrize("document,overrides,message", [
-        # the file is checked first, then the overrides, then the sections
+        # the file is judged whole first, its structure and then its
+        # sections, then the overrides' structure, then the sections again
         ("[1]", {"nope": 1}, "{path}: JSON root must be an object"),
         ('{"grouping": {"k1": "40"}}', {"nope": 1},
-         "config key grouping.k1 must be of type int, got '40'"),
-        ('{"grouping": {"kernel": 2}}', {"nope": 1}, "unknown config key: nope"),
+         "config section grouping: k1 must be an integer, got '40'"),
+        ('{"grouping": {"kernel": 2}}', {"nope": 1},
+         "config section grouping: kernel must be odd, got 2"),
         ('{"grouping": {"kernel": 2}}', {"eval": {"pad": -1.0}},
          "config section grouping: kernel must be odd, got 2"),
+        # a bad file value is refused though an override replaces it
+        ('{"grouping": {"k1": 2.5}}', {"grouping": {"k1": 9}},
+         "config section grouping: k1 must be an integer, got 2.5"),
+        ('{"grouping": {"nope": 1}}', {"grouping": {"kernel": 2}},
+         "unknown config key: grouping.nope"),
+        ("{}", {"nope": 1}, "unknown config key: nope"),
         ("{}", {"eval": {"pad": float("nan")}},
-         "config key eval.pad must be finite, got nan"),
+         "config section eval: pad must lie in [0, inf), got nan"),
         ("{}", {"soft_nms": {"score_floor": -0.5}},
          "config section soft_nms: score_floor must lie in [0, inf), got -0.5"),
         ("{}", {"soft_nms": {"linear_iou_threshold": 1.5}},
@@ -345,6 +353,15 @@ class TestConfigIsTheRoot:
         ("{}", {"focal": {"clamp_eps": 0.0}},
          "config section focal: clamp_eps must lie in (0, 0.5), got 0.0"),
         ("{}", {"eval": []}, "config key eval must be an object"),
+        ("{}", {"grouping": {"k1": {}}},
+         "config key grouping.k1 must not be an object"),
+        # the one key with no section keeps a rule of its own
+        ('{"window_presets": "x"}', {},
+         "config key window_presets must be a list whose numbers are finite, "
+         "got 'x'"),
+        ("{}", {"window_presets": [[1, float("inf")]]},
+         "config key window_presets must be a list whose numbers are finite, "
+         "got [[1, inf]]"),
         ('{"eval": {"pad": NaN}}', {}, "{path}: non-finite number NaN is not JSON"),
     ])
     def test_errors_come_file_then_overrides_then_sections(
@@ -358,22 +375,25 @@ class TestConfigIsTheRoot:
 
     # a refusal names its key first and the refused value last, for every
     # key; a key missing from OUT_OF_RANGE fails collection. A file or flag
-    # never reaches a section with a non-finite number, a bool or a float in
-    # an int field, as merge refuses it first, so each section is built
-    # directly. Each of these was once accepted: a NaN or inf sigma,
+    # value meets the same rule, as merge leaves every value to its section.
+    # Each of these was once accepted by the library: a NaN or inf sigma,
     # score_floor, alpha or beta (soft_nms then dropped an overlapping
     # 0.8-scored detection under sigma NaN, and focal_loss returned NaN under
-    # alpha NaN), True in every field but min_overlap and clamp_eps, and 2.5
-    # in every int field but kernel. The same key at its default as a numpy
-    # scalar is accepted: the rule judges a number's value, not its class
+    # alpha NaN), True in every field but min_overlap and clamp_eps, 2.5 in
+    # every int field but kernel, and an integer too large for a float in
+    # every int field. The same key at its default as a numpy scalar is
+    # accepted: the rule judges a number's value, not its class
     @pytest.mark.parametrize("section,key,value", [
         (cls, f.name, value)
         for cls in (*config.SECTION_TYPES.values(), config.DegradationConfig)
         for f in dataclasses.fields(cls)
         if type(f.default) in (int, float)
         for value in (float("nan"), float("inf"), float("-inf"), True,
+                      10**400, -10**400,
                       *[2.5] * (type(f.default) is int), *OUT_OF_RANGE[f.name])
-    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    ], ids=lambda v: getattr(
+        v, "__name__", {10**400: "10**400", -10**400: "-10**400"}.get(v, str(v))
+    ))
     def test_refusal_names_its_key_and_value(self, section, key, value):
         with pytest.raises(ValueError) as excinfo:
             section(**{key: value})
